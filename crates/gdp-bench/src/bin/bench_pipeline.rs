@@ -60,6 +60,7 @@
 //!                [--assert-gather-lane-over RATIO]
 //!                [--assert-scaling-disclose-2t-over RATIO]
 //!                [--assert-delta-disclose-over RATIO]
+//!                [--assert-seal-stream-over RATIO]
 //! ```
 //!
 //! ISSUE 10 adds the `delta_disclose_1m` entry: epoch N+1 produced from
@@ -67,6 +68,13 @@
 //! dirty-row incremental path, releases asserted bit-identical.
 //! `--assert-delta-disclose-over RATIO` fails the run when the
 //! incremental path stops beating the recompute by the given factor.
+//!
+//! The `seal_1m` entry times the sealed 1M-edge artifact's content
+//! digest two ways — the canonical JSON rendered from `serde::Value`
+//! trees into a string and then hashed, vs streamed straight into the
+//! hash — with both digests asserted equal to the manifest's every rep.
+//! `--assert-seal-stream-over RATIO` fails the run when streaming stops
+//! beating the tree render by the given factor.
 
 use std::time::Instant;
 
@@ -175,6 +183,26 @@ struct ArtifactIoComparison {
     load_speedup: f64,
 }
 
+/// The seal-path measurement: the canonical-JSON content digest of the
+/// sealed 1M-edge artifact — what every seal and every JSON load pays —
+/// computed two ways. The tree arm takes the shape the digest had
+/// before it was streamed: lower each section to a `serde::Value` tree,
+/// render the tree to a string, hash the string. (The rendering goes
+/// through today's writer, so this arm no longer pays the per-integer
+/// `String`s of the old renderer.) The streamed arm is
+/// `gdp_core::artifact::content_digest`, which writes the same JSON
+/// straight into an FNV-1a sink. Both digests are asserted equal to the
+/// manifest's on every rep.
+#[derive(Debug, Serialize)]
+struct SealComparison {
+    edges: u64,
+    levels: usize,
+    canonical_json_bytes: u64,
+    tree_render_hash_ms: f64,
+    streamed_hash_ms: f64,
+    speedup: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct AnswerQpsComparison {
     query_type: String,
@@ -253,6 +281,7 @@ struct Report {
     delta_disclose_1m: DeltaDiscloseComparison,
     datagen_1m: Vec<DatagenComparison>,
     artifact_io_1m: ArtifactIoComparison,
+    seal_1m: SealComparison,
     answer_qps: Vec<AnswerQpsComparison>,
     /// `None` only when `--max-edges` clips the 100k scale it is
     /// measured at.
@@ -496,18 +525,14 @@ fn datagen_comparison(edges: usize, seed: u64, reps: usize) -> Vec<DatagenCompar
         .collect()
 }
 
-/// The ISSUE-8 acceptance measurement (see [`ArtifactIoComparison`]):
-/// one sealed artifact from the standard 1M-edge pipeline, written and
-/// read back through real files in both formats, with the loaded
-/// artifacts asserted equal so neither format can drift.
-fn artifact_io_comparison(edges: usize, seed: u64, reps: usize) -> ArtifactIoComparison {
-    let side = ((edges as f64).sqrt() * 6.3) as u32;
-    let mut rng = StdRng::seed_from_u64(seed);
-    let graph = models::erdos_renyi(&mut rng, side, side, edges);
+/// `graph` through the standard pipeline (8 specialization rounds,
+/// total + per-group counts + left degree histogram), sealed — the
+/// fixture of the `artifact_io_1m` and `seal_1m` entries.
+fn sealed_artifact(graph: &gdp_graph::BipartiteGraph, seed: u64) -> ReleaseArtifact {
     let hierarchy = Specializer::new(
         SpecializationConfig::paper_default(8).expect("rounds > 0"),
     )
-    .specialize(&graph, &mut StdRng::seed_from_u64(seed ^ 1))
+    .specialize(graph, &mut StdRng::seed_from_u64(seed ^ 1))
     .expect("specialize succeeds");
     let release = MultiLevelDiscloser::new(
         DisclosureConfig::count_only(0.5, 1e-6)
@@ -518,11 +543,20 @@ fn artifact_io_comparison(edges: usize, seed: u64, reps: usize) -> ArtifactIoCom
                 Query::LeftDegreeHistogram { max_degree: 64 },
             ]),
     )
-    .disclose(&graph, &hierarchy, &mut StdRng::seed_from_u64(seed ^ 2))
+    .disclose(graph, &hierarchy, &mut StdRng::seed_from_u64(seed ^ 2))
     .expect("disclose succeeds");
-    let artifact =
-        ReleaseArtifact::seal("bench-io", 1, hierarchy, release).expect("artifact seals");
+    ReleaseArtifact::seal("bench-io", 1, hierarchy, release).expect("artifact seals")
+}
 
+/// The artifact IO measurement (see [`ArtifactIoComparison`]): the
+/// sealed artifact written and read back through real files in both
+/// formats, with the loaded artifacts asserted equal so neither format
+/// can drift.
+fn artifact_io_comparison(
+    artifact: &ReleaseArtifact,
+    edges: u64,
+    reps: usize,
+) -> ArtifactIoComparison {
     let dir = std::env::temp_dir().join(format!("gdp-bench-io-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let json_path = dir.join("bench-io-e1.json");
@@ -557,7 +591,7 @@ fn artifact_io_comparison(edges: usize, seed: u64, reps: usize) -> ArtifactIoCom
     std::fs::remove_dir_all(&dir).ok();
 
     ArtifactIoComparison {
-        edges: graph.edge_count(),
+        edges,
         levels: from_binary.artifact().level_count(),
         json_bytes,
         binary_bytes,
@@ -566,6 +600,34 @@ fn artifact_io_comparison(edges: usize, seed: u64, reps: usize) -> ArtifactIoCom
         json_load_index_ms,
         binary_load_index_ms,
         load_speedup: json_load_index_ms / binary_load_index_ms,
+    }
+}
+
+/// The seal-path measurement (see [`SealComparison`]).
+fn seal_comparison(artifact: &ReleaseArtifact, edges: u64, reps: usize) -> SealComparison {
+    use gdp_graph::io::{fnv1a_64, fnv1a_64_with};
+
+    let (hierarchy, release) = (artifact.hierarchy(), artifact.release());
+    let manifest_digest = artifact.manifest().content_digest.expect("sealed with a digest");
+    let mut canonical_json_bytes = 0;
+    let (tree_render_hash_ms, ()) = time_best_of(reps, || {
+        let h = serde_json::to_string(&hierarchy.to_value()).expect("hierarchy renders");
+        let r = serde_json::to_string(&release.to_value()).expect("release renders");
+        canonical_json_bytes = (h.len() + 1 + r.len()) as u64;
+        let digest = fnv1a_64_with(fnv1a_64_with(fnv1a_64(h.as_bytes()), &[0]), r.as_bytes());
+        assert_eq!(digest, manifest_digest, "tree-rendered digest must match the manifest");
+    });
+    let (streamed_hash_ms, ()) = time_best_of(reps, || {
+        let digest = gdp_core::artifact::content_digest(hierarchy, release).expect("digest");
+        assert_eq!(digest, manifest_digest, "streamed digest must match the manifest");
+    });
+    SealComparison {
+        edges,
+        levels: artifact.level_count(),
+        canonical_json_bytes,
+        tree_render_hash_ms,
+        streamed_hash_ms,
+        speedup: tree_render_hash_ms / streamed_hash_ms,
     }
 }
 
@@ -1219,6 +1281,7 @@ fn main() {
     let mut gather_lane_floor: Option<f64> = None;
     let mut scaling_disclose_2t_floor: Option<f64> = None;
     let mut delta_disclose_floor: Option<f64> = None;
+    let mut seal_stream_floor: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -1298,13 +1361,20 @@ fn main() {
                         .expect("--assert-delta-disclose-over needs a number (speedup ratio)"),
                 )
             }
+            "--assert-seal-stream-over" => {
+                seal_stream_floor = Some(
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--assert-seal-stream-over needs a number (speedup ratio)"),
+                )
+            }
             "--help" | "-h" => {
                 eprintln!(
                     "flags: [--out FILE] [--seed N] [--max-edges N] [--reps N] [--threads N] \
                      [--assert-disclose-100k-under MS] [--assert-datagen-1m-under MS] \
                      [--assert-answer-qps-over QPS] [--assert-binary-load-1m-under MS] \
                      [--assert-gather-lane-over RATIO] [--assert-scaling-disclose-2t-over RATIO] \
-                     [--assert-delta-disclose-over RATIO]"
+                     [--assert-delta-disclose-over RATIO] [--assert-seal-stream-over RATIO]"
                 );
                 return;
             }
@@ -1371,7 +1441,12 @@ fn main() {
     // entry means the same thing in every report — one pipeline run
     // plus file IO, cheap enough that `--max-edges` does not clip it.
     eprintln!("measuring artifact save/load, JSON vs binary (1M edges)…");
-    let artifact_io_1m = artifact_io_comparison(1_000_000, seed, 2);
+    let artifact_io_1m = {
+        let edges = 1_000_000;
+        let side = ((edges as f64).sqrt() * 6.3) as u32;
+        let graph = models::erdos_renyi(&mut StdRng::seed_from_u64(seed), side, side, edges);
+        artifact_io_comparison(&sealed_artifact(&graph, seed), graph.edge_count(), 2)
+    };
     eprintln!(
         "  json {:.0} KiB save {:.1} ms load+index {:.1} ms | \
          gda {:.0} KiB save {:.1} ms load+index {:.1} ms | load speedup {:.1}×",
@@ -1382,6 +1457,29 @@ fn main() {
         artifact_io_1m.binary_save_ms,
         artifact_io_1m.binary_load_index_ms,
         artifact_io_1m.load_speedup
+    );
+
+    // The publish path's own shape: a DBLP-like skewed graph (100k
+    // authors × 333k papers, 3 authors each, Zipf 1.15), whose
+    // hierarchy assigns every node of both sides at every level — the
+    // canonical JSON a curator's seal hashes.
+    eprintln!("measuring the seal digest, tree render vs streamed (1M-edge Zipf graph)…");
+    let seal_1m = {
+        let graph = models::zipf_attachment(
+            &mut StdRng::seed_from_u64(seed),
+            100_000,
+            333_334,
+            3,
+            1.15,
+        );
+        seal_comparison(&sealed_artifact(&graph, seed), graph.edge_count(), reps.max(2))
+    };
+    eprintln!(
+        "  {:.0} KiB canonical JSON: tree render+hash {:.1} ms  streamed {:.1} ms  speedup {:.1}×",
+        seal_1m.canonical_json_bytes as f64 / 1024.0,
+        seal_1m.tree_render_hash_ms,
+        seal_1m.streamed_hash_ms,
+        seal_1m.speedup
     );
 
     let mut phases = Vec::new();
@@ -1468,6 +1566,7 @@ fn main() {
         delta_disclose_1m,
         datagen_1m,
         artifact_io_1m,
+        seal_1m,
         answer_qps,
         reader_throughput,
         lane_kernels,
@@ -1614,6 +1713,26 @@ fn main() {
         }
         eprintln!(
             "delta-updated disclosure: {:.2}× over full recompute ≥ floor {floor:.2}×",
+            d.speedup
+        );
+    }
+
+    // Regression gate for CI: the streamed content digest must keep
+    // beating the tree-render-then-hash path it replaced — a change that
+    // routes sealing back through `Value` trees or per-number `String`s
+    // collapses this ratio, independent of runner speed.
+    if let Some(floor) = seal_stream_floor {
+        let d = &report.seal_1m;
+        if d.speedup < floor {
+            eprintln!(
+                "FAIL: streamed seal digest at {:.2}× over tree render \
+                 (floor {floor:.2}×; tree {:.1} ms, streamed {:.1} ms)",
+                d.speedup, d.tree_render_hash_ms, d.streamed_hash_ms
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "streamed seal digest: {:.2}× over tree render ≥ floor {floor:.2}×",
             d.speedup
         );
     }

@@ -414,15 +414,28 @@ impl ReleaseArtifact {
 /// compact canonical JSON of the release. Rendering is deterministic
 /// (shortest-round-trip floats, fixed field order), so a lossless
 /// save/load cycle reproduces the digest bit-for-bit.
-fn content_digest(hierarchy: &GroupHierarchy, release: &MultiLevelRelease) -> Result<u64> {
-    let canon = |what: &str, r: std::result::Result<String, serde_json::Error>| {
-        r.map_err(|e| CoreError::Artifact(format!("cannot canonicalize {what} for digest: {}", e.0)))
+///
+/// The JSON is streamed straight into the hash
+/// ([`gdp_graph::io::Fnv1aWriter`] behind `serde_json::to_writer`);
+/// no document is built. The digest is still defined as the hash of
+/// those bytes, so it equals hashing `serde_json::to_string` of each
+/// section.
+///
+/// # Errors
+///
+/// [`CoreError::Artifact`] when a section cannot be rendered as JSON
+/// (a non-finite float).
+pub fn content_digest(hierarchy: &GroupHierarchy, release: &MultiLevelRelease) -> Result<u64> {
+    let canon = |what: &'static str| {
+        move |e: serde_json::Error| {
+            CoreError::Artifact(format!("cannot canonicalize {what} for digest: {}", e.0))
+        }
     };
-    let h = canon("hierarchy", serde_json::to_string(hierarchy))?;
-    let r = canon("release", serde_json::to_string(release))?;
-    let mut digest = graph_io::fnv1a_64(h.as_bytes());
-    digest = graph_io::fnv1a_64_with(digest, &[0]);
-    Ok(graph_io::fnv1a_64_with(digest, r.as_bytes()))
+    let mut sink = graph_io::Fnv1aWriter::new();
+    serde_json::to_writer(&mut sink, hierarchy).map_err(canon("hierarchy"))?;
+    sink.write_all(&[0]).map_err(|e| CoreError::Graph(e.into()))?;
+    serde_json::to_writer(&mut sink, release).map_err(canon("release"))?;
+    Ok(sink.digest())
 }
 
 /// The sealing invariants, shared by [`ReleaseArtifact::seal`] and
@@ -757,6 +770,46 @@ mod tests {
         .unwrap();
         (hierarchy, release)
     }
+
+    /// A fixed-seed artifact covering every query and a non-default
+    /// mechanism, for the pinned-digest test.
+    fn golden_artifact() -> ReleaseArtifact {
+        let mut rng = StdRng::seed_from_u64(2017);
+        let graph = DblpGenerator::new(DblpConfig::tiny()).generate(&mut rng);
+        let hierarchy = Specializer::new(SpecializationConfig::median(3).unwrap())
+            .specialize(&graph, &mut rng)
+            .unwrap();
+        let release = MultiLevelDiscloser::new(
+            DisclosureConfig::count_only(0.6, 1e-6)
+                .unwrap()
+                .with_mechanism(NoiseMechanism::GaussianAnalytic)
+                .with_queries(vec![
+                    Query::TotalAssociations,
+                    Query::PerGroupCounts,
+                    Query::LeftDegreeHistogram { max_degree: 16 },
+                    Query::GroupSizeCounts,
+                ]),
+        )
+        .disclose(&graph, &hierarchy, &mut rng)
+        .unwrap();
+        ReleaseArtifact::seal("golden", 1, hierarchy, release).unwrap()
+    }
+
+    #[test]
+    fn content_digest_is_pinned() {
+        // The digest this fixture had when the canonical JSON was still
+        // rendered from `serde::Value` trees. Any drift in the renderer
+        // (number formatting, escaping, field order) changes it, and
+        // every artifact already on disk would then fail to load.
+        let artifact = golden_artifact();
+        assert_eq!(artifact.manifest().content_digest, Some(GOLDEN_DIGEST));
+        assert_eq!(
+            content_digest(artifact.hierarchy(), artifact.release()).unwrap(),
+            GOLDEN_DIGEST
+        );
+    }
+
+    const GOLDEN_DIGEST: u64 = 0x6bd5_f7bd_4151_ab29;
 
     #[test]
     fn seal_derives_consistent_manifest() {

@@ -4,11 +4,15 @@ use proptest::prelude::*;
 
 use gdp_core::adjacency::{DatasetVector, Group, GroupStructure};
 use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
+use gdp_core::artifact::content_digest;
 use gdp_core::{
     relative_error, AccessPolicy, AnswerContext, DisclosureConfig, HierarchyStats,
-    MultiLevelDiscloser, Privilege, Query, SpecializationConfig, Specializer, SplitStrategy,
+    MultiLevelDiscloser, NoiseMechanism, Privilege, Query, ReleaseArtifact, SpecializationConfig,
+    Specializer, SplitStrategy,
 };
+use gdp_graph::io::{fnv1a_64, fnv1a_64_with};
 use gdp_graph::{BipartiteGraph, DegreeHistogram, GraphBuilder, LeftId, PairCounts, RightId};
+use serde::Serialize;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -172,6 +176,55 @@ proptest! {
                 prop_assert!(q.noisy_values.iter().all(|v| v.is_finite()));
             }
         }
+    }
+
+    #[test]
+    fn streamed_content_digest_equals_hash_of_tree_rendered_json(
+        graph in graph_strategy(),
+        rounds in 1u32..4,
+        mechanism_pick in 0u8..4,
+        query_mask in 1u8..16,
+        eps in 0.05f64..0.95,
+        seed in 0u64..1000,
+    ) {
+        let h = Specializer::new(SpecializationConfig::median(rounds).unwrap())
+            .specialize(&graph, &mut StdRng::seed_from_u64(seed))
+            .unwrap();
+        let mechanism = [
+            NoiseMechanism::GaussianClassic,
+            NoiseMechanism::GaussianAnalytic,
+            NoiseMechanism::Laplace,
+            NoiseMechanism::Geometric,
+        ][mechanism_pick as usize];
+        let queries: Vec<Query> = [
+            Query::TotalAssociations,
+            Query::PerGroupCounts,
+            Query::LeftDegreeHistogram { max_degree: 8 },
+            Query::GroupSizeCounts,
+        ]
+        .into_iter()
+        .enumerate()
+        .filter(|(i, _)| query_mask & (1 << i) != 0)
+        .map(|(_, q)| q)
+        .collect();
+        let release = MultiLevelDiscloser::new(
+            DisclosureConfig::count_only(eps, 1e-6)
+                .unwrap()
+                .with_mechanism(mechanism)
+                .with_queries(queries),
+        )
+        .disclose(&graph, &h, &mut StdRng::seed_from_u64(seed ^ 1))
+        .unwrap();
+        // The oracle: render each section's `to_value` tree to a string,
+        // then hash the concatenation with the zero separator.
+        let render = |tree: serde::Value| serde_json::to_string(&tree).unwrap();
+        let oracle = fnv1a_64_with(
+            fnv1a_64_with(fnv1a_64(render(h.to_value()).as_bytes()), &[0]),
+            render(release.to_value()).as_bytes(),
+        );
+        prop_assert_eq!(content_digest(&h, &release).unwrap(), oracle);
+        let sealed = ReleaseArtifact::seal("prop", seed, h, release).unwrap();
+        prop_assert_eq!(sealed.manifest().content_digest, Some(oracle));
     }
 
     #[test]

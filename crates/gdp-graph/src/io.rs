@@ -283,6 +283,51 @@ pub fn fnv1a_64_with(seed: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
+/// An [`std::io::Write`] sink that folds everything written into a
+/// running [`fnv1a_64`] digest, so a serializer can hash a document
+/// without materializing it. Writing sections in turn equals hashing
+/// their concatenation.
+#[derive(Debug, Clone)]
+pub struct Fnv1aWriter {
+    hash: u64,
+}
+
+impl Fnv1aWriter {
+    /// A sink holding the digest of zero bytes.
+    pub fn new() -> Self {
+        Self {
+            hash: fnv1a_64(&[]),
+        }
+    }
+
+    /// The digest of every byte written so far.
+    pub fn digest(&self) -> u64 {
+        self.hash
+    }
+}
+
+impl Default for Fnv1aWriter {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+impl Write for Fnv1aWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.hash = fnv1a_64_with(self.hash, buf);
+        Ok(buf.len())
+    }
+
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.hash = fnv1a_64_with(self.hash, buf);
+        Ok(())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -425,5 +470,14 @@ mod tests {
         let whole = fnv1a_64(b"foobar");
         let chained = fnv1a_64_with(fnv1a_64(b"foo"), b"bar");
         assert_eq!(whole, chained);
+    }
+
+    #[test]
+    fn fnv1a_writer_hashes_what_it_is_fed() {
+        let mut sink = Fnv1aWriter::new();
+        assert_eq!(sink.digest(), fnv1a_64(b""));
+        sink.write_all(b"foo").unwrap();
+        assert_eq!(sink.write(b"bar").unwrap(), 3);
+        assert_eq!(sink.digest(), fnv1a_64(b"foobar"));
     }
 }

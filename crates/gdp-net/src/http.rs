@@ -68,11 +68,14 @@ impl Response {
     /// A JSON response: serializes `body` through the in-tree
     /// serde/serde_json pair (finite floats round-trip bit-exactly).
     pub fn json<T: Serialize>(status: u16, body: &T) -> Self {
-        let body = serde_json::to_string(body).unwrap_or_else(|_| "{}".to_string());
+        let mut bytes = Vec::new();
+        if serde_json::to_writer(&mut bytes, body).is_err() {
+            bytes = b"{}".to_vec();
+        }
         Self {
             status,
             headers: vec![("content-type".to_string(), "application/json".to_string())],
-            body: body.into_bytes(),
+            body: bytes,
         }
     }
 

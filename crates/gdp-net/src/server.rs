@@ -555,7 +555,8 @@ fn handle_connection(shared: &Shared, conn: Conn) {
     // as 504s instead of silently slow answers. Keep-alive successors
     // restart the clock at their own arrival.
     let mut deadline_start = conn.accepted_at;
-    for _ in 0..shared.config.max_requests_per_connection {
+    let cap = shared.config.max_requests_per_connection;
+    for served in 1..=cap {
         let request = match http::read_request(&mut reader, shared.config.max_body_bytes) {
             Ok(Some(request)) => request,
             // Clean keep-alive close, or a peer that tore the
@@ -595,9 +596,10 @@ fn handle_connection(shared: &Shared, conn: Conn) {
         };
         let in_flight = InFlight::new(&shared.stats);
         let response = route(shared, &request, deadline_start);
-        let keep_alive = request.keep_alive()
-            && !shared.draining()
-            && shared.config.max_requests_per_connection > 1;
+        // The request that reaches the per-connection cap is the last:
+        // its response says so, so the client does not write into the
+        // socket this loop is about to close.
+        let keep_alive = request.keep_alive() && !shared.draining() && served < cap;
         match http::write_response(&mut writer, &response, keep_alive) {
             Ok(()) => {
                 shared.stats.completed.fetch_add(1, Ordering::Relaxed);

@@ -10,7 +10,7 @@ use gdp_graph::Side;
 use gdp_core::Privilege;
 use gdp_net::{
     client, AnswerRequest, AnswerResponse, BatchAnswerRequest, BatchAnswerResponse, ErrorBody,
-    FaultPlan, ReleasesResponse, StatsSnapshot,
+    FaultPlan, HttpError, ReleasesResponse, StatsSnapshot,
 };
 use gdp_serve::{Query, SubsetQuery, TypedAnswer};
 
@@ -141,6 +141,29 @@ fn keep_alive_serves_many_requests_on_one_connection() {
     drop(conn);
     handle.shutdown();
     handle.join();
+}
+
+#[test]
+fn the_request_reaching_the_keep_alive_cap_is_answered_with_connection_close() {
+    let mut config = common::test_config();
+    config.max_requests_per_connection = 3;
+    let handle = common::start(config, FaultPlan::none());
+    let mut conn = client::ClientConn::connect(handle.addr(), TIMEOUT).unwrap();
+    for (i, want) in ["keep-alive", "keep-alive", "close"].into_iter().enumerate() {
+        let response = conn.send("GET", "/health", None).unwrap();
+        assert_eq!(response.status, 200, "request {i}");
+        assert_eq!(response.header("connection"), Some(want), "request {i}");
+    }
+    // The server ended the connection after the capped response.
+    let after = conn.send("GET", "/health", None);
+    assert!(
+        matches!(after, Err(HttpError::Closed) | Err(HttpError::Io(_))),
+        "expected the capped connection to be closed, got {after:?}"
+    );
+    common::wait_for(&handle, "3 completions", |s| s.completed == 3);
+    assert_eq!(handle.stats().accepted, 1);
+    handle.shutdown();
+    assert!(handle.join().clean);
 }
 
 #[test]

@@ -214,7 +214,10 @@ fn worker_panics_are_supervised_and_respawned() {
         assert_eq!(response.status, 200, "round {round}");
     }
 
-    // The in-flight gauge was unwound correctly every time.
+    // The in-flight gauge was unwound correctly every time. The gauge
+    // drops just after the last response's bytes land, so wait for it
+    // rather than race it.
+    common::wait_for(&handle, "in-flight gauge drained", |s| s.in_flight == 0);
     let stats = handle.stats();
     assert_eq!(stats.in_flight, 0);
     assert_eq!(stats.worker_panics, 3);
