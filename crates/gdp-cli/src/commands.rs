@@ -515,7 +515,7 @@ pub fn publish(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// Prints a manifest's cross-epoch ledger block (schema v3+) to stderr.
+/// Prints a manifest's cross-epoch ledger block to stderr.
 fn print_ledger(m: &gdp_core::ArtifactManifest) {
     if let Some(ledger) = &m.ledger {
         eprintln!(
@@ -548,11 +548,10 @@ pub fn convert(args: &[String]) -> CmdResult {
     let m = artifact.manifest();
     eprintln!(
         "converted {input} -> {out} ({format}): dataset `{}` epoch {}, \
-         digest {} preserved",
+         digest {:#018x} preserved",
         m.dataset,
         m.epoch,
-        m.content_digest
-            .map_or_else(|| "absent (v1)".to_string(), |d| format!("{d:#018x}")),
+        m.content_digest,
     );
     Ok(())
 }

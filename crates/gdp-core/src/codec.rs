@@ -3,9 +3,9 @@
 //!
 //! Three sections, fixed tags:
 //!
-//! * **1 — manifest**: every [`ArtifactManifest`] field, including the
-//!   canonical-JSON `content_digest` verbatim — a binary artifact and
-//!   its JSON twin carry **bit-identical manifests**.
+//! * **1 — manifest**: every [`ArtifactManifest`] field, including
+//!   `content_digest` verbatim — a binary artifact and its JSON twin
+//!   carry **bit-identical manifests**.
 //! * **2 — hierarchy**: per level, both [`SidePartition`]s as
 //!   `(side, block_count, assignment[])` with 8-byte-aligned `u32`
 //!   arrays.
@@ -13,24 +13,32 @@
 //!   metadata, budget, and each query's `f64` noisy-value array with
 //!   its exact bit patterns.
 //!
-//! Integrity is layered. The container digest (over the raw file
-//! bytes, checked before any decoding) catches truncation and bit rot
-//! cheaply; the manifest's `content_digest` stays what
-//! [`ReleaseArtifact::seal`] computed over the canonical JSON, so
-//! manifests compare equal across formats and a `.gda` → `.json`
-//! re-encode preserves the digest chain. Because the container digest
-//! transitively pins the manifest section (including `content_digest`)
-//! together with every payload byte, [`DecodedArtifact::seal`] re-runs
-//! the sealing *validation* but skips re-rendering the payload as
-//! canonical JSON — that skipped render is the binary load path's
-//! speed advantage over [`ReleaseArtifact::read_json`].
+//! Integrity is layered. The manifest's `content_digest` is defined on
+//! this format: FNV-1a over the hierarchy section payload, one zero
+//! byte, then the release section payload — byte for byte what
+//! [`encode`] lays out and [`gdp_graph::binfmt::read_container`] hands
+//! back. [`ReleaseArtifact::seal`] computes it by streaming those bytes
+//! through the same section writers into the hash
+//! ([`crate::artifact::content_digest`]); no payload is built. The
+//! container digest (over the raw file bytes, checked before any
+//! decoding) catches truncation and bit rot cheaply, and because it
+//! also pins the manifest section (including `content_digest`),
+//! [`DecodedArtifact::seal`] re-runs the sealing *validation* but
+//! carries the content digest instead of recomputing it. A JSON load
+//! ([`ReleaseArtifact::read_json`]) has no container digest, so it
+//! re-derives the content digest with the same streamed hasher.
+//!
+//! The manifest layout is that of [`crate::ARTIFACT_SCHEMA_VERSION`]
+//! only: [`decode`] reads the schema version first and refuses any
+//! other (older files carry a digest defined over canonical JSON)
+//! before it interprets another manifest byte.
 //!
 //! Like the container layer, decoding is panic-free: all counts are
 //! bounds-checked against the remaining section bytes before
 //! allocation, and every reconstructed structure passes through its
 //! validating constructor.
 
-use gdp_graph::binfmt::{read_container, write_container, ByteReader, ByteWriter};
+use gdp_graph::binfmt::{read_container, write_container, ByteReader, ByteSink, ByteWriter};
 use gdp_graph::{GraphError, Side, SidePartition};
 use gdp_mechanisms::{Delta, Epsilon, PrivacyBudget};
 
@@ -104,21 +112,9 @@ fn encode_manifest(m: &ArtifactManifest) -> Vec<u8> {
     w.put_u64_slice(&m.group_counts);
     w.put_u32(m.left_nodes);
     w.put_u32(m.right_nodes);
-    match m.content_digest {
-        Some(d) => {
-            w.put_u32(1);
-            w.put_u32(0);
-            w.put_u64(d);
-        }
-        None => {
-            w.put_u32(0);
-            w.put_u32(0);
-            w.put_u64(0);
-        }
-    }
-    // Schema version 3: the optional cross-epoch privacy ledger, as a
-    // presence flag + fixed-width record. Always written by this build;
-    // pre-v3 files simply end before it (see `decode_manifest`).
+    w.put_u64(m.content_digest);
+    // The optional cross-epoch privacy ledger, as a presence flag +
+    // fixed-width record.
     match &m.ledger {
         Some(l) => {
             w.put_u32(1);
@@ -142,6 +138,7 @@ fn encode_manifest(m: &ArtifactManifest) -> Vec<u8> {
 fn decode_manifest(bytes: &[u8]) -> Result<ArtifactManifest> {
     let mut r = ByteReader::new(bytes);
     let schema_version = r.take_u32("manifest schema_version")?;
+    crate::artifact::check_schema_version(schema_version)?;
     let dataset = r.take_str("manifest dataset")?;
     let epoch = r.take_u64("manifest epoch")?;
     let mechanism = mechanism_from(r.take_u32("manifest mechanism")?)?;
@@ -152,37 +149,25 @@ fn decode_manifest(bytes: &[u8]) -> Result<ArtifactManifest> {
     let group_counts = r.take_u64_vec("manifest group_counts")?;
     let left_nodes = r.take_u32("manifest left_nodes")?;
     let right_nodes = r.take_u32("manifest right_nodes")?;
-    let has_digest = r.take_u32("manifest digest flag")?;
-    r.take_u32("manifest padding")?;
-    let digest = r.take_u64("manifest content_digest")?;
-    let content_digest = match has_digest {
-        0 => None,
-        1 => Some(digest),
-        other => return Err(bad(format!("manifest digest flag is {other}, not 0/1"))),
-    };
-    // Pre-v3 manifests end here; v3 appends the ledger block.
-    let ledger = if r.remaining() > 0 {
-        match r.take_u32("manifest ledger flag")? {
-            0 => {
-                r.take_u32("manifest padding")?;
-                None
-            }
-            1 => {
-                r.take_u32("manifest padding")?;
-                Some(ManifestLedger {
-                    epoch_epsilon: r.take_f64("ledger epoch_epsilon")?,
-                    epoch_delta: r.take_f64("ledger epoch_delta")?,
-                    cumulative_epsilon: r.take_f64("ledger cumulative_epsilon")?,
-                    cumulative_delta: r.take_f64("ledger cumulative_delta")?,
-                    total_epsilon: r.take_f64("ledger total_epsilon")?,
-                    total_delta: r.take_f64("ledger total_delta")?,
-                    releases: r.take_u64("ledger releases")?,
-                })
-            }
-            other => return Err(bad(format!("manifest ledger flag is {other}, not 0/1"))),
+    let content_digest = r.take_u64("manifest content_digest")?;
+    let ledger = match r.take_u32("manifest ledger flag")? {
+        0 => {
+            r.take_u32("manifest padding")?;
+            None
         }
-    } else {
-        None
+        1 => {
+            r.take_u32("manifest padding")?;
+            Some(ManifestLedger {
+                epoch_epsilon: r.take_f64("ledger epoch_epsilon")?,
+                epoch_delta: r.take_f64("ledger epoch_delta")?,
+                cumulative_epsilon: r.take_f64("ledger cumulative_epsilon")?,
+                cumulative_delta: r.take_f64("ledger cumulative_delta")?,
+                total_epsilon: r.take_f64("ledger total_epsilon")?,
+                total_delta: r.take_f64("ledger total_delta")?,
+                releases: r.take_u64("ledger releases")?,
+            })
+        }
+        other => return Err(bad(format!("manifest ledger flag is {other}, not 0/1"))),
     };
     r.expect_end("manifest section")?;
     Ok(ArtifactManifest {
@@ -201,7 +186,7 @@ fn decode_manifest(bytes: &[u8]) -> Result<ArtifactManifest> {
     })
 }
 
-fn encode_partition(w: &mut ByteWriter, p: &SidePartition) {
+fn encode_partition<S: ByteSink>(w: &mut ByteWriter<S>, p: &SidePartition) {
     w.put_u32(side_tag(p.side()));
     w.put_u32(p.block_count());
     w.put_u32_slice(p.assignment());
@@ -214,13 +199,19 @@ fn decode_partition(r: &mut ByteReader<'_>, what: &str) -> Result<SidePartition>
     Ok(SidePartition::new(side, assignment, block_count)?)
 }
 
-fn encode_hierarchy(h: &GroupHierarchy) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Writes the hierarchy section payload into `w` — the buffer of
+/// [`encode`], or the hasher of [`crate::artifact::content_digest`].
+pub(crate) fn write_hierarchy<S: ByteSink>(w: &mut ByteWriter<S>, h: &GroupHierarchy) {
     w.put_u64(h.level_count() as u64);
     for level in h.levels() {
-        encode_partition(&mut w, level.left());
-        encode_partition(&mut w, level.right());
+        encode_partition(w, level.left());
+        encode_partition(w, level.right());
     }
+}
+
+fn encode_hierarchy(h: &GroupHierarchy) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_hierarchy(&mut w, h);
     w.into_bytes()
 }
 
@@ -264,8 +255,9 @@ fn query_from(tag: u32, param: u32) -> Result<Query> {
     })
 }
 
-fn encode_release(rel: &MultiLevelRelease) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+/// Writes the release section payload into `w` (see
+/// [`write_hierarchy`]).
+pub(crate) fn write_release<S: ByteSink>(w: &mut ByteWriter<S>, rel: &MultiLevelRelease) {
     w.put_u32(mechanism_tag(rel.mechanism()));
     w.put_u32(0);
     w.put_f64(rel.epsilon_g());
@@ -289,6 +281,11 @@ fn encode_release(rel: &MultiLevelRelease) -> Vec<u8> {
             w.put_f64_slice(&q.noisy_values);
         }
     }
+}
+
+fn encode_release(rel: &MultiLevelRelease) -> Vec<u8> {
+    let mut w = ByteWriter::new();
+    write_release(&mut w, rel);
     w.into_bytes()
 }
 
@@ -391,13 +388,12 @@ impl DecodedArtifact {
     }
 
     /// Promotes the decoded parts to a sealed [`ReleaseArtifact`],
-    /// re-running the full sealing validation (schema-version range,
-    /// manifest↔payload cross-checks, the version-2 digest-presence
-    /// rule). The canonical-JSON `content_digest` is **carried, not
-    /// recomputed**: the container digest verified in [`decode`]
-    /// already pinned the exact bytes it was decoded from, and
-    /// skipping the canonical render is what makes the binary load
-    /// path fast.
+    /// re-running the full sealing validation (schema version,
+    /// manifest↔payload cross-checks, finite values). The
+    /// `content_digest` is **carried, not recomputed**: the container
+    /// digest verified in [`decode`] already pinned the exact bytes it
+    /// was decoded from, so hashing the sections again would only
+    /// re-derive a value corruption can no longer have touched.
     ///
     /// # Errors
     ///
@@ -419,6 +415,8 @@ impl DecodedArtifact {
 /// * [`CoreError::Graph`] (`GraphError::Binary`) for every structural
 ///   defect: truncation, bit flips (digest mismatch), missing or
 ///   unknown sections, malformed fields, oversized counts.
+/// * [`CoreError::Artifact`] naming the version when the manifest's
+///   schema version is not [`crate::ARTIFACT_SCHEMA_VERSION`].
 /// * [`CoreError::InvalidHierarchy`] / [`CoreError::InvalidConfig`] /
 ///   [`CoreError::Mechanism`] when decoded values fail their
 ///   constructors' domain checks (possible only for hand-crafted
@@ -484,7 +482,7 @@ mod tests {
         let back = decode(&bytes).unwrap().seal().unwrap();
         assert_eq!(a, back);
         assert_eq!(a.manifest(), back.manifest(), "manifests bit-identical");
-        // The carried digest is the canonical-JSON digest, so the
+        // The carried digest is the one a JSON load recomputes, so the
         // decoded artifact re-encodes as JSON and loads cleanly.
         let mut json = Vec::new();
         back.write_json(&mut json).unwrap();
@@ -582,53 +580,63 @@ mod tests {
         let back = decode(&bytes).unwrap().seal().unwrap();
         assert_eq!(with, back);
         assert_eq!(back.manifest().ledger.as_ref(), Some(&ledger));
-        // Pre-v3 bytes (manifest section ending at the digest) still
-        // decode, with no ledger.
-        let m = a.manifest();
-        let mut legacy = encode_manifest(m);
-        // Strip the ledger block this build appends: flag + pad.
-        legacy.truncate(legacy.len() - 8);
-        let bytes = write_container(&[
-            (SECTION_MANIFEST, legacy),
-            (SECTION_HIERARCHY, encode_hierarchy(a.hierarchy())),
-            (SECTION_RELEASE, encode_release(a.release())),
-        ])
-        .unwrap();
-        let back = decode(&bytes).unwrap().seal().unwrap();
-        assert_eq!(back.manifest().ledger, None);
-        assert_eq!(back.hierarchy(), a.hierarchy());
     }
 
     #[test]
-    fn v1_manifests_without_digest_round_trip() {
+    fn pre_v4_artifacts_are_refused_naming_their_version() {
+        // Schema 3 and older carry a digest defined over canonical JSON;
+        // both formats refuse them by version, before the digest.
         let a = artifact();
-        let mut manifest = a.manifest().clone();
-        manifest.schema_version = 1;
-        manifest.content_digest = None;
+        let mut json = Vec::new();
+        a.write_json(&mut json).unwrap();
+        let v3 = String::from_utf8(json).unwrap().replacen(
+            "\"schema_version\": 4",
+            "\"schema_version\": 3",
+            1,
+        );
+        let err = ReleaseArtifact::read_json(v3.as_bytes()).unwrap_err();
+        let refused_as_v3 = |e: &CoreError| {
+            matches!(e, CoreError::Artifact(m) if m.contains("schema version 3 unsupported"))
+        };
+        assert!(refused_as_v3(&err), "{err}");
+
+        // A `.gda` manifest is laid out per version, so the decoder
+        // refuses it right after reading the version.
+        let mut manifest = encode_manifest(a.manifest());
+        manifest[..4].copy_from_slice(&3u32.to_le_bytes());
         let bytes = write_container(&[
-            (SECTION_MANIFEST, encode_manifest(&manifest)),
+            (SECTION_MANIFEST, manifest),
             (SECTION_HIERARCHY, encode_hierarchy(a.hierarchy())),
             (SECTION_RELEASE, encode_release(a.release())),
         ])
         .unwrap();
-        let back = decode(&bytes).unwrap().seal().unwrap();
-        assert_eq!(back.manifest().schema_version, 1);
-        assert_eq!(back.manifest().content_digest, None);
-        assert_eq!(back.hierarchy(), a.hierarchy());
+        let err = decode(&bytes).unwrap_err();
+        assert!(refused_as_v3(&err), "{err}");
     }
 
     #[test]
-    fn v2_manifest_stripped_of_digest_is_refused_at_seal() {
+    fn a_container_holding_a_nan_is_refused_at_seal() {
+        // The container digest vouches for the bytes, NaN included, so
+        // only seal()'s finiteness check can refuse it.
         let a = artifact();
-        let mut manifest = a.manifest().clone();
-        manifest.content_digest = None; // still claims version 2
+        let mut levels = a.release().levels().to_vec();
+        levels[0].queries[1].noisy_values[0] = f64::NAN;
+        let release = MultiLevelRelease::new(
+            a.release().mechanism(),
+            a.release().epsilon_g(),
+            a.release().delta(),
+            levels,
+        )
+        .unwrap();
         let bytes = write_container(&[
-            (SECTION_MANIFEST, encode_manifest(&manifest)),
+            (SECTION_MANIFEST, encode_manifest(a.manifest())),
             (SECTION_HIERARCHY, encode_hierarchy(a.hierarchy())),
-            (SECTION_RELEASE, encode_release(a.release())),
+            (SECTION_RELEASE, encode_release(&release)),
         ])
         .unwrap();
-        let err = decode(&bytes).unwrap().seal().unwrap_err();
-        assert!(err.to_string().contains("missing its content digest"), "{err}");
+        let decoded = decode(&bytes).unwrap();
+        let err = decoded.seal().unwrap_err();
+        assert!(matches!(err, CoreError::Artifact(_)), "{err}");
+        assert!(err.to_string().contains("must be finite"), "{err}");
     }
 }

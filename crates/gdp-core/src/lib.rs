@@ -81,7 +81,6 @@ pub mod theory;
 pub use access::{AccessControlled, AccessPolicy, Privilege};
 pub use artifact::{
     ArtifactFormat, ArtifactManifest, ManifestLedger, ReleaseArtifact, ARTIFACT_SCHEMA_VERSION,
-    MIN_ARTIFACT_SCHEMA_VERSION,
 };
 pub use baseline::{
     individual_edge_dp_count, individual_node_dp_count, naive_group_composition_count,

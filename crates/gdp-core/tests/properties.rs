@@ -5,14 +5,15 @@ use proptest::prelude::*;
 use gdp_core::adjacency::{DatasetVector, Group, GroupStructure};
 use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
 use gdp_core::artifact::content_digest;
+use gdp_core::codec;
 use gdp_core::{
     relative_error, AccessPolicy, AnswerContext, DisclosureConfig, HierarchyStats,
     MultiLevelDiscloser, NoiseMechanism, Privilege, Query, ReleaseArtifact, SpecializationConfig,
     Specializer, SplitStrategy,
 };
+use gdp_graph::binfmt::read_container;
 use gdp_graph::io::{fnv1a_64, fnv1a_64_with};
 use gdp_graph::{BipartiteGraph, DegreeHistogram, GraphBuilder, LeftId, PairCounts, RightId};
-use serde::Serialize;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -179,7 +180,7 @@ proptest! {
     }
 
     #[test]
-    fn streamed_content_digest_equals_hash_of_tree_rendered_json(
+    fn streamed_content_digest_equals_hash_of_gda_sections(
         graph in graph_strategy(),
         rounds in 1u32..4,
         mechanism_pick in 0u8..4,
@@ -215,16 +216,27 @@ proptest! {
         )
         .disclose(&graph, &h, &mut StdRng::seed_from_u64(seed ^ 1))
         .unwrap();
-        // The oracle: render each section's `to_value` tree to a string,
-        // then hash the concatenation with the zero separator.
-        let render = |tree: serde::Value| serde_json::to_string(&tree).unwrap();
-        let oracle = fnv1a_64_with(
-            fnv1a_64_with(fnv1a_64(render(h.to_value()).as_bytes()), &[0]),
-            render(release.to_value()).as_bytes(),
-        );
-        prop_assert_eq!(content_digest(&h, &release).unwrap(), oracle);
+        let streamed = content_digest(&h, &release);
         let sealed = ReleaseArtifact::seal("prop", seed, h, release).unwrap();
-        prop_assert_eq!(sealed.manifest().content_digest, Some(oracle));
+        // The definition: FNV-1a over the hierarchy section payload, a
+        // zero byte, then the release section payload, as the container
+        // reader hands them back from the encoded file.
+        let bytes = codec::encode(&sealed).unwrap();
+        let sections = read_container(&bytes).unwrap();
+        let payload = |tag: u32| sections.iter().find(|(t, _)| *t == tag).unwrap().1;
+        let oracle = fnv1a_64_with(
+            fnv1a_64_with(fnv1a_64(payload(codec::SECTION_HIERARCHY)), &[0]),
+            payload(codec::SECTION_RELEASE),
+        );
+        prop_assert_eq!(streamed, oracle);
+        prop_assert_eq!(sealed.manifest().content_digest, oracle);
+        // `.gda` → JSON → `read_json` (which re-derives the digest) keeps it.
+        let from_gda = codec::decode(&bytes).unwrap().seal().unwrap();
+        let mut json = Vec::new();
+        from_gda.write_json(&mut json).unwrap();
+        let from_json = ReleaseArtifact::read_json(json.as_slice()).unwrap();
+        prop_assert_eq!(from_json.manifest().content_digest, oracle);
+        prop_assert_eq!(&from_json, &sealed);
     }
 
     #[test]

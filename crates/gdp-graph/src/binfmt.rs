@@ -33,7 +33,7 @@
 //! chunked reads.
 
 use crate::error::GraphError;
-use crate::io::fnv1a_64;
+use crate::io::{fnv1a_64, Fnv1aWriter};
 use crate::Result;
 
 /// The 8-byte magic every container starts with.
@@ -217,13 +217,88 @@ pub fn read_container(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>> {
     Ok(sections)
 }
 
+/// Where a [`ByteWriter`] puts section bytes: a `Vec<u8>` (the payload
+/// itself) or a [`Fnv1aWriter`] (the payload's digest, with no payload
+/// built). The array methods default to one [`ByteSink::put_bytes`] per
+/// element; `Vec<u8>` overrides them with one presized bulk copy.
+pub trait ByteSink {
+    /// Appends raw bytes.
+    fn put_bytes(&mut self, bytes: &[u8]);
+
+    /// Appends `u32`s, little-endian.
+    fn put_u32s(&mut self, vs: &[u32]) {
+        for v in vs {
+            self.put_bytes(&v.to_le_bytes());
+        }
+    }
+
+    /// Appends `u64`s, little-endian.
+    fn put_u64s(&mut self, vs: &[u64]) {
+        for v in vs {
+            self.put_bytes(&v.to_le_bytes());
+        }
+    }
+
+    /// Appends `f64` bit patterns, little-endian.
+    fn put_f64s(&mut self, vs: &[f64]) {
+        for v in vs {
+            self.put_bytes(&v.to_bits().to_le_bytes());
+        }
+    }
+}
+
+/// Grows `buf` by `vs.len() × N` bytes once, then fills the new tail
+/// chunk by chunk.
+fn bulk_write<T: Copy, const N: usize>(
+    buf: &mut Vec<u8>,
+    vs: &[T],
+    le_bytes: impl Fn(T) -> [u8; N],
+) {
+    let start = buf.len();
+    buf.resize(start + vs.len() * N, 0);
+    for (chunk, &v) in buf[start..].chunks_exact_mut(N).zip(vs) {
+        chunk.copy_from_slice(&le_bytes(v));
+    }
+}
+
+impl ByteSink for Vec<u8> {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+
+    fn put_u32s(&mut self, vs: &[u32]) {
+        bulk_write(self, vs, u32::to_le_bytes);
+    }
+
+    fn put_u64s(&mut self, vs: &[u64]) {
+        bulk_write(self, vs, u64::to_le_bytes);
+    }
+
+    fn put_f64s(&mut self, vs: &[f64]) {
+        bulk_write(self, vs, |v: f64| v.to_bits().to_le_bytes());
+    }
+}
+
+impl ByteSink for Fnv1aWriter {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.update(bytes);
+    }
+}
+
 /// Builds one section payload: little-endian primitives,
 /// length-prefixed strings and arrays, 8-byte alignment restored
 /// before every string/array body so the matching [`ByteReader`] can
 /// decode array data with straight chunked reads.
+///
+/// The bytes go to a [`ByteSink`]: by default a `Vec<u8>`
+/// ([`ByteWriter::new`] / [`ByteWriter::into_bytes`]); over a
+/// [`Fnv1aWriter`] ([`ByteWriter::with_sink`]) the same calls hash the
+/// payload they would have built. Alignment is counted from the start
+/// of the section, whatever the sink already holds.
 #[derive(Debug, Default)]
-pub struct ByteWriter {
-    buf: Vec<u8>,
+pub struct ByteWriter<S = Vec<u8>> {
+    sink: S,
+    len: usize,
 }
 
 impl ByteWriter {
@@ -234,29 +309,45 @@ impl ByteWriter {
 
     /// The finished payload bytes.
     pub fn into_bytes(self) -> Vec<u8> {
-        self.buf
+        self.sink
+    }
+}
+
+impl<S: ByteSink> ByteWriter<S> {
+    /// A writer that starts a section in `sink`.
+    pub fn with_sink(sink: S) -> Self {
+        Self { sink, len: 0 }
+    }
+
+    /// The sink, holding everything written.
+    pub fn into_sink(self) -> S {
+        self.sink
+    }
+
+    fn put(&mut self, bytes: &[u8]) {
+        self.sink.put_bytes(bytes);
+        self.len += bytes.len();
     }
 
     fn pad8(&mut self) {
-        while !self.buf.len().is_multiple_of(8) {
-            self.buf.push(0);
-        }
+        let pad = align8(self.len) - self.len;
+        self.put(&[0; 8][..pad]);
     }
 
     /// Appends a little-endian `u32`.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn put_u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
+        self.put(&v.to_le_bytes());
     }
 
     /// Appends a little-endian IEEE-754 `f64` (bit pattern preserved
     /// exactly — NaN payloads and signed zeros round-trip).
     pub fn put_f64(&mut self, v: f64) {
-        self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
+        self.put(&v.to_bits().to_le_bytes());
     }
 
     /// Appends a UTF-8 string: `u64` byte length, the bytes, padding
@@ -264,7 +355,7 @@ impl ByteWriter {
     pub fn put_str(&mut self, s: &str) {
         self.pad8();
         self.put_u64(s.len() as u64);
-        self.buf.extend_from_slice(s.as_bytes());
+        self.put(s.as_bytes());
         self.pad8();
     }
 
@@ -273,9 +364,8 @@ impl ByteWriter {
     pub fn put_u32_slice(&mut self, vs: &[u32]) {
         self.pad8();
         self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.put_u32(v);
-        }
+        self.sink.put_u32s(vs);
+        self.len += vs.len() * 4;
         self.pad8();
     }
 
@@ -283,9 +373,8 @@ impl ByteWriter {
     pub fn put_u64_slice(&mut self, vs: &[u64]) {
         self.pad8();
         self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.put_u64(v);
-        }
+        self.sink.put_u64s(vs);
+        self.len += vs.len() * 8;
     }
 
     /// Appends an `f64` array: `u64` element count, then the bit
@@ -293,9 +382,8 @@ impl ByteWriter {
     pub fn put_f64_slice(&mut self, vs: &[f64]) {
         self.pad8();
         self.put_u64(vs.len() as u64);
-        for &v in vs {
-            self.put_f64(v);
-        }
+        self.sink.put_f64s(vs);
+        self.len += vs.len() * 8;
     }
 }
 
@@ -535,6 +623,54 @@ mod tests {
         let mut r = ByteReader::new(sections[0].1);
         let err = r.take_f64_vec("vals").unwrap_err();
         assert!(err.to_string().contains("exceeds"), "{err}");
+    }
+
+    #[test]
+    fn hashing_writer_digests_the_bytes_a_buffer_writer_builds() {
+        fn fill<S: ByteSink>(w: &mut ByteWriter<S>) {
+            w.put_u32(9);
+            w.put_str("α");
+            w.put_u32_slice(&[1, 2, 3]);
+            w.put_u64_slice(&[u64::MAX, 7]);
+            w.put_f64_slice(&[-0.0, 2.5]);
+            w.put_u32_slice(&[]);
+        }
+        let mut built = ByteWriter::new();
+        fill(&mut built);
+        let bytes = built.into_bytes();
+        // The bulk array copies lay out exactly what per-element
+        // little-endian writes would.
+        let mut expected = Vec::new();
+        expected.extend_from_slice(&9u32.to_le_bytes());
+        expected.extend_from_slice(&[0; 4]);
+        expected.extend_from_slice(&2u64.to_le_bytes());
+        expected.extend_from_slice("α".as_bytes());
+        expected.extend_from_slice(&[0; 6]);
+        expected.extend_from_slice(&3u64.to_le_bytes());
+        for v in [1u32, 2, 3] {
+            expected.extend_from_slice(&v.to_le_bytes());
+        }
+        expected.extend_from_slice(&[0; 4]);
+        expected.extend_from_slice(&2u64.to_le_bytes());
+        for v in [u64::MAX, 7] {
+            expected.extend_from_slice(&v.to_le_bytes());
+        }
+        expected.extend_from_slice(&2u64.to_le_bytes());
+        for v in [-0.0f64, 2.5] {
+            expected.extend_from_slice(&v.to_bits().to_le_bytes());
+        }
+        expected.extend_from_slice(&0u64.to_le_bytes());
+        assert_eq!(bytes, expected);
+
+        // Over a hasher that already holds bytes, alignment still counts
+        // from the section start.
+        let mut sink = Fnv1aWriter::new();
+        sink.update(b"xyz");
+        let mut hashed = ByteWriter::with_sink(sink);
+        fill(&mut hashed);
+        let mut prefixed = b"xyz".to_vec();
+        prefixed.extend_from_slice(&bytes);
+        assert_eq!(hashed.into_sink().digest(), fnv1a_64(&prefixed));
     }
 
     #[test]

@@ -283,10 +283,11 @@ pub fn fnv1a_64_with(seed: u64, bytes: &[u8]) -> u64 {
     hash
 }
 
-/// An [`std::io::Write`] sink that folds everything written into a
-/// running [`fnv1a_64`] digest, so a serializer can hash a document
-/// without materializing it. Writing sections in turn equals hashing
-/// their concatenation.
+/// A sink that folds everything written into a running [`fnv1a_64`]
+/// digest, so a document can be hashed without materializing it: an
+/// [`std::io::Write`] for serializers, and a
+/// [`crate::binfmt::ByteSink`] for binary section payloads. Writing
+/// sections in turn equals hashing their concatenation.
 #[derive(Debug, Clone)]
 pub struct Fnv1aWriter {
     hash: u64,
@@ -298,6 +299,11 @@ impl Fnv1aWriter {
         Self {
             hash: fnv1a_64(&[]),
         }
+    }
+
+    /// Folds `bytes` into the digest.
+    pub fn update(&mut self, bytes: &[u8]) {
+        self.hash = fnv1a_64_with(self.hash, bytes);
     }
 
     /// The digest of every byte written so far.
@@ -314,12 +320,12 @@ impl Default for Fnv1aWriter {
 
 impl Write for Fnv1aWriter {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-        self.hash = fnv1a_64_with(self.hash, buf);
+        self.update(buf);
         Ok(buf.len())
     }
 
     fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
-        self.hash = fnv1a_64_with(self.hash, buf);
+        self.update(buf);
         Ok(())
     }
 

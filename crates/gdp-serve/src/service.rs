@@ -44,12 +44,11 @@ impl CacheStats {
 /// The memo key is variant-aware: two queries of different kinds (or
 /// the same kind with different parameters) at the same
 /// `(dataset, epoch, level)` are distinct entries. The third component
-/// is the release's manifest `content_digest` (0 for pre-digest v1
-/// artifacts): a `(dataset, epoch)` that is retired and later
-/// re-registered with different bytes — retention GC followed by a
-/// republish, a `merge_dir` hot-reload — can never be served from the
-/// old release's memo entries, because the new artifact's digest keys
-/// a disjoint part of the table. Stale entries age out through the
+/// is the release's manifest `content_digest`: a `(dataset, epoch)`
+/// that is retired and later re-registered with different bytes —
+/// retention GC followed by a republish, a `merge_dir` hot-reload — can
+/// never be served from the old release's memo entries, because the new
+/// artifact's digest keys a disjoint part of the table. Stale entries age out through the
 /// normal CLOCK sweep (or immediately via
 /// [`AnswerService::invalidate_release`]).
 type CacheKey = (String, u64, u64, usize, Query);
@@ -314,7 +313,7 @@ impl AnswerService {
         // if this (dataset, epoch) was retired and re-registered with
         // different bytes, the old release's memo entries are
         // unreachable rather than stale.
-        let digest = indexed.artifact().manifest().content_digest.unwrap_or(0);
+        let digest = indexed.artifact().manifest().content_digest;
         let key: CacheKey = (dataset.to_string(), epoch, digest, level, query);
         if let Some(value) = self.cache().get(&key) {
             self.hits.fetch_add(1, Ordering::Relaxed);

@@ -16,9 +16,7 @@ use std::sync::{Arc, RwLock};
 
 use gdp_core::artifact::ArtifactPayload;
 use gdp_core::codec;
-use gdp_core::{
-    ArtifactFormat, ReleaseArtifact, ARTIFACT_SCHEMA_VERSION, MIN_ARTIFACT_SCHEMA_VERSION,
-};
+use gdp_core::{ArtifactFormat, ReleaseArtifact, ARTIFACT_SCHEMA_VERSION};
 use gdp_graph::io as graph_io;
 
 use crate::error::ServeError;
@@ -384,8 +382,9 @@ impl ReleaseStore {
     ///
     /// * [`ServeError::EmptyDirectory`] when no artifact files are
     ///   found.
-    /// * [`ServeError::SchemaVersion`] for a manifest this build does
-    ///   not read.
+    /// * [`ServeError::SchemaVersion`] for a JSON manifest this build
+    ///   does not read; a `.gda` one is refused by its decoder as
+    ///   `CoreError::Artifact` naming the version.
     /// * [`ServeError::DuplicateRelease`] when two files carry the same
     ///   `(dataset, epoch)` — both paths are named.
     /// * [`ServeError::Core`] wrapping `GraphError::Json` /
@@ -751,33 +750,31 @@ fn is_pending_tmp(path: &Path) -> bool {
 
 /// Parses and fully validates one artifact file, dispatching on the
 /// extension ([`ArtifactFormat::from_path`]): document/container
-/// shape, schema version range (with file context), sealing
-/// re-validation, checksum verification. The binary route verifies the
-/// container's byte digest before decoding a single field; the JSON
-/// route re-hashes the canonical payload against the manifest digest.
+/// shape, schema version, sealing re-validation, checksum
+/// verification. The binary route verifies the container's byte digest
+/// before decoding a single field, and its decoder refuses a foreign
+/// schema version itself ([`CoreError::Artifact`](gdp_core::CoreError::Artifact)
+/// naming the version), because a `.gda` manifest is laid out per
+/// version; the JSON route checks the version with file context, then
+/// re-hashes the payload against the manifest digest.
 fn parse_artifact(path: &Path) -> Result<ReleaseArtifact> {
-    let schema_check = |schema_version: u32| {
-        if (MIN_ARTIFACT_SCHEMA_VERSION..=ARTIFACT_SCHEMA_VERSION).contains(&schema_version) {
-            Ok(())
-        } else {
-            Err(ServeError::SchemaVersion {
-                path: path.display().to_string(),
-                found: schema_version,
-                supported: ARTIFACT_SCHEMA_VERSION,
-            })
-        }
-    };
     match ArtifactFormat::from_path(path) {
         Some(ArtifactFormat::Binary) => {
             let bytes = std::fs::read(path)?;
             let decoded = codec::decode(&bytes).map_err(ServeError::Core)?;
-            schema_check(decoded.manifest().schema_version)?;
             decoded.seal().map_err(ServeError::Core)
         }
         _ => {
             let file = File::open(path)?;
             let payload: ArtifactPayload = graph_io::read_json(BufReader::new(file))?;
-            schema_check(payload.manifest().schema_version)?;
+            let found = payload.manifest().schema_version;
+            if found != ARTIFACT_SCHEMA_VERSION {
+                return Err(ServeError::SchemaVersion {
+                    path: path.display().to_string(),
+                    found,
+                    supported: ARTIFACT_SCHEMA_VERSION,
+                });
+            }
             ReleaseArtifact::try_from(payload).map_err(ServeError::Core)
         }
     }

@@ -2,7 +2,7 @@
 //!
 //! A release published as a `.gda` binary container must be
 //! **indistinguishable** from its JSON twin to every consumer: equal
-//! manifests (same canonical-JSON content digest), equal artifacts,
+//! manifests (same content digest), equal artifacts,
 //! and — the part operators actually depend on — bit-identical answers
 //! for every [`Query`] variant at every level, including typed-error
 //! precedence on out-of-range levels, nodes and groups.
@@ -181,7 +181,7 @@ proptest! {
         let from_binary = ReleaseArtifact::read_binary(binary.as_slice()).unwrap();
 
         // Equal artifacts, bit-identical manifests: the binary twin
-        // carries the same canonical-JSON content digest verbatim.
+        // carries the same content digest verbatim.
         prop_assert_eq!(&from_json, &from_binary);
         prop_assert_eq!(from_json.manifest(), from_binary.manifest());
         prop_assert_eq!(
@@ -268,7 +268,10 @@ fn binary_json_reencode_preserves_the_digest_chain() {
     let graph = b.build();
     let artifact = sealed(&graph, 2, 99, 5, true, true);
     let digest = artifact.manifest().content_digest;
-    assert!(digest.is_some());
+    assert_eq!(
+        digest,
+        gdp_core::artifact::content_digest(artifact.hierarchy(), artifact.release())
+    );
 
     let mut binary = Vec::new();
     artifact.write_binary(&mut binary).unwrap();
