@@ -19,8 +19,8 @@
 //! Two on-disk formats share one manifest and one content digest
 //! ([`ArtifactFormat`]): pretty-printed JSON (`.json`, the
 //! debug/interop format) and the `.gda` binary container
-//! ([`crate::codec`], the fast serving format). The digest is defined
-//! on the `.gda` section bytes ([`content_digest`]), so both formats
+//! ([`crate::codec`], the fast serving format). The digest is XXH64
+//! over the `.gda` section bytes ([`content_digest`]), so both formats
 //! verify the same value. Everything downstream
 //! of a saved artifact is pure post-processing of a differentially
 //! private release — serving, indexing, caching and re-answering it
@@ -29,11 +29,12 @@
 use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
+use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
 use gdp_graph::binfmt::ByteWriter;
-use gdp_graph::io::{self as graph_io, Fnv1aWriter};
+use gdp_graph::io::{self as graph_io, Xxh64Writer};
 
 use crate::disclosure::NoiseMechanism;
 use crate::error::CoreError;
@@ -57,12 +58,14 @@ use crate::Result;
 /// * **4** — redefines [`ArtifactManifest::content_digest`] over the
 ///   `.gda` section bytes instead of canonical JSON (see
 ///   [`content_digest`]), and makes it mandatory.
+/// * **5** — the same bytes, hashed with XXH64 (seed 0,
+///   [`gdp_graph::io::xxh64`]) instead of FNV-1a.
 ///
 /// Loading accepts this version only; anything else — older files
-/// included, whose digest is defined over canonical JSON — fails with
-/// [`CoreError::Artifact`] naming the version instead of
+/// included, whose digest is another function or over other bytes —
+/// fails with [`CoreError::Artifact`] naming the version instead of
 /// misinterpreting the payload.
-pub const ARTIFACT_SCHEMA_VERSION: u32 = 4;
+pub const ARTIFACT_SCHEMA_VERSION: u32 = 5;
 
 /// The two on-disk encodings of a [`ReleaseArtifact`]. Both carry the
 /// identical manifest (same [`ArtifactManifest::content_digest`], which
@@ -240,7 +243,7 @@ pub struct ArtifactManifest {
     pub left_nodes: u32,
     /// Right-side node count of the underlying graph.
     pub right_nodes: u32,
-    /// FNV-1a digest over the `.gda` hierarchy section payload, one
+    /// XXH64 digest over the `.gda` hierarchy section payload, one
     /// zero byte, and the release section payload ([`content_digest`]).
     /// Verified on every JSON load ([`CoreError::ChecksumMismatch`] on
     /// disagreement); a `.gda` load carries it under the container
@@ -257,7 +260,7 @@ pub struct ArtifactManifest {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ArtifactPayload {
     manifest: ArtifactManifest,
-    hierarchy: GroupHierarchy,
+    hierarchy: Arc<GroupHierarchy>,
     release: MultiLevelRelease,
 }
 
@@ -274,6 +277,10 @@ impl ArtifactPayload {
 
 /// A sealed multi-level release bundle: manifest + public hierarchy +
 /// noisy per-level releases.
+///
+/// The hierarchy is held by [`Arc`]: it is fixed once specialization
+/// is done, so a [`crate::DisclosureSession`] and every artifact it
+/// publishes share one copy instead of cloning it per epoch.
 ///
 /// Construction only through [`ReleaseArtifact::seal`] /
 /// [`ReleaseArtifact::read_json`] — both validate that the manifest,
@@ -307,7 +314,7 @@ impl ArtifactPayload {
 #[serde(try_from = "ArtifactPayload", into = "ArtifactPayload")]
 pub struct ReleaseArtifact {
     manifest: ArtifactManifest,
-    hierarchy: GroupHierarchy,
+    hierarchy: Arc<GroupHierarchy>,
     release: MultiLevelRelease,
 }
 
@@ -355,20 +362,20 @@ impl ReleaseArtifact {
         validate(&manifest, &hierarchy, &release)?;
         Ok(Self {
             manifest,
-            hierarchy,
+            hierarchy: Arc::new(hierarchy),
             release,
         })
     }
 }
 
-/// The FNV-1a content digest a sealed manifest promises: the `.gda`
+/// The XXH64 content digest a sealed manifest promises: the `.gda`
 /// hierarchy section payload, a zero separator byte, then the release
 /// section payload — exactly the bytes [`crate::codec::encode`] lays
 /// out for those sections. The section writers stream straight into the
-/// hash ([`gdp_graph::io::Fnv1aWriter`] as the
+/// hash ([`gdp_graph::io::Xxh64Writer`] as the
 /// [`gdp_graph::binfmt::ByteSink`]); no payload is built.
 pub fn content_digest(hierarchy: &GroupHierarchy, release: &MultiLevelRelease) -> u64 {
-    let mut w = ByteWriter::with_sink(Fnv1aWriter::new());
+    let mut w = ByteWriter::with_sink(Xxh64Writer::new());
     crate::codec::write_hierarchy(&mut w, hierarchy);
     let mut sink = w.into_sink();
     sink.update(&[0]);
@@ -479,7 +486,8 @@ fn validate(
 
 impl ReleaseArtifact {
     /// Seals a disclosure into an artifact, deriving the manifest from
-    /// the payload and validating the result.
+    /// the payload and validating the result. The hierarchy may come by
+    /// value or as a shared [`Arc`], which the artifact then shares.
     ///
     /// # Errors
     ///
@@ -489,10 +497,10 @@ impl ReleaseArtifact {
     pub fn seal(
         dataset: impl Into<String>,
         epoch: u64,
-        hierarchy: GroupHierarchy,
+        hierarchy: impl Into<Arc<GroupHierarchy>>,
         release: MultiLevelRelease,
     ) -> Result<Self> {
-        Self::seal_inner(dataset.into(), epoch, hierarchy, release, None)
+        Self::seal_inner(dataset.into(), epoch, hierarchy.into(), release, None)
     }
 
     /// [`ReleaseArtifact::seal`] with a cross-epoch privacy
@@ -510,17 +518,23 @@ impl ReleaseArtifact {
     pub fn seal_with_ledger(
         dataset: impl Into<String>,
         epoch: u64,
-        hierarchy: GroupHierarchy,
+        hierarchy: impl Into<Arc<GroupHierarchy>>,
         release: MultiLevelRelease,
         ledger: ManifestLedger,
     ) -> Result<Self> {
-        Self::seal_inner(dataset.into(), epoch, hierarchy, release, Some(ledger))
+        Self::seal_inner(
+            dataset.into(),
+            epoch,
+            hierarchy.into(),
+            release,
+            Some(ledger),
+        )
     }
 
     fn seal_inner(
         dataset: String,
         epoch: u64,
-        hierarchy: GroupHierarchy,
+        hierarchy: Arc<GroupHierarchy>,
         release: MultiLevelRelease,
         ledger: Option<ManifestLedger>,
     ) -> Result<Self> {
@@ -767,7 +781,7 @@ mod tests {
 
     #[test]
     fn content_digest_is_pinned() {
-        // The schema-4 digest of this fixture: FNV-1a over its `.gda`
+        // The schema-5 digest of this fixture: XXH64 over its `.gda`
         // hierarchy section, a zero byte, and its release section. Any
         // drift in the section layout changes it, and every artifact
         // already on disk would then fail to load from JSON.
@@ -782,14 +796,14 @@ mod tests {
         // move a byte unnoticed.
         let bytes = crate::codec::encode(&artifact).unwrap();
         assert_eq!(
-            (bytes.len(), graph_io::fnv1a_64(&bytes)),
+            (bytes.len(), graph_io::xxh64(&bytes)),
             (GOLDEN_GDA_LEN, GOLDEN_GDA_DIGEST)
         );
     }
 
-    const GOLDEN_DIGEST: u64 = 0x7260_7ae6_6708_91fc;
+    const GOLDEN_DIGEST: u64 = 0xede1_faef_6d9a_226e;
     const GOLDEN_GDA_LEN: usize = 14_192;
-    const GOLDEN_GDA_DIGEST: u64 = 0x5ec4_bcea_6e16_899e;
+    const GOLDEN_GDA_DIGEST: u64 = 0xfb54_a033_db9a_9424;
 
     #[test]
     fn seal_refuses_non_finite_values() {
@@ -866,7 +880,7 @@ mod tests {
         a.write_json(&mut buf).unwrap();
         let doctored = String::from_utf8(buf)
             .unwrap()
-            .replacen("\"schema_version\": 4", "\"schema_version\": 99", 1);
+            .replacen("\"schema_version\": 5", "\"schema_version\": 99", 1);
         let err = ReleaseArtifact::read_json(doctored.as_bytes()).unwrap_err();
         assert!(
             err.to_string().contains("schema version 99"),

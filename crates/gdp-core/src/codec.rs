@@ -13,8 +13,13 @@
 //!   metadata, budget, and each query's `f64` noisy-value array with
 //!   its exact bit patterns.
 //!
+//! [`encode`] measures the three payloads with a
+//! [`ByteCounter`], then writes header, section table and sections
+//! straight into one buffer of the exact file size
+//! ([`ContainerWriter`]); no section is built apart and copied.
+//!
 //! Integrity is layered. The manifest's `content_digest` is defined on
-//! this format: FNV-1a over the hierarchy section payload, one zero
+//! this format: XXH64 over the hierarchy section payload, one zero
 //! byte, then the release section payload — byte for byte what
 //! [`encode`] lays out and [`gdp_graph::binfmt::read_container`] hands
 //! back. [`ReleaseArtifact::seal`] computes it by streaming those bytes
@@ -30,15 +35,19 @@
 //!
 //! The manifest layout is that of [`crate::ARTIFACT_SCHEMA_VERSION`]
 //! only: [`decode`] reads the schema version first and refuses any
-//! other (older files carry a digest defined over canonical JSON)
-//! before it interprets another manifest byte.
+//! other before it interprets another manifest byte. Schema 4 files
+//! carry an FNV-1a digest over the same bytes, inside a version-1
+//! container, and older ones a digest over canonical JSON; the
+//! container version check refuses a version-1 file first.
 //!
 //! Like the container layer, decoding is panic-free: all counts are
 //! bounds-checked against the remaining section bytes before
 //! allocation, and every reconstructed structure passes through its
 //! validating constructor.
 
-use gdp_graph::binfmt::{read_container, write_container, ByteReader, ByteSink, ByteWriter};
+use gdp_graph::binfmt::{
+    read_container, ByteCounter, ByteReader, ByteSink, ByteWriter, ContainerWriter,
+};
 use gdp_graph::{GraphError, Side, SidePartition};
 use gdp_mechanisms::{Delta, Epsilon, PrivacyBudget};
 
@@ -99,8 +108,7 @@ fn side_from(tag: u32) -> Result<Side> {
     })
 }
 
-fn encode_manifest(m: &ArtifactManifest) -> Vec<u8> {
-    let mut w = ByteWriter::new();
+fn write_manifest<S: ByteSink>(w: &mut ByteWriter<S>, m: &ArtifactManifest) {
     w.put_u32(m.schema_version);
     w.put_str(&m.dataset);
     w.put_u64(m.epoch);
@@ -132,7 +140,6 @@ fn encode_manifest(m: &ArtifactManifest) -> Vec<u8> {
             w.put_u32(0);
         }
     }
-    w.into_bytes()
 }
 
 fn decode_manifest(bytes: &[u8]) -> Result<ArtifactManifest> {
@@ -209,12 +216,6 @@ pub(crate) fn write_hierarchy<S: ByteSink>(w: &mut ByteWriter<S>, h: &GroupHiera
     }
 }
 
-fn encode_hierarchy(h: &GroupHierarchy) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_hierarchy(&mut w, h);
-    w.into_bytes()
-}
-
 fn decode_hierarchy(bytes: &[u8]) -> Result<GroupHierarchy> {
     let mut r = ByteReader::new(bytes);
     let level_count = r.take_u64("hierarchy level_count")?;
@@ -281,12 +282,6 @@ pub(crate) fn write_release<S: ByteSink>(w: &mut ByteWriter<S>, rel: &MultiLevel
             w.put_f64_slice(&q.noisy_values);
         }
     }
-}
-
-fn encode_release(rel: &MultiLevelRelease) -> Vec<u8> {
-    let mut w = ByteWriter::new();
-    write_release(&mut w, rel);
-    w.into_bytes()
 }
 
 fn decode_release(bytes: &[u8]) -> Result<MultiLevelRelease> {
@@ -360,12 +355,33 @@ fn decode_release(bytes: &[u8]) -> Result<MultiLevelRelease> {
 /// assembly failures — impossible for a well-formed artifact, surfaced
 /// as a typed error rather than a panic regardless.
 pub fn encode(artifact: &ReleaseArtifact) -> Result<Vec<u8>> {
-    let sections = vec![
-        (SECTION_MANIFEST, encode_manifest(artifact.manifest())),
-        (SECTION_HIERARCHY, encode_hierarchy(artifact.hierarchy())),
-        (SECTION_RELEASE, encode_release(artifact.release())),
+    encode_parts(artifact.manifest(), artifact.hierarchy(), artifact.release())
+}
+
+/// [`encode`] over parts that need not agree (the tests hand-build
+/// doctored containers through it).
+fn encode_parts(
+    manifest: &ArtifactManifest,
+    hierarchy: &GroupHierarchy,
+    release: &MultiLevelRelease,
+) -> Result<Vec<u8>> {
+    let lens = [
+        section_len(|w| write_manifest(w, manifest)),
+        section_len(|w| write_hierarchy(w, hierarchy)),
+        section_len(|w| write_release(w, release)),
     ];
-    Ok(write_container(&sections)?)
+    let mut container = ContainerWriter::new(&lens)?;
+    container.section(SECTION_MANIFEST, |w| write_manifest(w, manifest))?;
+    container.section(SECTION_HIERARCHY, |w| write_hierarchy(w, hierarchy))?;
+    container.section(SECTION_RELEASE, |w| write_release(w, release))?;
+    Ok(container.finish()?)
+}
+
+/// The payload length `write` produces, counted without writing it.
+fn section_len(write: impl FnOnce(&mut ByteWriter<ByteCounter>)) -> usize {
+    let mut w = ByteWriter::with_sink(ByteCounter::default());
+    write(&mut w);
+    w.into_sink().len()
 }
 
 /// A structurally decoded, digest-verified — but not yet sealed —
@@ -520,18 +536,20 @@ mod tests {
 
     #[test]
     fn missing_and_unknown_sections_are_typed() {
-        use gdp_graph::binfmt::write_container;
         let a = artifact();
-        let no_release = write_container(&[
-            (SECTION_MANIFEST, encode_manifest(a.manifest())),
-            (SECTION_HIERARCHY, encode_hierarchy(a.hierarchy())),
-        ])
-        .unwrap();
-        let err = decode(&no_release).unwrap_err();
+        let mut no_release = ContainerWriter::new(&[0, 0]).unwrap();
+        no_release
+            .section(SECTION_MANIFEST, |w| write_manifest(w, a.manifest()))
+            .unwrap();
+        no_release
+            .section(SECTION_HIERARCHY, |w| write_hierarchy(w, a.hierarchy()))
+            .unwrap();
+        let err = decode(&no_release.finish().unwrap()).unwrap_err();
         assert!(err.to_string().contains("missing release"), "{err}");
 
-        let alien = write_container(&[(99, vec![1, 2, 3])]).unwrap();
-        let err = decode(&alien).unwrap_err();
+        let mut alien = ContainerWriter::new(&[4]).unwrap();
+        alien.section(99, |w| w.put_u32(7)).unwrap();
+        let err = decode(&alien.finish().unwrap()).unwrap_err();
         assert!(err.to_string().contains("unknown section tag 99"), "{err}");
     }
 
@@ -543,12 +561,7 @@ mod tests {
         let a = artifact();
         let mut manifest = a.manifest().clone();
         manifest.level_count += 1;
-        let bytes = write_container(&[
-            (SECTION_MANIFEST, encode_manifest(&manifest)),
-            (SECTION_HIERARCHY, encode_hierarchy(a.hierarchy())),
-            (SECTION_RELEASE, encode_release(a.release())),
-        ])
-        .unwrap();
+        let bytes = encode_parts(&manifest, a.hierarchy(), a.release()).unwrap();
         let decoded = decode(&bytes).unwrap();
         assert_eq!(decoded.manifest().level_count, manifest.level_count);
         let err = decoded.seal().unwrap_err();
@@ -584,34 +597,42 @@ mod tests {
 
     #[test]
     fn pre_v4_artifacts_are_refused_naming_their_version() {
-        // Schema 3 and older carry a digest defined over canonical JSON;
-        // both formats refuse them by version, before the digest.
+        // Schema 4 hashed the same bytes with FNV-1a, and schema 3 and
+        // older hashed canonical JSON; both formats refuse them by
+        // version, before the digest.
         let a = artifact();
         let mut json = Vec::new();
         a.write_json(&mut json).unwrap();
-        let v3 = String::from_utf8(json).unwrap().replacen(
-            "\"schema_version\": 4",
-            "\"schema_version\": 3",
-            1,
-        );
-        let err = ReleaseArtifact::read_json(v3.as_bytes()).unwrap_err();
-        let refused_as_v3 = |e: &CoreError| {
-            matches!(e, CoreError::Artifact(m) if m.contains("schema version 3 unsupported"))
-        };
-        assert!(refused_as_v3(&err), "{err}");
+        let json = String::from_utf8(json).unwrap();
+        let current = format!("\"schema_version\": {}", crate::ARTIFACT_SCHEMA_VERSION);
+        for version in [3, 4] {
+            let refused = |e: &CoreError| {
+                matches!(e, CoreError::Artifact(m)
+                    if m.contains(&format!("schema version {version} unsupported")))
+            };
+            let old = json.replacen(&current, &format!("\"schema_version\": {version}"), 1);
+            let err = ReleaseArtifact::read_json(old.as_bytes()).unwrap_err();
+            assert!(refused(&err), "{err}");
 
-        // A `.gda` manifest is laid out per version, so the decoder
-        // refuses it right after reading the version.
-        let mut manifest = encode_manifest(a.manifest());
-        manifest[..4].copy_from_slice(&3u32.to_le_bytes());
-        let bytes = write_container(&[
-            (SECTION_MANIFEST, manifest),
-            (SECTION_HIERARCHY, encode_hierarchy(a.hierarchy())),
-            (SECTION_RELEASE, encode_release(a.release())),
-        ])
-        .unwrap();
-        let err = decode(&bytes).unwrap_err();
-        assert!(refused_as_v3(&err), "{err}");
+            // A `.gda` manifest is laid out per version, so the decoder
+            // refuses it right after reading the version.
+            let mut manifest = a.manifest().clone();
+            manifest.schema_version = version;
+            let bytes = encode_parts(&manifest, a.hierarchy(), a.release()).unwrap();
+            let err = decode(&bytes).unwrap_err();
+            assert!(refused(&err), "{err}");
+        }
+
+        // A schema-4 file sits in a version-1 container (FNV-1a over the
+        // file), which the container layer refuses first.
+        let mut v1 = encode(&a).unwrap();
+        v1[8..12].copy_from_slice(&1u32.to_le_bytes());
+        match decode(&v1) {
+            Err(CoreError::Graph(GraphError::Binary { offset: 8, message })) => {
+                assert!(message.contains("container version 1"), "{message}")
+            }
+            other => panic!("a v1 container must be refused by version: {other:?}"),
+        }
     }
 
     #[test]
@@ -628,12 +649,7 @@ mod tests {
             levels,
         )
         .unwrap();
-        let bytes = write_container(&[
-            (SECTION_MANIFEST, encode_manifest(a.manifest())),
-            (SECTION_HIERARCHY, encode_hierarchy(a.hierarchy())),
-            (SECTION_RELEASE, encode_release(&release)),
-        ])
-        .unwrap();
+        let bytes = encode_parts(a.manifest(), a.hierarchy(), &release).unwrap();
         let decoded = decode(&bytes).unwrap();
         let err = decoded.seal().unwrap_err();
         assert!(matches!(err, CoreError::Artifact(_)), "{err}");

@@ -1,3 +1,5 @@
+use std::sync::Arc;
+
 use rand::Rng;
 
 use gdp_graph::{BipartiteGraph, DegreeHistogram, EdgeDelta};
@@ -59,7 +61,9 @@ use crate::Result;
 #[derive(Debug, Clone)]
 pub struct DisclosureSession {
     graph: BipartiteGraph,
-    hierarchy: GroupHierarchy,
+    /// Fixed for the session's life and shared with every artifact it
+    /// publishes: an epoch never copies it.
+    hierarchy: Arc<GroupHierarchy>,
     accountant: PrivacyAccountant,
     rdp: GaussianRdpAccountant,
     releases_made: usize,
@@ -74,15 +78,16 @@ pub struct DisclosureSession {
 
 impl DisclosureSession {
     /// Opens a session over a fixed graph and hierarchy with an
-    /// authorized total budget.
+    /// authorized total budget. The hierarchy may come by value or as a
+    /// shared [`Arc`].
     pub fn new(
         graph: BipartiteGraph,
-        hierarchy: GroupHierarchy,
+        hierarchy: impl Into<Arc<GroupHierarchy>>,
         total: PrivacyBudget,
     ) -> Self {
         Self {
             graph,
-            hierarchy,
+            hierarchy: hierarchy.into(),
             accountant: PrivacyAccountant::new(total),
             rdp: GaussianRdpAccountant::new(),
             releases_made: 0,
@@ -245,7 +250,7 @@ impl DisclosureSession {
         let artifact = ReleaseArtifact::seal_with_ledger(
             dataset,
             epoch,
-            self.hierarchy.clone(),
+            Arc::clone(&self.hierarchy),
             release,
             self.ledger_snapshot(charge),
         )?;
@@ -345,7 +350,7 @@ impl DisclosureSession {
         let artifact = ReleaseArtifact::seal_with_ledger(
             dataset,
             epoch,
-            self.hierarchy.clone(),
+            Arc::clone(&self.hierarchy),
             release,
             self.ledger_snapshot(charge),
         )?;
@@ -632,6 +637,24 @@ mod tests {
         s.publish(&config, "other", 0, &mut rng).unwrap();
         let err = s.publish_next(&config, "dblp", &delta, &mut rng).unwrap_err();
         assert!(matches!(err, CoreError::NoBaseEpoch { .. }));
+    }
+
+    #[test]
+    fn epochs_share_the_session_hierarchy() {
+        let (graph, hierarchy) = graph_and_hierarchy();
+        let config = DisclosureConfig::count_only(0.4, 1e-6).unwrap();
+        let delta = sample_delta(&graph);
+        let mut s =
+            DisclosureSession::new(graph, hierarchy, PrivacyBudget::new(2.0, 1e-4).unwrap());
+        let mut rng = StdRng::seed_from_u64(94);
+        s.publish(&config, "dblp", 0, &mut rng).unwrap();
+        let a = s.publish_next(&config, "dblp", &delta, &mut rng).unwrap();
+        // The second epoch undoes the first.
+        let undo = EdgeDelta::new(delta.deletes().to_vec(), delta.inserts().to_vec());
+        let b = s.publish_next(&config, "dblp", &undo, &mut rng).unwrap();
+        // One hierarchy in memory: no epoch copied it.
+        assert!(std::ptr::eq(a.hierarchy(), b.hierarchy()));
+        assert!(std::ptr::eq(a.hierarchy(), s.hierarchy()));
     }
 
     #[test]

@@ -12,7 +12,7 @@ use gdp_core::{
     Specializer, SplitStrategy,
 };
 use gdp_graph::binfmt::read_container;
-use gdp_graph::io::{fnv1a_64, fnv1a_64_with};
+use gdp_graph::io::xxh64;
 use gdp_graph::{BipartiteGraph, DegreeHistogram, GraphBuilder, LeftId, PairCounts, RightId};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -218,15 +218,14 @@ proptest! {
         .unwrap();
         let streamed = content_digest(&h, &release);
         let sealed = ReleaseArtifact::seal("prop", seed, h, release).unwrap();
-        // The definition: FNV-1a over the hierarchy section payload, a
+        // The definition: XXH64 over the hierarchy section payload, a
         // zero byte, then the release section payload, as the container
-        // reader hands them back from the encoded file.
+        // reader hands them back from the encoded file, concatenated.
         let bytes = codec::encode(&sealed).unwrap();
         let sections = read_container(&bytes).unwrap();
         let payload = |tag: u32| sections.iter().find(|(t, _)| *t == tag).unwrap().1;
-        let oracle = fnv1a_64_with(
-            fnv1a_64_with(fnv1a_64(payload(codec::SECTION_HIERARCHY)), &[0]),
-            payload(codec::SECTION_RELEASE),
+        let oracle = xxh64(
+            &[payload(codec::SECTION_HIERARCHY), &[0], payload(codec::SECTION_RELEASE)].concat(),
         );
         prop_assert_eq!(streamed, oracle);
         prop_assert_eq!(sealed.manifest().content_digest, oracle);

@@ -9,16 +9,19 @@
 //! 0       8     magic  b"GDPABIN\0"
 //! 8       4     container format version (little-endian u32)
 //! 12      4     section count (little-endian u32)
-//! 16      8     FNV-1a digest over bytes[24..EOF] (little-endian u64)
+//! 16      8     XXH64 digest over bytes[0..16] ‖ bytes[24..EOF]
+//!               (seed 0, little-endian u64)
 //! 24      24×n  section table: {tag u32, reserved u32 = 0,
 //!               absolute offset u64, length u64} per section
 //! …             section payloads, each 8-byte aligned, zero-padded
 //! ```
 //!
-//! Every multi-byte value is little-endian. The digest covers the
-//! first 16 header bytes (magic, version, section count) chained with
-//! everything past the header — section table, payloads, alignment
-//! padding — and is verified **before** any section is decoded. A bit
+//! Every multi-byte value is little-endian. The digest
+//! ([`crate::io::xxh64`]) covers the first 16 header bytes (magic,
+//! version, section count) followed by everything past the header —
+//! section table, payloads, alignment padding — and is verified
+//! **before** any section is decoded. Version 1 containers carried an
+//! FNV-1a digest over the same bytes; they are refused by version. A bit
 //! flip or truncation anywhere in the file is therefore a typed
 //! [`GraphError::Binary`] without a single decoded value being
 //! constructed: header flips land on the magic/version/digest checks,
@@ -26,21 +29,22 @@
 //! reading panics.
 //!
 //! What the sections *mean* is the caller's contract (tags are opaque
-//! here); `gdp-core`'s artifact codec assigns them. [`ByteWriter`] /
+//! here); `gdp-core`'s artifact codec assigns them. [`ContainerWriter`]
+//! lays a container out in one buffer, and [`ByteWriter`] /
 //! [`ByteReader`] are the primitive layer for section payloads:
 //! length-prefixed strings and arrays, 8-byte alignment kept
 //! automatically so `u64`/`f64` array data can be decoded by straight
 //! chunked reads.
 
 use crate::error::GraphError;
-use crate::io::{fnv1a_64, Fnv1aWriter};
+use crate::io::Xxh64Writer;
 use crate::Result;
 
 /// The 8-byte magic every container starts with.
 pub const MAGIC: [u8; 8] = *b"GDPABIN\0";
 
 /// The container format version this build writes and reads.
-pub const CONTAINER_VERSION: u32 = 1;
+pub const CONTAINER_VERSION: u32 = 2;
 
 /// Fixed header size (magic + version + section count + digest).
 pub const HEADER_LEN: usize = 24;
@@ -66,60 +70,116 @@ fn align8(n: usize) -> usize {
 }
 
 /// The file digest: header bytes 0..16 (magic, version, section count)
-/// chained with everything past the 24-byte header. The digest field
+/// followed by everything past the 24-byte header. The digest field
 /// itself (bytes 16..24) is the only span not covered — a flip there
 /// disagrees with the recomputation instead.
 fn container_digest(bytes: &[u8]) -> u64 {
-    let head = fnv1a_64(&bytes[..16]);
-    crate::io::fnv1a_64_with(head, &bytes[HEADER_LEN..])
+    let mut h = Xxh64Writer::new();
+    h.update(&bytes[..16]);
+    h.update(&bytes[HEADER_LEN..]);
+    h.digest()
 }
 
-/// Assembles a container from `(tag, payload)` sections: header,
-/// section table, 8-byte-aligned payloads, digest patched in last.
-///
-/// # Errors
-///
-/// [`GraphError::Binary`] when `sections` exceeds [`MAX_SECTIONS`] or
-/// repeats a tag (both are caller bugs, surfaced as typed errors to
-/// keep the writer panic-free like the reader).
-pub fn write_container(sections: &[(u32, Vec<u8>)]) -> Result<Vec<u8>> {
-    if sections.len() > MAX_SECTIONS {
-        return Err(err(
-            HEADER_LEN,
-            format!("{} sections exceed the limit of {MAX_SECTIONS}", sections.len()),
-        ));
-    }
-    for (i, (tag, _)) in sections.iter().enumerate() {
-        if sections[..i].iter().any(|(t, _)| t == tag) {
-            return Err(err(HEADER_LEN, format!("duplicate section tag {tag}")));
+/// Lays a container out in one buffer: header and section table first,
+/// then each section's payload written in place by a [`ByteWriter`],
+/// its table entry patched as it closes, and the digest patched last.
+/// Declaring the payload lengths up front (measured with a
+/// [`ByteCounter`]) sizes the buffer once.
+#[derive(Debug)]
+pub struct ContainerWriter {
+    buf: Vec<u8>,
+    section_count: usize,
+    written: usize,
+}
+
+impl ContainerWriter {
+    /// Starts a container of `payload_lens.len()` sections, reserving
+    /// the exact file size those payloads take.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::Binary`] when the section count exceeds
+    /// [`MAX_SECTIONS`].
+    pub fn new(payload_lens: &[usize]) -> Result<Self> {
+        let section_count = payload_lens.len();
+        if section_count > MAX_SECTIONS {
+            return Err(err(
+                HEADER_LEN,
+                format!("{section_count} sections exceed the limit of {MAX_SECTIONS}"),
+            ));
         }
+        let table_end = HEADER_LEN + section_count * SECTION_ENTRY_LEN;
+        let capacity = align8(table_end) + payload_lens.iter().map(|&n| align8(n)).sum::<usize>();
+        let mut buf = Vec::with_capacity(capacity);
+        buf.extend_from_slice(&MAGIC);
+        buf.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
+        buf.extend_from_slice(&(section_count as u32).to_le_bytes());
+        buf.resize(table_end, 0); // digest and table, patched later
+        Ok(Self {
+            buf,
+            section_count,
+            written: 0,
+        })
     }
-    let table_len = sections.len() * SECTION_ENTRY_LEN;
-    let mut offset = HEADER_LEN + table_len;
-    let mut buf = Vec::with_capacity(
-        align8(offset) + sections.iter().map(|(_, p)| align8(p.len())).sum::<usize>(),
-    );
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&CONTAINER_VERSION.to_le_bytes());
-    buf.extend_from_slice(&(sections.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&0u64.to_le_bytes()); // digest, patched below
-    for (tag, payload) in sections {
-        offset = align8(offset);
-        buf.extend_from_slice(&tag.to_le_bytes());
-        buf.extend_from_slice(&0u32.to_le_bytes()); // reserved
-        buf.extend_from_slice(&(offset as u64).to_le_bytes());
-        buf.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        offset += payload.len();
-    }
-    for (_, payload) in sections {
-        while buf.len() % 8 != 0 {
-            buf.push(0);
+
+    /// Appends the next section: 8-byte alignment padding, then the
+    /// payload `write` produces, then its table entry.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::Binary`] when every declared section is already
+    /// written or `tag` repeats an earlier one (both caller bugs,
+    /// surfaced as typed errors to keep the writer panic-free like the
+    /// reader).
+    pub fn section(&mut self, tag: u32, write: impl FnOnce(&mut ByteWriter)) -> Result<()> {
+        let entry = HEADER_LEN + self.written * SECTION_ENTRY_LEN;
+        if self.written == self.section_count {
+            return Err(err(
+                entry,
+                format!("all {} declared sections are written", self.section_count),
+            ));
         }
-        buf.extend_from_slice(payload);
+        let repeated = (0..self.written).any(|i| {
+            let at = HEADER_LEN + i * SECTION_ENTRY_LEN;
+            self.buf[at..at + 4] == tag.to_le_bytes()
+        });
+        if repeated {
+            return Err(err(entry, format!("duplicate section tag {tag}")));
+        }
+        self.buf.resize(align8(self.buf.len()), 0);
+        let offset = self.buf.len();
+        let mut w = ByteWriter::with_sink(std::mem::take(&mut self.buf));
+        write(&mut w);
+        self.buf = w.into_sink();
+        let len = self.buf.len() - offset;
+        let table = &mut self.buf[entry..entry + SECTION_ENTRY_LEN];
+        table[..4].copy_from_slice(&tag.to_le_bytes());
+        table[8..16].copy_from_slice(&(offset as u64).to_le_bytes());
+        table[16..].copy_from_slice(&(len as u64).to_le_bytes());
+        self.written += 1;
+        Ok(())
     }
-    let digest = container_digest(&buf);
-    buf[16..24].copy_from_slice(&digest.to_le_bytes());
-    Ok(buf)
+
+    /// Patches in the digest and returns the finished container.
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::Binary`] when fewer sections were written than
+    /// declared.
+    pub fn finish(mut self) -> Result<Vec<u8>> {
+        if self.written != self.section_count {
+            return Err(err(
+                HEADER_LEN + self.written * SECTION_ENTRY_LEN,
+                format!(
+                    "{} of {} declared sections written",
+                    self.written, self.section_count
+                ),
+            ));
+        }
+        let digest = container_digest(&self.buf);
+        self.buf[16..24].copy_from_slice(&digest.to_le_bytes());
+        Ok(self.buf)
+    }
 }
 
 /// Parses a container's header and section table, verifying the magic,
@@ -218,9 +278,10 @@ pub fn read_container(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>> {
 }
 
 /// Where a [`ByteWriter`] puts section bytes: a `Vec<u8>` (the payload
-/// itself) or a [`Fnv1aWriter`] (the payload's digest, with no payload
-/// built). The array methods default to one [`ByteSink::put_bytes`] per
-/// element; `Vec<u8>` overrides them with one presized bulk copy.
+/// itself), an [`Xxh64Writer`] (the payload's digest, with no payload
+/// built) or a [`ByteCounter`] (the payload's length). The array
+/// methods default to one [`ByteSink::put_bytes`] per element; every
+/// sink here overrides them with bulk work.
 pub trait ByteSink {
     /// Appends raw bytes.
     fn put_bytes(&mut self, bytes: &[u8]);
@@ -279,9 +340,75 @@ impl ByteSink for Vec<u8> {
     }
 }
 
-impl ByteSink for Fnv1aWriter {
+/// Hashes `vs` as little-endian bytes through a fixed stack buffer:
+/// one hasher update per 4 KiB, not one per element.
+fn hash_chunked<T: Copy, const N: usize>(
+    h: &mut Xxh64Writer,
+    vs: &[T],
+    le_bytes: impl Fn(T) -> [u8; N],
+) {
+    let mut buf = [0u8; 4096];
+    for chunk in vs.chunks(buf.len() / N) {
+        let bytes = &mut buf[..chunk.len() * N];
+        for (dst, &v) in bytes.chunks_exact_mut(N).zip(chunk) {
+            dst.copy_from_slice(&le_bytes(v));
+        }
+        h.update(bytes);
+    }
+}
+
+impl ByteSink for Xxh64Writer {
     fn put_bytes(&mut self, bytes: &[u8]) {
         self.update(bytes);
+    }
+
+    fn put_u32s(&mut self, vs: &[u32]) {
+        hash_chunked(self, vs, u32::to_le_bytes);
+    }
+
+    fn put_u64s(&mut self, vs: &[u64]) {
+        hash_chunked(self, vs, u64::to_le_bytes);
+    }
+
+    fn put_f64s(&mut self, vs: &[f64]) {
+        hash_chunked(self, vs, |v: f64| v.to_bits().to_le_bytes());
+    }
+}
+
+/// A [`ByteSink`] that only counts: what a section would take, in
+/// O(1) per array, to size a [`ContainerWriter`] before writing.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct ByteCounter {
+    len: usize,
+}
+
+impl ByteCounter {
+    /// Bytes counted so far.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// Whether nothing was counted.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+}
+
+impl ByteSink for ByteCounter {
+    fn put_bytes(&mut self, bytes: &[u8]) {
+        self.len += bytes.len();
+    }
+
+    fn put_u32s(&mut self, vs: &[u32]) {
+        self.len += vs.len() * 4;
+    }
+
+    fn put_u64s(&mut self, vs: &[u64]) {
+        self.len += vs.len() * 8;
+    }
+
+    fn put_f64s(&mut self, vs: &[f64]) {
+        self.len += vs.len() * 8;
     }
 }
 
@@ -291,10 +418,11 @@ impl ByteSink for Fnv1aWriter {
 /// decode array data with straight chunked reads.
 ///
 /// The bytes go to a [`ByteSink`]: by default a `Vec<u8>`
-/// ([`ByteWriter::new`] / [`ByteWriter::into_bytes`]); over a
-/// [`Fnv1aWriter`] ([`ByteWriter::with_sink`]) the same calls hash the
-/// payload they would have built. Alignment is counted from the start
-/// of the section, whatever the sink already holds.
+/// ([`ByteWriter::new`] / [`ByteWriter::into_bytes`]); over an
+/// [`Xxh64Writer`] ([`ByteWriter::with_sink`]) the same calls hash the
+/// payload they would have built, and over a [`ByteCounter`] they
+/// measure it. Alignment is counted from the start of the section,
+/// whatever the sink already holds.
 #[derive(Debug, Default)]
 pub struct ByteWriter<S = Vec<u8>> {
     sink: S,
@@ -528,15 +656,56 @@ impl<'a> ByteReader<'a> {
 mod tests {
     use super::*;
 
+    fn section_a<S: ByteSink>(w: &mut ByteWriter<S>) {
+        w.put_u32(7);
+        w.put_str("dataset-α");
+        w.put_f64_slice(&[1.5, -0.0, f64::NAN]);
+    }
+
+    fn section_b<S: ByteSink>(w: &mut ByteWriter<S>) {
+        w.put_u64_slice(&[u64::MAX, 0, 42]);
+        w.put_u32_slice(&[1, 2, 3, 4, 5]);
+    }
+
+    fn counted(write: impl FnOnce(&mut ByteWriter<ByteCounter>)) -> usize {
+        let mut w = ByteWriter::with_sink(ByteCounter::default());
+        write(&mut w);
+        w.into_sink().len()
+    }
+
     fn sample_container() -> Vec<u8> {
-        let mut a = ByteWriter::new();
-        a.put_u32(7);
-        a.put_str("dataset-α");
-        a.put_f64_slice(&[1.5, -0.0, f64::NAN]);
-        let mut b = ByteWriter::new();
-        b.put_u64_slice(&[u64::MAX, 0, 42]);
-        b.put_u32_slice(&[1, 2, 3, 4, 5]);
-        write_container(&[(1, a.into_bytes()), (2, b.into_bytes())]).unwrap()
+        let lens = [counted(section_a), counted(section_b)];
+        let mut c = ContainerWriter::new(&lens).unwrap();
+        c.section(1, section_a).unwrap();
+        c.section(2, section_b).unwrap();
+        let bytes = c.finish().unwrap();
+        // The declared lengths sized the buffer exactly.
+        assert_eq!(bytes.capacity(), bytes.len());
+        bytes
+    }
+
+    #[test]
+    fn layout_is_header_table_then_aligned_sections() {
+        let bytes = sample_container();
+        let u64_at = |at: usize| u64::from_le_bytes(bytes[at..at + 8].try_into().unwrap());
+        assert_eq!(&bytes[..8], &MAGIC);
+        assert_eq!(bytes[8..12], CONTAINER_VERSION.to_le_bytes());
+        assert_eq!(bytes[12..16], 2u32.to_le_bytes());
+        let (a_len, b_len) = (counted(section_a), counted(section_b));
+        // Section a starts right after the two table entries; b at the
+        // next 8-byte boundary after a; the file ends with b.
+        let a_at = HEADER_LEN + 2 * SECTION_ENTRY_LEN;
+        let b_at = align8(a_at + a_len);
+        assert_eq!((u64_at(32), u64_at(40)), (a_at as u64, a_len as u64));
+        assert_eq!((u64_at(56), u64_at(64)), (b_at as u64, b_len as u64));
+        assert_eq!(bytes.len(), b_at + b_len);
+        let mut built = ByteWriter::new();
+        section_a(&mut built);
+        assert_eq!(&bytes[a_at..a_at + a_len], built.into_bytes().as_slice());
+        // The digest is XXH64 over everything but its own field.
+        let mut covered = bytes[..16].to_vec();
+        covered.extend_from_slice(&bytes[HEADER_LEN..]);
+        assert_eq!(u64_at(16), crate::io::xxh64(&covered));
     }
 
     #[test]
@@ -595,10 +764,14 @@ mod tests {
         bad_magic[0] = b'X';
         assert!(read_container(&bad_magic).unwrap_err().to_string().contains("magic"));
 
-        // A foreign version is refused before the digest is consulted.
-        let mut v2 = bytes.clone();
-        v2[8] = 2;
-        assert!(read_container(&v2).unwrap_err().to_string().contains("version 2"));
+        // A foreign version is refused before the digest is consulted:
+        // version 1 (an FNV-1a digest) as much as a future version 3.
+        for version in [1u8, 3] {
+            let mut foreign = bytes.clone();
+            foreign[8] = version;
+            let message = read_container(&foreign).unwrap_err().to_string();
+            assert!(message.contains(&format!("container version {version}")), "{message}");
+        }
 
         // An absurd section count cannot drive a large allocation.
         let mut huge = bytes.clone();
@@ -608,17 +781,24 @@ mod tests {
 
     #[test]
     fn writer_rejects_duplicate_tags_and_overflow() {
-        assert!(write_container(&[(1, vec![]), (1, vec![])]).is_err());
-        let many: Vec<(u32, Vec<u8>)> = (0..MAX_SECTIONS as u32 + 1).map(|t| (t, vec![])).collect();
-        assert!(write_container(&many).is_err());
+        let mut c = ContainerWriter::new(&[0, 0]).unwrap();
+        c.section(1, |_| {}).unwrap();
+        assert!(c.section(1, |_| {}).is_err(), "duplicate tag");
+        // Fewer sections than declared cannot finish.
+        assert!(ContainerWriter::new(&[0, 0]).unwrap().finish().is_err());
+        // More than declared cannot be written.
+        let mut c = ContainerWriter::new(&[0]).unwrap();
+        c.section(1, |_| {}).unwrap();
+        assert!(c.section(2, |_| {}).is_err());
+        assert!(ContainerWriter::new(&[0; MAX_SECTIONS + 1]).is_err());
     }
 
     #[test]
     fn reader_bounds_checks_counts_before_allocating() {
         // A section claiming 2^60 elements in 8 bytes of payload.
-        let mut w = ByteWriter::new();
-        w.put_u64(1u64 << 60);
-        let bytes = write_container(&[(1, w.into_bytes())]).unwrap();
+        let mut c = ContainerWriter::new(&[8]).unwrap();
+        c.section(1, |w| w.put_u64(1u64 << 60)).unwrap();
+        let bytes = c.finish().unwrap();
         let sections = read_container(&bytes).unwrap();
         let mut r = ByteReader::new(sections[0].1);
         let err = r.take_f64_vec("vals").unwrap_err();
@@ -663,19 +843,34 @@ mod tests {
         assert_eq!(bytes, expected);
 
         // Over a hasher that already holds bytes, alignment still counts
-        // from the section start.
-        let mut sink = Fnv1aWriter::new();
+        // from the section start. The long arrays cross the hasher's
+        // 4 KiB conversion buffer mid-array (1024 `u32`s or 512
+        // `u64`/`f64`s per chunk) and leave partial stripes between
+        // calls.
+        fn fill_long<S: ByteSink>(w: &mut ByteWriter<S>) {
+            fill(w);
+            w.put_u32_slice(&(0..3001u32).map(|i| i.wrapping_mul(7919)).collect::<Vec<_>>());
+            w.put_u32(5);
+            w.put_u64_slice(&(0..1025u64).map(|i| i << 29 | i).collect::<Vec<_>>());
+            w.put_f64_slice(&(0..513).map(|i| f64::from(i) * -0.5).collect::<Vec<_>>());
+        }
+        let mut built = ByteWriter::new();
+        fill_long(&mut built);
+        let mut prefixed = b"xyz".to_vec();
+        prefixed.extend_from_slice(&built.into_bytes());
+        let mut sink = Xxh64Writer::new();
         sink.update(b"xyz");
         let mut hashed = ByteWriter::with_sink(sink);
-        fill(&mut hashed);
-        let mut prefixed = b"xyz".to_vec();
-        prefixed.extend_from_slice(&bytes);
-        assert_eq!(hashed.into_sink().digest(), fnv1a_64(&prefixed));
+        fill_long(&mut hashed);
+        assert_eq!(hashed.into_sink().digest(), crate::io::xxh64(&prefixed));
+        let mut counted = ByteWriter::with_sink(ByteCounter::default());
+        fill_long(&mut counted);
+        assert_eq!(counted.into_sink().len(), prefixed.len() - 3);
     }
 
     #[test]
     fn empty_container_round_trips() {
-        let bytes = write_container(&[]).unwrap();
+        let bytes = ContainerWriter::new(&[]).unwrap().finish().unwrap();
         assert_eq!(read_container(&bytes).unwrap(), Vec::new());
     }
 }

@@ -29,6 +29,10 @@
 //! `*.tmp` debris — never a torn final file. [`remove_file_durable`]
 //! completes the discipline for deletion (unlink + directory fsync), so
 //! retention GC survives the same crashes publish does.
+//!
+//! [`xxh64`] / [`Xxh64Writer`] are the workspace's one hash: the
+//! artifact content digest, the `.gda` container digest and the
+//! serving store's shard router.
 
 use std::fs::File;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -264,61 +268,154 @@ pub fn remove_file_durable(path: impl AsRef<Path>) -> Result<()> {
     Ok(())
 }
 
-/// FNV-1a 64-bit hash over raw bytes — the workspace's standard content
-/// digest (the same function routes store shards). Not cryptographic;
-/// it detects torn writes, bit rot and accidental edits, not
-/// adversarial tampering.
-pub fn fnv1a_64(bytes: &[u8]) -> u64 {
-    fnv1a_64_with(0xcbf2_9ce4_8422_2325, bytes)
+const PRIME64_1: u64 = 0x9E37_79B1_85EB_CA87;
+const PRIME64_2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+const PRIME64_3: u64 = 0x1656_67B1_9E37_79F9;
+const PRIME64_4: u64 = 0x85EB_CA77_C2B2_AE63;
+const PRIME64_5: u64 = 0x27D4_EB2F_1656_67C5;
+
+/// Bytes per XXH64 stripe: four 8-byte lanes.
+const STRIPE: usize = 32;
+
+fn read_u64(bytes: &[u8]) -> u64 {
+    u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes"))
 }
 
-/// [`fnv1a_64`] continued from a prior digest, for chaining multiple
-/// byte sections into one digest without concatenating them.
-pub fn fnv1a_64_with(seed: u64, bytes: &[u8]) -> u64 {
-    let mut hash = seed;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+fn xxh_round(acc: u64, input: u64) -> u64 {
+    acc.wrapping_add(input.wrapping_mul(PRIME64_2))
+        .rotate_left(31)
+        .wrapping_mul(PRIME64_1)
 }
 
-/// A sink that folds everything written into a running [`fnv1a_64`]
-/// digest, so a document can be hashed without materializing it: an
-/// [`std::io::Write`] for serializers, and a
+fn xxh_merge(acc: u64, lane: u64) -> u64 {
+    (acc ^ xxh_round(0, lane))
+        .wrapping_mul(PRIME64_1)
+        .wrapping_add(PRIME64_4)
+}
+
+/// XXH64 with seed 0 over raw bytes — the workspace's one hash: the
+/// artifact content digest, the `.gda` container digest and the store's
+/// shard router all use it. Written from the public XXH64
+/// specification. Not cryptographic; it detects torn writes, bit rot
+/// and accidental edits, not adversarial tampering.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    let mut h = Xxh64Writer::new();
+    h.update(bytes);
+    h.digest()
+}
+
+/// A streaming [`xxh64`]: everything written is folded into the
+/// running hash, so a document can be hashed without materializing
+/// it. An [`std::io::Write`] for serializers and a
 /// [`crate::binfmt::ByteSink`] for binary section payloads. Writing
-/// sections in turn equals hashing their concatenation.
+/// pieces in turn equals hashing their concatenation, wherever the
+/// pieces split.
 #[derive(Debug, Clone)]
-pub struct Fnv1aWriter {
-    hash: u64,
+pub struct Xxh64Writer {
+    lanes: [u64; 4],
+    /// A partial stripe carried to the next update.
+    pending: [u8; STRIPE],
+    pending_len: usize,
+    total_len: u64,
 }
 
-impl Fnv1aWriter {
-    /// A sink holding the digest of zero bytes.
+impl Xxh64Writer {
+    /// A hasher holding zero bytes (seed 0).
     pub fn new() -> Self {
         Self {
-            hash: fnv1a_64(&[]),
+            lanes: [
+                PRIME64_1.wrapping_add(PRIME64_2),
+                PRIME64_2,
+                0,
+                PRIME64_1.wrapping_neg(),
+            ],
+            pending: [0; STRIPE],
+            pending_len: 0,
+            total_len: 0,
         }
     }
 
-    /// Folds `bytes` into the digest.
-    pub fn update(&mut self, bytes: &[u8]) {
-        self.hash = fnv1a_64_with(self.hash, bytes);
+    fn consume_stripe(lanes: &mut [u64; 4], stripe: &[u8]) {
+        for (i, lane) in lanes.iter_mut().enumerate() {
+            *lane = xxh_round(*lane, read_u64(&stripe[i * 8..]));
+        }
     }
 
-    /// The digest of every byte written so far.
+    /// Folds `bytes` into the hash.
+    pub fn update(&mut self, mut bytes: &[u8]) {
+        self.total_len += bytes.len() as u64;
+        if self.pending_len > 0 {
+            let take = (STRIPE - self.pending_len).min(bytes.len());
+            self.pending[self.pending_len..self.pending_len + take].copy_from_slice(&bytes[..take]);
+            self.pending_len += take;
+            bytes = &bytes[take..];
+            if self.pending_len < STRIPE {
+                return;
+            }
+            Self::consume_stripe(&mut self.lanes, &self.pending);
+            self.pending_len = 0;
+        }
+        let mut stripes = bytes.chunks_exact(STRIPE);
+        for stripe in &mut stripes {
+            Self::consume_stripe(&mut self.lanes, stripe);
+        }
+        let rest = stripes.remainder();
+        self.pending[..rest.len()].copy_from_slice(rest);
+        self.pending_len = rest.len();
+    }
+
+    /// The hash of every byte written so far.
     pub fn digest(&self) -> u64 {
-        self.hash
+        let [v1, v2, v3, v4] = self.lanes;
+        let mut h = if self.total_len >= STRIPE as u64 {
+            let h = v1
+                .rotate_left(1)
+                .wrapping_add(v2.rotate_left(7))
+                .wrapping_add(v3.rotate_left(12))
+                .wrapping_add(v4.rotate_left(18));
+            self.lanes.iter().fold(h, |h, &v| xxh_merge(h, v))
+        } else {
+            // Fewer than one stripe: the lanes were never used.
+            PRIME64_5
+        };
+        h = h.wrapping_add(self.total_len);
+        let mut tail = &self.pending[..self.pending_len];
+        while tail.len() >= 8 {
+            h ^= xxh_round(0, read_u64(tail));
+            h = h
+                .rotate_left(27)
+                .wrapping_mul(PRIME64_1)
+                .wrapping_add(PRIME64_4);
+            tail = &tail[8..];
+        }
+        if tail.len() >= 4 {
+            let word = u32::from_le_bytes(tail[..4].try_into().expect("4 bytes"));
+            h ^= u64::from(word).wrapping_mul(PRIME64_1);
+            h = h
+                .rotate_left(23)
+                .wrapping_mul(PRIME64_2)
+                .wrapping_add(PRIME64_3);
+            tail = &tail[4..];
+        }
+        for &b in tail {
+            h ^= u64::from(b).wrapping_mul(PRIME64_5);
+            h = h.rotate_left(11).wrapping_mul(PRIME64_1);
+        }
+        h ^= h >> 33;
+        h = h.wrapping_mul(PRIME64_2);
+        h ^= h >> 29;
+        h = h.wrapping_mul(PRIME64_3);
+        h ^ (h >> 32)
     }
 }
 
-impl Default for Fnv1aWriter {
+impl Default for Xxh64Writer {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Write for Fnv1aWriter {
+impl Write for Xxh64Writer {
     fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
         self.update(buf);
         Ok(buf.len())
@@ -467,23 +564,58 @@ mod tests {
     }
 
     #[test]
-    fn fnv1a_matches_reference_vectors() {
-        // Published FNV-1a 64-bit test vectors.
-        assert_eq!(fnv1a_64(b""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a_64(b"a"), 0xaf63_dc4c_8601_ec8c);
-        assert_eq!(fnv1a_64(b"foobar"), 0x8594_4171_f739_67e8);
-        // Chaining two sections equals hashing the concatenation.
-        let whole = fnv1a_64(b"foobar");
-        let chained = fnv1a_64_with(fnv1a_64(b"foo"), b"bar");
-        assert_eq!(whole, chained);
+    fn xxh64_matches_reference_vectors() {
+        // Published XXH64 (seed 0) test vectors.
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+    }
+
+    /// `len` bytes of a fixed pattern, long enough to exercise every
+    /// tail path of the finalizer and the stripe loop.
+    fn pattern(len: usize) -> Vec<u8> {
+        (0..len)
+            .map(|i| (i.wrapping_mul(31) ^ (i >> 8)) as u8)
+            .collect()
     }
 
     #[test]
-    fn fnv1a_writer_hashes_what_it_is_fed() {
-        let mut sink = Fnv1aWriter::new();
-        assert_eq!(sink.digest(), fnv1a_64(b""));
+    fn xxh64_of_a_fixed_pattern_is_pinned() {
+        // Cross-checked offline with zstd, whose frame checksum is the
+        // low 32 bits of XXH64 (seed 0), stored little-endian:
+        //   zstd -q -c --check FILE | tail -c 4
+        // where FILE holds `pattern(len)`.
+        let pinned = [
+            (0, 0xEF46_DB37_51D8_E999),
+            (1, 0xE934_A84A_DB05_2768),
+            (3, 0xE5D2_BE4A_E4B3_469A),
+            (4, 0x3B4D_7F7C_6BD1_AE90),
+            (7, 0xF952_F190_1A5A_FC9B),
+            (8, 0x5068_3412_2CB7_B4D0),
+            (31, 0xF9C8_15C5_99CB_B32D),
+            (32, 0xBA7B_AFD4_7342_62DD),
+            (33, 0x791C_BE85_7E7F_A007),
+            (63, 0xCC8B_2A54_2E4A_451E),
+            (64, 0xD14B_F011_9FD2_50A1),
+            (65, 0xF514_ECCC_AEDA_9B5F),
+            ((1 << 20) + 7, 0xAA60_18F3_39FC_7A90),
+        ];
+        for (len, digest) in pinned {
+            assert_eq!(xxh64(&pattern(len)), digest, "length {len}");
+        }
+    }
+
+    #[test]
+    fn xxh64_writer_hashes_what_it_is_fed() {
+        let mut sink = Xxh64Writer::new();
+        assert_eq!(sink.digest(), xxh64(b""));
         sink.write_all(b"foo").unwrap();
         assert_eq!(sink.write(b"bar").unwrap(), 3);
-        assert_eq!(sink.digest(), fnv1a_64(b"foobar"));
+        assert_eq!(sink.digest(), xxh64(b"foobar"));
+        // Reading the digest does not disturb the running state.
+        let long = pattern(100);
+        sink.update(&long);
+        let mut whole = b"foobar".to_vec();
+        whole.extend_from_slice(&long);
+        assert_eq!(sink.digest(), xxh64(&whole));
     }
 }

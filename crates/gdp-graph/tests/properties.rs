@@ -296,4 +296,23 @@ proptest! {
         let streamed = CsrDirectBuilder::assemble_left_rows(nl, nr, sinks).unwrap();
         prop_assert_eq!(&streamed, &incremental);
     }
+
+    #[test]
+    fn streamed_xxh64_equals_one_shot_at_any_split(
+        bytes in proptest::collection::vec(0u8..=255, 0..300),
+        cuts in proptest::collection::vec(0usize..300, 0..8),
+    ) {
+        // Feed the bytes in pieces split at arbitrary points (empty
+        // pieces included): the stripe buffer must make the split
+        // invisible.
+        let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (bytes.len() + 1)).collect();
+        cuts.sort_unstable();
+        let mut h = io::Xxh64Writer::new();
+        let mut start = 0;
+        for cut in cuts.into_iter().chain([bytes.len()]) {
+            h.update(&bytes[start..cut]);
+            start = cut;
+        }
+        prop_assert_eq!(h.digest(), io::xxh64(&bytes));
+    }
 }

@@ -29,17 +29,12 @@ use crate::Result;
 /// while the per-shard maps stay small enough to walk for listings.
 const SHARD_COUNT: usize = 16;
 
-/// Deterministic FNV-1a over the dataset name — the shard router.
-/// (Not `std`'s `DefaultHasher`, whose keys are randomized per
-/// process: shard assignment must be a pure function of the dataset so
-/// tests and debugging tools can reason about placement.)
+/// The shard router: the workspace's one hash ([`graph_io::xxh64`])
+/// over the dataset name. (Not `std`'s `DefaultHasher`, whose keys are
+/// randomized per process: shard assignment must be a pure function of
+/// the dataset so tests and debugging tools can reason about placement.)
 fn shard_of(dataset: &str) -> usize {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in dataset.as_bytes() {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    (h % SHARD_COUNT as u64) as usize
+    (graph_io::xxh64(dataset.as_bytes()) % SHARD_COUNT as u64) as usize
 }
 
 /// One registered release: either still the sealed artifact a directory

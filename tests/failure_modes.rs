@@ -223,7 +223,7 @@ fn release_store_directory_scan_failures_are_typed() {
     artifact("dblp", 1).write_json(&mut buf).unwrap();
     let doctored = String::from_utf8(buf)
         .unwrap()
-        .replacen("\"schema_version\": 4", "\"schema_version\": 99", 1);
+        .replacen("\"schema_version\": 5", "\"schema_version\": 99", 1);
     std::fs::write(sub.join("future.json"), doctored).unwrap();
     match ReleaseStore::open_dir(&sub).unwrap_err() {
         ServeError::SchemaVersion {
