@@ -61,6 +61,7 @@
 //!                [--assert-scaling-disclose-2t-over RATIO]
 //!                [--assert-delta-disclose-over RATIO]
 //!                [--assert-digest-over RATIO]
+//!                [--assert-edge-list-read-over RATIO]
 //! ```
 //!
 //! ISSUE 10 adds the `delta_disclose_1m` entry: epoch N+1 produced from
@@ -76,6 +77,15 @@
 //! content digest (XXH64 streamed through the section writers),
 //! asserted equal to the manifest's every rep.
 //! `--assert-digest-over RATIO` fails the run when the content digest
+//! stops beating the baseline by the given factor.
+//!
+//! The `edge_list_1m` entry renders the same Zipf graph's text edge list
+//! once and times the reader two ways — a `BufRead::lines()` baseline
+//! (the reader's algorithm before it scanned its buffer in place, kept
+//! here only as a baseline) vs `gdp_graph::io::read_edge_list`, graphs
+//! asserted equal every rep — and the writer two ways: one `writeln!`
+//! per edge vs `write_edge_list`, bytes asserted equal every rep.
+//! `--assert-edge-list-read-over RATIO` fails the run when the reader
 //! stops beating the baseline by the given factor.
 
 use std::time::Instant;
@@ -203,6 +213,22 @@ struct SealComparison {
     speedup: f64,
 }
 
+/// The edge-list measurement: the text form of the seal fixture's
+/// 962k-edge Zipf graph, read and written by the shipping functions
+/// and by line-at-a-time baselines, each pair of arms interleaved rep
+/// by rep, best of at least five.
+#[derive(Debug, Serialize)]
+struct EdgeListComparison {
+    edges: u64,
+    text_bytes: u64,
+    lines_read_ms: f64,
+    read_ms: f64,
+    read_speedup: f64,
+    writeln_write_ms: f64,
+    write_ms: f64,
+    write_speedup: f64,
+}
+
 #[derive(Debug, Serialize)]
 struct AnswerQpsComparison {
     query_type: String,
@@ -282,6 +308,7 @@ struct Report {
     datagen_1m: Vec<DatagenComparison>,
     artifact_io_1m: ArtifactIoComparison,
     seal_1m: SealComparison,
+    edge_list_1m: EdgeListComparison,
     answer_qps: Vec<AnswerQpsComparison>,
     /// `None` only when `--max-edges` clips the 100k scale it is
     /// measured at.
@@ -664,6 +691,96 @@ fn seal_comparison(artifact: &ReleaseArtifact, edges: u64, reps: usize) -> SealC
         fnv1a_baseline_ms,
         content_digest_ms,
         speedup: fnv1a_baseline_ms / content_digest_ms,
+    }
+}
+
+/// The edge-list reader as it was before it scanned its buffer in place:
+/// a `String` per line from `BufRead::lines()`, `trim`,
+/// `split_whitespace`, `str::parse`. Kept only as the `edge_list_1m`
+/// baseline; it handles the well-formed lists the bench renders.
+fn read_edge_list_by_lines(text: &[u8]) -> gdp_graph::BipartiteGraph {
+    use std::io::BufRead;
+    let mut lines = std::io::BufReader::new(text).lines();
+    let header = loop {
+        let line = lines.next().expect("header line").expect("utf-8");
+        let trimmed = line.trim();
+        if !trimmed.is_empty() && !trimmed.starts_with('#') {
+            break trimmed.to_string();
+        }
+    };
+    let mut fields = header
+        .split_whitespace()
+        .map(|tok| tok.parse::<u32>().expect("header field"));
+    let (left, right) = (fields.next().expect("left"), fields.next().expect("right"));
+    let declared = fields.next().expect("edge count") as usize;
+    let mut builder = gdp_graph::GraphBuilder::with_capacity(
+        left,
+        right,
+        declared.min(gdp_graph::io::MAX_RESERVED_EDGES),
+    );
+    for line in lines {
+        let line = line.expect("utf-8");
+        let trimmed = line.trim();
+        if trimmed.is_empty() || trimmed.starts_with('#') {
+            continue;
+        }
+        let mut parts = trimmed.split_whitespace();
+        let mut id = || parts.next().expect("id").parse::<u32>().expect("u32 id");
+        let (l, r) = (id(), id());
+        builder
+            .add_edge(gdp_graph::LeftId::new(l), gdp_graph::RightId::new(r))
+            .expect("edge in range");
+    }
+    builder.build()
+}
+
+/// The edge-list measurement (see [`EdgeListComparison`]).
+fn edge_list_comparison(graph: &gdp_graph::BipartiteGraph, reps: usize) -> EdgeListComparison {
+    use std::io::Write;
+    let mut text = Vec::new();
+    gdp_graph::io::write_edge_list(graph, &mut text).expect("edge list renders");
+
+    let (mut lines_read_ms, mut read_ms) = (f64::INFINITY, f64::INFINITY);
+    let (mut writeln_write_ms, mut write_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(5) {
+        let t = Instant::now();
+        let baseline = read_edge_list_by_lines(&text);
+        lines_read_ms = lines_read_ms.min(elapsed_ms(t));
+        let t = Instant::now();
+        let read = gdp_graph::io::read_edge_list(text.as_slice()).expect("edge list reads");
+        read_ms = read_ms.min(elapsed_ms(t));
+        assert_eq!(baseline, read, "both readers must build the same graph");
+        assert_eq!(&read, graph, "the edge list must round-trip");
+
+        let t = Instant::now();
+        let mut by_writeln = Vec::new();
+        writeln!(
+            by_writeln,
+            "{} {} {}",
+            graph.left_count(),
+            graph.right_count(),
+            graph.edge_count()
+        )
+        .expect("header renders");
+        for (l, r) in graph.edges() {
+            writeln!(by_writeln, "{} {}", l.index(), r.index()).expect("edge renders");
+        }
+        writeln_write_ms = writeln_write_ms.min(elapsed_ms(t));
+        let t = Instant::now();
+        let mut written = Vec::new();
+        gdp_graph::io::write_edge_list(graph, &mut written).expect("edge list renders");
+        write_ms = write_ms.min(elapsed_ms(t));
+        assert_eq!(by_writeln, written, "both writers must emit the same bytes");
+    }
+    EdgeListComparison {
+        edges: graph.edge_count(),
+        text_bytes: text.len() as u64,
+        lines_read_ms,
+        read_ms,
+        read_speedup: lines_read_ms / read_ms,
+        writeln_write_ms,
+        write_ms,
+        write_speedup: writeln_write_ms / write_ms,
     }
 }
 
@@ -1318,6 +1435,7 @@ fn main() {
     let mut scaling_disclose_2t_floor: Option<f64> = None;
     let mut delta_disclose_floor: Option<f64> = None;
     let mut digest_floor: Option<f64> = None;
+    let mut edge_list_read_floor: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -1404,13 +1522,21 @@ fn main() {
                         .expect("--assert-digest-over needs a number (speedup ratio)"),
                 )
             }
+            "--assert-edge-list-read-over" => {
+                edge_list_read_floor = Some(
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--assert-edge-list-read-over needs a number (speedup ratio)"),
+                )
+            }
             "--help" | "-h" => {
                 eprintln!(
                     "flags: [--out FILE] [--seed N] [--max-edges N] [--reps N] [--threads N] \
                      [--assert-disclose-100k-under MS] [--assert-datagen-1m-under MS] \
                      [--assert-answer-qps-over QPS] [--assert-binary-load-1m-under MS] \
                      [--assert-gather-lane-over RATIO] [--assert-scaling-disclose-2t-over RATIO] \
-                     [--assert-delta-disclose-over RATIO] [--assert-digest-over RATIO]"
+                     [--assert-delta-disclose-over RATIO] [--assert-digest-over RATIO] \
+                     [--assert-edge-list-read-over RATIO]"
                 );
                 return;
             }
@@ -1502,22 +1628,33 @@ fn main() {
     // reps: the CI gate is a ratio of a ~5 ms and a ~35 ms arm, and on a
     // shared runner one slow rep of the short arm moves it by a third.
     eprintln!("measuring the seal digest, FNV-1a baseline vs content digest (1M-edge Zipf graph)…");
-    let seal_1m = {
-        let graph = models::zipf_attachment(
-            &mut StdRng::seed_from_u64(seed),
-            100_000,
-            333_334,
-            3,
-            1.15,
-        );
-        seal_comparison(&sealed_artifact(&graph, seed), graph.edge_count(), reps)
-    };
+    let zipf_1m =
+        models::zipf_attachment(&mut StdRng::seed_from_u64(seed), 100_000, 333_334, 3, 1.15);
+    let seal_1m = seal_comparison(&sealed_artifact(&zipf_1m, seed), zipf_1m.edge_count(), reps);
     eprintln!(
         "  {:.0} KiB: FNV-1a baseline {:.1} ms  content digest {:.1} ms  speedup {:.1}×",
         seal_1m.section_bytes as f64 / 1024.0,
         seal_1m.fnv1a_baseline_ms,
         seal_1m.content_digest_ms,
         seal_1m.speedup
+    );
+
+    // The same graph as the publish path's input: its text edge list,
+    // read and written by the shipping functions and by line-at-a-time
+    // baselines.
+    eprintln!("measuring the edge-list reader and writer vs line-at-a-time baselines (1M-edge Zipf graph)…");
+    let edge_list_1m = edge_list_comparison(&zipf_1m, reps);
+    drop(zipf_1m);
+    eprintln!(
+        "  {:.0} KiB: read lines() {:.1} ms  in place {:.1} ms  {:.1}× | \
+         write writeln! {:.1} ms  one buffer {:.1} ms  {:.1}×",
+        edge_list_1m.text_bytes as f64 / 1024.0,
+        edge_list_1m.lines_read_ms,
+        edge_list_1m.read_ms,
+        edge_list_1m.read_speedup,
+        edge_list_1m.writeln_write_ms,
+        edge_list_1m.write_ms,
+        edge_list_1m.write_speedup
     );
 
     let mut phases = Vec::new();
@@ -1605,6 +1742,7 @@ fn main() {
         datagen_1m,
         artifact_io_1m,
         seal_1m,
+        edge_list_1m,
         answer_qps,
         reader_throughput,
         lane_kernels,
@@ -1772,6 +1910,27 @@ fn main() {
         eprintln!(
             "content digest: {:.2}× over the FNV-1a baseline ≥ floor {floor:.2}×",
             d.speedup
+        );
+    }
+
+    // Regression gate for CI: the edge-list reader must keep beating the
+    // line-at-a-time baseline on the same text — a reader that goes back
+    // to a `String` per line, or to per-line UTF-8 and Unicode
+    // whitespace work, collapses this ratio, independent of runner
+    // speed.
+    if let Some(floor) = edge_list_read_floor {
+        let d = &report.edge_list_1m;
+        if d.read_speedup < floor {
+            eprintln!(
+                "FAIL: edge-list reader at {:.2}× over the lines() baseline \
+                 (floor {floor:.2}×; lines() {:.1} ms, reader {:.1} ms)",
+                d.read_speedup, d.lines_read_ms, d.read_ms
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "edge-list reader: {:.2}× over the lines() baseline ≥ floor {floor:.2}×",
+            d.read_speedup
         );
     }
 

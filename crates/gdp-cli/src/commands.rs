@@ -2,7 +2,7 @@
 
 use std::collections::HashMap;
 use std::fs::File;
-use std::io::{BufReader, BufWriter};
+use std::io::BufReader;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -272,7 +272,7 @@ pub fn generate(args: &[String]) -> CmdResult {
         }
     };
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    graph_io::write_edge_list(&graph, BufWriter::new(file))
+    graph_io::write_edge_list(&graph, file)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("wrote {} edges to {out}", graph.edge_count());
     Ok(())
@@ -283,8 +283,7 @@ pub fn stats(args: &[String]) -> CmdResult {
     let flags = parse_flags(args)?;
     let input = flags.get("in").ok_or("stats requires --in FILE")?;
     let file = File::open(input).map_err(|e| format!("cannot open {input}: {e}"))?;
-    let graph =
-        graph_io::read_edge_list(BufReader::new(file)).map_err(|e| format!("{input}: {e}"))?;
+    let graph = graph_io::read_edge_list(file).map_err(|e| format!("{input}: {e}"))?;
     println!("{}", GraphStats::compute(&graph));
     Ok(())
 }
@@ -328,8 +327,7 @@ pub fn disclose(args: &[String]) -> CmdResult {
     let mechanism = parse_mechanism(&flags)?;
 
     let file = File::open(input).map_err(|e| format!("cannot open {input}: {e}"))?;
-    let graph =
-        graph_io::read_edge_list(BufReader::new(file)).map_err(|e| format!("{input}: {e}"))?;
+    let graph = graph_io::read_edge_list(file).map_err(|e| format!("{input}: {e}"))?;
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut spec_config =
@@ -420,8 +418,7 @@ pub fn publish(args: &[String]) -> CmdResult {
     let mechanism = parse_mechanism(&flags)?;
 
     let file = File::open(input).map_err(|e| format!("cannot open {input}: {e}"))?;
-    let graph =
-        graph_io::read_edge_list(BufReader::new(file)).map_err(|e| format!("{input}: {e}"))?;
+    let graph = graph_io::read_edge_list(file).map_err(|e| format!("{input}: {e}"))?;
     let mut rng = StdRng::seed_from_u64(seed);
 
     let mut spec_config =

@@ -39,6 +39,11 @@ impl GraphBuilder {
     }
 
     /// Creates a builder with pre-allocated capacity for `edges` edges.
+    ///
+    /// The capacity is reserved as asked, so pass a count you trust: a
+    /// file header's count is only a hint, which
+    /// [`crate::io::read_edge_list`] caps at
+    /// [`crate::io::MAX_RESERVED_EDGES`] first.
     pub fn with_capacity(left_count: u32, right_count: u32, edges: usize) -> Self {
         Self {
             left_count,

@@ -11,10 +11,27 @@
 //! ...
 //! ```
 //!
-//! The declared `edge_count` is advisory (used for pre-allocation); the
-//! actual number of parsed edges wins. This mirrors common graph-dataset
-//! distribution formats so that real edge lists (e.g. an actual DBLP
-//! export) can be dropped in for the synthetic generator.
+//! The declared `edge_count` is advisory: it sizes the first allocation,
+//! capped at [`MAX_RESERVED_EDGES`] so no header can demand more memory
+//! than its edges, and the actual number of parsed edges wins. This
+//! mirrors common graph-dataset distribution formats so that real edge
+//! lists (e.g. an actual DBLP export) can be dropped in for the
+//! synthetic generator.
+//!
+//! [`read_edge_list`] scans its input's buffer in place. An edge line of
+//! exactly the shape [`write_edge_list`] produces,
+//!
+//! ```text
+//! DIGITS ' ' DIGITS ['\r'] '\n'      (1–10 ASCII digits, value ≤ u32::MAX)
+//! ```
+//!
+//! is parsed straight from the buffer in one pass. Every other line —
+//! the header, comments, blank lines, tabs or other whitespace
+//! (Unicode included), `+` signs, 11-digit numbers, a final line with no
+//! `'\n'`, anything malformed — takes the general path: UTF-8 check,
+//! `trim`, `split_whitespace`, `str::parse`. Both paths accept the same
+//! lines with the same values, so the lane changes only the speed; the
+//! general path alone reports parse errors and their line numbers.
 //!
 //! [`write_json`] / [`read_json`] persist any serde-able value as a
 //! pretty-printed JSON document over arbitrary `Write`/`Read` streams,
@@ -35,7 +52,7 @@
 //! serving store's shard router.
 
 use std::fs::File;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 
 use crate::bipartite::BipartiteGraph;
@@ -44,98 +61,244 @@ use crate::error::GraphError;
 use crate::node::{LeftId, RightId};
 use crate::Result;
 
+/// The most edges [`read_edge_list`] reserves before it has read any:
+/// 2^20 pairs, 8 MiB. The header's `edge_count` is only a hint, so a
+/// larger claim is trusted no further than this; the edge vector grows
+/// past it as edges actually arrive.
+pub const MAX_RESERVED_EDGES: usize = 1 << 20;
+
+/// The edge-list reader's and writer's buffer size.
+const IO_BUFFER: usize = 64 * 1024;
+
+/// Room for one rendered edge line and then some: two 10-digit ids, a
+/// space and a newline take 22 bytes, and the left id is copied as a
+/// fixed 16-byte block.
+const LINE_ROOM: usize = 32;
+
+/// Writes the decimal digits of `value` at `out[at..]`, returning the
+/// index just past them.
+#[inline]
+fn put_decimal(out: &mut [u8], at: usize, mut value: u32) -> usize {
+    let end = at + value.checked_ilog10().unwrap_or(0) as usize + 1;
+    let mut i = end;
+    loop {
+        i -= 1;
+        out[i] = b'0' + (value % 10) as u8;
+        value /= 10;
+        if value == 0 {
+            return end;
+        }
+    }
+}
+
 /// Writes a graph as a text edge list.
 ///
-/// A `&mut` reference to any `Write` can be passed as the writer.
+/// Edge lines are rendered into one reused 64 KiB buffer that goes to
+/// the writer whenever it fills, so an unbuffered writer is fine.
 ///
 /// # Errors
 ///
 /// Propagates IO failures from the writer.
 pub fn write_edge_list<W: Write>(graph: &BipartiteGraph, mut writer: W) -> Result<()> {
+    let mut buf = vec![0u8; IO_BUFFER];
+    let mut header = &mut buf[..];
     writeln!(
-        writer,
+        header,
         "{} {} {}",
         graph.left_count(),
         graph.right_count(),
         graph.edge_count()
     )?;
-    for (l, r) in graph.edges() {
-        writeln!(writer, "{} {}", l.index(), r.index())?;
+    let mut len = IO_BUFFER - header.len();
+    let (offsets, neighbors) = graph.left_csr();
+    for (l, row) in offsets.windows(2).enumerate() {
+        // The row's left id and its space, rendered once per row.
+        let mut left = [0u8; 16];
+        let left_len = put_decimal(&mut left, 0, l as u32) + 1;
+        left[left_len - 1] = b' ';
+        for r in &neighbors[row[0]..row[1]] {
+            if len > IO_BUFFER - LINE_ROOM {
+                writer.write_all(&buf[..len])?;
+                len = 0;
+            }
+            buf[len..len + left.len()].copy_from_slice(&left);
+            len = put_decimal(&mut buf, len + left_len, r.index());
+            buf[len] = b'\n';
+            len += 1;
+        }
     }
+    writer.write_all(&buf[..len])?;
+    writer.flush()?;
+    Ok(())
+}
+
+/// Parses 1–10 ASCII digits at `bytes[start..]` into a `u32`, returning
+/// the value and the index just past the digits; `None` for no digits,
+/// more than ten, or a value above `u32::MAX`.
+#[inline]
+fn lane_u32(bytes: &[u8], start: usize) -> Option<(u32, usize)> {
+    let mut value = 0u64;
+    let mut end = start;
+    while let Some(&b) = bytes.get(end) {
+        let digit = b.wrapping_sub(b'0');
+        if digit > 9 {
+            break;
+        }
+        if end - start == 10 {
+            return None;
+        }
+        value = value * 10 + u64::from(digit);
+        end += 1;
+    }
+    if end == start {
+        return None;
+    }
+    Some((u32::try_from(value).ok()?, end))
+}
+
+/// The fast lane: an edge line `DIGITS ' ' DIGITS ['\r'] '\n'` at the
+/// start of `bytes`, as `(left, right, line length)`. `None` for any
+/// other shape, including a line the buffer cuts short.
+#[inline]
+fn lane_edge(bytes: &[u8]) -> Option<(u32, u32, usize)> {
+    let (l, end) = lane_u32(bytes, 0)?;
+    if bytes.get(end) != Some(&b' ') {
+        return None;
+    }
+    let (r, mut end) = lane_u32(bytes, end + 1)?;
+    if bytes.get(end) == Some(&b'\r') {
+        end += 1;
+    }
+    (bytes.get(end) == Some(&b'\n')).then_some((l, r, end + 1))
+}
+
+/// Parses one whitespace-separated field, naming it in the error. (The
+/// message says "in header" for edge lines too, as it always has.)
+fn parse_field(tok: Option<&str>, what: &str, line: usize) -> Result<u32> {
+    tok.ok_or_else(|| GraphError::Parse {
+        line,
+        message: format!("missing {what} in header"),
+    })?
+    .parse::<u32>()
+    .map_err(|e| GraphError::Parse {
+        line,
+        message: format!("bad {what}: {e}"),
+    })
+}
+
+/// The general path: one whole line (its `'\n'` included when it has
+/// one), numbered `line_no`. Before the header has been read, the
+/// line's job is to be the header or be skipped; after, to be an edge
+/// or be skipped.
+fn general_line(line: &[u8], line_no: usize, builder: &mut Option<GraphBuilder>) -> Result<()> {
+    let text = std::str::from_utf8(line).map_err(|_| {
+        std::io::Error::new(ErrorKind::InvalidData, "stream did not contain valid UTF-8")
+    })?;
+    let trimmed = text.trim();
+    if trimmed.is_empty() || trimmed.starts_with('#') {
+        return Ok(());
+    }
+    let mut parts = trimmed.split_whitespace();
+    let Some(builder) = builder else {
+        let left_count = parse_field(parts.next(), "left count", line_no)?;
+        let right_count = parse_field(parts.next(), "right count", line_no)?;
+        let declared = parse_field(parts.next(), "edge count", line_no)? as usize;
+        *builder = Some(GraphBuilder::with_capacity(
+            left_count,
+            right_count,
+            declared.min(MAX_RESERVED_EDGES),
+        ));
+        return Ok(());
+    };
+    let l = parse_field(parts.next(), "left index", line_no)?;
+    let r = parse_field(parts.next(), "right index", line_no)?;
+    if parts.next().is_some() {
+        return Err(GraphError::Parse {
+            line: line_no,
+            message: "trailing tokens on edge line".to_string(),
+        });
+    }
+    builder.add_edge(LeftId::new(l), RightId::new(r))?;
     Ok(())
 }
 
 /// Reads a graph from a text edge list.
 ///
-/// A `&mut` reference to any `Read` can be passed as the reader.
+/// Any `Read` works, buffered or not (a `&mut` reference too): the
+/// reader wraps it in its own 64 KiB buffer and parses lines where they
+/// lie in it. See the [module docs](self) for the format and the fast
+/// lane.
 ///
 /// # Errors
 ///
 /// * [`GraphError::Parse`] for malformed headers or edge lines.
 /// * [`GraphError::LeftNodeOutOfRange`] / [`GraphError::RightNodeOutOfRange`]
 ///   when an edge exceeds the header's declared side sizes.
-/// * [`GraphError::Io`] for underlying reader failures.
+/// * [`GraphError::Io`] for underlying reader failures, and with
+///   [`ErrorKind::InvalidData`] for a line that is not UTF-8.
 pub fn read_edge_list<R: Read>(reader: R) -> Result<BipartiteGraph> {
-    let reader = BufReader::new(reader);
-    let mut lines = reader.lines();
+    let mut reader = BufReader::with_capacity(IO_BUFFER, reader);
+    // A line the buffer cut short, completed from the next fill.
+    let mut carry = Vec::new();
     let mut line_no = 0usize;
-
-    // Header: first non-comment, non-empty line.
-    let header = loop {
-        line_no += 1;
-        match lines.next() {
-            None => {
-                return Err(GraphError::Parse {
-                    line: line_no,
-                    message: "missing header line".to_string(),
-                })
+    let mut builder: Option<GraphBuilder> = None;
+    loop {
+        let buf = match reader.fill_buf() {
+            Ok([]) => break,
+            Ok(buf) => buf,
+            Err(e) if e.kind() == ErrorKind::Interrupted => continue,
+            Err(e) => return Err(e.into()),
+        };
+        let mut pos = 0;
+        if !carry.is_empty() {
+            match buf.iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    carry.extend_from_slice(&buf[..=nl]);
+                    line_no += 1;
+                    general_line(&carry, line_no, &mut builder)?;
+                    carry.clear();
+                    pos = nl + 1;
+                }
+                None => {
+                    carry.extend_from_slice(buf);
+                    pos = buf.len();
+                }
             }
-            Some(line) => {
-                let line = line?;
-                let trimmed = line.trim();
-                if trimmed.is_empty() || trimmed.starts_with('#') {
+        }
+        while pos < buf.len() {
+            let rest = &buf[pos..];
+            if let Some(edges) = builder.as_mut() {
+                if let Some((l, r, len)) = lane_edge(rest) {
+                    line_no += 1;
+                    edges.add_edge(LeftId::new(l), RightId::new(r))?;
+                    pos += len;
                     continue;
                 }
-                break trimmed.to_string();
+            }
+            match rest.iter().position(|&b| b == b'\n') {
+                Some(nl) => {
+                    line_no += 1;
+                    general_line(&rest[..=nl], line_no, &mut builder)?;
+                    pos += nl + 1;
+                }
+                None => {
+                    carry.extend_from_slice(rest);
+                    pos = buf.len();
+                }
             }
         }
-    };
-    let mut parts = header.split_whitespace();
-    let parse_u32 = |tok: Option<&str>, what: &str, line: usize| -> Result<u32> {
-        tok.ok_or_else(|| GraphError::Parse {
-            line,
-            message: format!("missing {what} in header"),
-        })?
-        .parse::<u32>()
-        .map_err(|e| GraphError::Parse {
-            line,
-            message: format!("bad {what}: {e}"),
-        })
-    };
-    let left_count = parse_u32(parts.next(), "left count", line_no)?;
-    let right_count = parse_u32(parts.next(), "right count", line_no)?;
-    let declared_edges = parse_u32(parts.next(), "edge count", line_no)? as usize;
-
-    let mut builder = GraphBuilder::with_capacity(left_count, right_count, declared_edges);
-    for line in lines {
-        line_no += 1;
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let mut parts = trimmed.split_whitespace();
-        let l = parse_u32(parts.next(), "left index", line_no)?;
-        let r = parse_u32(parts.next(), "right index", line_no)?;
-        if parts.next().is_some() {
-            return Err(GraphError::Parse {
-                line: line_no,
-                message: "trailing tokens on edge line".to_string(),
-            });
-        }
-        builder.add_edge(LeftId::new(l), RightId::new(r))?;
+        reader.consume(pos);
     }
-    Ok(builder.build())
+    if !carry.is_empty() {
+        line_no += 1;
+        general_line(&carry, line_no, &mut builder)?;
+    }
+    builder
+        .map(GraphBuilder::build)
+        .ok_or_else(|| GraphError::Parse {
+            line: line_no + 1,
+            message: "missing header line".to_string(),
+        })
 }
 
 /// Writes any serializable value as a pretty-printed JSON document
@@ -484,6 +647,70 @@ mod tests {
     fn header_parse_errors_name_the_field() {
         let err = read_edge_list("2 2\n".as_bytes()).unwrap_err();
         assert!(err.to_string().contains("edge count"));
+    }
+
+    #[test]
+    fn a_huge_declared_edge_count_reserves_only_the_cap() {
+        // The header's edge count is a hint: passed through as a
+        // capacity, this one asked for 32 GiB and aborted the process.
+        let g = read_edge_list("2 2 4294967295\n0 1\n".as_bytes()).unwrap();
+        assert_eq!(g.edge_count(), 1);
+        assert!(g.has_edge(LeftId::new(0), RightId::new(1)));
+    }
+
+    #[test]
+    fn invalid_utf8_is_an_invalid_data_io_error() {
+        let err = read_edge_list(&b"2 2 1\n0 1 \xff\n"[..]).unwrap_err();
+        match &err {
+            GraphError::Io(e) => assert_eq!(e.kind(), ErrorKind::InvalidData),
+            other => panic!("wrong error: {other}"),
+        }
+        assert_eq!(
+            err.to_string(),
+            "io error: stream did not contain valid UTF-8"
+        );
+    }
+
+    #[test]
+    fn decimal_rendering_matches_display_at_every_width() {
+        let mut values = vec![0, u32::MAX, u32::MAX - 1];
+        for d in 1..10 {
+            let p = 10u32.pow(d);
+            values.extend([p - 1, p, p + 1]);
+        }
+        let mut out = [0u8; 12];
+        for v in values {
+            let end = put_decimal(&mut out, 1, v);
+            assert_eq!(&out[1..end], v.to_string().as_bytes(), "{v}");
+        }
+    }
+
+    #[test]
+    fn lane_accepts_exactly_its_line_shape() {
+        assert_eq!(lane_edge(b"12 34\n5"), Some((12, 34, 6)));
+        assert_eq!(lane_edge(b"0 4294967295\r\n"), Some((0, u32::MAX, 14)));
+        assert_eq!(lane_edge(b"0012 7\n"), Some((12, 7, 7)));
+        for other in [
+            &b"12 34"[..],
+            b"12 34\r",
+            b"12 34\r\r\n",
+            b"12  34\n",
+            b"12\t34\n",
+            b" 12 34\n",
+            b"12 34 \n",
+            b"+12 34\n",
+            b"12 4294967296\n",
+            b"00000000001 2\n",
+            b"# 1 2\n",
+            b"\n",
+        ] {
+            assert_eq!(
+                lane_edge(other),
+                None,
+                "{:?}",
+                String::from_utf8_lossy(other)
+            );
+        }
     }
 
     #[test]
