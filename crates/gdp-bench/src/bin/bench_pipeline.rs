@@ -36,16 +36,16 @@
 //! estimator rebuilds or release rescans, nor quietly turn the binary
 //! load path back into JSON-shaped parsing.
 //!
-//! ISSUE 9 adds the lane-kernel and threading instrumentation:
+//! Kernel and threading instrumentation:
 //! `--threads N` pins the worker-pool width for the whole run (recorded
-//! in the report next to the host core count), the `lane_kernels`
-//! entries time each chunked lane kernel against its pinned scalar
-//! fallback (asserting bitwise-equal results every rep), and the
+//! in the report next to the host core count), the `subset_gather`
+//! entry times the shipping subset-gather kernel against its reference
+//! algorithm (asserting bitwise-equal results every rep), and the
 //! `scaling` section re-times the datagen / disclose / answer phases at
 //! 1/2/4/8 pool threads with the outputs pinned bit-identical across
-//! thread counts. `--assert-gather-lane-over RATIO` makes the run fail
-//! when the lane subset-gather kernel stops beating the scalar path by
-//! the given factor, and `--assert-scaling-disclose-2t-over RATIO`
+//! thread counts. `--assert-gather-over RATIO` makes the run fail
+//! when the shipping gather stops beating the reference by the given
+//! factor, and `--assert-scaling-disclose-2t-over RATIO`
 //! requires the 2-thread disclose phase to show real parallel speedup
 //! (skipped with a notice on single-core hosts, where no speedup is
 //! physically available).
@@ -57,7 +57,7 @@
 //!                [--assert-datagen-1m-under MS]
 //!                [--assert-answer-qps-over QPS]
 //!                [--assert-binary-load-1m-under MS]
-//!                [--assert-gather-lane-over RATIO]
+//!                [--assert-gather-over RATIO]
 //!                [--assert-scaling-disclose-2t-over RATIO]
 //!                [--assert-delta-disclose-over RATIO]
 //!                [--assert-digest-over RATIO]
@@ -257,15 +257,14 @@ struct ReaderThroughput {
     aggregate_qps: f64,
 }
 
-/// One lane-vs-scalar kernel pair (ISSUE 9): the chunked hot-kernel
-/// path timed against its pinned scalar fallback on identical inputs,
-/// outputs asserted bit-identical on every rep.
+/// The subset-count gather: the shipping kernel timed
+/// against its reference algorithm on identical inputs, results
+/// asserted bit-identical on every rep.
 #[derive(Debug, Serialize)]
-struct LaneKernelComparison {
-    kernel: String,
+struct GatherComparison {
     work_items: u64,
-    scalar_ms: f64,
-    lane_ms: f64,
+    reference_ms: f64,
+    shipping_ms: f64,
     speedup: f64,
 }
 
@@ -313,7 +312,7 @@ struct Report {
     /// `None` only when `--max-edges` clips the 100k scale it is
     /// measured at.
     reader_throughput: Option<ReaderThroughput>,
-    lane_kernels: Vec<LaneKernelComparison>,
+    subset_gather: GatherComparison,
     scaling: ScalingReport,
     phases: Vec<PhaseTimings>,
 }
@@ -1197,21 +1196,19 @@ fn pipeline_at(
     (timings, qps, readers)
 }
 
-/// The ISSUE-9 per-kernel measurements: each restructured hot kernel
-/// timed against its pinned scalar fallback on identical inputs at the
-/// 100k-edge working scale, outputs asserted bit-identical every rep.
-fn lane_kernel_comparison(seed: u64, reps: usize) -> Vec<LaneKernelComparison> {
-    use gdp_serve::kernels::{gather_subset, gather_subset_scalar};
+/// The gather measurement: the shipping subset gather timed
+/// against its reference algorithm on identical inputs, sums asserted
+/// bit-identical every rep.
+fn gather_comparison(seed: u64, reps: usize) -> GatherComparison {
+    use gdp_serve::kernels::{gather_subset, gather_subset_reference};
     let mut rng = StdRng::seed_from_u64(seed ^ 9);
-    let mut out = Vec::new();
 
-    // Subset-count gather on a side just past the 65 536-node boundary,
-    // where the scalar fallback's duplicate check is the old per-call
-    // `to_vec` + `sort_unstable` walk that ISSUE 9 replaced with the
-    // reusable lazily-cleared scratch bitmap. 1000 subsets of 512
-    // distinct nodes each — large enough that the sort the lane path
-    // hoisted out dominates the scalar cost, small enough that the
-    // lazy clear stays proportional to the subset.
+    // A side just past the 65 536-node boundary, where the reference's
+    // duplicate check is the per-call `to_vec` + `sort_unstable` walk
+    // that the shipping kernel's lazily cleared scratch bitmap
+    // replaces. 1000 subsets of 512 distinct nodes each — large enough
+    // that the sort dominates the reference cost, small enough that
+    // the lazy clear stays proportional to the subset.
     let n = 70_000u32;
     let groups = 64u32;
     let group_of: Vec<u32> = (0..n).map(|_| rng.gen_range(0..groups)).collect();
@@ -1225,86 +1222,20 @@ fn lane_kernel_comparison(seed: u64, reps: usize) -> Vec<LaneKernelComparison> {
         }
         acc
     };
-    let (scalar_ms, scalar_acc) = time_best_of(reps * 20, || run(gather_subset_scalar));
-    let (lane_ms, lane_acc) = time_best_of(reps * 20, || run(gather_subset));
-    assert_eq!(
-        lane_acc.to_bits(),
-        scalar_acc.to_bits(),
-        "lane gather must be bit-identical to the scalar fallback"
-    );
-    out.push(LaneKernelComparison {
-        kernel: "subset_gather".to_string(),
-        work_items: (subsets.len() * 512) as u64,
-        scalar_ms,
-        lane_ms,
-        speedup: scalar_ms / lane_ms,
-    });
-
-    // Pair-count row fold: a bucketed edge set at the 100k-edge scale
-    // (2000 rows, 100k entries) through the chunked vs per-cell
-    // emission paths.
-    let rows = 2_000usize;
-    let entries = 100_000usize;
-    let right_blocks = 2_000u32;
-    let mut offsets = vec![0usize; rows + 1];
-    for _ in 0..entries {
-        offsets[rng.gen_range(0..rows as u32) as usize + 1] += 1;
-    }
-    for i in 0..rows {
-        offsets[i + 1] += offsets[i];
-    }
-    let bucket: Vec<u32> = (0..entries).map(|_| rng.gen_range(0..right_blocks)).collect();
-    let (fold_scalar_ms, cells_scalar) = time_best_of(reps * 5, || {
-        gdp_graph::fold_rows_scalar_for_bench(&bucket, &offsets, right_blocks)
-    });
-    let (fold_lane_ms, cells_lane) = time_best_of(reps * 5, || {
-        gdp_graph::fold_rows_for_bench(&bucket, &offsets, right_blocks)
-    });
-    assert_eq!(cells_lane, cells_scalar, "fold paths must agree");
-    out.push(LaneKernelComparison {
-        kernel: "pair_count_fold".to_string(),
-        work_items: entries as u64,
-        scalar_ms: fold_scalar_ms,
-        lane_ms: fold_lane_ms,
-        speedup: fold_scalar_ms / fold_lane_ms,
-    });
-
-    // Batched Laplace: the chunked pre-drawn-uniform transform behind
-    // `randomize_slice` vs the per-element draw loop it replaced (both
-    // consume the identical RNG stream — asserted bitwise).
-    let len = 100_000usize;
-    let scale = 4.0;
-    let base: Vec<f64> = (0..len).map(|i| i as f64).collect();
-    let (lap_scalar_ms, scalar_vals) = time_best_of(reps * 5, || {
-        let mut vals = base.clone();
-        let mut r = StdRng::seed_from_u64(seed ^ 10);
-        for v in &mut vals {
-            *v += gdp_mechanisms::sampling::laplace(&mut r, scale);
-        }
-        vals
-    });
-    let (lap_lane_ms, lane_vals) = time_best_of(reps * 5, || {
-        let mut vals = base.clone();
-        let mut r = StdRng::seed_from_u64(seed ^ 10);
-        gdp_mechanisms::sampling::laplace_add_into(&mut r, scale, &mut vals);
-        vals
-    });
-    for (a, b) in scalar_vals.iter().zip(&lane_vals) {
+    let (reference_ms, reference_acc) = time_best_of(reps * 20, || run(gather_subset_reference));
+    let (shipping_ms, ()) = time_best_of(reps * 20, || {
         assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
-            "batched Laplace must be bit-identical to the draw loop"
+            run(gather_subset).to_bits(),
+            reference_acc.to_bits(),
+            "shipping gather must be bit-identical to the reference"
         );
-    }
-    out.push(LaneKernelComparison {
-        kernel: "laplace_randomize_slice".to_string(),
-        work_items: len as u64,
-        scalar_ms: lap_scalar_ms,
-        lane_ms: lap_lane_ms,
-        speedup: lap_scalar_ms / lap_lane_ms,
     });
-
-    out
+    GatherComparison {
+        work_items: (subsets.len() * 512) as u64,
+        reference_ms,
+        shipping_ms,
+        speedup: reference_ms / shipping_ms,
+    }
 }
 
 /// The ISSUE-9 multi-thread scaling sweep: the three rayon-parallel
@@ -1431,7 +1362,7 @@ fn main() {
     let mut datagen_1m_ceiling_ms: Option<f64> = None;
     let mut answer_qps_floor: Option<f64> = None;
     let mut binary_load_1m_ceiling_ms: Option<f64> = None;
-    let mut gather_lane_floor: Option<f64> = None;
+    let mut gather_floor: Option<f64> = None;
     let mut scaling_disclose_2t_floor: Option<f64> = None;
     let mut delta_disclose_floor: Option<f64> = None;
     let mut digest_floor: Option<f64> = None;
@@ -1494,11 +1425,11 @@ fn main() {
                         .expect("--assert-binary-load-1m-under needs a number (ms)"),
                 )
             }
-            "--assert-gather-lane-over" => {
-                gather_lane_floor = Some(
+            "--assert-gather-over" => {
+                gather_floor = Some(
                     args.next()
                         .and_then(|v| v.parse().ok())
-                        .expect("--assert-gather-lane-over needs a number (speedup ratio)"),
+                        .expect("--assert-gather-over needs a number (speedup ratio)"),
                 )
             }
             "--assert-scaling-disclose-2t-over" => {
@@ -1534,7 +1465,7 @@ fn main() {
                     "flags: [--out FILE] [--seed N] [--max-edges N] [--reps N] [--threads N] \
                      [--assert-disclose-100k-under MS] [--assert-datagen-1m-under MS] \
                      [--assert-answer-qps-over QPS] [--assert-binary-load-1m-under MS] \
-                     [--assert-gather-lane-over RATIO] [--assert-scaling-disclose-2t-over RATIO] \
+                     [--assert-gather-over RATIO] [--assert-scaling-disclose-2t-over RATIO] \
                      [--assert-delta-disclose-over RATIO] [--assert-digest-over RATIO] \
                      [--assert-edge-list-read-over RATIO]"
                 );
@@ -1695,14 +1626,12 @@ fn main() {
         answer_qps.extend(qps);
     }
 
-    eprintln!("measuring lane kernels vs pinned scalar fallbacks…");
-    let lane_kernels = lane_kernel_comparison(seed, reps);
-    for k in &lane_kernels {
-        eprintln!(
-            "  {:<24} scalar {:.3} ms  lane {:.3} ms  speedup {:.2}×",
-            k.kernel, k.scalar_ms, k.lane_ms, k.speedup
-        );
-    }
+    eprintln!("measuring the subset gather vs its reference algorithm…");
+    let subset_gather = gather_comparison(seed, reps);
+    eprintln!(
+        "  reference {:.3} ms  shipping {:.3} ms  speedup {:.2}×",
+        subset_gather.reference_ms, subset_gather.shipping_ms, subset_gather.speedup
+    );
 
     eprintln!("measuring multi-thread scaling (1/2/4/8 pool threads)…");
     let scaling = scaling_report(seed, reps.min(2));
@@ -1745,7 +1674,7 @@ fn main() {
         edge_list_1m,
         answer_qps,
         reader_throughput,
-        lane_kernels,
+        subset_gather,
         scaling,
         phases,
     };
@@ -1847,27 +1776,23 @@ fn main() {
         );
     }
 
-    // Regression gate for CI: the chunked lane subset-gather kernel must
-    // keep beating its pinned scalar fallback by the given factor — a
-    // change that quietly de-vectorizes the gather (or reintroduces the
-    // per-call bitmap zeroing / sort the lane path hoisted out) shows up
-    // here as a collapsed ratio, independent of runner speed.
-    if let Some(floor) = gather_lane_floor {
-        let gather = report
-            .lane_kernels
-            .iter()
-            .find(|k| k.kernel == "subset_gather")
-            .expect("lane_kernels must include the subset_gather entry");
+    // Regression gate for CI: the shipping subset gather must keep
+    // beating its reference algorithm by the given factor — a change
+    // that brings back the per-call bitmap zeroing or the alloc + sort
+    // duplicate check past 65 536 nodes shows up here as a collapsed
+    // ratio, independent of runner speed.
+    if let Some(floor) = gather_floor {
+        let gather = &report.subset_gather;
         if gather.speedup < floor {
             eprintln!(
-                "FAIL: lane subset gather at {:.2}× over scalar (floor {floor:.2}×; \
-                 scalar {:.3} ms, lane {:.3} ms)",
-                gather.speedup, gather.scalar_ms, gather.lane_ms
+                "FAIL: subset gather at {:.2}× over reference (floor {floor:.2}×; \
+                 reference {:.3} ms, shipping {:.3} ms)",
+                gather.speedup, gather.reference_ms, gather.shipping_ms
             );
             std::process::exit(1);
         }
         eprintln!(
-            "lane subset gather: {:.2}× over scalar ≥ floor {floor:.2}×",
+            "subset gather: {:.2}× over reference ≥ floor {floor:.2}×",
             gather.speedup
         );
     }

@@ -96,10 +96,9 @@ impl LaplaceMechanism {
     }
 
     /// Adds calibrated noise to every element of `values` in place — the
-    /// batched hot path the disclosure pipeline uses. Runs the chunked
-    /// pre-drawn-uniform transform ([`sampling::laplace_add_into`]),
-    /// bit-identical to a per-element `v += laplace(rng, scale)` loop
-    /// under the same seed.
+    /// batched hot path the disclosure pipeline uses
+    /// ([`sampling::laplace_add_into`]), bit-identical to a per-element
+    /// `v += laplace(rng, scale)` loop under the same seed.
     pub fn randomize_slice<R: Rng + ?Sized>(&self, values: &mut [f64], rng: &mut R) {
         sampling::laplace_add_into(rng, self.scale, values);
     }

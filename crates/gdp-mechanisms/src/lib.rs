@@ -13,8 +13,6 @@
 //!   paper's Phase-1 specialization to pick partition cut points,
 //! * the **geometric mechanism** ([`GeometricMechanism`]) — the discrete
 //!   analogue of Laplace for integer counts,
-//! * **randomized response** ([`RandomizedResponse`]) as a local-DP
-//!   baseline,
 //! * a **privacy accountant** ([`PrivacyAccountant`]) with sequential,
 //!   parallel and advanced composition.
 //!
@@ -55,10 +53,8 @@ mod exponential;
 mod gaussian;
 mod geometric;
 mod laplace;
-mod randomized_response;
 mod rdp;
 mod sensitivity;
-mod svt;
 
 pub mod sampling;
 pub mod special;
@@ -73,10 +69,8 @@ pub use exponential::ExponentialMechanism;
 pub use gaussian::{gaussian_delta, GaussianCalibration, GaussianMechanism};
 pub use geometric::GeometricMechanism;
 pub use laplace::LaplaceMechanism;
-pub use randomized_response::RandomizedResponse;
 pub use rdp::GaussianRdpAccountant;
 pub use sensitivity::{L1Sensitivity, L2Sensitivity};
-pub use svt::SparseVector;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, MechanismError>;

@@ -41,8 +41,8 @@ pub fn laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
 
 /// The pure inverse-CDF half of [`laplace`]: maps one open-`(0,1)`
 /// uniform to a `Laplace(0, scale)` draw, consuming no randomness.
-/// Shared verbatim by the single-draw sampler and the chunked batch
-/// transforms, so the two are bit-identical by construction.
+/// Shared by the single-draw sampler and the batch loops, so the two
+/// are bit-identical by construction.
 #[inline]
 fn laplace_from_uniform(u: f64, scale: f64) -> f64 {
     // u ∈ (−0.5, 0.5); x = −scale · sign(u) · ln(1 − 2|u|)
@@ -121,91 +121,36 @@ fn geometric_at_least_one<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> i64 {
     }
 }
 
-/// Block size of the batched Laplace samplers: uniforms are pre-drawn
-/// into a stack buffer of this many slots, then transformed chunked.
-const LAPLACE_BLOCK: usize = 256;
-
 /// Fills `out` with independent `Laplace(0, scale)` draws.
 ///
-/// The batched analogue of [`laplace`]: one calibration check, `N`
-/// draws, no per-cell dispatch. **Bit-identical stream** to `N` calls
-/// to [`laplace`] under the same RNG state: uniforms are pre-drawn
-/// block-wise in element order (the inverse-CDF transform consumes no
-/// randomness, so hoisting it changes nothing about the draw
-/// sequence), then mapped through the transform in `f64` lane chunks —
-/// a branch-free elementwise loop the compiler can vectorize, instead
-/// of alternating RNG state updates with `ln` calls per element.
-/// Pinned by `laplace_into_matches_repeated_single_draws` and the
-/// property suite.
+/// The batched analogue of [`laplace`]: one draw per element in
+/// element order, so the stream is **bit-identical** to `N` calls to
+/// [`laplace`] under the same RNG state. Pinned by
+/// `laplace_into_matches_repeated_single_draws` and the property suite.
 ///
 /// # Panics
 ///
 /// Debug-asserts that `scale` is finite and positive.
 pub fn laplace_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, out: &mut [f64]) {
     debug_assert!(scale.is_finite() && scale > 0.0);
-    let mut uniforms = [0.0f64; LAPLACE_BLOCK];
-    for block in out.chunks_mut(LAPLACE_BLOCK) {
-        let us = &mut uniforms[..block.len()];
-        for u in us.iter_mut() {
-            *u = uniform_open01(rng);
-        }
-        laplace_transform_into(us, scale, block);
+    for slot in out {
+        *slot = laplace_from_uniform(uniform_open01(rng), scale);
     }
 }
 
 /// Adds independent `Laplace(0, scale)` draws to every element of
 /// `values` in place — the zero-allocation batched hot path
-/// [`crate::LaplaceMechanism::randomize_slice`] runs on. Same
-/// pre-drawn-uniform stream as [`laplace_into`]: bit-identical to a
-/// per-element `values[i] += laplace(rng, scale)` loop under the same
-/// seed.
+/// [`crate::LaplaceMechanism::randomize_slice`] runs on. Same stream
+/// as [`laplace_into`]: bit-identical to a per-element
+/// `values[i] += laplace(rng, scale)` loop under the same seed.
 ///
 /// # Panics
 ///
 /// Debug-asserts that `scale` is finite and positive.
 pub fn laplace_add_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, values: &mut [f64]) {
     debug_assert!(scale.is_finite() && scale > 0.0);
-    let mut uniforms = [0.0f64; LAPLACE_BLOCK];
-    for block in values.chunks_mut(LAPLACE_BLOCK) {
-        let us = &mut uniforms[..block.len()];
-        for u in us.iter_mut() {
-            *u = uniform_open01(rng);
-        }
-        laplace_transform_add(us, scale, block);
-    }
-}
-
-/// Chunked pure transform `out[i] = InverseCdf(uniforms[i])`, four
-/// `f64` lanes per chunk. Elementwise application of
-/// [`laplace_from_uniform`], so each output lane sees exactly the ops
-/// the scalar sampler runs.
-#[inline]
-fn laplace_transform_into(uniforms: &[f64], scale: f64, out: &mut [f64]) {
-    use gdp_lanes::{F64x4, F64_LANES};
-    let mut chunks = uniforms.chunks_exact(F64_LANES);
-    let mut out_chunks = out.chunks_exact_mut(F64_LANES);
-    for (chunk, out_chunk) in chunks.by_ref().zip(out_chunks.by_ref()) {
-        F64x4::load(chunk)
-            .map(|u| laplace_from_uniform(u, scale))
-            .store(out_chunk);
-    }
-    for (&u, slot) in chunks.remainder().iter().zip(out_chunks.into_remainder()) {
-        *slot = laplace_from_uniform(u, scale);
-    }
-}
-
-/// Chunked pure transform `values[i] += InverseCdf(uniforms[i])`.
-#[inline]
-fn laplace_transform_add(uniforms: &[f64], scale: f64, values: &mut [f64]) {
-    use gdp_lanes::{F64x4, F64_LANES};
-    let mut chunks = uniforms.chunks_exact(F64_LANES);
-    let mut val_chunks = values.chunks_exact_mut(F64_LANES);
-    for (chunk, val_chunk) in chunks.by_ref().zip(val_chunks.by_ref()) {
-        let noise = F64x4::load(chunk).map(|u| laplace_from_uniform(u, scale));
-        (F64x4::load(val_chunk) + noise).store(val_chunk);
-    }
-    for (&u, slot) in chunks.remainder().iter().zip(val_chunks.into_remainder()) {
-        *slot += laplace_from_uniform(u, scale);
+    for v in values {
+        *v += laplace_from_uniform(uniform_open01(rng), scale);
     }
 }
 

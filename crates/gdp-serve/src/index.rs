@@ -240,12 +240,10 @@ impl IndexedRelease {
     pub fn estimate(&self, level: usize, side: Side, nodes: &[u32]) -> Result<f64> {
         let indexed_side = self.indexed_side(level, side)?;
         let n = indexed_side.node_count();
-        // Hot path: the lane-structured gather kernel — a chunked
-        // branchless validation sweep over a reusable scratch bitmap,
-        // then a pure check-free double gather whose ordered fold
-        // matches the scalar summation bit-for-bit (see
-        // `crate::kernels` for the structure and the pinned scalar
-        // fallback it is tested against).
+        // Hot path: the gather kernel — a validation pass over a
+        // reusable scratch bitmap, then a check-free double gather in
+        // subset order (see `crate::kernels` for the structure and the
+        // reference algorithm it is tested against).
         match crate::kernels::gather_subset(&indexed_side.group_of, &indexed_side.premass, nodes) {
             Some(total) => Ok(total),
             None => {

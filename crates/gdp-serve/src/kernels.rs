@@ -1,48 +1,39 @@
-//! The raw subset-gather kernels behind [`IndexedRelease::estimate`].
+//! The raw subset-gather kernel behind [`IndexedRelease::estimate`].
 //!
-//! Exposed as a public module so the criterion pairs in `gdp-bench` and
-//! the equivalence property suites can drive the lane path and its
-//! pinned scalar fallback directly, without an artifact in the loop.
+//! Exposed as a public module so `bench_pipeline` and the equivalence
+//! property suites can drive the shipping gather and its reference
+//! algorithm directly, without an artifact in the loop.
 //!
-//! # Structure of the lane path
+//! # Structure
 //!
-//! The scalar form ([`gather_subset_scalar`]) interleaves the bounds
-//! check, the duplicate-bitmap update and the dependent double gather
-//! in one loop body — every iteration carries two branches and the
-//! bitmap read-modify-write, none of it vectorizable. The lane path
-//! ([`gather_subset`]) hoists validation out of the accumulation loop
-//! entirely:
+//! The reference form ([`gather_subset_reference`]) interleaves the
+//! bounds check, the duplicate-bitmap update and the double gather in
+//! one loop, zero-initializes an 8 KiB stack bitmap on every call, and
+//! on sides past 65 536 nodes allocates and sorts a copy of the whole
+//! subset to find duplicates. The shipping form ([`gather_subset`])
+//! splits the work in two plain loops:
 //!
-//! 1. **Sweep** (the private `subset_defective`): one chunked pass over
-//!    the subset — a branchless [`U32x8`] bound mask per
-//!    chunk (a single well-predicted branch per 8 nodes), then the
-//!    duplicate-bitmap bit sets, against a **reusable thread-local
-//!    bitmap** cleared lazily (only the words the subset touched),
-//!    instead of zero-initializing an 8 KiB stack array per call or —
-//!    on sides past 65 536 nodes — allocating and sorting a copy of
-//!    the whole subset.
-//! 2. **Gather** ([`gdp_lanes::gather_map_sum`]): a check-free chunked
-//!    double gather whose loads are lane-wise and independent, with
-//!    **one ordered horizontal fold per chunk** — the exact add
-//!    sequence of the scalar loop, so the result is bit-identical.
+//! 1. **Validate** (the private `subset_defective`): one pass over the
+//!    subset — bound check, then test-and-set in a **reusable
+//!    thread-local bitmap** that is cleared lazily (only the words the
+//!    subset touched), so no call zeroes or sorts anything
+//!    proportional to the side.
+//! 2. **Gather**: a check-free `Σ premass[group_of[v]]` in subset
+//!    order.
 //!
 //! Summation order is part of the released-answer contract (an
-//! artifact sealed yesterday must serve the same bits tomorrow), which
-//! is why the reduction is ordered rather than lane-parallel; the
-//! speedup comes from removing per-element branching and bitmap
-//! traffic from the float chain, not from reordering it.
+//! artifact sealed yesterday must serve the same bits tomorrow), so
+//! both forms add in subset order and agree bit for bit; the speedup
+//! comes from the bitmap handling, not from reordering the sum.
 //!
 //! [`IndexedRelease::estimate`]: crate::IndexedRelease::estimate
 
 use std::cell::RefCell;
 
-use gdp_graph::lanes;
-use gdp_lanes::{U32x8, U32_LANES};
-
-/// Stack-bitmap capacity of the scalar fallback: 1024 words = 65 536
-/// node ids, the boundary past which the scalar path falls back to
-/// sort-based duplicate detection.
-pub const SCALAR_BITMAP_WORDS: usize = 1024;
+/// Stack-bitmap capacity of [`gather_subset_reference`]: 1024 words =
+/// 65 536 node ids, the boundary past which it falls back to sort-based
+/// duplicate detection.
+pub const REFERENCE_BITMAP_WORDS: usize = 1024;
 
 thread_local! {
     /// The reusable duplicate-detection bitmap. Sized to the largest
@@ -52,94 +43,70 @@ thread_local! {
     static DUP_SCRATCH: RefCell<Vec<u64>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The lane-path subset gather: `Σ premass[group_of[v]]` over `v` in
+/// The shipping subset gather: `Σ premass[group_of[v]]` over `v` in
 /// subset order, or `None` when the subset is defective (a node out of
 /// range, or a duplicate) — the caller re-walks defective subsets
 /// canonically to produce the typed error, so this path never decides
 /// error precedence.
 ///
-/// Bit-identical to [`gather_subset_scalar`] on every input (pinned by
-/// unit and property tests): validation is hoisted, the accumulation
+/// Bit-identical to [`gather_subset_reference`] on every input (pinned
+/// by unit and property tests): validation is hoisted, the accumulation
 /// order is not changed.
 pub fn gather_subset(group_of: &[u32], premass: &[f64], nodes: &[u32]) -> Option<f64> {
     if subset_defective(nodes, group_of.len() as u32) {
         return None;
     }
-    Some(lanes::gather_map_sum(nodes, group_of, premass))
+    let mut total = 0.0;
+    for &v in nodes {
+        total += premass[group_of[v as usize] as usize];
+    }
+    Some(total)
 }
 
-/// One chunked sweep deciding defectiveness: any node `>= n` or any
-/// duplicate. Bits are set in the thread-local scratch bitmap and
-/// cleared before returning.
+/// One pass deciding defectiveness: any node `>= n` or any duplicate.
+/// Bits are set in the thread-local scratch bitmap and cleared before
+/// returning.
 fn subset_defective(nodes: &[u32], n: u32) -> bool {
     let words = (n as usize).div_ceil(64);
     DUP_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        if scratch.len() < words {
-            scratch.resize(words, 0);
+        let mut bitmap = cell.borrow_mut();
+        if bitmap.len() < words {
+            bitmap.resize(words, 0);
         }
-        let (defective, marked) = sweep(nodes, n, &mut scratch);
-        // Lazy clear: every marked node is in range, and all set bits
-        // live in these words, so this restores the all-zero invariant
-        // in O(|S|) regardless of the side's size.
-        for &node in marked {
-            scratch[node as usize / 64] = 0;
+        // The bound check runs first: an out-of-range id would index
+        // past the bitmap.
+        let defect = nodes.iter().position(|&node| {
+            if node >= n {
+                return true;
+            }
+            let (word, bit) = (node as usize / 64, 1u64 << (node % 64));
+            let seen = bitmap[word] & bit != 0;
+            bitmap[word] |= bit;
+            seen
+        });
+        // Lazy clear: every node before the first defect is in range,
+        // and all set bits live in their words, so this restores the
+        // all-zero invariant in O(|S|) regardless of the side's size.
+        for &node in &nodes[..defect.unwrap_or(nodes.len())] {
+            bitmap[node as usize / 64] = 0;
         }
-        defective
+        defect.is_some()
     })
 }
 
-/// The sweep body. Returns the defect flag and the prefix of `nodes`
-/// whose bits were set (defect-free chunks plus, on a duplicate, the
-/// chunk that contained it; nothing from a chunk with an out-of-range
-/// node — the bound mask runs before any bit is touched).
-fn sweep<'a>(nodes: &'a [u32], n: u32, bitmap: &mut [u64]) -> (bool, &'a [u32]) {
-    let mut marked = 0usize;
-    let mut chunks = nodes.chunks_exact(U32_LANES);
-    for chunk in chunks.by_ref() {
-        // Branchless lane compare, one branch per chunk — and it must
-        // run first: an out-of-range id would index past the bitmap.
-        if U32x8::load(chunk).any_ge(n) {
-            return (true, &nodes[..marked]);
-        }
-        let mut dup = false;
-        for &node in chunk {
-            let (word, bit) = (node as usize / 64, 1u64 << (node % 64));
-            dup |= bitmap[word] & bit != 0;
-            bitmap[word] |= bit;
-        }
-        marked += U32_LANES;
-        if dup {
-            return (true, &nodes[..marked]);
-        }
-    }
-    for &node in chunks.remainder() {
-        if node >= n {
-            return (true, &nodes[..marked]);
-        }
-        let (word, bit) = (node as usize / 64, 1u64 << (node % 64));
-        if bitmap[word] & bit != 0 {
-            return (true, &nodes[..marked + 1]);
-        }
-        bitmap[word] |= bit;
-        marked += 1;
-    }
-    (false, &nodes[..marked])
-}
-
-/// The pre-lane scalar form, kept verbatim as the **pinned fallback**:
-/// per-node bounds branch, interleaved bitmap update (a
-/// zero-initialized 8 KiB stack bitmap for sides up to 65 536 nodes),
-/// and — beyond that — duplicate detection by allocating and sorting a
-/// copy of the subset on every call. The equivalence baseline and the
-/// criterion comparison point for [`gather_subset`].
-pub fn gather_subset_scalar(group_of: &[u32], premass: &[f64], nodes: &[u32]) -> Option<f64> {
+/// The original algorithm, kept verbatim as the **reference**: per-node
+/// bounds branch, interleaved bitmap update (a zero-initialized 8 KiB
+/// stack bitmap for sides up to 65 536 nodes), and — beyond that —
+/// duplicate detection by allocating and sorting a copy of the subset
+/// on every call. The equivalence oracle for [`gather_subset`] and the
+/// baseline of `bench_pipeline`'s `subset_gather` entry.
+pub fn gather_subset_reference(group_of: &[u32], premass: &[f64], nodes: &[u32]) -> Option<f64> {
     let n = group_of.len() as u32;
     let words = (n as usize).div_ceil(64);
     let mut defective = false;
     let mut total = 0.0;
-    if words <= SCALAR_BITMAP_WORDS {
-        let mut bitmap = [0u64; SCALAR_BITMAP_WORDS];
+    if words <= REFERENCE_BITMAP_WORDS {
+        let mut bitmap = [0u64; REFERENCE_BITMAP_WORDS];
         for &node in nodes {
             if node >= n {
                 defective = true;
@@ -193,18 +160,18 @@ mod tests {
     }
 
     fn assert_paths_agree(group_of: &[u32], premass: &[f64], nodes: &[u32]) {
-        let lane = gather_subset(group_of, premass, nodes);
-        let scalar = gather_subset_scalar(group_of, premass, nodes);
+        let shipping = gather_subset(group_of, premass, nodes);
+        let reference = gather_subset_reference(group_of, premass, nodes);
         assert_eq!(
-            lane.map(f64::to_bits),
-            scalar.map(f64::to_bits),
-            "lane/scalar divergence on subset {nodes:?}"
+            shipping.map(f64::to_bits),
+            reference.map(f64::to_bits),
+            "shipping/reference divergence on subset {nodes:?}"
         );
     }
 
-    /// The 65 536-node scalar boundary, one node either side of it and
-    /// on it: the lane path must agree bitwise with whichever duplicate
-    /// detector the scalar fallback picks — the ISSUE-9 regression for
+    /// The 65 536-node reference boundary, one node either side of it
+    /// and on it: the shipping gather must agree bitwise with whichever
+    /// duplicate detector the reference picks — the regression test for
     /// the large-side sort path.
     #[test]
     fn boundary_65536_both_sides() {
@@ -213,7 +180,7 @@ mod tests {
             // Clean subsets across the whole range, remainder lengths included.
             let clean: Vec<u32> = (0..80).map(|i| i * (n / 80)).collect();
             assert_paths_agree(&group_of, &premass, &clean);
-            assert_paths_agree(&group_of, &premass, &clean[..U32_LANES - 1]);
+            assert_paths_agree(&group_of, &premass, &clean[..7]);
             assert_paths_agree(&group_of, &premass, &[n - 1]);
             // Duplicates, early and late.
             let mut dup = clean.clone();
@@ -268,13 +235,13 @@ mod tests {
 
     #[test]
     fn chunk_granular_oob_matches_scalar_verdict() {
-        // Out-of-range ids at every position within a chunk: the lane
-        // sweep stops at chunk granularity, the scalar loop per node —
-        // both must report defective, and clean calls must still work
-        // afterwards.
+        // Out-of-range ids at every position of a 17-node subset: both
+        // forms must report defective, and clean calls must still work
+        // afterwards (the shipping form clears only the prefix it
+        // marked before the bad id).
         let (group_of, premass) = side(1000, 7);
-        for pos in 0..=2 * U32_LANES {
-            let mut nodes: Vec<u32> = (0..=2 * U32_LANES as u32).collect();
+        for pos in 0..=16 {
+            let mut nodes: Vec<u32> = (0..=16).collect();
             nodes[pos] = 5000;
             assert_paths_agree(&group_of, &premass, &nodes);
         }
@@ -286,6 +253,6 @@ mod tests {
         let (group_of, premass): (Vec<u32>, Vec<f64>) = (Vec::new(), Vec::new());
         assert_eq!(gather_subset(&group_of, &premass, &[0]), None);
         assert_eq!(gather_subset(&group_of, &premass, &[]), Some(0.0));
-        assert_eq!(gather_subset_scalar(&group_of, &premass, &[]), Some(0.0));
+        assert_eq!(gather_subset_reference(&group_of, &premass, &[]), Some(0.0));
     }
 }

@@ -1,15 +1,15 @@
-//! Property suite pinning the lane-path subset gather bit-identical to
-//! its scalar fallback.
+//! Property suite pinning the shipping subset gather bit-identical to
+//! its reference algorithm.
 //!
-//! `gdp_serve::kernels::gather_subset` (chunked sweep + check-free
-//! ordered gather) and `gather_subset_scalar` (the pre-lane interleaved
-//! loop, kept verbatim) must agree on every input: same defect verdict,
-//! and — on clean subsets — the same `f64` bits, across subnormal /
-//! negative-zero / mixed-magnitude premass values and subset lengths
-//! that straddle the lane width and the scalar path's 65 536-node
-//! bitmap/sort boundary.
+//! `gdp_serve::kernels::gather_subset` (validation pass over a reusable
+//! scratch bitmap, then a check-free gather in subset order) and
+//! `gather_subset_reference` (the original interleaved loop) must agree
+//! on every input: same defect verdict, and — on clean subsets — the
+//! same `f64` bits, across subnormal / negative-zero / mixed-magnitude
+//! premass values, every subset length up to 80 and the reference's
+//! 65 536-node bitmap/sort boundary.
 
-use gdp_serve::kernels::{gather_subset, gather_subset_scalar};
+use gdp_serve::kernels::{gather_subset, gather_subset_reference};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -32,12 +32,12 @@ fn awkward_premass(groups: u32, rng: &mut StdRng) -> Vec<f64> {
 }
 
 fn assert_agree(group_of: &[u32], premass: &[f64], nodes: &[u32]) {
-    let lane = gather_subset(group_of, premass, nodes);
-    let scalar = gather_subset_scalar(group_of, premass, nodes);
+    let shipping = gather_subset(group_of, premass, nodes);
+    let reference = gather_subset_reference(group_of, premass, nodes);
     assert_eq!(
-        lane.map(f64::to_bits),
-        scalar.map(f64::to_bits),
-        "lane/scalar divergence at n={} |S|={}",
+        shipping.map(f64::to_bits),
+        reference.map(f64::to_bits),
+        "shipping/reference divergence at n={} |S|={}",
         group_of.len(),
         nodes.len()
     );
@@ -47,7 +47,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Clean, duplicated and out-of-range subsets against small sides
-    /// (the scalar stack-bitmap tier), all remainder shapes.
+    /// (the reference's stack-bitmap tier), lengths 0 to 79.
     #[test]
     fn small_side_subsets_agree(
         n in 1u32..5000,
@@ -76,9 +76,9 @@ proptest! {
         assert_agree(&group_of, &premass, &nodes);
     }
 
-    /// The 65 536-node boundary where the scalar fallback switches from
-    /// its stack bitmap to sort-based duplicate detection; the lane
-    /// path's reusable scratch must agree bitwise on both sides.
+    /// The 65 536-node boundary where the reference switches from its
+    /// stack bitmap to sort-based duplicate detection; the shipping
+    /// gather's reusable scratch must agree bitwise on both sides.
     #[test]
     fn bitmap_sort_boundary_agrees(
         offset in 0u32..3,          // n ∈ {65_535, 65_536, 65_537}
