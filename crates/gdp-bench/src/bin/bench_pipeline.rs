@@ -87,6 +87,12 @@
 //! per edge vs `write_edge_list`, bytes asserted equal every rep.
 //! `--assert-edge-list-read-over RATIO` fails the run when the reader
 //! stops beating the baseline by the given factor.
+//!
+//! The `zipf_sampler` entry times 1M draws from a 1M-rank Zipf sampler
+//! (exponent 1.15) two ways from the same seed: `ZipfSampler::sample`
+//! once per draw vs `ZipfSampler::sample_into`, whose draws go through
+//! the precomputed head table. Every rank is asserted in range; no gate
+//! reads the entry.
 
 use std::time::Instant;
 
@@ -104,6 +110,7 @@ use gdp_core::{
 };
 use gdp_datagen::engine::GraphModel;
 use gdp_datagen::models;
+use gdp_datagen::zipf::ZipfSampler;
 use gdp_graph::{PairCounts, Side};
 use gdp_serve::{
     AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore, SubsetQuery,
@@ -172,6 +179,22 @@ struct DatagenComparison {
     edges: u64,
     incremental_ms: f64,
     streaming_ms: f64,
+    speedup: f64,
+}
+
+/// The Zipf sampler's two paths over a 1M-rank universe at the
+/// bibliographic exponent of the Zipf-attachment datagen model: one
+/// `ZipfSampler::sample` call per draw vs one `sample_into` call that
+/// routes every draw through the precomputed head table. Both arms
+/// start from the same seed every rep; best of `--reps`, arms
+/// interleaved.
+#[derive(Debug, Serialize)]
+struct ZipfSamplerComparison {
+    universe: u64,
+    exponent: f64,
+    draws: usize,
+    per_draw_ms: f64,
+    batched_ms: f64,
     speedup: f64,
 }
 
@@ -305,6 +328,7 @@ struct Report {
     pair_counts_1m: PairCountsComparison,
     delta_disclose_1m: DeltaDiscloseComparison,
     datagen_1m: Vec<DatagenComparison>,
+    zipf_sampler: ZipfSamplerComparison,
     artifact_io_1m: ArtifactIoComparison,
     seal_1m: SealComparison,
     edge_list_1m: EdgeListComparison,
@@ -563,6 +587,40 @@ fn datagen_comparison(edges: usize, seed: u64, reps: usize) -> Vec<DatagenCompar
             }
         })
         .collect()
+}
+
+/// The Zipf sampler measurement (see [`ZipfSamplerComparison`]).
+fn zipf_sampler_comparison(seed: u64, reps: usize) -> ZipfSamplerComparison {
+    const UNIVERSE: u64 = 1_000_000;
+    const EXPONENT: f64 = 1.15;
+    const DRAWS: usize = 1_000_000;
+    let sampler = ZipfSampler::new(UNIVERSE, EXPONENT).expect("valid Zipf parameters");
+    let mut ranks = vec![0u64; DRAWS];
+    let (mut per_draw_ms, mut batched_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(1) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = Instant::now();
+        for slot in ranks.iter_mut() {
+            *slot = sampler.sample(&mut rng);
+        }
+        per_draw_ms = per_draw_ms.min(elapsed_ms(t));
+        assert!(ranks.iter().all(|k| (1..=UNIVERSE).contains(k)));
+
+        ranks.fill(0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let t = Instant::now();
+        sampler.sample_into(&mut ranks, &mut rng);
+        batched_ms = batched_ms.min(elapsed_ms(t));
+        assert!(ranks.iter().all(|k| (1..=UNIVERSE).contains(k)));
+    }
+    ZipfSamplerComparison {
+        universe: UNIVERSE,
+        exponent: EXPONENT,
+        draws: DRAWS,
+        per_draw_ms,
+        batched_ms,
+        speedup: per_draw_ms / batched_ms,
+    }
 }
 
 /// `graph` through the standard pipeline (8 specialization rounds,
@@ -1530,6 +1588,15 @@ fn main() {
         );
     }
 
+    // Always 1M draws over a 1M-rank universe, so the entry means the
+    // same thing in every report.
+    eprintln!("measuring the Zipf sampler, per-draw vs batched head table (1M draws)…");
+    let zipf_sampler = zipf_sampler_comparison(seed, reps);
+    eprintln!(
+        "  per draw {:.1} ms  batched {:.1} ms  speedup {:.2}×",
+        zipf_sampler.per_draw_ms, zipf_sampler.batched_ms, zipf_sampler.speedup
+    );
+
     // Like `pair_counts_1m`, always measured at the 1M scale so the
     // entry means the same thing in every report — one pipeline run
     // plus file IO, cheap enough that `--max-edges` does not clip it.
@@ -1669,6 +1736,7 @@ fn main() {
         pair_counts_1m: pair_counts,
         delta_disclose_1m,
         datagen_1m,
+        zipf_sampler,
         artifact_io_1m,
         seal_1m,
         edge_list_1m,

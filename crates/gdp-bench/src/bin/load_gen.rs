@@ -12,14 +12,15 @@
 //! Reports client-observed p50/p99 latency, sustained QPS, the 503
 //! retry count, and the server-side memo-cache hit rate (from
 //! `GET /stats`), and checks that every query variant round-tripped.
-//! With `--merge-into BENCH_pipeline.json` the report becomes the
-//! `serving_frontend` section of the tracked bench file;
+//! With `--out BENCH_serving.json` the report is also written as a
+//! document of its own (its `serving_frontend` section, next to the
+//! host's core count), so no other bench run can overwrite it;
 //! `--assert-p99-under MS` / `--assert-qps-over QPS` turn floors into
 //! exit codes for CI.
 //!
 //! ```text
 //! load_gen --addr HOST:PORT [--requests N] [--concurrency N] [--seed N]
-//!          [--zipf-exponent S] [--merge-into FILE]
+//!          [--zipf-exponent S] [--out FILE]
 //!          [--assert-p99-under MS] [--assert-qps-over QPS] [--shutdown]
 //! ```
 
@@ -43,7 +44,7 @@ struct Args {
     concurrency: usize,
     seed: u64,
     zipf_exponent: f64,
-    merge_into: Option<String>,
+    out: Option<String>,
     assert_p99_under: Option<f64>,
     assert_qps_over: Option<f64>,
     shutdown: bool,
@@ -56,7 +57,7 @@ fn parse_args() -> Args {
         concurrency: 4,
         seed: 42,
         zipf_exponent: 1.1,
-        merge_into: None,
+        out: None,
         assert_p99_under: None,
         assert_qps_over: None,
         shutdown: false,
@@ -69,7 +70,7 @@ fn parse_args() -> Args {
             "--concurrency" => out.concurrency = expect_num(iter.next(), "--concurrency"),
             "--seed" => out.seed = expect_num(iter.next(), "--seed"),
             "--zipf-exponent" => out.zipf_exponent = expect_num(iter.next(), "--zipf-exponent"),
-            "--merge-into" => out.merge_into = Some(expect_str(iter.next(), "--merge-into")),
+            "--out" => out.out = Some(expect_str(iter.next(), "--out")),
             "--assert-p99-under" => {
                 out.assert_p99_under = Some(expect_num(iter.next(), "--assert-p99-under"));
             }
@@ -80,7 +81,7 @@ fn parse_args() -> Args {
             "--help" | "-h" => {
                 eprintln!(
                     "flags: --addr HOST:PORT [--requests N] [--concurrency N] [--seed N] \
-                     [--zipf-exponent S] [--merge-into FILE] [--assert-p99-under MS] \
+                     [--zipf-exponent S] [--out FILE] [--assert-p99-under MS] \
                      [--assert-qps-over QPS] [--shutdown]"
                 );
                 std::process::exit(0);
@@ -250,7 +251,8 @@ fn send_one(
     Err("unreachable: reconnect loop exhausted".to_string())
 }
 
-/// The `serving_frontend` section written into `BENCH_pipeline.json`.
+/// The load run's measurements: printed to stdout, and the
+/// `serving_frontend` section of the `--out` document.
 #[derive(Debug, Serialize)]
 struct ServingFrontendBench {
     requests: u64,
@@ -264,6 +266,14 @@ struct ServingFrontendBench {
     retries_503: u64,
     cache_hit_rate: f64,
     served_per_variant: VariantCounts,
+}
+
+/// The document `--out` writes.
+#[derive(Debug, Serialize)]
+struct ServingReport {
+    generated_by: String,
+    host_cores: usize,
+    serving_frontend: ServingFrontendBench,
 }
 
 fn percentile_ms(sorted_us: &[u64], p: f64) -> f64 {
@@ -425,9 +435,16 @@ fn run() -> Result<(), String> {
         serde_json::to_string_pretty(&section).map_err(|e| e.to_string())?
     );
 
-    if let Some(path) = &args.merge_into {
-        merge_section(path, &section)?;
-        eprintln!("merged serving_frontend into {path}");
+    let (p99_ms, qps) = (section.serve_p99_ms, section.serve_qps);
+    if let Some(path) = &args.out {
+        let report = ServingReport {
+            generated_by: "gdp-bench load_gen".to_string(),
+            host_cores: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            serving_frontend: section,
+        };
+        let rendered = serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?;
+        std::fs::write(path, rendered + "\n").map_err(|e| format!("cannot write {path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
 
     if args.shutdown {
@@ -449,18 +466,14 @@ fn run() -> Result<(), String> {
 
     let mut violations = Vec::new();
     if let Some(ceiling) = args.assert_p99_under {
-        if section.serve_p99_ms > ceiling {
-            violations.push(format!(
-                "p99 {:.3}ms exceeds the {ceiling}ms ceiling",
-                section.serve_p99_ms
-            ));
+        if p99_ms > ceiling {
+            violations.push(format!("p99 {p99_ms:.3}ms exceeds the {ceiling}ms ceiling"));
         }
     }
     if let Some(floor) = args.assert_qps_over {
-        if section.serve_qps < floor {
+        if qps < floor {
             violations.push(format!(
-                "throughput {:.0} qps is below the {floor} qps floor",
-                section.serve_qps
+                "throughput {qps:.0} qps is below the {floor} qps floor"
             ));
         }
     }
@@ -468,25 +481,6 @@ fn run() -> Result<(), String> {
         return Err(violations.join("; "));
     }
     Ok(())
-}
-
-/// Read-modify-write of the tracked bench file: every other section is
-/// preserved byte-for-byte at the value level; `serving_frontend` is
-/// replaced (or appended).
-fn merge_section(path: &str, section: &ServingFrontendBench) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let mut document: serde::Value =
-        serde_json::from_str(&text).map_err(|e| format!("{path}: {e}"))?;
-    let serde::Value::Map(entries) = &mut document else {
-        return Err(format!("{path}: top level is not a JSON object"));
-    };
-    let value = section.to_value();
-    match entries.iter_mut().find(|(key, _)| key == "serving_frontend") {
-        Some((_, slot)) => *slot = value,
-        None => entries.push(("serving_frontend".to_string(), value)),
-    }
-    let rendered = serde_json::to_string_pretty(&document).map_err(|e| e.to_string())?;
-    std::fs::write(path, rendered + "\n").map_err(|e| format!("cannot write {path}: {e}"))
 }
 
 fn main() {

@@ -2,25 +2,15 @@
 //! cost **zero** additional privacy budget (post-processing invariance of
 //! DP).
 //!
-//! Two estimators:
-//!
 //! * [`fuse_total_estimates`] — every level releases a noisy copy of the
 //!   *same* total association count with a known noise variance;
 //!   inverse-variance weighting fuses the levels a reader may access
 //!   into a single estimate strictly better than any one of them.
-//! * [`ConsistentCounts`] — the per-group counts of two adjacent levels
-//!   are linked ("children sum to their parent"); a bottom-up
-//!   inverse-variance pass followed by a top-down adjustment (the
-//!   Hay et al. boosting scheme generalized to per-level variances)
-//!   returns counts that are exactly consistent across the two levels
-//!   and lower-variance than the raw release.
+//! * [`clamp_non_negative`] — counts are non-negative, so clamping the
+//!   noisy values at zero can only move them towards the truth.
 //!
-//! Both are implemented over released artifacts only — no access to the
-//! private graph — so they can run on the *consumer* side.
-
-use rayon::prelude::*;
-
-use gdp_graph::SidePartition;
+//! Both run over released values only — no access to the private
+//! graph — so they can run on the *consumer* side.
 
 use crate::error::CoreError;
 use crate::queries::Query;
@@ -74,165 +64,12 @@ fn variance_of(release: &MultiLevelRelease, scale: f64) -> f64 {
     }
 }
 
-/// Consistent per-group counts across one parent/child level pair of a
-/// hierarchy side.
-///
-/// Input: noisy counts `child[j]` (variance `var_child` each) for the
-/// finer level's blocks and `parent[i]` (variance `var_parent`) for the
-/// coarser level's blocks, plus the two partitions (the finer must
-/// refine the coarser). Output: adjusted counts where
-/// `Σ_{j ∈ children(i)} child[j] = parent[i]` holds exactly.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ConsistentCounts {
-    /// Adjusted parent-level counts.
-    pub parent: Vec<f64>,
-    /// Adjusted child-level counts (consistent with `parent`).
-    pub child: Vec<f64>,
-    /// Variance of each adjusted parent estimate (uniform).
-    pub parent_variance: f64,
-}
-
-impl ConsistentCounts {
-    /// Runs the two-pass estimator.
-    ///
-    /// Bottom-up: for each parent block, fuse its own noisy count with
-    /// the sum of its children's (inverse-variance weights). Top-down:
-    /// spread each parent's residual `parent − Σ children` uniformly over
-    /// its children so the hierarchy constraint holds exactly.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CoreError::InvalidConfig`] when lengths mismatch the
-    /// partitions, variances are not positive, or `finer` does not refine
-    /// `coarser`.
-    pub fn new(
-        coarser: &SidePartition,
-        finer: &SidePartition,
-        parent_noisy: &[f64],
-        child_noisy: &[f64],
-        var_parent: f64,
-        var_child: f64,
-    ) -> Result<Self> {
-        if !coarser.is_refined_by(finer) {
-            return Err(CoreError::InvalidConfig(
-                "finer partition does not refine coarser".to_string(),
-            ));
-        }
-        if parent_noisy.len() != coarser.block_count() as usize
-            || child_noisy.len() != finer.block_count() as usize
-        {
-            return Err(CoreError::InvalidConfig(
-                "count vector lengths do not match partitions".to_string(),
-            ));
-        }
-        if var_parent <= 0.0 || var_child <= 0.0 {
-            return Err(CoreError::InvalidConfig(
-                "variances must be positive".to_string(),
-            ));
-        }
-
-        // children(i): finer blocks inside coarser block i.
-        let mut children: Vec<Vec<usize>> = vec![Vec::new(); parent_noisy.len()];
-        let mut child_parent = vec![0usize; child_noisy.len()];
-        for node in 0..finer.node_count() {
-            let cb = finer.block_of(node) as usize;
-            let pb = coarser.block_of(node) as usize;
-            child_parent[cb] = pb;
-        }
-        for (cb, &pb) in child_parent.iter().enumerate() {
-            children[pb].push(cb);
-        }
-
-        // Bottom-up fusion — each parent is independent, so fan out.
-        // Each entry carries (fused value, variance, sum of children).
-        let fused: Vec<(f64, f64, f64)> = (0..parent_noisy.len())
-            .into_par_iter()
-            .map(|i| {
-                let z_parent = parent_noisy[i];
-                let k = children[i].len() as f64;
-                if k == 0.0 {
-                    return (z_parent, var_parent, 0.0);
-                }
-                let child_sum: f64 = children[i].iter().map(|&j| child_noisy[j]).sum();
-                // Two independent estimates of the same quantity:
-                // z_parent (var vp) and child_sum (var k·vc).
-                let w_parent = 1.0 / var_parent;
-                let w_children = 1.0 / (k * var_child);
-                (
-                    (w_parent * z_parent + w_children * child_sum) / (w_parent + w_children),
-                    1.0 / (w_parent + w_children),
-                    child_sum,
-                )
-            })
-            .collect();
-        let parent: Vec<f64> = fused.iter().map(|f| f.0).collect();
-        let parent_variance = fused.iter().map(|f| f.1).fold(0.0f64, f64::max);
-
-        // Top-down: distribute each parent's residual over its children,
-        // then apply per child (each child reads exactly one residual).
-        // The child sums were already computed during fusion — reuse.
-        let residual: Vec<f64> = fused
-            .iter()
-            .enumerate()
-            .map(|(i, &(fused_value, _, child_sum))| {
-                if children[i].is_empty() {
-                    return 0.0;
-                }
-                (fused_value - child_sum) / children[i].len() as f64
-            })
-            .collect();
-        let child: Vec<f64> = (0..child_noisy.len())
-            .into_par_iter()
-            .map(|j| child_noisy[j] + residual[child_parent[j]])
-            .collect();
-
-        Ok(Self {
-            parent,
-            child,
-            parent_variance,
-        })
-    }
-
-    /// Maximum absolute violation of the hierarchy constraint (≈ 0 after
-    /// processing; exposed for tests and sanity checks).
-    pub fn max_violation(&self, coarser: &SidePartition, finer: &SidePartition) -> f64 {
-        let mut child_sum = vec![0f64; self.parent.len()];
-        let mut seen_child = vec![false; self.child.len()];
-        for node in 0..finer.node_count() {
-            let cb = finer.block_of(node) as usize;
-            if !seen_child[cb] {
-                seen_child[cb] = true;
-                child_sum[coarser.block_of(node) as usize] += self.child[cb];
-            }
-        }
-        self.parent
-            .iter()
-            .zip(&child_sum)
-            .map(|(p, s)| (p - s).abs())
-            .fold(0.0, f64::max)
-    }
-}
-
 /// Clamps noisy counts to be non-negative — valid post-processing that
 /// strictly reduces error for count queries (the truth is non-negative).
-///
-/// Large vectors are clamped in parallel chunks; the result is
-/// element-wise and therefore independent of the worker count.
 pub fn clamp_non_negative(values: &mut [f64]) {
-    const PAR_THRESHOLD: usize = 1 << 14;
-    if values.len() >= PAR_THRESHOLD {
-        values.par_chunks_mut(PAR_THRESHOLD).for_each(|chunk| {
-            for v in chunk {
-                if *v < 0.0 {
-                    *v = 0.0;
-                }
-            }
-        });
-    } else {
-        for v in values {
-            if *v < 0.0 {
-                *v = 0.0;
-            }
+    for v in values {
+        if *v < 0.0 {
+            *v = 0.0;
         }
     }
 }
@@ -243,7 +80,6 @@ mod tests {
     use crate::disclosure::{DisclosureConfig, MultiLevelDiscloser};
     use crate::specialize::{SpecializationConfig, Specializer};
     use gdp_datagen::{DblpConfig, DblpGenerator};
-    use gdp_graph::Side;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -310,83 +146,6 @@ mod tests {
         let (_, _, release) = setup();
         assert!(fuse_total_estimates(&release, &[]).is_err());
         assert!(fuse_total_estimates(&release, &[99]).is_err());
-    }
-
-    #[test]
-    fn consistency_enforced_exactly() {
-        let coarser = SidePartition::new(Side::Left, vec![0, 0, 1, 1, 1], 2).unwrap();
-        let finer = SidePartition::new(Side::Left, vec![0, 1, 2, 2, 3], 4).unwrap();
-        let parent = [10.0, 21.0];
-        let child = [4.0, 4.0, 12.0, 6.0];
-        let cc = ConsistentCounts::new(&coarser, &finer, &parent, &child, 1.0, 1.0).unwrap();
-        assert!(cc.max_violation(&coarser, &finer) < 1e-9);
-        // Parent 0 fuses 10 with (4+4): between the two inputs.
-        assert!(cc.parent[0] > 8.0 && cc.parent[0] < 10.0);
-        // Children of parent 0 still sum to parent 0.
-        assert!((cc.child[0] + cc.child[1] - cc.parent[0]).abs() < 1e-9);
-    }
-
-    #[test]
-    fn consistency_rejects_bad_inputs() {
-        let coarser = SidePartition::new(Side::Left, vec![0, 0, 1, 1], 2).unwrap();
-        let finer = SidePartition::new(Side::Left, vec![0, 1, 2, 3], 4).unwrap();
-        // Wrong lengths.
-        assert!(ConsistentCounts::new(&coarser, &finer, &[1.0], &[1.0; 4], 1.0, 1.0).is_err());
-        // Non-positive variance.
-        assert!(
-            ConsistentCounts::new(&coarser, &finer, &[1.0; 2], &[1.0; 4], 0.0, 1.0).is_err()
-        );
-        // Non-refining pair.
-        let crossing = SidePartition::new(Side::Left, vec![0, 1, 0, 1], 2).unwrap();
-        assert!(
-            ConsistentCounts::new(&crossing, &finer, &[1.0; 2], &[1.0; 4], 1.0, 1.0).is_ok()
-                // singletons refine anything, so use reversed roles to break it:
-        );
-        assert!(
-            ConsistentCounts::new(&finer, &crossing, &[1.0; 4], &[1.0; 2], 1.0, 1.0).is_err()
-        );
-    }
-
-    #[test]
-    fn consistency_reduces_error_statistically() {
-        // True counts with exact hierarchy; add Gaussian noise; the
-        // processed estimates must beat the raw ones on average.
-        let coarser = SidePartition::new(Side::Left, vec![0, 0, 0, 1, 1, 1], 2).unwrap();
-        let finer = SidePartition::new(Side::Left, vec![0, 0, 1, 2, 3, 3], 4).unwrap();
-        let true_parent = [30.0, 24.0];
-        let true_child = [18.0, 12.0, 8.0, 16.0];
-        let sigma = 4.0;
-        let mut rng = StdRng::seed_from_u64(42);
-        let trials = 400;
-        let mut raw_err = 0.0;
-        let mut adj_err = 0.0;
-        for _ in 0..trials {
-            let noisy_parent: Vec<f64> = true_parent
-                .iter()
-                .map(|t| t + gdp_mechanisms::sampling::gaussian(&mut rng, sigma))
-                .collect();
-            let noisy_child: Vec<f64> = true_child
-                .iter()
-                .map(|t| t + gdp_mechanisms::sampling::gaussian(&mut rng, sigma))
-                .collect();
-            let cc = ConsistentCounts::new(
-                &coarser,
-                &finer,
-                &noisy_parent,
-                &noisy_child,
-                sigma * sigma,
-                sigma * sigma,
-            )
-            .unwrap();
-            for i in 0..2 {
-                raw_err += (noisy_parent[i] - true_parent[i]).abs();
-                adj_err += (cc.parent[i] - true_parent[i]).abs();
-            }
-        }
-        assert!(
-            adj_err < raw_err,
-            "consistency pass did not reduce parent error: {adj_err} vs {raw_err}"
-        );
     }
 
     #[test]

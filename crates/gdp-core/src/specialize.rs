@@ -81,8 +81,8 @@ pub mod scoring {
     /// Reference scorer that recomputes each candidate's prefix mass
     /// from scratch: `O(candidates × members)`. Kept for equivalence
     /// checks (debug assertions and property tests) and as the baseline
-    /// the `gdp-bench` criterion suite measures the prefix-sum scorer
-    /// against. Not used on the production path.
+    /// `bench_pipeline`'s `scorer_100k` entry measures the prefix-sum
+    /// scorer against. Not used on the production path.
     pub fn cut_utilities_naive(block: &[u32], degrees: &[u32], candidates: &[usize]) -> Vec<f64> {
         candidates
             .iter()

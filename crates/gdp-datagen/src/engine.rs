@@ -1,5 +1,5 @@
 //! Parallel streaming generation engine: sharded edge sources feeding
-//! the direct-to-CSR builder.
+//! the row-shard CSR assembly.
 //!
 //! # Why this exists
 //!
@@ -17,11 +17,12 @@
 //! 2. The engine draws one seed per shard **sequentially from the
 //!    master RNG** — the workspace determinism convention (see
 //!    `docs/determinism.md`) — and fans the shards out over rayon.
-//! 3. Row-oriented shards stream straight into
-//!    [`gdp_graph::RowShardSink`]s, which canonicalize rows on the fly;
-//!    [`gdp_graph::CsrDirectBuilder`] then assembles the CSR arrays
-//!    with one transpose scatter. No global edge list is materialized
-//!    and nothing is ever globally sorted.
+//! 3. Every shard owns a contiguous row range and streams straight into
+//!    a [`gdp_graph::RowShardSink`], which canonicalizes rows on the
+//!    fly; [`gdp_graph::assemble_left_rows`] or
+//!    [`gdp_graph::assemble_right_rows`] then concatenates the shards
+//!    and derives the other side with one transpose scatter. No global
+//!    edge list is materialized and nothing is ever globally sorted.
 //!
 //! Fixed-seed output is therefore **bit-identical at any thread
 //! count**, and identical to replaying the same shards through the
@@ -68,8 +69,8 @@ use rand::{Rng, SeedableRng};
 use rayon::prelude::*;
 
 use gdp_graph::{
-    BipartiteGraph, CsrDirectBuilder, EdgeSink, GraphBuilder, LeftId, RecordingSink, RightId,
-    RowShardSink, Side, SidePartition,
+    assemble_left_rows, assemble_right_rows, BipartiteGraph, EdgeSink, GraphBuilder, LeftId,
+    RecordingSink, RightId, RowShardSink, Side, SidePartition,
 };
 
 use crate::zipf::{spread_rank, ZipfSampler};
@@ -86,23 +87,21 @@ const MAX_SHARDS: usize = 64;
 /// clamped Gaussian approximation takes over.
 const BINV_MEAN_MAX: f64 = 32.0;
 
-/// How a [`StreamingEdgeSource`] emits its edges.
+/// Which side's nodes a [`StreamingEdgeSource`]'s rows are. Every shard
+/// owns a contiguous row range and emits its rows in ascending order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EmissionOrder {
-    /// Shards own contiguous **left**-node ranges and emit rows in
-    /// ascending order — eligible for the direct row-CSR path.
+    /// Rows are **left** nodes; assembled by
+    /// [`gdp_graph::assemble_left_rows`].
     LeftRows,
-    /// Shards own contiguous **right**-node ranges (rows are right
-    /// nodes); the builder assembles the transposed orientation.
+    /// Rows are **right** nodes; assembled in the transposed
+    /// orientation by [`gdp_graph::assemble_right_rows`].
     RightRows,
-    /// Shards emit arbitrary `(left, right)` pairs; the engine records
-    /// them and uses the generic bulk path.
-    Unordered,
 }
 
 /// A sharded, seedable edge stream — the generation half of the
-/// streaming datagen engine (the construction half lives in
-/// [`gdp_graph::CsrDirectBuilder`]).
+/// streaming datagen engine (the construction half is
+/// [`gdp_graph::RowShardSink`] plus the two assemblers).
 ///
 /// Implementations must keep [`shard_count`](StreamingEdgeSource::shard_count)
 /// and every shard's emission a pure function of the source's
@@ -119,13 +118,12 @@ pub trait StreamingEdgeSource: Sync {
     /// count (the engine fans shards out over whatever pool exists).
     fn shard_count(&self) -> usize;
 
-    /// How shards emit edges; decides which builder path the engine
+    /// Which side the rows are; decides which assembler the engine
     /// uses.
     fn emission_order(&self) -> EmissionOrder;
 
-    /// The contiguous row range shard `shard` covers. Only called for
-    /// row-oriented sources ([`EmissionOrder::LeftRows`] /
-    /// [`EmissionOrder::RightRows`]).
+    /// The contiguous row range shard `shard` covers. The ranges of
+    /// shards `0..shard_count()` must tile the row side in order.
     fn shard_rows(&self, shard: usize) -> Range<u32>;
 
     /// Expected edges emitted by shard `shard` (pre-allocation hint).
@@ -160,7 +158,7 @@ where
                 .into_par_iter()
                 .map(|(i, seed)| fill_row_shard(source, i, seed, source.right_count()))
                 .collect();
-            CsrDirectBuilder::assemble_left_rows(source.left_count(), source.right_count(), shards)
+            assemble_left_rows(source.left_count(), source.right_count(), shards)
                 .expect("row shards tile the left side")
         }
         EmissionOrder::RightRows => {
@@ -168,23 +166,8 @@ where
                 .into_par_iter()
                 .map(|(i, seed)| fill_row_shard(source, i, seed, source.left_count()))
                 .collect();
-            CsrDirectBuilder::assemble_right_rows(source.left_count(), source.right_count(), shards)
+            assemble_right_rows(source.left_count(), source.right_count(), shards)
                 .expect("row shards tile the right side")
-        }
-        EmissionOrder::Unordered => {
-            let mut builder = CsrDirectBuilder::new(source.left_count(), source.right_count());
-            let recorded: Vec<Vec<(u32, u32)>> = seeds
-                .into_par_iter()
-                .map(|(i, seed)| {
-                    let mut sink = RecordingSink::new();
-                    source.fill_shard(i, &mut StdRng::seed_from_u64(seed), &mut sink);
-                    sink.into_edges()
-                })
-                .collect();
-            for shard in recorded {
-                builder.stage_shard(shard);
-            }
-            builder.build().expect("sources sample endpoints in range")
         }
     }
 }
@@ -836,66 +819,6 @@ mod tests {
         let intra: u64 = (0..4).map(|b| pc.get(b, b)).sum();
         let frac = intra as f64 / pc.total() as f64;
         assert!(frac > 0.8, "intra fraction {frac}");
-    }
-
-    /// A minimal [`EmissionOrder::Unordered`] source: emits raw pairs in
-    /// a deliberately row-unfriendly order, exercising the recording +
-    /// generic-bulk-build arm of [`generate`].
-    struct ScatteredPairs {
-        left: u32,
-        right: u32,
-        per_shard: usize,
-        shards: usize,
-    }
-
-    impl StreamingEdgeSource for ScatteredPairs {
-        fn left_count(&self) -> u32 {
-            self.left
-        }
-
-        fn right_count(&self) -> u32 {
-            self.right
-        }
-
-        fn shard_count(&self) -> usize {
-            self.shards
-        }
-
-        fn emission_order(&self) -> EmissionOrder {
-            EmissionOrder::Unordered
-        }
-
-        fn shard_rows(&self, _shard: usize) -> Range<u32> {
-            unreachable!("unordered sources have no row plan")
-        }
-
-        fn shard_edge_hint(&self, _shard: usize) -> usize {
-            self.per_shard
-        }
-
-        fn fill_shard<S: EdgeSink>(&self, _shard: usize, rng: &mut StdRng, sink: &mut S) {
-            for _ in 0..self.per_shard {
-                let l = rng.gen_range(0..self.left);
-                let r = rng.gen_range(0..self.right);
-                sink.edge(l, r);
-            }
-        }
-    }
-
-    #[test]
-    fn unordered_sources_match_incremental_and_stay_deterministic() {
-        let source = ScatteredPairs {
-            left: 120,
-            right: 90,
-            per_shard: 500,
-            shards: 5,
-        };
-        let fast = generate(&source, &mut StdRng::seed_from_u64(21));
-        let again = generate(&source, &mut StdRng::seed_from_u64(21));
-        let slow = generate_incremental(&source, &mut StdRng::seed_from_u64(21));
-        assert_eq!(fast, again);
-        assert_eq!(fast, slow, "unordered arm diverged from the baseline");
-        assert!(fast.edge_count() <= 2_500);
     }
 
     #[test]

@@ -134,9 +134,8 @@ impl ZipfSampler {
     /// first 1024 ranks (≈90 % of draws at bibliographic exponents)
     /// resolves by binary search + one table comparison —
     /// no `ln`/`exp` at all — which is what lifts the sampler-bound
-    /// Zipf-attachment datagen model (`gdp-bench`'s
-    /// `zipf_sample_into_1m_universe` vs `zipf_sample_1m_universe`
-    /// criterion pair measures the two paths head-to-head).
+    /// Zipf-attachment datagen model (`bench_pipeline`'s
+    /// `zipf_sampler` entry measures the two paths head-to-head).
     ///
     /// ```
     /// use gdp_datagen::zipf::ZipfSampler;

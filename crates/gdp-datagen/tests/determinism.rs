@@ -33,8 +33,8 @@ fn with_thread_count<R>(threads: &str, f: impl FnOnce() -> R) -> R {
 /// Scenario models sized so that every engine branch is exercised:
 /// row-oriented left and right shards, multi-shard fan-out, and (via
 /// the first model's >65k deduped edges) the banded parallel transpose
-/// scatter inside `CsrDirectBuilder` — the one assembly branch whose
-/// task layout depends on the thread count.
+/// scatter inside `gdp_graph::assemble_left_rows` — the one assembly
+/// branch whose task layout depends on the thread count.
 fn models() -> Vec<GraphModel> {
     vec![
         GraphModel::ErdosRenyi {

@@ -1,26 +1,20 @@
-//! Bulk direct-to-CSR graph construction.
+//! Streaming direct-to-CSR graph construction for row-grouped sources.
 //!
 //! [`crate::GraphBuilder`] stages every edge in one vector, then sorts
 //! and dedups the whole list — an `O(m log m)` global sort that
-//! dominates synthetic-workload generation (the measured largest phase
-//! of the 1M-edge pipeline run before this module existed). The builders
-//! here skip the global sort entirely:
+//! dominated synthetic-workload generation (the measured largest phase
+//! of the 1M-edge pipeline run before this module existed). Sources
+//! that emit edges grouped by one side's rows skip that sort:
 //!
-//! * [`CsrDirectBuilder`] — the general bulk path. Edges arrive in
-//!   arbitrary order as staged shards; a counting pass derives per-row
-//!   degrees, a scatter pass buckets every edge under its row, and each
-//!   row is then canonicalized (sorted + deduped) independently, fanned
-//!   out over contiguous row ranges via rayon. Rows are merged by
-//!   concatenation in row order, so the result is **bit-identical at
-//!   any thread count** — the same convention as
-//!   [`crate::PairCounts::compute`].
-//! * [`RowShardSink`] + [`CsrDirectBuilder::assemble_left_rows`] /
-//!   [`assemble_right_rows`](CsrDirectBuilder::assemble_right_rows) —
-//!   the streaming path for sources that emit edges grouped by one
-//!   side's rows (each shard owning a contiguous row range). Rows are
-//!   canonicalized as they close, so no global edge list is ever
-//!   materialized; the opposite side's adjacency is derived by one
-//!   transpose scatter at assembly.
+//! * each shard owns a contiguous row range and streams its edges into
+//!   a [`RowShardSink`], which canonicalizes (sorts + dedups) every row
+//!   as it closes, so no global edge list is ever materialized;
+//! * [`assemble_left_rows`] / [`assemble_right_rows`] concatenate the
+//!   shards in row order into one side's CSR and derive the opposite
+//!   side by one transpose scatter. The scatter fans out over disjoint
+//!   column bands whose boundaries never change the output, so the
+//!   result is **bit-identical at any thread count** — the same
+//!   convention as [`crate::PairCounts::compute`].
 //!
 //! Per-row canonicalization is adaptive: dense rows dedup through a
 //! column bitmap (sorted extraction via `trailing_zeros`), sparse rows
@@ -29,19 +23,25 @@
 //! property tests over random edge streams.
 //!
 //! ```
-//! use gdp_graph::{CsrDirectBuilder, GraphBuilder, LeftId, RightId};
+//! use gdp_graph::{assemble_left_rows, EdgeSink, GraphBuilder, LeftId, RightId, RowShardSink};
 //!
 //! # fn main() -> Result<(), gdp_graph::GraphError> {
-//! let edges = vec![(2, 0), (0, 1), (0, 1), (1, 2)];
-//! let bulk = CsrDirectBuilder::from_edges(3, 3, edges.clone())?;
+//! // Two shards tiling left rows 0..1 and 1..3 over 3 columns.
+//! let mut first = RowShardSink::new(0..1, 3, 2);
+//! first.edge(0, 1);
+//! first.edge(0, 1); // a duplicate, merged when the row closes
+//! let mut second = RowShardSink::new(1..3, 3, 2);
+//! second.edge(1, 2);
+//! second.edge(2, 0);
+//! let streamed = assemble_left_rows(3, 3, vec![first, second])?;
 //!
 //! // Bit-identical to the incremental builder on the same stream.
 //! let mut b = GraphBuilder::new(3, 3);
-//! for (l, r) in edges {
+//! for (l, r) in [(0, 1), (0, 1), (1, 2), (2, 0)] {
 //!     b.add_edge(LeftId::new(l), RightId::new(r))?;
 //! }
-//! assert_eq!(bulk, b.build());
-//! assert_eq!(bulk.edge_count(), 3); // the duplicate merged
+//! assert_eq!(streamed, b.build());
+//! assert_eq!(streamed.edge_count(), 3);
 //! # Ok(())
 //! # }
 //! ```
@@ -301,178 +301,69 @@ impl EdgeSink for RowShardSink {
     }
 }
 
-/// Bulk builder that constructs a [`BipartiteGraph`]'s CSR arrays
-/// directly: a counting pass, a scatter pass and a parallel per-row
-/// canonicalization — no global edge sort. See the `csr_direct` module
-/// docs in the source for the design and the streaming-row variant.
-#[derive(Debug, Clone)]
-pub struct CsrDirectBuilder {
+/// Assembles shards whose rows are **left** nodes into a graph.
+///
+/// `shards` must tile `0..left_count` with consecutive row ranges
+/// (in order); every sink must have been created with
+/// `col_count == right_count`.
+///
+/// # Errors
+///
+/// Returns [`GraphError::LeftNodeOutOfRange`] when the shard ranges
+/// do not tile the row side exactly.
+///
+/// # Panics
+///
+/// Panics if a sink was created with a column count other than
+/// `right_count` (a programmer error, like the sink's own panics).
+pub fn assemble_left_rows(
     left_count: u32,
     right_count: u32,
-    shards: Vec<Vec<(u32, u32)>>,
+    shards: Vec<RowShardSink>,
+) -> Result<BipartiteGraph> {
+    let parts = finish_shards(left_count, right_count, shards, |index, left_count| {
+        GraphError::LeftNodeOutOfRange { index, left_count }
+    })?;
+    let (row_offsets, row_cols, col_offsets, col_rows) =
+        assemble_csr(left_count, right_count, parts);
+    Ok(BipartiteGraph::from_csr(
+        row_offsets,
+        row_cols.into_iter().map(RightId::new).collect(),
+        col_offsets,
+        col_rows.into_iter().map(LeftId::new).collect(),
+    ))
 }
 
-impl CsrDirectBuilder {
-    /// Creates a builder for fixed side sizes.
-    pub fn new(left_count: u32, right_count: u32) -> Self {
-        Self {
-            left_count,
-            right_count,
-            shards: Vec::new(),
-        }
-    }
-
-    /// Stages one shard of raw `(left, right)` edges (any order,
-    /// duplicates allowed). Endpoints are validated during
-    /// [`build`](CsrDirectBuilder::build).
-    pub fn stage_shard(&mut self, edges: Vec<(u32, u32)>) -> &mut Self {
-        self.shards.push(edges);
-        self
-    }
-
-    /// Total staged edges (before dedup).
-    pub fn pending_edges(&self) -> usize {
-        self.shards.iter().map(Vec::len).sum()
-    }
-
-    /// One-shot convenience: builds directly from a single edge list.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::LeftNodeOutOfRange`] /
-    /// [`GraphError::RightNodeOutOfRange`] on the first invalid endpoint.
-    pub fn from_edges(
-        left_count: u32,
-        right_count: u32,
-        edges: Vec<(u32, u32)>,
-    ) -> Result<BipartiteGraph> {
-        let mut b = Self::new(left_count, right_count);
-        b.stage_shard(edges);
-        b.build()
-    }
-
-    /// Builds the graph: count, scatter, canonicalize rows in parallel,
-    /// then derive the right-side adjacency by one transpose scatter.
-    ///
-    /// Output is identical to feeding every staged edge through
-    /// [`crate::GraphBuilder`] — and bit-identical at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::LeftNodeOutOfRange`] /
-    /// [`GraphError::RightNodeOutOfRange`] on the first invalid endpoint.
-    pub fn build(self) -> Result<BipartiteGraph> {
-        let nl = self.left_count as usize;
-        let m_raw = self.pending_edges();
-        assert!(m_raw < u32::MAX as usize, "edge count must fit in u32");
-
-        // Pass 1: validate endpoints and count raw per-row degrees.
-        let mut degrees = vec![0u32; nl];
-        for shard in &self.shards {
-            for &(l, r) in shard {
-                if l >= self.left_count {
-                    return Err(GraphError::LeftNodeOutOfRange {
-                        index: l,
-                        left_count: self.left_count,
-                    });
-                }
-                if r >= self.right_count {
-                    return Err(GraphError::RightNodeOutOfRange {
-                        index: r,
-                        right_count: self.right_count,
-                    });
-                }
-                degrees[l as usize] += 1;
-            }
-        }
-        let mut offsets = vec![0usize; nl + 1];
-        for i in 0..nl {
-            offsets[i + 1] = offsets[i] + degrees[i] as usize;
-        }
-
-        // Pass 2: scatter every edge's column under its row bucket.
-        let mut bucket = vec![0u32; m_raw];
-        let mut cursor: Vec<u32> = offsets[..nl].iter().map(|&o| o as u32).collect();
-        for shard in &self.shards {
-            for &(l, r) in shard {
-                let c = &mut cursor[l as usize];
-                bucket[*c as usize] = r;
-                *c += 1;
-            }
-        }
-        drop(cursor);
-
-        // Pass 3: canonicalize rows, sharded over contiguous row ranges
-        // of roughly equal edge mass (concatenation in row order keeps
-        // the result thread-count independent).
-        let ranges = split_rows_by_mass(&offsets, rayon::current_num_threads());
-        let col_count = self.right_count;
-        let parts: Vec<ShardRows> = ranges
-            .into_par_iter()
-            .map(|range| canonicalize_row_range(&bucket, &offsets, range, col_count))
-            .collect();
-
-        Ok(assemble_left(self.left_count, self.right_count, parts))
-    }
-
-    /// Assembles shards whose rows are **left** nodes into a graph.
-    ///
-    /// `shards` must tile `0..left_count` with consecutive row ranges
-    /// (in order); every sink must have been created with
-    /// `col_count == right_count`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::LeftNodeOutOfRange`] when the shard ranges
-    /// do not tile the row side exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sink was created with a column count other than
-    /// `right_count` (a programmer error, like the sink's own panics).
-    pub fn assemble_left_rows(
-        left_count: u32,
-        right_count: u32,
-        shards: Vec<RowShardSink>,
-    ) -> Result<BipartiteGraph> {
-        let parts = finish_shards(left_count, right_count, shards, |index, left_count| {
-            GraphError::LeftNodeOutOfRange { index, left_count }
-        })?;
-        Ok(assemble_left(left_count, right_count, parts))
-    }
-
-    /// Assembles shards whose rows are **right** nodes (the transposed
-    /// orientation, for sources that naturally group edges by the right
-    /// side) into a graph. See
-    /// [`assemble_left_rows`](CsrDirectBuilder::assemble_left_rows).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`GraphError::RightNodeOutOfRange`] when the shard ranges
-    /// do not tile the row side exactly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sink was created with a column count other than
-    /// `left_count` (a programmer error, like the sink's own panics).
-    pub fn assemble_right_rows(
-        left_count: u32,
-        right_count: u32,
-        shards: Vec<RowShardSink>,
-    ) -> Result<BipartiteGraph> {
-        let parts = finish_shards(right_count, left_count, shards, |index, right_count| {
-            GraphError::RightNodeOutOfRange { index, right_count }
-        })?;
-        let (row_offsets, row_cols, col_offsets, col_rows) =
-            assemble_csr(right_count, left_count, parts);
-        // Rows are right nodes: the transposed arrays are the left CSR.
-        Ok(BipartiteGraph::from_csr(
-            col_offsets,
-            col_rows.into_iter().map(RightId::new).collect(),
-            row_offsets,
-            row_cols.into_iter().map(LeftId::new).collect(),
-        ))
-    }
+/// Assembles shards whose rows are **right** nodes (the transposed
+/// orientation, for sources that naturally group edges by the right
+/// side) into a graph. See [`assemble_left_rows`].
+///
+/// # Errors
+///
+/// Returns [`GraphError::RightNodeOutOfRange`] when the shard ranges
+/// do not tile the row side exactly.
+///
+/// # Panics
+///
+/// Panics if a sink was created with a column count other than
+/// `left_count` (a programmer error, like the sink's own panics).
+pub fn assemble_right_rows(
+    left_count: u32,
+    right_count: u32,
+    shards: Vec<RowShardSink>,
+) -> Result<BipartiteGraph> {
+    let parts = finish_shards(right_count, left_count, shards, |index, right_count| {
+        GraphError::RightNodeOutOfRange { index, right_count }
+    })?;
+    let (row_offsets, row_cols, col_offsets, col_rows) =
+        assemble_csr(right_count, left_count, parts);
+    // Rows are right nodes: the transposed arrays are the left CSR.
+    Ok(BipartiteGraph::from_csr(
+        col_offsets,
+        col_rows.into_iter().map(RightId::new).collect(),
+        row_offsets,
+        row_cols.into_iter().map(LeftId::new).collect(),
+    ))
 }
 
 /// Validates that `shards` tile `0..row_count` consecutively and closes
@@ -501,32 +392,6 @@ fn finish_shards(
     Ok(shards.into_iter().map(RowShardSink::finish).collect())
 }
 
-/// Canonicalizes the bucketed rows of `range` (generic-path pass 3):
-/// dense rows through a bitmap, sparse rows through a small sort.
-fn canonicalize_row_range(
-    bucket: &[u32],
-    offsets: &[usize],
-    range: std::ops::Range<usize>,
-    col_count: u32,
-) -> ShardRows {
-    let mut sink = RowShardSink::new(
-        range.start as u32..range.end as u32,
-        col_count,
-        offsets[range.end] - offsets[range.start],
-    );
-    for row in range {
-        let cols = &bucket[offsets[row]..offsets[row + 1]];
-        if cols.is_empty() {
-            continue;
-        }
-        sink.begin_row(row as u32);
-        for &c in cols {
-            sink.push_col(c);
-        }
-    }
-    sink.finish()
-}
-
 /// Concatenates canonical row shards into the row-side CSR and derives
 /// the column side by a transpose scatter. Side-agnostic: callers map
 /// (rows, cols) onto (left, right) or (right, left).
@@ -538,8 +403,7 @@ fn assemble_csr(
     let nr_rows = row_count as usize;
     let nr_cols = col_count as usize;
     let m: usize = parts.iter().map(|p| p.cols.len()).sum();
-    // The transpose scatter below runs on u32 cursors; guard every
-    // assembly path (build() staged edges and streamed row shards).
+    // The transpose scatter below runs on u32 cursors.
     assert!(m < u32::MAX as usize, "edge count must fit in u32");
 
     let mut row_offsets = Vec::with_capacity(nr_rows + 1);
@@ -634,18 +498,6 @@ fn band_boundaries(col_offsets: &[usize], bands: usize) -> Vec<std::ops::Range<u
         .collect()
 }
 
-/// Left-rows assembly shared by the generic and streaming paths.
-fn assemble_left(left_count: u32, right_count: u32, parts: Vec<ShardRows>) -> BipartiteGraph {
-    let (row_offsets, row_cols, col_offsets, col_rows) =
-        assemble_csr(left_count, right_count, parts);
-    BipartiteGraph::from_csr(
-        row_offsets,
-        row_cols.into_iter().map(RightId::new).collect(),
-        col_offsets,
-        col_rows.into_iter().map(LeftId::new).collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -659,40 +511,67 @@ mod tests {
         b.build()
     }
 
+    /// One sink over `rows` fed `edges` as `(row, col)` pairs, in row
+    /// order.
+    fn sink_of(rows: std::ops::Range<u32>, col_count: u32, edges: &[(u32, u32)]) -> RowShardSink {
+        let mut by_row = edges.to_vec();
+        by_row.sort_by_key(|&(row, _)| row);
+        let mut sink = RowShardSink::new(rows, col_count, by_row.len());
+        for (row, col) in by_row {
+            sink.edge(row, col);
+        }
+        sink
+    }
+
     #[test]
     fn matches_incremental_builder_small() {
+        // The same stream, grouped by left rows and by right rows.
         let edges = vec![(0, 1), (2, 0), (0, 1), (1, 2), (2, 2), (0, 0)];
-        let direct = CsrDirectBuilder::from_edges(3, 3, edges.clone()).unwrap();
-        assert_eq!(direct, incremental(3, 3, &edges));
+        let want = incremental(3, 3, &edges);
+        let left = assemble_left_rows(3, 3, vec![sink_of(0..3, 3, &edges)]).unwrap();
+        assert_eq!(left, want);
+        let transposed: Vec<(u32, u32)> = edges.iter().map(|&(l, r)| (r, l)).collect();
+        let right = assemble_right_rows(3, 3, vec![sink_of(0..3, 3, &transposed)]).unwrap();
+        assert_eq!(right, want);
     }
 
     #[test]
     fn multiple_shards_merge() {
-        let mut b = CsrDirectBuilder::new(4, 4);
-        b.stage_shard(vec![(3, 0), (0, 3)]);
-        b.stage_shard(vec![(0, 3), (1, 1)]);
-        assert_eq!(b.pending_edges(), 4);
-        let g = b.build().unwrap();
-        assert_eq!(g, incremental(4, 4, &[(3, 0), (0, 3), (0, 3), (1, 1)]));
-        assert_eq!(g.edge_count(), 3);
+        // Right rows split over three shards, the middle one empty.
+        let s0 = sink_of(0..2, 4, &[(1, 3), (0, 0), (1, 3)]);
+        let s1 = sink_of(2..2, 4, &[]);
+        let s2 = sink_of(2..4, 4, &[(3, 1), (2, 0)]);
+        let g = assemble_right_rows(4, 4, vec![s0, s1, s2]).unwrap();
+        assert_eq!(g, incremental(4, 4, &[(3, 1), (0, 0), (1, 3), (0, 2)]));
+        assert_eq!(g.edge_count(), 4);
     }
 
     #[test]
     fn rejects_out_of_range() {
+        // A tiling that stops short names the missing row on the row
+        // side of each orientation.
         assert!(matches!(
-            CsrDirectBuilder::from_edges(2, 2, vec![(2, 0)]),
-            Err(GraphError::LeftNodeOutOfRange { index: 2, .. })
+            assemble_left_rows(3, 2, vec![RowShardSink::new(0..2, 2, 0)]),
+            Err(GraphError::LeftNodeOutOfRange {
+                index: 2,
+                left_count: 3
+            })
         ));
         assert!(matches!(
-            CsrDirectBuilder::from_edges(2, 2, vec![(0, 5)]),
-            Err(GraphError::RightNodeOutOfRange { index: 5, .. })
+            assemble_right_rows(2, 3, vec![RowShardSink::new(0..2, 2, 0)]),
+            Err(GraphError::RightNodeOutOfRange {
+                index: 2,
+                right_count: 3
+            })
         ));
     }
 
     #[test]
     fn empty_build() {
-        let g = CsrDirectBuilder::new(3, 2).build().unwrap();
-        assert_eq!(g, BipartiteGraph::empty(3, 2));
+        let left = assemble_left_rows(3, 2, vec![RowShardSink::new(0..3, 2, 0)]).unwrap();
+        assert_eq!(left, BipartiteGraph::empty(3, 2));
+        let right = assemble_right_rows(3, 2, vec![RowShardSink::new(0..2, 3, 0)]).unwrap();
+        assert_eq!(right, BipartiteGraph::empty(3, 2));
     }
 
     #[test]
@@ -705,7 +584,7 @@ mod tests {
         s0.edge(1, 1);
         let mut s1 = RowShardSink::new(2..4, 3, 4);
         s1.edge(3, 0); // row 2 skipped entirely
-        let g = CsrDirectBuilder::assemble_left_rows(4, 3, vec![s0, s1]).unwrap();
+        let g = assemble_left_rows(4, 3, vec![s0, s1]).unwrap();
         assert_eq!(
             g,
             incremental(4, 3, &[(0, 2), (0, 0), (0, 2), (1, 1), (3, 0)])
@@ -722,7 +601,7 @@ mod tests {
         s.edge(0, 1);
         s.edge(2, 1);
         s.edge(2, 1);
-        let g = CsrDirectBuilder::assemble_right_rows(5, 3, vec![s]).unwrap();
+        let g = assemble_right_rows(5, 3, vec![s]).unwrap();
         assert_eq!(g, incremental(5, 3, &[(4, 0), (1, 0), (1, 2)]));
     }
 
@@ -730,9 +609,9 @@ mod tests {
     fn assemble_rejects_gapped_shards() {
         let s0 = RowShardSink::new(0..2, 3, 0);
         let s1 = RowShardSink::new(3..4, 3, 0); // gap: row 2 missing
-        assert!(CsrDirectBuilder::assemble_left_rows(4, 3, vec![s0, s1]).is_err());
+        assert!(assemble_left_rows(4, 3, vec![s0, s1]).is_err());
         let s = RowShardSink::new(0..3, 3, 0); // short of row_count
-        assert!(CsrDirectBuilder::assemble_left_rows(4, 3, vec![s]).is_err());
+        assert!(assemble_left_rows(4, 3, vec![s]).is_err());
     }
 
     #[test]
@@ -740,7 +619,7 @@ mod tests {
     fn sink_panics_on_bad_column() {
         let mut s = RowShardSink::new(0..1, 3, 2);
         s.edge(0, 3);
-        let _ = CsrDirectBuilder::assemble_left_rows(1, 3, vec![s]);
+        let _ = assemble_left_rows(1, 3, vec![s]);
     }
 
     #[test]
@@ -762,11 +641,12 @@ mod tests {
 
     #[test]
     fn dense_rows_use_bitmap_and_agree() {
-        // Rows long enough to trigger the bitmap path for a small
-        // column universe.
+        // Rows long enough to trigger the sink's bitmap path for a
+        // small column universe (500 staged columns over 1 word).
         let nr = 64u32;
         let edges: Vec<(u32, u32)> = (0..1000u32).map(|i| (i % 2, (i * 7) % nr)).collect();
-        let direct = CsrDirectBuilder::from_edges(2, nr, edges.clone()).unwrap();
-        assert_eq!(direct, incremental(2, nr, &edges));
+        let streamed = assemble_left_rows(2, nr, vec![sink_of(0..2, nr, &edges)]).unwrap();
+        assert_eq!(streamed, incremental(2, nr, &edges));
+        assert_eq!(streamed.edge_count(), 64);
     }
 }

@@ -13,7 +13,10 @@
 //!
 //! The declared `edge_count` is advisory: it sizes the first allocation,
 //! capped at [`MAX_RESERVED_EDGES`] so no header can demand more memory
-//! than its edges, and the actual number of parsed edges wins. This
+//! than its edges, and the actual number of parsed edges wins. The
+//! declared side sizes are binding, so each is refused above
+//! [`MAX_DECLARED_NODES`]: the graph holds per-node offsets for both
+//! sides. This
 //! mirrors common graph-dataset distribution formats so that real edge
 //! lists (e.g. an actual DBLP export) can be dropped in for the
 //! synthetic generator.
@@ -66,6 +69,14 @@ use crate::Result;
 /// larger claim is trusted no further than this; the edge vector grows
 /// past it as edges actually arrive.
 pub const MAX_RESERVED_EDGES: usize = 1 << 20;
+
+/// The most nodes [`read_edge_list`] accepts on one side of a header:
+/// 2^24, over 7× the 2.28M nodes of the larger side of the paper-scale
+/// DBLP preset. The graph keeps one `usize` offset per declared node in
+/// each direction, so a header at the cap costs about 3 × 128 MiB of
+/// offsets, where one declaring 2^32 nodes would ask for 32 GiB before
+/// its first edge.
+pub const MAX_DECLARED_NODES: u32 = 1 << 24;
 
 /// The edge-list reader's and writer's buffer size.
 const IO_BUFFER: usize = 64 * 1024;
@@ -186,6 +197,19 @@ fn parse_field(tok: Option<&str>, what: &str, line: usize) -> Result<u32> {
     })
 }
 
+/// [`parse_field`] for a header's side size, refused above
+/// [`MAX_DECLARED_NODES`].
+fn parse_side(tok: Option<&str>, what: &str, line: usize) -> Result<u32> {
+    let count = parse_field(tok, what, line)?;
+    if count > MAX_DECLARED_NODES {
+        return Err(GraphError::Parse {
+            line,
+            message: format!("{what} {count} exceeds the limit of {MAX_DECLARED_NODES} nodes"),
+        });
+    }
+    Ok(count)
+}
+
 /// The general path: one whole line (its `'\n'` included when it has
 /// one), numbered `line_no`. Before the header has been read, the
 /// line's job is to be the header or be skipped; after, to be an edge
@@ -200,8 +224,8 @@ fn general_line(line: &[u8], line_no: usize, builder: &mut Option<GraphBuilder>)
     }
     let mut parts = trimmed.split_whitespace();
     let Some(builder) = builder else {
-        let left_count = parse_field(parts.next(), "left count", line_no)?;
-        let right_count = parse_field(parts.next(), "right count", line_no)?;
+        let left_count = parse_side(parts.next(), "left count", line_no)?;
+        let right_count = parse_side(parts.next(), "right count", line_no)?;
         let declared = parse_field(parts.next(), "edge count", line_no)? as usize;
         *builder = Some(GraphBuilder::with_capacity(
             left_count,
@@ -656,6 +680,34 @@ mod tests {
         let g = read_edge_list("2 2 4294967295\n0 1\n".as_bytes()).unwrap();
         assert_eq!(g.edge_count(), 1);
         assert!(g.has_edge(LeftId::new(0), RightId::new(1)));
+    }
+
+    #[test]
+    fn a_side_above_the_node_cap_is_refused_before_any_allocation() {
+        // Built as declared, either header asked for 32 GiB of offsets
+        // and aborted the process.
+        for (text, side) in [
+            ("4294967295 2 1\n0 1\n", "left count"),
+            ("2 4294967295 1\n0 1\n", "right count"),
+        ] {
+            match read_edge_list(text.as_bytes()).unwrap_err() {
+                GraphError::Parse { line, message } => {
+                    assert_eq!(line, 1);
+                    assert_eq!(
+                        message,
+                        format!("{side} 4294967295 exceeds the limit of 16777216 nodes")
+                    );
+                }
+                other => panic!("wrong error: {other}"),
+            }
+        }
+        let at_cap = format!("{MAX_DECLARED_NODES} 1 0\n");
+        assert!(read_edge_list(at_cap.as_bytes()).is_ok());
+        let past_cap = format!("1 {} 0\n", MAX_DECLARED_NODES + 1);
+        assert!(matches!(
+            read_edge_list(past_cap.as_bytes()),
+            Err(GraphError::Parse { line: 1, .. })
+        ));
     }
 
     #[test]

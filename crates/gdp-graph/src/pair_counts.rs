@@ -15,8 +15,11 @@
 //!   folded independently and concatenated in row order, so the result
 //!   is bit-identical at any worker count).
 //! * [`PairCounts::compute_naive`] — the original per-edge `HashMap`
-//!   scan, kept as the equivalence baseline and criterion reference
-//!   (same convention as `gdp_core::scoring::cut_utilities_naive`).
+//!   scan, kept as the equivalence baseline the property tests pin
+//!   `compute` against (same convention as
+//!   `gdp_core::scoring::cut_utilities_naive`). `bench_pipeline`'s
+//!   `pair_counts_1m` entry times one `compute` per level against the
+//!   one-sweep + rollup engine.
 //!
 //! Given the finest level's counts, every coarser level's counts follow
 //! by [`PairCounts::rollup`] along the hierarchy's refinement chain in
@@ -176,7 +179,7 @@ impl PairCounts {
 
     /// The original per-edge `HashMap` scan, kept as the **equivalence
     /// baseline** for [`PairCounts::compute`] (property tests pin the two
-    /// bit-identical) and as the criterion comparison point.
+    /// bit-identical). No shipping path calls it.
     ///
     /// # Panics
     ///
@@ -632,8 +635,9 @@ struct RowRangeCells {
 }
 
 /// Splits rows `0..offsets.len()-1` into at most `shards` contiguous
-/// ranges of roughly equal bucket mass (edge count). Shared with the
-/// bulk CSR builder in [`crate::CsrDirectBuilder`].
+/// ranges of roughly equal bucket mass (edge count). Also splits the
+/// column bands of the row-shard assemblers' transpose scatter
+/// ([`crate::assemble_left_rows`]).
 pub(crate) fn split_rows_by_mass(offsets: &[usize], shards: usize) -> Vec<std::ops::Range<usize>> {
     let rows = offsets.len() - 1;
     let total = *offsets.last().unwrap();

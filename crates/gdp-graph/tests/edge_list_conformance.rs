@@ -19,7 +19,8 @@ use gdp_graph::{io, BipartiteGraph, GraphBuilder, GraphError, LeftId, RightId};
 /// The line-at-a-time reader, kept as the oracle. It reserves nothing
 /// up front: passing the header's edge count through as a capacity is
 /// the bug `io::MAX_RESERVED_EDGES` fixes, and capacity never changes
-/// the result.
+/// the result. Like the reader, it refuses a declared side above
+/// `io::MAX_DECLARED_NODES` as soon as that side is parsed.
 fn oracle_read<R: Read>(reader: R) -> Result<BipartiteGraph, GraphError> {
     let reader = BufReader::new(reader);
     let mut lines = reader.lines();
@@ -57,8 +58,21 @@ fn oracle_read<R: Read>(reader: R) -> Result<BipartiteGraph, GraphError> {
             message: format!("bad {what}: {e}"),
         })
     };
-    let left_count = parse_u32(parts.next(), "left count", line_no)?;
-    let right_count = parse_u32(parts.next(), "right count", line_no)?;
+    let parse_side = |tok: Option<&str>, what: &str, line: usize| -> Result<u32, GraphError> {
+        let count = parse_u32(tok, what, line)?;
+        if count > io::MAX_DECLARED_NODES {
+            return Err(GraphError::Parse {
+                line,
+                message: format!(
+                    "{what} {count} exceeds the limit of {} nodes",
+                    io::MAX_DECLARED_NODES
+                ),
+            });
+        }
+        Ok(count)
+    };
+    let left_count = parse_side(parts.next(), "left count", line_no)?;
+    let right_count = parse_side(parts.next(), "right count", line_no)?;
     let _declared_edges = parse_u32(parts.next(), "edge count", line_no)? as usize;
 
     let mut builder = GraphBuilder::new(left_count, right_count);
@@ -116,14 +130,15 @@ impl Read for Dribble<'_> {
     }
 }
 
-/// Side sizes above this are not built: a header may declare up to
-/// 2^32 - 1 nodes per side, and the CSR offset arrays of such a graph
-/// do not fit in memory for either reader (an open policy question,
-/// not a disagreement between them).
+/// Side sizes in `(MAX_BUILT_SIDE, io::MAX_DECLARED_NODES]` are not
+/// built: both readers would accept them, and building their per-node
+/// offset arrays (up to 128 MiB a side) many times over would only slow
+/// the suite down. Sides above the cap are refused before any
+/// allocation, so they stay in the domain.
 const MAX_BUILT_SIDE: u32 = 1 << 20;
 
-/// Whether `bytes`' header, read the oracle's way, declares sides small
-/// enough to build.
+/// Whether `bytes`' header, read the oracle's way, declares no side in
+/// the range that is accepted but too costly to build here.
 fn sides_buildable(bytes: &[u8]) -> bool {
     let text = String::from_utf8_lossy(bytes);
     let Some(header) = text
@@ -133,10 +148,10 @@ fn sides_buildable(bytes: &[u8]) -> bool {
     else {
         return true;
     };
-    header
-        .split_whitespace()
-        .take(2)
-        .all(|tok| tok.parse::<u32>().map_or(true, |n| n <= MAX_BUILT_SIDE))
+    header.split_whitespace().take(2).all(|tok| {
+        tok.parse::<u32>()
+            .map_or(true, |n| n <= MAX_BUILT_SIDE || n > io::MAX_DECLARED_NODES)
+    })
 }
 
 /// Asserts both readers give the same outcome on `bytes`, through a
@@ -309,13 +324,6 @@ fn mutated_document(
                     ..Line::plain(Vec::new())
                 };
                 lines.insert(at, blank);
-            }
-            // On the header, only the advisory edge count: a huge side
-            // size cannot be built (see `MAX_BUILT_SIDE`).
-            8 if at == 0 => {
-                if let Some(count) = line.tokens.get_mut(2) {
-                    *count = BIG[choice % BIG.len()].to_string();
-                }
             }
             8 if !line.tokens.is_empty() => {
                 line.tokens[token] = BIG[choice % BIG.len()].to_string()
@@ -508,4 +516,19 @@ fn reader_works_through_a_mutable_reference() {
     let g = io::read_edge_list(&mut slice).unwrap();
     assert_eq!(g.edge_count(), 1);
     assert!(slice.is_empty());
+}
+
+#[test]
+fn headers_above_the_node_cap_conform() {
+    // Refused by both readers at line 1, whichever side is too large,
+    // and before any per-node allocation.
+    for text in [
+        "4294967295 2 1\n0 1\n",
+        "2 4294967295 1\n0 1\n",
+        "# comment\n16777217 1 0\n",
+        "1 1000000000 x\n",
+    ] {
+        assert!(sides_buildable(text.as_bytes()), "{text:?}");
+        assert!(!assert_conforms(text.as_bytes(), 3), "{text:?}");
+    }
 }

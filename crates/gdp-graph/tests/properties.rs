@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use gdp_graph::{
-    connected_components, io, CsrDirectBuilder, DegreeHistogram, GraphBuilder, LeftId, PairCounts,
-    RightId, Side, SidePartition,
+    assemble_left_rows, assemble_right_rows, connected_components, io, DegreeHistogram, EdgeSink,
+    GraphBuilder, LeftId, PairCounts, RightId, RowShardSink, Side, SidePartition,
 };
 
 /// Strategy: a random edge list over bounded side sizes.
@@ -13,6 +13,27 @@ fn graph_strategy() -> impl Strategy<Value = (u32, u32, Vec<(u32, u32)>)> {
         let edges = proptest::collection::vec((0..nl, 0..nr), 0..200);
         (Just(nl), Just(nr), edges)
     })
+}
+
+/// `(row, col)` pairs grouped by row into two sinks tiling
+/// `0..row_count`, cut at `cut_raw % (row_count + 1)`.
+fn two_shards(
+    pairs: &[(u32, u32)],
+    row_count: u32,
+    col_count: u32,
+    cut_raw: u32,
+) -> Vec<RowShardSink> {
+    let mut by_row = pairs.to_vec();
+    by_row.sort_by_key(|&(row, _)| row);
+    let cut = cut_raw % (row_count + 1);
+    let mut sinks = vec![
+        RowShardSink::new(0..cut, col_count, 8),
+        RowShardSink::new(cut..row_count, col_count, 8),
+    ];
+    for (row, col) in by_row {
+        sinks[usize::from(row >= cut)].edge(row, col);
+    }
+    sinks
 }
 
 fn build(nl: u32, nr: u32, edges: &[(u32, u32)]) -> gdp_graph::BipartiteGraph {
@@ -249,30 +270,6 @@ proptest! {
     }
 
     #[test]
-    fn csr_direct_builder_equals_incremental(
-        (nl, nr, edges) in graph_strategy(),
-        cuts in proptest::collection::vec(0usize..200, 0..4),
-    ) {
-        let incremental = build(nl, nr, &edges);
-
-        // Single staged shard.
-        let single = CsrDirectBuilder::from_edges(nl, nr, edges.clone()).unwrap();
-        prop_assert_eq!(&single, &incremental);
-
-        // The same stream split at arbitrary shard boundaries.
-        let mut builder = CsrDirectBuilder::new(nl, nr);
-        let mut boundaries: Vec<usize> =
-            cuts.iter().map(|&c| c % (edges.len() + 1)).collect();
-        boundaries.push(0);
-        boundaries.push(edges.len());
-        boundaries.sort_unstable();
-        for pair in boundaries.windows(2) {
-            builder.stage_shard(edges[pair[0]..pair[1]].to_vec());
-        }
-        prop_assert_eq!(&builder.build().unwrap(), &incremental);
-    }
-
-    #[test]
     fn row_sink_streaming_equals_incremental(
         (nl, nr, edges) in graph_strategy(),
         cut_raw in 0u32..40,
@@ -280,21 +277,15 @@ proptest! {
         let incremental = build(nl, nr, &edges);
 
         // Feed the same edges row-grouped (non-decreasing rows), split
-        // into two shards tiling 0..nl at an arbitrary row boundary.
-        let mut by_row = edges.clone();
-        by_row.sort_by_key(|&(l, _)| l);
-        let cut = cut_raw % (nl + 1);
-        let mut sinks = vec![
-            gdp_graph::RowShardSink::new(0..cut, nr, 8),
-            gdp_graph::RowShardSink::new(cut..nl, nr, 8),
-        ];
-        for (l, r) in by_row {
-            let sink = &mut sinks[usize::from(l >= cut)];
-            use gdp_graph::EdgeSink;
-            sink.edge(l, r);
-        }
-        let streamed = CsrDirectBuilder::assemble_left_rows(nl, nr, sinks).unwrap();
-        prop_assert_eq!(&streamed, &incremental);
+        // into two shards tiling the row side at an arbitrary boundary:
+        // rows are left nodes for `assemble_left_rows`, right nodes for
+        // `assemble_right_rows`.
+        let right_rows: Vec<(u32, u32)> = edges.iter().map(|&(l, r)| (r, l)).collect();
+        let streamed_left = assemble_left_rows(nl, nr, two_shards(&edges, nl, nr, cut_raw));
+        prop_assert_eq!(&streamed_left.unwrap(), &incremental);
+        let streamed_right =
+            assemble_right_rows(nl, nr, two_shards(&right_rows, nr, nl, cut_raw));
+        prop_assert_eq!(&streamed_right.unwrap(), &incremental);
     }
 
     #[test]

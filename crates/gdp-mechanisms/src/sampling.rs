@@ -223,36 +223,6 @@ pub fn two_sided_geometric_into<R: Rng + ?Sized>(rng: &mut R, alpha: f64, out: &
     }
 }
 
-/// Samples `Bernoulli(p)`.
-///
-/// # Panics
-///
-/// Debug-asserts `p ∈ [0, 1]`.
-pub fn bernoulli<R: Rng + ?Sized>(rng: &mut R, p: f64) -> bool {
-    debug_assert!((0.0..=1.0).contains(&p));
-    rng.gen::<f64>() < p
-}
-
-/// Samples an index from an explicit discrete distribution given by
-/// (unnormalized, non-negative) `weights`.
-///
-/// Returns `None` when all weights are zero or the slice is empty.
-pub fn discrete<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> Option<usize> {
-    let total: f64 = weights.iter().sum();
-    if !(total.is_finite()) || total <= 0.0 {
-        return None;
-    }
-    let mut target = rng.gen::<f64>() * total;
-    for (i, w) in weights.iter().enumerate() {
-        target -= w;
-        if target < 0.0 {
-            return Some(i);
-        }
-    }
-    // Floating-point slack: fall back to the last positively weighted index.
-    weights.iter().rposition(|w| *w > 0.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -358,35 +328,6 @@ mod tests {
             / N as f64;
         let want = 2.0 * alpha / ((1.0 - alpha) * (1.0 - alpha));
         assert!((var - want).abs() < 0.15, "var {var} vs {want}");
-    }
-
-    #[test]
-    fn bernoulli_frequency_matches_p() {
-        let mut r = rng(9);
-        let p = 0.3;
-        let hits = (0..N).filter(|_| bernoulli(&mut r, p)).count() as f64 / N as f64;
-        assert!((hits - p).abs() < 0.01, "frequency {hits}");
-    }
-
-    #[test]
-    fn discrete_respects_weights() {
-        let mut r = rng(10);
-        let weights = [1.0, 0.0, 3.0];
-        let mut counts = [0usize; 3];
-        for _ in 0..N {
-            counts[discrete(&mut r, &weights).unwrap()] += 1;
-        }
-        assert_eq!(counts[1], 0);
-        let frac0 = counts[0] as f64 / N as f64;
-        assert!((frac0 - 0.25).abs() < 0.01, "frac0 {frac0}");
-    }
-
-    #[test]
-    fn discrete_degenerate_inputs() {
-        let mut r = rng(11);
-        assert_eq!(discrete(&mut r, &[]), None);
-        assert_eq!(discrete(&mut r, &[0.0, 0.0]), None);
-        assert_eq!(discrete(&mut r, &[0.0, 5.0]), Some(1));
     }
 
     #[test]
