@@ -16,7 +16,7 @@
 //! `gdp-serve` indexed path (artifact → `IndexedRelease` →
 //! `AnswerService`), asserted bit-identical on every rep, plus a
 //! `reader_throughput` entry driving one shared `AnswerService` from
-//! four concurrent OS threads over the sharded store, and — ISSUE 8,
+//! four concurrent OS threads over one store, and — ISSUE 8,
 //! the `artifact_io_1m` entry — the sealed 1M-edge artifact saved and
 //! loaded through real files in both on-disk formats (JSON vs the
 //! `.gda` binary container), loads timed through the full
@@ -41,7 +41,7 @@
 //! in the report next to the host core count), the `subset_gather`
 //! entry times the shipping subset-gather kernel against its reference
 //! algorithm (asserting bitwise-equal results every rep), and the
-//! `scaling` section re-times the datagen / disclose / answer phases at
+//! `scaling` section re-times the datagen and disclose phases at
 //! 1/2/4/8 pool threads with the outputs pinned bit-identical across
 //! thread counts. `--assert-gather-over RATIO` makes the run fail
 //! when the shipping gather stops beating the reference by the given
@@ -266,7 +266,7 @@ struct AnswerQpsComparison {
 }
 
 /// Aggregate throughput of N OS threads answering concurrently through
-/// one shared `AnswerService` over the sharded store — the reader-side
+/// one shared `AnswerService` over one store — the reader-side
 /// scaling entry (single-reader time over the same total workload is
 /// the baseline; on a single-core runner the two are comparable and
 /// the entry mainly proves the path is contention-safe).
@@ -291,7 +291,7 @@ struct GatherComparison {
     speedup: f64,
 }
 
-/// One thread count's row of the multi-thread scaling story: the three
+/// One thread count's row of the multi-thread scaling story: the two
 /// rayon-parallel phases re-timed with the pool sized to `threads`,
 /// with speedups relative to the single-thread row. Results at every
 /// thread count are asserted bit-identical to the single-thread run
@@ -301,10 +301,8 @@ struct ScalingEntry {
     threads: usize,
     datagen_1m_ms: f64,
     disclose_1m_ms: f64,
-    answer_100k_ms: f64,
     datagen_speedup: f64,
     disclose_speedup: f64,
-    answer_speedup: f64,
 }
 
 /// The `scaling` section of the report. `host_cores` is what
@@ -886,11 +884,13 @@ fn answer_qps_at(
     let subset_size = 64;
     let mut qrng = StdRng::seed_from_u64(seed ^ 3);
     let subsets = distinct_subsets(&mut qrng, n_left, queries_n, subset_size);
-    let queries: Vec<SubsetQuery> = subsets
+    let queries: Vec<ServeQuery> = subsets
         .iter()
-        .map(|nodes| SubsetQuery {
-            side: Side::Left,
-            nodes: nodes.clone(),
+        .map(|nodes| {
+            ServeQuery::SubsetCount(SubsetQuery {
+                side: Side::Left,
+                nodes: nodes.clone(),
+            })
         })
         .collect();
 
@@ -913,14 +913,12 @@ fn answer_qps_at(
         .expect("artifact seals");
     let indexed = IndexedRelease::new(artifact.clone()).expect("artifact indexes");
     let (indexed_ms, served) = time_best_of(reps, || {
-        indexed
-            .estimate_batch(level, Side::Left, &subsets)
-            .expect("batch answers")
+        indexed.answer_batch(level, &queries).expect("batch answers")
     });
     for (a, b) in baseline.iter().zip(&served) {
         assert_eq!(
             a.to_bits(),
-            b.to_bits(),
+            b.scalar().expect("subset counts are scalars").to_bits(),
             "indexed serving path must be bit-identical to the estimator"
         );
     }
@@ -931,12 +929,12 @@ fn answer_qps_at(
         .insert(IndexedRelease::new(artifact.clone()).expect("artifact indexes"))
         .expect("store accepts");
     let through_service = AnswerService::new(store)
-        .answer_batch("bench", 1, Privilege::full(), level, &queries)
+        .answer_typed_batch("bench", 1, Privilege::full(), level, &queries)
         .expect("service answers");
     for (a, b) in baseline.iter().zip(&through_service) {
         assert_eq!(
             a.to_bits(),
-            b.to_bits(),
+            b.scalar().expect("subset counts are scalars").to_bits(),
             "AnswerService must be bit-identical to the estimator"
         );
     }
@@ -1056,7 +1054,7 @@ fn typed_qps_entries(
 
 /// The multi-threaded reader entry: N OS threads answering distinct
 /// subset workloads through one shared `AnswerService` (each reader
-/// issues single `answer` calls — the request-at-a-time pattern a
+/// issues single `answer_typed` calls — the request-at-a-time pattern a
 /// network frontend would drive), against the same total workload
 /// answered by one reader. Answers are asserted identical between the
 /// two runs.
@@ -1070,14 +1068,16 @@ fn reader_throughput_at(
     let level = 1;
     let readers = 4;
     let queries_per_reader = 500;
-    let workloads: Vec<Vec<SubsetQuery>> = (0..readers)
+    let workloads: Vec<Vec<ServeQuery>> = (0..readers)
         .map(|r| {
             let mut qrng = StdRng::seed_from_u64(seed ^ 0x40 ^ r as u64);
             distinct_subsets(&mut qrng, n_left, queries_per_reader, 64)
                 .into_iter()
-                .map(|nodes| SubsetQuery {
-                    side: Side::Left,
-                    nodes,
+                .map(|nodes| {
+                    ServeQuery::SubsetCount(SubsetQuery {
+                        side: Side::Left,
+                        nodes,
+                    })
                 })
                 .collect()
         })
@@ -1095,14 +1095,14 @@ fn reader_throughput_at(
     // One reader, all workloads, sequentially (cache-cold service).
     let service = fresh_service();
     let t = Instant::now();
-    let single: Vec<Vec<f64>> = workloads
+    let single: Vec<Vec<TypedAnswer>> = workloads
         .iter()
         .map(|workload| {
             workload
                 .iter()
                 .map(|q| {
                     service
-                        .answer("bench", 1, Privilege::full(), level, q)
+                        .answer_typed("bench", 1, Privilege::full(), level, q)
                         .expect("answers")
                 })
                 .collect()
@@ -1114,7 +1114,7 @@ fn reader_throughput_at(
     // service again so memoization cannot transfer between the runs).
     let service = fresh_service();
     let t = Instant::now();
-    let concurrent: Vec<Vec<f64>> = std::thread::scope(|scope| {
+    let concurrent: Vec<Vec<TypedAnswer>> = std::thread::scope(|scope| {
         let handles: Vec<_> = workloads
             .iter()
             .map(|workload| {
@@ -1124,10 +1124,10 @@ fn reader_throughput_at(
                         .iter()
                         .map(|q| {
                             service
-                                .answer("bench", 1, Privilege::full(), level, q)
+                                .answer_typed("bench", 1, Privilege::full(), level, q)
                                 .expect("answers")
                         })
-                        .collect::<Vec<f64>>()
+                        .collect::<Vec<TypedAnswer>>()
                 })
             })
             .collect();
@@ -1136,8 +1136,8 @@ fn reader_throughput_at(
     let concurrent_ms = t.elapsed().as_secs_f64() * 1e3;
     for (a, b) in single.iter().flatten().zip(concurrent.iter().flatten()) {
         assert_eq!(
-            a.to_bits(),
-            b.to_bits(),
+            a.scalar().map(f64::to_bits),
+            b.scalar().map(f64::to_bits),
             "concurrent readers must serve the single-reader bits"
         );
     }
@@ -1218,9 +1218,10 @@ fn pipeline_at(
     let n_left = graph.left_count();
     let subsets = distinct_subsets(&mut qrng, n_left, 1000, 64);
     let (answering_ms, answers) = time_best_of(reps, || {
-        estimator
-            .estimate_batch(Side::Left, &subsets)
-            .expect("batch estimation succeeds")
+        subsets
+            .iter()
+            .map(|nodes| estimator.estimate(Side::Left, nodes).expect("estimate succeeds"))
+            .collect::<Vec<f64>>()
     });
     assert_eq!(answers.len(), subsets.len());
 
@@ -1296,10 +1297,10 @@ fn gather_comparison(seed: u64, reps: usize) -> GatherComparison {
     }
 }
 
-/// The ISSUE-9 multi-thread scaling sweep: the three rayon-parallel
-/// phases (streaming datagen at 1M draws, disclosure at 1M edges,
-/// batch answering at the 100k scale) re-timed at 1/2/4/8 pool
-/// threads, outputs asserted bit-identical to the single-thread run.
+/// The ISSUE-9 multi-thread scaling sweep: the two rayon-parallel
+/// phases (streaming datagen at 1M draws, disclosure at 1M edges)
+/// re-timed at 1/2/4/8 pool threads, outputs asserted bit-identical to
+/// the single-thread run.
 /// Restores the entering `RAYON_NUM_THREADS` before returning.
 fn scaling_report(seed: u64, reps: usize) -> ScalingReport {
     let entering = std::env::var("RAYON_NUM_THREADS").ok();
@@ -1324,36 +1325,9 @@ fn scaling_report(seed: u64, reps: usize) -> ScalingReport {
             .with_queries(vec![Query::TotalAssociations, Query::PerGroupCounts]),
     );
 
-    let edges_100k = 100_000usize;
-    let side_100k = ((edges_100k as f64).sqrt() * 6.3) as u32;
-    let graph_100k = GraphModel::ErdosRenyi {
-        left: side_100k,
-        right: side_100k,
-        edges: edges_100k,
-    }
-    .generate(&mut StdRng::seed_from_u64(seed));
-    let hierarchy_100k = Specializer::new(
-        SpecializationConfig::paper_default(8).expect("rounds > 0"),
-    )
-    .specialize(&graph_100k, &mut StdRng::seed_from_u64(seed ^ 1))
-    .expect("specialize succeeds");
-    let release_100k = discloser
-        .disclose(&graph_100k, &hierarchy_100k, &mut StdRng::seed_from_u64(seed ^ 2))
-        .expect("disclose succeeds");
-    let artifact = ReleaseArtifact::seal("bench-scaling", 1, hierarchy_100k, release_100k)
-        .expect("artifact seals");
-    let indexed = IndexedRelease::new(artifact).expect("artifact indexes");
-    let subsets = distinct_subsets(
-        &mut StdRng::seed_from_u64(seed ^ 3),
-        graph_100k.left_count(),
-        1000,
-        64,
-    );
-
     let mut entries: Vec<ScalingEntry> = Vec::new();
-    let mut baseline: Option<(f64, f64, f64)> = None;
-    let mut pinned: Option<(gdp_graph::BipartiteGraph, gdp_core::MultiLevelRelease, Vec<f64>)> =
-        None;
+    let mut baseline: Option<(f64, f64)> = None;
+    let mut pinned: Option<(gdp_graph::BipartiteGraph, gdp_core::MultiLevelRelease)> = None;
     for threads in [1usize, 2, 4, 8] {
         // The vendored pool sizes itself from this env var on every
         // parallel call, so re-pointing it re-sizes the phases below.
@@ -1367,36 +1341,22 @@ fn scaling_report(seed: u64, reps: usize) -> ScalingReport {
                 .disclose(&graph_1m, &hierarchy_1m, &mut StdRng::seed_from_u64(seed ^ 2))
                 .expect("disclose succeeds")
         });
-        let (answer_ms, answers) = time_best_of(reps, || {
-            indexed
-                .estimate_batch(1, Side::Left, &subsets)
-                .expect("batch answers")
-        });
 
         match &pinned {
-            None => pinned = Some((graph, release, answers)),
-            Some((g1, r1, a1)) => {
+            None => pinned = Some((graph, release)),
+            Some((g1, r1)) => {
                 assert_eq!(&graph, g1, "datagen must be bit-stable across thread counts");
                 assert_eq!(&release, r1, "disclosure must be bit-stable across thread counts");
-                for (a, b) in a1.iter().zip(&answers) {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "answering must be bit-stable across thread counts"
-                    );
-                }
             }
         }
 
-        let (d1, x1, a1) = *baseline.get_or_insert((datagen_ms, disclose_ms, answer_ms));
+        let (d1, x1) = *baseline.get_or_insert((datagen_ms, disclose_ms));
         entries.push(ScalingEntry {
             threads,
             datagen_1m_ms: datagen_ms,
             disclose_1m_ms: disclose_ms,
-            answer_100k_ms: answer_ms,
             datagen_speedup: d1 / datagen_ms,
             disclose_speedup: x1 / disclose_ms,
-            answer_speedup: a1 / answer_ms,
         });
     }
 
@@ -1705,15 +1665,8 @@ fn main() {
     eprintln!("  host cores: {}", scaling.host_cores);
     for e in &scaling.entries {
         eprintln!(
-            "  {} thread(s): datagen {:.1} ms ({:.2}×) | disclose {:.1} ms ({:.2}×) | \
-             answer {:.3} ms ({:.2}×)",
-            e.threads,
-            e.datagen_1m_ms,
-            e.datagen_speedup,
-            e.disclose_1m_ms,
-            e.disclose_speedup,
-            e.answer_100k_ms,
-            e.answer_speedup
+            "  {} thread(s): datagen {:.1} ms ({:.2}×) | disclose {:.1} ms ({:.2}×)",
+            e.threads, e.datagen_1m_ms, e.datagen_speedup, e.disclose_1m_ms, e.disclose_speedup
         );
     }
 

@@ -78,10 +78,10 @@ commands:
          [--query-type subset|mass|hist|total|all]
       load one published artifact (JSON or `.gda` binary, decided by
       the extension; directories may mix both formats freely) — or
-      scan a directory of them into a
-      sharded store — and answer a typed-query workload file (subset
-      lines `L 0 1 2` / `R 5 7`, plus `mass L 3`, `hist L`, `total R`,
-      `#` comments) through the privilege-gated serving path.
+      scan a directory of them into a store — and answer a typed-query
+      workload file (subset lines `L 0 1 2` / `R 5 7`, plus `mass L 3`,
+      `hist L`, `total R`, `#` comments) through the privilege-gated
+      serving path, one query after another in file order.
       --level defaults to the finest level the privilege may read;
       with --artifact-dir, --dataset defaults to the only scanned
       dataset and --epoch to its latest; --query-type filters the

@@ -6,8 +6,6 @@
 //! from a level's noisy per-group counts plus the public group
 //! structure — pure post-processing, so no additional privacy cost.
 
-use rayon::prelude::*;
-
 use gdp_graph::Side;
 
 #[cfg(test)]
@@ -127,24 +125,6 @@ impl<'a> SubsetCountEstimator<'a> {
             total += noisy[g] / sizes[g] as f64;
         }
         Ok(total)
-    }
-
-    /// Answers a batch of subset-count queries, fanning the queries out
-    /// across rayon workers. Estimation is pure post-processing (no RNG),
-    /// so the result is identical to calling
-    /// [`SubsetCountEstimator::estimate`] in a loop — the serving-path
-    /// API for query-heavy consumers.
-    ///
-    /// # Errors
-    ///
-    /// Returns the same typed errors as [`SubsetCountEstimator::estimate`]
-    /// if any subset is malformed (which failing subset's error surfaces
-    /// is unspecified).
-    pub fn estimate_batch(&self, side: Side, subsets: &[Vec<u32>]) -> Result<Vec<f64>> {
-        subsets
-            .par_iter()
-            .map(|nodes| self.estimate(side, nodes))
-            .collect()
     }
 
     /// The whole-side estimate — sums every group's noisy count; useful
@@ -446,38 +426,6 @@ mod tests {
         )
         .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig(_)));
-    }
-
-    #[test]
-    fn batch_estimates_match_sequential() {
-        let (graph, hierarchy, release) = setup(0.9);
-        let est = SubsetCountEstimator::new(
-            release.level(1).unwrap(),
-            hierarchy.level(1).unwrap(),
-        )
-        .unwrap();
-        let n = graph.left_count();
-        let subsets: Vec<Vec<u32>> = (0..40u32)
-            .map(|k| (0..=k).map(|i| (i * 3) % n).collect())
-            .collect();
-        let batch = est.estimate_batch(Side::Left, &subsets).unwrap();
-        for (subset, got) in subsets.iter().zip(&batch) {
-            let single = est.estimate(Side::Left, subset).unwrap();
-            assert_eq!(single, *got);
-        }
-    }
-
-    #[test]
-    fn batch_propagates_out_of_range_error() {
-        let (graph, hierarchy, release) = setup(0.9);
-        let est = SubsetCountEstimator::new(
-            release.level(1).unwrap(),
-            hierarchy.level(1).unwrap(),
-        )
-        .unwrap();
-        let bad = graph.left_count() + 1;
-        let subsets = vec![vec![0u32], vec![bad], vec![1u32]];
-        assert!(est.estimate_batch(Side::Left, &subsets).is_err());
     }
 
     #[test]

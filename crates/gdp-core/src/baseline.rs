@@ -1,8 +1,8 @@
 //! Baselines the paper's calibrated group-DP release is compared against.
 //!
-//! * Individual-DP releases ([`individual_edge_dp_count`],
-//!   [`individual_node_dp_count`]) show what classical DP publishes —
-//!   accurate, but offering **no** group-level guarantee.
+//! * The individual-DP release [`individual_edge_dp_count`] shows what
+//!   classical DP publishes — accurate, but offering **no** group-level
+//!   guarantee.
 //! * [`naive_group_composition_count`] achieves group privacy through the
 //!   textbook group-privacy property of individual DP (an `ε`-DP
 //!   mechanism is `kε`-DP for groups of size `k`), i.e. by shrinking the
@@ -53,28 +53,6 @@ pub fn individual_edge_dp_count<R: Rng + ?Sized>(
         noisy_total: mech.randomize(graph.edge_count() as f64, rng),
         noise_scale: mech.scale(),
         sensitivity: 1.0,
-    })
-}
-
-/// `ε`-DP release of the association count under **node-level**
-/// adjacency (neighbouring datasets differ in one node and all its
-/// edges): Laplace with `Δ₁ = max degree`.
-///
-/// # Errors
-///
-/// Propagates invalid `ε`.
-pub fn individual_node_dp_count<R: Rng + ?Sized>(
-    graph: &BipartiteGraph,
-    epsilon: Epsilon,
-    rng: &mut R,
-) -> Result<BaselineRelease> {
-    let sens = graph.max_degree().max(1) as f64;
-    let mech = LaplaceMechanism::new(epsilon, L1Sensitivity::new(sens)?)?;
-    Ok(BaselineRelease {
-        label: "individual-node-dp".to_string(),
-        noisy_total: mech.randomize(graph.edge_count() as f64, rng),
-        noise_scale: mech.scale(),
-        sensitivity: sens,
     })
 }
 
@@ -152,14 +130,6 @@ mod tests {
         assert_eq!(r.noise_scale, 1.0);
         assert_eq!(r.sensitivity, 1.0);
         assert!(r.noisy_total.is_finite());
-    }
-
-    #[test]
-    fn node_dp_scales_with_max_degree() {
-        let g = graph();
-        let r = individual_node_dp_count(&g, Epsilon::new(1.0).unwrap(), &mut rng()).unwrap();
-        assert_eq!(r.sensitivity, g.max_degree() as f64);
-        assert_eq!(r.noise_scale, g.max_degree() as f64);
     }
 
     #[test]

@@ -83,8 +83,7 @@ pub use artifact::{
     ArtifactFormat, ArtifactManifest, ManifestLedger, ReleaseArtifact, ARTIFACT_SCHEMA_VERSION,
 };
 pub use baseline::{
-    individual_edge_dp_count, individual_node_dp_count, naive_group_composition_count,
-    BaselineRelease,
+    individual_edge_dp_count, naive_group_composition_count, BaselineRelease,
 };
 pub use disclosure::{DisclosureConfig, MultiLevelDiscloser, NoiseMechanism};
 pub use error::CoreError;

@@ -49,7 +49,6 @@ mod node;
 mod pair_counts;
 mod partition;
 mod stats;
-mod subgraph;
 mod traversal;
 mod truncate;
 
@@ -66,7 +65,6 @@ pub use node::{LeftId, NodeId, RightId, Side};
 pub use pair_counts::{PairCounts, PairMarginals};
 pub use partition::SidePartition;
 pub use stats::GraphStats;
-pub use subgraph::InducedSubgraph;
 pub use traversal::{connected_components, ComponentLabeling};
 pub use truncate::{truncate_degrees, Truncation};
 

@@ -2,8 +2,6 @@
 
 use std::sync::Arc;
 
-use rayon::prelude::*;
-
 use gdp_core::{AccessPolicy, CoreError, ReleaseArtifact};
 use gdp_graph::Side;
 
@@ -265,26 +263,6 @@ impl IndexedRelease {
         }
     }
 
-    /// Answers a batch of subset queries, fanning out over rayon.
-    /// Answering is RNG-free pure post-processing, so the output is
-    /// identical to a sequential loop at any thread count.
-    ///
-    /// # Errors
-    ///
-    /// The same errors as [`IndexedRelease::estimate`] (which failing
-    /// subset's error surfaces is unspecified).
-    pub fn estimate_batch(
-        &self,
-        level: usize,
-        side: Side,
-        subsets: &[Vec<u32>],
-    ) -> Result<Vec<f64>> {
-        subsets
-            .par_iter()
-            .map(|nodes| self.estimate(level, side, nodes))
-            .collect()
-    }
-
     /// The raw noisy mass of one group at a level — exactly the value
     /// the release published for it, served without touching the
     /// release's query list
@@ -380,19 +358,15 @@ impl IndexedRelease {
         }
     }
 
-    /// Answers a batch of typed queries at one level, fanning out over
-    /// rayon. Answering is RNG-free pure post-processing, so the output
-    /// is identical to a sequential loop at any thread count.
+    /// Answers a batch of typed queries at one level, in input order.
     ///
     /// # Errors
     ///
-    /// Same as [`IndexedRelease::answer`] (which failing query's error
-    /// surfaces is unspecified).
+    /// Same as [`IndexedRelease::answer`]: the error of the first
+    /// failing query in input order (the queries after it are not
+    /// answered).
     pub fn answer_batch(&self, level: usize, queries: &[Query]) -> Result<Vec<TypedAnswer>> {
-        queries
-            .par_iter()
-            .map(|query| self.answer(level, query))
-            .collect()
+        queries.iter().map(|query| self.answer(level, query)).collect()
     }
 }
 
@@ -509,10 +483,23 @@ mod tests {
     #[test]
     fn batch_matches_sequential() {
         let indexed = IndexedRelease::new(artifact()).unwrap();
-        let subsets: Vec<Vec<u32>> = (0..30u32).map(|k| (0..=k).collect()).collect();
-        let batch = indexed.estimate_batch(1, Side::Left, &subsets).unwrap();
-        for (subset, &got) in subsets.iter().zip(&batch) {
-            assert_eq!(indexed.estimate(1, Side::Left, subset).unwrap(), got);
+        let queries: Vec<Query> = (0..30u32)
+            .map(|k| {
+                Query::SubsetCount(crate::SubsetQuery {
+                    side: Side::Left,
+                    nodes: (0..=k).collect(),
+                })
+            })
+            .collect();
+        let batch = indexed.answer_batch(1, &queries).unwrap();
+        for (query, got) in queries.iter().zip(&batch) {
+            let Query::SubsetCount(subset) = query else {
+                unreachable!("every query is a subset count")
+            };
+            assert_eq!(
+                indexed.estimate(1, Side::Left, &subset.nodes).unwrap().to_bits(),
+                got.scalar().unwrap().to_bits()
+            );
         }
     }
 

@@ -1,6 +1,6 @@
 //! **Serving subsystem** for published multi-level releases — the
-//! consumer half of the group-DP pipeline as a first-class, scalable
-//! component.
+//! consumer half of the group-DP pipeline, behind `gdp answer` and
+//! `gdp serve`.
 //!
 //! The paper's long-lived product is the published bundle `{I_{L,i}}`
 //! consumed under graded privileges, not the pipeline run that produced
@@ -23,12 +23,11 @@
 //!   equivalence baseline) instead of an `O(groups)` scan behind a
 //!   per-query estimator rebuild; histograms are materialized once per
 //!   level and served by `Arc` reference.
-//! * [`ReleaseStore`] / [`ShardedStoreHandle`] — artifacts keyed by
-//!   `(dataset, epoch)` in fixed `hash(dataset) % N` shards with one
-//!   `RwLock` each, so concurrent readers never serialize on one
-//!   registry lock and a republisher inserts without stopping the
-//!   world; [`ReleaseStore::open_dir`] scans a directory of artifact
-//!   JSONs and indexes each lazily on first access.
+//! * [`ReleaseStore`] — artifacts keyed by `(dataset, epoch)` in one
+//!   map behind one `RwLock`: readers share the read lock for a probe
+//!   and an `Arc` clone, a republisher takes the write lock briefly to
+//!   insert; [`ReleaseStore::open_dir`] scans a directory of artifact
+//!   files (`.gda` or JSON) and indexes each lazily on first access.
 //! * Store **lifecycle** ([`lifecycle`]) — degraded opens that
 //!   quarantine damage instead of failing
 //!   ([`ReleaseStore::open_dir_report`] → [`OpenReport`]), live
@@ -38,10 +37,12 @@
 //!   only fully-superseded epochs.
 //! * [`AnswerService`] — the front door: enforces
 //!   [`AccessPolicy`](gdp_core::AccessPolicy)/[`Privilege`](gdp_core::Privilege)
-//!   on **every** request and variant, fans batched workloads out over
-//!   rayon (deterministically — answering is RNG-free pure
-//!   post-processing, see `docs/determinism.md`), and memoizes
-//!   repeated queries under variant-aware keys.
+//!   on **every** request and variant, answers a batch as a plain loop
+//!   in input order (answering is RNG-free pure post-processing; the
+//!   server's worker pool is where requests run concurrently), and
+//!   memoizes repeated queries under variant-aware keys. Its one entry
+//!   point is [`AnswerService::answer_typed`], with
+//!   [`AnswerService::answer_typed_batch`] for batches.
 //! * [`workload`] — the plain-text typed-query file format the CLI's
 //!   `gdp answer` consumes, following `gdp_graph::io` conventions.
 //!
@@ -51,7 +52,8 @@
 //! use gdp_datagen::{DblpConfig, DblpGenerator};
 //! use gdp_mechanisms::PrivacyBudget;
 //! use gdp_graph::Side;
-//! use gdp_serve::{AnswerService, IndexedRelease, ReleaseStore, SubsetQuery};
+//! use gdp_serve::{AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore,
+//!     SubsetQuery};
 //! use rand::SeedableRng;
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -69,16 +71,15 @@
 //! let store = ReleaseStore::new();
 //! store.insert(IndexedRelease::new(artifact)?)?;
 //! let service = AnswerService::new(store);
-//! let query = SubsetQuery { side: Side::Left, nodes: vec![0, 1, 2] };
-//! let coarse = service.answer("dblp", 1, Privilege::new(2), 2, &query)?;
-//! assert!(coarse.is_finite());
-//! // Typed variants ride the same privilege-gated path.
+//! let query = ServeQuery::SubsetCount(SubsetQuery { side: Side::Left, nodes: vec![0, 1, 2] });
+//! let coarse = service.answer_typed("dblp", 1, Privilege::new(2), 2, &query)?;
+//! assert!(coarse.scalar().unwrap().is_finite());
+//! // Every variant rides the same privilege-gated path.
 //! let total = service.answer_typed(
-//!     "dblp", 1, Privilege::new(2), 2,
-//!     &gdp_serve::Query::SideTotal { side: Side::Left })?;
+//!     "dblp", 1, Privilege::new(2), 2, &ServeQuery::SideTotal { side: Side::Left })?;
 //! assert!(total.scalar().unwrap().is_finite());
 //! // The same reader may NOT touch a finer level than their clearance.
-//! assert!(service.answer("dblp", 1, Privilege::new(2), 0, &query).is_err());
+//! assert!(service.answer_typed("dblp", 1, Privilege::new(2), 0, &query).is_err());
 //! # Ok(())
 //! # }
 //! ```
@@ -101,7 +102,7 @@ pub use index::IndexedRelease;
 pub use lifecycle::{FileOutcome, GcEviction, GcReport, OpenReport, RetentionPolicy};
 pub use query::{Query, SubsetQuery, TypedAnswer};
 pub use service::{AnswerService, CacheStats};
-pub use store::{ReleaseStore, ShardedStoreHandle};
+pub use store::ReleaseStore;
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, ServeError>;

@@ -4,13 +4,11 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use rayon::prelude::*;
-
 use gdp_core::Privilege;
 
 use crate::error::ServeError;
-use crate::query::{Query, SubsetQuery, TypedAnswer};
-use crate::store::ShardedStoreHandle;
+use crate::query::{Query, TypedAnswer};
+use crate::store::ReleaseStore;
 use crate::Result;
 
 /// Memoization counters, for observability and tests.
@@ -172,9 +170,8 @@ impl ClockCache {
     }
 }
 
-/// Answers typed queries from a sharded release store under the
-/// paper's graded-privilege model — the serving path a heavy-traffic
-/// deployment runs.
+/// Answers typed queries from a release store under the paper's
+/// graded-privilege model — the path `gdp answer` and `gdp serve` run.
 ///
 /// Three properties define the service:
 ///
@@ -184,14 +181,13 @@ impl ClockCache {
 ///   can answer from levels `p..` and nothing finer — for every
 ///   [`Query`] variant alike — exactly the paper's `I_{L,i}`-per-
 ///   audience mapping.
-/// * **Batched workloads fan out over rayon, readers over threads.**
-///   Answering is RNG-free pure post-processing, so batch output is
-///   identical to a sequential loop at any thread count (the
-///   degenerate case of the `docs/determinism.md` convention: no
-///   per-task randomness at all). [`AnswerService::answer`] takes
-///   `&self`, and the store behind it is sharded with one `RwLock` per
-///   shard, so any number of OS threads answer concurrently while a
-///   republisher inserts next week's artifact.
+/// * **A batch is a plain loop; concurrency comes from the callers.**
+///   Answering is RNG-free pure post-processing, and
+///   [`AnswerService::answer_typed_batch`] answers its queries in input
+///   order on the calling thread. Every method takes `&self` and the
+///   store behind it is one `RwLock`ed map, so a server's worker
+///   threads answer concurrently while a republisher inserts next
+///   week's artifact.
 /// * **Repeated queries are memoized, under a hard memory bound.**
 ///   Post-processing invariance means re-answering a released value
 ///   costs no privacy budget, so caching is always *sound*; memory is
@@ -206,7 +202,7 @@ impl ClockCache {
 ///   one copy of the bins.
 #[derive(Debug)]
 pub struct AnswerService {
-    store: ShardedStoreHandle,
+    store: Arc<ReleaseStore>,
     cache: Mutex<ClockCache>,
     hits: AtomicU64,
     misses: AtomicU64,
@@ -219,17 +215,17 @@ impl AnswerService {
     /// memory on workloads of mostly-unique queries.
     pub const CACHE_CAPACITY: usize = 1 << 20;
 
-    /// Wraps a store (or an existing [`ShardedStoreHandle`] — services
-    /// sharing a handle share one registry) with an empty memo table of
-    /// the default [`AnswerService::CACHE_CAPACITY`].
-    pub fn new(store: impl Into<ShardedStoreHandle>) -> Self {
+    /// Wraps a store (or an `Arc<ReleaseStore>` — services sharing one
+    /// `Arc` share one registry) with an empty memo table of the
+    /// default [`AnswerService::CACHE_CAPACITY`].
+    pub fn new(store: impl Into<Arc<ReleaseStore>>) -> Self {
         Self::with_cache_capacity(store, Self::CACHE_CAPACITY)
     }
 
     /// Like [`AnswerService::new`] with an explicit memo-table bound.
     /// A capacity of `0` disables memoization entirely (every request
     /// recomputes; still correct).
-    pub fn with_cache_capacity(store: impl Into<ShardedStoreHandle>, capacity: usize) -> Self {
+    pub fn with_cache_capacity(store: impl Into<Arc<ReleaseStore>>, capacity: usize) -> Self {
         Self {
             store: store.into(),
             cache: Mutex::new(ClockCache::new(capacity)),
@@ -246,9 +242,8 @@ impl AnswerService {
         self.cache.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// The underlying store handle (clone it to share the registry with
-    /// other services or writer threads).
-    pub fn store(&self) -> &ShardedStoreHandle {
+    /// The underlying store.
+    pub fn store(&self) -> &ReleaseStore {
         &self.store
     }
 
@@ -329,14 +324,16 @@ impl AnswerService {
     }
 
     /// Answers a batch of typed queries against one
-    /// `(dataset, epoch, level)` under one privilege, fanning out over
-    /// rayon. The privilege is checked once up front so a denied
-    /// workload is refused as a whole, before any answer is computed.
+    /// `(dataset, epoch, level)` under one privilege, in input order on
+    /// the calling thread. The privilege is checked once up front so a
+    /// denied workload is refused as a whole, before any answer is
+    /// computed.
     ///
     /// # Errors
     ///
     /// Same as [`AnswerService::answer_typed`]; for malformed queries,
-    /// which failing query's error surfaces is unspecified.
+    /// the error of the first failing query in input order (the queries
+    /// after it are not answered).
     pub fn answer_typed_batch(
         &self,
         dataset: &str,
@@ -347,67 +344,8 @@ impl AnswerService {
     ) -> Result<Vec<TypedAnswer>> {
         let indexed = self.gated(dataset, epoch, privilege, level)?;
         queries
-            .par_iter()
+            .iter()
             .map(|query| self.answer_resolved(&indexed, dataset, epoch, level, query.clone()))
-            .collect()
-    }
-
-    /// Answers one subset-count query — the scalar shorthand for
-    /// [`AnswerService::answer_typed`] with
-    /// [`Query::SubsetCount`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnswerService::answer_typed`].
-    pub fn answer(
-        &self,
-        dataset: &str,
-        epoch: u64,
-        privilege: Privilege,
-        level: usize,
-        query: &SubsetQuery,
-    ) -> Result<f64> {
-        let indexed = self.gated(dataset, epoch, privilege, level)?;
-        let answer = self.answer_resolved(
-            &indexed,
-            dataset,
-            epoch,
-            level,
-            Query::SubsetCount(query.clone()),
-        )?;
-        expect_scalar(answer)
-    }
-
-    /// Answers a batch of subset-count queries against one
-    /// `(dataset, epoch, level)` under one privilege, fanning out over
-    /// rayon. The privilege is checked once up front so a denied
-    /// workload is refused as a whole, before any answer is computed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnswerService::answer`]; for malformed subsets, which
-    /// failing query's error surfaces is unspecified.
-    pub fn answer_batch(
-        &self,
-        dataset: &str,
-        epoch: u64,
-        privilege: Privilege,
-        level: usize,
-        queries: &[SubsetQuery],
-    ) -> Result<Vec<f64>> {
-        let indexed = self.gated(dataset, epoch, privilege, level)?;
-        queries
-            .par_iter()
-            .map(|query| {
-                self.answer_resolved(
-                    &indexed,
-                    dataset,
-                    epoch,
-                    level,
-                    Query::SubsetCount(query.clone()),
-                )
-                .and_then(expect_scalar)
-            })
             .collect()
     }
 
@@ -459,19 +397,10 @@ impl AnswerService {
     }
 }
 
-/// A subset count is a scalar by construction; anything else is a
-/// serving-layer bug, reported as a typed error instead of a panic so
-/// it can never kill a worker thread.
-fn expect_scalar(answer: TypedAnswer) -> Result<f64> {
-    answer
-        .scalar()
-        .ok_or_else(|| ServeError::Internal("a subset count resolved to a non-scalar answer".to_string()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{IndexedRelease, ReleaseStore};
+    use crate::{IndexedRelease, SubsetQuery};
     use gdp_core::{
         CoreError, DisclosureConfig, MultiLevelDiscloser, Query as CoreQuery,
         ReleaseArtifact, SpecializationConfig, Specializer,
@@ -556,17 +485,17 @@ mod tests {
     #[test]
     fn unknown_keys_and_levels_are_typed() {
         let service = service();
-        let q = query(&[0]);
+        let q = Query::SubsetCount(query(&[0]));
         assert!(matches!(
-            service.answer("dblp", 99, Privilege::full(), 0, &q).unwrap_err(),
+            service.answer_typed("dblp", 99, Privilege::full(), 0, &q).unwrap_err(),
             ServeError::UnknownRelease { epoch: 99, .. }
         ));
         assert!(matches!(
-            service.answer("movies", 4, Privilege::full(), 0, &q).unwrap_err(),
+            service.answer_typed("movies", 4, Privilege::full(), 0, &q).unwrap_err(),
             ServeError::UnknownRelease { .. }
         ));
         assert!(matches!(
-            service.answer("dblp", 4, Privilege::full(), 99, &q).unwrap_err(),
+            service.answer_typed("dblp", 4, Privilege::full(), 99, &q).unwrap_err(),
             ServeError::Core(CoreError::LevelOutOfRange { level: 99, .. })
         ));
     }
@@ -574,16 +503,16 @@ mod tests {
     #[test]
     fn memoization_hits_on_repeats_without_changing_answers() {
         let service = service();
-        let q = query(&[3, 1, 7]);
-        let first = service.answer("dblp", 4, Privilege::full(), 1, &q).unwrap();
-        let again = service.answer("dblp", 4, Privilege::full(), 1, &q).unwrap();
-        assert_eq!(first.to_bits(), again.to_bits());
+        let q = Query::SubsetCount(query(&[3, 1, 7]));
+        let first = service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
+        let again = service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
+        assert_eq!(first.scalar().unwrap().to_bits(), again.scalar().unwrap().to_bits());
         let stats = service.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         // A different level is a different memo entry.
-        service.answer("dblp", 4, Privilege::full(), 2, &q).unwrap();
+        service.answer_typed("dblp", 4, Privilege::full(), 2, &q).unwrap();
         assert_eq!(service.cache_stats().entries, 2);
     }
 
@@ -686,10 +615,10 @@ mod tests {
     #[test]
     fn zero_capacity_disables_memoization_but_stays_correct() {
         let service = service_with_capacity(0);
-        let q = query(&[3, 1, 7]);
-        let first = service.answer("dblp", 4, Privilege::full(), 1, &q).unwrap();
-        let again = service.answer("dblp", 4, Privilege::full(), 1, &q).unwrap();
-        assert_eq!(first.to_bits(), again.to_bits());
+        let q = Query::SubsetCount(query(&[3, 1, 7]));
+        let first = service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
+        let again = service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
+        assert_eq!(first.scalar().unwrap().to_bits(), again.scalar().unwrap().to_bits());
         let stats = service.cache_stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 2);
@@ -701,24 +630,64 @@ mod tests {
     #[test]
     fn batch_is_checked_before_answering_and_matches_singles() {
         let service = service();
-        let queries: Vec<SubsetQuery> =
-            (0..20u32).map(|k| query(&(0..=k).collect::<Vec<_>>())).collect();
+        let queries: Vec<Query> = (0..20u32)
+            .map(|k| Query::SubsetCount(query(&(0..=k).collect::<Vec<_>>())))
+            .collect();
         // Denied as a whole…
         assert!(matches!(
             service
-                .answer_batch("dblp", 4, Privilege::new(2), 0, &queries)
+                .answer_typed_batch("dblp", 4, Privilege::new(2), 0, &queries)
                 .unwrap_err(),
             ServeError::Core(CoreError::AccessDenied { .. })
         ));
         assert_eq!(service.cache_stats().misses, 0, "no answer was computed");
         // …and allowed batches equal the sequential loop.
         let batch = service
-            .answer_batch("dblp", 4, Privilege::new(2), 2, &queries)
+            .answer_typed_batch("dblp", 4, Privilege::new(2), 2, &queries)
             .unwrap();
-        for (q, &got) in queries.iter().zip(&batch) {
-            let single = service.answer("dblp", 4, Privilege::new(2), 2, q).unwrap();
-            assert_eq!(single.to_bits(), got.to_bits());
+        for (q, got) in queries.iter().zip(&batch) {
+            let single = service.answer_typed("dblp", 4, Privilege::new(2), 2, q).unwrap();
+            assert_eq!(single.scalar().unwrap().to_bits(), got.scalar().unwrap().to_bits());
         }
+    }
+
+    #[test]
+    fn batch_error_is_the_first_failing_query_in_input_order() {
+        let service = service();
+        let out_of_range_group = Query::GroupMass {
+            side: Side::Left,
+            group: 10_000,
+        };
+        let duplicate_node = Query::SubsetCount(query(&[4, 4]));
+        let batch = [
+            Query::SideTotal { side: Side::Left },
+            out_of_range_group.clone(),
+            duplicate_node.clone(),
+        ];
+        let indexed = service.store().get("dblp", 4).unwrap();
+        let is_group_error = |err: &ServeError| {
+            matches!(
+                err,
+                ServeError::Core(CoreError::GroupOutOfRange { group: 10_000, .. })
+            )
+        };
+        // Both batch entry points report the group error, the first
+        // failure in input order.
+        let err = service
+            .answer_typed_batch("dblp", 4, Privilege::full(), 1, &batch)
+            .unwrap_err();
+        assert!(is_group_error(&err), "{err:?}");
+        let err = indexed.answer_batch(1, &batch).unwrap_err();
+        assert!(is_group_error(&err), "{err:?}");
+        // Swapped, the duplicate-node subset comes first and wins.
+        let swapped = [duplicate_node, out_of_range_group];
+        let err = service
+            .answer_typed_batch("dblp", 4, Privilege::full(), 1, &swapped)
+            .unwrap_err();
+        assert!(
+            matches!(err, ServeError::Core(CoreError::DuplicateSubsetNode { node: 4, .. })),
+            "{err:?}"
+        );
     }
 
     #[test]

@@ -1,18 +1,17 @@
-//! The artifact registry a deployment keeps as it republishes — fixed
-//! shards, `RwLock` per shard, lazy indexing of scanned directories,
-//! and the durable lifecycle around it: degraded scans that quarantine
-//! damage instead of failing ([`ReleaseStore::open_dir_report`]),
-//! live re-scans that pick up and retire epochs
-//! ([`ReleaseStore::merge_dir`]), and retention GC
+//! The artifact registry a deployment keeps as it republishes — one
+//! `RwLock` over a `(dataset, epoch)` map, lazy indexing of scanned
+//! directories, and the durable lifecycle around it: degraded scans
+//! that quarantine damage instead of failing
+//! ([`ReleaseStore::open_dir_report`]), live re-scans that pick up and
+//! retire epochs ([`ReleaseStore::merge_dir`]), and retention GC
 //! ([`ReleaseStore::gc`]).
 
 use std::collections::BTreeMap;
 use std::collections::HashSet;
 use std::fs::File;
 use std::io::BufReader;
-use std::ops::Deref;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use gdp_core::artifact::ArtifactPayload;
 use gdp_core::codec;
@@ -24,22 +23,9 @@ use crate::index::IndexedRelease;
 use crate::lifecycle::{FileOutcome, GcEviction, GcReport, OpenReport, RetentionPolicy, QUARANTINE_DIR};
 use crate::Result;
 
-/// Number of fixed shards. A power of two, sized so that even a
-/// many-dataset deployment sees almost no writer/writer contention
-/// while the per-shard maps stay small enough to walk for listings.
-const SHARD_COUNT: usize = 16;
-
-/// The shard router: the workspace's one hash ([`graph_io::xxh64`])
-/// over the dataset name. (Not `std`'s `DefaultHasher`, whose keys are
-/// randomized per process: shard assignment must be a pure function of
-/// the dataset so tests and debugging tools can reason about placement.)
-fn shard_of(dataset: &str) -> usize {
-    (graph_io::xxh64(dataset.as_bytes()) % SHARD_COUNT as u64) as usize
-}
-
 /// One registered release: either still the sealed artifact a directory
 /// scan loaded (validated, not yet table-built), or the fully indexed
-/// form. Promotion happens on first access, under the shard's write
+/// form. Promotion happens on first access, under the registry's write
 /// lock.
 #[derive(Debug)]
 enum Entry {
@@ -48,34 +34,33 @@ enum Entry {
 }
 
 /// A registered release plus where it came from. `source` is the file
-/// a directory scan loaded it from (or a [`ReleaseStore::save`] wrote
-/// it to); `None` for programmatic inserts. The lifecycle operations
-/// key off it: [`ReleaseStore::merge_dir`] retires entries whose
-/// source vanished, [`ReleaseStore::gc`] deletes sources when
-/// evicting, and quarantining a source detaches it so the in-memory
-/// release keeps serving.
+/// a directory scan loaded it from; `None` for programmatic inserts.
+/// The lifecycle operations key off it: [`ReleaseStore::merge_dir`]
+/// retires entries whose source vanished, [`ReleaseStore::gc`] deletes
+/// sources when evicting, and quarantining a source detaches it so the
+/// in-memory release keeps serving.
 #[derive(Debug)]
 struct Registered {
     entry: Entry,
     source: Option<PathBuf>,
 }
 
-type Shard = BTreeMap<(String, u64), Registered>;
+type Registry = BTreeMap<(String, u64), Registered>;
 
-/// Indexed release artifacts keyed by `(dataset, epoch)`, sharded
-/// `hash(dataset) % N` with one `RwLock` per shard.
+/// Indexed release artifacts keyed by `(dataset, epoch)`, behind one
+/// `RwLock`.
 ///
 /// A deployment that republishes weekly accumulates one artifact per
 /// epoch per dataset; the store is the lookup structure the
 /// [`AnswerService`](crate::AnswerService) routes requests through.
-/// All operations take `&self`: readers of different datasets touch
-/// different shards entirely, readers of the same dataset share that
-/// shard's read lock, and a writer blocks only its own shard — the
-/// read-mostly serving path never serializes on a single registry
-/// lock. Keys are unique — published artifacts are immutable, so
-/// inserting a second artifact under an existing `(dataset, epoch)` is
-/// rejected with [`ServeError::DuplicateRelease`] instead of silently
-/// replacing answers consumers may already have seen.
+/// All operations take `&self`. A lookup holds the read lock only for
+/// the map probe and an `Arc` clone, so readers share it freely; a
+/// writer (insert, remove, a re-scan's retirements, a first-access
+/// promotion) briefly holds it exclusively. Keys are unique — published
+/// artifacts are immutable, so inserting a second artifact under an
+/// existing `(dataset, epoch)` is rejected with
+/// [`ServeError::DuplicateRelease`] instead of silently replacing
+/// answers consumers may already have seen.
 ///
 /// ```
 /// # use gdp_core::{DisclosureConfig, MultiLevelDiscloser, Query, ReleaseArtifact,
@@ -101,17 +86,9 @@ type Shard = BTreeMap<(String, u64), Registered>;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ReleaseStore {
-    shards: Vec<RwLock<Shard>>,
-}
-
-impl Default for ReleaseStore {
-    fn default() -> Self {
-        Self {
-            shards: (0..SHARD_COUNT).map(|_| RwLock::new(Shard::new())).collect(),
-        }
-    }
+    releases: RwLock<Registry>,
 }
 
 impl ReleaseStore {
@@ -120,30 +97,17 @@ impl ReleaseStore {
         Self::default()
     }
 
-    /// The fixed shard fan-out (`hash(dataset) % shard_count()`).
-    pub fn shard_count() -> usize {
-        SHARD_COUNT
-    }
-
-    fn shard(&self, dataset: &str) -> &RwLock<Shard> {
-        &self.shards[shard_of(dataset)]
-    }
-
-    // Shard guards recover from lock poisoning instead of panicking: a
-    // shard map is only ever mutated by whole-entry insert/replace, so a
+    // The guards recover from lock poisoning instead of panicking: the
+    // map is only ever mutated by whole-entry insert/replace, so a
     // thread that panicked while holding the lock cannot have left a
     // torn entry behind, and wedging every later reader would turn one
     // dead worker into a dead store.
-    fn write_shard(&self, dataset: &str) -> std::sync::RwLockWriteGuard<'_, Shard> {
-        self.shard(dataset)
-            .write()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn write(&self) -> RwLockWriteGuard<'_, Registry> {
+        self.releases.write().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn read_shard(&self, dataset: &str) -> std::sync::RwLockReadGuard<'_, Shard> {
-        self.shard(dataset)
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    fn read(&self) -> RwLockReadGuard<'_, Registry> {
+        self.releases.read().unwrap_or_else(PoisonError::into_inner)
     }
 
     fn insert_entry(
@@ -153,9 +117,9 @@ impl ReleaseStore {
         entry: Entry,
         source: Option<PathBuf>,
     ) -> Result<()> {
-        let mut shard = self.write_shard(&dataset);
+        let mut releases = self.write();
         let key = (dataset, epoch);
-        if let Some(existing) = shard.get(&key) {
+        if let Some(existing) = releases.get(&key) {
             // Name both files when the collision is on-disk — the
             // mixed-format case (same epoch as .json and .gda) is
             // indistinguishable from a deployment bug without them.
@@ -171,7 +135,7 @@ impl ReleaseStore {
                 paths,
             });
         }
-        shard.insert(key, Registered { entry, source });
+        releases.insert(key, Registered { entry, source });
         Ok(())
     }
 
@@ -189,7 +153,7 @@ impl ReleaseStore {
 
     /// Registers a sealed artifact **without building its index yet** —
     /// the tables are built on first [`ReleaseStore::get`], under the
-    /// shard's write lock. This is what a directory scan uses so that
+    /// registry's write lock. This is what a directory scan uses so that
     /// opening a store of a hundred epochs pays for the one epoch a
     /// consumer actually reads.
     ///
@@ -223,9 +187,8 @@ impl ReleaseStore {
     /// [`ServeError::UnknownRelease`] when no such `(dataset, epoch)`
     /// is registered.
     pub fn remove(&self, dataset: &str, epoch: u64) -> Result<Option<PathBuf>> {
-        let mut shard = self.write_shard(dataset);
         let key = (dataset.to_string(), epoch);
-        match shard.remove(&key) {
+        match self.write().remove(&key) {
             Some(reg) => Ok(reg.source),
             None => Err(ServeError::UnknownRelease {
                 dataset: key.0,
@@ -247,8 +210,8 @@ impl ReleaseStore {
     pub fn get(&self, dataset: &str, epoch: u64) -> Result<Arc<IndexedRelease>> {
         let key = (dataset.to_string(), epoch);
         {
-            let shard = self.read_shard(dataset);
-            match shard.get(&key).map(|reg| &reg.entry) {
+            let releases = self.read();
+            match releases.get(&key).map(|reg| &reg.entry) {
                 Some(Entry::Indexed(release)) => return Ok(Arc::clone(release)),
                 Some(Entry::Sealed(_)) => {} // promote below, under the write lock
                 None => {
@@ -259,29 +222,30 @@ impl ReleaseStore {
                 }
             }
         }
-        let mut shard = self.write_shard(dataset);
+        let mut releases = self.write();
         // Re-check under the write lock: another reader may have
         // promoted the entry while we waited.
-        match shard.get(&key).map(|reg| &reg.entry) {
+        match releases.get(&key).map(|reg| &reg.entry) {
             Some(Entry::Indexed(release)) => Ok(Arc::clone(release)),
             Some(Entry::Sealed(_)) => {
                 // Take the artifact out so promotion never clones it;
                 // a failed build hands it back, so the sealed entry
                 // stays registered and the error is repeatable. The
-                // build runs under the shard write lock — promotion
-                // happens at most once per artifact, so the one-time
-                // stall buys every later reader a lock-free Arc clone.
+                // build runs under the write lock, so it briefly blocks
+                // readers of every dataset — promotion happens at most
+                // once per artifact, and the one-time stall buys every
+                // later reader a plain Arc clone.
                 let Some(Registered {
                     entry: Entry::Sealed(artifact),
                     source,
-                }) = shard.remove(&key)
+                }) = releases.remove(&key)
                 else {
                     unreachable!("entry matched Sealed under the same lock");
                 };
                 match IndexedRelease::promote(*artifact) {
                     Ok(indexed) => {
                         let indexed = Arc::new(indexed);
-                        shard.insert(
+                        releases.insert(
                             key,
                             Registered {
                                 entry: Entry::Indexed(Arc::clone(&indexed)),
@@ -291,7 +255,7 @@ impl ReleaseStore {
                         Ok(indexed)
                     }
                     Err((err, artifact)) => {
-                        shard.insert(
+                        releases.insert(
                             key,
                             Registered {
                                 entry: Entry::Sealed(Box::new(artifact)),
@@ -324,7 +288,7 @@ impl ReleaseStore {
 
     /// Every epoch registered for a dataset, ascending.
     pub fn epochs(&self, dataset: &str) -> Vec<u64> {
-        self.read_shard(dataset)
+        self.read()
             .range((dataset.to_string(), 0)..=(dataset.to_string(), u64::MAX))
             .map(|((_, epoch), _)| *epoch)
             .collect()
@@ -332,27 +296,16 @@ impl ReleaseStore {
 
     /// Every dataset with at least one artifact, ascending, deduped.
     pub fn datasets(&self) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            out.extend(shard.keys().map(|(dataset, _)| dataset.clone()));
-        }
-        out.sort_unstable();
+        // Keys iterate in (dataset, epoch) order, so equal datasets are
+        // adjacent and `dedup` is enough.
+        let mut out: Vec<String> = self.read().keys().map(|(dataset, _)| dataset.clone()).collect();
         out.dedup();
         out
     }
 
     /// Number of registered artifacts.
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|shard| {
-                shard
-                    .read()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner)
-                    .len()
-            })
-            .sum()
+        self.read().len()
     }
 
     /// Whether the store holds no artifacts.
@@ -593,12 +546,9 @@ impl ReleaseStore {
     /// file was quarantined): the release keeps serving from memory
     /// and is no longer subject to retire-on-missing-file.
     fn detach_source(&self, path: &Path) {
-        for shard in &self.shards {
-            let mut shard = shard.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for reg in shard.values_mut() {
-                if reg.source.as_deref() == Some(path) {
-                    reg.source = None;
-                }
+        for reg in self.write().values_mut() {
+            if reg.source.as_deref() == Some(path) {
+                reg.source = None;
             }
         }
     }
@@ -606,18 +556,13 @@ impl ReleaseStore {
     /// Every registered `(dataset, epoch, source)` whose source file
     /// lives directly in `dir`.
     fn sources_under(&self, dir: &Path) -> Vec<(String, u64, PathBuf)> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            for ((dataset, epoch), reg) in shard.iter() {
-                if let Some(source) = &reg.source {
-                    if source.parent() == Some(dir) {
-                        out.push((dataset.clone(), *epoch, source.clone()));
-                    }
-                }
-            }
-        }
-        out
+        self.read()
+            .iter()
+            .filter_map(|((dataset, epoch), reg)| {
+                let source = reg.source.as_ref()?;
+                (source.parent() == Some(dir)).then(|| (dataset.clone(), *epoch, source.clone()))
+            })
+            .collect()
     }
 
     /// Applies a [`RetentionPolicy`] to every dataset (or just
@@ -656,52 +601,6 @@ impl ReleaseStore {
             }
         }
         GcReport { evictions }
-    }
-
-    /// Writes every registered release into `dir` under its canonical
-    /// file name via the crash-safe atomic discipline
-    /// ([`ReleaseArtifact::save_atomic`]), creating `dir` as needed,
-    /// and records each file as the release's backing source (so a
-    /// later [`ReleaseStore::gc`] can delete it). Existing files are
-    /// atomically overwritten — artifacts are immutable, so a
-    /// same-keyed file can only be the same content or damage, and
-    /// either way the fresh bytes win. Returns the written paths in
-    /// `(dataset, epoch)` order.
-    ///
-    /// # Errors
-    ///
-    /// [`ServeError::Core`] (`GraphError::Io`/`Json`) on the first
-    /// failed write; earlier files remain (each was already durable).
-    pub fn save(&self, dir: impl AsRef<Path>) -> Result<Vec<PathBuf>> {
-        let dir = dir.as_ref();
-        std::fs::create_dir_all(dir).map_err(gdp_graph::GraphError::from)?;
-        let mut keys: Vec<(String, u64)> = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.read().unwrap_or_else(std::sync::PoisonError::into_inner);
-            keys.extend(shard.keys().cloned());
-        }
-        keys.sort();
-        let mut written = Vec::with_capacity(keys.len());
-        for (dataset, epoch) in keys {
-            // Clone the artifact out under the read lock, write outside
-            // any lock, then record the source under the write lock.
-            let artifact = {
-                let shard = self.read_shard(&dataset);
-                match shard.get(&(dataset.clone(), epoch)).map(|reg| &reg.entry) {
-                    Some(Entry::Sealed(a)) => (**a).clone(),
-                    Some(Entry::Indexed(i)) => i.artifact().clone(),
-                    None => continue, // removed mid-save
-                }
-            };
-            let path = dir.join(ReleaseArtifact::canonical_file_name(&dataset, epoch));
-            artifact.save_atomic(&path).map_err(ServeError::Core)?;
-            let mut shard = self.write_shard(&dataset);
-            if let Some(reg) = shard.get_mut(&(dataset.clone(), epoch)) {
-                reg.source = Some(path.clone());
-            }
-            written.push(path);
-        }
-        Ok(written)
     }
 }
 
@@ -772,45 +671,6 @@ fn parse_artifact(path: &Path) -> Result<ReleaseArtifact> {
             }
             ReleaseArtifact::try_from(payload).map_err(ServeError::Core)
         }
-    }
-}
-
-/// A cloneable, thread-shareable handle to a [`ReleaseStore`] — the
-/// read-mostly form the serving path holds.
-///
-/// The store itself already takes `&self` everywhere; the handle adds
-/// shared ownership (`Arc`) so any number of
-/// [`AnswerService`](crate::AnswerService)s, reader threads and
-/// background republishers can hold the *same* registry: a writer
-/// inserting next week's artifact is visible to every reader at the
-/// next lookup, without any reader holding more than a shard read
-/// lock. Derefs to [`ReleaseStore`], so every store method is available
-/// on the handle.
-#[derive(Debug, Clone, Default)]
-pub struct ShardedStoreHandle {
-    inner: Arc<ReleaseStore>,
-}
-
-impl ShardedStoreHandle {
-    /// Wraps a store for shared ownership.
-    pub fn new(store: ReleaseStore) -> Self {
-        Self {
-            inner: Arc::new(store),
-        }
-    }
-}
-
-impl Deref for ShardedStoreHandle {
-    type Target = ReleaseStore;
-
-    fn deref(&self) -> &ReleaseStore {
-        &self.inner
-    }
-}
-
-impl From<ReleaseStore> for ShardedStoreHandle {
-    fn from(store: ReleaseStore) -> Self {
-        Self::new(store)
     }
 }
 
@@ -932,15 +792,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_routing_is_deterministic_and_in_range() {
-        for dataset in ["dblp", "pharmacy", "movies", "", "a", "weekly-2026-07"] {
-            let s = shard_of(dataset);
-            assert!(s < SHARD_COUNT);
-            assert_eq!(s, shard_of(dataset), "routing must be a pure function");
-        }
-    }
-
-    #[test]
     fn open_dir_scans_and_serves() {
         let dir = std::env::temp_dir().join(format!("gdp-store-ok-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
@@ -963,12 +814,14 @@ mod tests {
 
     #[test]
     fn handle_shares_one_registry() {
-        let handle = ShardedStoreHandle::from(ReleaseStore::new());
-        let clone = handle.clone();
-        handle.insert(indexed("dblp", 1, 1)).unwrap();
-        // The clone sees the insert: one registry, shared.
-        assert_eq!(clone.len(), 1);
-        assert!(clone.get("dblp", 1).is_ok());
-        assert_eq!(ShardedStoreHandle::default().len(), 0);
+        // Two services over one `Arc<ReleaseStore>`: an insert through
+        // the shared handle is visible to both at their next lookup.
+        let store = Arc::new(ReleaseStore::new());
+        let a = crate::AnswerService::new(Arc::clone(&store));
+        let b = crate::AnswerService::new(Arc::clone(&store));
+        store.insert(indexed("dblp", 1, 1)).unwrap();
+        assert_eq!(a.store().len(), 1);
+        assert!(b.store().get("dblp", 1).is_ok());
+        assert_eq!(ReleaseStore::default().len(), 0);
     }
 }

@@ -1,12 +1,13 @@
-//! Thread-count invariance of the batched answering path.
+//! Determinism of the batched answering path.
 //!
 //! Serving is RNG-free pure post-processing, so this is the degenerate
 //! case of the `docs/determinism.md` convention: there are no per-task
-//! seeds to discipline, and batch output must be bit-identical to the
-//! sequential loop at every thread count (the in-tree rayon stand-in
-//! re-reads `RAYON_NUM_THREADS` per call, making the count flippable
-//! mid-process). Memoization must not break this either: a cache-warm
-//! service returns the same bits as a cold one.
+//! seeds to discipline. A batch is a sequential loop in input order, so
+//! its output must not depend on the pool width the rest of the
+//! workspace reads from `RAYON_NUM_THREADS` (flipped mid-process here),
+//! nor on concurrent readers and writers of the same store.
+//! Memoization must not break this either: a cache-warm service
+//! returns the same bits as a cold one.
 
 use std::sync::Mutex;
 
@@ -83,7 +84,7 @@ fn sealed(epoch: u64, seed: u64) -> ReleaseArtifact {
     ReleaseArtifact::seal("det", epoch, hierarchy, release).unwrap()
 }
 
-fn workload(n_left: u32) -> Vec<SubsetQuery> {
+fn workload(n_left: u32) -> Vec<Query2> {
     let mut rng = StdRng::seed_from_u64(78);
     (0..200)
         .map(|_| {
@@ -94,10 +95,10 @@ fn workload(n_left: u32) -> Vec<SubsetQuery> {
                     nodes.push(node);
                 }
             }
-            SubsetQuery {
+            Query2::SubsetCount(SubsetQuery {
                 side: Side::Left,
                 nodes,
-            }
+            })
         })
         .collect()
 }
@@ -108,7 +109,7 @@ fn typed_workload(n_left: u32) -> Vec<Query2> {
         .into_iter()
         .enumerate()
         .map(|(i, subset)| match i % 4 {
-            0 => Query2::SubsetCount(subset),
+            0 => subset,
             1 => Query2::GroupMass {
                 side: Side::Left,
                 group: (i % 3) as u32,
@@ -124,13 +125,13 @@ fn batch_answers_bit_identical_across_thread_counts() {
     // The docs/determinism.md checklist thread counts: 1, 2, 8.
     let _guard = ENV_LOCK.lock().unwrap();
     let queries = workload(500);
-    let answers: Vec<Vec<f64>> = ["1", "2", "8"]
+    let answers: Vec<Vec<TypedAnswer>> = ["1", "2", "8"]
         .iter()
         .map(|threads| {
             with_thread_count(threads, || {
                 // A fresh (cache-cold) service per thread count.
                 service()
-                    .answer_batch("det", 1, Privilege::new(1), 1, &queries)
+                    .answer_typed_batch("det", 1, Privilege::new(1), 1, &queries)
                     .unwrap()
             })
         })
@@ -138,7 +139,7 @@ fn batch_answers_bit_identical_across_thread_counts() {
     for other in &answers[1..] {
         assert_eq!(answers[0].len(), other.len());
         for (x, y) in answers[0].iter().zip(other) {
-            assert_eq!(x.to_bits(), y.to_bits());
+            assert_eq!(x.scalar().unwrap().to_bits(), y.scalar().unwrap().to_bits());
         }
     }
 }
@@ -171,7 +172,8 @@ fn typed_batch_answers_bit_identical_across_thread_counts() {
 #[test]
 fn sharded_store_serves_under_concurrent_get_and_insert() {
     // Scoped readers hammer epoch 1 through the service while writers
-    // register epochs 2..6 into the *same* sharded store mid-flight.
+    // register epochs 2..6 into the *same* store mid-flight, under its
+    // one registry lock.
     // Readers must never see torn state: every answer of the fixed
     // workload is bit-identical to the single-threaded answer, and
     // after the join every inserted epoch is present and answerable.
@@ -179,7 +181,7 @@ fn sharded_store_serves_under_concurrent_get_and_insert() {
     let service = service();
     let queries = workload(500);
     let expected = service
-        .answer_batch("det", 1, Privilege::new(1), 1, &queries)
+        .answer_typed_batch("det", 1, Privilege::new(1), 1, &queries)
         .unwrap();
     let writer_epochs: Vec<u64> = (2..6).collect();
     std::thread::scope(|scope| {
@@ -188,12 +190,12 @@ fn sharded_store_serves_under_concurrent_get_and_insert() {
             scope.spawn(move || {
                 for round in 0..5 {
                     let got = service
-                        .answer_batch("det", 1, Privilege::new(1), 1, queries)
+                        .answer_typed_batch("det", 1, Privilege::new(1), 1, queries)
                         .unwrap();
                     for (x, y) in expected.iter().zip(&got) {
                         assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
+                            x.scalar().unwrap().to_bits(),
+                            y.scalar().unwrap().to_bits(),
                             "reader {reader} round {round} drifted"
                         );
                     }
@@ -222,11 +224,11 @@ fn sharded_store_serves_under_concurrent_get_and_insert() {
     assert_eq!(service.store().epochs("det"), vec![1, 2, 3, 4, 5]);
     assert_eq!(service.store().latest("det").unwrap().artifact().epoch(), 5);
     for epoch in writer_epochs {
-        let q = SubsetQuery {
+        let q = Query2::SubsetCount(SubsetQuery {
             side: Side::Left,
             nodes: vec![0, 1, 2],
-        };
-        assert!(service.answer("det", epoch, Privilege::full(), 1, &q).is_ok());
+        });
+        assert!(service.answer_typed("det", epoch, Privilege::full(), 1, &q).is_ok());
     }
 }
 
@@ -236,13 +238,13 @@ fn warm_cache_answers_equal_cold_answers() {
     let queries = workload(500);
     let service = service();
     let cold = service
-        .answer_batch("det", 1, Privilege::full(), 2, &queries)
+        .answer_typed_batch("det", 1, Privilege::full(), 2, &queries)
         .unwrap();
     let warm = service
-        .answer_batch("det", 1, Privilege::full(), 2, &queries)
+        .answer_typed_batch("det", 1, Privilege::full(), 2, &queries)
         .unwrap();
     for (x, y) in cold.iter().zip(&warm) {
-        assert_eq!(x.to_bits(), y.to_bits());
+        assert_eq!(x.scalar().unwrap().to_bits(), y.scalar().unwrap().to_bits());
     }
     let stats = service.cache_stats();
     assert!(stats.hits >= queries.len() as u64, "stats {stats:?}");

@@ -375,31 +375,6 @@ fn gc_honors_dataset_filter_and_memory_only_entries() {
 }
 
 #[test]
-fn save_writes_canonical_atomic_files_that_gc_can_reclaim() {
-    let dir = fresh_dir("save");
-    let store = ReleaseStore::new();
-    store.insert_sealed(artifact("d", 1, 91)).unwrap();
-    store.insert_sealed(artifact("d", 2, 92)).unwrap();
-    let written = store.save(&dir).unwrap();
-    assert_eq!(
-        written,
-        vec![
-            dir.join("d-e1.json"),
-            dir.join("d-e2.json"),
-        ]
-    );
-    let (back, report) = ReleaseStore::open_dir_report(&dir).unwrap();
-    assert_eq!(report.loaded(), 2);
-    assert_eq!(back.epochs("d"), vec![1, 2]);
-    // save recorded the sources, so gc can delete the files it wrote.
-    let gc = store.gc(&RetentionPolicy::keep_last(1), None);
-    assert_eq!(gc.evicted(), 1);
-    assert!(!dir.join("d-e1.json").exists());
-    assert!(dir.join("d-e2.json").exists());
-    fs::remove_dir_all(&dir).unwrap();
-}
-
-#[test]
 fn quarantine_preserves_colliding_names() {
     let dir = fresh_dir("quarantine-collide");
     fs::write(dir.join("d-e1.json"), "{torn").unwrap();

@@ -15,7 +15,10 @@ use gdp_core::{
     Privilege, Query, ReleaseArtifact, SpecializationConfig, Specializer,
 };
 use gdp_graph::{BipartiteGraph, GraphBuilder, LeftId, RightId, Side};
-use gdp_serve::{AnswerService, IndexedRelease, ReleaseStore, ServeError, SubsetQuery};
+use gdp_serve::{
+    AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore, ServeError, SubsetQuery,
+    TypedAnswer,
+};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -121,25 +124,25 @@ proptest! {
         prop_assert_eq!(&artifact, &loaded);
 
         // Equal artifacts must answer identically through the service.
-        let queries: Vec<SubsetQuery> = (0..6u32)
-            .map(|k| SubsetQuery {
+        let queries: Vec<ServeQuery> = (0..6u32)
+            .map(|k| ServeQuery::SubsetCount(SubsetQuery {
                 side: Side::Left,
                 nodes: (0..=k.min(graph.left_count() - 1)).collect(),
-            })
+            }))
             .collect();
-        let serve = |a: ReleaseArtifact| -> Vec<f64> {
+        let serve = |a: ReleaseArtifact| -> Vec<TypedAnswer> {
             let store = ReleaseStore::new();
             store.insert(IndexedRelease::new(a).unwrap()).unwrap();
             let service = AnswerService::new(store);
             let level = artifact.level_count() - 1;
             service
-                .answer_batch("prop", epoch, Privilege::full(), level, &queries)
+                .answer_typed_batch("prop", epoch, Privilege::full(), level, &queries)
                 .unwrap()
         };
         let from_original = serve(artifact.clone());
         let from_loaded = serve(loaded);
         for (x, y) in from_original.iter().zip(&from_loaded) {
-            prop_assert_eq!(x.to_bits(), y.to_bits());
+            prop_assert_eq!(x.scalar().unwrap().to_bits(), y.scalar().unwrap().to_bits());
         }
     }
 
@@ -155,11 +158,11 @@ proptest! {
         let store = ReleaseStore::new();
         store.insert(IndexedRelease::new(artifact).unwrap()).unwrap();
         let service = AnswerService::new(store);
-        let query = SubsetQuery { side: Side::Left, nodes: vec![0, 1] };
+        let query = ServeQuery::SubsetCount(SubsetQuery { side: Side::Left, nodes: vec![0, 1] });
         for finest in 0..levels + 2 {
             let privilege = Privilege::new(finest);
             for level in 0..levels {
-                let got = service.answer("prop", 1, privilege, level, &query);
+                let got = service.answer_typed("prop", 1, privilege, level, &query);
                 if level < finest {
                     prop_assert!(
                         matches!(

@@ -84,17 +84,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     store.insert(IndexedRelease::new(loaded)?)?;
     let service = AnswerService::new(store);
 
-    let query = SubsetQuery {
+    let query = TypedQuery::SubsetCount(SubsetQuery {
         side: Side::Left,
         nodes: vec![0, 1, 2, 3],
-    };
+    });
     println!("subset {{authors 0–3}} (true incident count {truth}):");
     println!("privilege  answered_level  estimate   |error|");
     for privilege in [Privilege::full(), Privilege::new(3), Privilege::new(6)] {
         let level = service
             .finest_allowed("dblp-weekly", 1, privilege)?
             .expect("privilege maps to a level");
-        let estimate = service.answer("dblp-weekly", 1, privilege, level, &query)?;
+        let estimate = service
+            .answer_typed("dblp-weekly", 1, privilege, level, &query)?
+            .scalar()
+            .unwrap();
         println!(
             "{:>9}  {:>14}  {:>8.1}  {:>8.1}",
             privilege.finest_level(),
@@ -146,14 +149,14 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Enforcement: a privilege-3 reader asking for the individual level
     // is refused before any value is touched.
-    let denied = service.answer("dblp-weekly", 1, Privilege::new(3), 0, &query);
+    let denied = service.answer_typed("dblp-weekly", 1, Privilege::new(3), 0, &query);
     println!("\nprivilege 3 requesting level 0: {}", denied.unwrap_err());
 
     // Post-processing is budget-free, so the service memoizes: replay
     // the whole workload and watch the cache absorb it.
     for privilege in [Privilege::full(), Privilege::new(3), Privilege::new(6)] {
         let level = service.finest_allowed("dblp-weekly", 1, privilege)?.unwrap();
-        service.answer("dblp-weekly", 1, privilege, level, &query)?;
+        service.answer_typed("dblp-weekly", 1, privilege, level, &query)?;
     }
     let stats = service.cache_stats();
     println!(

@@ -65,7 +65,7 @@ fn gated_release_round_trips() {
 fn sealed_artifact_round_trips_and_stays_answerable() {
     use group_dp::core::{Privilege, ReleaseArtifact};
     use group_dp::graph::Side;
-    use group_dp::serve::{AnswerService, IndexedRelease, ReleaseStore, SubsetQuery};
+    use group_dp::serve::{AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore, SubsetQuery};
 
     let (_, hierarchy, release) = setup();
     let artifact = ReleaseArtifact::seal("dblp", 7, hierarchy, release).unwrap();
@@ -78,16 +78,18 @@ fn sealed_artifact_round_trips_and_stays_answerable() {
         let store = ReleaseStore::new();
         store.insert(IndexedRelease::new(a).unwrap()).unwrap();
         AnswerService::new(store)
-            .answer(
+            .answer_typed(
                 "dblp",
                 7,
                 Privilege::full(),
                 0,
-                &SubsetQuery {
+                &ServeQuery::SubsetCount(SubsetQuery {
                     side: Side::Left,
                     nodes: vec![0, 1, 2, 3],
-                },
+                }),
             )
+            .unwrap()
+            .scalar()
             .unwrap()
     };
     assert_eq!(answer_from(artifact).to_bits(), answer_from(back).to_bits());
