@@ -18,8 +18,12 @@ use gdp_core::{NoiseMechanism, SplitStrategy};
 fn main() {
     let args = CommonArgs::parse();
     // 12 binary rounds so stride-2 and stride-3 thinnings stay deep.
-    let ExperimentContext { graph, hierarchy } =
-        build_context(args.dblp_config(), 12, SplitStrategy::Exponential, args.seed);
+    let ExperimentContext { graph, hierarchy } = build_context(
+        args.dblp_config(),
+        12,
+        SplitStrategy::Exponential,
+        args.seed,
+    );
 
     let mut table = Table::new([
         "fanout", "levels", "sens_L1", "sens_L2", "sens_L3", "rer_L1", "rer_L2", "rer_L3",

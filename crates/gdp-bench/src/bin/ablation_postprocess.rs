@@ -46,8 +46,7 @@ fn main() {
                 .total_associations()
                 .expect("count released");
             rer_single += relative_error(single, truth);
-            let (fused, _) =
-                fuse_total_estimates(&release, &accessible).expect("fusion succeeds");
+            let (fused, _) = fuse_total_estimates(&release, &accessible).expect("fusion succeeds");
             rer_fused += relative_error(fused, truth);
         }
         let t = args.trials as f64;

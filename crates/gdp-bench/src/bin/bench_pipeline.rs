@@ -105,16 +105,14 @@ use gdp_core::postprocess::{clamp_non_negative, fuse_total_estimates};
 use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
 use gdp_core::{
     ArtifactFormat, DisclosureConfig, GroupHierarchy, HierarchyStats, MultiLevelDiscloser,
-    MultiLevelRelease, Privilege, Query, ReleaseArtifact, SpecializationConfig,
-    Specializer,
+    MultiLevelRelease, Privilege, Query, ReleaseArtifact, SpecializationConfig, Specializer,
 };
 use gdp_datagen::engine::GraphModel;
 use gdp_datagen::models;
 use gdp_datagen::zipf::ZipfSampler;
 use gdp_graph::{PairCounts, Side};
 use gdp_serve::{
-    AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore, SubsetQuery,
-    TypedAnswer,
+    AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore, SubsetQuery, TypedAnswer,
 };
 
 #[derive(Debug, Serialize)]
@@ -366,15 +364,16 @@ fn scorer_comparison(seed: u64, reps: usize) -> ScorerComparison {
     let mut block: Vec<u32> = (0..graph.left_count()).collect();
     block.sort_unstable_by_key(|&n| (degrees[n as usize], n));
     let available = block.len() - 1;
-    let candidates: Vec<usize> = (1..=64usize).map(|i| 1 + (i - 1) * available / 64).collect();
+    let candidates: Vec<usize> = (1..=64usize)
+        .map(|i| 1 + (i - 1) * available / 64)
+        .collect();
 
     // The naive scorer is O(candidates × members); a handful of reps is
     // plenty. The prefix scorer is microseconds, so rep it harder.
     let (naive_ms, naive_scores) =
         time_best_of(reps, || cut_utilities_naive(&block, &degrees, &candidates));
-    let (prefix_once_ms, prefix_scores) = time_best_of(reps * 20, || {
-        cut_utilities(&block, &degrees, &candidates)
-    });
+    let (prefix_once_ms, prefix_scores) =
+        time_best_of(reps * 20, || cut_utilities(&block, &degrees, &candidates));
     assert_eq!(naive_scores, prefix_scores, "scorers must agree bitwise");
     ScorerComparison {
         edges: graph.edge_count(),
@@ -393,11 +392,9 @@ fn pair_counts_comparison(edges: usize, seed: u64, reps: usize) -> PairCountsCom
     let side = ((edges as f64).sqrt() * 6.3) as u32;
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = models::erdos_renyi(&mut rng, side, side, edges);
-    let hierarchy = Specializer::new(
-        SpecializationConfig::paper_default(8).expect("rounds > 0"),
-    )
-    .specialize(&graph, &mut StdRng::seed_from_u64(seed ^ 1))
-    .expect("specialize succeeds");
+    let hierarchy = Specializer::new(SpecializationConfig::paper_default(8).expect("rounds > 0"))
+        .specialize(&graph, &mut StdRng::seed_from_u64(seed ^ 1))
+        .expect("specialize succeeds");
 
     let (rescan_ms, per_level) = time_best_of(reps, || {
         hierarchy
@@ -432,14 +429,11 @@ fn delta_disclose_comparison(edges: usize, seed: u64, reps: usize) -> DeltaDiscl
     let side = ((edges as f64).sqrt() * 6.3) as u32;
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = models::erdos_renyi(&mut rng, side, side, edges);
-    let hierarchy = Specializer::new(
-        SpecializationConfig::paper_default(8).expect("rounds > 0"),
-    )
-    .specialize(&graph, &mut StdRng::seed_from_u64(seed ^ 1))
-    .expect("specialize succeeds");
+    let hierarchy = Specializer::new(SpecializationConfig::paper_default(8).expect("rounds > 0"))
+        .specialize(&graph, &mut StdRng::seed_from_u64(seed ^ 1))
+        .expect("specialize succeeds");
     // The epoch-N stats a session would be holding when the delta lands.
-    let base_stats =
-        HierarchyStats::compute(&graph, &hierarchy).expect("stats compute succeeds");
+    let base_stats = HierarchyStats::compute(&graph, &hierarchy).expect("stats compute succeeds");
     let discloser = MultiLevelDiscloser::new(
         DisclosureConfig::count_only(0.5, 1e-6)
             .expect("valid budget")
@@ -480,16 +474,28 @@ fn delta_disclose_comparison(edges: usize, seed: u64, reps: usize) -> DeltaDiscl
         let stats = HierarchyStats::compute(&g2, &hierarchy).expect("stats compute succeeds");
         let hist = DegreeHistogram::from_degrees(&g2.left_degrees());
         discloser
-            .disclose_from_stats(&hierarchy, &stats, &hist, &mut StdRng::seed_from_u64(seed ^ 2))
+            .disclose_from_stats(
+                &hierarchy,
+                &stats,
+                &hist,
+                &mut StdRng::seed_from_u64(seed ^ 2),
+            )
             .expect("disclose succeeds")
     };
     // Incremental arm: roll the delta's aggregated cell changes through
     // the cached stats' dirty rows only, then disclose.
     let delta_arm = |stats: &mut HierarchyStats| {
-        stats.apply_delta(&hierarchy, &delta).expect("stats delta applies");
+        stats
+            .apply_delta(&hierarchy, &delta)
+            .expect("stats delta applies");
         let hist = DegreeHistogram::from_degrees(&g2.left_degrees());
         discloser
-            .disclose_from_stats(&hierarchy, stats, &hist, &mut StdRng::seed_from_u64(seed ^ 2))
+            .disclose_from_stats(
+                &hierarchy,
+                stats,
+                &hist,
+                &mut StdRng::seed_from_u64(seed ^ 2),
+            )
             .expect("disclose succeeds")
     };
     // The arms run in turn, rep by rep, so a slow stretch of a shared
@@ -514,7 +520,9 @@ fn delta_disclose_comparison(edges: usize, seed: u64, reps: usize) -> DeltaDiscl
             full_release, delta_release,
             "delta-updated disclosure must be bit-identical to full recompute"
         );
-        stats.apply_delta(&hierarchy, &undo).expect("inverse delta applies");
+        stats
+            .apply_delta(&hierarchy, &undo)
+            .expect("inverse delta applies");
         if rep > 0 {
             full_recompute_ms = full_recompute_ms.min(full_ms);
             delta_update_ms = delta_update_ms.min(delta_ms);
@@ -625,11 +633,9 @@ fn zipf_sampler_comparison(seed: u64, reps: usize) -> ZipfSamplerComparison {
 /// total + per-group counts + left degree histogram), sealed — the
 /// fixture of the `artifact_io_1m` and `seal_1m` entries.
 fn sealed_artifact(graph: &gdp_graph::BipartiteGraph, seed: u64) -> ReleaseArtifact {
-    let hierarchy = Specializer::new(
-        SpecializationConfig::paper_default(8).expect("rounds > 0"),
-    )
-    .specialize(graph, &mut StdRng::seed_from_u64(seed ^ 1))
-    .expect("specialize succeeds");
+    let hierarchy = Specializer::new(SpecializationConfig::paper_default(8).expect("rounds > 0"))
+        .specialize(graph, &mut StdRng::seed_from_u64(seed ^ 1))
+        .expect("specialize succeeds");
     let release = MultiLevelDiscloser::new(
         DisclosureConfig::count_only(0.5, 1e-6)
             .expect("valid budget")
@@ -841,12 +847,7 @@ fn edge_list_comparison(graph: &gdp_graph::BipartiteGraph, reps: usize) -> EdgeL
 
 /// Random subsets of `size` **distinct** left nodes (the answering
 /// paths reject duplicates with a typed error).
-fn distinct_subsets(
-    rng: &mut StdRng,
-    n_left: u32,
-    count: usize,
-    size: usize,
-) -> Vec<Vec<u32>> {
+fn distinct_subsets(rng: &mut StdRng, n_left: u32, count: usize, size: usize) -> Vec<Vec<u32>> {
     (0..count)
         .map(|_| {
             let mut nodes = Vec::with_capacity(size);
@@ -913,7 +914,9 @@ fn answer_qps_at(
         .expect("artifact seals");
     let indexed = IndexedRelease::new(artifact.clone()).expect("artifact indexes");
     let (indexed_ms, served) = time_best_of(reps, || {
-        indexed.answer_batch(level, &queries).expect("batch answers")
+        indexed
+            .answer_batch(level, &queries)
+            .expect("batch answers")
     });
     for (a, b) in baseline.iter().zip(&served) {
         assert_eq!(
@@ -1031,7 +1034,9 @@ fn typed_qps_entries(
                     .collect::<Vec<TypedAnswer>>()
             });
             let (indexed_ms, served) = time_best_of(reps, || {
-                indexed.answer_batch(level, &queries).expect("batch answers")
+                indexed
+                    .answer_batch(level, &queries)
+                    .expect("batch answers")
             });
             assert_eq!(
                 baseline, served,
@@ -1131,7 +1136,10 @@ fn reader_throughput_at(
                 })
             })
             .collect();
-        handles.into_iter().map(|h| h.join().expect("reader joins")).collect()
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("reader joins"))
+            .collect()
     });
     let concurrent_ms = t.elapsed().as_secs_f64() * 1e3;
     for (a, b) in single.iter().flatten().zip(concurrent.iter().flatten()) {
@@ -1156,7 +1164,11 @@ fn pipeline_at(
     edges: usize,
     seed: u64,
     reps: usize,
-) -> (PhaseTimings, Vec<AnswerQpsComparison>, Option<ReaderThroughput>) {
+) -> (
+    PhaseTimings,
+    Vec<AnswerQpsComparison>,
+    Option<ReaderThroughput>,
+) {
     // Side sizes scale with the edge count: density stays ~constant.
     let side = ((edges as f64).sqrt() * 6.3) as u32;
     let rounds = 8u32;
@@ -1174,7 +1186,8 @@ fn pipeline_at(
     let spec = Specializer::new(SpecializationConfig::paper_default(rounds).expect("rounds > 0"));
     let (specialize_ms, hierarchy) = time_best_of(reps, || {
         let mut rng = StdRng::seed_from_u64(seed ^ 1);
-        spec.specialize(&graph, &mut rng).expect("specialize succeeds")
+        spec.specialize(&graph, &mut rng)
+            .expect("specialize succeeds")
     });
 
     let discloser = MultiLevelDiscloser::new(
@@ -1220,19 +1233,16 @@ fn pipeline_at(
     let (answering_ms, answers) = time_best_of(reps, || {
         subsets
             .iter()
-            .map(|nodes| estimator.estimate(Side::Left, nodes).expect("estimate succeeds"))
+            .map(|nodes| {
+                estimator
+                    .estimate(Side::Left, nodes)
+                    .expect("estimate succeeds")
+            })
             .collect::<Vec<f64>>()
     });
     assert_eq!(answers.len(), subsets.len());
 
-    let qps = answer_qps_at(
-        graph.edge_count(),
-        n_left,
-        &hierarchy,
-        &release,
-        seed,
-        reps,
-    );
+    let qps = answer_qps_at(graph.edge_count(), n_left, &hierarchy, &release, seed, reps);
     // The concurrent-reader entry is measured once, at the 100k scale
     // (like the CI answer-qps floor), so the report carries exactly one.
     let readers = ((90_000..=110_000).contains(&edges))
@@ -1314,11 +1324,10 @@ fn scaling_report(seed: u64, reps: usize) -> ScalingReport {
         edges: edges_1m,
     };
     let graph_1m = model_1m.generate(&mut StdRng::seed_from_u64(seed));
-    let hierarchy_1m = Specializer::new(
-        SpecializationConfig::paper_default(8).expect("rounds > 0"),
-    )
-    .specialize(&graph_1m, &mut StdRng::seed_from_u64(seed ^ 1))
-    .expect("specialize succeeds");
+    let hierarchy_1m =
+        Specializer::new(SpecializationConfig::paper_default(8).expect("rounds > 0"))
+            .specialize(&graph_1m, &mut StdRng::seed_from_u64(seed ^ 1))
+            .expect("specialize succeeds");
     let discloser = MultiLevelDiscloser::new(
         DisclosureConfig::count_only(0.5, 1e-6)
             .expect("valid budget")
@@ -1333,20 +1342,29 @@ fn scaling_report(seed: u64, reps: usize) -> ScalingReport {
         // parallel call, so re-pointing it re-sizes the phases below.
         std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
 
-        let (datagen_ms, graph) = time_best_of(reps, || {
-            model_1m.generate(&mut StdRng::seed_from_u64(seed))
-        });
+        let (datagen_ms, graph) =
+            time_best_of(reps, || model_1m.generate(&mut StdRng::seed_from_u64(seed)));
         let (disclose_ms, release) = time_best_of(reps, || {
             discloser
-                .disclose(&graph_1m, &hierarchy_1m, &mut StdRng::seed_from_u64(seed ^ 2))
+                .disclose(
+                    &graph_1m,
+                    &hierarchy_1m,
+                    &mut StdRng::seed_from_u64(seed ^ 2),
+                )
                 .expect("disclose succeeds")
         });
 
         match &pinned {
             None => pinned = Some((graph, release)),
             Some((g1, r1)) => {
-                assert_eq!(&graph, g1, "datagen must be bit-stable across thread counts");
-                assert_eq!(&release, r1, "disclosure must be bit-stable across thread counts");
+                assert_eq!(
+                    &graph, g1,
+                    "datagen must be bit-stable across thread counts"
+                );
+                assert_eq!(
+                    &release, r1,
+                    "disclosure must be bit-stable across thread counts"
+                );
             }
         }
 
@@ -1715,9 +1733,7 @@ fn main() {
                 );
                 std::process::exit(1);
             }
-            Some(ms) => eprintln!(
-                "disclose at 100k edges: {ms:.1} ms ≤ ceiling {ceiling:.1} ms"
-            ),
+            Some(ms) => eprintln!("disclose at 100k edges: {ms:.1} ms ≤ ceiling {ceiling:.1} ms"),
             None => {
                 eprintln!("FAIL: --assert-disclose-100k-under set but the 100k phase did not run");
                 std::process::exit(1);
@@ -1792,9 +1808,7 @@ fn main() {
             );
             std::process::exit(1);
         }
-        eprintln!(
-            "binary artifact load+index at 1M edges: {ms:.1} ms ≤ ceiling {ceiling:.1} ms"
-        );
+        eprintln!("binary artifact load+index at 1M edges: {ms:.1} ms ≤ ceiling {ceiling:.1} ms");
     }
 
     // Regression gate for CI: the shipping subset gather must keep

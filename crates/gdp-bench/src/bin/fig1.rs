@@ -21,10 +21,18 @@ fn main() {
     let rounds = 16;
     eprintln!(
         "fig1: generating {} graph, specializing {rounds} binary rounds...",
-        if args.paper_scale { "paper-scale" } else { "laptop-scale" }
+        if args.paper_scale {
+            "paper-scale"
+        } else {
+            "laptop-scale"
+        }
     );
-    let ExperimentContext { graph, hierarchy } =
-        build_context(args.dblp_config(), rounds, SplitStrategy::Exponential, args.seed);
+    let ExperimentContext { graph, hierarchy } = build_context(
+        args.dblp_config(),
+        rounds,
+        SplitStrategy::Exponential,
+        args.seed,
+    );
     let hierarchy = thin_hierarchy(&hierarchy, 2);
     eprintln!(
         "fig1: graph m={} edges, hierarchy {} levels; {} trials per cell",

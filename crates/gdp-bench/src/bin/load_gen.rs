@@ -196,7 +196,9 @@ fn zipf_cumulative(n: usize, exponent: f64) -> Vec<f64> {
 fn sample_rank(cumulative: &[f64], rng: &mut StdRng) -> usize {
     let total = cumulative.last().copied().unwrap_or(1.0);
     let u: f64 = rng.gen::<f64>() * total;
-    cumulative.partition_point(|&c| c < u).min(cumulative.len() - 1)
+    cumulative
+        .partition_point(|&c| c < u)
+        .min(cumulative.len() - 1)
 }
 
 /// Per-worker tally, merged after the run.
@@ -229,8 +231,7 @@ fn send_one(
     for attempt in 0..2 {
         if conn.is_none() {
             *conn = Some(
-                client::ClientConn::connect(addr, TIMEOUT)
-                    .map_err(|e| format!("connect: {e}"))?,
+                client::ClientConn::connect(addr, TIMEOUT).map_err(|e| format!("connect: {e}"))?,
             );
         }
         let result = client::with_backoff(
@@ -304,7 +305,8 @@ fn run() -> Result<(), String> {
         .map_err(|e| format!("--addr {}: {e}", args.addr))?;
 
     // The server must be healthy before we aim load at it.
-    let health = client::get(addr, "/health", TIMEOUT).map_err(|e| format!("GET /health: {e:?}"))?;
+    let health =
+        client::get(addr, "/health", TIMEOUT).map_err(|e| format!("GET /health: {e:?}"))?;
     if health.status != 200 {
         return Err(format!("GET /health answered {}", health.status));
     }
@@ -324,21 +326,29 @@ fn run() -> Result<(), String> {
     let cumulative = zipf_cumulative(universe.len(), args.zipf_exponent);
     eprintln!(
         "driving {} requests × {} workers over {} distinct keys (zipf s={}, seed {})",
-        args.requests, args.concurrency, universe.len(), args.zipf_exponent, args.seed
+        args.requests,
+        args.concurrency,
+        universe.len(),
+        args.zipf_exponent,
+        args.seed
     );
 
     let before = fetch_stats(addr)?;
     let started = Instant::now();
     let concurrency = args.concurrency.max(1);
-    let tallies: Vec<Mutex<WorkerTally>> =
-        (0..concurrency).map(|_| Mutex::new(WorkerTally::default())).collect();
+    let tallies: Vec<Mutex<WorkerTally>> = (0..concurrency)
+        .map(|_| Mutex::new(WorkerTally::default()))
+        .collect();
     std::thread::scope(|scope| {
         for (worker, tally) in tallies.iter().enumerate() {
             let universe = &universe;
             let cumulative = &cumulative;
             let requests = args.requests / concurrency as u64
                 + u64::from((worker as u64) < args.requests % concurrency as u64);
-            let seed = args.seed.wrapping_add(worker as u64).wrapping_mul(0x9e37_79b9);
+            let seed = args
+                .seed
+                .wrapping_add(worker as u64)
+                .wrapping_mul(0x9e37_79b9);
             scope.spawn(move || {
                 let mut rng = StdRng::seed_from_u64(seed);
                 let mut conn = None;
@@ -366,12 +376,16 @@ fn run() -> Result<(), String> {
                             local.variants[variant_slot(&item.query)] += 1;
                         }
                         Ok((status, _)) => {
-                            local.failures.push(format!("{} answered {status}", item.query.name()));
+                            local
+                                .failures
+                                .push(format!("{} answered {status}", item.query.name()));
                         }
                         Err(e) => local.failures.push(e),
                     }
                 }
-                *tally.lock().unwrap_or_else(std::sync::PoisonError::into_inner) = local;
+                *tally
+                    .lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = local;
             });
         }
     });
@@ -382,7 +396,9 @@ fn run() -> Result<(), String> {
     let mut failures = Vec::new();
     let mut variants = [0u64; 4];
     for tally in &tallies {
-        let tally = tally.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let tally = tally
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         latencies_us.extend_from_slice(&tally.latencies_us);
         retries_503 += tally.retries_503;
         failures.extend(tally.failures.iter().cloned());
@@ -409,7 +425,11 @@ fn run() -> Result<(), String> {
     let hits = after.cache.hits - before.cache.hits;
     let misses = after.cache.misses - before.cache.misses;
     let lookups = hits + misses;
-    let hit_rate = if lookups == 0 { 0.0 } else { hits as f64 / lookups as f64 };
+    let hit_rate = if lookups == 0 {
+        0.0
+    } else {
+        hits as f64 / lookups as f64
+    };
 
     latencies_us.sort_unstable();
     let section = ServingFrontendBench {

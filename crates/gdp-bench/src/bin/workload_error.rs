@@ -37,8 +37,7 @@ fn main() {
     let mut table = Table::new(["subset_size", "level_0", "level_2", "level_4"]);
     for &size in &subset_sizes {
         eprintln!("workload_error: subset size {size}");
-        let workload =
-            CountQueryWorkload::random_left(&mut rng, &graph, queries_per_size, size);
+        let workload = CountQueryWorkload::random_left(&mut rng, &graph, queries_per_size, size);
         let mut level_rer = vec![0f64; levels.len()];
         for _ in 0..args.trials {
             let release = discloser

@@ -112,11 +112,7 @@ pub fn run(
 /// level `I_{L,i}`.
 pub fn to_table(rows: &[Fig1Row], levels: &[usize], hierarchy_top: usize) -> Table {
     let mut header = vec!["eps_g".to_string()];
-    header.extend(
-        levels
-            .iter()
-            .map(|l| format!("I{hierarchy_top},{l}")),
-    );
+    header.extend(levels.iter().map(|l| format!("I{hierarchy_top},{l}")));
     let mut table = Table::new(header);
     for row in rows {
         let mut cells = vec![fmt_f64(row.epsilon_g)];
@@ -150,10 +146,7 @@ mod tests {
         assert_eq!(rer.len(), 4);
         // Averaged over 60 trials, coarser levels must carry clearly
         // larger error (σ grows by ~2× per level).
-        assert!(
-            rer[3] > rer[0],
-            "coarse level not noisier: {rer:?}"
-        );
+        assert!(rer[3] > rer[0], "coarse level not noisier: {rer:?}");
     }
 
     #[test]

@@ -16,8 +16,8 @@ use gdp_datagen::{DblpConfig, DblpGenerator};
 use gdp_graph::{io as graph_io, EdgeDelta, GraphStats};
 use gdp_mechanisms::PrivacyBudget;
 use gdp_serve::{
-    workload, AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore,
-    RetentionPolicy, TypedAnswer,
+    workload, AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore, RetentionPolicy,
+    TypedAnswer,
 };
 
 /// Top-level usage text.
@@ -182,7 +182,9 @@ fn streaming_model(name: &str, flags: &HashMap<String, String>) -> Result<GraphM
         "zipf" => {
             let exponent: f64 = get_num(flags, "exponent", 1.15)?;
             if !exponent.is_finite() || exponent <= 0.0 {
-                return Err(format!("--exponent must be finite and positive, got {exponent}"));
+                return Err(format!(
+                    "--exponent must be finite and positive, got {exponent}"
+                ));
             }
             Ok(GraphModel::ZipfAttachment {
                 left,
@@ -194,9 +196,7 @@ fn streaming_model(name: &str, flags: &HashMap<String, String>) -> Result<GraphM
         "blocks" => {
             let blocks = positive("blocks", get_num(flags, "blocks", 16)?)?;
             if blocks > left || blocks > right {
-                return Err(format!(
-                    "--blocks {blocks} exceeds a side ({left}×{right})"
-                ));
+                return Err(format!("--blocks {blocks} exceeds a side ({left}×{right})"));
             }
             let intra_prob: f64 = get_num(flags, "intra", 0.8)?;
             if !(0.0..=1.0).contains(&intra_prob) {
@@ -222,7 +222,15 @@ fn check_generate_flags(model: &str, flags: &HashMap<String, String>) -> Result<
     let allowed: &[&str] = match model {
         "dblp" => &["out", "model", "seed", "scale"],
         "erdos-renyi" => &["out", "model", "seed", "left", "right", "edges"],
-        "zipf" => &["out", "model", "seed", "left", "right", "per-right", "exponent"],
+        "zipf" => &[
+            "out",
+            "model",
+            "seed",
+            "left",
+            "right",
+            "per-right",
+            "exponent",
+        ],
         "blocks" => &[
             "out", "model", "seed", "left", "right", "blocks", "per-left", "intra",
         ],
@@ -272,8 +280,7 @@ pub fn generate(args: &[String]) -> CmdResult {
         }
     };
     let file = File::create(out).map_err(|e| format!("cannot create {out}: {e}"))?;
-    graph_io::write_edge_list(&graph, file)
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    graph_io::write_edge_list(&graph, file).map_err(|e| format!("cannot write {out}: {e}"))?;
     eprintln!("wrote {} edges to {out}", graph.edge_count());
     Ok(())
 }
@@ -330,15 +337,17 @@ pub fn disclose(args: &[String]) -> CmdResult {
     let graph = graph_io::read_edge_list(file).map_err(|e| format!("{input}: {e}"))?;
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let mut spec_config =
-        SpecializationConfig::paper_default(rounds).map_err(|e| e.to_string())?;
+    let mut spec_config = SpecializationConfig::paper_default(rounds).map_err(|e| e.to_string())?;
     spec_config.strategy = strategy;
     eprintln!("phase 1: specializing {rounds} rounds ({strategy:?})...");
     let hierarchy = Specializer::new(spec_config)
         .specialize(&graph, &mut rng)
         .map_err(|e| e.to_string())?;
 
-    eprintln!("phase 2: disclosing {} levels ({mechanism:?})...", hierarchy.level_count());
+    eprintln!(
+        "phase 2: disclosing {} levels ({mechanism:?})...",
+        hierarchy.level_count()
+    );
     let disclosure = DisclosureConfig::count_only(eps, delta)
         .map_err(|e| e.to_string())?
         .with_mechanism(mechanism)
@@ -405,7 +414,10 @@ fn resolve_out_format(
 pub fn publish(args: &[String]) -> CmdResult {
     let flags = parse_flags(args)?;
     let input = flags.get("in").ok_or("publish requires --in FILE")?;
-    let dataset = flags.get("dataset").cloned().unwrap_or_else(|| "default".to_string());
+    let dataset = flags
+        .get("dataset")
+        .cloned()
+        .unwrap_or_else(|| "default".to_string());
     let epoch: u64 = get_num(&flags, "epoch", 1)?;
     let rounds: u32 = get_num(&flags, "rounds", 8)?;
     let eps: f64 = get_num(&flags, "eps", 0.5)?;
@@ -421,8 +433,7 @@ pub fn publish(args: &[String]) -> CmdResult {
     let graph = graph_io::read_edge_list(file).map_err(|e| format!("{input}: {e}"))?;
     let mut rng = StdRng::seed_from_u64(seed);
 
-    let mut spec_config =
-        SpecializationConfig::paper_default(rounds).map_err(|e| e.to_string())?;
+    let mut spec_config = SpecializationConfig::paper_default(rounds).map_err(|e| e.to_string())?;
     spec_config.strategy = strategy;
     eprintln!("phase 1: specializing {rounds} rounds ({strategy:?})...");
     let hierarchy = Specializer::new(spec_config)
@@ -523,7 +534,11 @@ fn print_ledger(m: &gdp_core::ArtifactManifest) {
             ledger.total_epsilon,
             ledger.releases,
             ledger.remaining_epsilon(),
-            if ledger.exhausted() { " (budget exhausted)" } else { "" },
+            if ledger.exhausted() {
+                " (budget exhausted)"
+            } else {
+                ""
+            },
         );
     }
 }
@@ -537,8 +552,7 @@ pub fn convert(args: &[String]) -> CmdResult {
     let input = flags.get("in").ok_or("convert requires --in FILE")?;
     let out = flags.get("out").ok_or("convert requires --out FILE")?;
     let format = resolve_out_format(&flags, out)?;
-    let artifact =
-        ReleaseArtifact::load(input).map_err(|e| format!("{input}: {e}"))?;
+    let artifact = ReleaseArtifact::load(input).map_err(|e| format!("{input}: {e}"))?;
     artifact
         .save_atomic_as(out, format)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
@@ -546,18 +560,14 @@ pub fn convert(args: &[String]) -> CmdResult {
     eprintln!(
         "converted {input} -> {out} ({format}): dataset `{}` epoch {}, \
          digest {:#018x} preserved",
-        m.dataset,
-        m.epoch,
-        m.content_digest,
+        m.dataset, m.epoch, m.content_digest,
     );
     Ok(())
 }
 
 /// Parses the `--query-type` filter into a predicate over typed
 /// queries (`None` keeps every variant).
-fn query_type_filter(
-    flags: &HashMap<String, String>,
-) -> Result<Option<&'static str>, String> {
+fn query_type_filter(flags: &HashMap<String, String>) -> Result<Option<&'static str>, String> {
     match flags.get("query-type").map(String::as_str).unwrap_or("all") {
         "all" => Ok(None),
         "subset" => Ok(Some("subset_count")),
@@ -619,7 +629,9 @@ fn open_store(flags: &HashMap<String, String>, who: &str) -> Result<ReleaseStore
 /// the serving path.
 pub fn answer(args: &[String]) -> CmdResult {
     let flags = parse_flags(args)?;
-    let queries_path = flags.get("queries").ok_or("answer requires --queries FILE")?;
+    let queries_path = flags
+        .get("queries")
+        .ok_or("answer requires --queries FILE")?;
     let privilege = Privilege::new(get_num(&flags, "privilege", 0)?);
     let type_filter = query_type_filter(&flags)?;
     let store = open_store(&flags, "answer")?;
@@ -630,11 +642,7 @@ pub fn answer(args: &[String]) -> CmdResult {
             let datasets = store.datasets();
             match datasets.as_slice() {
                 [only] => only.clone(),
-                many => {
-                    return Err(format!(
-                        "--dataset required: the store holds {many:?}"
-                    ))
-                }
+                many => return Err(format!("--dataset required: the store holds {many:?}")),
             }
         }
     };
@@ -651,8 +659,7 @@ pub fn answer(args: &[String]) -> CmdResult {
         .level_count();
     let service = AnswerService::new(store);
 
-    let file = File::open(queries_path)
-        .map_err(|e| format!("cannot open {queries_path}: {e}"))?;
+    let file = File::open(queries_path).map_err(|e| format!("cannot open {queries_path}: {e}"))?;
     let mut queries = workload::read_query_file(BufReader::new(file))
         .map_err(|e| format!("{queries_path}: {e}"))?;
     if let Some(name) = type_filter {
@@ -728,13 +735,21 @@ pub fn serve(args: &[String]) -> CmdResult {
         (None, None) => {
             return Err("serve requires --artifact FILE or --artifact-dir DIR".to_string())
         }
-        (Some(_), None) => (open_store(&flags, "serve")?, gdp_net::ReloadConfig::default()),
+        (Some(_), None) => (
+            open_store(&flags, "serve")?,
+            gdp_net::ReloadConfig::default(),
+        ),
         (None, Some(dir)) => {
             let (store, report) =
                 ReleaseStore::open_dir_report(dir).map_err(|e| format!("{dir}: {e}"))?;
             eprintln!("scanned {dir}: {}", report.summary());
             for outcome in &report.outcomes {
-                if let gdp_serve::FileOutcome::Quarantined { path, moved_to, reason } = outcome {
+                if let gdp_serve::FileOutcome::Quarantined {
+                    path,
+                    moved_to,
+                    reason,
+                } = outcome
+                {
                     eprintln!("quarantined {path} -> {moved_to}: {reason}");
                 }
             }
@@ -750,8 +765,7 @@ pub fn serve(args: &[String]) -> CmdResult {
     if store.is_empty() {
         return Err("the store holds no artifacts; publish one first".to_string());
     }
-    let cache_capacity: usize =
-        get_num(&flags, "cache-capacity", AnswerService::CACHE_CAPACITY)?;
+    let cache_capacity: usize = get_num(&flags, "cache-capacity", AnswerService::CACHE_CAPACITY)?;
     let service = std::sync::Arc::new(AnswerService::with_cache_capacity(store, cache_capacity));
 
     let config = gdp_net::ServerConfig {
@@ -809,7 +823,9 @@ pub fn serve(args: &[String]) -> CmdResult {
 /// dataset is never evicted, so a served dataset cannot be emptied.
 pub fn gc(args: &[String]) -> CmdResult {
     let flags = parse_flags(args)?;
-    let dir = flags.get("artifact-dir").ok_or("gc requires --artifact-dir DIR")?;
+    let dir = flags
+        .get("artifact-dir")
+        .ok_or("gc requires --artifact-dir DIR")?;
     let keep_last = match flags.get("keep-last") {
         None => None,
         Some(_) => Some(get_num::<usize>(&flags, "keep-last", 1)?),
@@ -830,8 +846,7 @@ pub fn gc(args: &[String]) -> CmdResult {
 
     // Degraded open: GC must work on exactly the directories that need
     // it most — ones holding crash debris next to committed epochs.
-    let (store, report) =
-        ReleaseStore::open_dir_report(dir).map_err(|e| format!("{dir}: {e}"))?;
+    let (store, report) = ReleaseStore::open_dir_report(dir).map_err(|e| format!("{dir}: {e}"))?;
     eprintln!("scanned {dir}: {}", report.summary());
     if let Some(name) = &dataset {
         if !store.datasets().contains(name) {
@@ -863,7 +878,10 @@ pub fn gc(args: &[String]) -> CmdResult {
     for eviction in &gc_report.evictions {
         match (&eviction.path, eviction.deleted) {
             (Some(path), true) => {
-                eprintln!("evicted {}/e{}: deleted {path}", eviction.dataset, eviction.epoch)
+                eprintln!(
+                    "evicted {}/e{}: deleted {path}",
+                    eviction.dataset, eviction.epoch
+                )
             }
             (Some(path), false) => eprintln!(
                 "evicted {}/e{}: FAILED to delete {path}: {}",
@@ -934,7 +952,8 @@ mod tests {
 
     #[test]
     fn streaming_model_parsing() {
-        let m = streaming_model("erdos-renyi", &flags(&["--edges", "500", "--left", "50"])).unwrap();
+        let m =
+            streaming_model("erdos-renyi", &flags(&["--edges", "500", "--left", "50"])).unwrap();
         assert_eq!(
             m,
             GraphModel::ErdosRenyi {
@@ -961,9 +980,7 @@ mod tests {
         assert!(check_generate_flags("zipf", &flags(&["--out", "g", "--edges", "5"])).is_err());
         assert!(check_generate_flags("dblp", &flags(&["--out", "g", "--left", "5"])).is_err());
         assert!(check_generate_flags("erdos-renyi", &flags(&["--per-rigth", "5"])).is_err());
-        assert!(
-            check_generate_flags("zipf", &flags(&["--out", "g", "--per-right", "5"])).is_ok()
-        );
+        assert!(check_generate_flags("zipf", &flags(&["--out", "g", "--per-right", "5"])).is_ok());
         assert!(check_generate_flags("dblp", &flags(&["--out", "g", "--scale", "tiny"])).is_ok());
     }
 
@@ -974,9 +991,7 @@ mod tests {
         assert!(streaming_model("zipf", &flags(&["--per-right", "0"])).is_err());
         assert!(streaming_model("blocks", &flags(&["--intra", "1.5"])).is_err());
         assert!(streaming_model("blocks", &flags(&["--blocks", "0"])).is_err());
-        assert!(
-            streaming_model("blocks", &flags(&["--left", "4", "--blocks", "8"])).is_err()
-        );
+        assert!(streaming_model("blocks", &flags(&["--left", "4", "--blocks", "8"])).is_err());
     }
 
     #[test]
@@ -1149,14 +1164,28 @@ mod tests {
         // gda -> json -> gda preserves the artifact bit-for-bit: the
         // manifest chain survives both directions and the binary
         // encoding is deterministic.
-        convert(&["--in".into(), gda_path.clone(), "--out".into(), json_path.clone()]).unwrap();
+        convert(&[
+            "--in".into(),
+            gda_path.clone(),
+            "--out".into(),
+            json_path.clone(),
+        ])
+        .unwrap();
         convert(&["--in".into(), json_path, "--out".into(), back_path.clone()]).unwrap();
         assert_eq!(
             std::fs::read(&gda_path).unwrap(),
             std::fs::read(&back_path).unwrap(),
             "round-trip must reproduce the container bytes"
         );
-        assert!(convert(&["--in".into(), gda_path, "--out".into(), "x.gda".into(), "--format".into(), "galaxy".into()]).is_err());
+        assert!(convert(&[
+            "--in".into(),
+            gda_path,
+            "--out".into(),
+            "x.gda".into(),
+            "--format".into(),
+            "galaxy".into()
+        ])
+        .is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1335,7 +1364,10 @@ mod tests {
         ])
         .unwrap();
         assert!(!std::path::Path::new(&epoch_file("2")).exists());
-        assert!(std::path::Path::new(&epoch_file("3")).exists(), "newest survives");
+        assert!(
+            std::path::Path::new(&epoch_file("3")).exists(),
+            "newest survives"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

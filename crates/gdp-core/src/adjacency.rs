@@ -197,9 +197,7 @@ impl GroupStructure {
     /// exposing the intermediate result so tests can assert *which*
     /// group differs.
     pub fn adjacency_witness(&self, d1: &DatasetVector, d2: &DatasetVector) -> Option<usize> {
-        if d1.universe_size() != self.universe_size
-            || d2.universe_size() != self.universe_size
-        {
+        if d1.universe_size() != self.universe_size || d2.universe_size() != self.universe_size {
             return None;
         }
         // Determine the direction: the larger dataset must equal the
@@ -224,11 +222,7 @@ mod tests {
 
     fn universe4() -> GroupStructure {
         // Groups {0,1} and {2,3}.
-        GroupStructure::new(
-            vec![Group::new(vec![0, 1]), Group::new(vec![2, 3])],
-            4,
-        )
-        .unwrap()
+        GroupStructure::new(vec![Group::new(vec![0, 1]), Group::new(vec![2, 3])], 4).unwrap()
     }
 
     #[test]
@@ -244,21 +238,15 @@ mod tests {
     #[test]
     fn group_structure_validation() {
         // Overlapping groups rejected.
-        assert!(GroupStructure::new(
-            vec![Group::new(vec![0, 1]), Group::new(vec![1, 2])],
-            3
-        )
-        .is_none());
+        assert!(
+            GroupStructure::new(vec![Group::new(vec![0, 1]), Group::new(vec![1, 2])], 3).is_none()
+        );
         // Missing record rejected.
         assert!(GroupStructure::new(vec![Group::new(vec![0])], 2).is_none());
         // Out-of-range rejected.
         assert!(GroupStructure::new(vec![Group::new(vec![0, 5])], 2).is_none());
         // Empty group rejected.
-        assert!(GroupStructure::new(
-            vec![Group::new(vec![0, 1]), Group::new(vec![])],
-            2
-        )
-        .is_none());
+        assert!(GroupStructure::new(vec![Group::new(vec![0, 1]), Group::new(vec![])], 2).is_none());
         // Valid partition accepted.
         assert!(universe4().groups().len() == 2);
     }

@@ -164,10 +164,7 @@ fn per_group_slices<'a>(
             lb + rb
         )));
     }
-    Ok((
-        &per_group.noisy_values[..lb],
-        &per_group.noisy_values[lb..],
-    ))
+    Ok((&per_group.noisy_values[..lb], &per_group.noisy_values[lb..]))
 }
 
 /// Scan-path baseline for a **group-mass** query: the raw noisy
@@ -241,9 +238,7 @@ pub fn scan_degree_histogram(release: &LevelRelease, side: Side) -> Result<&[f64
         ));
     }
     let hist = release.left_degree_histogram().ok_or_else(|| {
-        CoreError::InvalidConfig(
-            "release does not contain a left-degree histogram".to_string(),
-        )
+        CoreError::InvalidConfig("release does not contain a left-degree histogram".to_string())
     })?;
     Ok(&hist.noisy_values)
 }
@@ -325,11 +320,8 @@ mod tests {
         // With singleton groups (level 0) the estimator is exact up to
         // the injected noise: compare to true degree sums.
         let (graph, hierarchy, release) = setup(0.9);
-        let est = SubsetCountEstimator::new(
-            release.level(0).unwrap(),
-            hierarchy.level(0).unwrap(),
-        )
-        .unwrap();
+        let est = SubsetCountEstimator::new(release.level(0).unwrap(), hierarchy.level(0).unwrap())
+            .unwrap();
         let nodes: Vec<u32> = (0..40).collect();
         let truth: f64 = nodes
             .iter()
@@ -349,11 +341,8 @@ mod tests {
     #[test]
     fn duplicates_rejected_with_typed_error() {
         let (_, hierarchy, release) = setup(0.9);
-        let est = SubsetCountEstimator::new(
-            release.level(1).unwrap(),
-            hierarchy.level(1).unwrap(),
-        )
-        .unwrap();
+        let est = SubsetCountEstimator::new(release.level(1).unwrap(), hierarchy.level(1).unwrap())
+            .unwrap();
         assert!(est.estimate(Side::Left, &[3, 4]).is_ok());
         let err = est.estimate(Side::Left, &[3, 4, 3]).unwrap_err();
         assert!(matches!(
@@ -368,11 +357,8 @@ mod tests {
     #[test]
     fn out_of_range_node_rejected() {
         let (graph, hierarchy, release) = setup(0.9);
-        let est = SubsetCountEstimator::new(
-            release.level(1).unwrap(),
-            hierarchy.level(1).unwrap(),
-        )
-        .unwrap();
+        let est = SubsetCountEstimator::new(release.level(1).unwrap(), hierarchy.level(1).unwrap())
+            .unwrap();
         let bad = graph.left_count() + 5;
         let err = est.estimate(Side::Left, &[bad]).unwrap_err();
         assert!(matches!(
@@ -390,11 +376,8 @@ mod tests {
         // The first offending node in subset order wins, whichever kind
         // of defect it is — the indexed path mirrors this exactly.
         let (graph, hierarchy, release) = setup(0.9);
-        let est = SubsetCountEstimator::new(
-            release.level(1).unwrap(),
-            hierarchy.level(1).unwrap(),
-        )
-        .unwrap();
+        let est = SubsetCountEstimator::new(release.level(1).unwrap(), hierarchy.level(1).unwrap())
+            .unwrap();
         let bad = graph.left_count() + 1;
         // Duplicate occurs before the out-of-range node.
         assert!(matches!(
@@ -416,15 +399,11 @@ mod tests {
             .specialize(&graph, &mut rng)
             .unwrap();
         // Only the total count released — no per-group vector.
-        let release =
-            MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap())
-                .disclose(&graph, &hierarchy, &mut rng)
-                .unwrap();
-        let err = SubsetCountEstimator::new(
-            release.level(0).unwrap(),
-            hierarchy.level(0).unwrap(),
-        )
-        .unwrap_err();
+        let release = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap())
+            .disclose(&graph, &hierarchy, &mut rng)
+            .unwrap();
+        let err = SubsetCountEstimator::new(release.level(0).unwrap(), hierarchy.level(0).unwrap())
+            .unwrap_err();
         assert!(matches!(err, CoreError::InvalidConfig(_)));
     }
 
@@ -496,11 +475,8 @@ mod tests {
     #[test]
     fn empty_subset_estimates_zero() {
         let (_, hierarchy, release) = setup(0.9);
-        let est = SubsetCountEstimator::new(
-            release.level(1).unwrap(),
-            hierarchy.level(1).unwrap(),
-        )
-        .unwrap();
+        let est = SubsetCountEstimator::new(release.level(1).unwrap(), hierarchy.level(1).unwrap())
+            .unwrap();
         assert_eq!(est.estimate(Side::Right, &[]).unwrap(), 0.0);
     }
 }

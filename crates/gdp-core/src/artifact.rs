@@ -819,7 +819,10 @@ mod tests {
         .unwrap();
         let err = ReleaseArtifact::seal("dblp", 1, hierarchy.clone(), doctored).unwrap_err();
         assert!(matches!(err, CoreError::Artifact(_)), "{err}");
-        assert!(err.to_string().contains("noise scale must be finite"), "{err}");
+        assert!(
+            err.to_string().contains("noise scale must be finite"),
+            "{err}"
+        );
 
         let mut levels = release.levels().to_vec();
         levels[0].queries[1].noisy_values[0] = f64::NAN;
@@ -832,7 +835,10 @@ mod tests {
         .unwrap();
         let err = ReleaseArtifact::seal("dblp", 1, hierarchy, doctored).unwrap_err();
         assert!(matches!(err, CoreError::Artifact(_)), "{err}");
-        assert!(err.to_string().contains("noisy value must be finite"), "{err}");
+        assert!(
+            err.to_string().contains("noisy value must be finite"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -878,9 +884,11 @@ mod tests {
         let a = ReleaseArtifact::seal("dblp", 9, hierarchy, release).unwrap();
         let mut buf = Vec::new();
         a.write_json(&mut buf).unwrap();
-        let doctored = String::from_utf8(buf)
-            .unwrap()
-            .replacen("\"schema_version\": 5", "\"schema_version\": 99", 1);
+        let doctored = String::from_utf8(buf).unwrap().replacen(
+            "\"schema_version\": 5",
+            "\"schema_version\": 99",
+            1,
+        );
         let err = ReleaseArtifact::read_json(doctored.as_bytes()).unwrap_err();
         assert!(
             err.to_string().contains("schema version 99"),
@@ -904,9 +912,8 @@ mod tests {
     fn ledger_round_trips_and_reports_remaining() {
         let (hierarchy, release) = publishable();
         let ledger = sample_ledger();
-        let a =
-            ReleaseArtifact::seal_with_ledger("dblp", 2, hierarchy, release, ledger.clone())
-                .unwrap();
+        let a = ReleaseArtifact::seal_with_ledger("dblp", 2, hierarchy, release, ledger.clone())
+            .unwrap();
         assert_eq!(a.manifest().ledger.as_ref(), Some(&ledger));
         let mut buf = Vec::new();
         a.write_json(&mut buf).unwrap();
@@ -933,37 +940,35 @@ mod tests {
             cumulative_epsilon: 2.5,
             ..sample_ledger()
         };
-        let err = ReleaseArtifact::seal_with_ledger(
-            "dblp",
-            2,
-            hierarchy.clone(),
-            release.clone(),
-            over,
-        )
-        .unwrap_err();
-        assert!(err.to_string().contains("exceeds the authorized total"), "{err}");
+        let err =
+            ReleaseArtifact::seal_with_ledger("dblp", 2, hierarchy.clone(), release.clone(), over)
+                .unwrap_err();
+        assert!(
+            err.to_string().contains("exceeds the authorized total"),
+            "{err}"
+        );
         // Epoch charge larger than the whole chain's spend.
         let inverted = ManifestLedger {
             epoch_epsilon: 1.5,
             ..sample_ledger()
         };
-        let err =
-            ReleaseArtifact::seal_with_ledger("dblp", 2, hierarchy.clone(), release.clone(), inverted)
-                .unwrap_err();
+        let err = ReleaseArtifact::seal_with_ledger(
+            "dblp",
+            2,
+            hierarchy.clone(),
+            release.clone(),
+            inverted,
+        )
+        .unwrap_err();
         assert!(err.to_string().contains("cumulative"), "{err}");
         // Non-finite fields.
         let nan = ManifestLedger {
             epoch_epsilon: f64::NAN,
             ..sample_ledger()
         };
-        let err = ReleaseArtifact::seal_with_ledger(
-            "dblp",
-            2,
-            hierarchy.clone(),
-            release.clone(),
-            nan,
-        )
-        .unwrap_err();
+        let err =
+            ReleaseArtifact::seal_with_ledger("dblp", 2, hierarchy.clone(), release.clone(), nan)
+                .unwrap_err();
         assert!(err.to_string().contains("finite"), "{err}");
         // And an edited file cannot smuggle an over-budget ledger past
         // load-time re-validation.
@@ -972,11 +977,16 @@ mod tests {
                 .unwrap();
         let mut buf = Vec::new();
         good.write_json(&mut buf).unwrap();
-        let doctored = String::from_utf8(buf)
-            .unwrap()
-            .replacen("\"total_epsilon\": 2.1", "\"total_epsilon\": 0.5", 1);
+        let doctored = String::from_utf8(buf).unwrap().replacen(
+            "\"total_epsilon\": 2.1",
+            "\"total_epsilon\": 0.5",
+            1,
+        );
         let err = ReleaseArtifact::read_json(doctored.as_bytes()).unwrap_err();
-        assert!(err.to_string().contains("exceeds the authorized total"), "{err}");
+        assert!(
+            err.to_string().contains("exceeds the authorized total"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -1008,7 +1018,10 @@ mod tests {
 
     #[test]
     fn canonical_file_name_is_stable_and_path_safe() {
-        assert_eq!(ReleaseArtifact::canonical_file_name("dblp", 7), "dblp-e7.json");
+        assert_eq!(
+            ReleaseArtifact::canonical_file_name("dblp", 7),
+            "dblp-e7.json"
+        );
         assert_eq!(
             ReleaseArtifact::canonical_file_name("a/b\\c", 0),
             "a_b_c-e0.json"
@@ -1086,9 +1099,10 @@ mod tests {
         let mut buf = Vec::new();
         a.write_json(&mut buf).unwrap();
         // Lie about the level count: re-validation must catch it.
-        let doctored = String::from_utf8(buf)
-            .unwrap()
-            .replacen("\"level_count\": 5", "\"level_count\": 4", 1);
+        let doctored =
+            String::from_utf8(buf)
+                .unwrap()
+                .replacen("\"level_count\": 5", "\"level_count\": 4", 1);
         assert!(ReleaseArtifact::read_json(doctored.as_bytes()).is_err());
     }
 }

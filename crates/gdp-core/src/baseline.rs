@@ -138,8 +138,7 @@ mod tests {
         let level = whole_level(&g);
         let eps = Epsilon::new(0.5).unwrap();
         let delta = Delta::new(1e-6).unwrap();
-        let naive =
-            naive_group_composition_count(&g, &level, eps, delta, &mut rng()).unwrap();
+        let naive = naive_group_composition_count(&g, &level, eps, delta, &mut rng()).unwrap();
         // Direct calibration: one Gaussian at group sensitivity k.
         let k = level.max_incident_edges(&g) as f64;
         let direct =

@@ -355,7 +355,11 @@ fn decode_release(bytes: &[u8]) -> Result<MultiLevelRelease> {
 /// assembly failures — impossible for a well-formed artifact, surfaced
 /// as a typed error rather than a panic regardless.
 pub fn encode(artifact: &ReleaseArtifact) -> Result<Vec<u8>> {
-    encode_parts(artifact.manifest(), artifact.hierarchy(), artifact.release())
+    encode_parts(
+        artifact.manifest(),
+        artifact.hierarchy(),
+        artifact.release(),
+    )
 }
 
 /// [`encode`] over parts that need not agree (the tests hand-build

@@ -188,7 +188,11 @@ impl MultiLevelDiscloser {
         // its own sensitivity — independent work, so fan out with rayon.
         // Per-level seeds are drawn sequentially from the master RNG so
         // the release is bit-identical at any worker count.
-        let seeds: Vec<u64> = hierarchy.levels().iter().map(|_| rng.gen::<u64>()).collect();
+        let seeds: Vec<u64> = hierarchy
+            .levels()
+            .iter()
+            .map(|_| rng.gen::<u64>())
+            .collect();
         let levels: Result<Vec<LevelRelease>> = hierarchy
             .levels()
             .par_iter()
@@ -486,8 +490,7 @@ mod tests {
     fn disclosure_is_deterministic_under_seed() {
         let g = graph();
         let h = hierarchy(&g);
-        let discloser =
-            MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap());
+        let discloser = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap());
         let a = discloser
             .disclose(&g, &h, &mut StdRng::seed_from_u64(8))
             .unwrap();

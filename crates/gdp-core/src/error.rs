@@ -95,7 +95,10 @@ impl fmt::Display for CoreError {
             Self::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Self::InvalidHierarchy(msg) => write!(f, "invalid hierarchy: {msg}"),
             Self::LevelOutOfRange { level, level_count } => {
-                write!(f, "level {level} out of range (hierarchy has {level_count})")
+                write!(
+                    f,
+                    "level {level} out of range (hierarchy has {level_count})"
+                )
             }
             Self::AccessDenied {
                 privilege,

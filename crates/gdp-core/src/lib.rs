@@ -82,9 +82,7 @@ pub use access::{AccessControlled, AccessPolicy, Privilege};
 pub use artifact::{
     ArtifactFormat, ArtifactManifest, ManifestLedger, ReleaseArtifact, ARTIFACT_SCHEMA_VERSION,
 };
-pub use baseline::{
-    individual_edge_dp_count, naive_group_composition_count, BaselineRelease,
-};
+pub use baseline::{individual_edge_dp_count, naive_group_composition_count, BaselineRelease};
 pub use disclosure::{DisclosureConfig, MultiLevelDiscloser, NoiseMechanism};
 pub use error::CoreError;
 pub use hierarchy::{GroupHierarchy, GroupLevel};
@@ -92,10 +90,10 @@ pub use metrics::{mean_relative_error, relative_error, ErrorSummary};
 pub use queries::{AnswerContext, Query, QueryAnswer};
 pub use release::{LevelRelease, MultiLevelRelease, QueryRelease};
 pub use sensitivity::LevelSensitivity;
-pub use stats::{HierarchyStats, LevelStats};
 pub use session::DisclosureSession;
 pub use specialize::scoring;
 pub use specialize::{SpecializationConfig, Specializer, SplitStrategy};
+pub use stats::{HierarchyStats, LevelStats};
 
 /// Convenience alias for results produced by this crate.
 pub type Result<T> = std::result::Result<T, CoreError>;

@@ -29,10 +29,7 @@ use crate::Result;
 /// * [`CoreError::LevelOutOfRange`] for an unknown level index.
 /// * [`CoreError::InvalidConfig`] when `levels` is empty or a level did
 ///   not release the total-count query.
-pub fn fuse_total_estimates(
-    release: &MultiLevelRelease,
-    levels: &[usize],
-) -> Result<(f64, f64)> {
+pub fn fuse_total_estimates(release: &MultiLevelRelease, levels: &[usize]) -> Result<(f64, f64)> {
     if levels.is_empty() {
         return Err(CoreError::InvalidConfig(
             "fusion needs at least one level".to_string(),
@@ -83,16 +80,19 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn setup() -> (gdp_graph::BipartiteGraph, crate::GroupHierarchy, MultiLevelRelease) {
+    fn setup() -> (
+        gdp_graph::BipartiteGraph,
+        crate::GroupHierarchy,
+        MultiLevelRelease,
+    ) {
         let mut rng = StdRng::seed_from_u64(40);
         let graph = DblpGenerator::new(DblpConfig::tiny()).generate(&mut rng);
         let hierarchy = Specializer::new(SpecializationConfig::median(3).unwrap())
             .specialize(&graph, &mut rng)
             .unwrap();
-        let release =
-            MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap())
-                .disclose(&graph, &hierarchy, &mut rng)
-                .unwrap();
+        let release = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap())
+            .disclose(&graph, &hierarchy, &mut rng)
+            .unwrap();
         (graph, hierarchy, release)
     }
 
@@ -120,8 +120,7 @@ mod tests {
         let hierarchy = Specializer::new(SpecializationConfig::median(3).unwrap())
             .specialize(&graph, &mut rng)
             .unwrap();
-        let discloser =
-            MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap());
+        let discloser = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap());
         let truth = graph.edge_count() as f64;
         let trials = 60;
         let mut err_fused = 0.0;
@@ -132,8 +131,7 @@ mod tests {
             let (fused, _) =
                 fuse_total_estimates(&release, &(0..=top).collect::<Vec<_>>()).unwrap();
             err_fused += (fused - truth).abs();
-            err_coarse +=
-                (release.level(top).unwrap().total_associations().unwrap() - truth).abs();
+            err_coarse += (release.level(top).unwrap().total_associations().unwrap() - truth).abs();
         }
         assert!(
             err_fused < err_coarse,

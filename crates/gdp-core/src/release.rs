@@ -59,7 +59,8 @@ impl LevelRelease {
 
     /// Shorthand for the noisy total association count, when released.
     pub fn total_associations(&self) -> Option<f64> {
-        self.query(Query::TotalAssociations).and_then(QueryRelease::scalar)
+        self.query(Query::TotalAssociations)
+            .and_then(QueryRelease::scalar)
     }
 
     /// The per-group counts release, if configured — the statistic the
@@ -162,8 +163,7 @@ impl MultiLevelRelease {
     /// (`level,group_count,sensitivity_l2,noisy_total,noise_scale`),
     /// the exact table the `fig1` harness prints per εg.
     pub fn total_count_csv(&self) -> String {
-        let mut out =
-            String::from("level,group_count,sensitivity_l2,noisy_total,noise_scale\n");
+        let mut out = String::from("level,group_count,sensitivity_l2,noisy_total,noise_scale\n");
         for l in &self.levels {
             if let Some(q) = l.query(Query::TotalAssociations) {
                 out.push_str(&format!(

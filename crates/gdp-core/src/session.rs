@@ -3,9 +3,7 @@ use std::sync::Arc;
 use rand::Rng;
 
 use gdp_graph::{BipartiteGraph, DegreeHistogram, EdgeDelta};
-use gdp_mechanisms::{
-    Delta, GaussianRdpAccountant, PrivacyAccountant, PrivacyBudget,
-};
+use gdp_mechanisms::{Delta, GaussianRdpAccountant, PrivacyAccountant, PrivacyBudget};
 
 use crate::artifact::{ArtifactFormat, ManifestLedger, ReleaseArtifact};
 use crate::disclosure::{DisclosureConfig, MultiLevelDiscloser, NoiseMechanism};
@@ -333,10 +331,8 @@ impl DisclosureSession {
         // into recycled scratch and swaps on success, so a refused
         // batch leaves the adjacency untouched and nothing is charged.
         self.graph.apply_delta_in_place(delta)?;
-        self.accountant.charge(
-            charge,
-            format!("disclosure #{}", self.releases_made + 1),
-        )?;
+        self.accountant
+            .charge(charge, format!("disclosure #{}", self.releases_made + 1))?;
         // Committed: advance the statistics cache incrementally. A
         // cache that fails to advance (it cannot, for a delta the graph
         // just accepted, but defend anyway) is dropped and rebuilt from
@@ -589,8 +585,7 @@ mod tests {
         let delta = sample_delta(&graph);
 
         // Incremental chain: epoch 7, then epoch 8 via the delta.
-        let mut incremental =
-            DisclosureSession::new(graph.clone(), hierarchy.clone(), total);
+        let mut incremental = DisclosureSession::new(graph.clone(), hierarchy.clone(), total);
         incremental
             .publish(&config, "dblp", 7, &mut StdRng::seed_from_u64(91))
             .unwrap();
@@ -623,19 +618,20 @@ mod tests {
         let (graph, hierarchy) = graph_and_hierarchy();
         let config = DisclosureConfig::count_only(0.4, 1e-6).unwrap();
         let delta = sample_delta(&graph);
-        let mut s = DisclosureSession::new(
-            graph,
-            hierarchy,
-            PrivacyBudget::new(2.0, 1e-4).unwrap(),
-        );
+        let mut s =
+            DisclosureSession::new(graph, hierarchy, PrivacyBudget::new(2.0, 1e-4).unwrap());
         let mut rng = StdRng::seed_from_u64(93);
         // No publish yet: refused, nothing charged.
-        let err = s.publish_next(&config, "dblp", &delta, &mut rng).unwrap_err();
+        let err = s
+            .publish_next(&config, "dblp", &delta, &mut rng)
+            .unwrap_err();
         assert!(matches!(err, CoreError::NoBaseEpoch { ref dataset } if dataset == "dblp"));
         assert_eq!(s.accountant().ledger().len(), 0);
         // A publish for a *different* dataset is not a base either.
         s.publish(&config, "other", 0, &mut rng).unwrap();
-        let err = s.publish_next(&config, "dblp", &delta, &mut rng).unwrap_err();
+        let err = s
+            .publish_next(&config, "dblp", &delta, &mut rng)
+            .unwrap_err();
         assert!(matches!(err, CoreError::NoBaseEpoch { .. }));
     }
 
@@ -670,7 +666,9 @@ mod tests {
         );
         let mut rng = StdRng::seed_from_u64(94);
         s.publish(&config, "dblp", 0, &mut rng).unwrap();
-        let err = s.publish_next(&config, "dblp", &delta, &mut rng).unwrap_err();
+        let err = s
+            .publish_next(&config, "dblp", &delta, &mut rng)
+            .unwrap_err();
         assert!(
             matches!(
                 err,
@@ -695,11 +693,8 @@ mod tests {
         let (l, r) = graph.edges().next().unwrap();
         // Inserting an edge that already exists is invalid.
         let bad = EdgeDelta::new(vec![(l, r)], Vec::new());
-        let mut s = DisclosureSession::new(
-            graph,
-            hierarchy,
-            PrivacyBudget::new(2.0, 1e-4).unwrap(),
-        );
+        let mut s =
+            DisclosureSession::new(graph, hierarchy, PrivacyBudget::new(2.0, 1e-4).unwrap());
         let mut rng = StdRng::seed_from_u64(95);
         s.publish(&config, "dblp", 0, &mut rng).unwrap();
         let before = s.accountant().spent_epsilon();
@@ -713,11 +708,8 @@ mod tests {
     fn publish_stamps_ledger_and_empty_delta_chain_works() {
         let (graph, hierarchy) = graph_and_hierarchy();
         let config = DisclosureConfig::count_only(0.3, 1e-6).unwrap();
-        let mut s = DisclosureSession::new(
-            graph,
-            hierarchy,
-            PrivacyBudget::new(1.0, 1e-4).unwrap(),
-        );
+        let mut s =
+            DisclosureSession::new(graph, hierarchy, PrivacyBudget::new(1.0, 1e-4).unwrap());
         let mut rng = StdRng::seed_from_u64(96);
         let a0 = s.publish(&config, "dblp", 0, &mut rng).unwrap();
         let l0 = a0.manifest().ledger.as_ref().unwrap();

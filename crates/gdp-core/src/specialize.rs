@@ -276,15 +276,12 @@ impl Specializer {
         let mut right_blocks: Vec<Vec<u32>> = vec![(0..nr).collect()];
 
         // Coarsest level first; we reverse at the end.
-        let mut levels_coarse_first: Vec<GroupLevel> = vec![level_from_blocks(
-            &left_blocks,
-            nl,
-            &right_blocks,
-            nr,
-        )?];
+        let mut levels_coarse_first: Vec<GroupLevel> =
+            vec![level_from_blocks(&left_blocks, nl, &right_blocks, nr)?];
 
         for _ in 0..self.config.rounds {
-            left_blocks = self.split_side(left_blocks, &left_degrees, delta_u, per_round_eps, rng)?;
+            left_blocks =
+                self.split_side(left_blocks, &left_degrees, delta_u, per_round_eps, rng)?;
             right_blocks =
                 self.split_side(right_blocks, &right_degrees, delta_u, per_round_eps, rng)?;
             levels_coarse_first.push(level_from_blocks(&left_blocks, nl, &right_blocks, nr)?);
@@ -386,10 +383,8 @@ impl Specializer {
                         Ok(candidates[best])
                     }
                     SplitStrategy::Exponential => {
-                        let mech = ExponentialMechanism::new(
-                            per_round_eps,
-                            L1Sensitivity::new(delta_u)?,
-                        )?;
+                        let mech =
+                            ExponentialMechanism::new(per_round_eps, L1Sensitivity::new(delta_u)?)?;
                         let idx = mech.select(&utilities, rng)?;
                         Ok(candidates[idx])
                     }

@@ -332,8 +332,7 @@ impl HierarchyStats {
             } else {
                 keyed.clear();
                 keyed.extend(cells.iter().map(|&((l, r), d)| {
-                    let key =
-                        ((left_map[l as usize] as u64) << 32) | right_map[r as usize] as u64;
+                    let key = ((left_map[l as usize] as u64) << 32) | right_map[r as usize] as u64;
                     (key, d)
                 }));
                 fold_cell_deltas(&mut keyed, &mut cells);

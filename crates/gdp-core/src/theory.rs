@@ -21,9 +21,7 @@ pub fn expected_absolute_noise(mechanism: NoiseMechanism, noise_scale: f64) -> f
             noise_scale * (2.0 / std::f64::consts::PI).sqrt()
         }
         NoiseMechanism::Laplace => noise_scale,
-        NoiseMechanism::Geometric => {
-            2.0 * noise_scale / (1.0 - noise_scale * noise_scale)
-        }
+        NoiseMechanism::Geometric => 2.0 * noise_scale / (1.0 - noise_scale * noise_scale),
     }
 }
 
@@ -34,11 +32,7 @@ pub fn expected_absolute_noise(mechanism: NoiseMechanism, noise_scale: f64) -> f
 ///
 /// Returns [`CoreError::InvalidConfig`] for a non-positive true count —
 /// the RER metric itself is undefined there.
-pub fn predicted_rer(
-    mechanism: NoiseMechanism,
-    noise_scale: f64,
-    true_count: f64,
-) -> Result<f64> {
+pub fn predicted_rer(mechanism: NoiseMechanism, noise_scale: f64, true_count: f64) -> Result<f64> {
     if !(true_count.is_finite() && true_count > 0.0) {
         return Err(CoreError::InvalidConfig(format!(
             "predicted RER needs a positive true count, got {true_count}"
@@ -69,13 +63,9 @@ mod tests {
         let sigma = 10.0;
         let want = sigma * (2.0 / std::f64::consts::PI).sqrt();
         assert!(
-            (expected_absolute_noise(NoiseMechanism::GaussianClassic, sigma) - want).abs()
-                < 1e-12
+            (expected_absolute_noise(NoiseMechanism::GaussianClassic, sigma) - want).abs() < 1e-12
         );
-        assert_eq!(
-            expected_absolute_noise(NoiseMechanism::Laplace, 7.0),
-            7.0
-        );
+        assert_eq!(expected_absolute_noise(NoiseMechanism::Laplace, 7.0), 7.0);
     }
 
     #[test]
@@ -114,8 +104,7 @@ mod tests {
         let hierarchy = Specializer::new(SpecializationConfig::median(2).unwrap())
             .specialize(&graph, &mut rng)
             .unwrap();
-        let discloser =
-            MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap());
+        let discloser = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap());
         let truth = graph.edge_count() as f64;
         let level = 2usize;
         let trials = 600;
@@ -128,8 +117,7 @@ mod tests {
             scale = q.noise_scale;
         }
         measured /= trials as f64;
-        let predicted =
-            predicted_rer(NoiseMechanism::GaussianClassic, scale, truth).unwrap();
+        let predicted = predicted_rer(NoiseMechanism::GaussianClassic, scale, truth).unwrap();
         let rel_gap = ((measured - predicted) / predicted).abs();
         assert!(
             rel_gap < 0.12,

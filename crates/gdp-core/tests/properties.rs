@@ -3,9 +3,9 @@
 use proptest::prelude::*;
 
 use gdp_core::adjacency::{DatasetVector, Group, GroupStructure};
-use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
 use gdp_core::artifact::content_digest;
 use gdp_core::codec;
+use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
 use gdp_core::{
     relative_error, AccessPolicy, AnswerContext, DisclosureConfig, HierarchyStats,
     MultiLevelDiscloser, NoiseMechanism, Privilege, Query, ReleaseArtifact, SpecializationConfig,

@@ -144,13 +144,9 @@ impl DblpGenerator {
     /// Generates one graph. Deterministic given the RNG state.
     pub fn generate<R: Rng + ?Sized>(&self, rng: &mut R) -> BipartiteGraph {
         let c = &self.config;
-        let zipf =
-            ZipfSampler::new(c.authors as u64, c.zipf_exponent).expect("validated in new()");
-        let mut builder = GraphBuilder::with_capacity(
-            c.authors,
-            c.papers,
-            c.expected_edges().ceil() as usize,
-        );
+        let zipf = ZipfSampler::new(c.authors as u64, c.zipf_exponent).expect("validated in new()");
+        let mut builder =
+            GraphBuilder::with_capacity(c.authors, c.papers, c.expected_edges().ceil() as usize);
         // Geometric author-list size: P[k] = (1−p)^{k−1}·p on k ≥ 1 has
         // mean 1/p, so p = 1/mean; truncation at max barely moves the
         // mean for DBLP-like parameters (tail mass < 1e-4).

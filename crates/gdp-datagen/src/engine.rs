@@ -201,8 +201,7 @@ where
     let hint: usize = (0..source.shard_count())
         .map(|i| source.shard_edge_hint(i))
         .sum();
-    let mut builder =
-        GraphBuilder::with_capacity(source.left_count(), source.right_count(), hint);
+    let mut builder = GraphBuilder::with_capacity(source.left_count(), source.right_count(), hint);
     for i in 0..source.shard_count() {
         let seed = rng.gen::<u64>();
         let mut sink = RecordingSink::new();
@@ -417,8 +416,8 @@ impl ZipfAttachmentStream {
     pub fn new(left: u32, right: u32, per_right: u32, exponent: f64) -> Self {
         assert!(left > 0 && right > 0, "sides must be non-empty");
         assert!(per_right > 0, "per_right must be positive");
-        let sampler = ZipfSampler::new(left as u64, exponent)
-            .expect("exponent must be finite and positive");
+        let sampler =
+            ZipfSampler::new(left as u64, exponent).expect("exponent must be finite and positive");
         let edges = right as usize * per_right as usize;
         Self {
             left,
@@ -655,7 +654,10 @@ impl GraphModel {
                 right,
                 per_right,
                 exponent,
-            } => generate(&ZipfAttachmentStream::new(left, right, per_right, exponent), rng),
+            } => generate(
+                &ZipfAttachmentStream::new(left, right, per_right, exponent),
+                rng,
+            ),
             Self::PlantedBlocks {
                 left,
                 right,

@@ -126,8 +126,7 @@ pub fn zipf_attachment<R: Rng + ?Sized>(
     assert!(per_right > 0, "per_right must be positive");
     let sampler =
         ZipfSampler::new(left as u64, exponent).expect("exponent must be finite and positive");
-    let mut builder =
-        GraphBuilder::with_capacity(left, right, right as usize * per_right as usize);
+    let mut builder = GraphBuilder::with_capacity(left, right, right as usize * per_right as usize);
     for r in 0..right {
         for _ in 0..per_right {
             let rank = sampler.sample(rng);

@@ -78,10 +78,7 @@ impl CountQueryWorkload {
         subset_size: u32,
     ) -> Self {
         assert!(subset_size > 0, "subset size must be positive");
-        assert!(
-            subset_size <= graph.left_count(),
-            "subset larger than side"
-        );
+        assert!(subset_size <= graph.left_count(), "subset larger than side");
         let all: Vec<u32> = (0..graph.left_count()).collect();
         let mut queries = Vec::with_capacity(count);
         for _ in 0..count {
@@ -123,7 +120,11 @@ impl CountQueryWorkload {
         if self.queries.is_empty() {
             return 0.0;
         }
-        self.queries.iter().map(|q| q.true_answer as f64).sum::<f64>() / self.queries.len() as f64
+        self.queries
+            .iter()
+            .map(|q| q.true_answer as f64)
+            .sum::<f64>()
+            / self.queries.len() as f64
     }
 }
 

@@ -430,7 +430,10 @@ mod tests {
         for k in 1..=8u64 {
             let fb = batched.iter().filter(|&&x| x == k).count() as f64 / n as f64;
             let fp = per_draw.iter().filter(|&&x| x == k).count() as f64 / n as f64;
-            assert!((fb - fp).abs() < 0.01, "k={k}: batched {fb} vs per-draw {fp}");
+            assert!(
+                (fb - fp).abs() < 0.01,
+                "k={k}: batched {fb} vs per-draw {fp}"
+            );
         }
     }
 

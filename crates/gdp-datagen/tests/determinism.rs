@@ -62,8 +62,7 @@ fn models() -> Vec<GraphModel> {
 fn fixed_seed_models_are_bit_identical_across_thread_counts() {
     let _guard = ENV_LOCK.lock().unwrap();
     for model in models() {
-        let single =
-            with_thread_count("1", || model.generate(&mut StdRng::seed_from_u64(99)));
+        let single = with_thread_count("1", || model.generate(&mut StdRng::seed_from_u64(99)));
         let multi = with_thread_count("8", || model.generate(&mut StdRng::seed_from_u64(99)));
         let default_pool = model.generate(&mut StdRng::seed_from_u64(99));
         assert_eq!(
@@ -87,9 +86,8 @@ fn streaming_builder_equals_incremental_builder_at_any_thread_count() {
     for model in models() {
         let incremental = model.generate_incremental(&mut StdRng::seed_from_u64(41));
         for threads in ["1", "5"] {
-            let streamed = with_thread_count(threads, || {
-                model.generate(&mut StdRng::seed_from_u64(41))
-            });
+            let streamed =
+                with_thread_count(threads, || model.generate(&mut StdRng::seed_from_u64(41)));
             assert_eq!(
                 streamed,
                 incremental,

@@ -197,7 +197,10 @@ pub fn read_container(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>> {
     if bytes.len() < HEADER_LEN {
         return Err(err(
             bytes.len(),
-            format!("file truncated: {} bytes, header needs {HEADER_LEN}", bytes.len()),
+            format!(
+                "file truncated: {} bytes, header needs {HEADER_LEN}",
+                bytes.len()
+            ),
         ));
     }
     if bytes[..8] != MAGIC {
@@ -246,7 +249,10 @@ pub fn read_container(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>> {
         let tag = u32_at(at);
         let reserved = u32_at(at + 4);
         if reserved != 0 {
-            return Err(err(at + 4, format!("section {i}: reserved field is {reserved}, not 0")));
+            return Err(err(
+                at + 4,
+                format!("section {i}: reserved field is {reserved}, not 0"),
+            ));
         }
         if sections.iter().any(|(t, _)| *t == tag) {
             return Err(err(at, format!("section {i}: duplicate tag {tag}")));
@@ -254,7 +260,10 @@ pub fn read_container(bytes: &[u8]) -> Result<Vec<(u32, &[u8])>> {
         let offset = u64_at(at + 8);
         let len = u64_at(at + 16);
         if offset % 8 != 0 {
-            return Err(err(at + 8, format!("section {i}: offset {offset} is not 8-byte aligned")));
+            return Err(err(
+                at + 8,
+                format!("section {i}: offset {offset} is not 8-byte aligned"),
+            ));
         }
         let end = offset.checked_add(len).filter(|&e| e <= bytes.len() as u64);
         let Some(end) = end else {
@@ -547,7 +556,10 @@ impl<'a> ByteReader<'a> {
         if self.remaining() < n {
             return Err(err(
                 self.pos,
-                format!("{what} needs {n} bytes, section has {} left", self.remaining()),
+                format!(
+                    "{what} needs {n} bytes, section has {} left",
+                    self.remaining()
+                ),
             ));
         }
         let out = &self.bytes[self.pos..self.pos + n];
@@ -579,7 +591,10 @@ impl<'a> ByteReader<'a> {
         if len > self.remaining() as u64 {
             return Err(err(
                 self.pos,
-                format!("{what}: declared length {len} exceeds the {} bytes left", self.remaining()),
+                format!(
+                    "{what}: declared length {len} exceeds the {} bytes left",
+                    self.remaining()
+                ),
             ));
         }
         let raw = self.take(len as usize, what)?;
@@ -721,7 +736,11 @@ mod tests {
         assert_eq!(r.take_str("s").unwrap(), "dataset-α");
         let fs = r.take_f64_vec("fs").unwrap();
         assert_eq!(fs[0].to_bits(), 1.5f64.to_bits());
-        assert_eq!(fs[1].to_bits(), (-0.0f64).to_bits(), "signed zero preserved");
+        assert_eq!(
+            fs[1].to_bits(),
+            (-0.0f64).to_bits(),
+            "signed zero preserved"
+        );
         assert!(fs[2].is_nan());
         r.expect_end("a").unwrap();
 
@@ -762,7 +781,10 @@ mod tests {
         let bytes = sample_container();
         let mut bad_magic = bytes.clone();
         bad_magic[0] = b'X';
-        assert!(read_container(&bad_magic).unwrap_err().to_string().contains("magic"));
+        assert!(read_container(&bad_magic)
+            .unwrap_err()
+            .to_string()
+            .contains("magic"));
 
         // A foreign version is refused before the digest is consulted:
         // version 1 (an FNV-1a digest) as much as a future version 3.
@@ -770,13 +792,19 @@ mod tests {
             let mut foreign = bytes.clone();
             foreign[8] = version;
             let message = read_container(&foreign).unwrap_err().to_string();
-            assert!(message.contains(&format!("container version {version}")), "{message}");
+            assert!(
+                message.contains(&format!("container version {version}")),
+                "{message}"
+            );
         }
 
         // An absurd section count cannot drive a large allocation.
         let mut huge = bytes.clone();
         huge[12..16].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(read_container(&huge).unwrap_err().to_string().contains("limit"));
+        assert!(read_container(&huge)
+            .unwrap_err()
+            .to_string()
+            .contains("limit"));
     }
 
     #[test]
@@ -849,7 +877,11 @@ mod tests {
         // calls.
         fn fill_long<S: ByteSink>(w: &mut ByteWriter<S>) {
             fill(w);
-            w.put_u32_slice(&(0..3001u32).map(|i| i.wrapping_mul(7919)).collect::<Vec<_>>());
+            w.put_u32_slice(
+                &(0..3001u32)
+                    .map(|i| i.wrapping_mul(7919))
+                    .collect::<Vec<_>>(),
+            );
             w.put_u32(5);
             w.put_u64_slice(&(0..1025u64).map(|i| i << 29 | i).collect::<Vec<_>>());
             w.put_f64_slice(&(0..513).map(|i| f64::from(i) * -0.5).collect::<Vec<_>>());

@@ -195,7 +195,8 @@ impl RowShardSink {
             return;
         }
         if self.cols.len() < self.written + k {
-            self.cols.resize((self.written + k).max(self.cols.len() * 2), 0);
+            self.cols
+                .resize((self.written + k).max(self.cols.len() * 2), 0);
         }
         let before = self.written;
         let mut max_col = 0u32;

@@ -211,8 +211,11 @@ impl BipartiteGraph {
         }
 
         // Left-direction change lists, sorted row-major.
-        let mut ins: Vec<(u32, RightId)> =
-            delta.inserts().iter().map(|&(l, r)| (l.index(), r)).collect();
+        let mut ins: Vec<(u32, RightId)> = delta
+            .inserts()
+            .iter()
+            .map(|&(l, r)| (l.index(), r))
+            .collect();
         ins.sort_unstable();
         if let Some(w) = ins.windows(2).find(|w| w[0] == w[1]) {
             return Err(GraphError::DeltaInsertExists {
@@ -220,8 +223,11 @@ impl BipartiteGraph {
                 right: w[0].1.index(),
             });
         }
-        let mut del: Vec<(u32, RightId)> =
-            delta.deletes().iter().map(|&(l, r)| (l.index(), r)).collect();
+        let mut del: Vec<(u32, RightId)> = delta
+            .deletes()
+            .iter()
+            .map(|&(l, r)| (l.index(), r))
+            .collect();
         del.sort_unstable();
         if let Some(w) = del.windows(2).find(|w| w[0] == w[1]) {
             return Err(GraphError::DeltaDeleteMissing {
@@ -262,11 +268,17 @@ impl BipartiteGraph {
             // Right-direction change lists, sorted column-major. The
             // left pass proved every insert absent and delete present,
             // so this rebuild cannot fail.
-            let mut ins_r: Vec<(u32, LeftId)> =
-                delta.inserts().iter().map(|&(l, r)| (r.index(), l)).collect();
+            let mut ins_r: Vec<(u32, LeftId)> = delta
+                .inserts()
+                .iter()
+                .map(|&(l, r)| (r.index(), l))
+                .collect();
             ins_r.sort_unstable();
-            let mut del_r: Vec<(u32, LeftId)> =
-                delta.deletes().iter().map(|&(l, r)| (r.index(), l)).collect();
+            let mut del_r: Vec<(u32, LeftId)> = delta
+                .deletes()
+                .iter()
+                .map(|&(l, r)| (r.index(), l))
+                .collect();
             del_r.sort_unstable();
             let (ro, rn) = self.right_csr();
             rebuild_side_validating(
@@ -342,8 +354,16 @@ fn rebuild_side_validating<T: Copy + Ord + crate::node::NodeIndex>(
         // skips its old element; an insert emits its new value. Insert
         // and delete values never collide — the overlap check refused
         // that batch.
-        let ins_end = ii + ins[ii..].iter().take_while(|&&(r, _)| r as usize == row).count();
-        let del_end = di + del[di..].iter().take_while(|&&(r, _)| r as usize == row).count();
+        let ins_end = ii
+            + ins[ii..]
+                .iter()
+                .take_while(|&&(r, _)| r as usize == row)
+                .count();
+        let del_end = di
+            + del[di..]
+                .iter()
+                .take_while(|&&(r, _)| r as usize == row)
+                .count();
         let old = &neighbors[offsets[row]..offsets[row + 1]];
         let mut pos = 0usize;
         while ii < ins_end || di < del_end {
@@ -421,7 +441,10 @@ mod tests {
                 (LeftId::new(1), RightId::new(2)),
                 (LeftId::new(0), RightId::new(2)),
             ],
-            vec![(LeftId::new(0), RightId::new(0)), (LeftId::new(3), RightId::new(1))],
+            vec![
+                (LeftId::new(0), RightId::new(0)),
+                (LeftId::new(3), RightId::new(1)),
+            ],
         );
         let applied = g.apply_delta(&delta).unwrap();
         assert_eq!(applied, rebuild_from_edges(&g, &delta));
@@ -482,7 +505,10 @@ mod tests {
             Err(GraphError::DeltaConflict { left: 1, right: 1 })
         ));
         let dup = EdgeDelta::new(
-            vec![(LeftId::new(1), RightId::new(1)), (LeftId::new(1), RightId::new(1))],
+            vec![
+                (LeftId::new(1), RightId::new(1)),
+                (LeftId::new(1), RightId::new(1)),
+            ],
             Vec::new(),
         );
         assert!(matches!(

@@ -268,16 +268,20 @@ mod tests {
         assert_eq!(h, back);
         // A doctored total is refused instead of silently accepted.
         let bad = json.replace("\"total\": 4", "\"total\": 9");
-        let bad = if bad == json { json.replace("\"total\":4", "\"total\":9") } else { bad };
+        let bad = if bad == json {
+            json.replace("\"total\":4", "\"total\":9")
+        } else {
+            bad
+        };
         assert!(serde_json::from_str::<DegreeHistogram>(&bad).is_err());
         // A trailing zero bin cannot come from `from_degrees`: refused.
-        assert!(serde_json::from_str::<DegreeHistogram>(
-            "{\"counts\":[1,0],\"total\":1}"
-        )
-        .is_err());
+        assert!(serde_json::from_str::<DegreeHistogram>("{\"counts\":[1,0],\"total\":1}").is_err());
         // The empty histogram round-trips.
         let empty = DegreeHistogram::from_degrees(&[]);
         let json = serde_json::to_string(&empty).unwrap();
-        assert_eq!(serde_json::from_str::<DegreeHistogram>(&json).unwrap(), empty);
+        assert_eq!(
+            serde_json::from_str::<DegreeHistogram>(&json).unwrap(),
+            empty
+        );
     }
 }

@@ -359,7 +359,10 @@ pub fn read_json<T: serde::Deserialize, R: Read>(mut reader: R) -> Result<T> {
 /// `a.json.tmp`). Exposed so directory scanners can recognise crash
 /// debris from an interrupted publish.
 pub fn pending_sibling(path: &Path) -> PathBuf {
-    let mut name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_os_string())
+        .unwrap_or_default();
     name.push(".tmp");
     path.with_file_name(name)
 }

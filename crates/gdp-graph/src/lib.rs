@@ -57,7 +57,9 @@ pub mod io;
 
 pub use bipartite::{BipartiteGraph, EdgeIter};
 pub use builder::GraphBuilder;
-pub use csr_direct::{assemble_left_rows, assemble_right_rows, EdgeSink, RecordingSink, RowShardSink};
+pub use csr_direct::{
+    assemble_left_rows, assemble_right_rows, EdgeSink, RecordingSink, RowShardSink,
+};
 pub use delta::EdgeDelta;
 pub use error::GraphError;
 pub use histogram::DegreeHistogram;

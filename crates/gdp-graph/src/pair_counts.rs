@@ -142,7 +142,11 @@ impl PairCounts {
         for (node, &b) in left.assignment().iter().enumerate() {
             let c = &mut cursor[b as usize];
             let neighbors = graph.neighbors_of_left(LeftId::new(node as u32));
-            scatter_row_blocks(neighbors, right_assignment, &mut bucket[*c..*c + neighbors.len()]);
+            scatter_row_blocks(
+                neighbors,
+                right_assignment,
+                &mut bucket[*c..*c + neighbors.len()],
+            );
             *c += neighbors.len();
         }
 
@@ -477,7 +481,10 @@ impl PairCounts {
                 // Dirty row: walk its deltas in column order,
                 // bulk-copying the untouched cell span before each one.
                 let end = di
-                    + deltas[di..].iter().take_while(|&&((l, _), _)| l as usize == row).count();
+                    + deltas[di..]
+                        .iter()
+                        .take_while(|&&((l, _), _)| l as usize == row)
+                        .count();
                 let (a, b) = (self.row_ptr[row], self.row_ptr[row + 1]);
                 let old_cols = &self.col_idx[a..b];
                 let old_cnts = &self.cell_counts[a..b];
@@ -604,8 +611,7 @@ impl PairCounts {
     /// Iterates over non-empty `((left_block, right_block), count)` cells
     /// in row-major (left block, then right block) order.
     pub fn iter(&self) -> impl Iterator<Item = ((u32, u32), u64)> + '_ {
-        (0..self.left_blocks)
-            .flat_map(move |l| self.row(l).map(move |(r, c)| ((l, r), c)))
+        (0..self.left_blocks).flat_map(move |l| self.row(l).map(move |(r, c)| ((l, r), c)))
     }
 
     /// Row sums: associations incident to each left block.
@@ -697,7 +703,8 @@ fn fold_row_range(
         touched.sort_unstable();
         out.row_cells.push(touched.len());
         out.col_idx.extend_from_slice(&touched);
-        out.cell_counts.extend(touched.iter().map(|&rb| scratch[rb as usize]));
+        out.cell_counts
+            .extend(touched.iter().map(|&rb| scratch[rb as usize]));
         for &rb in &touched {
             scratch[rb as usize] = 0;
         }
@@ -858,8 +865,9 @@ mod tests {
     fn scatter_row_blocks_matches_block_of() {
         let assignment: Vec<u32> = (0..40u32).map(|r| (r * 7) % 11).collect();
         for len in [0usize, 1, 7, 8, 9, 16, 17, 33] {
-            let neighbors: Vec<RightId> =
-                (0..len as u32).map(|i| RightId::new((i * 3) % 40)).collect();
+            let neighbors: Vec<RightId> = (0..len as u32)
+                .map(|i| RightId::new((i * 3) % 40))
+                .collect();
             let mut out = vec![u32::MAX; len];
             scatter_row_blocks(&neighbors, &assignment, &mut out);
             let expect: Vec<u32> = neighbors
@@ -897,11 +905,7 @@ mod tests {
         assert_eq!(pc.get(1, 1), 2);
         assert_eq!(pc.non_empty_cells(), 3);
         // Canonical CSR: equal to a from-scratch table with those counts.
-        let expect = PairCounts::from_sorted_cells(
-            &[((0, 0), 3), ((0, 1), 4), ((1, 1), 2)],
-            2,
-            2,
-        );
+        let expect = PairCounts::from_sorted_cells(&[((0, 0), 3), ((0, 1), 4), ((1, 1), 2)], 2, 2);
         assert_eq!(pc, expect);
     }
 
@@ -922,13 +926,13 @@ mod tests {
     fn cell_deltas_refusals_leave_counts_untouched() {
         let base = PairCounts::from_sorted_cells(&[((0, 0), 2), ((1, 1), 1)], 2, 2);
         let cases: &[&[((u32, u32), i64)]] = &[
-            &[((0, 0), -3)],                  // underflow
-            &[((0, 0), 1), ((0, 0), 1)],      // duplicate key
-            &[((1, 1), 1), ((0, 0), 1)],      // unsorted
-            &[((0, 1), 0)],                   // zero change
-            &[((5, 0), 1)],                   // left block out of range
-            &[((0, 9), 1)],                   // right block out of range
-            &[((0, 1), -1)],                  // underflow on an absent cell
+            &[((0, 0), -3)],             // underflow
+            &[((0, 0), 1), ((0, 0), 1)], // duplicate key
+            &[((1, 1), 1), ((0, 0), 1)], // unsorted
+            &[((0, 1), 0)],              // zero change
+            &[((5, 0), 1)],              // left block out of range
+            &[((0, 9), 1)],              // right block out of range
+            &[((0, 1), -1)],             // underflow on an absent cell
         ];
         for deltas in cases {
             let mut pc = base.clone();

@@ -106,10 +106,7 @@ impl fmt::Display for GraphStats {
         writeln!(
             f,
             "mean degree (L/R) {:>12}",
-            format!(
-                "{:.2}/{:.2}",
-                self.mean_left_degree, self.mean_right_degree
-            )
+            format!("{:.2}/{:.2}", self.mean_left_degree, self.mean_right_degree)
         )?;
         write!(f, "density           {:>12.3e}", self.density)
     }

@@ -121,7 +121,10 @@ mod tests {
         }
         let g = b.build();
         let cc = connected_components(&g);
-        assert_eq!(cc.left_component(LeftId::new(0)), cc.left_component(LeftId::new(1)));
+        assert_eq!(
+            cc.left_component(LeftId::new(0)),
+            cc.left_component(LeftId::new(1))
+        );
         assert_eq!(
             cc.left_component(LeftId::new(0)),
             cc.right_component(RightId::new(0))

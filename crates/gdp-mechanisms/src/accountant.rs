@@ -157,8 +157,7 @@ impl PrivacyAccountant {
         let new_eps = self.spent_epsilon + budget.epsilon.get();
         let new_delta = self.spent_delta + budget.delta.get();
         let eps_cap = self.total.epsilon.get() * (1.0 + BUDGET_RELATIVE_SLACK);
-        let delta_cap =
-            self.total.delta.get() * (1.0 + BUDGET_RELATIVE_SLACK) + f64::MIN_POSITIVE;
+        let delta_cap = self.total.delta.get() * (1.0 + BUDGET_RELATIVE_SLACK) + f64::MIN_POSITIVE;
         if self.is_exhausted() || new_eps > eps_cap || new_delta > delta_cap {
             return Err(MechanismError::BudgetExhausted {
                 requested_epsilon: new_eps,
@@ -367,8 +366,7 @@ mod tests {
         let dp = Delta::new(1e-6).unwrap();
         let got = advanced_composition(per_step, k, dp).unwrap();
         let eps = 0.1f64;
-        let want_eps =
-            eps * (2.0 * 10.0 * (1e6f64).ln()).sqrt() + 10.0 * eps * (eps.exp() - 1.0);
+        let want_eps = eps * (2.0 * 10.0 * (1e6f64).ln()).sqrt() + 10.0 * eps * (eps.exp() - 1.0);
         assert!((got.epsilon.get() - want_eps).abs() < 1e-12);
         assert!((got.delta.get() - (10.0 * 1e-8 + 1e-6)).abs() < 1e-18);
     }

@@ -107,7 +107,10 @@ impl ExponentialMechanism {
         }
         let scale = self.epsilon.get() / (2.0 * self.utility_sensitivity.get());
         let max = utilities.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-        let weights: Vec<f64> = utilities.iter().map(|u| (scale * (u - max)).exp()).collect();
+        let weights: Vec<f64> = utilities
+            .iter()
+            .map(|u| (scale * (u - max)).exp())
+            .collect();
         let total: f64 = weights.iter().sum();
         Ok(weights.into_iter().map(|w| w / total).collect())
     }

@@ -346,8 +346,7 @@ mod tests {
         let mut noise = vec![0.0; 100_000];
         m.sample_into(&mut noise, &mut rng);
         let mean = noise.iter().sum::<f64>() / noise.len() as f64;
-        let var = noise.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>()
-            / noise.len() as f64;
+        let var = noise.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / noise.len() as f64;
         let rel = (var - m.variance()).abs() / m.variance();
         assert!(rel < 0.02, "batched variance off by {rel}");
     }

@@ -188,7 +188,10 @@ mod tests {
             .map(|x| (*x as f64 - mean) * (*x as f64 - mean))
             .sum::<f64>()
             / noise.len() as f64;
-        assert!((var - m.variance()).abs() / m.variance() < 0.03, "var {var}");
+        assert!(
+            (var - m.variance()).abs() / m.variance() < 0.03,
+            "var {var}"
+        );
     }
 
     #[test]

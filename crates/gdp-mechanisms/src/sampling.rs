@@ -375,7 +375,10 @@ mod tests {
         two_sided_geometric_into(&mut r, alpha, &mut xs);
         let zero_frac = xs.iter().filter(|x| **x == 0).count() as f64 / N as f64;
         let want_zero = (1.0 - alpha) / (1.0 + alpha);
-        assert!((zero_frac - want_zero).abs() < 0.01, "zero mass {zero_frac}");
+        assert!(
+            (zero_frac - want_zero).abs() < 0.01,
+            "zero mass {zero_frac}"
+        );
         let mean = xs.iter().sum::<i64>() as f64 / N as f64;
         assert!(mean.abs() < 0.02, "mean {mean}");
     }

@@ -347,10 +347,7 @@ mod tests {
         ];
         for (x, want) in table {
             let got = normal_cdf(x);
-            assert!(
-                (got - want).abs() < 1e-12,
-                "Phi({x}) = {got}, want {want}"
-            );
+            assert!((got - want).abs() < 1e-12, "Phi({x}) = {got}, want {want}");
         }
     }
 

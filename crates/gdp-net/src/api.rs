@@ -213,7 +213,13 @@ mod tests {
     #[test]
     fn answers_round_trip_bit_exactly() {
         // Adversarial floats: subnormal, negative zero, many digits.
-        for v in [0.1 + 0.2, -0.0, 5e-324, 1.7976931348623157e308, -123.456789012345] {
+        for v in [
+            0.1 + 0.2,
+            -0.0,
+            5e-324,
+            1.7976931348623157e308,
+            -123.456789012345,
+        ] {
             let wire = WireAnswer::Scalar(v);
             let json = serde_json::to_string(&wire).unwrap();
             let back: WireAnswer = serde_json::from_str(&json).unwrap();

@@ -196,7 +196,11 @@ mod tests {
         // Distinct seeds must not share one schedule (the whole point
         // of the jitter). One collision would be astronomically
         // unlucky across four retries.
-        let schedule = |seed| (0..4).map(|r| backoff_delay(base, r, seed)).collect::<Vec<_>>();
+        let schedule = |seed| {
+            (0..4)
+                .map(|r| backoff_delay(base, r, seed))
+                .collect::<Vec<_>>()
+        };
         assert_ne!(schedule(1), schedule(2));
         // The exponent cap keeps the window bounded at 1024 × base.
         assert!(backoff_delay(base, u32::MAX, 9) <= base * 1024);

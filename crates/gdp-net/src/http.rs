@@ -194,7 +194,11 @@ pub fn read_request<R: BufRead>(reader: &mut R, max_body: usize) -> HttpResult<O
     let http11 = match version {
         "HTTP/1.1" => true,
         "HTTP/1.0" => false,
-        other => return Err(HttpError::Malformed(format!("unsupported version `{other}`"))),
+        other => {
+            return Err(HttpError::Malformed(format!(
+                "unsupported version `{other}`"
+            )))
+        }
     };
     let request_line = (method.to_string(), path.to_string());
 
@@ -397,11 +401,9 @@ mod tests {
 
     #[test]
     fn parses_post_with_body_and_keep_alive() {
-        let req = parse(
-            b"POST /v1/answer HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd",
-        )
-        .unwrap()
-        .unwrap();
+        let req = parse(b"POST /v1/answer HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nabcd")
+            .unwrap()
+            .unwrap();
         assert_eq!(req.method, "POST");
         assert_eq!(req.path, "/v1/answer");
         assert!(req.http11);
@@ -440,7 +442,10 @@ mod tests {
 
     #[test]
     fn malformed_and_oversized_inputs_are_typed() {
-        assert!(matches!(parse(b"NONSENSE\r\n\r\n"), Err(HttpError::Malformed(_))));
+        assert!(matches!(
+            parse(b"NONSENSE\r\n\r\n"),
+            Err(HttpError::Malformed(_))
+        ));
         assert!(matches!(
             parse(b"GET /x HTTP/2\r\n\r\n"),
             Err(HttpError::Malformed(_))
@@ -452,7 +457,10 @@ mod tests {
         // Body over the limit is refused before it is read.
         assert!(matches!(
             parse(b"POST /x HTTP/1.1\r\nContent-Length: 9999\r\n\r\n"),
-            Err(HttpError::TooLarge { what: "request body", .. })
+            Err(HttpError::TooLarge {
+                what: "request body",
+                ..
+            })
         ));
         // A single absurdly long line is refused.
         let mut raw = b"GET /".to_vec();
@@ -460,7 +468,10 @@ mod tests {
         raw.extend_from_slice(b" HTTP/1.1\r\n\r\n");
         assert!(matches!(
             parse(&raw),
-            Err(HttpError::TooLarge { what: "header line", .. })
+            Err(HttpError::TooLarge {
+                what: "header line",
+                ..
+            })
         ));
         // Too many headers are refused.
         let mut raw = b"GET /x HTTP/1.1\r\n".to_vec();
@@ -470,7 +481,10 @@ mod tests {
         raw.extend_from_slice(b"\r\n");
         assert!(matches!(
             parse(&raw),
-            Err(HttpError::TooLarge { what: "header count", .. })
+            Err(HttpError::TooLarge {
+                what: "header count",
+                ..
+            })
         ));
     }
 

@@ -262,7 +262,11 @@ mod tests {
         assert_eq!(snap.epochs_retired, 1);
         assert_eq!(snap.quarantined, 4);
         assert_eq!(snap.last_reload_uptime_ms, 1234);
-        assert!(snap.last_reload.starts_with("ok: 1 loaded"), "{}", snap.last_reload);
+        assert!(
+            snap.last_reload.starts_with("ok: 1 loaded"),
+            "{}",
+            snap.last_reload
+        );
 
         state.attempts.fetch_add(1, Ordering::Relaxed);
         state.record_err("directory vanished", 2345);

@@ -34,8 +34,8 @@ use gdp_core::Privilege;
 use gdp_serve::AnswerService;
 
 use crate::api::{
-    error_body, AnswerRequest, AnswerResponse, BatchAnswerRequest, BatchAnswerResponse,
-    ErrorBody, ReleaseInfo, ReleasesResponse, ReloadResponse, WireAnswer,
+    error_body, AnswerRequest, AnswerResponse, BatchAnswerRequest, BatchAnswerResponse, ErrorBody,
+    ReleaseInfo, ReleasesResponse, ReloadResponse, WireAnswer,
 };
 use crate::fault::FaultPlan;
 use crate::http::{self, HttpError, Request, Response};
@@ -328,7 +328,10 @@ fn accept_loop(listener: TcpListener, shared: &Shared) {
                 match shared.queue.try_push(conn) {
                     Ok(()) => {}
                     Err(PushError::Full(conn)) => {
-                        shared.stats.rejected_overflow.fetch_add(1, Ordering::Relaxed);
+                        shared
+                            .stats
+                            .rejected_overflow
+                            .fetch_add(1, Ordering::Relaxed);
                         refuse(conn, shared, "overloaded", "request queue is full");
                     }
                     Err(PushError::Closed(conn)) => {
@@ -406,9 +409,15 @@ struct WorkerGuard {
 
 impl Drop for WorkerGuard {
     fn drop(&mut self) {
-        self.shared.stats.live_workers.fetch_sub(1, Ordering::SeqCst);
+        self.shared
+            .stats
+            .live_workers
+            .fetch_sub(1, Ordering::SeqCst);
         if std::thread::panicking() {
-            self.shared.stats.worker_panics.fetch_add(1, Ordering::SeqCst);
+            self.shared
+                .stats
+                .worker_panics
+                .fetch_add(1, Ordering::SeqCst);
             let _ = self.tx.send(SupMsg::WorkerDied);
         }
     }
@@ -625,20 +634,26 @@ fn route(shared: &Shared, request: &Request, deadline_start: Instant) -> Respons
     match (request.method.as_str(), request.path.as_str()) {
         ("GET", "/health") => {
             let status = if shared.draining() { "draining" } else { "ok" };
-            Response::json(200, &serde::Value::Map(vec![(
-                "status".to_string(),
-                serde::Value::Str(status.to_string()),
-            )]))
+            Response::json(
+                200,
+                &serde::Value::Map(vec![(
+                    "status".to_string(),
+                    serde::Value::Str(status.to_string()),
+                )]),
+            )
         }
         ("GET", "/stats") => Response::json(200, &shared.snapshot()),
         ("GET", "/v1/releases") => releases(shared),
         ("POST", "/shutdown") => {
             shared.begin_drain();
             shared.wake_acceptor();
-            Response::json(200, &serde::Value::Map(vec![(
-                "status".to_string(),
-                serde::Value::Str("draining".to_string()),
-            )]))
+            Response::json(
+                200,
+                &serde::Value::Map(vec![(
+                    "status".to_string(),
+                    serde::Value::Str("draining".to_string()),
+                )]),
+            )
         }
         ("POST", "/v1/admin/reload") => admin_reload(shared),
         ("POST", "/v1/answer") => answer_one(shared, request, deadline_start),
@@ -716,7 +731,10 @@ fn preflight(shared: &Shared, dataset: &str, deadline_start: Instant) -> Result<
         ));
     }
     if deadline_start.elapsed() > shared.config.request_deadline {
-        shared.stats.deadline_expired.fetch_add(1, Ordering::Relaxed);
+        shared
+            .stats
+            .deadline_expired
+            .fetch_add(1, Ordering::Relaxed);
         return Err(Response::json(
             504,
             &ErrorBody {

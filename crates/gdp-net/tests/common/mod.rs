@@ -66,7 +66,11 @@ pub fn start(config: ServerConfig, faults: FaultPlan) -> ServerHandle {
 
 /// Polls `predicate` against the handle's stats until it holds or 5 s
 /// pass (fails the test on timeout).
-pub fn wait_for<F: Fn(&gdp_net::StatsSnapshot) -> bool>(handle: &ServerHandle, what: &str, predicate: F) {
+pub fn wait_for<F: Fn(&gdp_net::StatsSnapshot) -> bool>(
+    handle: &ServerHandle,
+    what: &str,
+    predicate: F,
+) {
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     loop {
         if predicate(&handle.stats()) {

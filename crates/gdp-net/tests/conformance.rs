@@ -6,8 +6,8 @@ mod common;
 
 use std::time::Duration;
 
-use gdp_graph::Side;
 use gdp_core::Privilege;
+use gdp_graph::Side;
 use gdp_net::{
     client, AnswerRequest, AnswerResponse, BatchAnswerRequest, BatchAnswerResponse, ErrorBody,
     FaultPlan, HttpError, ReleasesResponse, StatsSnapshot,
@@ -70,11 +70,7 @@ fn http_answers_are_bit_identical_to_direct_calls() {
             let parsed: AnswerResponse =
                 serde_json::from_str(&String::from_utf8(response.body).unwrap()).unwrap();
             let served: TypedAnswer = parsed.answer.into();
-            assert_bits_equal(
-                &served,
-                &direct,
-                &format!("level {level} {}", query.name()),
-            );
+            assert_bits_equal(&served, &direct, &format!("level {level} {}", query.name()));
         }
     }
 
@@ -149,7 +145,10 @@ fn the_request_reaching_the_keep_alive_cap_is_answered_with_connection_close() {
     config.max_requests_per_connection = 3;
     let handle = common::start(config, FaultPlan::none());
     let mut conn = client::ClientConn::connect(handle.addr(), TIMEOUT).unwrap();
-    for (i, want) in ["keep-alive", "keep-alive", "close"].into_iter().enumerate() {
+    for (i, want) in ["keep-alive", "keep-alive", "close"]
+        .into_iter()
+        .enumerate()
+    {
         let response = conn.send("GET", "/health", None).unwrap();
         assert_eq!(response.status, 200, "request {i}");
         assert_eq!(response.header("connection"), Some(want), "request {i}");

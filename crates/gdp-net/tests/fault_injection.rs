@@ -10,9 +10,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use gdp_graph::Side;
-use gdp_net::{
-    client, AnswerRequest, ErrorBody, FaultAction, FaultPlan, Gate, HttpError,
-};
+use gdp_net::{client, AnswerRequest, ErrorBody, FaultAction, FaultPlan, Gate, HttpError};
 use gdp_serve::Query;
 
 const TIMEOUT: Duration = Duration::from_secs(5);
@@ -46,13 +44,23 @@ fn queue_overflow_is_refused_with_503_and_retry_after() {
 
     // A occupies the single worker (held open by the gate).
     let a = std::thread::spawn(move || {
-        client::post_json(addr, "/v1/answer", &answer_body("dblp"), Duration::from_secs(10))
+        client::post_json(
+            addr,
+            "/v1/answer",
+            &answer_body("dblp"),
+            Duration::from_secs(10),
+        )
     });
     common::wait_for(&handle, "held request in flight", |s| s.in_flight == 1);
 
     // B fills the single queue slot.
     let b = std::thread::spawn(move || {
-        client::post_json(addr, "/v1/answer", &answer_body("dblp"), Duration::from_secs(10))
+        client::post_json(
+            addr,
+            "/v1/answer",
+            &answer_body("dblp"),
+            Duration::from_secs(10),
+        )
     });
     common::wait_for(&handle, "queued connection", |s| s.queue_depth == 1);
 
@@ -87,11 +95,21 @@ fn backoff_client_rides_out_backpressure() {
     let addr = handle.addr();
 
     let a = std::thread::spawn(move || {
-        client::post_json(addr, "/v1/answer", &answer_body("dblp"), Duration::from_secs(10))
+        client::post_json(
+            addr,
+            "/v1/answer",
+            &answer_body("dblp"),
+            Duration::from_secs(10),
+        )
     });
     common::wait_for(&handle, "held request in flight", |s| s.in_flight == 1);
     let b = std::thread::spawn(move || {
-        client::post_json(addr, "/v1/answer", &answer_body("dblp"), Duration::from_secs(10))
+        client::post_json(
+            addr,
+            "/v1/answer",
+            &answer_body("dblp"),
+            Duration::from_secs(10),
+        )
     });
     common::wait_for(&handle, "queued connection", |s| s.queue_depth == 1);
 
@@ -112,7 +130,10 @@ fn backoff_client_rides_out_backpressure() {
     )
     .unwrap();
     assert_eq!(response.status, 200);
-    assert!(retries >= 1, "expected at least one 503 retry, got {retries}");
+    assert!(
+        retries >= 1,
+        "expected at least one 503 retry, got {retries}"
+    );
 
     opener.join().unwrap();
     assert_eq!(a.join().unwrap().unwrap().status, 200);
@@ -234,7 +255,12 @@ fn graceful_shutdown_drains_in_flight_and_refuses_new_connections() {
     let addr = handle.addr();
 
     let held = std::thread::spawn(move || {
-        client::post_json(addr, "/v1/answer", &answer_body("dblp"), Duration::from_secs(10))
+        client::post_json(
+            addr,
+            "/v1/answer",
+            &answer_body("dblp"),
+            Duration::from_secs(10),
+        )
     });
     common::wait_for(&handle, "held request in flight", |s| s.in_flight == 1);
 

@@ -51,7 +51,11 @@ fn seed_dir(name: &str) -> std::path::PathBuf {
 /// Starts a server over a degraded open of `dir` with `reload`.
 fn start_dir_server(dir: &Path, reload: ReloadConfig) -> ServerHandle {
     let (store, report) = ReleaseStore::open_dir_report(dir).unwrap();
-    assert_eq!(report.quarantined(), 0, "seed dir must be clean: {report:?}");
+    assert_eq!(
+        report.quarantined(),
+        0,
+        "seed dir must be clean: {report:?}"
+    );
     let config = ServerConfig {
         reload,
         ..common::test_config()
@@ -129,8 +133,15 @@ fn admin_reload_under_traffic_serves_old_and_new_epochs() {
     assert_eq!(stats.store.reload_attempts, 1);
     assert_eq!(stats.store.reload_failures, 0);
     assert_eq!(stats.store.epochs_loaded_live, 1);
-    assert!(stats.store.last_reload.starts_with("ok: "), "{}", stats.store.last_reload);
-    assert!(!stats.store.watcher_alive, "manual config must not spawn a watcher");
+    assert!(
+        stats.store.last_reload.starts_with("ok: "),
+        "{}",
+        stats.store.last_reload
+    );
+    assert!(
+        !stats.store.watcher_alive,
+        "manual config must not spawn a watcher"
+    );
 
     assert!(handle.join().clean);
     std::fs::remove_dir_all(&dir).ok();
@@ -146,17 +157,19 @@ fn watcher_auto_loads_new_epochs_and_is_counted() {
     common::artifact("dblp", 3)
         .save_atomic(dir.join("dblp-e3.json"))
         .unwrap();
-    common::wait_for(&handle, "watcher to pick up epoch 3", |s| s.store.epochs == 3);
-    let response =
-        client::post_json(addr, "/v1/answer", &answer_body("dblp", 3), TIMEOUT).unwrap();
+    common::wait_for(&handle, "watcher to pick up epoch 3", |s| {
+        s.store.epochs == 3
+    });
+    let response = client::post_json(addr, "/v1/answer", &answer_body("dblp", 3), TIMEOUT).unwrap();
     assert_eq!(response.status, 200);
 
     // Deleting a backing file retires its release on the next sweep —
     // consumers get the typed 404, not stale answers.
     std::fs::remove_file(dir.join("dblp-e1.json")).unwrap();
-    common::wait_for(&handle, "watcher to retire epoch 1", |s| s.store.epochs == 2);
-    let response =
-        client::post_json(addr, "/v1/answer", &answer_body("dblp", 1), TIMEOUT).unwrap();
+    common::wait_for(&handle, "watcher to retire epoch 1", |s| {
+        s.store.epochs == 2
+    });
+    let response = client::post_json(addr, "/v1/answer", &answer_body("dblp", 1), TIMEOUT).unwrap();
     assert_eq!(response.status, 404);
     assert_eq!(error_kind(&response.body), "unknown_release");
 
@@ -167,7 +180,10 @@ fn watcher_auto_loads_new_epochs_and_is_counted() {
 
     let report = handle.join();
     assert!(report.clean);
-    assert!(!report.stats.store.watcher_alive, "watcher must exit on drain");
+    assert!(
+        !report.stats.store.watcher_alive,
+        "watcher must exit on drain"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -199,9 +215,11 @@ fn reload_failure_degrades_while_serving_continues() {
     let reload: ReloadResponse =
         serde_json::from_str(std::str::from_utf8(&response.body).unwrap()).unwrap();
     assert_eq!(reload.report.quarantined(), 1, "{}", reload.summary);
-    let response =
-        client::post_json(addr, "/v1/answer", &answer_body("dblp", 2), TIMEOUT).unwrap();
-    assert_eq!(response.status, 200, "vandalized epoch keeps serving from memory");
+    let response = client::post_json(addr, "/v1/answer", &answer_body("dblp", 2), TIMEOUT).unwrap();
+    assert_eq!(
+        response.status, 200,
+        "vandalized epoch keeps serving from memory"
+    );
 
     // Losing the directory wholesale is the unrecoverable shape: a
     // typed 500, a failure counter — and serving still continues.
@@ -221,7 +239,10 @@ fn reload_failure_degrades_while_serving_continues() {
     for epoch in [1, 2] {
         let response =
             client::post_json(addr, "/v1/answer", &answer_body("dblp", epoch), TIMEOUT).unwrap();
-        assert_eq!(response.status, 200, "epoch {epoch} survives a dead directory");
+        assert_eq!(
+            response.status, 200,
+            "epoch {epoch} survives a dead directory"
+        );
     }
     assert!(handle.join().clean);
     std::fs::remove_dir_all(&dir).ok();

@@ -88,7 +88,10 @@ impl fmt::Display for ServeError {
         match self {
             Self::Core(e) => write!(f, "{e}"),
             Self::UnknownRelease { dataset, epoch } => {
-                write!(f, "no release registered for dataset `{dataset}` epoch {epoch}")
+                write!(
+                    f,
+                    "no release registered for dataset `{dataset}` epoch {epoch}"
+                )
             }
             Self::DuplicateRelease {
                 dataset,

@@ -193,15 +193,20 @@ impl IndexedRelease {
     pub fn is_indexed(&self, level: usize) -> bool {
         matches!(
             self.levels.get(level),
-            Some(IndexedLevel { groups: Some(_), .. })
+            Some(IndexedLevel {
+                groups: Some(_),
+                ..
+            })
         )
     }
 
     fn level(&self, level: usize) -> Result<&IndexedLevel> {
-        self.levels.get(level).ok_or(ServeError::Core(CoreError::LevelOutOfRange {
-            level,
-            level_count: self.levels.len(),
-        }))
+        self.levels
+            .get(level)
+            .ok_or(ServeError::Core(CoreError::LevelOutOfRange {
+                level,
+                level_count: self.levels.len(),
+            }))
     }
 
     fn indexed_groups(&self, level: usize) -> Result<&IndexedGroups> {
@@ -343,18 +348,16 @@ impl IndexedRelease {
     /// [`IndexedRelease::side_total`]).
     pub fn answer(&self, level: usize, query: &Query) -> Result<TypedAnswer> {
         match query {
-            Query::SubsetCount(q) => {
-                self.estimate(level, q.side, &q.nodes).map(TypedAnswer::Scalar)
-            }
-            Query::GroupMass { side, group } => {
-                self.group_mass(level, *side, *group).map(TypedAnswer::Scalar)
-            }
-            Query::DegreeHistogram { side } => {
-                self.degree_histogram(level, *side).map(TypedAnswer::Histogram)
-            }
-            Query::SideTotal { side } => {
-                self.side_total(level, *side).map(TypedAnswer::Scalar)
-            }
+            Query::SubsetCount(q) => self
+                .estimate(level, q.side, &q.nodes)
+                .map(TypedAnswer::Scalar),
+            Query::GroupMass { side, group } => self
+                .group_mass(level, *side, *group)
+                .map(TypedAnswer::Scalar),
+            Query::DegreeHistogram { side } => self
+                .degree_histogram(level, *side)
+                .map(TypedAnswer::Histogram),
+            Query::SideTotal { side } => self.side_total(level, *side).map(TypedAnswer::Scalar),
         }
     }
 
@@ -366,7 +369,10 @@ impl IndexedRelease {
     /// failing query in input order (the queries after it are not
     /// answered).
     pub fn answer_batch(&self, level: usize, queries: &[Query]) -> Result<Vec<TypedAnswer>> {
-        queries.iter().map(|query| self.answer(level, query)).collect()
+        queries
+            .iter()
+            .map(|query| self.answer(level, query))
+            .collect()
     }
 }
 
@@ -454,10 +460,9 @@ mod tests {
         let hierarchy = Specializer::new(SpecializationConfig::median(2).unwrap())
             .specialize(&graph, &mut rng)
             .unwrap();
-        let release =
-            MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap())
-                .disclose(&graph, &hierarchy, &mut rng)
-                .unwrap();
+        let release = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap())
+            .disclose(&graph, &hierarchy, &mut rng)
+            .unwrap();
         let artifact = ReleaseArtifact::seal("dblp", 1, hierarchy, release).unwrap();
         let indexed = IndexedRelease::new(artifact).unwrap();
         assert!(!indexed.is_indexed(0));
@@ -497,7 +502,10 @@ mod tests {
                 unreachable!("every query is a subset count")
             };
             assert_eq!(
-                indexed.estimate(1, Side::Left, &subset.nodes).unwrap().to_bits(),
+                indexed
+                    .estimate(1, Side::Left, &subset.nodes)
+                    .unwrap()
+                    .to_bits(),
                 got.scalar().unwrap().to_bits()
             );
         }
@@ -532,7 +540,10 @@ mod tests {
             let b = indexed.degree_histogram(level, Side::Left).unwrap();
             assert_eq!(a, &b[..]);
             let again = indexed.degree_histogram(level, Side::Left).unwrap();
-            assert!(Arc::ptr_eq(&b, &again), "histogram must be served by reference");
+            assert!(
+                Arc::ptr_eq(&b, &again),
+                "histogram must be served by reference"
+            );
         }
     }
 
@@ -554,7 +565,13 @@ mod tests {
         );
         assert_eq!(
             indexed
-                .answer(level, &Query::GroupMass { side: Side::Right, group: 1 })
+                .answer(
+                    level,
+                    &Query::GroupMass {
+                        side: Side::Right,
+                        group: 1
+                    }
+                )
                 .unwrap()
                 .scalar()
                 .unwrap(),
@@ -578,7 +595,10 @@ mod tests {
         // Typed batch equals the sequential dispatch loop.
         let queries = vec![
             Query::SubsetCount(subset),
-            Query::GroupMass { side: Side::Left, group: 0 },
+            Query::GroupMass {
+                side: Side::Left,
+                group: 0,
+            },
             Query::DegreeHistogram { side: Side::Left },
             Query::SideTotal { side: Side::Right },
         ];

@@ -146,7 +146,9 @@ mod tests {
     /// values (including a negative zero and a subnormal so ordered
     /// summation differences cannot hide).
     fn side(n: u32, groups: u32) -> (Vec<u32>, Vec<f64>) {
-        let group_of: Vec<u32> = (0..n).map(|v| (v.wrapping_mul(2_654_435_761)) % groups).collect();
+        let group_of: Vec<u32> = (0..n)
+            .map(|v| (v.wrapping_mul(2_654_435_761)) % groups)
+            .collect();
         let premass: Vec<f64> = (0..groups)
             .map(|g| match g % 5 {
                 0 => -0.0,

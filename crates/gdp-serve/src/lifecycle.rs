@@ -262,7 +262,11 @@ mod tests {
     fn evict_plan_respects_keep_last_and_never_touches_newest() {
         let p = RetentionPolicy::keep_last(2);
         assert_eq!(p.evict_plan(&[1, 2, 3, 4, 5]), vec![1, 2, 3]);
-        assert_eq!(p.evict_plan(&[5, 1, 3, 2, 4]), vec![1, 2, 3], "order-insensitive");
+        assert_eq!(
+            p.evict_plan(&[5, 1, 3, 2, 4]),
+            vec![1, 2, 3],
+            "order-insensitive"
+        );
         assert_eq!(p.evict_plan(&[7]), Vec::<u64>::new());
         assert_eq!(p.evict_plan(&[]), Vec::<u64>::new());
         // keep_last(0) clamps to 1: everything but the newest goes.

@@ -402,8 +402,8 @@ mod tests {
     use super::*;
     use crate::{IndexedRelease, SubsetQuery};
     use gdp_core::{
-        CoreError, DisclosureConfig, MultiLevelDiscloser, Query as CoreQuery,
-        ReleaseArtifact, SpecializationConfig, Specializer,
+        CoreError, DisclosureConfig, MultiLevelDiscloser, Query as CoreQuery, ReleaseArtifact,
+        SpecializationConfig, Specializer,
     };
     use gdp_datagen::{DblpConfig, DblpGenerator};
     use gdp_graph::Side;
@@ -432,7 +432,9 @@ mod tests {
         .unwrap();
         let artifact = ReleaseArtifact::seal("dblp", 4, hierarchy, release).unwrap();
         let store = ReleaseStore::new();
-        store.insert(IndexedRelease::new(artifact).unwrap()).unwrap();
+        store
+            .insert(IndexedRelease::new(artifact).unwrap())
+            .unwrap();
         AnswerService::with_cache_capacity(store, capacity)
     }
 
@@ -487,15 +489,21 @@ mod tests {
         let service = service();
         let q = Query::SubsetCount(query(&[0]));
         assert!(matches!(
-            service.answer_typed("dblp", 99, Privilege::full(), 0, &q).unwrap_err(),
+            service
+                .answer_typed("dblp", 99, Privilege::full(), 0, &q)
+                .unwrap_err(),
             ServeError::UnknownRelease { epoch: 99, .. }
         ));
         assert!(matches!(
-            service.answer_typed("movies", 4, Privilege::full(), 0, &q).unwrap_err(),
+            service
+                .answer_typed("movies", 4, Privilege::full(), 0, &q)
+                .unwrap_err(),
             ServeError::UnknownRelease { .. }
         ));
         assert!(matches!(
-            service.answer_typed("dblp", 4, Privilege::full(), 99, &q).unwrap_err(),
+            service
+                .answer_typed("dblp", 4, Privilege::full(), 99, &q)
+                .unwrap_err(),
             ServeError::Core(CoreError::LevelOutOfRange { level: 99, .. })
         ));
     }
@@ -504,15 +512,24 @@ mod tests {
     fn memoization_hits_on_repeats_without_changing_answers() {
         let service = service();
         let q = Query::SubsetCount(query(&[3, 1, 7]));
-        let first = service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
-        let again = service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
-        assert_eq!(first.scalar().unwrap().to_bits(), again.scalar().unwrap().to_bits());
+        let first = service
+            .answer_typed("dblp", 4, Privilege::full(), 1, &q)
+            .unwrap();
+        let again = service
+            .answer_typed("dblp", 4, Privilege::full(), 1, &q)
+            .unwrap();
+        assert_eq!(
+            first.scalar().unwrap().to_bits(),
+            again.scalar().unwrap().to_bits()
+        );
         let stats = service.cache_stats();
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.entries, 1);
         // A different level is a different memo entry.
-        service.answer_typed("dblp", 4, Privilege::full(), 2, &q).unwrap();
+        service
+            .answer_typed("dblp", 4, Privilege::full(), 2, &q)
+            .unwrap();
         assert_eq!(service.cache_stats().entries, 2);
     }
 
@@ -531,7 +548,9 @@ mod tests {
             Query::SideTotal { side: Side::Left },
         ];
         for q in &variants {
-            service.answer_typed("dblp", 4, Privilege::full(), 1, q).unwrap();
+            service
+                .answer_typed("dblp", 4, Privilege::full(), 1, q)
+                .unwrap();
         }
         let stats = service.cache_stats();
         assert_eq!(stats.entries, 4);
@@ -539,8 +558,15 @@ mod tests {
         assert_eq!(stats.hits, 0);
         // Replay: all hits, and each variant returns its own bits.
         for q in &variants {
-            let a = service.answer_typed("dblp", 4, Privilege::full(), 1, q).unwrap();
-            let b = service.store().get("dblp", 4).unwrap().answer(1, q).unwrap();
+            let a = service
+                .answer_typed("dblp", 4, Privilege::full(), 1, q)
+                .unwrap();
+            let b = service
+                .store()
+                .get("dblp", 4)
+                .unwrap()
+                .answer(1, q)
+                .unwrap();
             assert_eq!(a, b, "{} cached answer drifted", q.name());
         }
         assert_eq!(service.cache_stats().hits, 4);
@@ -563,17 +589,20 @@ mod tests {
     #[test]
     fn cache_is_bounded_and_counts_evictions() {
         let service = service_with_capacity(3);
-        let queries: Vec<Query> = (0..6u32)
-            .map(|k| Query::SubsetCount(query(&[k])))
-            .collect();
+        let queries: Vec<Query> = (0..6u32).map(|k| Query::SubsetCount(query(&[k]))).collect();
         for q in &queries {
-            service.answer_typed("dblp", 4, Privilege::full(), 2, q).unwrap();
+            service
+                .answer_typed("dblp", 4, Privilege::full(), 2, q)
+                .unwrap();
         }
         let stats = service.cache_stats();
         assert_eq!(stats.capacity, 3);
         assert_eq!(stats.entries, 3, "the table never outgrows its bound");
         assert_eq!(stats.misses, 6);
-        assert_eq!(stats.evictions, 3, "each admission past the bound displaces one entry");
+        assert_eq!(
+            stats.evictions, 3,
+            "each admission past the bound displaces one entry"
+        );
         // Evicted or not, every answer stays bit-identical to the index.
         let indexed = service.store().get("dblp", 4).unwrap();
         for q in &queries {
@@ -589,20 +618,28 @@ mod tests {
         let service = service_with_capacity(2);
         let hot = Query::SideTotal { side: Side::Left };
         let cold = |k: u32| Query::SubsetCount(query(&[k]));
-        service.answer_typed("dblp", 4, Privilege::full(), 2, &hot).unwrap();
-        service.answer_typed("dblp", 4, Privilege::full(), 2, &cold(0)).unwrap();
+        service
+            .answer_typed("dblp", 4, Privilege::full(), 2, &hot)
+            .unwrap();
+        service
+            .answer_typed("dblp", 4, Privilege::full(), 2, &cold(0))
+            .unwrap();
         // Keep the hot entry referenced, then push a stream of cold
         // inserts through the full table: the hand must displace the
         // unreferenced cold slots and keep the hot one resident.
         for group in 1..5 {
-            service.answer_typed("dblp", 4, Privilege::full(), 2, &hot).unwrap();
+            service
+                .answer_typed("dblp", 4, Privilege::full(), 2, &hot)
+                .unwrap();
             service
                 .answer_typed("dblp", 4, Privilege::full(), 2, &cold(group))
                 .unwrap();
         }
         let stats = service.cache_stats();
         let hits_before = stats.hits;
-        service.answer_typed("dblp", 4, Privilege::full(), 2, &hot).unwrap();
+        service
+            .answer_typed("dblp", 4, Privilege::full(), 2, &hot)
+            .unwrap();
         assert_eq!(
             service.cache_stats().hits,
             hits_before + 1,
@@ -616,9 +653,16 @@ mod tests {
     fn zero_capacity_disables_memoization_but_stays_correct() {
         let service = service_with_capacity(0);
         let q = Query::SubsetCount(query(&[3, 1, 7]));
-        let first = service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
-        let again = service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
-        assert_eq!(first.scalar().unwrap().to_bits(), again.scalar().unwrap().to_bits());
+        let first = service
+            .answer_typed("dblp", 4, Privilege::full(), 1, &q)
+            .unwrap();
+        let again = service
+            .answer_typed("dblp", 4, Privilege::full(), 1, &q)
+            .unwrap();
+        assert_eq!(
+            first.scalar().unwrap().to_bits(),
+            again.scalar().unwrap().to_bits()
+        );
         let stats = service.cache_stats();
         assert_eq!(stats.hits, 0);
         assert_eq!(stats.misses, 2);
@@ -646,8 +690,13 @@ mod tests {
             .answer_typed_batch("dblp", 4, Privilege::new(2), 2, &queries)
             .unwrap();
         for (q, got) in queries.iter().zip(&batch) {
-            let single = service.answer_typed("dblp", 4, Privilege::new(2), 2, q).unwrap();
-            assert_eq!(single.scalar().unwrap().to_bits(), got.scalar().unwrap().to_bits());
+            let single = service
+                .answer_typed("dblp", 4, Privilege::new(2), 2, q)
+                .unwrap();
+            assert_eq!(
+                single.scalar().unwrap().to_bits(),
+                got.scalar().unwrap().to_bits()
+            );
         }
     }
 
@@ -685,7 +734,10 @@ mod tests {
             .answer_typed_batch("dblp", 4, Privilege::full(), 1, &swapped)
             .unwrap_err();
         assert!(
-            matches!(err, ServeError::Core(CoreError::DuplicateSubsetNode { node: 4, .. })),
+            matches!(
+                err,
+                ServeError::Core(CoreError::DuplicateSubsetNode { node: 4, .. })
+            ),
             "{err:?}"
         );
     }
@@ -764,7 +816,9 @@ mod tests {
             .answer_typed("dblp", 4, Privilege::full(), 1, &q)
             .unwrap();
         // Warm the cache.
-        service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
+        service
+            .answer_typed("dblp", 4, Privilege::full(), 1, &q)
+            .unwrap();
         assert_eq!(service.cache_stats().hits, 1);
 
         // Operator retires the file and republishes the epoch with
@@ -784,12 +838,19 @@ mod tests {
         let after = service
             .answer_typed("dblp", 4, Privilege::full(), 1, &q)
             .unwrap();
-        let expected = service.store().get("dblp", 4).unwrap().answer(1, &q).unwrap();
+        let expected = service
+            .store()
+            .get("dblp", 4)
+            .unwrap()
+            .answer(1, &q)
+            .unwrap();
         assert_eq!(after, expected, "answer must come from the new release");
         assert_ne!(before, after, "stale cache entry was served after reload");
         // And repeats hit the *new* entry.
         let hits = service.cache_stats().hits;
-        service.answer_typed("dblp", 4, Privilege::full(), 1, &q).unwrap();
+        service
+            .answer_typed("dblp", 4, Privilege::full(), 1, &q)
+            .unwrap();
         assert_eq!(service.cache_stats().hits, hits + 1);
         std::fs::remove_dir_all(&dir).unwrap();
     }
@@ -797,11 +858,11 @@ mod tests {
     #[test]
     fn invalidate_release_and_flush_drop_entries() {
         let service = service();
-        let qs: Vec<Query> = (0..4u32)
-            .map(|k| Query::SubsetCount(query(&[k])))
-            .collect();
+        let qs: Vec<Query> = (0..4u32).map(|k| Query::SubsetCount(query(&[k]))).collect();
         for q in &qs {
-            service.answer_typed("dblp", 4, Privilege::full(), 1, q).unwrap();
+            service
+                .answer_typed("dblp", 4, Privilege::full(), 1, q)
+                .unwrap();
         }
         assert_eq!(service.cache_stats().entries, 4);
         // A different (dataset, epoch) is untouched by invalidation.
@@ -810,7 +871,9 @@ mod tests {
         assert_eq!(service.invalidate_release("dblp", 4), 4);
         assert_eq!(service.cache_stats().entries, 0);
         // Entries recompute (a miss), not resurrect.
-        service.answer_typed("dblp", 4, Privilege::full(), 1, &qs[0]).unwrap();
+        service
+            .answer_typed("dblp", 4, Privilege::full(), 1, &qs[0])
+            .unwrap();
         assert_eq!(service.cache_stats().entries, 1);
         assert_eq!(service.flush_cache(), 1);
         assert_eq!(service.cache_stats().entries, 0);
@@ -821,17 +884,25 @@ mod tests {
     fn finest_allowed_follows_policy() {
         let service = service();
         assert_eq!(
-            service.finest_allowed("dblp", 4, Privilege::full()).unwrap(),
+            service
+                .finest_allowed("dblp", 4, Privilege::full())
+                .unwrap(),
             Some(0)
         );
         assert_eq!(
-            service.finest_allowed("dblp", 4, Privilege::new(3)).unwrap(),
+            service
+                .finest_allowed("dblp", 4, Privilege::new(3))
+                .unwrap(),
             Some(3)
         );
         assert_eq!(
-            service.finest_allowed("dblp", 4, Privilege::new(99)).unwrap(),
+            service
+                .finest_allowed("dblp", 4, Privilege::new(99))
+                .unwrap(),
             None
         );
-        assert!(service.finest_allowed("dblp", 9, Privilege::full()).is_err());
+        assert!(service
+            .finest_allowed("dblp", 9, Privilege::full())
+            .is_err());
     }
 }

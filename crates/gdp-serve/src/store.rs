@@ -20,7 +20,9 @@ use gdp_graph::io as graph_io;
 
 use crate::error::ServeError;
 use crate::index::IndexedRelease;
-use crate::lifecycle::{FileOutcome, GcEviction, GcReport, OpenReport, RetentionPolicy, QUARANTINE_DIR};
+use crate::lifecycle::{
+    FileOutcome, GcEviction, GcReport, OpenReport, RetentionPolicy, QUARANTINE_DIR,
+};
 use crate::Result;
 
 /// One registered release: either still the sealed artifact a directory
@@ -103,7 +105,9 @@ impl ReleaseStore {
     // torn entry behind, and wedging every later reader would turn one
     // dead worker into a dead store.
     fn write(&self) -> RwLockWriteGuard<'_, Registry> {
-        self.releases.write().unwrap_or_else(PoisonError::into_inner)
+        self.releases
+            .write()
+            .unwrap_or_else(PoisonError::into_inner)
     }
 
     fn read(&self) -> RwLockReadGuard<'_, Registry> {
@@ -298,7 +302,11 @@ impl ReleaseStore {
     pub fn datasets(&self) -> Vec<String> {
         // Keys iterate in (dataset, epoch) order, so equal datasets are
         // adjacent and `dedup` is enough.
-        let mut out: Vec<String> = self.read().keys().map(|(dataset, _)| dataset.clone()).collect();
+        let mut out: Vec<String> = self
+            .read()
+            .keys()
+            .map(|(dataset, _)| dataset.clone())
+            .collect();
         out.dedup();
         out
     }
@@ -513,21 +521,23 @@ impl ReleaseStore {
         touched.insert(path.to_path_buf());
         self.detach_source(path);
         let qdir = dir.join(QUARANTINE_DIR);
-        let file_name = path.file_name().map(|n| n.to_os_string()).unwrap_or_default();
+        let file_name = path
+            .file_name()
+            .map(|n| n.to_os_string())
+            .unwrap_or_default();
         let target = qdir.join(&file_name);
-        let moved = std::fs::create_dir_all(&qdir)
-            .and_then(|()| {
-                // Never overwrite earlier evidence: suffix until free.
-                let mut target = target.clone();
-                let mut attempt = 1u32;
-                while target.exists() {
-                    let mut name = file_name.clone();
-                    name.push(format!(".{attempt}"));
-                    target = qdir.join(name);
-                    attempt += 1;
-                }
-                std::fs::rename(path, &target).map(|()| target)
-            });
+        let moved = std::fs::create_dir_all(&qdir).and_then(|()| {
+            // Never overwrite earlier evidence: suffix until free.
+            let mut target = target.clone();
+            let mut attempt = 1u32;
+            while target.exists() {
+                let mut name = file_name.clone();
+                name.push(format!(".{attempt}"));
+                target = qdir.join(name);
+                attempt += 1;
+            }
+            std::fs::rename(path, &target).map(|()| target)
+        });
         match moved {
             Ok(target) => FileOutcome::Quarantined {
                 path: path.display().to_string(),
@@ -728,10 +738,7 @@ mod tests {
         let store = ReleaseStore::new();
         store.insert(indexed("dblp", 1, 1)).unwrap();
         let err = store.insert(indexed("dblp", 1, 9)).unwrap_err();
-        assert!(matches!(
-            err,
-            ServeError::DuplicateRelease { epoch: 1, .. }
-        ));
+        assert!(matches!(err, ServeError::DuplicateRelease { epoch: 1, .. }));
         // The original stays.
         assert_eq!(store.len(), 1);
         // The sealed path hits the same guard.
@@ -778,8 +785,7 @@ mod tests {
             bad_release_levels,
         )
         .unwrap();
-        let bad = ReleaseArtifact::seal("dblp", 2, good.hierarchy().clone(), bad_release)
-            .unwrap();
+        let bad = ReleaseArtifact::seal("dblp", 2, good.hierarchy().clone(), bad_release).unwrap();
 
         let store = ReleaseStore::new();
         store.insert_sealed(good).unwrap();

@@ -166,9 +166,7 @@ pub fn read_query_file<R: Read>(reader: R) -> Result<Vec<Query>> {
             other => {
                 return Err(ServeError::Workload {
                     line: line_no,
-                    message: format!(
-                        "unknown tag `{other}` (expected L, R, mass, hist or total)"
-                    ),
+                    message: format!("unknown tag `{other}` (expected L, R, mass, hist or total)"),
                 })
             }
         };

@@ -263,7 +263,8 @@ fn binary_json_reencode_preserves_the_digest_chain() {
     let mut b = GraphBuilder::new(8, 8);
     for i in 0..8 {
         b.add_edge(LeftId::new(i), RightId::new(i)).unwrap();
-        b.add_edge(LeftId::new(i), RightId::new((i + 1) % 8)).unwrap();
+        b.add_edge(LeftId::new(i), RightId::new((i + 1) % 8))
+            .unwrap();
     }
     let graph = b.build();
     let artifact = sealed(&graph, 2, 99, 5, true, true);

@@ -23,7 +23,16 @@ use rand::SeedableRng;
 fn artifact(dataset: &str, epoch: u64, seed: u64) -> ReleaseArtifact {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(6, 6);
-    for (l, r) in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (0, 1), (2, 3)] {
+    for (l, r) in [
+        (0, 0),
+        (1, 1),
+        (2, 2),
+        (3, 3),
+        (4, 4),
+        (5, 5),
+        (0, 1),
+        (2, 3),
+    ] {
         b.add_edge(LeftId::new(l), RightId::new(r)).unwrap();
     }
     let graph = b.build();
@@ -90,7 +99,10 @@ fn torn_binary_writes_on_disk_are_quarantined_at_every_probe_cut() {
         let FileOutcome::Quarantined { reason, .. } = &report.outcomes[0] else {
             panic!("cut {cut}: expected a quarantine outcome: {report:?}");
         };
-        assert!(reason.contains("binary format error"), "cut {cut}: {reason}");
+        assert!(
+            reason.contains("binary format error"),
+            "cut {cut}: {reason}"
+        );
         fs::remove_dir_all(&dir).unwrap();
     }
 }
@@ -170,7 +182,11 @@ fn merge_dir_hot_reloads_a_live_published_binary_epoch() {
 fn gc_durably_deletes_superseded_binary_epochs() {
     let dir = fresh_dir("gc");
     for epoch in 1..=4 {
-        publish_as(&dir, &artifact("d", epoch, 50 + epoch), ArtifactFormat::Binary);
+        publish_as(
+            &dir,
+            &artifact("d", epoch, 50 + epoch),
+            ArtifactFormat::Binary,
+        );
     }
     let (store, _) = ReleaseStore::open_dir_report(&dir).unwrap();
     let report = store.gc(&RetentionPolicy::keep_last(1), None);

@@ -81,8 +81,9 @@ fn baseline(
             Query::SubsetCount(q) => SubsetCountEstimator::new(rel, lvl)?
                 .estimate(q.side, &q.nodes)
                 .map(|v| Outcome::Scalar(v.to_bits())),
-            Query::GroupMass { side, group } => scan_group_mass(rel, lvl, *side, *group)
-                .map(|v| Outcome::Scalar(v.to_bits())),
+            Query::GroupMass { side, group } => {
+                scan_group_mass(rel, lvl, *side, *group).map(|v| Outcome::Scalar(v.to_bits()))
+            }
             Query::DegreeHistogram { side } => scan_degree_histogram(rel, *side)
                 .map(|bins| Outcome::Histogram(bins.iter().map(|v| v.to_bits()).collect())),
             Query::SideTotal { side } => {
@@ -163,11 +164,18 @@ fn materialize(
     graph: &BipartiteGraph,
 ) -> Query {
     let side = if right { Side::Right } else { Side::Left };
-    let n = if right { graph.right_count() } else { graph.left_count() };
+    let n = if right {
+        graph.right_count()
+    } else {
+        graph.left_count()
+    };
     match variant % 4 {
         0 => Query::SubsetCount(SubsetQuery {
             side,
-            nodes: raw_nodes.iter().map(|&v| (v % (n as u64 + 3)) as u32).collect(),
+            nodes: raw_nodes
+                .iter()
+                .map(|&v| (v % (n as u64 + 3)) as u32)
+                .collect(),
         }),
         1 => Query::GroupMass {
             side,

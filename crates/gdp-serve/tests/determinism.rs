@@ -12,8 +12,8 @@
 use std::sync::Mutex;
 
 use gdp_core::{
-    DisclosureConfig, MultiLevelDiscloser, Privilege, Query, ReleaseArtifact,
-    SpecializationConfig, Specializer,
+    DisclosureConfig, MultiLevelDiscloser, Privilege, Query, ReleaseArtifact, SpecializationConfig,
+    Specializer,
 };
 use gdp_graph::Side;
 use gdp_serve::{
@@ -58,7 +58,9 @@ fn service() -> AnswerService {
     .unwrap();
     let artifact = ReleaseArtifact::seal("det", 1, hierarchy, release).unwrap();
     let store = ReleaseStore::new();
-    store.insert(IndexedRelease::new(artifact).unwrap()).unwrap();
+    store
+        .insert(IndexedRelease::new(artifact).unwrap())
+        .unwrap();
     AnswerService::new(store)
 }
 
@@ -228,7 +230,9 @@ fn sharded_store_serves_under_concurrent_get_and_insert() {
             side: Side::Left,
             nodes: vec![0, 1, 2],
         });
-        assert!(service.answer_typed("det", epoch, Privilege::full(), 1, &q).is_ok());
+        assert!(service
+            .answer_typed("det", epoch, Privilege::full(), 1, &q)
+            .is_ok());
     }
 }
 

@@ -10,8 +10,8 @@ use std::fs;
 use std::path::{Path, PathBuf};
 
 use gdp_core::{
-    CoreError, DisclosureConfig, MultiLevelDiscloser, Query, ReleaseArtifact,
-    SpecializationConfig, Specializer,
+    CoreError, DisclosureConfig, MultiLevelDiscloser, Query, ReleaseArtifact, SpecializationConfig,
+    Specializer,
 };
 use gdp_graph::{GraphBuilder, LeftId, RightId, Side};
 use gdp_serve::lifecycle::QUARANTINE_DIR;
@@ -26,7 +26,16 @@ use rand::SeedableRng;
 fn artifact(dataset: &str, epoch: u64, seed: u64) -> ReleaseArtifact {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut b = GraphBuilder::new(6, 6);
-    for (l, r) in [(0, 0), (1, 1), (2, 2), (3, 3), (4, 4), (5, 5), (0, 1), (2, 3)] {
+    for (l, r) in [
+        (0, 0),
+        (1, 1),
+        (2, 2),
+        (3, 3),
+        (4, 4),
+        (5, 5),
+        (0, 1),
+        (2, 3),
+    ] {
         b.add_edge(LeftId::new(l), RightId::new(r)).unwrap();
     }
     let graph = b.build();
@@ -221,7 +230,10 @@ fn strict_open_dir_skips_strays_and_report_notes_them() {
     assert!(notes.contains(&"directory"), "{notes:?}");
     assert!(notes.contains(&"hidden file"), "{notes:?}");
     assert!(notes.contains(&"editor backup"), "{notes:?}");
-    assert!(notes.contains(&"not an artifact file (.json/.gda)"), "{notes:?}");
+    assert!(
+        notes.contains(&"not an artifact file (.json/.gda)"),
+        "{notes:?}"
+    );
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -298,7 +310,11 @@ fn merge_dir_hot_reloads_new_epochs_and_retires_deleted_ones() {
     // Vandalizing a served epoch's file quarantines the file but the
     // validated in-memory copy keeps serving — now and after further
     // merges (the entry is detached from disk, not retired).
-    fs::write(dir.join(ReleaseArtifact::canonical_file_name("d", 2)), "{garbage").unwrap();
+    fs::write(
+        dir.join(ReleaseArtifact::canonical_file_name("d", 2)),
+        "{garbage",
+    )
+    .unwrap();
     let report = store.merge_dir(&dir).unwrap();
     assert_eq!(report.quarantined(), 1, "{}", report.summary());
     assert_eq!(*store.get("d", 2).unwrap().artifact(), a2);
@@ -338,7 +354,8 @@ fn gc_keep_last_durably_deletes_only_superseded_epochs() {
     ));
     for epoch in 1..=3u64 {
         assert!(
-            !dir.join(ReleaseArtifact::canonical_file_name("d", epoch)).exists(),
+            !dir.join(ReleaseArtifact::canonical_file_name("d", epoch))
+                .exists(),
             "epoch {epoch} file must be deleted"
         );
     }
@@ -362,7 +379,11 @@ fn gc_honors_dataset_filter_and_memory_only_entries() {
     assert_eq!(report.evicted(), 2);
     assert!(report.evictions.iter().all(|e| e.dataset == "a"));
     assert_eq!(store.epochs("a"), vec![3]);
-    assert_eq!(store.epochs("b"), vec![1, 2, 3], "filtered dataset untouched");
+    assert_eq!(
+        store.epochs("b"),
+        vec![1, 2, 3],
+        "filtered dataset untouched"
+    );
 
     // Memory-only entries evict without touching disk.
     store.insert_sealed(artifact("mem", 1, 81)).unwrap();

@@ -11,8 +11,8 @@ use proptest::prelude::*;
 
 use gdp_core::answering::SubsetCountEstimator;
 use gdp_core::{
-    CoreError, DisclosureConfig, GroupHierarchy, MultiLevelDiscloser, MultiLevelRelease,
-    Privilege, Query, ReleaseArtifact, SpecializationConfig, Specializer,
+    CoreError, DisclosureConfig, GroupHierarchy, MultiLevelDiscloser, MultiLevelRelease, Privilege,
+    Query, ReleaseArtifact, SpecializationConfig, Specializer,
 };
 use gdp_graph::{BipartiteGraph, GraphBuilder, LeftId, RightId, Side};
 use gdp_serve::{

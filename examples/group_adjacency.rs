@@ -19,11 +19,8 @@ use rand::SeedableRng;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Universe U = {a, b, c, d}; groups G1 = {a, b}, G2 = {c, d}.
-    let groups = GroupStructure::new(
-        vec![Group::new(vec![0, 1]), Group::new(vec![2, 3])],
-        4,
-    )
-    .expect("valid partition");
+    let groups = GroupStructure::new(vec![Group::new(vec![0, 1]), Group::new(vec![2, 3])], 4)
+        .expect("valid partition");
 
     let d2 = DatasetVector::new(vec![1, 1, 0, 0]); // {a, b}
     let d1 = d2.union_group(&groups.groups()[1]); // {a, b, c, d}

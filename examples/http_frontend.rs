@@ -23,10 +23,10 @@
 use std::sync::Arc;
 use std::time::Duration;
 
+use group_dp::core::ReleaseArtifact;
 use group_dp::core::{
     DisclosureConfig, MultiLevelDiscloser, Privilege, Query, SpecializationConfig, Specializer,
 };
-use group_dp::core::ReleaseArtifact;
 use group_dp::datagen::{DblpConfig, DblpGenerator};
 use group_dp::graph::Side;
 use group_dp::net::{client, AnswerRequest, AnswerResponse, FaultPlan, Server, ServerConfig};
@@ -55,7 +55,9 @@ fn main() {
     .unwrap();
     let artifact = ReleaseArtifact::seal("dblp", 1, hierarchy, release).unwrap();
     let store = ReleaseStore::new();
-    store.insert(IndexedRelease::new(artifact).unwrap()).unwrap();
+    store
+        .insert(IndexedRelease::new(artifact).unwrap())
+        .unwrap();
     let service = Arc::new(AnswerService::new(store));
 
     // Start the frontend on a free port.
@@ -108,7 +110,10 @@ fn main() {
             }
             (TypedAnswer::Histogram(s), TypedAnswer::Histogram(d)) => {
                 assert_eq!(s.len(), d.len());
-                assert!(s.iter().zip(d.iter()).all(|(a, b)| a.to_bits() == b.to_bits()));
+                assert!(s
+                    .iter()
+                    .zip(d.iter())
+                    .all(|(a, b)| a.to_bits() == b.to_bits()));
                 println!(
                     "{:<16} -> histogram[{} bins, mass {:.1}]",
                     query.name(),

@@ -61,7 +61,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let hierarchy = GroupHierarchy::new(vec![genre_level, whole])?;
 
     println!("\nnoisy ratings-per-genre under three mechanisms (εg = 0.6, δ = 1e-6):");
-    println!("{:<22}{:>12}{:>12}{:>12}", "genre", "classic", "analytic", "laplace");
+    println!(
+        "{:<22}{:>12}{:>12}{:>12}",
+        "genre", "classic", "analytic", "laplace"
+    );
     let mut releases = Vec::new();
     for mech in [
         NoiseMechanism::GaussianClassic,
@@ -71,9 +74,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let config = DisclosureConfig::count_only(0.6, 1e-6)?
             .with_mechanism(mech)
             .with_queries(vec![Query::PerGroupCounts]);
-        releases.push(
-            MultiLevelDiscloser::new(config).disclose(&data.graph, &hierarchy, &mut rng)?,
-        );
+        releases.push(MultiLevelDiscloser::new(config).disclose(
+            &data.graph,
+            &hierarchy,
+            &mut rng,
+        )?);
     }
     for genre in Genre::all() {
         // Per-group vector = [viewer group] ++ genre groups.

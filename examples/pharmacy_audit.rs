@@ -63,7 +63,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let category_partition = SidePartition::new(
         Side::Right,
-        data.drug_categories.iter().map(|&c| category_of(c)).collect(),
+        data.drug_categories
+            .iter()
+            .map(|&c| category_of(c))
+            .collect(),
         DrugCategory::all().len() as u32,
     )?;
     let attribute_level = GroupLevel::new(neighborhood_partition, category_partition)?;
@@ -77,8 +80,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let config = DisclosureConfig::count_only(0.8, 1e-6)?
         .with_queries(vec![Query::TotalAssociations, Query::PerGroupCounts]);
-    let release =
-        MultiLevelDiscloser::new(config).disclose(&data.graph, &hierarchy, &mut rng)?;
+    let release = MultiLevelDiscloser::new(config).disclose(&data.graph, &hierarchy, &mut rng)?;
 
     // The attribute level's per-group release: the first
     // `neighborhood_count` entries are neighborhoods, then categories.
@@ -93,8 +95,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             relative_error(noisy, truth as f64)
         );
     }
-    let psych_idx = data.neighborhood_count as usize
-        + category_of(DrugCategory::Psychiatric) as usize;
+    let psych_idx =
+        data.neighborhood_count as usize + category_of(DrugCategory::Psychiatric) as usize;
     println!(
         "  psychiatric category (all neighborhoods): noisy {:.0} vs exact {psych}",
         per_group.noisy_values[psych_idx]

@@ -39,8 +39,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // hierarchy via the exponential mechanism (6 binary rounds → 8 levels).
     let hierarchy =
         Specializer::new(SpecializationConfig::paper_default(6)?).specialize(&graph, &mut rng)?;
-    println!("hierarchy: {} levels, group counts {:?}",
-        hierarchy.level_count(), hierarchy.group_counts());
+    println!(
+        "hierarchy: {} levels, group counts {:?}",
+        hierarchy.level_count(),
+        hierarchy.group_counts()
+    );
 
     // Phase 2 — noisy release of the association count at every level,
     // calibrated to each level's group sensitivity (εg = 0.5, δ = 1e-6).

@@ -30,8 +30,8 @@
 //! are deterministic for a fixed seed.
 
 use group_dp::core::{
-    DisclosureConfig, DisclosureSession, Privilege, Query, ReleaseArtifact,
-    SpecializationConfig, Specializer,
+    DisclosureConfig, DisclosureSession, Privilege, Query, ReleaseArtifact, SpecializationConfig,
+    Specializer,
 };
 use group_dp::datagen::{DblpConfig, DblpGenerator};
 use group_dp::graph::Side;
@@ -50,10 +50,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let truth: f64 = (0..4u32)
         .map(|a| graph.left_degree(group_dp::graph::LeftId::new(a)) as f64)
         .sum();
-    let hierarchy = Specializer::new(SpecializationConfig::paper_default(6)?)
-        .specialize(&graph, &mut rng)?;
-    let mut session =
-        DisclosureSession::new(graph, hierarchy, PrivacyBudget::new(1.0, 1e-5)?);
+    let hierarchy =
+        Specializer::new(SpecializationConfig::paper_default(6)?).specialize(&graph, &mut rng)?;
+    let mut session = DisclosureSession::new(graph, hierarchy, PrivacyBudget::new(1.0, 1e-5)?);
     let config = DisclosureConfig::count_only(0.8, 1e-6)?.with_queries(vec![
         Query::TotalAssociations,
         Query::PerGroupCounts,
@@ -118,7 +117,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             1,
             Privilege::new(3),
             level,
-            &TypedQuery::GroupMass { side: Side::Left, group: 0 },
+            &TypedQuery::GroupMass {
+                side: Side::Left,
+                group: 0,
+            },
         )?
         .scalar()
         .unwrap();
@@ -155,7 +157,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Post-processing is budget-free, so the service memoizes: replay
     // the whole workload and watch the cache absorb it.
     for privilege in [Privilege::full(), Privilege::new(3), Privilege::new(6)] {
-        let level = service.finest_allowed("dblp-weekly", 1, privilege)?.unwrap();
+        let level = service
+            .finest_allowed("dblp-weekly", 1, privilege)?
+            .unwrap();
         service.answer_typed("dblp-weekly", 1, privilege, level, &query)?;
     }
     let stats = service.cache_stats();

@@ -63,8 +63,8 @@ fn weekly_churn(graph: &BipartiteGraph, week: u64) -> EdgeDelta {
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut rng = StdRng::seed_from_u64(7_2024);
     let graph = DblpGenerator::new(DblpConfig::laptop_scale()).generate(&mut rng);
-    let hierarchy = Specializer::new(SpecializationConfig::paper_default(6)?)
-        .specialize(&graph, &mut rng)?;
+    let hierarchy =
+        Specializer::new(SpecializationConfig::paper_default(6)?).specialize(&graph, &mut rng)?;
 
     // The data owner authorizes a yearly total; each weekly bundle spends
     // a slice of it.
@@ -104,12 +104,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         // …and fuses this week's levels, then averages across weeks
         // (all estimates are independent and unbiased; the graph only
         // drifts ~1% per week, so the cross-week average stays close).
-        let (fused_week, _) = fuse_total_estimates(
-            release,
-            &(0..release.levels().len()).collect::<Vec<_>>(),
-        )?;
-        let fused_all: f64 =
-            weekly_totals.iter().sum::<f64>() / weekly_totals.len() as f64;
+        let (fused_week, _) =
+            fuse_total_estimates(release, &(0..release.levels().len()).collect::<Vec<_>>())?;
+        let fused_all: f64 = weekly_totals.iter().sum::<f64>() / weekly_totals.len() as f64;
         let rdp = session
             .rdp_bound(Delta::new(1e-5)?)
             .map(|b| b.epsilon.get())

@@ -38,11 +38,9 @@ fn with_thread_count<R>(threads: &str, f: impl FnOnce() -> R) -> R {
 fn full_pipeline(seed: u64, mechanism: NoiseMechanism) -> MultiLevelRelease {
     let mut rng = StdRng::seed_from_u64(seed);
     let graph = DblpGenerator::new(DblpConfig::tiny()).generate(&mut rng);
-    let hierarchy = Specializer::new(
-        SpecializationConfig::paper_default(4).expect("valid rounds"),
-    )
-    .specialize(&graph, &mut rng)
-    .expect("specialization succeeds");
+    let hierarchy = Specializer::new(SpecializationConfig::paper_default(4).expect("valid rounds"))
+        .specialize(&graph, &mut rng)
+        .expect("specialization succeeds");
     let discloser = MultiLevelDiscloser::new(
         DisclosureConfig::count_only(0.5, 1e-6)
             .expect("valid budget")
@@ -70,7 +68,10 @@ fn fixed_seed_release_is_bit_identical_across_thread_counts() {
         let multi = with_thread_count("8", || full_pipeline(77, mechanism));
         let default_pool = full_pipeline(77, mechanism);
         // PartialEq covers every noisy value, scale and metadata field.
-        assert_eq!(single, multi, "{mechanism:?} differed between 1 and 8 threads");
+        assert_eq!(
+            single, multi,
+            "{mechanism:?} differed between 1 and 8 threads"
+        );
         assert_eq!(
             single, default_pool,
             "{mechanism:?} differed between 1 thread and the default pool"
@@ -102,11 +103,10 @@ fn cached_disclosure_is_bit_identical_to_per_level_rescan_path() {
         let seed = 123u64;
         let mut rng = StdRng::seed_from_u64(seed);
         let graph = DblpGenerator::new(DblpConfig::tiny()).generate(&mut rng);
-        let hierarchy = Specializer::new(
-            SpecializationConfig::paper_default(4).expect("valid rounds"),
-        )
-        .specialize(&graph, &mut rng)
-        .expect("specialization succeeds");
+        let hierarchy =
+            Specializer::new(SpecializationConfig::paper_default(4).expect("valid rounds"))
+                .specialize(&graph, &mut rng)
+                .expect("specialization succeeds");
         let discloser = MultiLevelDiscloser::new(
             DisclosureConfig::count_only(0.5, 1e-6)
                 .expect("valid budget")
@@ -128,7 +128,11 @@ fn cached_disclosure_is_bit_identical_to_per_level_rescan_path() {
         // Uncached composition: replicate the seed schedule (one u64 per
         // level, drawn sequentially from the master RNG) and release
         // every level through the rescan path.
-        let seeds: Vec<u64> = hierarchy.levels().iter().map(|_| rng.gen::<u64>()).collect();
+        let seeds: Vec<u64> = hierarchy
+            .levels()
+            .iter()
+            .map(|_| rng.gen::<u64>())
+            .collect();
         let levels = hierarchy
             .levels()
             .iter()

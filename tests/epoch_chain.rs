@@ -66,7 +66,14 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
     }
     let delta = EdgeDelta::new(inserts, deletes);
     let (a1, _) = session
-        .publish_next_to_dir_as(&config, "chain", &delta, &dir, ArtifactFormat::Binary, &mut rng)
+        .publish_next_to_dir_as(
+            &config,
+            "chain",
+            &delta,
+            &dir,
+            ArtifactFormat::Binary,
+            &mut rng,
+        )
         .unwrap();
     assert_eq!(a1.epoch(), 1);
     let l1 = a1.manifest().ledger.as_ref().expect("ledger stamped");
@@ -80,7 +87,14 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
     // graph, and no third artifact lands in the store.
     let graph_before = session.graph().clone();
     let err = session
-        .publish_next_to_dir_as(&config, "chain", &EdgeDelta::empty(), &dir, ArtifactFormat::Json, &mut rng)
+        .publish_next_to_dir_as(
+            &config,
+            "chain",
+            &EdgeDelta::empty(),
+            &dir,
+            ArtifactFormat::Json,
+            &mut rng,
+        )
         .unwrap_err();
     assert!(
         matches!(

@@ -3,8 +3,8 @@
 //! partial state behind.
 
 use group_dp::core::{
-    AccessControlled, CoreError, DisclosureConfig, DisclosureSession, GroupHierarchy,
-    GroupLevel, MultiLevelDiscloser, Privilege, SpecializationConfig, Specializer,
+    AccessControlled, CoreError, DisclosureConfig, DisclosureSession, GroupHierarchy, GroupLevel,
+    MultiLevelDiscloser, Privilege, SpecializationConfig, Specializer,
 };
 use group_dp::datagen::{DblpConfig, DblpGenerator};
 use group_dp::graph::{io as graph_io, BipartiteGraph, GraphError, Side, SidePartition};
@@ -59,11 +59,8 @@ fn session_refuses_overdraft_and_stays_consistent() {
     let hierarchy = Specializer::new(SpecializationConfig::median(2).unwrap())
         .specialize(&graph, &mut StdRng::seed_from_u64(3))
         .unwrap();
-    let mut session = DisclosureSession::new(
-        graph,
-        hierarchy,
-        PrivacyBudget::new(0.5, 1e-5).unwrap(),
-    );
+    let mut session =
+        DisclosureSession::new(graph, hierarchy, PrivacyBudget::new(0.5, 1e-5).unwrap());
     let config = DisclosureConfig::count_only(0.4, 1e-6).unwrap();
     let mut rng = StdRng::seed_from_u64(4);
     session.disclose(&config, &mut rng).unwrap();
@@ -221,9 +218,11 @@ fn release_store_directory_scan_failures_are_typed() {
     let sub = fresh("schema");
     let mut buf = Vec::new();
     artifact("dblp", 1).write_json(&mut buf).unwrap();
-    let doctored = String::from_utf8(buf)
-        .unwrap()
-        .replacen("\"schema_version\": 5", "\"schema_version\": 99", 1);
+    let doctored = String::from_utf8(buf).unwrap().replacen(
+        "\"schema_version\": 5",
+        "\"schema_version\": 99",
+        1,
+    );
     std::fs::write(sub.join("future.json"), doctored).unwrap();
     match ReleaseStore::open_dir(&sub).unwrap_err() {
         ServeError::SchemaVersion {

@@ -20,11 +20,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 /// Removes every edge incident to left block `block` of `partition`.
-fn remove_group(
-    graph: &BipartiteGraph,
-    partition: &SidePartition,
-    block: u32,
-) -> BipartiteGraph {
+fn remove_group(graph: &BipartiteGraph, partition: &SidePartition, block: u32) -> BipartiteGraph {
     let mut builder = GraphBuilder::new(graph.left_count(), graph.right_count());
     for (l, r) in graph.edges() {
         if partition.block_of(l.index()) != block {

@@ -2,8 +2,8 @@
 //! → access control → metrics, end to end.
 
 use group_dp::core::{
-    mean_relative_error, AccessControlled, DisclosureConfig, MultiLevelDiscloser,
-    NoiseMechanism, Privilege, Query, SpecializationConfig, Specializer, SplitStrategy,
+    mean_relative_error, AccessControlled, DisclosureConfig, MultiLevelDiscloser, NoiseMechanism,
+    Privilege, Query, SpecializationConfig, Specializer, SplitStrategy,
 };
 use group_dp::datagen::{DblpConfig, DblpGenerator};
 use group_dp::graph::BipartiteGraph;
@@ -61,8 +61,7 @@ fn rer_ladder_is_monotone_in_level_on_average() {
     let hierarchy = Specializer::new(SpecializationConfig::median(4).unwrap())
         .specialize(&graph, &mut StdRng::seed_from_u64(5))
         .unwrap();
-    let discloser =
-        MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap());
+    let discloser = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap());
     let truth = graph.edge_count() as f64;
     let mut rng = StdRng::seed_from_u64(6);
     let trials = 80;
@@ -93,10 +92,9 @@ fn access_control_composes_with_release() {
     let hierarchy = Specializer::new(SpecializationConfig::median(3).unwrap())
         .specialize(&graph, &mut StdRng::seed_from_u64(8))
         .unwrap();
-    let release =
-        MultiLevelDiscloser::new(DisclosureConfig::count_only(0.9, 1e-6).unwrap())
-            .disclose(&graph, &hierarchy, &mut StdRng::seed_from_u64(9))
-            .unwrap();
+    let release = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.9, 1e-6).unwrap())
+        .disclose(&graph, &hierarchy, &mut StdRng::seed_from_u64(9))
+        .unwrap();
     let gated = AccessControlled::new(release).unwrap();
     let levels = hierarchy.level_count();
     for p in 0..levels {
@@ -132,10 +130,9 @@ fn csv_export_has_one_row_per_level() {
     let hierarchy = Specializer::new(SpecializationConfig::median(3).unwrap())
         .specialize(&graph, &mut StdRng::seed_from_u64(14))
         .unwrap();
-    let release =
-        MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap())
-            .disclose(&graph, &hierarchy, &mut StdRng::seed_from_u64(15))
-            .unwrap();
+    let release = MultiLevelDiscloser::new(DisclosureConfig::count_only(0.5, 1e-6).unwrap())
+        .disclose(&graph, &hierarchy, &mut StdRng::seed_from_u64(15))
+        .unwrap();
     let csv = release.total_count_csv();
     assert_eq!(csv.trim().lines().count(), hierarchy.level_count() + 1);
 }

@@ -65,7 +65,9 @@ fn gated_release_round_trips() {
 fn sealed_artifact_round_trips_and_stays_answerable() {
     use group_dp::core::{Privilege, ReleaseArtifact};
     use group_dp::graph::Side;
-    use group_dp::serve::{AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore, SubsetQuery};
+    use group_dp::serve::{
+        AnswerService, IndexedRelease, Query as ServeQuery, ReleaseStore, SubsetQuery,
+    };
 
     let (_, hierarchy, release) = setup();
     let artifact = ReleaseArtifact::seal("dblp", 7, hierarchy, release).unwrap();
@@ -102,14 +104,8 @@ fn validated_newtypes_reject_bad_json() {
     assert!(serde_json::from_str::<Epsilon>("0.0").is_err());
     assert!(serde_json::from_str::<Epsilon>("-1.0").is_err());
     // A budget with invalid delta is rejected as a whole.
-    assert!(serde_json::from_str::<PrivacyBudget>(
-        r#"{"epsilon":0.5,"delta":1.5}"#
-    )
-    .is_err());
-    assert!(serde_json::from_str::<PrivacyBudget>(
-        r#"{"epsilon":0.5,"delta":1e-6}"#
-    )
-    .is_ok());
+    assert!(serde_json::from_str::<PrivacyBudget>(r#"{"epsilon":0.5,"delta":1.5}"#).is_err());
+    assert!(serde_json::from_str::<PrivacyBudget>(r#"{"epsilon":0.5,"delta":1e-6}"#).is_ok());
 }
 
 #[test]
