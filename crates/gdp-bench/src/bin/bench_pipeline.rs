@@ -88,6 +88,13 @@
 //! `--assert-edge-list-read-over RATIO` fails the run when the reader
 //! stops beating the baseline by the given factor.
 //!
+//! The `epoch_zipf_1m` entry times one epoch's in-memory work on the
+//! same Zipf graph and its hierarchy, as `publish_next` does it: a 1%
+//! churn delta rolled through the cached statistics, the release
+//! disclosed from them, and the artifact sealed. It has one arm and no
+//! gate; it uses only public APIs, so the same entry runs on older
+//! trees for a before/after figure.
+//!
 //! The `zipf_sampler` entry times 1M draws from a 1M-rank Zipf sampler
 //! (exponent 1.15) two ways from the same seed: `ZipfSampler::sample`
 //! once per draw vs `ZipfSampler::sample_into`, whose draws go through
@@ -223,7 +230,9 @@ struct ArtifactIoComparison {
 /// FNV-1a over those bytes taken from an encoded file, the primitive of
 /// schema 4. The digest arm is `gdp_core::artifact::content_digest`,
 /// which streams the section writers into XXH64; it is asserted equal
-/// to the manifest's on every rep.
+/// to the manifest's on every rep. Each rep hashes a fresh copy of the
+/// hierarchy, which has not memoized its share of the digest, so the
+/// arm covers every byte, as a JSON load does.
 #[derive(Debug, Serialize)]
 struct SealComparison {
     edges: u64,
@@ -232,6 +241,27 @@ struct SealComparison {
     fnv1a_baseline_ms: f64,
     content_digest_ms: f64,
     speedup: f64,
+}
+
+/// One epoch of the publish path's own shape, in memory: the seal
+/// fixture's Zipf graph and hierarchy, a 1% balanced churn delta
+/// (deletes of uniform existing edges, inserts of absent pairs whose
+/// left end follows the generator's Zipf law), and the three steps a
+/// session's `publish_next` runs after applying it to the adjacency —
+/// `HierarchyStats::apply_delta`, the left-degree histogram plus
+/// `disclose_from_stats`, and `ReleaseArtifact::seal` over the shared
+/// hierarchy. Each step keeps its best of at least five reps, and
+/// `epoch_ms` the best sum; an untimed warm-up rep comes first.
+#[derive(Debug, Serialize)]
+struct EpochEntry {
+    edges: u64,
+    levels: usize,
+    delta_inserts: usize,
+    delta_deletes: usize,
+    stats_ms: f64,
+    disclose_ms: f64,
+    seal_ms: f64,
+    epoch_ms: f64,
 }
 
 /// The edge-list measurement: the text form of the seal fixture's
@@ -327,6 +357,7 @@ struct Report {
     zipf_sampler: ZipfSamplerComparison,
     artifact_io_1m: ArtifactIoComparison,
     seal_1m: SealComparison,
+    epoch_zipf_1m: EpochEntry,
     edge_list_1m: EdgeListComparison,
     answer_qps: Vec<AnswerQpsComparison>,
     /// `None` only when `--max-edges` clips the 100k scale it is
@@ -740,8 +771,9 @@ fn seal_comparison(artifact: &ReleaseArtifact, edges: u64, reps: usize) -> SealC
         let t = Instant::now();
         std::hint::black_box(fnv1a_64(&pieces));
         fnv1a_baseline_ms = fnv1a_baseline_ms.min(elapsed_ms(t));
+        let fresh = GroupHierarchy::new(hierarchy.levels().to_vec()).expect("levels stay valid");
         let t = Instant::now();
-        let digest = gdp_core::artifact::content_digest(hierarchy, release);
+        let digest = gdp_core::artifact::content_digest(&fresh, release);
         content_digest_ms = content_digest_ms.min(elapsed_ms(t));
         assert_eq!(digest, manifest_digest, "digest must match the manifest");
     }
@@ -752,6 +784,115 @@ fn seal_comparison(artifact: &ReleaseArtifact, edges: u64, reps: usize) -> SealC
         fnv1a_baseline_ms,
         content_digest_ms,
         speedup: fnv1a_baseline_ms / content_digest_ms,
+    }
+}
+
+/// The epoch measurement (see [`EpochEntry`]). Between reps an untimed
+/// inverse delta takes the statistics back, as in
+/// [`delta_disclose_comparison`], so every rep discloses the same epoch.
+fn epoch_entry(
+    graph: &gdp_graph::BipartiteGraph,
+    hierarchy: GroupHierarchy,
+    seed: u64,
+    reps: usize,
+) -> EpochEntry {
+    use gdp_datagen::zipf::spread_rank;
+    use gdp_graph::{DegreeHistogram, EdgeDelta, LeftId, RightId};
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    let hierarchy = Arc::new(hierarchy);
+    let churn = graph.edge_count() as usize / 100;
+    let mut rng = StdRng::seed_from_u64(seed ^ 5);
+    let mut chosen: HashSet<(u32, u32)> = HashSet::new();
+    let mut deletes = Vec::with_capacity(churn / 2);
+    while deletes.len() < churn / 2 {
+        let r = RightId::new(rng.gen_range(0..graph.right_count()));
+        let partners = graph.neighbors_of_right(r);
+        if !partners.is_empty() {
+            let l = partners[rng.gen_range(0..partners.len())];
+            if chosen.insert((l.index(), r.index())) {
+                deletes.push((l, r));
+            }
+        }
+    }
+    let zipf = ZipfSampler::new(u64::from(graph.left_count()), 1.15).expect("positive exponent");
+    let mut inserts = Vec::with_capacity(churn - churn / 2);
+    while inserts.len() < churn - churn / 2 {
+        let rank = zipf.sample(&mut rng) - 1;
+        let l = LeftId::new(spread_rank(rank, zipf.n()) as u32);
+        let r = RightId::new(rng.gen_range(0..graph.right_count()));
+        if !graph.has_edge(l, r) && chosen.insert((l.index(), r.index())) {
+            inserts.push((l, r));
+        }
+    }
+    let delta = EdgeDelta::new(inserts, deletes);
+    let undo = EdgeDelta::new(delta.deletes().to_vec(), delta.inserts().to_vec());
+    let g2 = graph.apply_delta(&delta).expect("delta applies");
+    let discloser = MultiLevelDiscloser::new(
+        DisclosureConfig::count_only(0.5, 1e-6)
+            .expect("valid budget")
+            .with_queries(vec![
+                Query::TotalAssociations,
+                Query::PerGroupCounts,
+                Query::LeftDegreeHistogram { max_degree: 64 },
+            ]),
+    );
+
+    let mut stats = HierarchyStats::compute(graph, &hierarchy).expect("stats compute succeeds");
+    let mut best = [f64::INFINITY; 4];
+    let mut sealed_digest = None;
+    for rep in 0..=reps.max(5) {
+        let t = Instant::now();
+        stats
+            .apply_delta(&hierarchy, &delta)
+            .expect("stats delta applies");
+        let stats_ms = elapsed_ms(t);
+        let t = Instant::now();
+        let hist = DegreeHistogram::from_degrees(&g2.left_degrees());
+        let release = discloser
+            .disclose_from_stats(
+                &hierarchy,
+                &stats,
+                &hist,
+                &mut StdRng::seed_from_u64(seed ^ 6),
+            )
+            .expect("disclose succeeds");
+        let disclose_ms = elapsed_ms(t);
+        let t = Instant::now();
+        let artifact = ReleaseArtifact::seal("bench-epoch", 2, Arc::clone(&hierarchy), release)
+            .expect("artifact seals");
+        let seal_ms = elapsed_ms(t);
+        let digest = artifact.manifest().content_digest;
+        assert_eq!(
+            *sealed_digest.get_or_insert(digest),
+            digest,
+            "every rep seals the same epoch"
+        );
+        stats
+            .apply_delta(&hierarchy, &undo)
+            .expect("inverse delta applies");
+        if rep > 0 {
+            let times = [
+                stats_ms,
+                disclose_ms,
+                seal_ms,
+                stats_ms + disclose_ms + seal_ms,
+            ];
+            for (b, t) in best.iter_mut().zip(times) {
+                *b = b.min(t);
+            }
+        }
+    }
+    EpochEntry {
+        edges: graph.edge_count(),
+        levels: hierarchy.level_count(),
+        delta_inserts: delta.inserts().len(),
+        delta_deletes: delta.deletes().len(),
+        stats_ms: best[0],
+        disclose_ms: best[1],
+        seal_ms: best[2],
+        epoch_ms: best[3],
     }
 }
 
@@ -1606,13 +1747,27 @@ fn main() {
     eprintln!("measuring the seal digest, FNV-1a baseline vs content digest (1M-edge Zipf graph)…");
     let zipf_1m =
         models::zipf_attachment(&mut StdRng::seed_from_u64(seed), 100_000, 333_334, 3, 1.15);
-    let seal_1m = seal_comparison(&sealed_artifact(&zipf_1m, seed), zipf_1m.edge_count(), reps);
+    let zipf_artifact = sealed_artifact(&zipf_1m, seed);
+    let seal_1m = seal_comparison(&zipf_artifact, zipf_1m.edge_count(), reps);
     eprintln!(
         "  {:.0} KiB: FNV-1a baseline {:.1} ms  content digest {:.1} ms  speedup {:.1}×",
         seal_1m.section_bytes as f64 / 1024.0,
         seal_1m.fnv1a_baseline_ms,
         seal_1m.content_digest_ms,
         seal_1m.speedup
+    );
+
+    eprintln!(
+        "measuring one 1% epoch in memory: stats delta, disclose, seal (1M-edge Zipf graph)…"
+    );
+    let epoch_zipf_1m = epoch_entry(&zipf_1m, zipf_artifact.hierarchy().clone(), seed, reps);
+    drop(zipf_artifact);
+    eprintln!(
+        "  stats {:.1} ms  disclose {:.1} ms  seal {:.1} ms  epoch {:.1} ms",
+        epoch_zipf_1m.stats_ms,
+        epoch_zipf_1m.disclose_ms,
+        epoch_zipf_1m.seal_ms,
+        epoch_zipf_1m.epoch_ms
     );
 
     // The same graph as the publish path's input: its text edge list,
@@ -1710,6 +1865,7 @@ fn main() {
         zipf_sampler,
         artifact_io_1m,
         seal_1m,
+        epoch_zipf_1m,
         edge_list_1m,
         answer_qps,
         reader_throughput,

@@ -374,12 +374,19 @@ impl ReleaseArtifact {
 /// out for those sections. The section writers stream straight into the
 /// hash ([`gdp_graph::io::Xxh64Writer`] as the
 /// [`gdp_graph::binfmt::ByteSink`]); no payload is built.
+///
+/// The hash state after the hierarchy and the separator is memoized on
+/// the hierarchy the first time it is needed, so the epochs of a chain,
+/// which share one hierarchy, each hash only their release.
 pub fn content_digest(hierarchy: &GroupHierarchy, release: &MultiLevelRelease) -> u64 {
-    let mut w = ByteWriter::with_sink(Xxh64Writer::new());
-    crate::codec::write_hierarchy(&mut w, hierarchy);
-    let mut sink = w.into_sink();
-    sink.update(&[0]);
-    let mut w = ByteWriter::with_sink(sink);
+    let prefix = hierarchy.digest_prefix().get_or_init(|| {
+        let mut w = ByteWriter::with_sink(Xxh64Writer::new());
+        crate::codec::write_hierarchy(&mut w, hierarchy);
+        let mut sink = w.into_sink();
+        sink.update(&[0]);
+        sink
+    });
+    let mut w = ByteWriter::with_sink(prefix.clone());
     crate::codec::write_release(&mut w, release);
     w.into_sink().digest()
 }
@@ -804,6 +811,50 @@ mod tests {
     const GOLDEN_DIGEST: u64 = 0xede1_faef_6d9a_226e;
     const GOLDEN_GDA_LEN: usize = 14_192;
     const GOLDEN_GDA_DIGEST: u64 = 0xfb54_a033_db9a_9424;
+
+    #[test]
+    fn the_hierarchy_digest_memo_changes_no_digest_and_no_equality() {
+        let (hierarchy, release) = publishable();
+        let shared = Arc::new(hierarchy);
+        assert!(shared.digest_prefix().get().is_none());
+        let a = ReleaseArtifact::seal("dblp", 1, Arc::clone(&shared), release.clone()).unwrap();
+        assert!(
+            shared.digest_prefix().get().is_some(),
+            "seal fills the memo"
+        );
+
+        // A hierarchy without the memo hashes to the same digest, for
+        // the sealed release and for another one over the same levels.
+        let mut levels = release.levels().to_vec();
+        levels[0].queries[0].noisy_values[0] += 1.0;
+        let other = MultiLevelRelease::new(
+            release.mechanism(),
+            release.epsilon_g(),
+            release.delta(),
+            levels,
+        )
+        .unwrap();
+        for r in [&release, &other] {
+            let fresh = GroupHierarchy::new(shared.levels().to_vec()).unwrap();
+            assert_eq!(content_digest(&fresh, r), content_digest(&shared, r));
+        }
+        assert_eq!(
+            content_digest(&shared, &release),
+            a.manifest().content_digest
+        );
+
+        // Reloads compare equal to the published artifact, memo or not:
+        // a `.gda` load carries no memo, a JSON load fills its own.
+        let gda = ReleaseArtifact::read_binary(&crate::codec::encode(&a).unwrap()[..]).unwrap();
+        assert!(gda.hierarchy().digest_prefix().get().is_none());
+        assert_eq!(gda, a);
+        assert_eq!(*gda.hierarchy(), *shared);
+        let mut buf = Vec::new();
+        graph_io::write_json(&*shared, &mut buf).unwrap();
+        let back: GroupHierarchy = graph_io::read_json(buf.as_slice()).unwrap();
+        assert!(back.digest_prefix().get().is_none());
+        assert_eq!(back, *shared);
+    }
 
     #[test]
     fn seal_refuses_non_finite_values() {

@@ -1,5 +1,8 @@
+use std::sync::OnceLock;
+
 use serde::{Deserialize, Serialize};
 
+use gdp_graph::io::Xxh64Writer;
 use gdp_graph::{BipartiteGraph, Side, SidePartition};
 
 use crate::error::CoreError;
@@ -11,9 +14,26 @@ use crate::Result;
 /// "two sub groups correspond to the left side nodes … the other two …
 /// the right side").
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[serde(try_from = "LevelParts")]
 pub struct GroupLevel {
     left: SidePartition,
     right: SidePartition,
+}
+
+/// The deserialized fields of a [`GroupLevel`], promoted through
+/// [`GroupLevel::new`] so a document cannot swap the sides.
+#[derive(Deserialize)]
+struct LevelParts {
+    left: SidePartition,
+    right: SidePartition,
+}
+
+impl TryFrom<LevelParts> for GroupLevel {
+    type Error = CoreError;
+
+    fn try_from(p: LevelParts) -> Result<Self> {
+        Self::new(p.left, p.right)
+    }
 }
 
 impl GroupLevel {
@@ -52,11 +72,10 @@ impl GroupLevel {
         self.left.block_count() as u64 + self.right.block_count() as u64
     }
 
-    /// Largest group size (in nodes) across both sides.
+    /// Largest group size (in nodes) across both sides, counted when
+    /// the partitions were built.
     pub fn max_group_size(&self) -> u32 {
-        let l = self.left.block_sizes().into_iter().max().unwrap_or(0);
-        let r = self.right.block_sizes().into_iter().max().unwrap_or(0);
-        l.max(r)
+        self.left.max_block_size().max(self.right.max_block_size())
     }
 
     /// Incident-edge count of every group: left blocks first, then right
@@ -89,9 +108,47 @@ impl GroupLevel {
 ///
 /// Index semantics follow the paper: the release `I_{L,i}` protects the
 /// groups of `hierarchy.level(i)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+///
+/// A hierarchy is fixed once built (deserialization re-runs
+/// [`GroupHierarchy::new`]), so it memoizes the content-digest state
+/// after its own section bytes: every artifact sealed over it hashes
+/// only its release. Equality compares the levels alone.
+#[derive(Debug, Clone, Serialize, Deserialize)]
+#[serde(try_from = "HierarchyParts", into = "HierarchyParts")]
 pub struct GroupHierarchy {
     levels: Vec<GroupLevel>,
+    /// XXH64 state after the hierarchy section payload and the zero
+    /// separator byte of [`crate::artifact::content_digest`], filled on first use.
+    digest_prefix: OnceLock<Xxh64Writer>,
+}
+
+impl PartialEq for GroupHierarchy {
+    fn eq(&self, other: &Self) -> bool {
+        self.levels == other.levels
+    }
+}
+
+impl Eq for GroupHierarchy {}
+
+/// The serialized fields of a [`GroupHierarchy`]; deserializing
+/// promotes them through [`GroupHierarchy::new`].
+#[derive(Serialize, Deserialize)]
+struct HierarchyParts {
+    levels: Vec<GroupLevel>,
+}
+
+impl From<GroupHierarchy> for HierarchyParts {
+    fn from(h: GroupHierarchy) -> Self {
+        Self { levels: h.levels }
+    }
+}
+
+impl TryFrom<HierarchyParts> for GroupHierarchy {
+    type Error = CoreError;
+
+    fn try_from(p: HierarchyParts) -> Result<Self> {
+        Self::new(p.levels)
+    }
 }
 
 impl GroupHierarchy {
@@ -128,7 +185,16 @@ impl GroupHierarchy {
                 )));
             }
         }
-        Ok(Self { levels })
+        Ok(Self {
+            levels,
+            digest_prefix: OnceLock::new(),
+        })
+    }
+
+    /// The memo cell of the content-digest state after this hierarchy's
+    /// section bytes (see [`crate::artifact::content_digest`]).
+    pub(crate) fn digest_prefix(&self) -> &OnceLock<Xxh64Writer> {
+        &self.digest_prefix
     }
 
     /// Number of levels.

@@ -120,7 +120,7 @@ impl LevelSensitivity {
     }
 
     fn left_degree_histogram_from_parts(level: &GroupLevel, max_right_inc: u64) -> Self {
-        let max_left_size = level.left().block_sizes().into_iter().max().unwrap_or(0) as f64;
+        let max_left_size = level.left().max_block_size() as f64;
         let max_right_inc = max_right_inc as f64;
         Self {
             l1: max_left_size.max(2.0 * max_right_inc),

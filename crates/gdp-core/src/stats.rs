@@ -31,8 +31,6 @@
 //! No release ever exposes the cache itself — only noised query answers
 //! leave the pipeline.
 
-use serde::{Deserialize, Serialize};
-
 use gdp_graph::{BipartiteGraph, EdgeDelta, GraphError, PairCounts, PairMarginals};
 
 use crate::error::CoreError;
@@ -42,7 +40,7 @@ use crate::Result;
 /// Cached sufficient statistics of **one** hierarchy level: its
 /// block-pair counts plus the marginal quantities the Phase-2 stack
 /// needs (per-block incident-edge counts, total, max incidence).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LevelStats {
     pair_counts: PairCounts,
     marginals: PairMarginals,
@@ -150,9 +148,14 @@ impl LevelStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyStats {
     levels: Vec<LevelStats>,
+    /// `rollup_maps[i]` holds the left and right block maps from level
+    /// `i` to level `i + 1` ([`gdp_graph::SidePartition::block_map_to`]).
+    /// The hierarchy is fixed, so [`Self::compute`] builds them once and
+    /// every [`Self::apply_delta`] reads them.
+    rollup_maps: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
 impl HierarchyStats {
@@ -172,10 +175,10 @@ impl HierarchyStats {
     pub fn compute(graph: &BipartiteGraph, hierarchy: &GroupHierarchy) -> Result<Self> {
         let finest = hierarchy.finest();
         let mut pair_counts = Vec::with_capacity(hierarchy.level_count());
+        let mut rollup_maps = Vec::with_capacity(hierarchy.level_count() - 1);
         pair_counts.push(PairCounts::compute(graph, finest.left(), finest.right()));
-        for i in 1..hierarchy.level_count() {
-            let finer = hierarchy.level(i - 1)?;
-            let coarser = hierarchy.level(i)?;
+        for pair in hierarchy.levels().windows(2) {
+            let (finer, coarser) = (&pair[0], &pair[1]);
             let left_map = finer
                 .left()
                 .block_map_to(coarser.left())
@@ -184,19 +187,21 @@ impl HierarchyStats {
                 .right()
                 .block_map_to(coarser.right())
                 .map_err(CoreError::Graph)?;
-            let rolled = pair_counts[i - 1].rollup(
+            let rolled = pair_counts[pair_counts.len() - 1].rollup(
                 &left_map,
                 coarser.left().block_count(),
                 &right_map,
                 coarser.right().block_count(),
             );
             pair_counts.push(rolled);
+            rollup_maps.push((left_map, right_map));
         }
         Ok(Self {
             levels: pair_counts
                 .into_iter()
                 .map(LevelStats::from_pair_counts)
                 .collect(),
+            rollup_maps,
         })
     }
 
@@ -236,9 +241,10 @@ impl HierarchyStats {
     /// touching the edge list: the delta's endpoints map through the
     /// finest level's assignments into aggregated cell deltas, those
     /// apply to the finest table (dirty rows only), and the *cell
-    /// deltas themselves* roll up the refinement chain via the same
-    /// block maps [`Self::compute`] folds counts through — so each
-    /// coarser level re-merges only its dirty rows too.
+    /// deltas themselves* roll up the refinement chain via the block
+    /// maps [`Self::compute`] built and kept — so each coarser level
+    /// re-merges only its dirty rows too, and no level's partition is
+    /// rescanned.
     ///
     /// All arithmetic is integer, so the result is **bit-identical** to
     /// `HierarchyStats::compute(&graph.apply_delta(delta)?, hierarchy)`
@@ -251,19 +257,15 @@ impl HierarchyStats {
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::InvalidHierarchy`] on a level-count
-    /// mismatch and [`CoreError::Graph`] for out-of-range endpoints or
-    /// a batch that disagrees with the stored counts (e.g. deleting
-    /// from an empty cell). A refused delta may leave *this* value
-    /// partially updated — treat it as poisoned and recompute.
+    /// Returns [`CoreError::InvalidHierarchy`] when `hierarchy`'s level
+    /// count or some level's block counts differ from the ones these
+    /// statistics were computed over (nothing is updated then), and
+    /// [`CoreError::Graph`] for out-of-range endpoints or a batch that
+    /// disagrees with the stored counts (e.g. deleting from an empty
+    /// cell). A refused delta may leave *this* value partially updated
+    /// — treat it as poisoned and recompute.
     pub fn apply_delta(&mut self, hierarchy: &GroupHierarchy, delta: &EdgeDelta) -> Result<()> {
-        if hierarchy.level_count() != self.levels.len() {
-            return Err(CoreError::InvalidHierarchy(format!(
-                "hierarchy has {} levels but stats cover {}",
-                hierarchy.level_count(),
-                self.levels.len()
-            )));
-        }
+        self.check_shape(hierarchy)?;
         let finest = hierarchy.finest();
         let left_assignment = finest.left().assignment();
         let right_assignment = finest.right().assignment();
@@ -293,19 +295,10 @@ impl HierarchyStats {
         let mut old_counts = Vec::with_capacity(keyed.len());
         fold_cell_deltas(&mut keyed, &mut cells);
         self.levels[0].apply_cell_deltas(&cells, &mut old_counts)?;
-        for i in 1..self.levels.len() {
-            let finer = hierarchy.level(i - 1)?;
-            let coarser = hierarchy.level(i)?;
-            let left_map = finer
-                .left()
-                .block_map_to(coarser.left())
-                .map_err(CoreError::Graph)?;
-            let right_map = finer
-                .right()
-                .block_map_to(coarser.right())
-                .map_err(CoreError::Graph)?;
-            let cols = coarser.right().block_count() as usize;
-            let grid_cells = coarser.left().block_count() as usize * cols;
+        for (i, (left_map, right_map)) in self.rollup_maps.iter().enumerate() {
+            let coarser = &mut self.levels[i + 1];
+            let cols = coarser.pair_counts.right_blocks() as usize;
+            let grid_cells = coarser.pair_counts.left_blocks() as usize * cols;
             if grid_cells <= DENSE_FOLD_MAX_CELLS {
                 // Coarse level: scatter into a recycled dense grid and
                 // collect nonzero entries in one row-major scan (zeroing
@@ -337,7 +330,33 @@ impl HierarchyStats {
                 }));
                 fold_cell_deltas(&mut keyed, &mut cells);
             }
-            self.levels[i].apply_cell_deltas(&cells, &mut old_counts)?;
+            coarser.apply_cell_deltas(&cells, &mut old_counts)?;
+        }
+        Ok(())
+    }
+
+    /// Refuses a hierarchy whose level count or per-level block counts
+    /// differ from the tables (and so the kept block maps) these
+    /// statistics hold.
+    fn check_shape(&self, hierarchy: &GroupHierarchy) -> Result<()> {
+        if hierarchy.level_count() != self.levels.len() {
+            return Err(CoreError::InvalidHierarchy(format!(
+                "hierarchy has {} levels but stats cover {}",
+                hierarchy.level_count(),
+                self.levels.len()
+            )));
+        }
+        for (i, (level, stats)) in hierarchy.levels().iter().zip(&self.levels).enumerate() {
+            let shape = (level.left().block_count(), level.right().block_count());
+            let held = (
+                stats.pair_counts.left_blocks(),
+                stats.pair_counts.right_blocks(),
+            );
+            if shape != held {
+                return Err(CoreError::InvalidHierarchy(format!(
+                    "hierarchy level {i} has {shape:?} blocks but stats hold {held:?}"
+                )));
+            }
         }
         Ok(())
     }
@@ -463,6 +482,33 @@ mod tests {
                 stats.apply_delta(&other, &EdgeDelta::empty()),
                 Err(CoreError::InvalidHierarchy(_))
             ));
+        }
+    }
+
+    #[test]
+    fn apply_delta_refuses_a_hierarchy_of_another_shape() {
+        use crate::hierarchy::GroupLevel;
+        use gdp_graph::{EdgeDelta, Side, SidePartition};
+        let g = graph();
+        let h = Specializer::new(SpecializationConfig::median(2).unwrap())
+            .specialize(&g, &mut StdRng::seed_from_u64(3))
+            .unwrap();
+        let mut stats = HierarchyStats::compute(&g, &h).unwrap();
+        let before = stats.clone();
+        let singletons = GroupLevel::new(
+            SidePartition::singletons(Side::Left, 24),
+            SidePartition::singletons(Side::Right, 24),
+        )
+        .unwrap();
+        // Same level count, other block counts; then one level more.
+        let same_depth = GroupHierarchy::new(vec![singletons.clone(); h.level_count()]).unwrap();
+        let deeper = GroupHierarchy::new(vec![singletons; h.level_count() + 1]).unwrap();
+        for other in [same_depth, deeper] {
+            assert!(matches!(
+                stats.apply_delta(&other, &EdgeDelta::empty()),
+                Err(CoreError::InvalidHierarchy(_))
+            ));
+            assert_eq!(stats, before, "a refused hierarchy changes nothing");
         }
     }
 

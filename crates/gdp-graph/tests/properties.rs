@@ -152,6 +152,27 @@ proptest! {
     }
 
     #[test]
+    fn max_block_size_is_the_largest_block(
+        n in 0u32..40,
+        raw in proptest::collection::vec(0u32..8, 0..40),
+    ) {
+        let mut partitions = vec![
+            SidePartition::singletons(Side::Right, n),
+            densify(Side::Left, &raw),
+        ];
+        partitions.extend(SidePartition::whole(Side::Left, n));
+        for p in partitions {
+            let largest = p.block_sizes().into_iter().max().unwrap_or(0);
+            prop_assert_eq!(p.max_block_size(), largest);
+            // Deserializing rebuilds the count through the constructor.
+            let json = serde_json::to_string(&p).unwrap();
+            let back: SidePartition = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(back.max_block_size(), largest);
+            prop_assert_eq!(back, p);
+        }
+    }
+
+    #[test]
     fn merging_blocks_is_refined_by_original((assignment, count) in partition_of(30)) {
         let fine = SidePartition::new(Side::Left, assignment.clone(), count).unwrap();
         // Merge all blocks into one.

@@ -10,7 +10,7 @@
 
 use group_dp::core::{
     ArtifactFormat, CoreError, DisclosureConfig, DisclosureSession, Privilege, Query,
-    SpecializationConfig, Specializer,
+    ReleaseArtifact, SpecializationConfig, Specializer,
 };
 use group_dp::datagen::{DblpConfig, DblpGenerator};
 use group_dp::graph::{EdgeDelta, Side};
@@ -42,7 +42,7 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
     let mut session = DisclosureSession::new(graph.clone(), hierarchy, total);
 
     // Epoch 0: full publish, JSON encoding.
-    let (a0, _) = session
+    let (a0, p0) = session
         .publish_to_dir_as(&config, "chain", 0, &dir, ArtifactFormat::Json, &mut rng)
         .unwrap();
     let l0 = a0.manifest().ledger.as_ref().expect("ledger stamped");
@@ -65,7 +65,7 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
         }
     }
     let delta = EdgeDelta::new(inserts, deletes);
-    let (a1, _) = session
+    let (a1, p1) = session
         .publish_next_to_dir_as(
             &config,
             "chain",
@@ -76,6 +76,12 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
         )
         .unwrap();
     assert_eq!(a1.epoch(), 1);
+    // The published artifacts share the session's hierarchy, whose
+    // content-digest memo sealing filled; a reload carries its own (JSON)
+    // or none (`.gda`). Equality sees only the levels.
+    for (published, path) in [(&a0, &p0), (&a1, &p1)] {
+        assert_eq!(&ReleaseArtifact::load(path).unwrap(), published);
+    }
     let l1 = a1.manifest().ledger.as_ref().expect("ledger stamped");
     assert_eq!(l1.releases, 2);
     assert!((l1.cumulative_epsilon - 1.0).abs() < 1e-12);
