@@ -3,8 +3,7 @@
 //!
 //! The paper's setup: DBLP graph, 9 specialization rounds, releases
 //! `I_{9,i}` for `i ∈ [0,7]`, Gaussian noise, RER = `|P − T| / T`.
-//! Our reproduction keeps the same shape at configurable scale; see
-//! `EXPERIMENTS.md` for the paper-vs-measured discussion.
+//! Our reproduction keeps the same shape at configurable scale.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

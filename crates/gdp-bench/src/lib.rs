@@ -1,7 +1,6 @@
 //! Experiment harness shared by the `gdp-bench` binaries.
 //!
-//! Each binary regenerates one table or figure (see `DESIGN.md` §5 and
-//! `EXPERIMENTS.md`):
+//! Each binary regenerates one table or figure:
 //!
 //! | target | reproduces |
 //! |---|---|

@@ -66,8 +66,6 @@ pub struct SubsetCountEstimator<'a> {
     level: &'a GroupLevel,
     left_noisy: Vec<f64>,
     right_noisy: Vec<f64>,
-    left_sizes: Vec<u32>,
-    right_sizes: Vec<u32>,
 }
 
 impl<'a> SubsetCountEstimator<'a> {
@@ -85,8 +83,6 @@ impl<'a> SubsetCountEstimator<'a> {
             level,
             left_noisy: left_noisy.to_vec(),
             right_noisy: right_noisy.to_vec(),
-            left_sizes: level.left().block_sizes(),
-            right_sizes: level.right().block_sizes(),
         })
     }
 
@@ -114,10 +110,11 @@ impl<'a> SubsetCountEstimator<'a> {
     /// * [`CoreError::DuplicateSubsetNode`] if a node appears more than
     ///   once.
     pub fn estimate(&self, side: Side, nodes: &[u32]) -> Result<f64> {
-        let (partition, noisy, sizes) = match side {
-            Side::Left => (self.level.left(), &self.left_noisy, &self.left_sizes),
-            Side::Right => (self.level.right(), &self.right_noisy, &self.right_sizes),
+        let (partition, noisy) = match side {
+            Side::Left => (self.level.left(), &self.left_noisy),
+            Side::Right => (self.level.right(), &self.right_noisy),
         };
+        let sizes = partition.block_sizes();
         validate_subset(side, nodes, partition.node_count())?;
         let mut total = 0.0;
         for &node in nodes {

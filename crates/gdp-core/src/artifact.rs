@@ -285,8 +285,8 @@ impl ArtifactPayload {
 /// Construction only through [`ReleaseArtifact::seal`] /
 /// [`ReleaseArtifact::read_json`] — both validate that the manifest,
 /// hierarchy and release agree on level count, group counts, node
-/// counts, budget and mechanism, so holders of a `ReleaseArtifact`
-/// never need to re-check internal consistency.
+/// counts, query vector lengths, budget and mechanism, so holders of a
+/// `ReleaseArtifact` never need to re-check internal consistency.
 ///
 /// ```
 /// # use gdp_core::{DisclosureConfig, MultiLevelDiscloser, Query, ReleaseArtifact,
@@ -468,6 +468,17 @@ fn validate(
                 level.group_count()
             ));
         }
+        for q in &level_release.queries {
+            let expected = q.query.answer_len(level);
+            if q.noisy_values.len() as u64 != expected {
+                return fail(format!(
+                    "level {} {:?} releases {} values, its shape needs {expected}",
+                    level_release.level,
+                    q.query,
+                    q.noisy_values.len()
+                ));
+            }
+        }
     }
     let finest = hierarchy.finest();
     if manifest.left_nodes != finest.left().node_count()
@@ -500,7 +511,7 @@ impl ReleaseArtifact {
     ///
     /// * [`CoreError::Artifact`] when `dataset` is empty or the
     ///   hierarchy and release disagree (wrong level count, mismatched
-    ///   group counts, …).
+    ///   group counts, a query vector of the wrong length, …).
     pub fn seal(
         dataset: impl Into<String>,
         epoch: u64,
@@ -917,6 +928,63 @@ mod tests {
         // Empty dataset names are refused.
         let err = ReleaseArtifact::seal("", 1, hierarchy, release).unwrap_err();
         assert!(err.to_string().contains("non-empty"));
+    }
+
+    #[test]
+    fn each_misshapen_query_vector_is_refused_at_seal_and_on_load() {
+        let a = golden_artifact();
+        let kinds = [
+            Query::TotalAssociations,
+            Query::PerGroupCounts,
+            Query::LeftDegreeHistogram { max_degree: 16 },
+            Query::GroupSizeCounts,
+        ];
+        for kind in kinds {
+            // One value too many at the coarsest level.
+            let mut levels = a.release().levels().to_vec();
+            let coarsest = levels.last_mut().unwrap();
+            let q = coarsest.queries.iter_mut().find(|q| q.query == kind);
+            q.unwrap().noisy_values.push(0.0);
+            let release = MultiLevelRelease::new(
+                a.release().mechanism(),
+                a.release().epsilon_g(),
+                a.release().delta(),
+                levels,
+            )
+            .unwrap();
+            let refused = |err: CoreError| {
+                let why = format!("{kind:?} releases");
+                assert!(
+                    matches!(&err, CoreError::Artifact(m) if m.contains(&why)),
+                    "{kind:?}: {err}"
+                );
+            };
+            refused(
+                ReleaseArtifact::seal(
+                    a.dataset(),
+                    a.epoch(),
+                    a.hierarchy().clone(),
+                    release.clone(),
+                )
+                .unwrap_err(),
+            );
+
+            // The same release behind a manifest whose content digest
+            // is recomputed over it: a `.gda` (whose container digest
+            // the encoder recomputes too) and a JSON document.
+            let mut manifest = a.manifest().clone();
+            manifest.content_digest = content_digest(a.hierarchy(), &release);
+            let gda = crate::codec::encode_parts(&manifest, a.hierarchy(), &release).unwrap();
+            refused(crate::codec::decode(&gda).unwrap().seal().unwrap_err());
+            let payload = ArtifactPayload {
+                manifest,
+                hierarchy: Arc::clone(&a.hierarchy),
+                release,
+            };
+            let mut json = Vec::new();
+            graph_io::write_json(&payload, &mut json).unwrap();
+            refused(ReleaseArtifact::read_json(json.as_slice()).unwrap_err());
+        }
     }
 
     #[test]

@@ -364,7 +364,7 @@ pub fn encode(artifact: &ReleaseArtifact) -> Result<Vec<u8>> {
 
 /// [`encode`] over parts that need not agree (the tests hand-build
 /// doctored containers through it).
-fn encode_parts(
+pub(crate) fn encode_parts(
     manifest: &ArtifactManifest,
     hierarchy: &GroupHierarchy,
     release: &MultiLevelRelease,

@@ -48,6 +48,16 @@ impl Query {
         }
     }
 
+    /// The length of this query's answer vector at `level` — the shape
+    /// sealing holds every released vector to.
+    pub(crate) fn answer_len(&self, level: &GroupLevel) -> u64 {
+        match self {
+            Query::TotalAssociations => 1,
+            Query::PerGroupCounts | Query::GroupSizeCounts => level.group_count(),
+            Query::LeftDegreeHistogram { max_degree } => u64::from(*max_degree) + 1,
+        }
+    }
+
     /// Evaluates the true answer and its group-level sensitivity at
     /// `level`, scanning the graph directly.
     ///
@@ -116,13 +126,11 @@ impl Query {
     /// Group sizes depend only on the partitions, so both answer paths
     /// share this.
     fn group_size_counts(level: &GroupLevel) -> QueryAnswer {
-        let mut values: Vec<f64> = level
-            .left()
-            .block_sizes()
+        let values: Vec<f64> = [level.left(), level.right()]
             .into_iter()
-            .map(|s| s as f64)
+            .flat_map(|side| side.block_sizes())
+            .map(|&s| s as f64)
             .collect();
-        values.extend(level.right().block_sizes().into_iter().map(|s| s as f64));
         let max = level.max_group_size() as f64;
         QueryAnswer {
             values,

@@ -7,8 +7,7 @@
 //! Zipf-distributed author productivity and realistic author-list sizes,
 //! with presets matching the paper's totals exactly
 //! ([`DblpConfig::paper_scale`]) or scaled down for laptop-speed runs
-//! ([`DblpConfig::default`]). See `DESIGN.md` §2 for the substitution
-//! argument.
+//! ([`DblpConfig::default`]).
 //!
 //! The crate also ships:
 //!

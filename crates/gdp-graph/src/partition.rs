@@ -16,8 +16,9 @@ use crate::Result;
 ///
 /// Every value is validated when it is built, deserialization included
 /// (it goes through [`SidePartition::new`]), and fixed afterwards. The
-/// size of the largest block is counted then, so
-/// [`SidePartition::max_block_size`] never rescans the assignment.
+/// block sizes are counted then and kept, so
+/// [`SidePartition::block_sizes`] and [`SidePartition::max_block_size`]
+/// never rescan the assignment.
 ///
 /// ```
 /// use gdp_graph::{GraphBuilder, LeftId, RightId, Side, SidePartition};
@@ -39,7 +40,9 @@ use crate::Result;
 pub struct SidePartition {
     side: Side,
     assignment: Vec<u32>,
-    block_count: u32,
+    /// Members of each block, counted at construction; its length is
+    /// the block count.
+    block_sizes: Vec<u32>,
     /// Members of the largest block (0 for an empty partition).
     max_block_size: u32,
 }
@@ -57,9 +60,9 @@ struct PartitionParts {
 impl From<SidePartition> for PartitionParts {
     fn from(p: SidePartition) -> Self {
         Self {
+            block_count: p.block_count(),
             side: p.side,
             assignment: p.assignment,
-            block_count: p.block_count,
         }
     }
 }
@@ -92,8 +95,8 @@ impl SidePartition {
         Ok(Self {
             side,
             assignment,
-            block_count,
-            max_block_size: sizes.into_iter().max().unwrap_or(0),
+            max_block_size: sizes.iter().copied().max().unwrap_or(0),
+            block_sizes: sizes,
         })
     }
 
@@ -108,7 +111,7 @@ impl SidePartition {
         Some(Self {
             side,
             assignment: vec![0; n as usize],
-            block_count: 1,
+            block_sizes: vec![n],
             max_block_size: n,
         })
     }
@@ -119,7 +122,7 @@ impl SidePartition {
         Self {
             side,
             assignment: (0..n).collect(),
-            block_count: n,
+            block_sizes: vec![1; n as usize],
             max_block_size: n.min(1),
         }
     }
@@ -136,7 +139,7 @@ impl SidePartition {
 
     /// Number of blocks.
     pub fn block_count(&self) -> u32 {
-        self.block_count
+        self.block_sizes.len() as u32
     }
 
     /// The block containing node `index`.
@@ -154,21 +157,19 @@ impl SidePartition {
     }
 
     /// The number of nodes in the largest block (0 when the partition
-    /// covers no nodes) — the maximum of [`Self::block_sizes`], counted
-    /// at construction.
+    /// covers no nodes) — the maximum of [`Self::block_sizes`].
     pub fn max_block_size(&self) -> u32 {
         self.max_block_size
     }
 
-    /// The number of nodes in each block.
-    pub fn block_sizes(&self) -> Vec<u32> {
-        count_block_sizes(&self.assignment, self.block_count)
-            .expect("assignments are validated at construction")
+    /// The number of nodes in each block, counted at construction.
+    pub fn block_sizes(&self) -> &[u32] {
+        &self.block_sizes
     }
 
     /// The members of each block, in node order.
     pub fn block_members(&self) -> Vec<Vec<u32>> {
-        let mut members = vec![Vec::new(); self.block_count as usize];
+        let mut members = vec![Vec::new(); self.block_sizes.len()];
         for (node, &b) in self.assignment.iter().enumerate() {
             members[b as usize].push(node as u32);
         }
@@ -200,7 +201,7 @@ impl SidePartition {
             graph.side_count(self.side),
             "partition does not match graph side size"
         );
-        let mut counts = vec![0u64; self.block_count as usize];
+        let mut counts = vec![0u64; self.block_sizes.len()];
         match self.side {
             Side::Left => {
                 for (node, &b) in self.assignment.iter().enumerate() {
@@ -233,7 +234,7 @@ impl SidePartition {
         }
         // Map each finer block to the coarse block of its first member,
         // then verify all members agree.
-        let mut coarse_of: Vec<Option<u32>> = vec![None; finer.block_count as usize];
+        let mut coarse_of: Vec<Option<u32>> = vec![None; finer.block_sizes.len()];
         for (node, &fb) in finer.assignment.iter().enumerate() {
             let cb = self.assignment[node];
             match coarse_of[fb as usize] {
@@ -272,7 +273,7 @@ impl SidePartition {
         }
         // Every block is non-empty (validated at construction), so every
         // slot gets written; u32::MAX marks "not seen yet".
-        let mut map = vec![u32::MAX; self.block_count as usize];
+        let mut map = vec![u32::MAX; self.block_sizes.len()];
         for (node, &fb) in self.assignment.iter().enumerate() {
             let cb = coarser.assignment[node];
             let slot = &mut map[fb as usize];
@@ -340,6 +341,8 @@ fn count_laned<const LANES: usize>(assignment: &[u32], block_count: u32) -> Resu
         }
     }
     counts.truncate(n);
+    // The sizes are kept for the partition's lifetime: drop the lanes.
+    counts.shrink_to_fit();
     Ok(counts)
 }
 

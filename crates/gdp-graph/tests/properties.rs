@@ -156,17 +156,27 @@ proptest! {
         n in 0u32..40,
         raw in proptest::collection::vec(0u32..8, 0..40),
     ) {
+        let recount = |p: &SidePartition| {
+            let mut sizes = vec![0u32; p.block_count() as usize];
+            for &b in p.assignment() {
+                sizes[b as usize] += 1;
+            }
+            sizes
+        };
         let mut partitions = vec![
             SidePartition::singletons(Side::Right, n),
             densify(Side::Left, &raw),
         ];
         partitions.extend(SidePartition::whole(Side::Left, n));
         for p in partitions {
-            let largest = p.block_sizes().into_iter().max().unwrap_or(0);
+            let sizes = recount(&p);
+            let largest = sizes.iter().copied().max().unwrap_or(0);
+            prop_assert_eq!(p.block_sizes(), &sizes[..]);
             prop_assert_eq!(p.max_block_size(), largest);
-            // Deserializing rebuilds the count through the constructor.
+            // Deserializing recounts through the constructor.
             let json = serde_json::to_string(&p).unwrap();
             let back: SidePartition = serde_json::from_str(&json).unwrap();
+            prop_assert_eq!(back.block_sizes(), &sizes[..]);
             prop_assert_eq!(back.max_block_size(), largest);
             prop_assert_eq!(back, p);
         }

@@ -188,6 +188,22 @@ fn watcher_auto_loads_new_epochs_and_is_counted() {
 }
 
 #[test]
+fn scanned_entries_keep_one_index_across_a_ledger_pass() {
+    // A scan indexes every file before registering it, so the `/stats`
+    // ledger pass (a `get` on every epoch) only reads: each entry is
+    // the same `Arc` before and after it.
+    let dir = seed_dir("ledger");
+    let (store, _) = ReleaseStore::open_dir_report(&dir).unwrap();
+    let before = [1, 2].map(|epoch| store.get("dblp", epoch).unwrap());
+    gdp_net::ledger_section(&store);
+    for (epoch, held) in [1, 2].into_iter().zip(&before) {
+        let after = store.get("dblp", epoch).unwrap();
+        assert!(Arc::ptr_eq(held, &after), "epoch {epoch} was re-indexed");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn reload_without_directory_is_a_typed_400() {
     // The stock test server holds a programmatic store: nothing to
     // reload from, and the endpoint says so instead of 404ing.

@@ -2,34 +2,35 @@
 
 use std::sync::Arc;
 
-use gdp_core::{AccessPolicy, CoreError, ReleaseArtifact};
-use gdp_graph::Side;
+use gdp_core::{AccessPolicy, CoreError, Query as CoreQuery, ReleaseArtifact};
+use gdp_graph::{Side, SidePartition};
 
 use crate::error::ServeError;
 use crate::query::{Query, TypedAnswer};
 use crate::Result;
 
-/// One side of one indexed level: the node→group table plus the
-/// per-group noisy mass, both raw and pre-divided by the group size.
+/// What one side of one level keeps beyond the artifact: the values a
+/// lookup cannot read in place.
 #[derive(Debug, Clone)]
 struct IndexedSide {
-    /// `group_of[node]` — a copy of the partition's block assignment,
-    /// laid out for the gather loop.
-    group_of: Vec<u32>,
     /// `premass[g] = noisy(g) / |g|` — the exact float the scan-path
     /// estimator computes per touched group, hoisted to build time.
     premass: Vec<f64>,
-    /// `mass[g] = noisy(g)` — the raw released mass, served verbatim by
-    /// group-mass lookups.
-    mass: Vec<f64>,
-    /// `Σ mass[g]` in group order, folded once at build time — the
+    /// `Σ noisy(g)` in group order, folded once at build time — the
     /// side-total answer as an O(1) load.
     total: f64,
 }
 
 impl IndexedSide {
-    fn node_count(&self) -> u32 {
-        self.group_of.len() as u32
+    fn new(partition: &SidePartition, noisy: &[f64]) -> Self {
+        Self {
+            premass: noisy
+                .iter()
+                .zip(partition.block_sizes())
+                .map(|(&mass, &size)| mass / size as f64)
+                .collect(),
+            total: noisy.iter().sum(),
+        }
     }
 }
 
@@ -37,6 +38,8 @@ impl IndexedSide {
 /// [`gdp_core::Query::PerGroupCounts`].
 #[derive(Debug, Clone)]
 struct IndexedGroups {
+    /// Position of the per-group release in the level's query list.
+    query: usize,
     left: IndexedSide,
     right: IndexedSide,
 }
@@ -52,19 +55,20 @@ struct IndexedLevel {
     histogram: Option<Arc<[f64]>>,
 }
 
-/// A [`ReleaseArtifact`] plus the precomputed tables that turn every
-/// [`Query`] variant into a table lookup.
+/// A [`ReleaseArtifact`] plus the few precomputed values that turn
+/// every [`Query`] variant into a table lookup.
 ///
-/// For every level that released [`gdp_core::Query::PerGroupCounts`],
-/// the index holds each side's node→group table and per-group noisy
-/// mass — raw (group-mass lookups, side totals) and pre-divided by
-/// `|g|` (subset gathers). A subset estimate then visits exactly the
-/// queried nodes — an `O(|S|)` gather — instead of scanning all groups
-/// behind a freshly built estimator; a group mass or side total never
-/// rescans the release's query list. Levels that released a
-/// left-degree histogram additionally carry it materialized, served by
-/// `Arc` reference. Every variant's answer is **bit-identical** to its
-/// core-path rescan baseline
+/// The index is a view: node→group assignments and released per-group
+/// masses are read from the artifact it owns, never copied. For every
+/// level that released [`gdp_core::Query::PerGroupCounts`] it keeps
+/// only each side's per-group mass pre-divided by `|g|` (for subset
+/// gathers) and the side's folded total. A subset estimate then visits
+/// exactly the queried nodes — an `O(|S|)` gather — instead of
+/// scanning all groups behind a freshly built estimator; a group mass
+/// or side total never rescans the release's query list. Levels that
+/// released a left-degree histogram additionally carry it
+/// materialized, served by `Arc` reference. Every variant's answer is
+/// **bit-identical** to its core-path rescan baseline
 /// ([`SubsetCountEstimator::estimate`](gdp_core::answering::SubsetCountEstimator::estimate),
 /// [`scan_group_mass`](gdp_core::answering::scan_group_mass),
 /// [`scan_degree_histogram`](gdp_core::answering::scan_degree_histogram),
@@ -87,90 +91,45 @@ impl IndexedRelease {
     /// subset, group-mass or side-total queries; levels without a
     /// histogram release cannot answer degree-histogram queries.
     ///
+    /// Sealing has already checked every released vector's length
+    /// against its level, so building reads the artifact without
+    /// re-checking it.
+    ///
     /// # Errors
     ///
-    /// Returns [`ServeError::Core`] when a level's per-group vector
-    /// disagrees with its hierarchy level's group count (a malformed
-    /// artifact that slipped past sealing cannot be indexed).
+    /// Returns [`ServeError::Core`] when the artifact has no levels (no
+    /// access policy covers it).
     pub fn new(artifact: ReleaseArtifact) -> Result<Self> {
-        match Self::promote(artifact) {
-            Ok(indexed) => Ok(indexed),
-            Err((err, _)) => Err(err),
-        }
-    }
-
-    /// Like [`IndexedRelease::new`], but hands the artifact back on
-    /// failure — the store's lazy-promotion path uses this so a sealed
-    /// entry that cannot be indexed stays registered (the error is
-    /// repeatable) without ever cloning the artifact on the happy path.
-    // The large Err tuple is the point: it returns the artifact to the
-    // caller instead of dropping (or cloning) it, and the error path is
-    // cold by construction.
-    #[allow(clippy::result_large_err)]
-    pub(crate) fn promote(
-        artifact: ReleaseArtifact,
-    ) -> std::result::Result<Self, (ServeError, ReleaseArtifact)> {
-        match Self::build_tables(&artifact) {
-            Ok((policy, levels)) => Ok(Self {
-                artifact,
-                policy,
-                levels,
-            }),
-            Err(err) => Err((err, artifact)),
-        }
-    }
-
-    fn build_tables(artifact: &ReleaseArtifact) -> Result<(AccessPolicy, Vec<IndexedLevel>)> {
         let policy = AccessPolicy::new(artifact.level_count()).map_err(ServeError::Core)?;
-        let mut levels = Vec::with_capacity(artifact.level_count());
-        for (level_release, level) in artifact
+        let levels = artifact
             .release()
             .levels()
             .iter()
             .zip(artifact.hierarchy().levels())
-        {
-            let histogram = level_release
-                .left_degree_histogram()
-                .map(|q| Arc::from(q.noisy_values.as_slice()));
-            let Some(per_group) = level_release.per_group_counts() else {
-                levels.push(IndexedLevel {
-                    groups: None,
-                    histogram,
-                });
-                continue;
-            };
-            let lb = level.left().block_count() as usize;
-            let rb = level.right().block_count() as usize;
-            if per_group.noisy_values.len() != lb + rb {
-                return Err(ServeError::Core(CoreError::InvalidConfig(format!(
-                    "level {}: per-group vector length {} does not match group count {}",
-                    level_release.level,
-                    per_group.noisy_values.len(),
-                    lb + rb
-                ))));
-            }
-            let index_side = |partition: &gdp_graph::SidePartition, noisy: &[f64]| {
-                let sizes = partition.block_sizes();
-                IndexedSide {
-                    group_of: partition.assignment().to_vec(),
-                    premass: noisy
-                        .iter()
-                        .zip(&sizes)
-                        .map(|(&mass, &size)| mass / size as f64)
-                        .collect(),
-                    mass: noisy.to_vec(),
-                    total: noisy.iter().sum(),
-                }
-            };
-            levels.push(IndexedLevel {
-                groups: Some(IndexedGroups {
-                    left: index_side(level.left(), &per_group.noisy_values[..lb]),
-                    right: index_side(level.right(), &per_group.noisy_values[lb..]),
-                }),
-                histogram,
-            });
-        }
-        Ok((policy, levels))
+            .map(|(level_release, level)| IndexedLevel {
+                groups: level_release
+                    .queries
+                    .iter()
+                    .position(|q| q.query == CoreQuery::PerGroupCounts)
+                    .map(|query| {
+                        let noisy = &level_release.queries[query].noisy_values;
+                        let (left, right) = noisy.split_at(level.left().block_count() as usize);
+                        IndexedGroups {
+                            query,
+                            left: IndexedSide::new(level.left(), left),
+                            right: IndexedSide::new(level.right(), right),
+                        }
+                    }),
+                histogram: level_release
+                    .left_degree_histogram()
+                    .map(|q| Arc::from(q.noisy_values.as_slice())),
+            })
+            .collect();
+        Ok(Self {
+            artifact,
+            policy,
+            levels,
+        })
     }
 
     /// The underlying sealed artifact.
@@ -188,72 +147,149 @@ impl IndexedRelease {
         self.levels.len()
     }
 
-    /// Whether `level` can answer subset, group-mass and side-total
-    /// queries (released per-group counts).
-    pub fn is_indexed(&self, level: usize) -> bool {
-        matches!(
-            self.levels.get(level),
-            Some(IndexedLevel {
-                groups: Some(_),
-                ..
-            })
-        )
-    }
-
-    fn level(&self, level: usize) -> Result<&IndexedLevel> {
-        self.levels
-            .get(level)
-            .ok_or(ServeError::Core(CoreError::LevelOutOfRange {
+    /// Resolves a level once for any number of lookups: its tables,
+    /// and — when it released per-group counts — each side's partition
+    /// and released masses, read in place from the artifact.
+    ///
+    /// The lookups here and in [`LevelView`] build their errors only on
+    /// the failing branch: an error value built eagerly (`ok_or`) is
+    /// dropped through a call on every successful lookup.
+    fn view(&self, level: usize) -> Result<LevelView<'_>> {
+        let Some(tables) = self.levels.get(level) else {
+            return Err(ServeError::Core(CoreError::LevelOutOfRange {
                 level,
                 level_count: self.levels.len(),
-            }))
-    }
-
-    fn indexed_groups(&self, level: usize) -> Result<&IndexedGroups> {
-        self.level(level)?
-            .groups
-            .as_ref()
-            .ok_or(ServeError::LevelNotIndexed { level })
-    }
-
-    fn indexed_side(&self, level: usize, side: Side) -> Result<&IndexedSide> {
-        let groups = self.indexed_groups(level)?;
-        Ok(match side {
-            Side::Left => &groups.left,
-            Side::Right => &groups.right,
+            }));
+        };
+        let sides = tables.groups.as_ref().map(|groups| {
+            let group_level = &self.artifact.hierarchy().levels()[level];
+            let noisy = &self.artifact.release().levels()[level].queries[groups.query].noisy_values;
+            let (left, right) = noisy.split_at(group_level.left().block_count() as usize);
+            [
+                SideView {
+                    partition: group_level.left(),
+                    mass: left,
+                    tables: &groups.left,
+                },
+                SideView {
+                    partition: group_level.right(),
+                    mass: right,
+                    tables: &groups.right,
+                },
+            ]
+        });
+        Ok(LevelView {
+            level,
+            histogram: tables.histogram.as_ref(),
+            sides,
         })
     }
 
-    /// Estimates the association count incident to `nodes` on `side`
-    /// from `level`'s noisy per-group release — the `O(|S|)` gather.
+    /// Answers one typed [`Query`] at a level — the entry point
+    /// [`AnswerService`](crate::AnswerService) routes through. Each
+    /// variant is bit-identical, values and errors, to its core rescan
+    /// baseline in [`gdp_core::answering`]:
     ///
-    /// Semantics, float-for-float and error-for-error, are those of
-    /// [`gdp_core::answering::SubsetCountEstimator::estimate`]: nodes
-    /// must be in range and free of duplicates (first offender in
-    /// subset order wins), and terms accumulate per node in subset
-    /// order as `premass(g(v))`.
+    /// * [`Query::SubsetCount`] — the `O(|S|)` gather, with the
+    ///   semantics of
+    ///   [`SubsetCountEstimator::estimate`](gdp_core::answering::SubsetCountEstimator::estimate):
+    ///   nodes must be in range and free of duplicates (first offender
+    ///   in subset order wins), and terms accumulate per node in subset
+    ///   order as `premass(g(v))`.
+    /// * [`Query::GroupMass`] — the raw noisy mass the release published
+    ///   for one group, read in place
+    ///   ([`scan_group_mass`](gdp_core::answering::scan_group_mass)).
+    /// * [`Query::SideTotal`] — every group's raw noisy mass summed in
+    ///   group order, folded **once** at index build
+    ///   ([`scan_side_total`](gdp_core::answering::scan_side_total)).
+    /// * [`Query::DegreeHistogram`] — the released left-degree bins,
+    ///   materialized once at index build; every answer clones the
+    ///   `Arc`, never the data
+    ///   ([`scan_degree_histogram`](gdp_core::answering::scan_degree_histogram)).
     ///
     /// # Errors
     ///
-    /// * [`ServeError::Core`] with [`CoreError::LevelOutOfRange`] /
-    ///   [`CoreError::SubsetNodeOutOfRange`] /
-    ///   [`CoreError::DuplicateSubsetNode`].
-    /// * [`ServeError::LevelNotIndexed`] when the level released no
-    ///   per-group counts.
-    pub fn estimate(&self, level: usize, side: Side, nodes: &[u32]) -> Result<f64> {
-        let indexed_side = self.indexed_side(level, side)?;
-        let n = indexed_side.node_count();
+    /// In precedence order:
+    /// * [`ServeError::Core`] with [`CoreError::LevelOutOfRange`] for an
+    ///   unknown level.
+    /// * [`ServeError::LevelNotIndexed`] when a subset, group-mass or
+    ///   side-total query meets a level that released no per-group
+    ///   counts; [`ServeError::StatisticNotReleased`] when a histogram
+    ///   query asks for [`Side::Right`] (the pipeline releases left
+    ///   histograms only) or a level that released none.
+    /// * [`ServeError::Core`] with [`CoreError::SubsetNodeOutOfRange`] /
+    ///   [`CoreError::DuplicateSubsetNode`] /
+    ///   [`CoreError::GroupOutOfRange`] for the query's own parameters.
+    pub fn answer(&self, level: usize, query: &Query) -> Result<TypedAnswer> {
+        self.view(level)?.answer(query)
+    }
+
+    /// Answers a batch of typed queries at one level, in input order,
+    /// resolving the level once for the whole batch.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`IndexedRelease::answer`]: the error of the first
+    /// failing query in input order (the queries after it are not
+    /// answered). An empty batch answers nothing, whatever the level.
+    pub fn answer_batch(&self, level: usize, queries: &[Query]) -> Result<Vec<TypedAnswer>> {
+        if queries.is_empty() {
+            return Ok(Vec::new());
+        }
+        let view = self.view(level)?;
+        // Pre-sized slots, filled in input order: unlike `push`, the
+        // loop carries no capacity check per answer.
+        let mut answers = vec![TypedAnswer::Scalar(0.0); queries.len()];
+        for (slot, query) in answers.iter_mut().zip(queries) {
+            *slot = view.answer(query)?;
+        }
+        Ok(answers)
+    }
+}
+
+/// One side of a level that released per-group counts: the artifact's
+/// partition and released masses, read in place, next to the index's
+/// own tables.
+struct SideView<'a> {
+    partition: &'a SidePartition,
+    mass: &'a [f64],
+    tables: &'a IndexedSide,
+}
+
+/// One level of an [`IndexedRelease`], resolved for lookups.
+struct LevelView<'a> {
+    level: usize,
+    histogram: Option<&'a Arc<[f64]>>,
+    /// Left then right, when the level released per-group counts.
+    sides: Option<[SideView<'a>; 2]>,
+}
+
+impl LevelView<'_> {
+    fn side(&self, side: Side) -> Result<&SideView<'_>> {
+        let Some(sides) = &self.sides else {
+            return Err(ServeError::LevelNotIndexed { level: self.level });
+        };
+        Ok(match side {
+            Side::Left => &sides[0],
+            Side::Right => &sides[1],
+        })
+    }
+
+    fn estimate(&self, side: Side, nodes: &[u32]) -> Result<f64> {
+        let view = self.side(side)?;
         // Hot path: the gather kernel — a validation pass over a
         // reusable scratch bitmap, then a check-free double gather in
         // subset order (see `crate::kernels` for the structure and the
         // reference algorithm it is tested against).
-        match crate::kernels::gather_subset(&indexed_side.group_of, &indexed_side.premass, nodes) {
+        let group_of = view.partition.assignment();
+        match crate::kernels::gather_subset(group_of, &view.tables.premass, nodes) {
             Some(total) => Ok(total),
             None => {
                 // Cold path: the canonical validation walk — shared with
                 // the scan estimator — reports the error, so precedence
                 // (first offender in subset order) is identical to the
                 // baseline's by construction.
+                let n = view.partition.node_count();
                 Err(match gdp_core::answering::validate_subset(side, nodes, n) {
                     Err(err) => ServeError::Core(err),
                     // The gather and the canonical walk disagreeing on
@@ -268,111 +304,52 @@ impl IndexedRelease {
         }
     }
 
-    /// The raw noisy mass of one group at a level — exactly the value
-    /// the release published for it, served without touching the
-    /// release's query list
-    /// ([`gdp_core::answering::scan_group_mass`] is the rescan
-    /// baseline).
-    ///
-    /// # Errors
-    ///
-    /// * Level errors as in [`IndexedRelease::estimate`].
-    /// * [`ServeError::Core`] with [`CoreError::GroupOutOfRange`] when
-    ///   `group` exceeds the side's group count.
-    pub fn group_mass(&self, level: usize, side: Side, group: u32) -> Result<f64> {
-        let indexed_side = self.indexed_side(level, side)?;
-        let group_count = indexed_side.mass.len() as u32;
-        if group >= group_count {
-            return Err(ServeError::Core(CoreError::GroupOutOfRange {
+    fn group_mass(&self, side: Side, group: u32) -> Result<f64> {
+        let mass = self.side(side)?.mass;
+        match mass.get(group as usize) {
+            Some(&value) => Ok(value),
+            None => Err(ServeError::Core(CoreError::GroupOutOfRange {
                 side,
                 group,
-                group_count,
-            }));
+                group_count: mass.len() as u32,
+            })),
         }
-        Ok(indexed_side.mass[group as usize])
     }
 
-    /// The whole-side estimate at a level — every group's raw noisy
-    /// mass summed in group order, folded **once** at index build and
-    /// served as an O(1) load, bit-identical to
-    /// [`gdp_core::answering::scan_side_total`] (and therefore to
-    /// [`SubsetCountEstimator::estimate_side_total`](gdp_core::answering::SubsetCountEstimator::estimate_side_total))
-    /// because both fold the same slice in the same order.
-    ///
-    /// # Errors
-    ///
-    /// Same level errors as [`IndexedRelease::estimate`].
-    pub fn side_total(&self, level: usize, side: Side) -> Result<f64> {
-        Ok(self.indexed_side(level, side)?.total)
+    fn side_total(&self, side: Side) -> Result<f64> {
+        Ok(self.side(side)?.tables.total)
     }
 
-    /// The noisy left-degree histogram released at a level, served by
-    /// reference — the bins were materialized once at index build, and
-    /// every call clones the `Arc`, never the data
-    /// ([`gdp_core::answering::scan_degree_histogram`] is the rescan
-    /// baseline).
-    ///
-    /// # Errors
-    ///
-    /// * [`ServeError::Core`] with [`CoreError::LevelOutOfRange`] for
-    ///   unknown levels.
-    /// * [`ServeError::StatisticNotReleased`] when `side` is
-    ///   [`Side::Right`] (the pipeline releases left histograms only)
-    ///   or the level released no histogram.
-    pub fn degree_histogram(&self, level: usize, side: Side) -> Result<Arc<[f64]>> {
-        let indexed = self.level(level)?;
+    fn degree_histogram(&self, side: Side) -> Result<Arc<[f64]>> {
+        let level = self.level;
         if side == Side::Right {
             return Err(ServeError::StatisticNotReleased {
                 level,
                 statistic: "right degree histogram".to_string(),
             });
         }
-        indexed
-            .histogram
-            .clone()
+        self.histogram
+            .cloned()
             .ok_or_else(|| ServeError::StatisticNotReleased {
                 level,
                 statistic: "degree histogram".to_string(),
             })
     }
 
-    /// Dispatches one typed [`Query`] at a level — the per-variant
-    /// entry point [`AnswerService`](crate::AnswerService) routes
-    /// through.
-    ///
-    /// # Errors
-    ///
-    /// The union of the variant methods' errors
-    /// ([`IndexedRelease::estimate`], [`IndexedRelease::group_mass`],
-    /// [`IndexedRelease::degree_histogram`],
-    /// [`IndexedRelease::side_total`]).
-    pub fn answer(&self, level: usize, query: &Query) -> Result<TypedAnswer> {
+    // Inlined into `answer_batch`'s loop: returning the `Result`
+    // through memory per query otherwise costs more than the lookup.
+    #[inline(always)]
+    fn answer(&self, query: &Query) -> Result<TypedAnswer> {
         match query {
-            Query::SubsetCount(q) => self
-                .estimate(level, q.side, &q.nodes)
-                .map(TypedAnswer::Scalar),
-            Query::GroupMass { side, group } => self
-                .group_mass(level, *side, *group)
-                .map(TypedAnswer::Scalar),
-            Query::DegreeHistogram { side } => self
-                .degree_histogram(level, *side)
-                .map(TypedAnswer::Histogram),
-            Query::SideTotal { side } => self.side_total(level, *side).map(TypedAnswer::Scalar),
+            Query::SubsetCount(q) => self.estimate(q.side, &q.nodes).map(TypedAnswer::Scalar),
+            Query::GroupMass { side, group } => {
+                self.group_mass(*side, *group).map(TypedAnswer::Scalar)
+            }
+            Query::DegreeHistogram { side } => {
+                self.degree_histogram(*side).map(TypedAnswer::Histogram)
+            }
+            Query::SideTotal { side } => self.side_total(*side).map(TypedAnswer::Scalar),
         }
-    }
-
-    /// Answers a batch of typed queries at one level, in input order.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`IndexedRelease::answer`]: the error of the first
-    /// failing query in input order (the queries after it are not
-    /// answered).
-    pub fn answer_batch(&self, level: usize, queries: &[Query]) -> Result<Vec<TypedAnswer>> {
-        queries
-            .iter()
-            .map(|query| self.answer(level, query))
-            .collect()
     }
 }
 
@@ -389,6 +366,25 @@ mod tests {
     use gdp_datagen::{DblpConfig, DblpGenerator};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    /// Per-variant lookups, so each test names the variant it checks.
+    impl IndexedRelease {
+        fn estimate(&self, level: usize, side: Side, nodes: &[u32]) -> Result<f64> {
+            self.view(level)?.estimate(side, nodes)
+        }
+
+        fn group_mass(&self, level: usize, side: Side, group: u32) -> Result<f64> {
+            self.view(level)?.group_mass(side, group)
+        }
+
+        fn side_total(&self, level: usize, side: Side) -> Result<f64> {
+            self.view(level)?.side_total(side)
+        }
+
+        fn degree_histogram(&self, level: usize, side: Side) -> Result<Arc<[f64]>> {
+            self.view(level)?.degree_histogram(side)
+        }
+    }
 
     fn artifact() -> ReleaseArtifact {
         let mut rng = StdRng::seed_from_u64(80);
@@ -465,7 +461,6 @@ mod tests {
             .unwrap();
         let artifact = ReleaseArtifact::seal("dblp", 1, hierarchy, release).unwrap();
         let indexed = IndexedRelease::new(artifact).unwrap();
-        assert!(!indexed.is_indexed(0));
         assert!(matches!(
             indexed.estimate(0, Side::Left, &[0]).unwrap_err(),
             ServeError::LevelNotIndexed { level: 0 }

@@ -1,4 +1,5 @@
-//! The raw subset-gather kernel behind [`IndexedRelease::estimate`].
+//! The raw subset-gather kernel behind [`IndexedRelease::answer`]'s
+//! subset counts.
 //!
 //! Exposed as a public module so `bench_pipeline` and the equivalence
 //! property suites can drive the shipping gather and its reference
@@ -26,7 +27,7 @@
 //! both forms add in subset order and agree bit for bit; the speedup
 //! comes from the bitmap handling, not from reordering the sum.
 //!
-//! [`IndexedRelease::estimate`]: crate::IndexedRelease::estimate
+//! [`IndexedRelease::answer`]: crate::IndexedRelease::answer
 
 use std::cell::RefCell;
 

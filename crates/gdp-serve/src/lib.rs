@@ -15,9 +15,10 @@
 //!   side totals, every variant answered on the indexed path and
 //!   pinned **bit-identical** (values and typed-error precedence) to a
 //!   core rescan baseline in [`gdp_core::answering`].
-//! * [`IndexedRelease`] — a query-optimized view of one artifact:
-//!   per-level node→group tables plus per-group noisy mass, raw and
-//!   pre-divided by `|g|`, turning a subset-count estimate into an
+//! * [`IndexedRelease`] — a query-optimized view of one artifact: it
+//!   reads each level's node→group assignment and noisy per-group mass
+//!   in place and keeps only the mass pre-divided by `|g|` and each
+//!   side's total, turning a subset-count estimate into an
 //!   `O(|S|)` gather (bit-identical to
 //!   [`gdp_core::answering::SubsetCountEstimator`], which remains the
 //!   equivalence baseline) instead of an `O(groups)` scan behind a
@@ -27,7 +28,7 @@
 //!   map behind one `RwLock`: readers share the read lock for a probe
 //!   and an `Arc` clone, a republisher takes the write lock briefly to
 //!   insert; [`ReleaseStore::open_dir`] scans a directory of artifact
-//!   files (`.gda` or JSON) and indexes each lazily on first access.
+//!   files (`.gda` or JSON) and indexes each file as it loads it.
 //! * Store **lifecycle** ([`lifecycle`]) — degraded opens that
 //!   quarantine damage instead of failing
 //!   ([`ReleaseStore::open_dir_report`] → [`OpenReport`]), live

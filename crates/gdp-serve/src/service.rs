@@ -343,10 +343,11 @@ impl AnswerService {
         queries: &[Query],
     ) -> Result<Vec<TypedAnswer>> {
         let indexed = self.gated(dataset, epoch, privilege, level)?;
-        queries
-            .iter()
-            .map(|query| self.answer_resolved(&indexed, dataset, epoch, level, query.clone()))
-            .collect()
+        let mut answers = Vec::with_capacity(queries.len());
+        for query in queries {
+            answers.push(self.answer_resolved(&indexed, dataset, epoch, level, query.clone())?);
+        }
+        Ok(answers)
     }
 
     /// The finest level `privilege` may read from `(dataset, epoch)`,

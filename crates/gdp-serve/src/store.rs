@@ -1,6 +1,7 @@
 //! The artifact registry a deployment keeps as it republishes — one
-//! `RwLock` over a `(dataset, epoch)` map, lazy indexing of scanned
-//! directories, and the durable lifecycle around it: degraded scans
+//! `RwLock` over a `(dataset, epoch)` map of indexed releases, directory
+//! scans that index each file before registering it, and the durable
+//! lifecycle around it: degraded scans
 //! that quarantine damage instead of failing
 //! ([`ReleaseStore::open_dir_report`]), live re-scans that pick up and
 //! retire epochs ([`ReleaseStore::merge_dir`]), and retention GC
@@ -25,16 +26,6 @@ use crate::lifecycle::{
 };
 use crate::Result;
 
-/// One registered release: either still the sealed artifact a directory
-/// scan loaded (validated, not yet table-built), or the fully indexed
-/// form. Promotion happens on first access, under the registry's write
-/// lock.
-#[derive(Debug)]
-enum Entry {
-    Sealed(Box<ReleaseArtifact>),
-    Indexed(Arc<IndexedRelease>),
-}
-
 /// A registered release plus where it came from. `source` is the file
 /// a directory scan loaded it from; `None` for programmatic inserts.
 /// The lifecycle operations key off it: [`ReleaseStore::merge_dir`]
@@ -43,7 +34,7 @@ enum Entry {
 /// in-memory release keeps serving.
 #[derive(Debug)]
 struct Registered {
-    entry: Entry,
+    release: Arc<IndexedRelease>,
     source: Option<PathBuf>,
 }
 
@@ -56,9 +47,10 @@ type Registry = BTreeMap<(String, u64), Registered>;
 /// epoch per dataset; the store is the lookup structure the
 /// [`AnswerService`](crate::AnswerService) routes requests through.
 /// All operations take `&self`. A lookup holds the read lock only for
-/// the map probe and an `Arc` clone, so readers share it freely; a
-/// writer (insert, remove, a re-scan's retirements, a first-access
-/// promotion) briefly holds it exclusively. Keys are unique — published
+/// the map probe and an `Arc` clone, so readers share it freely and
+/// never take the write lock; a writer (insert, remove, a re-scan's
+/// registrations and retirements) briefly holds it exclusively, and
+/// never while indexing. Keys are unique — published
 /// artifacts are immutable, so inserting a second artifact under an
 /// existing `(dataset, epoch)` is rejected with
 /// [`ServeError::DuplicateRelease`] instead of silently replacing
@@ -114,15 +106,12 @@ impl ReleaseStore {
         self.releases.read().unwrap_or_else(PoisonError::into_inner)
     }
 
-    fn insert_entry(
-        &self,
-        dataset: String,
-        epoch: u64,
-        entry: Entry,
-        source: Option<PathBuf>,
-    ) -> Result<()> {
+    /// Registers `release` under its manifest's key, with the file a
+    /// scan loaded it from (`None` for programmatic inserts).
+    fn insert_from(&self, release: IndexedRelease, source: Option<PathBuf>) -> Result<()> {
+        let manifest = release.artifact().manifest();
+        let key = (manifest.dataset.clone(), manifest.epoch);
         let mut releases = self.write();
-        let key = (dataset, epoch);
         if let Some(existing) = releases.get(&key) {
             // Name both files when the collision is on-disk — the
             // mixed-format case (same epoch as .json and .gda) is
@@ -139,7 +128,13 @@ impl ReleaseStore {
                 paths,
             });
         }
-        releases.insert(key, Registered { entry, source });
+        releases.insert(
+            key,
+            Registered {
+                release: Arc::new(release),
+                source,
+            },
+        );
         Ok(())
     }
 
@@ -150,36 +145,7 @@ impl ReleaseStore {
     ///
     /// Returns [`ServeError::DuplicateRelease`] when the key is taken.
     pub fn insert(&self, release: IndexedRelease) -> Result<()> {
-        let manifest = release.artifact().manifest();
-        let (dataset, epoch) = (manifest.dataset.clone(), manifest.epoch);
-        self.insert_entry(dataset, epoch, Entry::Indexed(Arc::new(release)), None)
-    }
-
-    /// Registers a sealed artifact **without building its index yet** —
-    /// the tables are built on first [`ReleaseStore::get`], under the
-    /// registry's write lock. This is what a directory scan uses so that
-    /// opening a store of a hundred epochs pays for the one epoch a
-    /// consumer actually reads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ServeError::DuplicateRelease`] when the key is taken.
-    pub fn insert_sealed(&self, artifact: ReleaseArtifact) -> Result<()> {
-        let (dataset, epoch) = (artifact.dataset().to_string(), artifact.epoch());
-        self.insert_entry(dataset, epoch, Entry::Sealed(Box::new(artifact)), None)
-    }
-
-    /// [`ReleaseStore::insert_sealed`] with the backing file recorded,
-    /// so lifecycle passes (retire-on-missing-file, GC deletion) can
-    /// connect the registered release back to its on-disk form.
-    fn insert_sealed_from(&self, artifact: ReleaseArtifact, source: &Path) -> Result<()> {
-        let (dataset, epoch) = (artifact.dataset().to_string(), artifact.epoch());
-        self.insert_entry(
-            dataset,
-            epoch,
-            Entry::Sealed(Box::new(artifact)),
-            Some(source.to_path_buf()),
-        )
+        self.insert_from(release, None)
     }
 
     /// Unregisters a release, returning the backing file it was loaded
@@ -201,75 +167,15 @@ impl ReleaseStore {
         }
     }
 
-    /// Looks an artifact up by dataset and epoch, lazily building its
-    /// index if this is the first access to a scanned entry.
+    /// Looks an artifact up by dataset and epoch.
     ///
     /// # Errors
     ///
-    /// * [`ServeError::UnknownRelease`] when absent.
-    /// * [`IndexedRelease::new`]'s errors when a lazily registered
-    ///   artifact fails to index (the sealed entry stays registered, so
-    ///   the error is repeatable rather than turning into
-    ///   `UnknownRelease`).
+    /// [`ServeError::UnknownRelease`] when absent.
     pub fn get(&self, dataset: &str, epoch: u64) -> Result<Arc<IndexedRelease>> {
         let key = (dataset.to_string(), epoch);
-        {
-            let releases = self.read();
-            match releases.get(&key).map(|reg| &reg.entry) {
-                Some(Entry::Indexed(release)) => return Ok(Arc::clone(release)),
-                Some(Entry::Sealed(_)) => {} // promote below, under the write lock
-                None => {
-                    return Err(ServeError::UnknownRelease {
-                        dataset: key.0,
-                        epoch,
-                    })
-                }
-            }
-        }
-        let mut releases = self.write();
-        // Re-check under the write lock: another reader may have
-        // promoted the entry while we waited.
-        match releases.get(&key).map(|reg| &reg.entry) {
-            Some(Entry::Indexed(release)) => Ok(Arc::clone(release)),
-            Some(Entry::Sealed(_)) => {
-                // Take the artifact out so promotion never clones it;
-                // a failed build hands it back, so the sealed entry
-                // stays registered and the error is repeatable. The
-                // build runs under the write lock, so it briefly blocks
-                // readers of every dataset — promotion happens at most
-                // once per artifact, and the one-time stall buys every
-                // later reader a plain Arc clone.
-                let Some(Registered {
-                    entry: Entry::Sealed(artifact),
-                    source,
-                }) = releases.remove(&key)
-                else {
-                    unreachable!("entry matched Sealed under the same lock");
-                };
-                match IndexedRelease::promote(*artifact) {
-                    Ok(indexed) => {
-                        let indexed = Arc::new(indexed);
-                        releases.insert(
-                            key,
-                            Registered {
-                                entry: Entry::Indexed(Arc::clone(&indexed)),
-                                source,
-                            },
-                        );
-                        Ok(indexed)
-                    }
-                    Err((err, artifact)) => {
-                        releases.insert(
-                            key,
-                            Registered {
-                                entry: Entry::Sealed(Box::new(artifact)),
-                                source,
-                            },
-                        );
-                        Err(err)
-                    }
-                }
-            }
+        match self.read().get(&key) {
+            Some(reg) => Ok(Arc::clone(&reg.release)),
             None => Err(ServeError::UnknownRelease {
                 dataset: key.0,
                 epoch,
@@ -277,17 +183,12 @@ impl ReleaseStore {
         }
     }
 
-    /// The highest-epoch **servable** artifact for a dataset, if any
-    /// (indexing it lazily like [`ReleaseStore::get`]). An epoch whose
-    /// artifact fails to index is skipped in favor of the next-newest
-    /// one rather than masking the whole dataset; the skipped epoch
-    /// stays listed by [`ReleaseStore::epochs`] and its typed,
-    /// repeatable error is available from [`ReleaseStore::get`].
+    /// The highest-epoch artifact for a dataset, if any.
     pub fn latest(&self, dataset: &str) -> Option<Arc<IndexedRelease>> {
-        self.epochs(dataset)
-            .into_iter()
-            .rev()
-            .find_map(|epoch| self.get(dataset, epoch).ok())
+        self.read()
+            .range((dataset.to_string(), 0)..=(dataset.to_string(), u64::MAX))
+            .next_back()
+            .map(|(_, reg)| Arc::clone(&reg.release))
     }
 
     /// Every epoch registered for a dataset, ascending.
@@ -324,11 +225,10 @@ impl ReleaseStore {
     /// Scans a directory of artifact files (one sealed
     /// [`ReleaseArtifact`] per `.json` document or `.gda` binary
     /// container, any other entries ignored) into a store. Every file
-    /// is parsed and **validated** during the scan — so a corrupt
-    /// file, a foreign schema version or a duplicate
+    /// is parsed, **validated** and indexed during the scan — so a
+    /// corrupt file, a foreign schema version or a duplicate
     /// `(dataset, epoch)` is a typed error naming the file, not a
-    /// latent failure — but the per-level index tables are only built
-    /// on first access ([`ReleaseStore::insert_sealed`]). Files are
+    /// latent failure, and every later lookup is a plain read. Files are
     /// visited in name order, so which of two duplicate files is
     /// reported is deterministic; in particular, the same epoch
     /// present as both formats is a [`ServeError::DuplicateRelease`]
@@ -362,8 +262,8 @@ impl ReleaseStore {
         }
         let store = Self::new();
         for path in candidates {
-            let artifact = parse_artifact(&path)?;
-            store.insert_sealed_from(artifact, &path)?;
+            let release = IndexedRelease::new(parse_artifact(&path)?)?;
+            store.insert_from(release, Some(path))?;
         }
         Ok(store)
     }
@@ -457,11 +357,12 @@ impl ReleaseStore {
                 }
                 continue;
             }
-            match parse_artifact(&path) {
-                Ok(artifact) => {
+            match parse_artifact(&path).and_then(IndexedRelease::new) {
+                Ok(release) => {
+                    let artifact = release.artifact();
                     let (dataset, epoch) = (artifact.dataset().to_string(), artifact.epoch());
                     touched.insert(path.clone());
-                    match self.insert_sealed_from(artifact, &path) {
+                    match self.insert_from(release, Some(path.clone())) {
                         Ok(()) => outcomes.push(FileOutcome::Loaded {
                             dataset,
                             epoch,
@@ -741,60 +642,6 @@ mod tests {
         assert!(matches!(err, ServeError::DuplicateRelease { epoch: 1, .. }));
         // The original stays.
         assert_eq!(store.len(), 1);
-        // The sealed path hits the same guard.
-        assert!(matches!(
-            store.insert_sealed(artifact("dblp", 1, 2)).unwrap_err(),
-            ServeError::DuplicateRelease { epoch: 1, .. }
-        ));
-    }
-
-    #[test]
-    fn sealed_entries_index_lazily_and_only_once() {
-        let store = ReleaseStore::new();
-        store.insert_sealed(artifact("dblp", 7, 4)).unwrap();
-        assert_eq!(store.len(), 1);
-        assert_eq!(store.epochs("dblp"), vec![7]);
-        let first = store.get("dblp", 7).unwrap();
-        let second = store.get("dblp", 7).unwrap();
-        // Promotion happened once: both handles share the same index.
-        assert!(Arc::ptr_eq(&first, &second));
-        assert_eq!(first.artifact().epoch(), 7);
-    }
-
-    #[test]
-    fn latest_skips_unindexable_epochs_and_get_keeps_their_error() {
-        // An artifact whose per-group vector is the wrong length slips
-        // past sealing (which cross-checks group *counts*, not query
-        // vector shapes) but cannot be indexed. `latest` must fall back
-        // to the newest servable epoch instead of reporting the whole
-        // dataset absent, while `get` keeps returning the typed error.
-        let good = artifact("dblp", 1, 1);
-        let mut bad_release_levels = Vec::new();
-        for (i, level) in good.hierarchy().levels().iter().enumerate() {
-            let mut rel = good.release().level(i).unwrap().clone();
-            if let Some(q) = rel.queries.first_mut() {
-                q.noisy_values = vec![0.0]; // wrong length for the level
-            }
-            assert_eq!(rel.group_count, level.group_count());
-            bad_release_levels.push(rel);
-        }
-        let bad_release = gdp_core::MultiLevelRelease::new(
-            good.release().mechanism(),
-            good.release().epsilon_g(),
-            good.release().delta(),
-            bad_release_levels,
-        )
-        .unwrap();
-        let bad = ReleaseArtifact::seal("dblp", 2, good.hierarchy().clone(), bad_release).unwrap();
-
-        let store = ReleaseStore::new();
-        store.insert_sealed(good).unwrap();
-        store.insert_sealed(bad).unwrap();
-        assert_eq!(store.epochs("dblp"), vec![1, 2]);
-        // Epoch 2 fails to index, repeatably; epoch 1 serves.
-        assert!(store.get("dblp", 2).is_err());
-        assert!(store.get("dblp", 2).is_err(), "error must be repeatable");
-        assert_eq!(store.latest("dblp").unwrap().artifact().epoch(), 1);
     }
 
     #[test]

@@ -207,19 +207,16 @@ fn sharded_store_serves_under_concurrent_get_and_insert() {
         for &epoch in &writer_epochs {
             let service = &service;
             scope.spawn(move || {
-                // Half the writers go through the lazy (sealed) path so
-                // first-access promotion races with the readers too.
-                if epoch % 2 == 0 {
-                    service.store().insert_sealed(sealed(epoch, epoch)).unwrap();
-                } else {
-                    service
-                        .store()
-                        .insert(IndexedRelease::new(sealed(epoch, epoch)).unwrap())
-                        .unwrap();
-                }
+                service
+                    .store()
+                    .insert(IndexedRelease::new(sealed(epoch, epoch)).unwrap())
+                    .unwrap();
                 // A duplicate insert from the same thread is refused
                 // without disturbing anything.
-                assert!(service.store().insert_sealed(sealed(epoch, epoch)).is_err());
+                assert!(service
+                    .store()
+                    .insert(IndexedRelease::new(sealed(epoch, epoch)).unwrap())
+                    .is_err());
             });
         }
     });

@@ -16,7 +16,8 @@ use gdp_core::{
 use gdp_graph::{GraphBuilder, LeftId, RightId, Side};
 use gdp_serve::lifecycle::QUARANTINE_DIR;
 use gdp_serve::{
-    AnswerService, FileOutcome, Query as ServeQuery, ReleaseStore, RetentionPolicy, ServeError,
+    AnswerService, FileOutcome, IndexedRelease, Query as ServeQuery, ReleaseStore, RetentionPolicy,
+    ServeError,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -330,7 +331,9 @@ fn merge_dir_never_retires_programmatic_inserts() {
     publish_into(&dir, &artifact("d", 1, 43));
     let (store, _) = ReleaseStore::open_dir_report(&dir).unwrap();
     // A memory-only insert has no backing file anywhere.
-    store.insert_sealed(artifact("mem", 7, 44)).unwrap();
+    store
+        .insert(IndexedRelease::new(artifact("mem", 7, 44)).unwrap())
+        .unwrap();
     let report = store.merge_dir(&dir).unwrap();
     assert_eq!(report.retired(), 0, "{}", report.summary());
     assert_eq!(store.epochs("mem"), vec![7]);
@@ -386,8 +389,12 @@ fn gc_honors_dataset_filter_and_memory_only_entries() {
     );
 
     // Memory-only entries evict without touching disk.
-    store.insert_sealed(artifact("mem", 1, 81)).unwrap();
-    store.insert_sealed(artifact("mem", 2, 82)).unwrap();
+    store
+        .insert(IndexedRelease::new(artifact("mem", 1, 81)).unwrap())
+        .unwrap();
+    store
+        .insert(IndexedRelease::new(artifact("mem", 2, 82)).unwrap())
+        .unwrap();
     let report = store.gc(&RetentionPolicy::keep_last(1), Some("mem"));
     assert_eq!(report.evicted(), 1);
     assert_eq!(report.evictions[0].path, None);

@@ -86,7 +86,8 @@ proptest! {
                 let nodes: Vec<u32> =
                     raw.iter().map(|&v| (v % (n as u64 + 3)) as u32).collect();
                 let a = scan.estimate(side, &nodes);
-                let b = indexed.estimate(level, side, &nodes);
+                let query = ServeQuery::SubsetCount(SubsetQuery { side, nodes: nodes.clone() });
+                let b = indexed.answer(level, &query).map(|a| a.scalar().unwrap());
                 match (a, b) {
                     (Ok(x), Ok(y)) => prop_assert_eq!(
                         x.to_bits(), y.to_bits(),

@@ -259,7 +259,7 @@ fn release_store_directory_scan_failures_are_typed() {
 /// Damaged artifact files on disk — truncations, zero-byte stubs,
 /// permission failures — surface as typed scan errors, and a directory
 /// mutated *after* the scan cannot corrupt a store that already
-/// promoted its artifacts into memory.
+/// loaded and indexed its artifacts in memory.
 #[test]
 fn release_store_survives_damaged_and_mutating_directories() {
     use group_dp::core::{
@@ -338,10 +338,9 @@ fn release_store_survives_damaged_and_mutating_directories() {
         .unwrap();
     }
 
-    // The scan parses every artifact eagerly; only the per-level query
-    // index is built lazily on first access. Deleting (or corrupting)
-    // the files between the scan and that first access must not matter:
-    // the store answers from memory, not the directory.
+    // The scan parses and indexes every artifact. Deleting (or
+    // corrupting) the files between the scan and the first lookup must
+    // not matter: the store answers from memory, not the directory.
     let sub = fresh("mutated");
     std::fs::write(sub.join("a.json"), rendered("dblp", 3)).unwrap();
     std::fs::write(sub.join("b.json"), rendered("dblp", 4)).unwrap();

@@ -1,6 +1,6 @@
 //! JSON round-trips of the artifacts a deployment persists: release
-//! bundles, hierarchies, configurations. Uses `serde_json` (test-only
-//! dependency, justified in DESIGN.md).
+//! bundles, hierarchies, configurations. Uses the workspace's std-only
+//! `serde_json` stand-in (see `vendor/README.md`).
 
 use group_dp::core::{
     AccessControlled, DisclosureConfig, GroupHierarchy, MultiLevelDiscloser, MultiLevelRelease,
