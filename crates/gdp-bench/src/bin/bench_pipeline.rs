@@ -16,10 +16,9 @@
 //! `gdp-serve` indexed path (artifact → `IndexedRelease` →
 //! `AnswerService`), asserted bit-identical on every rep, plus a
 //! `reader_throughput` entry driving one shared `AnswerService` from
-//! four concurrent OS threads over one store, and — ISSUE 8,
-//! the `artifact_io_1m` entry — the sealed 1M-edge artifact saved and
-//! loaded through real files in both on-disk formats (JSON vs the
-//! `.gda` binary container), loads timed through the full
+//! four concurrent OS threads over one store, and the
+//! `artifact_io_1m` entry — the sealed 1M-edge artifact saved and
+//! loaded through a real `.gda` file, the load timed through the full
 //! integrity-check + `IndexedRelease` path a store scan pays per file.
 //! Results are written as `BENCH_pipeline.json` so successive PRs can
 //! track the trajectory.
@@ -33,8 +32,8 @@
 //! 1M-edge binary load+index time — the CI smoke step uses all four so
 //! a future PR can neither reintroduce per-level edge scans, nor fall
 //! back to single-stream sampling, nor regress serving to per-query
-//! estimator rebuilds or release rescans, nor quietly turn the binary
-//! load path back into JSON-shaped parsing.
+//! estimator rebuilds or release rescans, nor quietly slow the `.gda`
+//! load path down.
 //!
 //! Kernel and threading instrumentation:
 //! `--threads N` pins the worker-pool width for the whole run (recorded
@@ -111,8 +110,8 @@ use gdp_core::answering::SubsetCountEstimator;
 use gdp_core::postprocess::{clamp_non_negative, fuse_total_estimates};
 use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
 use gdp_core::{
-    ArtifactFormat, DisclosureConfig, GroupHierarchy, HierarchyStats, MultiLevelDiscloser,
-    MultiLevelRelease, Privilege, Query, ReleaseArtifact, SpecializationConfig, Specializer,
+    DisclosureConfig, GroupHierarchy, HierarchyStats, MultiLevelDiscloser, MultiLevelRelease,
+    Privilege, Query, ReleaseArtifact, SpecializationConfig, Specializer,
 };
 use gdp_datagen::engine::GraphModel;
 use gdp_datagen::models;
@@ -203,28 +202,23 @@ struct ZipfSamplerComparison {
     speedup: f64,
 }
 
-/// The ISSUE-8 acceptance measurement: the sealed 1M-edge release
-/// artifact saved and loaded in both on-disk formats. Saves go through
-/// the crash-safe path (stage, fsync, rename); loads pay the full
-/// integrity bill for their format — JSON parse + canonical-digest
-/// re-hash vs `.gda` container-digest check + section decode — plus
-/// the `IndexedRelease` build, i.e. exactly what a store scan pays per
+/// The sealed 1M-edge release artifact saved and loaded as a `.gda`
+/// file. The save goes through the crash-safe path (stage, fsync,
+/// rename); the load pays the full integrity bill — container-digest
+/// check + section decode + sealing validation — plus the
+/// `IndexedRelease` build, i.e. exactly what a store scan pays per
 /// file at startup.
 #[derive(Debug, Serialize)]
-struct ArtifactIoComparison {
+struct ArtifactIo {
     edges: u64,
     levels: usize,
-    json_bytes: u64,
     binary_bytes: u64,
-    json_save_ms: f64,
     binary_save_ms: f64,
-    json_load_index_ms: f64,
     binary_load_index_ms: f64,
-    load_speedup: f64,
 }
 
 /// The seal-path measurement: the content digest of the sealed
-/// 1M-edge artifact — what every seal and every JSON load pays —
+/// 1M-edge artifact — what every seal pays —
 /// computed two ways over the same bytes (the `.gda` hierarchy section,
 /// a zero byte, the release section). The baseline arm is byte-serial
 /// FNV-1a over those bytes taken from an encoded file, the primitive of
@@ -232,7 +226,7 @@ struct ArtifactIoComparison {
 /// which streams the section writers into XXH64; it is asserted equal
 /// to the manifest's on every rep. Each rep hashes a fresh copy of the
 /// hierarchy, which has not memoized its share of the digest, so the
-/// arm covers every byte, as a JSON load does.
+/// arm covers every byte, as the first seal over a hierarchy does.
 #[derive(Debug, Serialize)]
 struct SealComparison {
     edges: u64,
@@ -355,7 +349,7 @@ struct Report {
     delta_disclose_1m: DeltaDiscloseComparison,
     datagen_1m: Vec<DatagenComparison>,
     zipf_sampler: ZipfSamplerComparison,
-    artifact_io_1m: ArtifactIoComparison,
+    artifact_io_1m: ArtifactIo,
     seal_1m: SealComparison,
     epoch_zipf_1m: EpochEntry,
     edge_list_1m: EdgeListComparison,
@@ -681,58 +675,32 @@ fn sealed_artifact(graph: &gdp_graph::BipartiteGraph, seed: u64) -> ReleaseArtif
     ReleaseArtifact::seal("bench-io", 1, hierarchy, release).expect("artifact seals")
 }
 
-/// The artifact IO measurement (see [`ArtifactIoComparison`]): the
-/// sealed artifact written and read back through real files in both
-/// formats, with the loaded artifacts asserted equal so neither format
-/// can drift.
-fn artifact_io_comparison(
-    artifact: &ReleaseArtifact,
-    edges: u64,
-    reps: usize,
-) -> ArtifactIoComparison {
+/// The artifact IO measurement (see [`ArtifactIo`]): the sealed
+/// artifact written and read back through a real file, with the loaded
+/// artifact asserted equal to the sealed one.
+fn artifact_io(artifact: &ReleaseArtifact, edges: u64, reps: usize) -> ArtifactIo {
     let dir = std::env::temp_dir().join(format!("gdp-bench-io-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
-    let json_path = dir.join("bench-io-e1.json");
-    let bin_path = dir.join("bench-io-e1.gda");
+    let path = dir.join(ReleaseArtifact::canonical_file_name("bench-io", 1));
 
-    let (json_save_ms, ()) = time_best_of(reps, || {
-        artifact
-            .save_atomic_as(&json_path, ArtifactFormat::Json)
-            .expect("json save")
-    });
-    let (binary_save_ms, ()) = time_best_of(reps, || {
-        artifact
-            .save_atomic_as(&bin_path, ArtifactFormat::Binary)
-            .expect("binary save")
-    });
-    let json_bytes = std::fs::metadata(&json_path).expect("json stat").len();
-    let binary_bytes = std::fs::metadata(&bin_path).expect("binary stat").len();
-
-    let (json_load_index_ms, from_json) = time_best_of(reps, || {
-        IndexedRelease::new(ReleaseArtifact::load(&json_path).expect("json load"))
-            .expect("json artifact indexes")
-    });
-    let (binary_load_index_ms, from_binary) = time_best_of(reps, || {
-        IndexedRelease::new(ReleaseArtifact::load(&bin_path).expect("binary load"))
-            .expect("binary artifact indexes")
+    let (binary_save_ms, ()) = time_best_of(reps, || artifact.save_atomic(&path).expect("save"));
+    let binary_bytes = std::fs::metadata(&path).expect("stat").len();
+    let (binary_load_index_ms, loaded) = time_best_of(reps, || {
+        IndexedRelease::new(ReleaseArtifact::load(&path).expect("load")).expect("artifact indexes")
     });
     assert_eq!(
-        from_json.artifact(),
-        from_binary.artifact(),
-        "both formats must load the identical artifact"
+        loaded.artifact(),
+        artifact,
+        "the load must give back the sealed artifact"
     );
     std::fs::remove_dir_all(&dir).ok();
 
-    ArtifactIoComparison {
+    ArtifactIo {
         edges,
-        levels: from_binary.artifact().level_count(),
-        json_bytes,
+        levels: artifact.level_count(),
         binary_bytes,
-        json_save_ms,
         binary_save_ms,
-        json_load_index_ms,
         binary_load_index_ms,
-        load_speedup: json_load_index_ms / binary_load_index_ms,
     }
 }
 
@@ -1719,23 +1687,18 @@ fn main() {
     // Like `pair_counts_1m`, always measured at the 1M scale so the
     // entry means the same thing in every report — one pipeline run
     // plus file IO, cheap enough that `--max-edges` does not clip it.
-    eprintln!("measuring artifact save/load, JSON vs binary (1M edges)…");
+    eprintln!("measuring .gda artifact save/load (1M edges)…");
     let artifact_io_1m = {
         let edges = 1_000_000;
         let side = ((edges as f64).sqrt() * 6.3) as u32;
         let graph = models::erdos_renyi(&mut StdRng::seed_from_u64(seed), side, side, edges);
-        artifact_io_comparison(&sealed_artifact(&graph, seed), graph.edge_count(), 2)
+        artifact_io(&sealed_artifact(&graph, seed), graph.edge_count(), 2)
     };
     eprintln!(
-        "  json {:.0} KiB save {:.1} ms load+index {:.1} ms | \
-         gda {:.0} KiB save {:.1} ms load+index {:.1} ms | load speedup {:.1}×",
-        artifact_io_1m.json_bytes as f64 / 1024.0,
-        artifact_io_1m.json_save_ms,
-        artifact_io_1m.json_load_index_ms,
+        "  gda {:.0} KiB save {:.1} ms load+index {:.1} ms",
         artifact_io_1m.binary_bytes as f64 / 1024.0,
         artifact_io_1m.binary_save_ms,
         artifact_io_1m.binary_load_index_ms,
-        artifact_io_1m.load_speedup
     );
 
     // The publish path's own shape: a DBLP-like skewed graph (100k
@@ -1951,10 +1914,9 @@ fn main() {
         }
     }
 
-    // Regression gate for CI: loading + indexing the 1M-edge binary
-    // artifact must stay under the ceiling (the JSON path — parse plus
-    // canonical-digest re-hash — sits several times above it; a binary
-    // loader that fell back to JSON-shaped work would blow through).
+    // Regression gate for CI: loading + indexing the 1M-edge `.gda`
+    // artifact — what a store scan pays per file — must stay under the
+    // ceiling.
     if let Some(ceiling) = binary_load_1m_ceiling_ms {
         let ms = report.artifact_io_1m.binary_load_index_ms;
         if ms > ceiling {

@@ -42,7 +42,7 @@ commands:
            [--seed N] [--csv FILE]
       run the two-phase group-private disclosure pipeline and print the
       per-level noisy association counts
-  publish --in FILE --out FILE [--format json|bin] [--dataset NAME]
+  publish --in FILE --out FILE.gda [--dataset NAME]
           [--epoch N] [--rounds N] [--eps E] [--delta D]
           [--budget-eps E] [--budget-delta D]
           [--deltas D1.txt[,D2.txt...] --out-dir DIR]
@@ -51,12 +51,10 @@ commands:
           [--hist-max D]
       run the pipeline inside a budget-enforced session and write the
       sealed release artifact (manifest + hierarchy + noisy levels) —
-      the long-lived product consumers answer from. --format selects
-      the encoding: json (debug/interop, the default for most paths)
-      or bin (the `.gda` binary container stores load fastest); when
-      omitted the --out extension decides (`.gda` → bin, else json),
-      and a --format that contradicts the extension is an error, since
-      stores decode by extension. The write is crash-safe (staged
+      the long-lived product consumers answer from — as a `.gda`
+      binary container, the one format stores load and serve. --out
+      must end in .gda (for a human-readable copy, run `gdp convert`
+      on the result). The write is crash-safe (staged
       sibling, fsync, atomic rename): a kill mid-publish leaves
       debris, never a torn artifact. Releases the total, per-group
       counts and the left-degree histogram (bins 0..=--hist-max,
@@ -66,19 +64,18 @@ commands:
       publish_next path, all into --out-dir under canonical names;
       each manifest carries the chain's cumulative ledger, and an
       over-budget epoch stops the chain with a typed refusal
-  convert --in FILE --out FILE [--format json|bin]
-      re-encode a published artifact between the JSON and `.gda`
-      binary formats (either direction, or same-format rewrite). The
-      manifest — content digest included — is preserved verbatim, so a
-      converted artifact keeps verifying and answers bit-identically.
-      The output format resolves like publish: --format, else the
-      --out extension. The write is crash-safe (staged, fsync, rename)
+  convert --in FILE.gda --out FILE.json
+      export a published `.gda` artifact as pretty-printed JSON for
+      people to read and diff. The manifest — content digest included —
+      is written verbatim. The export is one-way: no command loads
+      JSON, so answer and serve from the `.gda`. The write is
+      crash-safe (staged, fsync, rename)
   answer (--artifact FILE | --artifact-dir DIR) --queries FILE
          [--privilege P] [--level L] [--dataset NAME] [--epoch N]
          [--query-type subset|mass|hist|total|all]
-      load one published artifact (JSON or `.gda` binary, decided by
-      the extension; directories may mix both formats freely) — or
-      scan a directory of them into a store — and answer a typed-query
+      load one published `.gda` artifact — or scan a directory of
+      them into a store (other files, JSON exports included, are
+      skipped) — and answer a typed-query
       workload file (subset lines `L 0 1 2` / `R 5 7`, plus `mass L 3`,
       `hist L`, `total R`, `#` comments) through the privilege-gated
       serving path, one query after another in file order.
@@ -379,32 +376,15 @@ pub fn disclose(args: &[String]) -> CmdResult {
     Ok(())
 }
 
-/// Resolves the artifact encoding for an output path: the explicit
-/// `--format json|bin` flag when given, else the path's extension
-/// (`.gda` → binary, anything else → JSON). A flag that contradicts a
-/// format-bearing extension is refused: directory scans decode by
-/// extension, so the mismatch would publish a file every store
-/// quarantines.
-fn resolve_out_format(
-    flags: &HashMap<String, String>,
-    out: &str,
-) -> Result<ArtifactFormat, String> {
-    let from_path = ArtifactFormat::from_path(std::path::Path::new(out));
-    let Some(flag) = flags.get("format") else {
-        return Ok(from_path.unwrap_or(ArtifactFormat::Json));
-    };
-    let chosen = match flag.as_str() {
-        "json" => ArtifactFormat::Json,
-        "bin" => ArtifactFormat::Binary,
-        other => return Err(format!("unknown format `{other}` (json|bin)")),
-    };
-    match from_path {
-        Some(ext) if ext != chosen => Err(format!(
-            "--format {chosen} contradicts the --out extension (stores decode \
-             by extension; name the file .{})",
-            chosen.extension()
+/// Refuses an output path a store would not serve: artifacts are
+/// published as `.gda` only, and JSON is an export `gdp convert` makes.
+fn check_gda_out(out: &str) -> CmdResult {
+    match ArtifactFormat::from_path(std::path::Path::new(out)) {
+        Some(_) => Ok(()),
+        None => Err(format!(
+            "--out {out}: artifacts are published as .gda only; publish to a .gda \
+             file, then run `gdp convert --in FILE.gda --out FILE.json` for a JSON export"
         )),
-        _ => Ok(chosen),
     }
 }
 
@@ -428,6 +408,10 @@ pub fn publish(args: &[String]) -> CmdResult {
     let seed: u64 = get_num(&flags, "seed", 42)?;
     let strategy = parse_strategy(&flags)?;
     let mechanism = parse_mechanism(&flags)?;
+    // Refused before any pipeline work runs.
+    if let Some(out) = flags.get("out") {
+        check_gda_out(out)?;
+    }
 
     let file = File::open(input).map_err(|e| format!("cannot open {input}: {e}"))?;
     let graph = graph_io::read_edge_list(file).map_err(|e| format!("{input}: {e}"))?;
@@ -468,11 +452,7 @@ pub fn publish(args: &[String]) -> CmdResult {
         let dir = flags
             .get("out-dir")
             .ok_or("publish --deltas requires --out-dir DIR")?;
-        let format = match flags.get("format").map(String::as_str) {
-            None | Some("json") => ArtifactFormat::Json,
-            Some("bin") => ArtifactFormat::Binary,
-            Some(other) => return Err(format!("unknown format `{other}` (json|bin)")),
-        };
+        let format = ArtifactFormat::Binary; // the one format there is
         let (artifact, path) = session
             .publish_to_dir_as(&config, &dataset, epoch, dir, format, &mut rng)
             .map_err(|e| e.to_string())?;
@@ -498,8 +478,7 @@ pub fn publish(args: &[String]) -> CmdResult {
         return Ok(());
     }
 
-    let out = flags.get("out").ok_or("publish requires --out FILE")?;
-    let format = resolve_out_format(&flags, out)?;
+    let out = flags.get("out").ok_or("publish requires --out FILE.gda")?;
     let artifact = session
         .publish(&config, &dataset, epoch, &mut rng)
         .map_err(|e| e.to_string())?;
@@ -507,11 +486,11 @@ pub fn publish(args: &[String]) -> CmdResult {
     // Atomic write: stage, fsync, rename — a crash mid-publish leaves
     // `*.tmp` debris for the store to quarantine, never a torn artifact.
     artifact
-        .save_atomic_as(out, format)
+        .save_atomic(out)
         .map_err(|e| format!("cannot write {out}: {e}"))?;
     let m = artifact.manifest();
     eprintln!(
-        "wrote {out} ({format}): schema v{}, {} levels, {} groups at the finest level, \
+        "wrote {out}: schema v{}, {} levels, {} groups at the finest level, \
          spent eps {:.3} of {:.3}",
         m.schema_version,
         m.level_count,
@@ -543,23 +522,24 @@ fn print_ledger(m: &gdp_core::ArtifactManifest) {
     }
 }
 
-/// `gdp convert` — re-encode a published artifact between the JSON and
-/// `.gda` binary formats. Pure re-encoding: the manifest (content
-/// digest included) is carried verbatim, so the output keeps verifying
-/// and answers bit-identically to the input.
+/// `gdp convert` — export a published `.gda` artifact as JSON for
+/// people to read. One-way: the manifest (content digest included) is
+/// written verbatim, and no command loads the export back.
 pub fn convert(args: &[String]) -> CmdResult {
     let flags = parse_flags(args)?;
-    let input = flags.get("in").ok_or("convert requires --in FILE")?;
-    let out = flags.get("out").ok_or("convert requires --out FILE")?;
-    let format = resolve_out_format(&flags, out)?;
+    let input = flags.get("in").ok_or("convert requires --in FILE.gda")?;
+    let out = flags.get("out").ok_or("convert requires --out FILE.json")?;
+    if !out.ends_with(".json") {
+        return Err(format!(
+            "--out {out}: convert writes a JSON export, so name it .json"
+        ));
+    }
     let artifact = ReleaseArtifact::load(input).map_err(|e| format!("{input}: {e}"))?;
-    artifact
-        .save_atomic_as(out, format)
-        .map_err(|e| format!("cannot write {out}: {e}"))?;
+    graph_io::atomic_write_json(&artifact, out).map_err(|e| format!("cannot write {out}: {e}"))?;
     let m = artifact.manifest();
     eprintln!(
-        "converted {input} -> {out} ({format}): dataset `{}` epoch {}, \
-         digest {:#018x} preserved",
+        "exported {input} -> {out}: dataset `{}` epoch {}, \
+         digest {:#018x}",
         m.dataset, m.epoch, m.content_digest,
     );
     Ok(())
@@ -602,8 +582,7 @@ fn open_store(flags: &HashMap<String, String>, who: &str) -> Result<ReleaseStore
             "{who} requires --artifact FILE or --artifact-dir DIR"
         )),
         (Some(artifact_path), None) => {
-            // Dispatches on the extension, so a `.gda` binary artifact
-            // serves exactly like its JSON twin.
+            // `.gda` only: a JSON export fails at the container magic.
             let artifact = ReleaseArtifact::load(artifact_path)
                 .map_err(|e| format!("{artifact_path}: {e}"))?;
             let store = ReleaseStore::new();
@@ -1022,7 +1001,7 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gdp-cli-serve-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let graph_path = dir.join("g.txt").to_str().unwrap().to_string();
-        let artifact_path = dir.join("a.json").to_str().unwrap().to_string();
+        let artifact_path = dir.join("a.gda").to_str().unwrap().to_string();
         let queries_path = dir.join("q.txt").to_str().unwrap().to_string();
         generate(&[
             "--out".into(),
@@ -1109,7 +1088,6 @@ mod tests {
         let graph_path = dir.join("g.txt").to_str().unwrap().to_string();
         let gda_path = dir.join("a.gda").to_str().unwrap().to_string();
         let json_path = dir.join("a.json").to_str().unwrap().to_string();
-        let back_path = dir.join("back.gda").to_str().unwrap().to_string();
         let queries_path = dir.join("q.txt").to_str().unwrap().to_string();
         generate(&[
             "--out".into(),
@@ -1124,46 +1102,30 @@ mod tests {
             "1000".into(),
         ])
         .unwrap();
-        // `--format bin` publishes a `.gda` container directly…
-        publish(&[
+        // Publishing to anything but a `.gda` is refused up front,
+        // before any pipeline work runs, pointing at `gdp convert`.
+        let err = publish(&[
             "--in".into(),
             graph_path.clone(),
             "--out".into(),
+            json_path.clone(),
+        ])
+        .unwrap_err();
+        assert!(err.contains("gdp convert"), "unexpected error: {err}");
+        assert!(!std::path::Path::new(&json_path).exists());
+        publish(&[
+            "--in".into(),
+            graph_path,
+            "--out".into(),
             gda_path.clone(),
-            "--format".into(),
-            "bin".into(),
             "--dataset".into(),
             "cli-bin".into(),
             "--rounds".into(),
             "4".into(),
         ])
         .unwrap();
-        // …that answers through the single-artifact serving path.
-        std::fs::write(&queries_path, "L 0 1 2\nmass L 0\ntotal R\n").unwrap();
-        answer(&[
-            "--artifact".into(),
-            gda_path.clone(),
-            "--queries".into(),
-            queries_path,
-            "--privilege".into(),
-            "2".into(),
-        ])
-        .unwrap();
-        // A --format that contradicts the extension is refused up
-        // front, before any pipeline work runs.
-        let err = publish(&[
-            "--in".into(),
-            graph_path,
-            "--out".into(),
-            json_path.clone(),
-            "--format".into(),
-            "bin".into(),
-        ])
-        .unwrap_err();
-        assert!(err.contains("contradicts"), "unexpected error: {err}");
-        // gda -> json -> gda preserves the artifact bit-for-bit: the
-        // manifest chain survives both directions and the binary
-        // encoding is deterministic.
+        // The export holds the same artifact: its oracle read gives back
+        // an equal artifact and manifest.
         convert(&[
             "--in".into(),
             gda_path.clone(),
@@ -1171,21 +1133,35 @@ mod tests {
             json_path.clone(),
         ])
         .unwrap();
-        convert(&["--in".into(), json_path, "--out".into(), back_path.clone()]).unwrap();
-        assert_eq!(
-            std::fs::read(&gda_path).unwrap(),
-            std::fs::read(&back_path).unwrap(),
-            "round-trip must reproduce the container bytes"
-        );
-        assert!(convert(&[
+        let published = ReleaseArtifact::load(&gda_path).unwrap();
+        let exported =
+            ReleaseArtifact::read_json(std::fs::File::open(&json_path).unwrap()).unwrap();
+        assert_eq!(exported, published);
+        assert_eq!(exported.manifest(), published.manifest());
+        // The export is one-way: no command answers from it, and
+        // convert writes only JSON.
+        std::fs::write(&queries_path, "L 0 1 2\nmass L 0\ntotal R\n").unwrap();
+        let answer_from = |artifact: &str| {
+            answer(&[
+                "--artifact".into(),
+                artifact.to_string(),
+                "--queries".into(),
+                queries_path.clone(),
+                "--privilege".into(),
+                "2".into(),
+            ])
+        };
+        answer_from(&gda_path).unwrap();
+        let err = answer_from(&json_path).unwrap_err();
+        assert!(err.contains("bad magic"), "unexpected error: {err}");
+        let err = convert(&[
             "--in".into(),
             gda_path,
             "--out".into(),
-            "x.gda".into(),
-            "--format".into(),
-            "galaxy".into()
+            dir.join("b.gda").to_str().unwrap().to_string(),
         ])
-        .is_err());
+        .unwrap_err();
+        assert!(err.contains(".json"), "unexpected error: {err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -1215,7 +1191,7 @@ mod tests {
                 graph_path.clone(),
                 "--out".into(),
                 store_dir
-                    .join(format!("e{epoch}.json"))
+                    .join(format!("e{epoch}.gda"))
                     .to_str()
                     .unwrap()
                     .to_string(),
@@ -1297,7 +1273,7 @@ mod tests {
         .unwrap();
         let epoch_file = |epoch: &str| {
             store_dir
-                .join(format!("e{epoch}.json"))
+                .join(format!("e{epoch}.gda"))
                 .to_str()
                 .unwrap()
                 .to_string()
@@ -1355,7 +1331,7 @@ mod tests {
         assert!(std::path::Path::new(&epoch_file("2")).exists());
         assert!(std::path::Path::new(&epoch_file("3")).exists());
         // Crash debris next to committed epochs does not stop GC.
-        std::fs::write(store_dir.join("torn.json.tmp"), "{ torn").unwrap();
+        std::fs::write(store_dir.join("torn.gda.tmp"), "{ torn").unwrap();
         gc(&[
             "--artifact-dir".into(),
             store_dir_s,

@@ -10,12 +10,12 @@
 //!              [--strategy exponential|median|random]
 //!              [--mechanism gaussian|analytic|laplace|geometric]
 //!              [--seed N] [--csv out.csv]
-//! gdp publish  --in graph.txt --out artifact.json [--format json|bin]
+//! gdp publish  --in graph.txt --out artifact.gda
 //!              [--dataset NAME] [--epoch N] [--rounds N] [--eps E]
 //!              [--delta D] [--budget-eps E] [--budget-delta D] [--seed N]
 //!              [--deltas d1.txt[,d2.txt...] --out-dir DIR]
-//! gdp convert  --in artifact.json --out artifact.gda [--format json|bin]
-//! gdp answer   --artifact artifact.json --queries queries.txt
+//! gdp convert  --in artifact.gda --out artifact.json
+//! gdp answer   --artifact artifact.gda --queries queries.txt
 //!              [--privilege P] [--level L]
 //! gdp serve    --artifact-dir DIR [--addr HOST:PORT] [--workers N]
 //!              [--queue N] [--deadline-ms N] [--io-timeout-ms N]
@@ -28,12 +28,12 @@
 //! The default `dblp` model runs the serial DBLP-like generator; the
 //! other three go through `gdp_datagen`'s parallel streaming engine.
 //! `publish`/`answer` are the serving pair: one writes the sealed
-//! release artifact — JSON for debugging and interop, or the `.gda`
-//! binary container (`--format bin`) stores load fastest — the other
-//! loads either format and answers subset-query workloads under a
-//! privilege via `gdp_serve` (budget-free post-processing). `convert`
-//! re-encodes an artifact between the two formats, preserving the
-//! manifest and its content digest verbatim. `serve` keeps the same answering path up behind
+//! release artifact as a `.gda` binary container, the one format that
+//! is published and served, and the other loads it and answers
+//! subset-query workloads under a privilege via `gdp_serve`
+//! (budget-free post-processing). `convert` exports an artifact as
+//! JSON for people to read; the export is one-way, and no command
+//! loads it. `serve` keeps the same answering path up behind
 //! `gdp_net`'s hardened HTTP frontend — bounded queue, deadlines,
 //! supervised workers, graceful drain on `SIGINT`/`SIGTERM` — with
 //! degraded directory opens, live hot-reload (`POST /v1/admin/reload`

@@ -16,17 +16,18 @@
 //!
 //! Save/load follows the `gdp_graph::io` conventions: plain
 //! `Write`/`Read` streams, typed errors, crash-safe atomic writes.
-//! Two on-disk formats share one manifest and one content digest
-//! ([`ArtifactFormat`]): pretty-printed JSON (`.json`, the
-//! debug/interop format) and the `.gda` binary container
-//! ([`crate::codec`], the fast serving format). The digest is XXH64
-//! over the `.gda` section bytes ([`content_digest`]), so both formats
-//! verify the same value. Everything downstream
+//! There is one on-disk format, the `.gda` binary container
+//! ([`crate::codec`]): it is what a publisher writes, what a store
+//! scans and what a server answers from. Its content digest is XXH64
+//! over the `.gda` section bytes ([`content_digest`]). The serde
+//! rendering of a [`ReleaseArtifact`] is a one-way JSON export for
+//! humans (`gdp convert`, through [`gdp_graph::io::atomic_write_json`]);
+//! nothing loads it back except the oracle of the export round-trip
+//! tests, [`ReleaseArtifact::read_json`]. Everything downstream
 //! of a saved artifact is pure post-processing of a differentially
 //! private release — serving, indexing, caching and re-answering it
 //! are all budget-free.
 
-use std::fmt;
 use std::io::{Read, Write};
 use std::path::Path;
 use std::sync::Arc;
@@ -67,20 +68,16 @@ use crate::Result;
 /// misinterpreting the payload.
 pub const ARTIFACT_SCHEMA_VERSION: u32 = 5;
 
-/// The two on-disk encodings of a [`ReleaseArtifact`]. Both carry the
-/// identical manifest (same [`ArtifactManifest::content_digest`], which
-/// is defined on the binary sections whichever format holds it) and
-/// decode to equal artifacts; they differ only in parse cost and
-/// debuggability. File extension is the format signal everywhere:
-/// publishers name files with [`ArtifactFormat::extension`], loaders
-/// dispatch with [`ArtifactFormat::from_path`].
+/// The on-disk encoding of a [`ReleaseArtifact`]: the `.gda` binary
+/// container ([`crate::codec`]), the only format that is published,
+/// scanned and served. File extension is the format signal: publishers
+/// name files with [`ArtifactFormat::extension`], and directory scans
+/// and `gdp publish --out` recognize them with
+/// [`ArtifactFormat::from_path`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ArtifactFormat {
-    /// Pretty-printed JSON (`.json`) — human-inspectable, diffable,
-    /// the interop format.
-    Json,
-    /// The `.gda` binary container ([`crate::codec`]) — aligned arrays
-    /// behind a byte-level digest, the fast serving format.
+    /// The `.gda` binary container — aligned arrays behind a
+    /// byte-level digest.
     Binary,
 }
 
@@ -88,28 +85,17 @@ impl ArtifactFormat {
     /// The file extension (without dot) this format is stored under.
     pub const fn extension(self) -> &'static str {
         match self {
-            Self::Json => "json",
             Self::Binary => "gda",
         }
     }
 
     /// Infers the format from a path's extension; `None` for anything
-    /// that is not a recognized artifact extension.
+    /// that is not a `.gda` file (a `.json` export included).
     pub fn from_path(path: &Path) -> Option<Self> {
         match path.extension().and_then(|e| e.to_str()) {
-            Some("json") => Some(Self::Json),
             Some("gda") => Some(Self::Binary),
             _ => None,
         }
-    }
-}
-
-impl fmt::Display for ArtifactFormat {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            Self::Json => "json",
-            Self::Binary => "binary",
-        })
     }
 }
 
@@ -245,9 +231,9 @@ pub struct ArtifactManifest {
     pub right_nodes: u32,
     /// XXH64 digest over the `.gda` hierarchy section payload, one
     /// zero byte, and the release section payload ([`content_digest`]).
-    /// Verified on every JSON load ([`CoreError::ChecksumMismatch`] on
-    /// disagreement); a `.gda` load carries it under the container
-    /// digest, which covers the same bytes.
+    /// A `.gda` load carries it under the container digest, which
+    /// covers the same bytes; the export oracle
+    /// ([`ReleaseArtifact::read_json`]) re-derives it.
     pub content_digest: u64,
     /// Cross-epoch privacy accounting: this epoch's charge and the
     /// chain's cumulative spend against its authorized total. `None`
@@ -255,24 +241,16 @@ pub struct ArtifactManifest {
     pub ledger: Option<ManifestLedger>,
 }
 
-/// Serde-facing mirror of [`ReleaseArtifact`]; deserializing goes
-/// through `TryFrom`, which re-runs the sealing validation.
+/// Serde-facing mirror of [`ReleaseArtifact`], the shape of the JSON
+/// export. Deserializing goes through `TryFrom`, which re-runs the
+/// sealing validation and re-derives the content digest; that
+/// validating read is the oracle of the export round-trip tests
+/// ([`ReleaseArtifact::read_json`]), not a load path.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct ArtifactPayload {
+struct ArtifactPayload {
     manifest: ArtifactManifest,
     hierarchy: Arc<GroupHierarchy>,
     release: MultiLevelRelease,
-}
-
-impl ArtifactPayload {
-    /// The manifest as parsed, **before** sealing validation — what a
-    /// store scanning a directory inspects (schema version, dataset,
-    /// epoch) to produce typed errors with file context instead of one
-    /// opaque deserialization failure. Promote to a validated artifact
-    /// with `ReleaseArtifact::try_from`.
-    pub fn manifest(&self) -> &ArtifactManifest {
-        &self.manifest
-    }
 }
 
 /// A sealed multi-level release bundle: manifest + public hierarchy +
@@ -283,7 +261,7 @@ impl ArtifactPayload {
 /// publishes share one copy instead of cloning it per epoch.
 ///
 /// Construction only through [`ReleaseArtifact::seal`] /
-/// [`ReleaseArtifact::read_json`] — both validate that the manifest,
+/// [`ReleaseArtifact::load`] — both validate that the manifest,
 /// hierarchy and release agree on level count, group counts, node
 /// counts, query vector lengths, budget and mechanism, so holders of a
 /// `ReleaseArtifact` never need to re-check internal consistency.
@@ -304,8 +282,8 @@ impl ArtifactPayload {
 /// #     .disclose(&graph, &hierarchy, &mut rng)?;
 /// let artifact = ReleaseArtifact::seal("dblp-tiny", 7, hierarchy, release)?;
 /// let mut buf = Vec::new();
-/// artifact.write_json(&mut buf)?;
-/// let back = ReleaseArtifact::read_json(buf.as_slice())?;
+/// artifact.write_binary(&mut buf)?;
+/// let back = ReleaseArtifact::read_binary(buf.as_slice())?;
 /// assert_eq!(artifact, back); // lossless round trip
 /// # Ok(())
 /// # }
@@ -406,8 +384,8 @@ pub(crate) fn check_schema_version(version: u32) -> Result<()> {
 }
 
 /// Refuses a non-finite noisy value, noise scale, sensitivity or
-/// budget. JSON cannot represent one, and a binary artifact must not
-/// hold what its JSON twin could not.
+/// budget: no private release needs one, and the JSON export could not
+/// represent it.
 fn check_finite(release: &MultiLevelRelease) -> Result<()> {
     let fail = |what: String| Err(CoreError::Artifact(format!("{what} must be finite")));
     if !release.epsilon_g().is_finite() || !release.delta().is_finite() {
@@ -610,19 +588,15 @@ impl ReleaseArtifact {
         self.manifest.level_count
     }
 
-    /// Writes the artifact as a JSON document (the on-disk format).
-    ///
-    /// # Errors
-    ///
-    /// Propagates IO/serialization failures as [`CoreError::Graph`]
-    /// (`GraphError::Io` / `GraphError::Json`).
-    pub fn write_json<W: Write>(&self, writer: W) -> Result<()> {
-        Ok(graph_io::write_json(self, writer)?)
-    }
-
-    /// Reads an artifact written by [`ReleaseArtifact::write_json`],
+    /// Reads a JSON export — the artifact's serde rendering, as
+    /// `gdp convert` writes it ([`gdp_graph::io::write_json`]) —
     /// re-running the sealing validation (including the schema-version
-    /// check) and verifying the manifest's content digest.
+    /// check) and re-deriving the manifest's content digest.
+    ///
+    /// This is the oracle of the export round-trip tests (`.gda` → JSON
+    /// → an equal artifact and manifest), and only that: no shipping
+    /// path — [`ReleaseArtifact::load`], a store scan, any `gdp`
+    /// command — calls it. Artifacts are loaded from `.gda` only.
     ///
     /// # Errors
     ///
@@ -639,8 +613,8 @@ impl ReleaseArtifact {
     }
 
     /// Writes the artifact as a `.gda` binary container
-    /// ([`crate::codec`]): same manifest and content digest as the
-    /// JSON rendering, aligned arrays, byte-level container digest.
+    /// ([`crate::codec`]): the manifest, aligned arrays, and a
+    /// byte-level container digest.
     ///
     /// # Errors
     ///
@@ -682,68 +656,41 @@ impl ReleaseArtifact {
         format!("{safe}-e{epoch}.{}", format.extension())
     }
 
-    /// [`ReleaseArtifact::canonical_file_name_as`] for the JSON format
-    /// (the historical default): `<dataset>-e<epoch>.json`.
+    /// The canonical `.gda` file name for a `(dataset, epoch)` release:
+    /// `<dataset>-e<epoch>.gda`.
     pub fn canonical_file_name(dataset: &str, epoch: u64) -> String {
-        Self::canonical_file_name_as(dataset, epoch, ArtifactFormat::Json)
+        Self::canonical_file_name_as(dataset, epoch, ArtifactFormat::Binary)
     }
 
-    /// Writes the artifact to `path` crash-safely, in the format named
-    /// by the path's extension (`.gda` → binary, anything else →
-    /// JSON). Both routes stage in a `*.tmp` sibling, fsync, rename
-    /// over `path`, and fsync the directory
-    /// ([`gdp_graph::io::atomic_write_json`] /
-    /// [`gdp_graph::io::atomic_write_bytes`]). A crash mid-publish
+    /// Writes the artifact to `path` crash-safely as a `.gda`
+    /// container, whatever the path's extension: stage in a `*.tmp`
+    /// sibling, fsync, rename over `path`, and fsync the directory
+    /// ([`gdp_graph::io::atomic_write_bytes`]). A crash mid-publish
     /// leaves either the old file, the new file, or `*.tmp` debris a
     /// directory scan quarantines — never a torn artifact at the final
     /// path.
     ///
     /// # Errors
     ///
-    /// Propagates IO/serialization failures as [`CoreError::Graph`].
+    /// Propagates IO failures as [`CoreError::Graph`].
     pub fn save_atomic(&self, path: impl AsRef<Path>) -> Result<()> {
-        let path = path.as_ref();
-        let format = ArtifactFormat::from_path(path).unwrap_or(ArtifactFormat::Json);
-        self.save_atomic_as(path, format)
+        let bytes = crate::codec::encode(self)?;
+        Ok(graph_io::atomic_write_bytes(&bytes, path)?)
     }
 
-    /// [`ReleaseArtifact::save_atomic`] with the format chosen
-    /// explicitly instead of by the path's extension. Note that a
-    /// directory scan ([`ArtifactFormat::from_path`]) still decodes by
-    /// extension, so writing binary bytes under a `.json` name creates
-    /// a file the store will quarantine — callers should keep the
-    /// extension truthful.
+    /// Loads the `.gda` artifact at `path`
+    /// ([`ReleaseArtifact::read_binary`]). The bytes are decoded
+    /// whatever the extension, so anything else — a JSON export
+    /// included — fails at the container magic.
     ///
     /// # Errors
     ///
-    /// Propagates IO/serialization failures as [`CoreError::Graph`].
-    pub fn save_atomic_as(&self, path: impl AsRef<Path>, format: ArtifactFormat) -> Result<()> {
-        match format {
-            ArtifactFormat::Binary => {
-                let bytes = crate::codec::encode(self)?;
-                Ok(graph_io::atomic_write_bytes(&bytes, path)?)
-            }
-            ArtifactFormat::Json => Ok(graph_io::atomic_write_json(self, path)?),
-        }
-    }
-
-    /// Loads an artifact from `path`, dispatching on the extension the
-    /// same way [`ReleaseArtifact::save_atomic`] does: `.gda` →
-    /// [`ReleaseArtifact::read_binary`], anything else →
-    /// [`ReleaseArtifact::read_json`].
-    ///
-    /// # Errors
-    ///
-    /// Everything the format-specific readers produce, plus
+    /// Everything [`ReleaseArtifact::read_binary`] produces, plus
     /// [`CoreError::Graph`] (`GraphError::Io`) when the file cannot be
     /// opened.
     pub fn load(path: impl AsRef<Path>) -> Result<Self> {
-        let path = path.as_ref();
         let file = std::fs::File::open(path).map_err(|e| CoreError::Graph(e.into()))?;
-        match ArtifactFormat::from_path(path) {
-            Some(ArtifactFormat::Binary) => Self::read_binary(file),
-            _ => Self::read_json(file),
-        }
+        Self::read_binary(file)
     }
 }
 
@@ -802,7 +749,8 @@ mod tests {
         // The schema-5 digest of this fixture: XXH64 over its `.gda`
         // hierarchy section, a zero byte, and its release section. Any
         // drift in the section layout changes it, and every artifact
-        // already on disk would then fail to load from JSON.
+        // already on disk would then carry a digest this build no
+        // longer derives.
         let artifact = golden_artifact();
         assert_eq!(artifact.manifest().content_digest, GOLDEN_DIGEST);
         assert_eq!(
@@ -855,7 +803,8 @@ mod tests {
         );
 
         // Reloads compare equal to the published artifact, memo or not:
-        // a `.gda` load carries no memo, a JSON load fills its own.
+        // a `.gda` load carries no memo, and neither does a hierarchy
+        // read back from the JSON export.
         let gda = ReleaseArtifact::read_binary(&crate::codec::encode(&a).unwrap()[..]).unwrap();
         assert!(gda.hierarchy().digest_prefix().get().is_none());
         assert_eq!(gda, a);
@@ -970,47 +919,47 @@ mod tests {
             );
 
             // The same release behind a manifest whose content digest
-            // is recomputed over it: a `.gda` (whose container digest
-            // the encoder recomputes too) and a JSON document.
+            // is recomputed over it, in a `.gda` whose container digest
+            // the encoder recomputes too.
             let mut manifest = a.manifest().clone();
             manifest.content_digest = content_digest(a.hierarchy(), &release);
             let gda = crate::codec::encode_parts(&manifest, a.hierarchy(), &release).unwrap();
-            refused(crate::codec::decode(&gda).unwrap().seal().unwrap_err());
-            let payload = ArtifactPayload {
-                manifest,
-                hierarchy: Arc::clone(&a.hierarchy),
-                release,
-            };
-            let mut json = Vec::new();
-            graph_io::write_json(&payload, &mut json).unwrap();
-            refused(ReleaseArtifact::read_json(json.as_slice()).unwrap_err());
+            refused(ReleaseArtifact::read_binary(gda.as_slice()).unwrap_err());
         }
     }
 
+    /// The export round trip: `.gda` → JSON export → the validating
+    /// oracle ([`ReleaseArtifact::read_json`]) gives back an equal
+    /// artifact with an identical manifest, its re-derived content
+    /// digest included.
     #[test]
     fn json_round_trip_is_lossless() {
-        let (hierarchy, release) = publishable();
-        let a = ReleaseArtifact::seal("dblp", 9, hierarchy, release).unwrap();
-        let mut buf = Vec::new();
-        a.write_json(&mut buf).unwrap();
-        let back = ReleaseArtifact::read_json(buf.as_slice()).unwrap();
-        assert_eq!(a, back);
+        let a = golden_artifact();
+        let gda = ReleaseArtifact::read_binary(&crate::codec::encode(&a).unwrap()[..]).unwrap();
+        let mut json = Vec::new();
+        graph_io::write_json(&gda, &mut json).unwrap();
+        let back = ReleaseArtifact::read_json(json.as_slice()).unwrap();
+        assert_eq!(back, a);
+        assert_eq!(back.manifest(), a.manifest());
+        assert_eq!(back.manifest().content_digest, GOLDEN_DIGEST);
+    }
+
+    /// `a` encoded as a `.gda` container behind `manifest`, which the
+    /// container digest then vouches for.
+    fn gda_with_manifest(a: &ReleaseArtifact, manifest: &ArtifactManifest) -> Vec<u8> {
+        crate::codec::encode_parts(manifest, a.hierarchy(), a.release()).unwrap()
     }
 
     #[test]
     fn load_rejects_foreign_schema_version() {
         let (hierarchy, release) = publishable();
         let a = ReleaseArtifact::seal("dblp", 9, hierarchy, release).unwrap();
-        let mut buf = Vec::new();
-        a.write_json(&mut buf).unwrap();
-        let doctored = String::from_utf8(buf).unwrap().replacen(
-            "\"schema_version\": 5",
-            "\"schema_version\": 99",
-            1,
-        );
-        let err = ReleaseArtifact::read_json(doctored.as_bytes()).unwrap_err();
+        let mut manifest = a.manifest().clone();
+        manifest.schema_version = 99;
+        let gda = gda_with_manifest(&a, &manifest);
+        let err = ReleaseArtifact::read_binary(gda.as_slice()).unwrap_err();
         assert!(
-            err.to_string().contains("schema version 99"),
+            matches!(&err, CoreError::Artifact(m) if m.contains("schema version 99")),
             "unexpected error: {err}"
         );
     }
@@ -1035,8 +984,8 @@ mod tests {
             .unwrap();
         assert_eq!(a.manifest().ledger.as_ref(), Some(&ledger));
         let mut buf = Vec::new();
-        a.write_json(&mut buf).unwrap();
-        let back = ReleaseArtifact::read_json(buf.as_slice()).unwrap();
+        a.write_binary(&mut buf).unwrap();
+        let back = ReleaseArtifact::read_binary(buf.as_slice()).unwrap();
         assert_eq!(a, back);
         let got = back.manifest().ledger.as_ref().unwrap();
         assert!((got.remaining_epsilon() - 0.7).abs() < 1e-12);
@@ -1094,14 +1043,10 @@ mod tests {
         let good =
             ReleaseArtifact::seal_with_ledger("dblp", 2, hierarchy, release, sample_ledger())
                 .unwrap();
-        let mut buf = Vec::new();
-        good.write_json(&mut buf).unwrap();
-        let doctored = String::from_utf8(buf).unwrap().replacen(
-            "\"total_epsilon\": 2.1",
-            "\"total_epsilon\": 0.5",
-            1,
-        );
-        let err = ReleaseArtifact::read_json(doctored.as_bytes()).unwrap_err();
+        let mut manifest = good.manifest().clone();
+        manifest.ledger.as_mut().unwrap().total_epsilon = 0.5;
+        let doctored = gda_with_manifest(&good, &manifest);
+        let err = ReleaseArtifact::read_binary(doctored.as_slice()).unwrap_err();
         assert!(
             err.to_string().contains("exceeds the authorized total"),
             "{err}"
@@ -1112,42 +1057,30 @@ mod tests {
     fn corrupted_payload_fails_with_checksum_mismatch() {
         let (hierarchy, release) = publishable();
         let a = ReleaseArtifact::seal("dblp", 9, hierarchy, release).unwrap();
-        let mut buf = Vec::new();
-        a.write_json(&mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        // Flip one noise scale inside the payload. The manifest still
-        // validates (it never cross-checks individual values), so only
-        // the digest can catch this.
-        let needle = "\"noise_scale\": ";
-        let pos = text.find(needle).expect("release carries noisy values");
-        let digit = text[pos + needle.len()..]
-            .chars()
-            .next()
-            .expect("value follows");
-        let replacement = if digit == '9' { '8' } else { '9' };
-        let mut doctored = text.clone();
-        doctored.replace_range(
-            pos + needle.len()..pos + needle.len() + 1,
-            &replacement.to_string(),
-        );
-        assert_ne!(text, doctored);
-        let err = ReleaseArtifact::read_json(doctored.as_bytes()).unwrap_err();
-        assert!(matches!(err, CoreError::ChecksumMismatch { .. }), "{err}");
+        let mut bytes = crate::codec::encode(&a).unwrap();
+        // Flip one bit of the last noisy value, inside the release
+        // section. The manifest would still validate (it never
+        // cross-checks individual values), so only the container
+        // digest can catch this.
+        let last = bytes.len() - 1;
+        bytes[last] ^= 1;
+        match ReleaseArtifact::read_binary(bytes.as_slice()) {
+            Err(CoreError::Graph(gdp_graph::GraphError::Binary { message, .. })) => {
+                assert!(message.contains("digest"), "{message}")
+            }
+            other => panic!("a flipped payload bit must fail the digest: {other:?}"),
+        }
     }
 
     #[test]
     fn canonical_file_name_is_stable_and_path_safe() {
         assert_eq!(
             ReleaseArtifact::canonical_file_name("dblp", 7),
-            "dblp-e7.json"
+            "dblp-e7.gda"
         );
         assert_eq!(
             ReleaseArtifact::canonical_file_name("a/b\\c", 0),
-            "a_b_c-e0.json"
-        );
-        assert_eq!(
-            ReleaseArtifact::canonical_file_name_as("dblp", 7, ArtifactFormat::Binary),
-            "dblp-e7.gda"
+            "a_b_c-e0.gda"
         );
         assert_eq!(
             ReleaseArtifact::canonical_file_name_as("a/b", 1, ArtifactFormat::Binary),
@@ -1159,43 +1092,13 @@ mod tests {
     fn artifact_format_from_path_follows_the_extension() {
         use std::path::Path;
         assert_eq!(
-            ArtifactFormat::from_path(Path::new("d/x-e1.json")),
-            Some(ArtifactFormat::Json)
-        );
-        assert_eq!(
             ArtifactFormat::from_path(Path::new("d/x-e1.gda")),
             Some(ArtifactFormat::Binary)
         );
+        assert_eq!(ArtifactFormat::from_path(Path::new("d/x-e1.json")), None);
         assert_eq!(ArtifactFormat::from_path(Path::new("d/x-e1.tmp")), None);
         assert_eq!(ArtifactFormat::from_path(Path::new("d/noext")), None);
-        assert_eq!(ArtifactFormat::Json.extension(), "json");
         assert_eq!(ArtifactFormat::Binary.extension(), "gda");
-        assert_eq!(ArtifactFormat::Binary.to_string(), "binary");
-    }
-
-    #[test]
-    fn save_atomic_and_load_dispatch_on_extension() {
-        let dir = std::env::temp_dir().join("gdp_artifact_binary_dispatch");
-        std::fs::create_dir_all(&dir).unwrap();
-        let (hierarchy, release) = publishable();
-        let a = ReleaseArtifact::seal("dblp", 11, hierarchy, release).unwrap();
-        let json_path = dir.join(ReleaseArtifact::canonical_file_name("dblp", 11));
-        let bin_path = dir.join(ReleaseArtifact::canonical_file_name_as(
-            "dblp",
-            11,
-            ArtifactFormat::Binary,
-        ));
-        a.save_atomic(&json_path).unwrap();
-        a.save_atomic(&bin_path).unwrap();
-        // The binary file really is the container, not JSON in disguise.
-        let head = std::fs::read(&bin_path).unwrap();
-        assert_eq!(&head[..8], &gdp_graph::binfmt::MAGIC);
-        let via_json = ReleaseArtifact::load(&json_path).unwrap();
-        let via_bin = ReleaseArtifact::load(&bin_path).unwrap();
-        assert_eq!(via_json, a);
-        assert_eq!(via_bin, a);
-        assert_eq!(via_json.manifest(), via_bin.manifest());
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1206,8 +1109,29 @@ mod tests {
         let a = ReleaseArtifact::seal("dblp", 4, hierarchy, release).unwrap();
         let path = dir.join(ReleaseArtifact::canonical_file_name(a.dataset(), a.epoch()));
         a.save_atomic(&path).unwrap();
-        let back = ReleaseArtifact::read_json(std::fs::File::open(&path).unwrap()).unwrap();
-        assert_eq!(a, back);
+        // The file really is the container, and it loads back equal.
+        assert_eq!(
+            &std::fs::read(&path).unwrap()[..8],
+            &gdp_graph::binfmt::MAGIC
+        );
+        assert_eq!(ReleaseArtifact::load(&path).unwrap(), a);
+
+        // Neither call dispatches on the extension: `save_atomic` writes
+        // a container under any name, and `load` decodes any file as
+        // one, so a JSON export fails at the container magic.
+        let odd = dir.join("odd-name.json");
+        a.save_atomic(&odd).unwrap();
+        assert_eq!(ReleaseArtifact::load(&odd).unwrap(), a);
+        let export = dir.join("export.json");
+        let mut json = Vec::new();
+        graph_io::write_json(&a, &mut json).unwrap();
+        std::fs::write(&export, json).unwrap();
+        match ReleaseArtifact::load(&export) {
+            Err(CoreError::Graph(gdp_graph::GraphError::Binary { offset: 0, message })) => {
+                assert!(message.contains("bad magic"), "{message}")
+            }
+            other => panic!("a JSON export must not load: {other:?}"),
+        }
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1215,13 +1139,10 @@ mod tests {
     fn load_rejects_tampered_payload() {
         let (hierarchy, release) = publishable();
         let a = ReleaseArtifact::seal("dblp", 9, hierarchy, release).unwrap();
-        let mut buf = Vec::new();
-        a.write_json(&mut buf).unwrap();
         // Lie about the level count: re-validation must catch it.
-        let doctored =
-            String::from_utf8(buf)
-                .unwrap()
-                .replacen("\"level_count\": 5", "\"level_count\": 4", 1);
-        assert!(ReleaseArtifact::read_json(doctored.as_bytes()).is_err());
+        let mut manifest = a.manifest().clone();
+        manifest.level_count -= 1;
+        let doctored = gda_with_manifest(&a, &manifest);
+        assert!(ReleaseArtifact::read_binary(doctored.as_slice()).is_err());
     }
 }

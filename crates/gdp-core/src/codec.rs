@@ -1,11 +1,11 @@
 //! The `.gda` binary artifact codec — [`ReleaseArtifact`] encoded into
-//! the workspace's [`gdp_graph::binfmt`] container.
+//! the workspace's [`gdp_graph::binfmt`] container, the one format that
+//! is published, scanned and served.
 //!
 //! Three sections, fixed tags:
 //!
 //! * **1 — manifest**: every [`ArtifactManifest`] field, including
-//!   `content_digest` verbatim — a binary artifact and its JSON twin
-//!   carry **bit-identical manifests**.
+//!   `content_digest` verbatim.
 //! * **2 — hierarchy**: per level, both [`SidePartition`]s as
 //!   `(side, block_count, assignment[])` with 8-byte-aligned `u32`
 //!   arrays.
@@ -29,16 +29,14 @@
 //! decoding) catches truncation and bit rot cheaply, and because it
 //! also pins the manifest section (including `content_digest`),
 //! [`DecodedArtifact::seal`] re-runs the sealing *validation* but
-//! carries the content digest instead of recomputing it. A JSON load
-//! ([`ReleaseArtifact::read_json`]) has no container digest, so it
-//! re-derives the content digest with the same streamed hasher.
+//! carries the content digest instead of recomputing it.
 //!
 //! The manifest layout is that of [`crate::ARTIFACT_SCHEMA_VERSION`]
 //! only: [`decode`] reads the schema version first and refuses any
 //! other before it interprets another manifest byte. Schema 4 files
 //! carry an FNV-1a digest over the same bytes, inside a version-1
-//! container, and older ones a digest over canonical JSON; the
-//! container version check refuses a version-1 file first.
+//! container, which the container version check refuses first. Older
+//! schemas were never written as `.gda`.
 //!
 //! Like the container layer, decoding is panic-free: all counts are
 //! bounds-checked against the remaining section bytes before
@@ -392,8 +390,7 @@ fn section_len(write: impl FnOnce(&mut ByteWriter<ByteCounter>)) -> usize {
 /// binary artifact. The container digest has already vouched for every
 /// byte; the manifest is inspectable (schema version, dataset, epoch)
 /// so directory scanners can produce typed errors with file context
-/// before committing to [`DecodedArtifact::seal`]. The binary twin of
-/// [`crate::artifact::ArtifactPayload`]'s two-stage JSON flow.
+/// before committing to [`DecodedArtifact::seal`].
 #[derive(Debug, Clone)]
 pub struct DecodedArtifact {
     manifest: ArtifactManifest,
@@ -502,12 +499,12 @@ mod tests {
         let back = decode(&bytes).unwrap().seal().unwrap();
         assert_eq!(a, back);
         assert_eq!(a.manifest(), back.manifest(), "manifests bit-identical");
-        // The carried digest is the one a JSON load recomputes, so the
-        // decoded artifact re-encodes as JSON and loads cleanly.
-        let mut json = Vec::new();
-        back.write_json(&mut json).unwrap();
-        let via_json = ReleaseArtifact::read_json(json.as_slice()).unwrap();
-        assert_eq!(a, via_json);
+        // The carried digest is the one sealing derives from the
+        // decoded sections.
+        assert_eq!(
+            back.manifest().content_digest,
+            crate::artifact::content_digest(back.hierarchy(), back.release())
+        );
     }
 
     #[test]
@@ -602,22 +599,14 @@ mod tests {
     #[test]
     fn pre_v4_artifacts_are_refused_naming_their_version() {
         // Schema 4 hashed the same bytes with FNV-1a, and schema 3 and
-        // older hashed canonical JSON; both formats refuse them by
-        // version, before the digest.
+        // older hashed canonical JSON; they are refused by version,
+        // before the digest.
         let a = artifact();
-        let mut json = Vec::new();
-        a.write_json(&mut json).unwrap();
-        let json = String::from_utf8(json).unwrap();
-        let current = format!("\"schema_version\": {}", crate::ARTIFACT_SCHEMA_VERSION);
         for version in [3, 4] {
             let refused = |e: &CoreError| {
                 matches!(e, CoreError::Artifact(m)
                     if m.contains(&format!("schema version {version} unsupported")))
             };
-            let old = json.replacen(&current, &format!("\"schema_version\": {version}"), 1);
-            let err = ReleaseArtifact::read_json(old.as_bytes()).unwrap_err();
-            assert!(refused(&err), "{err}");
-
             // A `.gda` manifest is laid out per version, so the decoder
             // refuses it right after reading the version.
             let mut manifest = a.manifest().clone();

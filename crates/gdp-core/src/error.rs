@@ -67,7 +67,7 @@ pub enum CoreError {
     },
     /// `publish_next` was asked to extend an epoch chain that has no
     /// published base epoch for the named dataset — publish epoch 0 with
-    /// `publish`/`publish_to_dir` first.
+    /// `publish`/`publish_to_dir_as` first.
     NoBaseEpoch {
         /// The dataset whose chain was asked to advance.
         dataset: String,
@@ -75,10 +75,11 @@ pub enum CoreError {
     /// A release artifact failed sealing, validation, or carried an
     /// unsupported schema version.
     Artifact(String),
-    /// A loaded artifact's payload does not hash to the content digest
-    /// recorded in its manifest — the file was torn, bit-rotted, or
-    /// edited after sealing. Distinct from [`CoreError::Artifact`] so
-    /// stores can quarantine corruption specifically.
+    /// A JSON export read back by the round-trip oracle
+    /// ([`crate::ReleaseArtifact::read_json`]) does not hash to the
+    /// content digest recorded in its manifest — it was edited after
+    /// export. A `.gda` load catches corruption earlier, at the
+    /// container digest (`GraphError::Binary`).
     ChecksumMismatch {
         /// The digest the manifest promises.
         expected: u64,

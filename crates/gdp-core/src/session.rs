@@ -388,9 +388,10 @@ impl DisclosureSession {
 
     /// [`DisclosureSession::publish`], then durably write the sealed
     /// artifact into `dir` under its canonical file name
-    /// ([`ReleaseArtifact::canonical_file_name`]) via the crash-safe
+    /// ([`ReleaseArtifact::canonical_file_name_as`]) via the crash-safe
     /// atomic-write discipline ([`ReleaseArtifact::save_atomic`]).
-    /// Returns the artifact and the path it now lives at.
+    /// Returns the artifact and the path it now lives at. `format` is
+    /// always [`ArtifactFormat::Binary`], the one format there is.
     ///
     /// The budget is charged by the disclosure itself; if the *write*
     /// fails afterwards the charge stands (noise was already drawn and
@@ -401,27 +402,6 @@ impl DisclosureSession {
     /// * Everything [`DisclosureSession::publish`] can return.
     /// * [`CoreError::Graph`] (`GraphError::Io`) when the directory
     ///   cannot be created or the atomic write fails.
-    pub fn publish_to_dir<R: Rng + ?Sized>(
-        &mut self,
-        config: &DisclosureConfig,
-        dataset: &str,
-        epoch: u64,
-        dir: impl AsRef<std::path::Path>,
-        rng: &mut R,
-    ) -> Result<(ReleaseArtifact, std::path::PathBuf)> {
-        self.publish_to_dir_as(config, dataset, epoch, dir, ArtifactFormat::Json, rng)
-    }
-
-    /// [`DisclosureSession::publish_to_dir`] with an explicit on-disk
-    /// [`ArtifactFormat`]: the canonical file name takes the format's
-    /// extension and [`ReleaseArtifact::save_atomic`] writes that
-    /// encoding. Binary (`.gda`) and JSON publishes are otherwise
-    /// identical — same manifest, same content digest, same crash-safe
-    /// write discipline.
-    ///
-    /// # Errors
-    ///
-    /// Exactly those of [`DisclosureSession::publish_to_dir`].
     pub fn publish_to_dir_as<R: Rng + ?Sized>(
         &mut self,
         config: &DisclosureConfig,

@@ -240,17 +240,17 @@ mod tests {
                 FileOutcome::Loaded {
                     dataset: "d".into(),
                     epoch: 9,
-                    path: "d-e9.json".into(),
+                    path: "d-e9.gda".into(),
                 },
                 FileOutcome::Quarantined {
-                    path: "torn.json".into(),
-                    moved_to: "quarantine/torn.json".into(),
+                    path: "torn.gda".into(),
+                    moved_to: "quarantine/torn.gda".into(),
                     reason: "truncated".into(),
                 },
                 FileOutcome::Retired {
                     dataset: "d".into(),
                     epoch: 1,
-                    path: "d-e1.json".into(),
+                    path: "d-e1.gda".into(),
                 },
             ],
         };

@@ -42,7 +42,7 @@ fn seed_dir(name: &str) -> std::path::PathBuf {
     std::fs::create_dir_all(&dir).unwrap();
     for epoch in [1, 2] {
         common::artifact("dblp", epoch)
-            .save_atomic(dir.join(format!("dblp-e{epoch}.json")))
+            .save_atomic(dir.join(format!("dblp-e{epoch}.gda")))
             .unwrap();
     }
     dir
@@ -104,7 +104,7 @@ fn admin_reload_under_traffic_serves_old_and_new_epochs() {
 
     // Publish epoch 3 mid-flight, then reload on demand.
     common::artifact("dblp", 3)
-        .save_atomic(dir.join("dblp-e3.json"))
+        .save_atomic(dir.join("dblp-e3.gda"))
         .unwrap();
     let response = client::post_json(addr, "/v1/admin/reload", "", TIMEOUT).unwrap();
     assert_eq!(response.status, 200);
@@ -155,7 +155,7 @@ fn watcher_auto_loads_new_epochs_and_is_counted() {
     common::wait_for(&handle, "watcher alive", |s| s.store.watcher_alive);
 
     common::artifact("dblp", 3)
-        .save_atomic(dir.join("dblp-e3.json"))
+        .save_atomic(dir.join("dblp-e3.gda"))
         .unwrap();
     common::wait_for(&handle, "watcher to pick up epoch 3", |s| {
         s.store.epochs == 3
@@ -165,7 +165,7 @@ fn watcher_auto_loads_new_epochs_and_is_counted() {
 
     // Deleting a backing file retires its release on the next sweep —
     // consumers get the typed 404, not stale answers.
-    std::fs::remove_file(dir.join("dblp-e1.json")).unwrap();
+    std::fs::remove_file(dir.join("dblp-e1.gda")).unwrap();
     common::wait_for(&handle, "watcher to retire epoch 1", |s| {
         s.store.epochs == 2
     });
@@ -225,7 +225,7 @@ fn reload_failure_degrades_while_serving_continues() {
 
     // Vandalize one artifact in place: the reload quarantines it, the
     // already-validated in-memory copy keeps serving.
-    std::fs::write(dir.join("dblp-e2.json"), "{ vandalized").unwrap();
+    std::fs::write(dir.join("dblp-e2.gda"), "{ vandalized").unwrap();
     let response = client::post_json(addr, "/v1/admin/reload", "", TIMEOUT).unwrap();
     assert_eq!(response.status, 200);
     let reload: ReloadResponse =

@@ -20,8 +20,8 @@ pub enum ServeError {
     /// An artifact for this `(dataset, epoch)` is already registered —
     /// published releases are immutable, so re-inserting a key is
     /// almost certainly a deployment bug rather than an update. The
-    /// classic shape: one epoch present as both `dblp-e1.json` and
-    /// `dblp-e1.gda` in the same directory.
+    /// classic shape: one epoch published under two file names in the
+    /// same directory (`dblp-e1.gda` and a renamed copy).
     DuplicateRelease {
         /// Conflicting dataset key.
         dataset: String,
@@ -48,18 +48,7 @@ pub enum ServeError {
         /// Human-readable name of the missing statistic.
         statistic: String,
     },
-    /// A scanned artifact file carries a schema version this build does
-    /// not read — refused with file context instead of misinterpreting
-    /// the payload.
-    SchemaVersion {
-        /// Path of the offending file.
-        path: String,
-        /// The version found in its manifest.
-        found: u32,
-        /// The version this build reads.
-        supported: u32,
-    },
-    /// A directory scan found no artifact documents — almost certainly
+    /// A directory scan found no `.gda` artifact files — almost certainly
     /// a wrong path rather than an intentionally empty store.
     EmptyDirectory {
         /// The scanned directory.
@@ -115,17 +104,8 @@ impl fmt::Display for ServeError {
             Self::StatisticNotReleased { level, statistic } => {
                 write!(f, "level {level} released no {statistic}")
             }
-            Self::SchemaVersion {
-                path,
-                found,
-                supported,
-            } => write!(
-                f,
-                "{path}: artifact schema version {found} unsupported \
-                 (this build reads version {supported})"
-            ),
             Self::EmptyDirectory { path } => {
-                write!(f, "directory {path} holds no artifact files (.json/.gda)")
+                write!(f, "directory {path} holds no artifact files (.gda)")
             }
             Self::Workload { line, message } => {
                 write!(f, "workload parse error at line {line}: {message}")
@@ -183,11 +163,11 @@ mod tests {
         let e = ServeError::DuplicateRelease {
             dataset: "dblp".to_string(),
             epoch: 1,
-            paths: vec!["s/dblp-e1.gda".to_string(), "s/dblp-e1.json".to_string()],
+            paths: vec!["s/dblp-e1.gda".to_string(), "s/copy-e1.gda".to_string()],
         };
         let text = e.to_string();
         assert!(text.contains("dblp-e1.gda"), "{text}");
-        assert!(text.contains("dblp-e1.json"), "{text}");
+        assert!(text.contains("copy-e1.gda"), "{text}");
         let e = ServeError::DuplicateRelease {
             dataset: "dblp".to_string(),
             epoch: 1,
@@ -203,14 +183,6 @@ mod tests {
             statistic: "right degree histogram".to_string(),
         };
         assert!(e.to_string().contains("right degree histogram"));
-
-        let e = ServeError::SchemaVersion {
-            path: "store/a.json".to_string(),
-            found: 9,
-            supported: 1,
-        };
-        assert!(e.to_string().contains("a.json"));
-        assert!(e.to_string().contains('9'));
 
         let e = ServeError::EmptyDirectory {
             path: "store".to_string(),

@@ -28,7 +28,7 @@
 //!   map behind one `RwLock`: readers share the read lock for a probe
 //!   and an `Arc` clone, a republisher takes the write lock briefly to
 //!   insert; [`ReleaseStore::open_dir`] scans a directory of artifact
-//!   files (`.gda` or JSON) and indexes each file as it loads it.
+//!   files (`.gda` containers) and indexes each file as it loads it.
 //! * Store **lifecycle** ([`lifecycle`]) — degraded opens that
 //!   quarantine damage instead of failing
 //!   ([`ReleaseStore::open_dir_report`] → [`OpenReport`]), live

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 
 /// Subdirectory (of a scanned artifact directory) that damaged files
 /// are moved into instead of being deleted: torn atomic-publish debris,
-/// documents that fail validation or checksum verification. Files in
+/// containers that fail digest verification or validation. Files in
 /// quarantine keep their bytes for post-mortem inspection and are never
 /// scanned as artifacts.
 pub const QUARANTINE_DIR: &str = "quarantine";
@@ -37,10 +37,10 @@ pub enum FileOutcome {
     },
     /// The file held a valid artifact whose `(dataset, epoch)` the
     /// store already serves — left in place, nothing replaced
-    /// (published artifacts are immutable). A mixed-format directory
-    /// (same epoch as `.json` and `.gda`) lands here in degraded
-    /// scans: the first file in name order serves, the twin is
-    /// reported with both paths.
+    /// (published artifacts are immutable). A re-scan reports every
+    /// file it registered earlier here, and one epoch under two file
+    /// names lands here in degraded scans: the first file in name order
+    /// serves, the other is reported with both paths.
     AlreadyRegistered {
         /// Dataset key of the duplicate.
         dataset: String,
@@ -53,16 +53,16 @@ pub enum FileOutcome {
         existing: Option<String>,
     },
     /// A non-artifact directory entry (subdirectory, hidden file,
-    /// editor backup, wrong extension) — skipped where a strict scan
-    /// would have choked, left in place.
+    /// editor backup, a `.json` export, any other extension) — skipped
+    /// where a strict scan would have choked, left in place.
     Stray {
         /// The skipped entry.
         path: String,
         /// Why it was skipped.
         note: String,
     },
-    /// A damaged artifact (torn write, checksum mismatch, foreign
-    /// schema, malformed JSON) — moved into [`QUARANTINE_DIR`] so the
+    /// A damaged artifact (torn write, digest mismatch, foreign
+    /// schema, malformed container) — moved into [`QUARANTINE_DIR`] so the
     /// next scan is clean while the bytes survive for inspection.
     Quarantined {
         /// Where the file was.
@@ -302,21 +302,21 @@ mod tests {
                 FileOutcome::Loaded {
                     dataset: "d".into(),
                     epoch: 1,
-                    path: "d-e1.json".into(),
+                    path: "d-e1.gda".into(),
                 },
                 FileOutcome::Stray {
                     path: "README.txt".into(),
-                    note: "not an artifact file (.json/.gda)".into(),
+                    note: "not an artifact file (.gda)".into(),
                 },
                 FileOutcome::Quarantined {
-                    path: "d-e2.json".into(),
-                    moved_to: "quarantine/d-e2.json".into(),
+                    path: "d-e2.gda".into(),
+                    moved_to: "quarantine/d-e2.gda".into(),
                     reason: "checksum mismatch".into(),
                 },
                 FileOutcome::Retired {
                     dataset: "d".into(),
                     epoch: 0,
-                    path: "d-e0.json".into(),
+                    path: "d-e0.gda".into(),
                 },
             ],
         };
@@ -333,7 +333,7 @@ mod tests {
             evictions: vec![GcEviction {
                 dataset: "d".into(),
                 epoch: 0,
-                path: Some("d-e0.json".into()),
+                path: Some("d-e0.gda".into()),
                 deleted: false,
                 error: Some("permission denied".into()),
             }],
@@ -349,7 +349,7 @@ mod tests {
             outcomes: vec![FileOutcome::AlreadyRegistered {
                 dataset: "d".into(),
                 epoch: 3,
-                path: "d-e3.json".into(),
+                path: "d-e3-copy.gda".into(),
                 existing: Some("d-e3.gda".into()),
             }],
         };

@@ -1,22 +1,18 @@
 //! The artifact registry a deployment keeps as it republishes — one
 //! `RwLock` over a `(dataset, epoch)` map of indexed releases, directory
-//! scans that index each file before registering it, and the durable
-//! lifecycle around it: degraded scans
+//! scans that index each `.gda` file before registering it, and the
+//! durable lifecycle around it: degraded scans
 //! that quarantine damage instead of failing
 //! ([`ReleaseStore::open_dir_report`]), live re-scans that pick up and
 //! retire epochs ([`ReleaseStore::merge_dir`]), and retention GC
 //! ([`ReleaseStore::gc`]).
 
-use std::collections::BTreeMap;
-use std::collections::HashSet;
-use std::fs::File;
-use std::io::BufReader;
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::time::SystemTime;
 
-use gdp_core::artifact::ArtifactPayload;
-use gdp_core::codec;
-use gdp_core::{ArtifactFormat, ReleaseArtifact, ARTIFACT_SCHEMA_VERSION};
+use gdp_core::{ArtifactFormat, ReleaseArtifact};
 use gdp_graph::io as graph_io;
 
 use crate::error::ServeError;
@@ -31,11 +27,35 @@ use crate::Result;
 /// The lifecycle operations key off it: [`ReleaseStore::merge_dir`]
 /// retires entries whose source vanished, [`ReleaseStore::gc`] deletes
 /// sources when evicting, and quarantining a source detaches it so the
-/// in-memory release keeps serving.
+/// in-memory release keeps serving. `stamp` is what the scan saw of
+/// `source` before reading it; a re-scan that sees the same stamp
+/// skips the read.
 #[derive(Debug)]
 struct Registered {
     release: Arc<IndexedRelease>,
     source: Option<PathBuf>,
+    stamp: Option<FileStamp>,
+}
+
+/// A file's length and modification time. Publishes replace a file by
+/// atomic rename, which brings a new mtime, so an unchanged stamp means
+/// the bytes a scan already read and validated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FileStamp {
+    len: u64,
+    modified: SystemTime,
+}
+
+impl FileStamp {
+    /// `path`'s stamp, or `None` when it cannot be taken (the file is
+    /// then read on every scan).
+    fn of(path: &Path) -> Option<Self> {
+        let meta = std::fs::metadata(path).ok()?;
+        Some(Self {
+            len: meta.len(),
+            modified: meta.modified().ok()?,
+        })
+    }
 }
 
 type Registry = BTreeMap<(String, u64), Registered>;
@@ -107,15 +127,21 @@ impl ReleaseStore {
     }
 
     /// Registers `release` under its manifest's key, with the file a
-    /// scan loaded it from (`None` for programmatic inserts).
-    fn insert_from(&self, release: IndexedRelease, source: Option<PathBuf>) -> Result<()> {
+    /// scan loaded it from and that file's stamp (`None` for
+    /// programmatic inserts).
+    fn insert_from(
+        &self,
+        release: IndexedRelease,
+        source: Option<PathBuf>,
+        stamp: Option<FileStamp>,
+    ) -> Result<()> {
         let manifest = release.artifact().manifest();
         let key = (manifest.dataset.clone(), manifest.epoch);
         let mut releases = self.write();
         if let Some(existing) = releases.get(&key) {
-            // Name both files when the collision is on-disk — the
-            // mixed-format case (same epoch as .json and .gda) is
-            // indistinguishable from a deployment bug without them.
+            // Name both files when the collision is on-disk: one epoch
+            // published under two file names is a deployment bug, and
+            // the operator needs both names to fix it.
             let paths = existing
                 .source
                 .iter()
@@ -133,6 +159,7 @@ impl ReleaseStore {
             Registered {
                 release: Arc::new(release),
                 source,
+                stamp,
             },
         );
         Ok(())
@@ -145,7 +172,7 @@ impl ReleaseStore {
     ///
     /// Returns [`ServeError::DuplicateRelease`] when the key is taken.
     pub fn insert(&self, release: IndexedRelease) -> Result<()> {
-        self.insert_from(release, None)
+        self.insert_from(release, None, None)
     }
 
     /// Unregisters a release, returning the backing file it was loaded
@@ -223,30 +250,27 @@ impl ReleaseStore {
     }
 
     /// Scans a directory of artifact files (one sealed
-    /// [`ReleaseArtifact`] per `.json` document or `.gda` binary
-    /// container, any other entries ignored) into a store. Every file
-    /// is parsed, **validated** and indexed during the scan — so a
+    /// [`ReleaseArtifact`] per `.gda` container; any other entry,
+    /// a `.json` export included, is skipped) into a store. Every file
+    /// is read, **validated** and indexed during the scan — so a
     /// corrupt file, a foreign schema version or a duplicate
-    /// `(dataset, epoch)` is a typed error naming the file, not a
-    /// latent failure, and every later lookup is a plain read. Files are
+    /// `(dataset, epoch)` is a typed error, not a latent failure, and
+    /// every later lookup is a plain read. Files are
     /// visited in name order, so which of two duplicate files is
-    /// reported is deterministic; in particular, the same epoch
-    /// present as both formats is a [`ServeError::DuplicateRelease`]
-    /// naming both files, never a silent last-scan-wins.
+    /// reported is deterministic: one epoch under two file names is a
+    /// [`ServeError::DuplicateRelease`] naming both files, never a
+    /// silent last-scan-wins.
     ///
     /// # Errors
     ///
     /// * [`ServeError::EmptyDirectory`] when no artifact files are
     ///   found.
-    /// * [`ServeError::SchemaVersion`] for a JSON manifest this build
-    ///   does not read; a `.gda` one is refused by its decoder as
-    ///   `CoreError::Artifact` naming the version.
     /// * [`ServeError::DuplicateRelease`] when two files carry the same
     ///   `(dataset, epoch)` — both paths are named.
-    /// * [`ServeError::Core`] wrapping `GraphError::Json` /
-    ///   `GraphError::Binary` for malformed files, `GraphError::Io`
-    ///   for filesystem failures, and `CoreError::Artifact` for
-    ///   payloads that fail sealing re-validation.
+    /// * [`ServeError::Core`] wrapping `GraphError::Binary` for
+    ///   malformed files, `GraphError::Io` for filesystem failures, and
+    ///   `CoreError::Artifact` for a foreign schema version (named) or
+    ///   a payload that fails sealing re-validation.
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref();
         let mut candidates = Vec::new();
@@ -262,17 +286,19 @@ impl ReleaseStore {
         }
         let store = Self::new();
         for path in candidates {
-            let release = IndexedRelease::new(parse_artifact(&path)?)?;
-            store.insert_from(release, Some(path))?;
+            let stamp = FileStamp::of(&path);
+            let release = IndexedRelease::new(ReleaseArtifact::load(&path)?)?;
+            store.insert_from(release, Some(path), stamp)?;
         }
         Ok(store)
     }
 
     /// The degraded-mode [`ReleaseStore::open_dir`]: scans `dir`
     /// tolerating everything short of the directory itself being
-    /// unreadable. Valid artifacts register; stray entries are skipped
-    /// with a typed note; damaged files — torn atomic-publish `*.tmp`
-    /// debris, malformed JSON, foreign schema versions, checksum
+    /// unreadable. Valid artifacts register; stray entries (a `.json`
+    /// export among them) are skipped with a typed note and left in
+    /// place; damaged files — torn atomic-publish `*.tmp` debris,
+    /// malformed containers, foreign schema versions, digest
     /// mismatches, failed validation — are **moved** into
     /// [`QUARANTINE_DIR`] so the next scan is clean while the bytes
     /// survive for post-mortem. Returns the store (possibly empty —
@@ -306,7 +332,13 @@ impl ReleaseStore {
     /// [`UnknownRelease`](ServeError::UnknownRelease) instead of
     /// deleted-but-still-served data.
     ///
-    /// Two deliberate asymmetries against the fresh open:
+    /// Three deliberate asymmetries against the fresh open:
+    /// * A file that backs a registered release and whose length and
+    ///   mtime are what the scan that loaded it saw is reported
+    ///   [`AlreadyRegistered`](FileOutcome::AlreadyRegistered) without
+    ///   being read again, so an idle re-scan costs a `stat` per file.
+    ///   Bit rot under an unchanged stamp is caught by the next fresh
+    ///   open, which reads everything.
     /// * `*.tmp` files are left alone (a live publisher may be mid
     ///   atomic write; its rename will land or its debris will be
     ///   swept by the next fresh open).
@@ -329,6 +361,7 @@ impl ReleaseStore {
         let mut outcomes = Vec::new();
         // Sources detached or re-seen this scan, exempt from retirement.
         let mut touched: HashSet<PathBuf> = HashSet::new();
+        let registered = self.stamped_sources();
         for path in sorted_dir_entries(dir)? {
             let rendered = path.display().to_string();
             if path.is_dir() && path.file_name().is_some_and(|n| n == QUARANTINE_DIR) {
@@ -357,12 +390,26 @@ impl ReleaseStore {
                 }
                 continue;
             }
-            match parse_artifact(&path).and_then(IndexedRelease::new) {
+            let stamp = FileStamp::of(&path);
+            if let Some(((dataset, epoch), seen)) = registered.get(&path) {
+                if stamp == Some(*seen) {
+                    touched.insert(path);
+                    outcomes.push(FileOutcome::AlreadyRegistered {
+                        dataset: dataset.clone(),
+                        epoch: *epoch,
+                        path: rendered,
+                        existing: None,
+                    });
+                    continue;
+                }
+            }
+            let loaded = ReleaseArtifact::load(&path).map_err(ServeError::from);
+            match loaded.and_then(IndexedRelease::new) {
                 Ok(release) => {
                     let artifact = release.artifact();
                     let (dataset, epoch) = (artifact.dataset().to_string(), artifact.epoch());
                     touched.insert(path.clone());
-                    match self.insert_from(release, Some(path.clone())) {
+                    match self.insert_from(release, Some(path.clone()), stamp) {
                         Ok(()) => outcomes.push(FileOutcome::Loaded {
                             dataset,
                             epoch,
@@ -460,8 +507,18 @@ impl ReleaseStore {
         for reg in self.write().values_mut() {
             if reg.source.as_deref() == Some(path) {
                 reg.source = None;
+                reg.stamp = None;
             }
         }
+    }
+
+    /// Every registered source file with the stamp it was read under,
+    /// and the key it backs.
+    fn stamped_sources(&self) -> HashMap<PathBuf, ((String, u64), FileStamp)> {
+        self.read()
+            .iter()
+            .filter_map(|(key, reg)| Some((reg.source.clone()?, (key.clone(), reg.stamp?))))
+            .collect()
     }
 
     /// Every registered `(dataset, epoch, source)` whose source file
@@ -529,7 +586,10 @@ fn sorted_dir_entries(dir: &Path) -> Result<Vec<PathBuf>> {
 
 /// Why a directory entry is not an artifact candidate (`None` = it is
 /// one). Strays are *skipped*, never quarantined: they are someone
-/// else's files sitting in our directory, not damaged artifacts.
+/// else's files sitting in our directory, not damaged artifacts. A
+/// `.json` file is one too — a human export, or a schema-5 JSON epoch
+/// from before `.gda` became the only served format — so its bytes stay
+/// where the operator left them.
 fn classify_stray(path: &Path) -> Option<&'static str> {
     if path.is_dir() {
         return Some("directory");
@@ -541,9 +601,12 @@ fn classify_stray(path: &Path) -> Option<&'static str> {
     if name.ends_with('~') || name.ends_with(".bak") || name.ends_with(".swp") {
         return Some("editor backup");
     }
-    match path.extension().and_then(|e| e.to_str()) {
-        Some("json") | Some("gda") | Some("tmp") => None,
-        _ => Some("not an artifact file (.json/.gda)"),
+    if ArtifactFormat::from_path(path).is_some() || is_pending_tmp(path) {
+        None
+    } else if path.extension().is_some_and(|ext| ext == "json") {
+        Some("JSON is an export, not served: only .gda artifacts are")
+    } else {
+        Some("not an artifact file (.gda)")
     }
 }
 
@@ -551,38 +614,6 @@ fn classify_stray(path: &Path) -> Option<&'static str> {
 /// a fresh open, a possibly live publish during a re-scan.
 fn is_pending_tmp(path: &Path) -> bool {
     path.extension().is_some_and(|ext| ext == "tmp")
-}
-
-/// Parses and fully validates one artifact file, dispatching on the
-/// extension ([`ArtifactFormat::from_path`]): document/container
-/// shape, schema version, sealing re-validation, checksum
-/// verification. The binary route verifies the container's byte digest
-/// before decoding a single field, and its decoder refuses a foreign
-/// schema version itself ([`CoreError::Artifact`](gdp_core::CoreError::Artifact)
-/// naming the version), because a `.gda` manifest is laid out per
-/// version; the JSON route checks the version with file context, then
-/// re-hashes the payload against the manifest digest.
-fn parse_artifact(path: &Path) -> Result<ReleaseArtifact> {
-    match ArtifactFormat::from_path(path) {
-        Some(ArtifactFormat::Binary) => {
-            let bytes = std::fs::read(path)?;
-            let decoded = codec::decode(&bytes).map_err(ServeError::Core)?;
-            decoded.seal().map_err(ServeError::Core)
-        }
-        _ => {
-            let file = File::open(path)?;
-            let payload: ArtifactPayload = graph_io::read_json(BufReader::new(file))?;
-            let found = payload.manifest().schema_version;
-            if found != ARTIFACT_SCHEMA_VERSION {
-                return Err(ServeError::SchemaVersion {
-                    path: path.display().to_string(),
-                    found,
-                    supported: ARTIFACT_SCHEMA_VERSION,
-                });
-            }
-            ReleaseArtifact::try_from(payload).map_err(ServeError::Core)
-        }
-    }
 }
 
 #[cfg(test)]
@@ -649,9 +680,8 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("gdp-store-ok-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         for (dataset, epoch, seed) in [("dblp", 1, 1), ("dblp", 2, 2), ("pharmacy", 1, 3)] {
-            let file = File::create(dir.join(format!("{dataset}-{epoch}.json"))).unwrap();
             artifact(dataset, epoch, seed)
-                .write_json(std::io::BufWriter::new(file))
+                .save_atomic(dir.join(format!("{dataset}-{epoch}.gda")))
                 .unwrap();
         }
         // A non-artifact sibling is ignored.

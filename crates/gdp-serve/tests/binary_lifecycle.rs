@@ -1,16 +1,15 @@
-//! Durable-store lifecycle on **binary** (`.gda`) artifacts: the PR-7
-//! guarantees — torn-write quarantine, checksum-caught bit rot,
-//! hot-reload, retention GC — must hold for the binary format exactly
-//! as they do for JSON, plus the one rule mixed-format directories
-//! add: the same `(dataset, epoch)` present as both `.json` and `.gda`
-//! is a typed duplicate naming both files, never last-scan-wins.
+//! Durable-store lifecycle on the `.gda` container bytes themselves:
+//! torn-write quarantine at every probe cut, digest-caught bit rot,
+//! hot-reload, retention GC, and the duplicate rule — the same
+//! `(dataset, epoch)` under two file names is a typed duplicate naming
+//! both files, never last-scan-wins.
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use gdp_core::{
-    ArtifactFormat, CoreError, DisclosureConfig, MultiLevelDiscloser, Query, ReleaseArtifact,
-    SpecializationConfig, Specializer,
+    CoreError, DisclosureConfig, MultiLevelDiscloser, Query, ReleaseArtifact, SpecializationConfig,
+    Specializer,
 };
 use gdp_graph::{GraphBuilder, GraphError, LeftId, RightId};
 use gdp_serve::lifecycle::QUARANTINE_DIR;
@@ -62,12 +61,8 @@ fn fresh_dir(tag: &str) -> PathBuf {
     dir
 }
 
-fn publish_as(dir: &Path, a: &ReleaseArtifact, format: ArtifactFormat) -> PathBuf {
-    let path = dir.join(ReleaseArtifact::canonical_file_name_as(
-        a.dataset(),
-        a.epoch(),
-        format,
-    ));
+fn publish(dir: &Path, a: &ReleaseArtifact) -> PathBuf {
+    let path = dir.join(ReleaseArtifact::canonical_file_name(a.dataset(), a.epoch()));
     a.save_atomic(&path).unwrap();
     path
 }
@@ -123,8 +118,8 @@ fn truncation_at_every_byte_is_a_typed_error_never_a_panic() {
 fn bit_rot_is_caught_by_the_container_digest_and_quarantined() {
     let bytes = encoded(&artifact("rot", 3, 13));
     // One flip in the header, one in the section table, one deep in
-    // the payload — including a flip of a noisy value, the exact case
-    // JSON needs the canonical-digest re-hash for.
+    // the payload — including a flip of a noisy value, which no
+    // validation but the digest could catch.
     for byte in [2usize, 30, bytes.len() / 2, bytes.len() - 3] {
         let mut doctored = bytes.clone();
         doctored[byte] ^= 0x10;
@@ -149,21 +144,20 @@ fn bit_rot_is_caught_by_the_container_digest_and_quarantined() {
 fn merge_dir_hot_reloads_a_live_published_binary_epoch() {
     let dir = fresh_dir("merge");
     let a1 = artifact("d", 1, 41);
-    publish_as(&dir, &a1, ArtifactFormat::Binary);
+    publish(&dir, &a1);
     let (store, report) = ReleaseStore::open_dir_report(&dir).unwrap();
     assert_eq!(report.loaded(), 1, "{}", report.summary());
     assert_eq!(store.epochs("d"), vec![1]);
 
     // A binary epoch lands while the store is live.
     let a2 = artifact("d", 2, 42);
-    publish_as(&dir, &a2, ArtifactFormat::Binary);
+    publish(&dir, &a2);
     let report = store.merge_dir(&dir).unwrap();
     assert_eq!(report.loaded(), 1, "{}", report.summary());
     assert_eq!(store.epochs("d"), vec![1, 2]);
     assert_eq!(*store.get("d", 2).unwrap().artifact(), a2);
 
-    // A staged binary publish (`.gda.tmp`) is left alone by a live
-    // re-scan, exactly like a staged JSON one.
+    // A staged publish (`.gda.tmp`) is left alone by a live re-scan.
     fs::write(dir.join("d-e9.gda.tmp"), "half-written").unwrap();
     let report = store.merge_dir(&dir).unwrap();
     assert_eq!(report.quarantined(), 0, "{}", report.summary());
@@ -182,11 +176,7 @@ fn merge_dir_hot_reloads_a_live_published_binary_epoch() {
 fn gc_durably_deletes_superseded_binary_epochs() {
     let dir = fresh_dir("gc");
     for epoch in 1..=4 {
-        publish_as(
-            &dir,
-            &artifact("d", epoch, 50 + epoch),
-            ArtifactFormat::Binary,
-        );
+        publish(&dir, &artifact("d", epoch, 50 + epoch));
     }
     let (store, _) = ReleaseStore::open_dir_report(&dir).unwrap();
     let report = store.gc(&RetentionPolicy::keep_last(1), None);
@@ -194,11 +184,7 @@ fn gc_durably_deletes_superseded_binary_epochs() {
     assert_eq!(report.failed_deletions(), 0);
     assert_eq!(store.epochs("d"), vec![4]);
     for epoch in 1..=3u64 {
-        let gone = dir.join(ReleaseArtifact::canonical_file_name_as(
-            "d",
-            epoch,
-            ArtifactFormat::Binary,
-        ));
+        let gone = dir.join(ReleaseArtifact::canonical_file_name("d", epoch));
         assert!(!gone.exists(), "epoch {epoch} file must be deleted");
     }
     let (reopened, _) = ReleaseStore::open_dir_report(&dir).unwrap();
@@ -207,11 +193,13 @@ fn gc_durably_deletes_superseded_binary_epochs() {
 }
 
 #[test]
-fn mixed_format_duplicate_is_a_typed_error_naming_both_files() {
+fn same_format_duplicate_is_a_typed_error_naming_both_files() {
     let dir = fresh_dir("dup");
     let a = artifact("d", 1, 61);
-    let bin = publish_as(&dir, &a, ArtifactFormat::Binary);
-    let json = publish_as(&dir, &a, ArtifactFormat::Json);
+    let first = publish(&dir, &a);
+    // The same epoch again under a second name (an operator's copy).
+    let copy = dir.join("d-e1-copy.gda");
+    a.save_atomic(&copy).unwrap();
 
     // Strict open refuses the directory and names both files.
     let err = ReleaseStore::open_dir(&dir).unwrap_err();
@@ -226,13 +214,13 @@ fn mixed_format_duplicate_is_a_typed_error_naming_both_files() {
     assert_eq!((dataset.as_str(), epoch), ("d", 1));
     assert_eq!(
         paths,
-        vec![bin.display().to_string(), json.display().to_string()],
-        "both colliding files must be named, scan order (.gda first)"
+        vec![copy.display().to_string(), first.display().to_string()],
+        "both colliding files must be named, in scan order"
     );
 
     // Degraded open keeps serving deterministically: the first file in
-    // name order (.gda sorts before .json) wins, the twin is reported
-    // with both paths and left untouched on disk.
+    // name order wins, the other is reported with both paths and left
+    // untouched on disk.
     let (store, report) = ReleaseStore::open_dir_report(&dir).unwrap();
     assert_eq!(store.epochs("d"), vec![1]);
     assert_eq!(report.loaded(), 1, "{}", report.summary());
@@ -247,12 +235,9 @@ fn mixed_format_duplicate_is_a_typed_error_naming_both_files() {
             _ => None,
         })
         .expect("duplicate outcome reported");
-    assert_eq!(dup.0, json.display().to_string());
-    assert_eq!(dup.1, Some(bin.display().to_string()));
-    assert!(bin.exists() && json.exists(), "no file is disturbed");
-
-    // Both twins decode to the same artifact, so whichever format an
-    // operator deletes, answers cannot change.
+    assert_eq!(dup.0, first.display().to_string());
+    assert_eq!(dup.1, Some(copy.display().to_string()));
+    assert!(first.exists() && copy.exists(), "no file is disturbed");
     assert_eq!(*store.get("d", 1).unwrap().artifact(), a);
     fs::remove_dir_all(&dir).unwrap();
 }
@@ -261,7 +246,7 @@ fn mixed_format_duplicate_is_a_typed_error_naming_both_files() {
 fn save_atomic_binary_leaves_no_tmp_and_survives_reopen() {
     let dir = fresh_dir("atomic");
     let a = artifact("d", 1, 71);
-    let path = publish_as(&dir, &a, ArtifactFormat::Binary);
+    let path = publish(&dir, &a);
     // No staging debris after a successful atomic publish.
     let entries: Vec<_> = fs::read_dir(&dir)
         .unwrap()

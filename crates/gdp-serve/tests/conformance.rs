@@ -5,7 +5,7 @@
 //! precedence — on arbitrary graphs, hierarchies, release shapes
 //! (per-group counts and degree histograms independently present or
 //! absent) and queries (valid, out-of-range, duplicated, wrong-side).
-//! And a sealed artifact must answer identically after a JSON
+//! And a sealed artifact must answer identically after a `.gda`
 //! save → load round trip, variant by variant.
 //!
 //! Baselines, all in `gdp_core::answering`:
@@ -248,8 +248,8 @@ proptest! {
         let artifact =
             ReleaseArtifact::seal("conf", epoch, hierarchy.clone(), release).unwrap();
         let mut buf = Vec::new();
-        artifact.write_json(&mut buf).unwrap();
-        let loaded = ReleaseArtifact::read_json(buf.as_slice()).unwrap();
+        artifact.write_binary(&mut buf).unwrap();
+        let loaded = ReleaseArtifact::read_binary(buf.as_slice()).unwrap();
         prop_assert_eq!(&artifact, &loaded);
 
         let from_original = IndexedRelease::new(artifact).unwrap();

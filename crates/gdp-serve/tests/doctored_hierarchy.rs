@@ -1,28 +1,27 @@
-//! A JSON artifact whose hierarchy was edited and whose content digest
-//! was recomputed (XXH64 is a checksum, not a MAC) must be refused with
-//! a typed error: the hierarchy's partitions, levels and refinement
-//! chain deserialize through their validating constructors. A store
-//! scan quarantines such a file and keeps serving the rest.
+//! A `.gda` artifact whose hierarchy section was edited, and whose
+//! content digest and container digest were both recomputed (XXH64 is a
+//! checksum, not a MAC), must be refused with a typed error: the
+//! decoder rebuilds the hierarchy's partitions, levels and refinement
+//! chain through their validating constructors. A store scan
+//! quarantines such a file and keeps serving the rest.
 //!
-//! Before the hierarchy types validated on deserialization, the
-//! out-of-range case loaded and then panicked in the first block-size
-//! scan (`max_group_size`, or the serving index build).
+//! Before the hierarchy types validated on construction from untrusted
+//! bytes, the out-of-range case loaded and then panicked in the first
+//! block-size scan (`max_group_size`, or the serving index build).
 
 use std::fs;
 use std::path::PathBuf;
 
-use gdp_core::codec::{self, SECTION_RELEASE};
+use gdp_core::codec::{self, SECTION_HIERARCHY, SECTION_MANIFEST, SECTION_RELEASE};
 use gdp_core::{
-    CoreError, DisclosureConfig, GroupHierarchy, GroupLevel, MultiLevelDiscloser, Query,
-    ReleaseArtifact,
+    DisclosureConfig, GroupHierarchy, GroupLevel, MultiLevelDiscloser, Query, ReleaseArtifact,
 };
 use gdp_graph::binfmt::{read_container, ByteWriter};
 use gdp_graph::io::xxh64;
-use gdp_graph::{GraphBuilder, GraphError, LeftId, RightId, Side, SidePartition};
+use gdp_graph::{GraphBuilder, LeftId, RightId, Side, SidePartition};
 use gdp_serve::{FileOutcome, Query as ServeQuery, ReleaseStore};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::Value;
 
 /// Three levels over 4 + 4 nodes, both sides alike:
 /// `[0,0,1,2]` (3 blocks) ⊂ `[0,0,1,1]` (2 blocks) ⊂ whole.
@@ -51,110 +50,104 @@ fn artifact(epoch: u64) -> ReleaseArtifact {
     ReleaseArtifact::seal("doctored", epoch, hierarchy, release).unwrap()
 }
 
-fn field<'a>(v: &'a mut Value, key: &str) -> &'a mut Value {
-    match v {
-        Value::Map(entries) => entries
-            .iter_mut()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .unwrap_or_else(|| panic!("no field {key}")),
-        other => panic!("not a map: {other:?}"),
-    }
+/// One side partition as the hierarchy section lays it out, free to
+/// hold what no validating constructor would accept.
+struct RawPartition {
+    side: u32,
+    block_count: u32,
+    assignment: Vec<u32>,
 }
 
-fn item(v: &mut Value, i: usize) -> &mut Value {
-    match v {
-        Value::Seq(items) => &mut items[i],
-        other => panic!("not a sequence: {other:?}"),
-    }
+/// A hierarchy as raw `[left, right]` partitions per level, finest
+/// first.
+type RawHierarchy = Vec<[RawPartition; 2]>;
+
+fn raw(hierarchy: &GroupHierarchy) -> RawHierarchy {
+    let part = |p: &SidePartition| RawPartition {
+        side: match p.side() {
+            Side::Left => 0,
+            Side::Right => 1,
+        },
+        block_count: p.block_count(),
+        assignment: p.assignment().to_vec(),
+    };
+    hierarchy
+        .levels()
+        .iter()
+        .map(|level| [part(level.left()), part(level.right())])
+        .collect()
 }
 
-fn uint(v: &Value) -> u64 {
-    match v {
-        Value::I64(n) => *n as u64,
-        Value::U64(n) => *n,
-        other => panic!("not an integer: {other:?}"),
-    }
-}
-
-fn uint_value(n: u64) -> Value {
-    i64::try_from(n).map_or(Value::U64(n), Value::I64)
-}
-
-/// The `.gda` hierarchy section payload of a (possibly invalid) JSON
+/// The hierarchy section payload of a (possibly invalid) raw
 /// hierarchy: the same layout the codec writes.
-fn hierarchy_section(hierarchy: &Value) -> Vec<u8> {
-    let levels = hierarchy.as_map().unwrap()[0].1.as_seq().unwrap();
+fn hierarchy_section(hierarchy: &RawHierarchy) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64(levels.len() as u64);
-    for level in levels {
-        for (_, partition) in level.as_map().unwrap() {
-            let fields = partition.as_map().unwrap();
-            let get = |key: &str| &fields.iter().find(|(k, _)| k == key).unwrap().1;
-            w.put_u32(match get("side") {
-                Value::Str(s) if s == "Left" => 0,
-                Value::Str(s) if s == "Right" => 1,
-                other => panic!("side {other:?}"),
-            });
-            w.put_u32(uint(get("block_count")) as u32);
-            let assignment: Vec<u32> = get("assignment")
-                .as_seq()
-                .unwrap()
-                .iter()
-                .map(|v| uint(v) as u32)
-                .collect();
-            w.put_u32_slice(&assignment);
-        }
+    w.put_u64(hierarchy.len() as u64);
+    for partition in hierarchy.iter().flatten() {
+        w.put_u32(partition.side);
+        w.put_u32(partition.block_count);
+        w.put_u32_slice(&partition.assignment);
     }
     w.into_bytes()
 }
 
-/// `a` as JSON with `edit` applied to its hierarchy and the manifest's
-/// content digest recomputed over the edited bytes.
-fn doctored_json(a: &ReleaseArtifact, edit: impl FnOnce(&mut Value)) -> String {
-    let mut buf = Vec::new();
-    a.write_json(&mut buf).unwrap();
-    let mut doc: Value = serde_json::from_str(std::str::from_utf8(&buf).unwrap()).unwrap();
-    edit(field(&mut doc, "hierarchy"));
+/// Where the payload of section `tag` starts in container `bytes`.
+fn section_at(bytes: &[u8], tag: u32) -> (usize, usize) {
+    let sections = read_container(bytes).unwrap();
+    let (_, payload) = sections.into_iter().find(|&(t, _)| t == tag).unwrap();
+    (
+        payload.as_ptr() as usize - bytes.as_ptr() as usize,
+        payload.len(),
+    )
+}
 
-    let encoded = codec::encode(a).unwrap();
-    let release = read_container(&encoded)
-        .unwrap()
-        .into_iter()
-        .find(|&(tag, _)| tag == SECTION_RELEASE)
-        .unwrap()
-        .1;
-    let mut hashed = hierarchy_section(field(&mut doc, "hierarchy"));
+/// `a` as `.gda` bytes with `edit` applied to its hierarchy section,
+/// the manifest's content digest recomputed over the edited bytes, and
+/// the container digest recomputed over the edited file. Every edit
+/// keeps the section's length, so it is patched in place.
+fn doctored_gda(a: &ReleaseArtifact, edit: impl FnOnce(&mut RawHierarchy)) -> Vec<u8> {
+    let mut bytes = codec::encode(a).unwrap();
+    let mut hierarchy = raw(a.hierarchy());
+    edit(&mut hierarchy);
+    let section = hierarchy_section(&hierarchy);
+
+    let (at, len) = section_at(&bytes, SECTION_HIERARCHY);
+    assert_eq!(section.len(), len, "the edit keeps the section length");
+    let (release_at, release_len) = section_at(&bytes, SECTION_RELEASE);
+    let mut hashed = section.clone();
     hashed.push(0);
-    hashed.extend_from_slice(release);
-    *field(field(&mut doc, "manifest"), "content_digest") = uint_value(xxh64(&hashed));
-    serde_json::to_string_pretty(&doc).unwrap()
+    hashed.extend_from_slice(&bytes[release_at..release_at + release_len]);
+    let (manifest_at, manifest_len) = section_at(&bytes, SECTION_MANIFEST);
+    bytes[at..at + len].copy_from_slice(&section);
+
+    // The digest field is the only place the old digest's bytes occur
+    // in the manifest section.
+    let old = a.manifest().content_digest.to_le_bytes();
+    let manifest = &mut bytes[manifest_at..manifest_at + manifest_len];
+    let field = manifest.windows(8).position(|w| w == old).unwrap();
+    manifest[field..field + 8].copy_from_slice(&xxh64(&hashed).to_le_bytes());
+
+    let digest = xxh64(&[&bytes[..16], &bytes[24..]].concat());
+    bytes[16..24].copy_from_slice(&digest.to_le_bytes());
+    bytes
 }
 
-fn partition<'a>(hierarchy: &'a mut Value, level: usize, side: &str) -> &'a mut Value {
-    field(item(field(hierarchy, "levels"), level), side)
-}
-
-fn set_assignment(hierarchy: &mut Value, level: usize, to: &[u64]) {
-    for side in ["left", "right"] {
-        *field(partition(hierarchy, level, side), "assignment") =
-            Value::Seq(to.iter().map(|&n| uint_value(n)).collect());
+fn set_assignment(hierarchy: &mut RawHierarchy, level: usize, to: &[u32]) {
+    for partition in &mut hierarchy[level] {
+        partition.assignment = to.to_vec();
     }
 }
 
 /// One hierarchy defect: its name, the edit that makes it, and the
 /// message its refusal names.
-type Case = (&'static str, fn(&mut Value), &'static str);
+type Case = (&'static str, fn(&mut RawHierarchy), &'static str);
 
 /// The four hierarchy defects.
 fn cases() -> [Case; 4] {
     [
         (
             "out-of-range assignment",
-            |h| {
-                let coarsest = partition(h, 2, "left");
-                *item(field(coarsest, "assignment"), 0) = uint_value(4_000_000_000);
-            },
+            |h| h[2][0].assignment[0] = 4_000_000_000,
             "block id 4000000000 out of range",
         ),
         (
@@ -172,28 +165,10 @@ fn cases() -> [Case; 4] {
         ),
         (
             "partition on the wrong side",
-            |h| *field(partition(h, 0, "left"), "side") = Value::Str("Right".to_string()),
+            |h| h[0][0].side = 1,
             "left partition is not Side::Left",
         ),
     ]
-}
-
-#[test]
-fn each_doctored_hierarchy_is_a_typed_read_json_refusal() {
-    let a = artifact(1);
-    // The doctoring itself is faithful: an unedited document re-digests
-    // to the sealed value and loads.
-    let untouched = doctored_json(&a, |_| {});
-    assert_eq!(ReleaseArtifact::read_json(untouched.as_bytes()).unwrap(), a);
-    for (name, edit, expected) in cases() {
-        let json = doctored_json(&a, edit);
-        match ReleaseArtifact::read_json(json.as_bytes()) {
-            Err(CoreError::Graph(GraphError::Json(message))) => {
-                assert!(message.contains(expected), "{name}: {message}");
-            }
-            other => panic!("{name}: expected a typed JSON refusal, got {other:?}"),
-        }
-    }
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -201,6 +176,30 @@ fn fresh_dir(tag: &str) -> PathBuf {
     let _ = fs::remove_dir_all(&dir);
     fs::create_dir_all(&dir).unwrap();
     dir
+}
+
+#[test]
+fn each_doctored_hierarchy_is_a_typed_load_refusal() {
+    let a = artifact(1);
+    let dir = fresh_dir("load");
+    // The doctoring itself is faithful: an unedited file re-digests to
+    // the sealed values and loads.
+    let path = dir.join(ReleaseArtifact::canonical_file_name("doctored", 1));
+    let untouched = doctored_gda(&a, |_| {});
+    assert_eq!(untouched, codec::encode(&a).unwrap());
+    fs::write(&path, untouched).unwrap();
+    assert_eq!(ReleaseArtifact::load(&path).unwrap(), a);
+    for (name, edit, expected) in cases() {
+        fs::write(&path, doctored_gda(&a, edit)).unwrap();
+        match ReleaseArtifact::load(&path) {
+            Err(err) => {
+                let message = err.to_string();
+                assert!(message.contains(expected), "{name}: {message}");
+            }
+            Ok(_) => panic!("{name}: a doctored hierarchy loaded"),
+        }
+    }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
@@ -213,7 +212,7 @@ fn a_store_scan_quarantines_each_doctored_file_and_serves_the_rest() {
             .unwrap();
         fs::write(
             dir.join(ReleaseArtifact::canonical_file_name("doctored", 2)),
-            doctored_json(&target, edit),
+            doctored_gda(&target, edit),
         )
         .unwrap();
 

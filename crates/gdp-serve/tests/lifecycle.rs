@@ -8,12 +8,13 @@
 
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use gdp_core::{
     CoreError, DisclosureConfig, MultiLevelDiscloser, Query, ReleaseArtifact, SpecializationConfig,
     Specializer,
 };
-use gdp_graph::{GraphBuilder, LeftId, RightId, Side};
+use gdp_graph::{GraphBuilder, GraphError, LeftId, RightId, Side};
 use gdp_serve::lifecycle::QUARANTINE_DIR;
 use gdp_serve::{
     AnswerService, FileOutcome, IndexedRelease, Query as ServeQuery, ReleaseStore, RetentionPolicy,
@@ -22,7 +23,7 @@ use gdp_serve::{
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// A deliberately tiny sealed artifact (~4 KB of JSON) so the
+/// A deliberately tiny sealed artifact (a few KB encoded) so the
 /// every-byte truncation sweep stays fast.
 fn artifact(dataset: &str, epoch: u64, seed: u64) -> ReleaseArtifact {
     let mut rng = StdRng::seed_from_u64(seed);
@@ -53,10 +54,8 @@ fn artifact(dataset: &str, epoch: u64, seed: u64) -> ReleaseArtifact {
     ReleaseArtifact::seal(dataset, epoch, hierarchy, release).unwrap()
 }
 
-fn rendered(a: &ReleaseArtifact) -> String {
-    let mut buf = Vec::new();
-    a.write_json(&mut buf).unwrap();
-    String::from_utf8(buf).unwrap()
+fn encoded(a: &ReleaseArtifact) -> Vec<u8> {
+    gdp_core::codec::encode(a).unwrap()
 }
 
 fn fresh_dir(tag: &str) -> PathBuf {
@@ -91,51 +90,46 @@ fn coarse_total(service: &AnswerService, dataset: &str, epoch: u64, levels: usiz
 
 #[test]
 fn torn_write_truncation_sweep_is_typed_never_panics() {
-    let a = artifact("torn", 1, 11);
-    let text = rendered(&a);
-    let full = text.trim_end();
-    for cut in 0..=text.len() {
-        let prefix = &text[..cut];
-        match ReleaseArtifact::read_json(prefix.as_bytes()) {
-            Ok(back) => {
-                // Only a cut that merely shaves trailing whitespace can
-                // still parse — and then it must be lossless.
-                assert_eq!(prefix.trim_end(), full, "cut {cut} parsed unexpectedly");
-                assert_eq!(back, a);
-            }
-            Err(
-                CoreError::Graph(_) | CoreError::Artifact(_) | CoreError::ChecksumMismatch { .. },
-            ) => {}
+    // Every prefix of a published file, loaded from disk the way a
+    // store or `gdp answer --artifact` loads it.
+    let dir = fresh_dir("torn-sweep");
+    let bytes = encoded(&artifact("torn", 1, 11));
+    let path = dir.join("torn-e1.gda");
+    for cut in 0..bytes.len() {
+        fs::write(&path, &bytes[..cut]).unwrap();
+        match ReleaseArtifact::load(&path) {
+            Ok(_) => panic!("cut {cut} loaded a torn file"),
+            Err(CoreError::Graph(GraphError::Binary { .. })) => {}
             Err(other) => panic!("cut {cut}: unexpected error class: {other}"),
         }
     }
+    fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn torn_writes_on_disk_are_quarantined() {
     let a = artifact("torn", 1, 12);
-    let text = rendered(&a);
-    // A spread of truncation points, including deep cuts that leave
-    // valid JSON prefixes of the payload (checksum territory).
+    let bytes = encoded(&a);
+    // A spread of truncation points, from the header to one byte short.
     let cuts = [
         1,
-        text.len() / 4,
-        text.len() / 2,
-        3 * text.len() / 4,
-        text.len() - 2,
+        bytes.len() / 4,
+        bytes.len() / 2,
+        3 * bytes.len() / 4,
+        bytes.len() - 2,
     ];
     for cut in cuts {
         let dir = fresh_dir(&format!("torn-disk-{cut}"));
-        fs::write(dir.join("torn-e1.json"), &text[..cut]).unwrap();
+        fs::write(dir.join("torn-e1.gda"), &bytes[..cut]).unwrap();
         let (store, report) = ReleaseStore::open_dir_report(&dir).unwrap();
         assert_eq!(store.len(), 0, "cut {cut} must not serve");
         assert_eq!(report.quarantined(), 1, "cut {cut}: {}", report.summary());
         assert!(
-            !dir.join("torn-e1.json").exists(),
+            !dir.join("torn-e1.gda").exists(),
             "cut {cut}: torn file must be moved out of the scan path"
         );
         assert!(
-            dir.join(QUARANTINE_DIR).join("torn-e1.json").exists(),
+            dir.join(QUARANTINE_DIR).join("torn-e1.gda").exists(),
             "cut {cut}: quarantine must capture the bytes"
         );
         fs::remove_dir_all(&dir).unwrap();
@@ -160,24 +154,24 @@ fn crash_sim_kill_mid_publish_serves_committed_epochs_bit_identically() {
     // Kill-mid-publish, variant A: the process died before the rename,
     // leaving staged `*.tmp` debris of epoch 3.
     let a3 = artifact("weekly", 3, 23);
-    let t3 = rendered(&a3);
-    fs::write(dir.join("weekly-e3.json.tmp"), &t3[..t3.len() / 2]).unwrap();
+    let t3 = encoded(&a3);
+    fs::write(dir.join("weekly-e3.gda.tmp"), &t3[..t3.len() / 2]).unwrap();
     // Variant B: a torn write that did reach the final path (a
     // pre-atomic-discipline publisher, or storage that lied about
     // durability) for epoch 4.
     let a4 = artifact("weekly", 4, 24);
-    let t4 = rendered(&a4);
-    fs::write(dir.join("weekly-e4.json"), &t4[..(2 * t4.len()) / 3]).unwrap();
+    let t4 = encoded(&a4);
+    fs::write(dir.join("weekly-e4.gda"), &t4[..(2 * t4.len()) / 3]).unwrap();
 
     let (store, report) = ReleaseStore::open_dir_report(&dir).unwrap();
     // Both partials quarantined, nothing else disturbed.
     assert_eq!(report.quarantined(), 2, "{}", report.summary());
     assert_eq!(report.loaded(), 2, "{}", report.summary());
     assert_eq!(store.epochs("weekly"), vec![1, 2]);
-    assert!(dir.join(QUARANTINE_DIR).join("weekly-e3.json.tmp").exists());
-    assert!(dir.join(QUARANTINE_DIR).join("weekly-e4.json").exists());
-    assert!(!dir.join("weekly-e3.json.tmp").exists());
-    assert!(!dir.join("weekly-e4.json").exists());
+    assert!(dir.join(QUARANTINE_DIR).join("weekly-e3.gda.tmp").exists());
+    assert!(dir.join(QUARANTINE_DIR).join("weekly-e4.gda").exists());
+    assert!(!dir.join("weekly-e3.gda.tmp").exists());
+    assert!(!dir.join("weekly-e4.gda").exists());
 
     // Committed epochs are byte-for-byte what was published…
     assert_eq!(*store.get("weekly", 1).unwrap().artifact(), a1);
@@ -203,12 +197,17 @@ fn crash_sim_kill_mid_publish_serves_committed_epochs_bit_identically() {
 #[test]
 fn strict_open_dir_skips_strays_and_report_notes_them() {
     let dir = fresh_dir("strays");
-    publish_into(&dir, &artifact("d", 1, 31));
-    fs::create_dir_all(dir.join("not-an-artifact.json")).unwrap(); // subdir with .json name
-    fs::write(dir.join(".hidden-artifact.json"), "{").unwrap();
-    fs::write(dir.join("d-e1.json~"), "backup").unwrap();
-    fs::write(dir.join("d-e1.json.bak"), "backup").unwrap();
+    let a = artifact("d", 1, 31);
+    publish_into(&dir, &a);
+    fs::create_dir_all(dir.join("not-an-artifact.gda")).unwrap(); // subdir with .gda name
+    fs::write(dir.join(".hidden-artifact.gda"), "x").unwrap();
+    fs::write(dir.join("d-e1.gda~"), "backup").unwrap();
+    fs::write(dir.join("d-e1.gda.bak"), "backup").unwrap();
     fs::write(dir.join("notes.txt"), "operator notes").unwrap();
+    // A JSON export next to the artifact it came from (`gdp convert`).
+    let mut export = Vec::new();
+    gdp_graph::io::write_json(&a, &mut export).unwrap();
+    fs::write(dir.join("d-e1.json"), &export).unwrap();
 
     // Strict open no longer chokes on any of these.
     let store = ReleaseStore::open_dir(&dir).unwrap();
@@ -219,7 +218,7 @@ fn strict_open_dir_skips_strays_and_report_notes_them() {
     let (_, report) = ReleaseStore::open_dir_report(&dir).unwrap();
     assert_eq!(report.loaded(), 1);
     assert_eq!(report.quarantined(), 0);
-    assert_eq!(report.strays(), 5, "{}", report.summary());
+    assert_eq!(report.strays(), 6, "{}", report.summary());
     let notes: Vec<&str> = report
         .outcomes
         .iter()
@@ -231,31 +230,32 @@ fn strict_open_dir_skips_strays_and_report_notes_them() {
     assert!(notes.contains(&"directory"), "{notes:?}");
     assert!(notes.contains(&"hidden file"), "{notes:?}");
     assert!(notes.contains(&"editor backup"), "{notes:?}");
+    assert!(notes.contains(&"not an artifact file (.gda)"), "{notes:?}");
     assert!(
-        notes.contains(&"not an artifact file (.json/.gda)"),
+        notes
+            .iter()
+            .any(|n| n.contains("JSON is an export, not served")),
         "{notes:?}"
     );
+    // A stray is skipped, never quarantined: the export stays in place.
+    assert_eq!(fs::read(dir.join("d-e1.json")).unwrap(), export);
     fs::remove_dir_all(&dir).unwrap();
 }
 
 #[test]
 fn strict_open_dir_still_types_checksum_corruption() {
     let dir = fresh_dir("strict-checksum");
-    let text = rendered(&artifact("d", 1, 32));
-    // Flip a payload digit; the JSON stays well-formed and the manifest
-    // still matches the payload's shape, so only the digest catches it.
-    let needle = "\"noise_scale\": ";
-    let pos = text.find(needle).unwrap() + needle.len();
-    let digit = text[pos..].chars().next().unwrap();
-    let flipped = if digit == '9' { '8' } else { '9' };
-    let mut doctored = text.clone();
-    doctored.replace_range(pos..pos + 1, &flipped.to_string());
-    assert_ne!(doctored, text);
-    fs::write(dir.join("d-e1.json"), &doctored).unwrap();
+    let mut bytes = encoded(&artifact("d", 1, 32));
+    // Flip a bit of the last noisy value; the manifest still matches
+    // the payload's shape, so only the container digest catches it.
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0x01;
+    fs::write(dir.join("d-e1.gda"), &bytes).unwrap();
 
     let err = ReleaseStore::open_dir(&dir).unwrap_err();
     assert!(
-        matches!(err, ServeError::Core(CoreError::ChecksumMismatch { .. })),
+        matches!(&err, ServeError::Core(CoreError::Graph(GraphError::Binary { message, .. }))
+            if message.contains("digest mismatch")),
         "{err}"
     );
     // Degraded open quarantines it with the same reason.
@@ -265,7 +265,7 @@ fn strict_open_dir_still_types_checksum_corruption() {
     let FileOutcome::Quarantined { reason, .. } = &report.outcomes[0] else {
         panic!("expected a quarantine outcome: {report:?}");
     };
-    assert!(reason.contains("checksum mismatch"), "{reason}");
+    assert!(reason.contains("digest mismatch"), "{reason}");
     fs::remove_dir_all(&dir).unwrap();
 }
 
@@ -287,15 +287,15 @@ fn merge_dir_hot_reloads_new_epochs_and_retires_deleted_ones() {
     assert_eq!(*store.get("d", 2).unwrap().artifact(), a2);
 
     // An in-flight atomic publish is left alone by a live re-scan.
-    fs::write(dir.join("d-e9.json.tmp"), "half-written").unwrap();
+    fs::write(dir.join("d-e9.gda.tmp"), "half-written").unwrap();
     let report = store.merge_dir(&dir).unwrap();
     assert_eq!(report.quarantined(), 0, "{}", report.summary());
-    assert!(dir.join("d-e9.json.tmp").exists(), "live tmp must survive");
+    assert!(dir.join("d-e9.gda.tmp").exists(), "live tmp must survive");
     assert!(report.outcomes.iter().any(|o| matches!(
         o,
         FileOutcome::Stray { note, .. } if note.contains("in flight")
     )));
-    fs::remove_file(dir.join("d-e9.json.tmp")).unwrap();
+    fs::remove_file(dir.join("d-e9.gda.tmp")).unwrap();
 
     // Deleting a backing file (e.g. an external `gdp gc`) retires the
     // epoch on the next merge: typed 404, not stale serving.
@@ -405,15 +405,66 @@ fn gc_honors_dataset_filter_and_memory_only_entries() {
 #[test]
 fn quarantine_preserves_colliding_names() {
     let dir = fresh_dir("quarantine-collide");
-    fs::write(dir.join("d-e1.json"), "{torn").unwrap();
+    fs::write(dir.join("d-e1.gda"), "{torn").unwrap();
     let (_, report) = ReleaseStore::open_dir_report(&dir).unwrap();
     assert_eq!(report.quarantined(), 1);
     // Same damaged name appears again (republish also crashed).
-    fs::write(dir.join("d-e1.json"), "{torn again").unwrap();
+    fs::write(dir.join("d-e1.gda"), "{torn again").unwrap();
     let (_, report) = ReleaseStore::open_dir_report(&dir).unwrap();
     assert_eq!(report.quarantined(), 1);
     let qdir = dir.join(QUARANTINE_DIR);
-    assert!(qdir.join("d-e1.json").exists());
-    assert!(qdir.join("d-e1.json.1").exists(), "second capture suffixed");
+    assert!(qdir.join("d-e1.gda").exists());
+    assert!(qdir.join("d-e1.gda.1").exists(), "second capture suffixed");
+    fs::remove_dir_all(&dir).unwrap();
+}
+
+#[test]
+fn idle_merge_skips_unchanged_files_and_rereads_touched_ones() {
+    let dir = fresh_dir("idle");
+    let a = artifact("d", 1, 91);
+    let path = publish_into(&dir, &a);
+    let (store, _) = ReleaseStore::open_dir_report(&dir).unwrap();
+
+    // Garble the registered file's bytes but restore its length and
+    // mtime: an idle re-scan trusts the stamp and does not read it.
+    let modified = fs::metadata(&path).unwrap().modified().unwrap();
+    let mut bytes = fs::read(&path).unwrap();
+    let middle = bytes.len() / 2;
+    bytes[middle] ^= 0xff;
+    fs::write(&path, &bytes).unwrap();
+    let set_mtime = |to| {
+        fs::File::options()
+            .write(true)
+            .open(&path)
+            .unwrap()
+            .set_modified(to)
+            .unwrap()
+    };
+    set_mtime(modified);
+    let report = store.merge_dir(&dir).unwrap();
+    assert_eq!(report.already_registered(), 1, "{}", report.summary());
+    assert_eq!(
+        report.quarantined() + report.retired(),
+        0,
+        "{}",
+        report.summary()
+    );
+    assert_eq!(*store.get("d", 1).unwrap().artifact(), a);
+    // A fresh open still reads everything, so it catches the bit rot.
+    assert!(matches!(
+        ReleaseStore::open_dir(&dir).unwrap_err(),
+        ServeError::Core(CoreError::Graph(GraphError::Binary { .. }))
+    ));
+
+    // A new mtime makes the next re-scan read the file: it is
+    // quarantined, and the validated in-memory epoch keeps serving.
+    set_mtime(modified + Duration::from_secs(1));
+    let report = store.merge_dir(&dir).unwrap();
+    assert_eq!(report.quarantined(), 1, "{}", report.summary());
+    assert!(dir.join(QUARANTINE_DIR).join("d-e1.gda").exists());
+    assert_eq!(*store.get("d", 1).unwrap().artifact(), a);
+    let report = store.merge_dir(&dir).unwrap();
+    assert_eq!(report.retired(), 0, "{}", report.summary());
+    assert_eq!(store.epochs("d"), vec![1]);
     fs::remove_dir_all(&dir).unwrap();
 }

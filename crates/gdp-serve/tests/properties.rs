@@ -120,8 +120,8 @@ proptest! {
         let (hierarchy, release) = published(&graph, rounds, seed);
         let artifact = ReleaseArtifact::seal("prop", epoch, hierarchy, release).unwrap();
         let mut buf = Vec::new();
-        artifact.write_json(&mut buf).unwrap();
-        let loaded = ReleaseArtifact::read_json(buf.as_slice()).unwrap();
+        artifact.write_binary(&mut buf).unwrap();
+        let loaded = ReleaseArtifact::read_binary(buf.as_slice()).unwrap();
         prop_assert_eq!(&artifact, &loaded);
 
         // Equal artifacts must answer identically through the service.

@@ -14,7 +14,8 @@
 //! ```
 //!
 //! **Expected output:** the artifact manifest summary after a save→load
-//! round trip (schema v1, byte count, level/group shape), then one
+//! round trip through a `.gda` file (schema v5, byte count, level/group
+//! shape), then one
 //! four-author subset query answered at the finest level each privilege
 //! may read. Full clearance reads level 0 (full resolution, but four
 //! singleton groups' worth of noise lands on this tiny subset);
@@ -60,11 +61,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ]);
     let artifact = session.publish(&config, "dblp-weekly", 1, &mut rng)?;
 
-    // The artifact is the on-disk product: save, then serve from the
-    // loaded copy (lossless by construction — pinned by property tests).
-    let mut bytes = Vec::new();
-    artifact.write_json(&mut bytes)?;
-    let loaded = ReleaseArtifact::read_json(bytes.as_slice())?;
+    // The artifact is the on-disk product: save it as a `.gda` file,
+    // then serve from the loaded copy (lossless by construction —
+    // pinned by property tests).
+    let dir = std::env::temp_dir().join(format!("gdp-serving-example-{}", std::process::id()));
+    std::fs::create_dir_all(&dir)?;
+    let path = dir.join(ReleaseArtifact::canonical_file_name("dblp-weekly", 1));
+    artifact.save_atomic(&path)?;
+    let bytes = std::fs::metadata(&path)?.len();
+    let loaded = ReleaseArtifact::load(&path)?;
+    std::fs::remove_dir_all(&dir)?;
     assert_eq!(artifact, loaded);
     let manifest = loaded.manifest();
     println!(
@@ -72,7 +78,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         manifest.dataset,
         manifest.epoch,
         manifest.schema_version,
-        bytes.len(),
+        bytes,
         manifest.level_count,
         manifest.group_counts.first().unwrap(),
         manifest.group_counts.last().unwrap(),

@@ -5,8 +5,7 @@
 //! over-budget epoch 2 to be refused with the typed
 //! `BudgetExhausted` error while the session and the store stay intact.
 //! The cumulative cross-epoch ledger must be stamped into every
-//! manifest and must survive both on-disk encodings (see
-//! `docs/epochs.md`).
+//! manifest and must survive the `.gda` codec (see `docs/epochs.md`).
 
 use group_dp::core::{
     ArtifactFormat, CoreError, DisclosureConfig, DisclosureSession, Privilege, Query,
@@ -41,9 +40,9 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
     let total = PrivacyBudget::new(1.0, 2e-6).unwrap();
     let mut session = DisclosureSession::new(graph.clone(), hierarchy, total);
 
-    // Epoch 0: full publish, JSON encoding.
+    // Epoch 0: full publish.
     let (a0, p0) = session
-        .publish_to_dir_as(&config, "chain", 0, &dir, ArtifactFormat::Json, &mut rng)
+        .publish_to_dir_as(&config, "chain", 0, &dir, ArtifactFormat::Binary, &mut rng)
         .unwrap();
     let l0 = a0.manifest().ledger.as_ref().expect("ledger stamped");
     assert_eq!(l0.releases, 1);
@@ -52,8 +51,7 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
     assert!((l0.total_epsilon - 1.0).abs() < 1e-12);
 
     // Epoch 1: incremental publish from a delta (drop the first two
-    // edges, add two absent pairs), binary encoding — the ledger block
-    // must survive the `.gda` codec too.
+    // edges, add two absent pairs).
     let deletes: Vec<_> = graph.edges().take(2).collect();
     let mut inserts = Vec::new();
     for l in 0..graph.left_count() {
@@ -77,8 +75,9 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
         .unwrap();
     assert_eq!(a1.epoch(), 1);
     // The published artifacts share the session's hierarchy, whose
-    // content-digest memo sealing filled; a reload carries its own (JSON)
-    // or none (`.gda`). Equality sees only the levels.
+    // content-digest memo sealing filled; a `.gda` reload carries none.
+    // Equality sees only the levels, and the ledger block survives the
+    // codec.
     for (published, path) in [(&a0, &p0), (&a1, &p1)] {
         assert_eq!(&ReleaseArtifact::load(path).unwrap(), published);
     }
@@ -98,7 +97,7 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
             "chain",
             &EdgeDelta::empty(),
             &dir,
-            ArtifactFormat::Json,
+            ArtifactFormat::Binary,
             &mut rng,
         )
         .unwrap_err();
@@ -112,7 +111,7 @@ fn epoch_chain_publishes_serves_and_enforces_the_ledger() {
     assert_eq!(session.last_published(), Some(("chain", 1)));
     assert_eq!(session.graph(), &graph_before);
 
-    // Serve both epochs back from the mixed-format store.
+    // Serve both epochs back from the directory store.
     let store = ReleaseStore::open_dir(&dir).unwrap();
     assert_eq!(store.epochs("chain"), vec![0, 1]);
     let service = AnswerService::new(store);

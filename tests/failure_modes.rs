@@ -153,7 +153,7 @@ fn error_chains_preserve_sources() {
 
 /// `ReleaseStore::open_dir` error paths: every way a scanned artifact
 /// directory can be bad is a typed `ServeError` naming the defect —
-/// corrupt JSON, a foreign schema version, a duplicate
+/// a corrupt file, a foreign schema version, a duplicate
 /// `(dataset, epoch)`, an empty directory — and a failed scan leaves
 /// no half-built store behind (the constructor returns `Err`, not a
 /// store missing entries).
@@ -185,9 +185,7 @@ fn release_store_directory_scan_failures_are_typed() {
         ReleaseArtifact::seal(dataset, epoch, hierarchy, release).unwrap()
     };
     let write = |sub: &std::path::Path, name: &str, artifact: &ReleaseArtifact| {
-        let mut buf = Vec::new();
-        artifact.write_json(&mut buf).unwrap();
-        std::fs::write(sub.join(name), buf).unwrap();
+        artifact.save_atomic(sub.join(name)).unwrap();
     };
 
     // Empty directory: a wrong path should not masquerade as an empty
@@ -197,50 +195,61 @@ fn release_store_directory_scan_failures_are_typed() {
         ReleaseStore::open_dir(&sub).unwrap_err(),
         ServeError::EmptyDirectory { .. }
     ));
-    // Non-JSON files alone do not make the directory non-empty.
+    // Non-artifact files alone do not make the directory non-empty,
+    // and neither does a JSON export.
     std::fs::write(sub.join("notes.txt"), "hello").unwrap();
+    let mut export = Vec::new();
+    graph_io::write_json(&artifact("dblp", 1), &mut export).unwrap();
+    std::fs::write(sub.join("dblp-e1.json"), export).unwrap();
     assert!(matches!(
         ReleaseStore::open_dir(&sub).unwrap_err(),
         ServeError::EmptyDirectory { .. }
     ));
 
-    // Corrupt JSON: typed as a graph-layer JSON error.
+    // A corrupt container: typed as a graph-layer binary-format error.
     let sub = fresh("corrupt");
-    write(&sub, "good.json", &artifact("dblp", 1));
-    std::fs::write(sub.join("bad.json"), "{ this is not json").unwrap();
+    write(&sub, "good.gda", &artifact("dblp", 1));
+    std::fs::write(sub.join("bad.gda"), "{ this is not a container").unwrap();
     assert!(matches!(
         ReleaseStore::open_dir(&sub).unwrap_err(),
-        ServeError::Core(CoreError::Graph(GraphError::Json(_)))
+        ServeError::Core(CoreError::Graph(GraphError::Binary { .. }))
     ));
 
-    // Foreign schema version: refused by variant, naming the file and
-    // both versions, before any payload interpretation.
+    // Foreign schema version: the decoder refuses it naming both
+    // versions, before it interprets another manifest byte. The
+    // version is the manifest section's first field, and the container
+    // digest is recomputed over the edit (XXH64 is a checksum, not a
+    // MAC), so only the version check stands in the way.
     let sub = fresh("schema");
-    let mut buf = Vec::new();
-    artifact("dblp", 1).write_json(&mut buf).unwrap();
-    let doctored = String::from_utf8(buf).unwrap().replacen(
-        "\"schema_version\": 5",
-        "\"schema_version\": 99",
-        1,
-    );
-    std::fs::write(sub.join("future.json"), doctored).unwrap();
+    let mut bytes = group_dp::core::codec::encode(&artifact("dblp", 1)).unwrap();
+    let manifest_at = {
+        let sections = group_dp::graph::binfmt::read_container(&bytes).unwrap();
+        let (_, manifest) = sections
+            .into_iter()
+            .find(|&(tag, _)| tag == group_dp::core::codec::SECTION_MANIFEST)
+            .unwrap();
+        manifest.as_ptr() as usize - bytes.as_ptr() as usize
+    };
+    bytes[manifest_at..manifest_at + 4].copy_from_slice(&99u32.to_le_bytes());
+    let digest = graph_io::xxh64(&[&bytes[..16], &bytes[24..]].concat());
+    bytes[16..24].copy_from_slice(&digest.to_le_bytes());
+    std::fs::write(sub.join("future.gda"), bytes).unwrap();
     match ReleaseStore::open_dir(&sub).unwrap_err() {
-        ServeError::SchemaVersion {
-            path,
-            found,
-            supported,
-        } => {
-            assert!(path.contains("future.json"));
-            assert_eq!(found, 99);
-            assert_eq!(supported, group_dp::core::ARTIFACT_SCHEMA_VERSION);
+        ServeError::Core(CoreError::Artifact(message)) => {
+            let supported = group_dp::core::ARTIFACT_SCHEMA_VERSION;
+            assert!(message.contains("schema version 99"), "{message}");
+            assert!(
+                message.contains(&format!("reads version {supported}")),
+                "{message}"
+            );
         }
         other => panic!("wrong error: {other}"),
     }
 
     // Duplicate (dataset, epoch) across two files: refused by variant.
     let sub = fresh("duplicate");
-    write(&sub, "a.json", &artifact("dblp", 3));
-    write(&sub, "b.json", &artifact("dblp", 3));
+    write(&sub, "a.gda", &artifact("dblp", 3));
+    write(&sub, "b.gda", &artifact("dblp", 3));
     assert!(matches!(
         ReleaseStore::open_dir(&sub).unwrap_err(),
         ServeError::DuplicateRelease { epoch: 3, .. }
@@ -248,8 +257,8 @@ fn release_store_directory_scan_failures_are_typed() {
 
     // Control: the same artifacts under distinct keys scan fine.
     let sub = fresh("ok");
-    write(&sub, "a.json", &artifact("dblp", 3));
-    write(&sub, "b.json", &artifact("dblp", 4));
+    write(&sub, "a.gda", &artifact("dblp", 3));
+    write(&sub, "b.gda", &artifact("dblp", 4));
     let store = ReleaseStore::open_dir(&sub).unwrap();
     assert_eq!(store.epochs("dblp"), vec![3, 4]);
 
@@ -288,28 +297,26 @@ fn release_store_survives_damaged_and_mutating_directories() {
         ReleaseArtifact::seal(dataset, epoch, hierarchy, release).unwrap()
     };
     let rendered = |dataset: &str, epoch: u64| -> Vec<u8> {
-        let mut buf = Vec::new();
-        artifact(dataset, epoch).write_json(&mut buf).unwrap();
-        buf
+        group_dp::core::codec::encode(&artifact(dataset, epoch)).unwrap()
     };
 
-    // A torn write: a valid document truncated mid-payload is a typed
-    // JSON error, never a partially-loaded release.
+    // A torn write: a valid container truncated mid-payload is a typed
+    // binary-format error, never a partially-loaded release.
     let sub = fresh("truncated");
     let good = rendered("dblp", 1);
-    std::fs::write(sub.join("torn.json"), &good[..good.len() / 2]).unwrap();
+    std::fs::write(sub.join("torn.gda"), &good[..good.len() / 2]).unwrap();
     assert!(matches!(
         ReleaseStore::open_dir(&sub).unwrap_err(),
-        ServeError::Core(CoreError::Graph(GraphError::Json(_)))
+        ServeError::Core(CoreError::Graph(GraphError::Binary { .. }))
     ));
 
     // A zero-byte file (e.g. a crashed publisher that opened but never
     // wrote): same typed refusal.
     let sub = fresh("zero-byte");
-    std::fs::write(sub.join("empty.json"), b"").unwrap();
+    std::fs::write(sub.join("empty.gda"), b"").unwrap();
     assert!(matches!(
         ReleaseStore::open_dir(&sub).unwrap_err(),
-        ServeError::Core(CoreError::Graph(GraphError::Json(_)))
+        ServeError::Core(CoreError::Graph(GraphError::Binary { .. }))
     ));
 
     // An unreadable entry is an I/O error naming the failure, not a
@@ -319,20 +326,20 @@ fn release_store_survives_damaged_and_mutating_directories() {
     {
         use std::os::unix::fs::PermissionsExt;
         let sub = fresh("unreadable");
-        std::fs::write(sub.join("locked.json"), &good).unwrap();
+        std::fs::write(sub.join("locked.gda"), &good).unwrap();
         std::fs::set_permissions(
-            sub.join("locked.json"),
+            sub.join("locked.gda"),
             std::fs::Permissions::from_mode(0o000),
         )
         .unwrap();
-        if std::fs::read(sub.join("locked.json")).is_err() {
+        if std::fs::read(sub.join("locked.gda")).is_err() {
             assert!(matches!(
                 ReleaseStore::open_dir(&sub).unwrap_err(),
                 ServeError::Core(CoreError::Graph(GraphError::Io(_)))
             ));
         }
         std::fs::set_permissions(
-            sub.join("locked.json"),
+            sub.join("locked.gda"),
             std::fs::Permissions::from_mode(0o644),
         )
         .unwrap();
@@ -342,11 +349,11 @@ fn release_store_survives_damaged_and_mutating_directories() {
     // corrupting) the files between the scan and the first lookup must
     // not matter: the store answers from memory, not the directory.
     let sub = fresh("mutated");
-    std::fs::write(sub.join("a.json"), rendered("dblp", 3)).unwrap();
-    std::fs::write(sub.join("b.json"), rendered("dblp", 4)).unwrap();
+    std::fs::write(sub.join("a.gda"), rendered("dblp", 3)).unwrap();
+    std::fs::write(sub.join("b.gda"), rendered("dblp", 4)).unwrap();
     let store = ReleaseStore::open_dir(&sub).unwrap();
-    std::fs::write(sub.join("a.json"), "{ vandalized").unwrap();
-    std::fs::remove_file(sub.join("b.json")).unwrap();
+    std::fs::write(sub.join("a.gda"), "{ vandalized").unwrap();
+    std::fs::remove_file(sub.join("b.gda")).unwrap();
     for epoch in [3, 4] {
         let indexed = store.get("dblp", epoch).unwrap();
         let answer = indexed
