@@ -90,9 +90,10 @@
 //! The `epoch_zipf_1m` entry times one epoch's in-memory work on the
 //! same Zipf graph and its hierarchy, as `publish_next` does it: a 1%
 //! churn delta rolled through the cached statistics, the release
-//! disclosed from them, and the artifact sealed. It has one arm and no
-//! gate; it uses only public APIs, so the same entry runs on older
-//! trees for a before/after figure.
+//! disclosed from them, and the artifact sealed — then encoded and
+//! saved with an fsync'd atomic write, with the file's size. It has one
+//! arm and no gate; it uses only public APIs, so the same entry runs on
+//! older trees for a before/after figure.
 //!
 //! The `zipf_sampler` entry times 1M draws from a 1M-rank Zipf sampler
 //! (exponent 1.15) two ways from the same seed: `ZipfSampler::sample`
@@ -245,7 +246,12 @@ struct SealComparison {
 /// `HierarchyStats::apply_delta`, the left-degree histogram plus
 /// `disclose_from_stats`, and `ReleaseArtifact::seal` over the shared
 /// hierarchy. Each step keeps its best of at least five reps, and
-/// `epoch_ms` the best sum; an untimed warm-up rep comes first.
+/// `epoch_ms` the best sum of those three; an untimed warm-up rep comes
+/// first. The sealed epoch is then written as a publish writes it:
+/// `encode_ms` times `codec::encode`, and `save_ms` times
+/// `ReleaseArtifact::save_atomic` (its own encode, then the fsync'd
+/// temp-file write and rename) into the system temp directory;
+/// `artifact_bytes` is the file's size.
 #[derive(Debug, Serialize)]
 struct EpochEntry {
     edges: u64,
@@ -256,6 +262,9 @@ struct EpochEntry {
     disclose_ms: f64,
     seal_ms: f64,
     epoch_ms: f64,
+    encode_ms: f64,
+    save_ms: f64,
+    artifact_bytes: u64,
 }
 
 /// The edge-list measurement: the text form of the seal fixture's
@@ -807,8 +816,11 @@ fn epoch_entry(
             ]),
     );
 
+    let dir = std::env::temp_dir().join(format!("gdp-bench-epoch-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join(ReleaseArtifact::canonical_file_name("bench-epoch", 2));
     let mut stats = HierarchyStats::compute(graph, &hierarchy).expect("stats compute succeeds");
-    let mut best = [f64::INFINITY; 4];
+    let mut best = [f64::INFINITY; 6];
     let mut sealed_digest = None;
     for rep in 0..=reps.max(5) {
         let t = Instant::now();
@@ -831,6 +843,12 @@ fn epoch_entry(
         let artifact = ReleaseArtifact::seal("bench-epoch", 2, Arc::clone(&hierarchy), release)
             .expect("artifact seals");
         let seal_ms = elapsed_ms(t);
+        let t = Instant::now();
+        std::hint::black_box(gdp_core::codec::encode(&artifact).expect("artifact encodes"));
+        let encode_ms = elapsed_ms(t);
+        let t = Instant::now();
+        artifact.save_atomic(&path).expect("save");
+        let save_ms = elapsed_ms(t);
         let digest = artifact.manifest().content_digest;
         assert_eq!(
             *sealed_digest.get_or_insert(digest),
@@ -846,12 +864,16 @@ fn epoch_entry(
                 disclose_ms,
                 seal_ms,
                 stats_ms + disclose_ms + seal_ms,
+                encode_ms,
+                save_ms,
             ];
             for (b, t) in best.iter_mut().zip(times) {
                 *b = b.min(t);
             }
         }
     }
+    let artifact_bytes = std::fs::metadata(&path).expect("stat").len();
+    std::fs::remove_dir_all(&dir).ok();
     EpochEntry {
         edges: graph.edge_count(),
         levels: hierarchy.level_count(),
@@ -861,6 +883,9 @@ fn epoch_entry(
         disclose_ms: best[1],
         seal_ms: best[2],
         epoch_ms: best[3],
+        encode_ms: best[4],
+        save_ms: best[5],
+        artifact_bytes,
     }
 }
 
@@ -1721,16 +1746,20 @@ fn main() {
     );
 
     eprintln!(
-        "measuring one 1% epoch in memory: stats delta, disclose, seal (1M-edge Zipf graph)…"
+        "measuring one 1% epoch: stats delta, disclose, seal, encode, save (1M-edge Zipf graph)…"
     );
     let epoch_zipf_1m = epoch_entry(&zipf_1m, zipf_artifact.hierarchy().clone(), seed, reps);
     drop(zipf_artifact);
     eprintln!(
-        "  stats {:.1} ms  disclose {:.1} ms  seal {:.1} ms  epoch {:.1} ms",
+        "  stats {:.1} ms  disclose {:.1} ms  seal {:.1} ms  epoch {:.1} ms  \
+         encode {:.1} ms  save {:.1} ms  ({} bytes)",
         epoch_zipf_1m.stats_ms,
         epoch_zipf_1m.disclose_ms,
         epoch_zipf_1m.seal_ms,
-        epoch_zipf_1m.epoch_ms
+        epoch_zipf_1m.epoch_ms,
+        epoch_zipf_1m.encode_ms,
+        epoch_zipf_1m.save_ms,
+        epoch_zipf_1m.artifact_bytes
     );
 
     // The same graph as the publish path's input: its text edge list,

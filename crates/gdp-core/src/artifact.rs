@@ -61,12 +61,16 @@ use crate::Result;
 ///   [`content_digest`]), and makes it mandatory.
 /// * **5** — the same bytes, hashed with XXH64 (seed 0,
 ///   [`gdp_graph::io::xxh64`]) instead of FNV-1a.
+/// * **6** — the `.gda` hierarchy section stores the refinement chain:
+///   the finest level's partitions (the identity as a flag), then per
+///   coarser level each side's block map from the level below, instead
+///   of every level's full assignment (see [`crate::codec`]).
 ///
 /// Loading accepts this version only; anything else — older files
 /// included, whose digest is another function or over other bytes —
 /// fails with [`CoreError::Artifact`] naming the version instead of
 /// misinterpreting the payload.
-pub const ARTIFACT_SCHEMA_VERSION: u32 = 5;
+pub const ARTIFACT_SCHEMA_VERSION: u32 = 6;
 
 /// The on-disk encoding of a [`ReleaseArtifact`]: the `.gda` binary
 /// container ([`crate::codec`]), the only format that is published,
@@ -746,7 +750,7 @@ mod tests {
 
     #[test]
     fn content_digest_is_pinned() {
-        // The schema-5 digest of this fixture: XXH64 over its `.gda`
+        // The schema-6 digest of this fixture: XXH64 over its `.gda`
         // hierarchy section, a zero byte, and its release section. Any
         // drift in the section layout changes it, and every artifact
         // already on disk would then carry a digest this build no
@@ -767,9 +771,9 @@ mod tests {
         );
     }
 
-    const GOLDEN_DIGEST: u64 = 0xede1_faef_6d9a_226e;
-    const GOLDEN_GDA_LEN: usize = 14_192;
-    const GOLDEN_GDA_DIGEST: u64 = 0xfb54_a033_db9a_9424;
+    const GOLDEN_DIGEST: u64 = 0xceb5_5e19_a3e4_0c33;
+    const GOLDEN_GDA_LEN: usize = 9_184;
+    const GOLDEN_GDA_DIGEST: u64 = 0xa8d1_1f0c_e44e_d4aa;
 
     #[test]
     fn the_hierarchy_digest_memo_changes_no_digest_and_no_equality() {

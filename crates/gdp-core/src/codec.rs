@@ -6,9 +6,17 @@
 //!
 //! * **1 — manifest**: every [`ArtifactManifest`] field, including
 //!   `content_digest` verbatim.
-//! * **2 — hierarchy**: per level, both [`SidePartition`]s as
-//!   `(side, block_count, assignment[])` with 8-byte-aligned `u32`
-//!   arrays.
+//! * **2 — hierarchy**: the refinement chain. The level count, then
+//!   level 0 (the finest) per side as `(side, node_count, block_count,
+//!   flag)`, followed by the `assignment[]` when the flag is 0; flag 1
+//!   marks the identity partition (node `i` in block `i`, the paper's
+//!   individual level), which stores no array and is used only when a
+//!   level-1 map, one entry per node, bounds the node count. Each
+//!   coarser level `i`
+//!   follows per side as `(side, block_count, map[])`, where `map` has
+//!   one entry per block of level `i − 1` naming the level-`i` block
+//!   that holds it ([`GroupHierarchy::block_maps`]). `u32` arrays are
+//!   8-byte aligned.
 //! * **3 — release**: the bundle parameters, then per level the
 //!   metadata, budget, and each query's `f64` noisy-value array with
 //!   its exact bit patterns.
@@ -31,12 +39,23 @@
 //! [`DecodedArtifact::seal`] re-runs the sealing *validation* but
 //! carries the content digest instead of recomputing it.
 //!
+//! Storing block maps instead of every level's assignment keeps the
+//! section to about one assignment's worth of bytes: on a 10-level
+//! hierarchy over 433k nodes with singletons at level 0, 1.7 MB instead
+//! of 17.3 MB. The decoder composes the maps back into full assignments
+//! through [`SidePartition::coarsen`], which refuses a map of the wrong
+//! length, an entry out of range or a map that leaves a block empty;
+//! refinement holds by construction, so a non-nested hierarchy cannot
+//! be written.
+//!
 //! The manifest layout is that of [`crate::ARTIFACT_SCHEMA_VERSION`]
 //! only: [`decode`] reads the schema version first and refuses any
-//! other before it interprets another manifest byte. Schema 4 files
-//! carry an FNV-1a digest over the same bytes, inside a version-1
-//! container, which the container version check refuses first. Older
-//! schemas were never written as `.gda`.
+//! other before it interprets another manifest byte. Schema 5 files
+//! stored every level's full assignment in the hierarchy section; they
+//! are refused by that version check. Schema 4 files carry an FNV-1a
+//! digest over their sections, inside a version-1 container, which the
+//! container version check refuses first. Older schemas were never
+//! written as `.gda`.
 //!
 //! Like the container layer, decoding is panic-free: all counts are
 //! bounds-checked against the remaining section bytes before
@@ -191,48 +210,153 @@ fn decode_manifest(bytes: &[u8]) -> Result<ArtifactManifest> {
     })
 }
 
-fn encode_partition<S: ByteSink>(w: &mut ByteWriter<S>, p: &SidePartition) {
+/// Level-0 flag: the full assignment follows.
+const FINEST_ASSIGNMENT: u32 = 0;
+/// Level-0 flag: the partition is the identity (node `i` in block `i`),
+/// so no assignment is stored.
+const FINEST_SINGLETONS: u32 = 1;
+
+fn write_finest<S: ByteSink>(w: &mut ByteWriter<S>, p: &SidePartition, singletons: bool) {
     w.put_u32(side_tag(p.side()));
+    w.put_u32(p.node_count());
     w.put_u32(p.block_count());
-    w.put_u32_slice(p.assignment());
+    if singletons {
+        w.put_u32(FINEST_SINGLETONS);
+    } else {
+        w.put_u32(FINEST_ASSIGNMENT);
+        w.put_u32_slice(p.assignment());
+    }
 }
 
-fn decode_partition(r: &mut ByteReader<'_>, what: &str) -> Result<SidePartition> {
+/// Reads a side tag and refuses any side but `expected`.
+fn take_side(r: &mut ByteReader<'_>, expected: Side, what: &str) -> Result<()> {
     let side = side_from(r.take_u32(what)?)?;
+    if side != expected {
+        return Err(CoreError::InvalidHierarchy(format!(
+            "{what} partition is not Side::{expected:?}"
+        )));
+    }
+    Ok(())
+}
+
+/// The finest level's record of one side: the partition, or the node
+/// count of an identity partition, built once the level-1 map that
+/// bounds it has been read.
+enum Finest {
+    Partition(SidePartition),
+    Singletons(u32),
+}
+
+fn decode_finest(r: &mut ByteReader<'_>, side: Side, what: &str) -> Result<Finest> {
+    take_side(r, side, what)?;
+    let node_count = r.take_u32(what)?;
     let block_count = r.take_u32(what)?;
-    let assignment = r.take_u32_vec(what)?;
-    Ok(SidePartition::new(side, assignment, block_count)?)
+    match r.take_u32(what)? {
+        FINEST_SINGLETONS if block_count == node_count => Ok(Finest::Singletons(node_count)),
+        FINEST_SINGLETONS => Err(bad(format!(
+            "{what}: singletons over {node_count} nodes declare {block_count} blocks"
+        ))),
+        FINEST_ASSIGNMENT => {
+            let assignment = r.take_u32_vec(what)?;
+            if assignment.len() != node_count as usize {
+                return Err(bad(format!(
+                    "{what}: {} assignments for {node_count} nodes",
+                    assignment.len()
+                )));
+            }
+            // Every block needs a node; refusing more blocks than nodes
+            // here also keeps the size count from allocating for an
+            // untrusted block count.
+            if block_count > node_count {
+                return Err(bad(format!(
+                    "{what}: {block_count} blocks over {node_count} nodes"
+                )));
+            }
+            Ok(Finest::Partition(SidePartition::new(
+                side,
+                assignment,
+                block_count,
+            )?))
+        }
+        other => Err(bad(format!("{what}: level-0 flag is {other}, not 0/1"))),
+    }
+}
+
+/// Builds a decoded finest partition. An identity partition stores no
+/// array, so its node count is trusted only when the level-1 map, read
+/// from the section, has one entry per node: nothing is allocated for
+/// a count the bytes do not back.
+fn finest_partition(
+    finest: Finest,
+    side: Side,
+    level_one_len: Option<usize>,
+    what: &str,
+) -> Result<SidePartition> {
+    match finest {
+        Finest::Partition(p) => Ok(p),
+        Finest::Singletons(n) if level_one_len == Some(n as usize) => {
+            Ok(SidePartition::singletons(side, n))
+        }
+        Finest::Singletons(n) => Err(bad(format!(
+            "{what}: singletons over {n} nodes need a level-1 map with one entry per node"
+        ))),
+    }
+}
+
+fn decode_block_map(r: &mut ByteReader<'_>, side: Side, what: &str) -> Result<(Vec<u32>, u32)> {
+    take_side(r, side, what)?;
+    let block_count = r.take_u32(what)?;
+    Ok((r.take_u32_vec(what)?, block_count))
 }
 
 /// Writes the hierarchy section payload into `w` — the buffer of
-/// [`encode`], or the hasher of [`crate::artifact::content_digest`].
+/// [`encode`], or the hasher of [`crate::artifact::content_digest`]:
+/// the finest level's partitions, then per coarser level each side's
+/// block map from the level below (see the module docs).
 pub(crate) fn write_hierarchy<S: ByteSink>(w: &mut ByteWriter<S>, h: &GroupHierarchy) {
     w.put_u64(h.level_count() as u64);
-    for level in h.levels() {
-        encode_partition(w, level.left());
-        encode_partition(w, level.right());
+    // The flag needs a level-1 map to bound its node count (see
+    // `finest_partition`); a one-level hierarchy stores its assignment.
+    let [left, right] = h.finest_singletons().map(|s| s && h.level_count() > 1);
+    write_finest(w, h.finest().left(), left);
+    write_finest(w, h.finest().right(), right);
+    for (maps, level) in h.block_maps().iter().zip(&h.levels()[1..]) {
+        for (map, p) in maps.iter().zip([level.left(), level.right()]) {
+            w.put_u32(side_tag(p.side()));
+            w.put_u32(p.block_count());
+            w.put_u32_slice(map);
+        }
     }
 }
 
 fn decode_hierarchy(bytes: &[u8]) -> Result<GroupHierarchy> {
     let mut r = ByteReader::new(bytes);
     let level_count = r.take_u64("hierarchy level_count")?;
-    // Each level needs ≥ 2 partitions of ≥ 16 bytes each: bound the
+    // Each level needs ≥ 2 side records of ≥ 16 bytes each: bound the
     // allocation against the bytes actually present.
-    if level_count > (bytes.len() as u64) / 32 + 1 {
+    if level_count == 0 || level_count > (bytes.len() as u64) / 32 + 1 {
         return Err(bad(format!(
             "hierarchy declares {level_count} levels in a {}-byte section",
             bytes.len()
         )));
     }
-    let mut levels = Vec::with_capacity(level_count as usize);
-    for i in 0..level_count {
-        let left = decode_partition(&mut r, &format!("hierarchy level {i} left"))?;
-        let right = decode_partition(&mut r, &format!("hierarchy level {i} right"))?;
-        levels.push(GroupLevel::new(left, right)?);
+    let (left_what, right_what) = ("hierarchy level 0 left", "hierarchy level 0 right");
+    let left = decode_finest(&mut r, Side::Left, left_what)?;
+    let right = decode_finest(&mut r, Side::Right, right_what)?;
+    let mut coarser = Vec::with_capacity(level_count as usize - 1);
+    for i in 1..level_count {
+        coarser.push([
+            decode_block_map(&mut r, Side::Left, &format!("hierarchy level {i} left"))?,
+            decode_block_map(&mut r, Side::Right, &format!("hierarchy level {i} right"))?,
+        ]);
     }
     r.expect_end("hierarchy section")?;
-    GroupHierarchy::new(levels)
+    let level_one_len = |side: usize| coarser.first().map(|maps| maps[side].0.len());
+    let finest = GroupLevel::new(
+        finest_partition(left, Side::Left, level_one_len(0), left_what)?,
+        finest_partition(right, Side::Right, level_one_len(1), right_what)?,
+    )?;
+    GroupHierarchy::from_block_maps(finest, coarser)
 }
 
 fn query_tag(q: Query) -> (u32, u32) {
@@ -425,7 +549,7 @@ impl DecodedArtifact {
 /// reads and validating constructors. No sealing cross-validation yet
 /// — that is [`DecodedArtifact::seal`] — but every returned value is
 /// internally consistent (partitions surjective, refinement chain
-/// intact, level indices ordered).
+/// composed from its block maps, level indices ordered).
 ///
 /// # Errors
 ///
@@ -598,11 +722,12 @@ mod tests {
 
     #[test]
     fn pre_v4_artifacts_are_refused_naming_their_version() {
-        // Schema 4 hashed the same bytes with FNV-1a, and schema 3 and
-        // older hashed canonical JSON; they are refused by version,
-        // before the digest.
+        // Schema 5 laid out every level's full assignment, schema 4
+        // hashed its sections with FNV-1a, and schema 3 and older hashed
+        // canonical JSON; they are refused by version, before the
+        // digest.
         let a = artifact();
-        for version in [3, 4] {
+        for version in [3, 4, 5] {
             let refused = |e: &CoreError| {
                 matches!(e, CoreError::Artifact(m)
                     if m.contains(&format!("schema version {version} unsupported")))
@@ -625,6 +750,43 @@ mod tests {
                 assert!(message.contains("container version 1"), "{message}")
             }
             other => panic!("a v1 container must be refused by version: {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_singletons_flag_allocates_nothing_the_section_does_not_back() {
+        // Both sides claim the identity over u32::MAX nodes: without a
+        // level-1 map, or with one too short, that is a typed refusal
+        // before any assignment is allocated.
+        let a = artifact();
+        for (levels, map) in [(1, None), (2, Some(vec![0, 0]))] {
+            let mut c = ContainerWriter::new(&[0; 3]).unwrap();
+            c.section(SECTION_MANIFEST, |w| write_manifest(w, a.manifest()))
+                .unwrap();
+            c.section(SECTION_HIERARCHY, |w| {
+                w.put_u64(levels);
+                for side in [0, 1] {
+                    w.put_u32(side);
+                    w.put_u32(u32::MAX);
+                    w.put_u32(u32::MAX);
+                    w.put_u32(FINEST_SINGLETONS);
+                }
+                for side in [0, 1] {
+                    if let Some(map) = &map {
+                        w.put_u32(side);
+                        w.put_u32(1);
+                        w.put_u32_slice(map);
+                    }
+                }
+            })
+            .unwrap();
+            c.section(SECTION_RELEASE, |w| write_release(w, a.release()))
+                .unwrap();
+            let err = decode(&c.finish().unwrap()).unwrap_err();
+            assert!(
+                err.to_string().contains("need a level-1 map"),
+                "{levels} levels: {err}"
+            );
         }
     }
 

@@ -92,11 +92,6 @@ impl GroupLevel {
     pub fn max_incident_edges(&self, graph: &BipartiteGraph) -> u64 {
         self.incident_edges(graph).into_iter().max().unwrap_or(0)
     }
-
-    /// Whether `finer` refines this level on both sides.
-    pub fn is_refined_by(&self, finer: &GroupLevel) -> bool {
-        self.left.is_refined_by(&finer.left) && self.right.is_refined_by(&finer.right)
-    }
 }
 
 /// A multi-level group hierarchy over a bipartite graph's nodes.
@@ -110,13 +105,22 @@ impl GroupLevel {
 /// groups of `hierarchy.level(i)`.
 ///
 /// A hierarchy is fixed once built (deserialization re-runs
-/// [`GroupHierarchy::new`]), so it memoizes the content-digest state
-/// after its own section bytes: every artifact sealed over it hashes
-/// only its release. Equality compares the levels alone.
+/// [`GroupHierarchy::new`]). It keeps the block maps between
+/// neighbouring levels that validation yields, and memoizes the
+/// content-digest state after its own section bytes: every artifact
+/// sealed over it hashes only its release. Equality compares the
+/// levels alone.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 #[serde(try_from = "HierarchyParts", into = "HierarchyParts")]
 pub struct GroupHierarchy {
     levels: Vec<GroupLevel>,
+    /// `block_maps[i]` maps level `i`'s left and right blocks to the
+    /// blocks of level `i + 1` holding them.
+    block_maps: Vec<[Vec<u32>; 2]>,
+    /// Whether the finest level's `[left, right]` partitions are the
+    /// identity (node `i` in block `i`), which the `.gda` hierarchy
+    /// section stores as a flag instead of an assignment.
+    finest_singletons: [bool; 2],
     /// XXH64 state after the hierarchy section payload and the zero
     /// separator byte of [`crate::artifact::content_digest`], filled on first use.
     digest_prefix: OnceLock<Xxh64Writer>,
@@ -153,7 +157,8 @@ impl TryFrom<HierarchyParts> for GroupHierarchy {
 
 impl GroupHierarchy {
     /// Creates a hierarchy from levels ordered finest → coarsest,
-    /// validating side sizes and the refinement chain.
+    /// validating side sizes and the refinement chain; the block maps
+    /// the validation yields ([`SidePartition::block_map_to`]) are kept.
     ///
     /// # Errors
     ///
@@ -177,18 +182,88 @@ impl GroupHierarchy {
                 )));
             }
         }
-        for i in 1..levels.len() {
-            if !levels[i].is_refined_by(&levels[i - 1]) {
-                return Err(CoreError::InvalidHierarchy(format!(
-                    "level {i} is not refined by level {}",
-                    i - 1
-                )));
-            }
+        let mut block_maps = Vec::with_capacity(levels.len() - 1);
+        for (i, pair) in levels.windows(2).enumerate() {
+            let (finer, coarser) = (&pair[0], &pair[1]);
+            let not_refined = |e| {
+                CoreError::InvalidHierarchy(format!(
+                    "level {} is not refined by level {i}: {e}",
+                    i + 1
+                ))
+            };
+            block_maps.push([
+                finer
+                    .left()
+                    .block_map_to(coarser.left())
+                    .map_err(not_refined)?,
+                finer
+                    .right()
+                    .block_map_to(coarser.right())
+                    .map_err(not_refined)?,
+            ]);
         }
-        Ok(Self {
+        Ok(Self::from_parts(levels, block_maps))
+    }
+
+    /// Builds a hierarchy from its finest level and, per coarser level,
+    /// each side's block map from the level below with its block count
+    /// (`[left, right]`) — the refinement chain the `.gda` hierarchy
+    /// section stores. Every coarser level is composed through
+    /// [`SidePartition::coarsen`], so refinement holds by construction.
+    ///
+    /// # Errors
+    ///
+    /// [`CoreError::Graph`] with what [`SidePartition::coarsen`]
+    /// refuses: a map of the wrong length, an entry out of range, or a
+    /// map that leaves a block empty.
+    pub(crate) fn from_block_maps(
+        finest: GroupLevel,
+        coarser: Vec<[(Vec<u32>, u32); 2]>,
+    ) -> Result<Self> {
+        let mut levels = Vec::with_capacity(coarser.len() + 1);
+        levels.push(finest);
+        let mut block_maps = Vec::with_capacity(coarser.len());
+        for [(left_map, left_blocks), (right_map, right_blocks)] in coarser {
+            let below = &levels[levels.len() - 1];
+            let level = GroupLevel::new(
+                below.left().coarsen(&left_map, left_blocks)?,
+                below.right().coarsen(&right_map, right_blocks)?,
+            )?;
+            levels.push(level);
+            block_maps.push([left_map, right_map]);
+        }
+        Ok(Self::from_parts(levels, block_maps))
+    }
+
+    fn from_parts(levels: Vec<GroupLevel>, block_maps: Vec<[Vec<u32>; 2]>) -> Self {
+        let identity = |p: &SidePartition| {
+            p.block_count() == p.node_count()
+                && p.assignment()
+                    .iter()
+                    .enumerate()
+                    .all(|(node, &block)| block as usize == node)
+        };
+        let finest_singletons = [identity(levels[0].left()), identity(levels[0].right())];
+        Self {
             levels,
+            block_maps,
+            finest_singletons,
             digest_prefix: OnceLock::new(),
-        })
+        }
+    }
+
+    /// Whether the finest level's `[left, right]` partitions are the
+    /// identity, read from their assignments once at construction.
+    pub(crate) fn finest_singletons(&self) -> [bool; 2] {
+        self.finest_singletons
+    }
+
+    /// The block maps between neighbouring levels, finest first: entry
+    /// `i` maps level `i`'s `[left, right]` blocks to the blocks of
+    /// level `i + 1` holding them, as [`SidePartition::block_map_to`]
+    /// yields them. A hierarchy of `n` levels has `n − 1` entries.
+    pub fn block_maps(&self) -> &[[Vec<u32>; 2]] {
+        &self.block_maps
     }
 
     /// The memo cell of the content-digest state after this hierarchy's

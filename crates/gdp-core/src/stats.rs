@@ -151,22 +151,18 @@ impl LevelStats {
 #[derive(Debug, Clone, PartialEq)]
 pub struct HierarchyStats {
     levels: Vec<LevelStats>,
-    /// `rollup_maps[i]` holds the left and right block maps from level
-    /// `i` to level `i + 1` ([`gdp_graph::SidePartition::block_map_to`]).
-    /// The hierarchy is fixed, so [`Self::compute`] builds them once and
-    /// every [`Self::apply_delta`] reads them.
-    rollup_maps: Vec<(Vec<u32>, Vec<u32>)>,
 }
 
 impl HierarchyStats {
     /// Computes every level's statistics: one edge sweep for the finest
-    /// level, then a rollup per coarser level.
+    /// level, then a rollup per coarser level through the hierarchy's
+    /// block maps ([`GroupHierarchy::block_maps`]).
     ///
     /// # Errors
     ///
-    /// Returns [`CoreError::Graph`] if some level fails to refine its
-    /// finer neighbour — impossible for a hierarchy that passed
-    /// [`GroupHierarchy::new`] validation.
+    /// Never fails: the hierarchy's block maps were validated when it
+    /// was built. The `Result` is kept for the callers that propagate
+    /// it.
     ///
     /// # Panics
     ///
@@ -175,33 +171,23 @@ impl HierarchyStats {
     pub fn compute(graph: &BipartiteGraph, hierarchy: &GroupHierarchy) -> Result<Self> {
         let finest = hierarchy.finest();
         let mut pair_counts = Vec::with_capacity(hierarchy.level_count());
-        let mut rollup_maps = Vec::with_capacity(hierarchy.level_count() - 1);
         pair_counts.push(PairCounts::compute(graph, finest.left(), finest.right()));
-        for pair in hierarchy.levels().windows(2) {
-            let (finer, coarser) = (&pair[0], &pair[1]);
-            let left_map = finer
-                .left()
-                .block_map_to(coarser.left())
-                .map_err(CoreError::Graph)?;
-            let right_map = finer
-                .right()
-                .block_map_to(coarser.right())
-                .map_err(CoreError::Graph)?;
+        for ([left_map, right_map], coarser) in
+            hierarchy.block_maps().iter().zip(&hierarchy.levels()[1..])
+        {
             let rolled = pair_counts[pair_counts.len() - 1].rollup(
-                &left_map,
+                left_map,
                 coarser.left().block_count(),
-                &right_map,
+                right_map,
                 coarser.right().block_count(),
             );
             pair_counts.push(rolled);
-            rollup_maps.push((left_map, right_map));
         }
         Ok(Self {
             levels: pair_counts
                 .into_iter()
                 .map(LevelStats::from_pair_counts)
                 .collect(),
-            rollup_maps,
         })
     }
 
@@ -241,8 +227,8 @@ impl HierarchyStats {
     /// touching the edge list: the delta's endpoints map through the
     /// finest level's assignments into aggregated cell deltas, those
     /// apply to the finest table (dirty rows only), and the *cell
-    /// deltas themselves* roll up the refinement chain via the block
-    /// maps [`Self::compute`] built and kept — so each coarser level
+    /// deltas themselves* roll up the refinement chain via the
+    /// hierarchy's block maps — so each coarser level
     /// re-merges only its dirty rows too, and no level's partition is
     /// rescanned.
     ///
@@ -295,7 +281,7 @@ impl HierarchyStats {
         let mut old_counts = Vec::with_capacity(keyed.len());
         fold_cell_deltas(&mut keyed, &mut cells);
         self.levels[0].apply_cell_deltas(&cells, &mut old_counts)?;
-        for (i, (left_map, right_map)) in self.rollup_maps.iter().enumerate() {
+        for (i, [left_map, right_map]) in hierarchy.block_maps().iter().enumerate() {
             let coarser = &mut self.levels[i + 1];
             let cols = coarser.pair_counts.right_blocks() as usize;
             let grid_cells = coarser.pair_counts.left_blocks() as usize * cols;
@@ -336,8 +322,7 @@ impl HierarchyStats {
     }
 
     /// Refuses a hierarchy whose level count or per-level block counts
-    /// differ from the tables (and so the kept block maps) these
-    /// statistics hold.
+    /// differ from the tables these statistics hold.
     fn check_shape(&self, hierarchy: &GroupHierarchy) -> Result<()> {
         if hierarchy.level_count() != self.levels.len() {
             return Err(CoreError::InvalidHierarchy(format!(

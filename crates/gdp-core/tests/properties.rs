@@ -7,15 +7,17 @@ use gdp_core::artifact::content_digest;
 use gdp_core::codec;
 use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
 use gdp_core::{
-    relative_error, AccessPolicy, AnswerContext, DisclosureConfig, HierarchyStats,
-    MultiLevelDiscloser, NoiseMechanism, Privilege, Query, ReleaseArtifact, SpecializationConfig,
-    Specializer, SplitStrategy,
+    relative_error, AccessPolicy, AnswerContext, DisclosureConfig, GroupHierarchy, GroupLevel,
+    HierarchyStats, MultiLevelDiscloser, NoiseMechanism, Privilege, Query, ReleaseArtifact,
+    SpecializationConfig, Specializer, SplitStrategy,
 };
 use gdp_graph::binfmt::read_container;
 use gdp_graph::io::xxh64;
-use gdp_graph::{BipartiteGraph, DegreeHistogram, GraphBuilder, LeftId, PairCounts, RightId};
+use gdp_graph::{
+    BipartiteGraph, DegreeHistogram, GraphBuilder, LeftId, PairCounts, RightId, Side, SidePartition,
+};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 fn graph_strategy() -> impl Strategy<Value = BipartiteGraph> {
     (2u32..30, 2u32..30)
@@ -32,8 +34,102 @@ fn graph_strategy() -> impl Strategy<Value = BipartiteGraph> {
         })
 }
 
+/// `ids` relabelled in first-seen order, so every label in
+/// `0..count` is used: a surjective assignment and its block count.
+fn compact(ids: &[u32]) -> (Vec<u32>, u32) {
+    let mut relabel = std::collections::HashMap::new();
+    let out = ids
+        .iter()
+        .map(|id| {
+            let next = relabel.len() as u32;
+            *relabel.entry(*id).or_insert(next)
+        })
+        .collect();
+    (out, relabel.len() as u32)
+}
+
+/// A random nested hierarchy of `levels` levels over `nl` + `nr` nodes:
+/// level 0 is the singletons or a random partition, and each coarser
+/// level repeats the one below or merges its blocks at random.
+fn nested_hierarchy(
+    nl: u32,
+    nr: u32,
+    levels: usize,
+    singletons: bool,
+    seed: u64,
+) -> GroupHierarchy {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let finest = |side, n: u32, rng: &mut StdRng| {
+        if singletons {
+            return SidePartition::singletons(side, n);
+        }
+        let ids: Vec<u32> = (0..n).map(|_| rng.gen_range(0..n.div_ceil(2))).collect();
+        let (assignment, blocks) = compact(&ids);
+        SidePartition::new(side, assignment, blocks).unwrap()
+    };
+    let mut out = vec![GroupLevel::new(
+        finest(Side::Left, nl, &mut rng),
+        finest(Side::Right, nr, &mut rng),
+    )
+    .unwrap()];
+    while out.len() < levels {
+        let below = out.last().unwrap();
+        let next = if rng.gen_bool(0.3) {
+            below.clone()
+        } else {
+            let mut merge = |p: &SidePartition| {
+                let targets = p.block_count().div_ceil(2);
+                let map: Vec<u32> = (0..p.block_count())
+                    .map(|_| rng.gen_range(0..targets))
+                    .collect();
+                let (map, blocks) = compact(&map);
+                p.coarsen(&map, blocks).unwrap()
+            };
+            GroupLevel::new(merge(below.left()), merge(below.right())).unwrap()
+        };
+        out.push(next);
+    }
+    GroupHierarchy::new(out).unwrap()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn nested_hierarchies_round_trip_through_the_refinement_chain(
+        graph in graph_strategy(),
+        levels in 1usize..7,
+        singletons in 0u8..2,
+        seed in 0u64..1000,
+    ) {
+        let h = nested_hierarchy(graph.left_count(), graph.right_count(), levels, singletons == 1, seed);
+        let release = MultiLevelDiscloser::new(
+            DisclosureConfig::count_only(0.5, 1e-6)
+                .unwrap()
+                .with_queries(vec![Query::TotalAssociations, Query::PerGroupCounts]),
+        )
+        .disclose(&graph, &h, &mut StdRng::seed_from_u64(seed))
+        .unwrap();
+        let sealed = ReleaseArtifact::seal("chain", seed, h, release).unwrap();
+        let back = codec::decode(&codec::encode(&sealed).unwrap())
+            .unwrap()
+            .seal()
+            .unwrap();
+        prop_assert_eq!(&back, &sealed);
+        prop_assert_eq!(
+            content_digest(back.hierarchy(), back.release()),
+            sealed.manifest().content_digest
+        );
+        // The decoded maps are the ones refinement validation yields.
+        let decoded = back.hierarchy();
+        prop_assert_eq!(decoded.block_maps().len(), levels - 1);
+        for (i, maps) in decoded.block_maps().iter().enumerate() {
+            let (finer, coarser) = (&decoded.levels()[i], &decoded.levels()[i + 1]);
+            prop_assert_eq!(&maps[0], &finer.left().block_map_to(coarser.left()).unwrap());
+            prop_assert_eq!(&maps[1], &finer.right().block_map_to(coarser.right()).unwrap());
+            prop_assert_eq!(maps, &sealed.hierarchy().block_maps()[i]);
+        }
+    }
 
     #[test]
     fn specialization_invariants_hold_for_all_strategies(

@@ -226,26 +226,6 @@ impl SidePartition {
             .unwrap_or(0)
     }
 
-    /// Checks that `finer` refines `self`: every block of `finer` lies
-    /// entirely inside one block of `self`.
-    pub fn is_refined_by(&self, finer: &SidePartition) -> bool {
-        if finer.assignment.len() != self.assignment.len() || finer.side != self.side {
-            return false;
-        }
-        // Map each finer block to the coarse block of its first member,
-        // then verify all members agree.
-        let mut coarse_of: Vec<Option<u32>> = vec![None; finer.block_sizes.len()];
-        for (node, &fb) in finer.assignment.iter().enumerate() {
-            let cb = self.assignment[node];
-            match coarse_of[fb as usize] {
-                None => coarse_of[fb as usize] = Some(cb),
-                Some(prev) if prev != cb => return false,
-                _ => {}
-            }
-        }
-        true
-    }
-
     /// Maps every block of `self` (the **finer** partition) to the block
     /// of `coarser` containing it — the fold table that lets block-pair
     /// counts of a finer level aggregate to a coarser one without
@@ -287,6 +267,59 @@ impl SidePartition {
         }
         debug_assert!(map.iter().all(|&b| b != u32::MAX));
         Ok(map)
+    }
+
+    /// The coarser partition a block map describes: block `b` of `self`
+    /// lands whole in block `map[b]` of the result — the inverse of
+    /// [`Self::block_map_to`], which yields such maps. Block sizes are
+    /// summed over the map, so no node is counted again.
+    ///
+    /// # Errors
+    ///
+    /// * [`GraphError::NotARefinement`] when `map` does not have one
+    ///   entry per block of `self`.
+    /// * [`GraphError::BlockOutOfRange`] for an entry ≥ `block_count`.
+    /// * [`GraphError::EmptyBlock`] when some block id in
+    ///   `0..block_count` is no entry's target (the map is not
+    ///   surjective).
+    pub fn coarsen(&self, map: &[u32], block_count: u32) -> Result<Self> {
+        if map.len() != self.block_sizes.len() {
+            return Err(GraphError::NotARefinement {
+                message: format!(
+                    "block map has {} entries for {} blocks",
+                    map.len(),
+                    self.block_sizes.len()
+                ),
+            });
+        }
+        // A map with fewer entries than blocks cannot be surjective, and
+        // one block past its length is enough to find the first empty
+        // one: the count array stays bounded by the map, not by an
+        // untrusted block count.
+        let tracked = (block_count as usize).min(map.len() + 1);
+        let mut sizes = vec![0u32; tracked];
+        for (&to, &size) in map.iter().zip(&self.block_sizes) {
+            if to >= block_count {
+                return Err(GraphError::BlockOutOfRange {
+                    block: to,
+                    block_count,
+                });
+            }
+            if let Some(s) = sizes.get_mut(to as usize) {
+                *s += size;
+            }
+        }
+        if let Some(block) = sizes.iter().position(|&s| s == 0) {
+            return Err(GraphError::EmptyBlock {
+                block: block as u32,
+            });
+        }
+        Ok(Self {
+            side: self.side,
+            assignment: self.assignment.iter().map(|&b| map[b as usize]).collect(),
+            max_block_size: sizes.iter().copied().max().unwrap_or(0),
+            block_sizes: sizes,
+        })
     }
 }
 
@@ -465,18 +498,57 @@ mod tests {
 
     #[test]
     fn refinement_relation() {
+        let refines =
+            |coarse: &SidePartition, fine: &SidePartition| fine.block_map_to(coarse).is_ok();
         let coarse = SidePartition::new(Side::Left, vec![0, 0, 1, 1], 2).unwrap();
         let fine = SidePartition::new(Side::Left, vec![0, 1, 2, 2], 3).unwrap();
-        assert!(coarse.is_refined_by(&fine));
-        assert!(!fine.is_refined_by(&coarse));
+        assert!(refines(&coarse, &fine));
+        assert!(!refines(&fine, &coarse));
         // A partition refines itself.
-        assert!(coarse.is_refined_by(&coarse));
+        assert!(refines(&coarse, &coarse));
         // Crossing partition does not refine.
         let crossing = SidePartition::new(Side::Left, vec![0, 1, 0, 1], 2).unwrap();
-        assert!(!coarse.is_refined_by(&crossing));
+        assert!(!refines(&coarse, &crossing));
         // Side mismatch is not refinement.
         let other_side = SidePartition::new(Side::Right, vec![0, 1, 2, 2], 3).unwrap();
-        assert!(!coarse.is_refined_by(&other_side));
+        assert!(!refines(&coarse, &other_side));
+    }
+
+    #[test]
+    fn coarsen_inverts_block_map_to() {
+        let fine = SidePartition::new(Side::Left, vec![0, 1, 2, 2, 3], 4).unwrap();
+        let coarse = SidePartition::new(Side::Left, vec![1, 0, 1, 1, 0], 2).unwrap();
+        let map = fine.block_map_to(&coarse).unwrap();
+        assert_eq!(fine.coarsen(&map, 2).unwrap(), coarse);
+        assert_eq!(fine.coarsen(&map, 2).unwrap().block_sizes(), [2, 3]);
+        let singles = SidePartition::singletons(Side::Left, 5);
+        assert_eq!(singles.coarsen(fine.assignment(), 4).unwrap(), fine);
+    }
+
+    #[test]
+    fn coarsen_refuses_bad_maps() {
+        let fine = SidePartition::new(Side::Left, vec![0, 1, 2, 2], 3).unwrap();
+        assert!(matches!(
+            fine.coarsen(&[0, 0], 1),
+            Err(GraphError::NotARefinement { .. })
+        ));
+        assert!(matches!(
+            fine.coarsen(&[0, 5, 1], 2),
+            Err(GraphError::BlockOutOfRange { block: 5, .. })
+        ));
+        assert!(matches!(
+            fine.coarsen(&[0, 0, 2], 3),
+            Err(GraphError::EmptyBlock { block: 1 })
+        ));
+        // More blocks than entries: the first empty block is still found.
+        assert!(matches!(
+            fine.coarsen(&[0, 1, 2], u32::MAX),
+            Err(GraphError::EmptyBlock { block: 3 })
+        ));
+        assert!(matches!(
+            fine.coarsen(&[1, 2, 3], u32::MAX),
+            Err(GraphError::EmptyBlock { block: 0 })
+        ));
     }
 
     #[test]

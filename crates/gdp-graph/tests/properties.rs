@@ -187,12 +187,12 @@ proptest! {
         let fine = SidePartition::new(Side::Left, assignment.clone(), count).unwrap();
         // Merge all blocks into one.
         let coarse = SidePartition::whole(Side::Left, 30).unwrap();
-        prop_assert!(coarse.is_refined_by(&fine));
+        prop_assert!(fine.block_map_to(&coarse).is_ok());
         // Every partition refines itself.
-        prop_assert!(fine.is_refined_by(&fine));
+        prop_assert!(fine.block_map_to(&fine).is_ok());
         // Singletons refine everything.
         let singles = SidePartition::singletons(Side::Left, 30);
-        prop_assert!(fine.is_refined_by(&singles));
+        prop_assert!(singles.block_map_to(&fine).is_ok());
     }
 
     #[test]

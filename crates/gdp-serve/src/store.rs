@@ -12,8 +12,9 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::SystemTime;
 
-use gdp_core::{ArtifactFormat, ReleaseArtifact};
+use gdp_core::{ArtifactFormat, CoreError, ReleaseArtifact};
 use gdp_graph::io as graph_io;
+use gdp_graph::GraphError;
 
 use crate::error::ServeError;
 use crate::index::IndexedRelease;
@@ -270,7 +271,8 @@ impl ReleaseStore {
     /// * [`ServeError::Core`] wrapping `GraphError::Binary` for
     ///   malformed files, `GraphError::Io` for filesystem failures, and
     ///   `CoreError::Artifact` for a foreign schema version (named) or
-    ///   a payload that fails sealing re-validation.
+    ///   a payload that fails validation. Each names the file it was
+    ///   raised for.
     pub fn open_dir(dir: impl AsRef<Path>) -> Result<Self> {
         let dir = dir.as_ref();
         let mut candidates = Vec::new();
@@ -287,8 +289,8 @@ impl ReleaseStore {
         let store = Self::new();
         for path in candidates {
             let stamp = FileStamp::of(&path);
-            let release = IndexedRelease::new(ReleaseArtifact::load(&path)?)?;
-            store.insert_from(release, Some(path), stamp)?;
+            let artifact = ReleaseArtifact::load(&path).map_err(|e| in_file(&path, e))?;
+            store.insert_from(IndexedRelease::new(artifact)?, Some(path), stamp)?;
         }
         Ok(store)
     }
@@ -616,6 +618,29 @@ fn is_pending_tmp(path: &Path) -> bool {
     path.extension().is_some_and(|ext| ext == "tmp")
 }
 
+/// `err`, raised loading the artifact file at `path`, with the file
+/// named at the front of its message. Variants that carry a message
+/// keep their class (a truncated file is still `GraphError::Binary`, a
+/// foreign schema still `CoreError::Artifact`); any other, such as a
+/// structured hierarchy refusal, becomes a `CoreError::Artifact`
+/// quoting it.
+fn in_file(path: &Path, err: CoreError) -> CoreError {
+    let name = path.display();
+    match err {
+        CoreError::Graph(GraphError::Binary { offset, message }) => {
+            CoreError::Graph(GraphError::Binary {
+                offset,
+                message: format!("{name}: {message}"),
+            })
+        }
+        CoreError::Graph(GraphError::Io(e)) => CoreError::Graph(GraphError::Io(
+            std::io::Error::new(e.kind(), format!("{name}: {e}")),
+        )),
+        CoreError::Artifact(message) => CoreError::Artifact(format!("{name}: {message}")),
+        other => CoreError::Artifact(format!("{name}: {other}")),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -692,6 +717,27 @@ mod tests {
         assert_eq!(store.epochs("dblp"), vec![1, 2]);
         assert_eq!(store.latest("dblp").unwrap().artifact().epoch(), 2);
         assert!(store.get("pharmacy", 1).is_ok());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn strict_open_dir_names_the_file_that_failed() {
+        let dir = std::env::temp_dir().join(format!("gdp-store-named-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        artifact("dblp", 1, 1)
+            .save_atomic(dir.join("a.gda"))
+            .unwrap();
+        std::fs::write(dir.join("b.gda"), b"GDPBIN\0").unwrap();
+        let err = ReleaseStore::open_dir(&dir).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                ServeError::Core(CoreError::Graph(GraphError::Binary { message, .. }))
+                    if message.contains("b.gda")
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("b.gda"), "{err}");
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,13 +1,15 @@
 //! A `.gda` artifact whose hierarchy section was edited, and whose
 //! content digest and container digest were both recomputed (XXH64 is a
 //! checksum, not a MAC), must be refused with a typed error: the
-//! decoder rebuilds the hierarchy's partitions, levels and refinement
-//! chain through their validating constructors. A store scan
+//! decoder rebuilds the finest level's partitions through their
+//! validating constructors and composes every coarser level from its
+//! block maps through [`SidePartition::coarsen`]. A store scan
 //! quarantines such a file and keeps serving the rest.
 //!
-//! Before the hierarchy types validated on construction from untrusted
-//! bytes, the out-of-range case loaded and then panicked in the first
-//! block-size scan (`max_group_size`, or the serving index build).
+//! The section stores a refinement chain, so a level that is not
+//! refined by the level below cannot be written; the chain's own
+//! defects (a block map of the wrong length, a bad level-0 flag) take
+//! that case's place.
 
 use std::fs;
 use std::path::PathBuf;
@@ -50,43 +52,89 @@ fn artifact(epoch: u64) -> ReleaseArtifact {
     ReleaseArtifact::seal("doctored", epoch, hierarchy, release).unwrap()
 }
 
-/// One side partition as the hierarchy section lays it out, free to
-/// hold what no validating constructor would accept.
-struct RawPartition {
+/// The finest level's record of one side as the hierarchy section lays
+/// it out, free to hold what no validating constructor would accept.
+struct RawFinest {
     side: u32,
+    node_count: u32,
     block_count: u32,
-    assignment: Vec<u32>,
+    flag: u32,
+    /// Written whenever present, whatever the flag says.
+    assignment: Option<Vec<u32>>,
 }
 
-/// A hierarchy as raw `[left, right]` partitions per level, finest
-/// first.
-type RawHierarchy = Vec<[RawPartition; 2]>;
+/// One side's block map from the level below, as laid out.
+struct RawMap {
+    side: u32,
+    block_count: u32,
+    map: Vec<u32>,
+}
+
+/// A hierarchy as the section stores it: the finest level's `[left,
+/// right]` records, then per coarser level the `[left, right]` maps.
+struct RawHierarchy {
+    finest: [RawFinest; 2],
+    coarser: Vec<[RawMap; 2]>,
+}
+
+fn side_tag(side: Side) -> u32 {
+    match side {
+        Side::Left => 0,
+        Side::Right => 1,
+    }
+}
 
 fn raw(hierarchy: &GroupHierarchy) -> RawHierarchy {
-    let part = |p: &SidePartition| RawPartition {
-        side: match p.side() {
-            Side::Left => 0,
-            Side::Right => 1,
-        },
-        block_count: p.block_count(),
-        assignment: p.assignment().to_vec(),
+    let finest = |p: &SidePartition| {
+        // The codec flags the identity only under a level-1 map.
+        let identity = hierarchy.level_count() > 1
+            && p.assignment()
+                .iter()
+                .enumerate()
+                .all(|(i, &b)| b as usize == i);
+        RawFinest {
+            side: side_tag(p.side()),
+            node_count: p.node_count(),
+            block_count: p.block_count(),
+            flag: u32::from(identity),
+            assignment: (!identity).then(|| p.assignment().to_vec()),
+        }
     };
-    hierarchy
-        .levels()
-        .iter()
-        .map(|level| [part(level.left()), part(level.right())])
-        .collect()
+    let map = |p: &SidePartition, map: &[u32]| RawMap {
+        side: side_tag(p.side()),
+        block_count: p.block_count(),
+        map: map.to_vec(),
+    };
+    let level0 = hierarchy.finest();
+    RawHierarchy {
+        finest: [finest(level0.left()), finest(level0.right())],
+        coarser: hierarchy
+            .block_maps()
+            .iter()
+            .zip(&hierarchy.levels()[1..])
+            .map(|([left, right], level)| [map(level.left(), left), map(level.right(), right)])
+            .collect(),
+    }
 }
 
 /// The hierarchy section payload of a (possibly invalid) raw
 /// hierarchy: the same layout the codec writes.
 fn hierarchy_section(hierarchy: &RawHierarchy) -> Vec<u8> {
     let mut w = ByteWriter::new();
-    w.put_u64(hierarchy.len() as u64);
-    for partition in hierarchy.iter().flatten() {
-        w.put_u32(partition.side);
-        w.put_u32(partition.block_count);
-        w.put_u32_slice(&partition.assignment);
+    w.put_u64(hierarchy.coarser.len() as u64 + 1);
+    for finest in &hierarchy.finest {
+        w.put_u32(finest.side);
+        w.put_u32(finest.node_count);
+        w.put_u32(finest.block_count);
+        w.put_u32(finest.flag);
+        if let Some(assignment) = &finest.assignment {
+            w.put_u32_slice(assignment);
+        }
+    }
+    for map in hierarchy.coarser.iter().flatten() {
+        w.put_u32(map.side);
+        w.put_u32(map.block_count);
+        w.put_u32_slice(&map.map);
     }
     w.into_bytes()
 }
@@ -132,40 +180,46 @@ fn doctored_gda(a: &ReleaseArtifact, edit: impl FnOnce(&mut RawHierarchy)) -> Ve
     bytes
 }
 
-fn set_assignment(hierarchy: &mut RawHierarchy, level: usize, to: &[u32]) {
-    for partition in &mut hierarchy[level] {
-        partition.assignment = to.to_vec();
-    }
-}
-
 /// One hierarchy defect: its name, the edit that makes it, and the
 /// message its refusal names.
 type Case = (&'static str, fn(&mut RawHierarchy), &'static str);
 
-/// The four hierarchy defects.
-fn cases() -> [Case; 4] {
+/// The six hierarchy defects. The fixture's level 0 has 3 blocks per
+/// side, so the level-1 maps have 3 entries.
+fn cases() -> [Case; 6] {
     [
         (
-            "out-of-range assignment",
-            |h| h[2][0].assignment[0] = 4_000_000_000,
+            "out-of-range map entry",
+            |h| h.coarser[1][0].map[0] = 4_000_000_000,
             "block id 4000000000 out of range",
         ),
         (
             "empty block",
-            // Block 1 of level 0 loses its one member; counts and the
-            // refinement chain still agree.
-            |h| set_assignment(h, 0, &[0, 0, 2, 2]),
+            // Nothing maps to level 1's left block 1: the map is not
+            // surjective.
+            |h| h.coarser[0][0].map = vec![0, 0, 0],
             "partition block 1 is empty",
         ),
         (
-            "level not refined by the level below",
-            // Level 0's block {0, 1} now straddles level 1's blocks.
-            |h| set_assignment(h, 1, &[0, 1, 0, 1]),
-            "level 1 is not refined by level 0",
+            "block map of the wrong length",
+            // A fourth entry for three blocks; 3 and 4 `u32`s pad to the
+            // same 8-byte boundary, so the section keeps its length.
+            |h| h.coarser[0][1].map.push(1),
+            "block map has 4 entries for 3 blocks",
+        ),
+        (
+            "bad level-0 flag",
+            |h| h.finest[1].flag = 2,
+            "level-0 flag is 2, not 0/1",
+        ),
+        (
+            "more level-0 blocks than nodes",
+            |h| h.finest[0].block_count = 5,
+            "5 blocks over 4 nodes",
         ),
         (
             "partition on the wrong side",
-            |h| h[0][0].side = 1,
+            |h| h.finest[0].side = 1,
             "left partition is not Side::Left",
         ),
     ]

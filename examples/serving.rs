@@ -14,7 +14,7 @@
 //! ```
 //!
 //! **Expected output:** the artifact manifest summary after a save→load
-//! round trip through a `.gda` file (schema v5, byte count, level/group
+//! round trip through a `.gda` file (schema v6, byte count, level/group
 //! shape), then one
 //! four-author subset query answered at the finest level each privilege
 //! may read. Full clearance reads level 0 (full resolution, but four
