@@ -1,26 +1,19 @@
-//! Experiment harness shared by the `gdp-bench` binaries.
+//! The experiment harness behind the `gdp-bench` binaries:
 //!
-//! Each binary regenerates one table or figure:
-//!
-//! | target | reproduces |
+//! | binary | writes |
 //! |---|---|
-//! | `fig1` | Figure 1 — RER of the noisy association count vs `εg`, one series per release level |
-//! | `table1` | the paper's inline DBLP statistics table |
-//! | `ablation_split` | split-strategy ablation (exponential / median / random) |
-//! | `ablation_delta` | δ sensitivity of the Gaussian calibration |
-//! | `ablation_fanout` | fanout interpretation (2 vs 4 subgroups per side per level) |
-//! | `ablation_mechanism` | classic vs analytic Gaussian vs Laplace |
-//! | `baseline_compare` | calibrated group-DP vs naive k-fold composition |
+//! | `paper` | `BENCH_paper.json` — the dataset table, Figure 1 and the baselines ([`paper`]) |
+//! | `bench_pipeline` | `BENCH_pipeline.json` — pipeline timing |
+//! | `load_gen` | `BENCH_serving.json` — HTTP load against `gdp serve` |
 //!
-//! All binaries accept `--paper-scale` (full 6.4M-edge DBLP-like graph;
-//! default is the 1:100 laptop preset), `--trials N`, and `--seed N`.
+//! `paper` accepts `--paper-scale` (the full 6.4M-edge DBLP-like graph;
+//! the default is the 1:100 laptop preset) and `--out FILE`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod args;
 pub mod fig1;
-pub mod table;
+pub mod paper;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;

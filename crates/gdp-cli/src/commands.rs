@@ -388,6 +388,20 @@ fn check_gda_out(out: &str) -> CmdResult {
     }
 }
 
+/// Reads and parses every file of a comma-separated `--deltas` list,
+/// in order; the first missing or malformed file refuses the list.
+fn read_deltas(list: &str) -> Result<Vec<(&str, EdgeDelta)>, String> {
+    list.split(',')
+        .filter(|s| !s.is_empty())
+        .map(|path| {
+            let text =
+                std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
+            let delta = EdgeDelta::from_text(&text).map_err(|e| format!("{path}: {e}"))?;
+            Ok((path, delta))
+        })
+        .collect()
+}
+
 /// `gdp publish` — the serving-side pipeline: run a budget-enforced
 /// disclosure session over an edge-list graph and write the sealed
 /// [`ReleaseArtifact`] consumers answer from.
@@ -408,10 +422,21 @@ pub fn publish(args: &[String]) -> CmdResult {
     let seed: u64 = get_num(&flags, "seed", 42)?;
     let strategy = parse_strategy(&flags)?;
     let mechanism = parse_mechanism(&flags)?;
-    // Refused before any pipeline work runs.
+    // Refused before any pipeline work runs: a bad --out, and a missing
+    // or malformed delta file, so a refused chain writes and charges
+    // nothing.
     if let Some(out) = flags.get("out") {
         check_gda_out(out)?;
     }
+    let chain = match flags.get("deltas") {
+        Some(list) => {
+            let dir = flags
+                .get("out-dir")
+                .ok_or("publish --deltas requires --out-dir DIR")?;
+            Some((dir, read_deltas(list)?))
+        }
+        None => None,
+    };
 
     let file = File::open(input).map_err(|e| format!("cannot open {input}: {e}"))?;
     let graph = graph_io::read_edge_list(file).map_err(|e| format!("{input}: {e}"))?;
@@ -441,7 +466,7 @@ pub fn publish(args: &[String]) -> CmdResult {
     );
     let mut session = DisclosureSession::new(graph, hierarchy, total);
 
-    if let Some(delta_list) = flags.get("deltas") {
+    if let Some((dir, deltas)) = chain {
         // Epoch-chain mode: publish the base epoch, then one further
         // epoch per delta file via the incremental `publish_next` path
         // (dirty-row statistics update, cumulative ledger enforced),
@@ -449,20 +474,13 @@ pub fn publish(args: &[String]) -> CmdResult {
         // stops with the typed refusal the moment an epoch's charge
         // does not fit the authorized total — already-published
         // artifacts stay on disk.
-        let dir = flags
-            .get("out-dir")
-            .ok_or("publish --deltas requires --out-dir DIR")?;
         let format = ArtifactFormat::Binary; // the one format there is
         let (artifact, path) = session
             .publish_to_dir_as(&config, &dataset, epoch, dir, format, &mut rng)
             .map_err(|e| e.to_string())?;
         eprintln!("epoch {epoch}: wrote {}", path.display());
         print_ledger(artifact.manifest());
-        for delta_path in delta_list.split(',').filter(|s| !s.is_empty()) {
-            let text = std::fs::read_to_string(delta_path)
-                .map_err(|e| format!("cannot read {delta_path}: {e}"))?;
-            let edge_delta =
-                EdgeDelta::from_text(&text).map_err(|e| format!("{delta_path}: {e}"))?;
+        for (delta_path, edge_delta) in deltas {
             let (artifact, path) = session
                 .publish_next_to_dir_as(&config, &dataset, &edge_delta, dir, format, &mut rng)
                 .map_err(|e| format!("epoch chain refused at {delta_path}: {e}"))?;

@@ -318,7 +318,10 @@ impl TryFrom<ArtifactPayload> for ReleaseArtifact {
         let expected = p.manifest.content_digest;
         let computed = content_digest(&p.hierarchy, &p.release);
         if expected != computed {
-            return Err(CoreError::ChecksumMismatch { expected, computed });
+            return Err(CoreError::Artifact(format!(
+                "content digest mismatch: manifest promises {expected:#018x}, \
+                 payload hashes to {computed:#018x}"
+            )));
         }
         Ok(Self {
             manifest: p.manifest,
@@ -607,9 +610,9 @@ impl ReleaseArtifact {
     /// * [`CoreError::Graph`] (`GraphError::Json`) for malformed JSON
     ///   or shape mismatches.
     /// * [`CoreError::Artifact`] for failed sealing validation —
-    ///   including an unsupported [`ArtifactManifest::schema_version`].
-    /// * [`CoreError::ChecksumMismatch`] when the payload does not
-    ///   hash to the digest the manifest promises.
+    ///   including an unsupported [`ArtifactManifest::schema_version`] —
+    ///   and when the payload does not hash to the content digest the
+    ///   manifest promises (the message carries both digests).
     /// * [`CoreError::Graph`] (`GraphError::Io`) for reader failures.
     pub fn read_json<R: Read>(reader: R) -> Result<Self> {
         let payload: ArtifactPayload = graph_io::read_json(reader)?;
@@ -946,6 +949,29 @@ mod tests {
         assert_eq!(back, a);
         assert_eq!(back.manifest(), a.manifest());
         assert_eq!(back.manifest().content_digest, GOLDEN_DIGEST);
+    }
+
+    /// A JSON export whose first noisy value was edited, its manifest
+    /// digest left as exported, is refused naming both digests.
+    #[test]
+    fn edited_json_export_is_refused_naming_the_digest() {
+        let mut json = Vec::new();
+        graph_io::write_json(&golden_artifact(), &mut json).unwrap();
+        let json = String::from_utf8(json).unwrap();
+        let values = json.find("\"noisy_values\"").unwrap();
+        let start = values + json[values..].find('[').unwrap() + 1;
+        let start = start + json[start..].find(|c: char| !c.is_whitespace()).unwrap();
+        let end = start + json[start..].find([',', ']']).unwrap();
+        let edited = format!("{}12345.5{}", &json[..start], &json[end..]);
+        assert_ne!(edited, json);
+        match ReleaseArtifact::read_json(edited.as_bytes()) {
+            Err(CoreError::Artifact(message)) => {
+                assert!(message.contains("content digest mismatch"), "{message}");
+                let promised = format!("{GOLDEN_DIGEST:#018x}");
+                assert!(message.contains(&promised), "{message}");
+            }
+            other => panic!("an edited export must be refused: {other:?}"),
+        }
     }
 
     /// `a` encoded as a `.gda` container behind `manifest`, which the

@@ -8,8 +8,8 @@
 //!   mechanism is `kε`-DP for groups of size `k`), i.e. by shrinking the
 //!   per-step budget to `εg/k`. For `(ε, δ)` mechanisms this pays an
 //!   extra `log k` factor over calibrating the noise to the group
-//!   sensitivity directly — the gap quantified by the
-//!   `baseline_compare` experiment.
+//!   sensitivity directly — the gap `BENCH_paper.json`'s baselines
+//!   record per level (`docs/paper.md`).
 
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -83,17 +83,27 @@ pub fn naive_group_composition_count<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Result<BaselineRelease> {
     let k = level.max_incident_edges(graph).max(1) as f64;
-    let eps_step = Epsilon::new(epsilon_g.get() / k)?;
-    let delta_step = Delta::new(delta_g.get() * (-epsilon_g.get()).exp() / k)?;
-    // Per-step mechanism protects one edge (Δ₂ = 1); the k-fold group
-    // argument lifts it to the level's groups.
-    let mech = GaussianMechanism::classic(eps_step, delta_step, L2Sensitivity::unit())?;
+    let mech = naive_step_mechanism(k, epsilon_g, delta_g)?;
     Ok(BaselineRelease {
         label: "naive-group-composition".to_string(),
         noisy_total: mech.randomize(graph.edge_count() as f64, rng),
         noise_scale: mech.sigma(),
         sensitivity: k,
     })
+}
+
+/// The edge-level Gaussian whose k-fold composition is
+/// `(εg, δg)`-DP for groups touching `k` associations.
+fn naive_step_mechanism(k: f64, epsilon_g: Epsilon, delta_g: Delta) -> Result<GaussianMechanism> {
+    let eps_step = Epsilon::new(epsilon_g.get() / k)?;
+    let delta_step = Delta::new(delta_g.get() * (-epsilon_g.get()).exp() / k)?;
+    // Per-step mechanism protects one edge (Δ₂ = 1); the k-fold group
+    // argument lifts it to the level's groups.
+    Ok(GaussianMechanism::classic(
+        eps_step,
+        delta_step,
+        L2Sensitivity::unit(),
+    )?)
 }
 
 #[cfg(test)]
@@ -149,6 +159,28 @@ mod tests {
             naive.noise_scale,
             direct.sigma()
         );
+        // Across the parameter space, the naive σ exceeds the calibrated
+        // σ by exactly √(ln(1.25·k·e^ε/δ) / ln(1.25/δ)).
+        for k in [1.0, 2.0, 24.0, 1_000.0, 7_032.0, 1e6] {
+            for eps in [1e-3, 0.1, 0.5, 0.9, 0.999] {
+                for delta in [1e-12, 1e-9, 1e-6, 1e-3, 0.5] {
+                    let (e, d) = (Epsilon::new(eps).unwrap(), Delta::new(delta).unwrap());
+                    let naive = naive_step_mechanism(k, e, d).unwrap().sigma();
+                    let calibrated =
+                        GaussianMechanism::classic(e, d, L2Sensitivity::new(k).unwrap())
+                            .unwrap()
+                            .sigma();
+                    let want = ((1.25 * k * eps.exp() / delta).ln() / (1.25 / delta).ln()).sqrt();
+                    let at = format!("k {k}, ε {eps}, δ {delta}");
+                    assert!(naive > calibrated, "{at}: naive σ {naive} ≤ {calibrated}");
+                    let ratio = naive / calibrated;
+                    assert!(
+                        (ratio - want).abs() <= 1e-9 * want,
+                        "{at}: {ratio} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -73,19 +73,9 @@ pub enum CoreError {
         dataset: String,
     },
     /// A release artifact failed sealing, validation, or carried an
-    /// unsupported schema version.
+    /// unsupported schema version — or, read back as a JSON export, does
+    /// not hash to the content digest its manifest records.
     Artifact(String),
-    /// A JSON export read back by the round-trip oracle
-    /// ([`crate::ReleaseArtifact::read_json`]) does not hash to the
-    /// content digest recorded in its manifest — it was edited after
-    /// export. A `.gda` load catches corruption earlier, at the
-    /// container digest (`GraphError::Binary`).
-    ChecksumMismatch {
-        /// The digest the manifest promises.
-        expected: u64,
-        /// The digest the payload actually hashes to.
-        computed: u64,
-    },
 }
 
 impl fmt::Display for CoreError {
@@ -135,11 +125,6 @@ impl fmt::Display for CoreError {
                 "dataset {dataset:?} has no published base epoch to apply a delta to"
             ),
             Self::Artifact(msg) => write!(f, "artifact error: {msg}"),
-            Self::ChecksumMismatch { expected, computed } => write!(
-                f,
-                "artifact checksum mismatch: manifest promises {expected:#018x}, \
-                 payload hashes to {computed:#018x}"
-            ),
         }
     }
 }
@@ -200,13 +185,6 @@ mod tests {
         assert!(e.to_string().contains("more than once"));
         let e = CoreError::Artifact("schema version 9 unsupported".to_string());
         assert!(e.to_string().contains("schema version 9"));
-        let e = CoreError::ChecksumMismatch {
-            expected: 0xdead,
-            computed: 0xbeef,
-        };
-        let text = e.to_string();
-        assert!(text.contains("checksum mismatch"), "{text}");
-        assert!(text.contains("0x000000000000dead"), "{text}");
         assert!(e.source().is_none());
     }
 

@@ -161,7 +161,7 @@ impl MultiLevelRelease {
 
     /// Serializes the total-count series as CSV
     /// (`level,group_count,sensitivity_l2,noisy_total,noise_scale`),
-    /// the exact table the `fig1` harness prints per εg.
+    /// the table `gdp disclose --csv` writes.
     pub fn total_count_csv(&self) -> String {
         let mut out = String::from("level,group_count,sensitivity_l2,noisy_total,noise_scale\n");
         for l in &self.levels {

@@ -160,7 +160,8 @@ impl SpecializationConfig {
         })
     }
 
-    /// A non-private median-split configuration (ablation baseline).
+    /// A non-private median-split configuration (a baseline for the
+    /// private split).
     ///
     /// # Errors
     ///
@@ -172,7 +173,7 @@ impl SpecializationConfig {
         })
     }
 
-    /// A random-split configuration (ablation baseline).
+    /// A random-split configuration (a baseline for the private split).
     ///
     /// # Errors
     ///

@@ -22,9 +22,7 @@
 //!   from scratch (no `rand_distr` dependency), plus the
 //!   [`zipf::spread_rank`] popularity scrambler the generators share,
 //! * serial reference models ([`models`]) — Erdős–Rényi, preferential
-//!   attachment and a planted block model for tests and ablations,
-//! * query workloads ([`workload`]) with true answers attached, and a
-//!   model-driven builder ([`workload::generate_with_workload`]),
+//!   attachment and a planted block model for tests,
 //! * scenario datasets from the paper's introduction: a pharmacy
 //!   (patients × drugs, [`pharmacy`]) and a movie-rating service
 //!   (viewers × movies, [`movies`]), each with labelled sensitive
@@ -51,7 +49,6 @@ pub mod engine;
 pub mod models;
 pub mod movies;
 pub mod pharmacy;
-pub mod workload;
 pub mod zipf;
 
 pub use dblp::{DblpConfig, DblpGenerator};

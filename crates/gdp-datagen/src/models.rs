@@ -1,4 +1,4 @@
-//! Random bipartite graph models for tests, baselines and ablations.
+//! Random bipartite graph models for tests and baselines.
 //!
 //! Serial, single-threaded reference generators:
 //!
@@ -23,7 +23,7 @@
 //! sampler-bound Zipf model instead scales with the shard fan-out),
 //! and bit-identical under a fixed seed at any thread count. The
 //! functions below stay as small, obviously-correct baselines for
-//! property tests and ablations.
+//! property tests.
 
 use rand::seq::SliceRandom;
 use rand::Rng;

@@ -88,6 +88,11 @@ impl EdgeDelta {
     /// Parses the plain-text delta form: one change per line, `+ l r`
     /// for an insert and `- l r` for a delete, with blank lines and
     /// `#`-prefixed comments ignored.
+    ///
+    /// # Errors
+    ///
+    /// Any malformed line — whatever its bytes — is a
+    /// [`GraphError::Parse`] naming that line; the parser never panics.
     pub fn from_text(text: &str) -> Result<Self> {
         let mut inserts = Vec::new();
         let mut deletes = Vec::new();
@@ -117,9 +122,11 @@ impl EdgeDelta {
                     }),
                 }
             };
-            match line.split_at(1) {
-                ("+", rest) => inserts.push(parse(rest)?),
-                ("-", rest) => deletes.push(parse(rest)?),
+            // A byte-level sign check: the line may start with a
+            // multi-byte character, which `split_at(1)` would panic on.
+            match line.as_bytes()[0] {
+                b'+' => inserts.push(parse(&line[1..])?),
+                b'-' => deletes.push(parse(&line[1..])?),
                 _ => {
                     return Err(GraphError::Parse {
                         line: i + 1,
@@ -557,6 +564,10 @@ mod tests {
         let err = EdgeDelta::from_text("+ 1").unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }));
         let err = EdgeDelta::from_text("- 1 x").unwrap_err();
+        assert!(matches!(err, GraphError::Parse { line: 1, .. }));
+        // A line starting with a multi-byte character is refused, not a
+        // panic at a char boundary.
+        let err = EdgeDelta::from_text("é 1 2").unwrap_err();
         assert!(matches!(err, GraphError::Parse { line: 1, .. }));
     }
 

@@ -221,7 +221,7 @@ pub fn parallel_composition(budgets: &[PrivacyBudget]) -> Option<PrivacyBudget> 
 /// `(ε·√(2k·ln(1/δ′)) + k·ε·(e^ε − 1), k·δ + δ′)`-DP for any `δ′ > 0`.
 ///
 /// For small `ε` and large `k` this beats the linear `k·ε` of sequential
-/// composition; the accountant ablation bench quantifies the crossover.
+/// composition; `rdp`'s tests compare both against Rényi accounting.
 ///
 /// # Errors
 ///

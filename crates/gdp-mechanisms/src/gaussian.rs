@@ -187,8 +187,7 @@ impl GaussianMechanism {
 /// Theorem 8): for noise σ and sensitivity Δ,
 /// `δ(σ) = Φ(Δ/(2σ) − εσ/Δ) − e^ε · Φ(−Δ/(2σ) − εσ/Δ)`.
 ///
-/// Exposed for tests and for the experiment harness, which plots the
-/// classic-vs-analytic gap in one of the ablations.
+/// The analytic calibration below inverts it; exposed for tests.
 pub fn gaussian_delta(epsilon: f64, sigma: f64, sensitivity: f64) -> f64 {
     let a = sensitivity / (2.0 * sigma) - epsilon * sigma / sensitivity;
     let b = -sensitivity / (2.0 * sigma) - epsilon * sigma / sensitivity;

@@ -21,8 +21,8 @@
 //! singleton groups' worth of noise lands on this tiny subset);
 //! privilege 3 and 6 read coarser levels whose per-node pre-mass
 //! averages the noise down — smaller absolute deviation, blurrier
-//! structure, the same resolution/noise trade-off `workload_error`
-//! quantifies. Then the typed query surface at level 3 (one group's raw
+//! structure: the multi-level design's resolution/noise trade-off.
+//! Then the typed query surface at level 3 (one group's raw
 //! noisy mass, the left-side total, the released degree histogram —
 //! all through the same privilege gate), a privilege-enforcement
 //! demonstration (level finer than clearance → `AccessDenied`) and a
