@@ -7,7 +7,7 @@
 //! edges, plus four acceptance measurements: prefix-sum vs naive cut
 //! scoring at 100k edges / 64 candidates (ISSUE 1), per-level
 //! pair-count rescans vs the one-sweep + rollup `HierarchyStats` engine
-//! (ISSUE 2), the incremental-builder datagen baseline vs the parallel
+//! (ISSUE 2), the incremental-builder datagen baseline vs the
 //! streaming engine at 1M edge draws, model by model (ISSUE 3, the
 //! `datagen_1m` entries), and — ISSUEs 4/5, the `answer_qps` entries —
 //! per-`Query`-variant serving workloads (subset counts, group masses,
@@ -35,29 +35,19 @@
 //! estimator rebuilds or release rescans, nor quietly slow the `.gda`
 //! load path down.
 //!
-//! Kernel and threading instrumentation:
-//! `--threads N` pins the worker-pool width for the whole run (recorded
-//! in the report next to the host core count), the `subset_gather`
-//! entry times the shipping subset-gather kernel against its reference
-//! algorithm (asserting bitwise-equal results every rep), and the
-//! `scaling` section re-times the datagen and disclose phases at
-//! 1/2/4/8 pool threads with the outputs pinned bit-identical across
-//! thread counts. `--assert-gather-over RATIO` makes the run fail
-//! when the shipping gather stops beating the reference by the given
-//! factor, and `--assert-scaling-disclose-2t-over RATIO`
-//! requires the 2-thread disclose phase to show real parallel speedup
-//! (skipped with a notice on single-core hosts, where no speedup is
-//! physically available).
+//! Kernel instrumentation: the `subset_gather` entry times the
+//! shipping subset-gather kernel against its reference algorithm
+//! (asserting bitwise-equal results every rep).
+//! `--assert-gather-over RATIO` makes the run fail when the shipping
+//! gather stops beating the reference by the given factor.
 //!
 //! ```text
 //! bench_pipeline [--out FILE] [--seed N] [--max-edges N] [--reps N]
-//!                [--threads N]
 //!                [--assert-disclose-100k-under MS]
 //!                [--assert-datagen-1m-under MS]
 //!                [--assert-answer-qps-over QPS]
 //!                [--assert-binary-load-1m-under MS]
 //!                [--assert-gather-over RATIO]
-//!                [--assert-scaling-disclose-2t-over RATIO]
 //!                [--assert-delta-disclose-over RATIO]
 //!                [--assert-digest-over RATIO]
 //!                [--assert-edge-list-read-over RATIO]
@@ -322,36 +312,10 @@ struct GatherComparison {
     speedup: f64,
 }
 
-/// One thread count's row of the multi-thread scaling story: the two
-/// rayon-parallel phases re-timed with the pool sized to `threads`,
-/// with speedups relative to the single-thread row. Results at every
-/// thread count are asserted bit-identical to the single-thread run
-/// (determinism is a workspace contract, see `docs/determinism.md`).
-#[derive(Debug, Serialize)]
-struct ScalingEntry {
-    threads: usize,
-    datagen_1m_ms: f64,
-    disclose_1m_ms: f64,
-    datagen_speedup: f64,
-    disclose_speedup: f64,
-}
-
-/// The `scaling` section of the report. `host_cores` is what
-/// `std::thread::available_parallelism()` reported — on a single-core
-/// host every speedup sits near 1.0 and the section mainly proves
-/// bit-stability across pool sizes; multi-core readers (and the CI
-/// runner) see the actual scaling.
-#[derive(Debug, Serialize)]
-struct ScalingReport {
-    host_cores: usize,
-    entries: Vec<ScalingEntry>,
-}
-
 #[derive(Debug, Serialize)]
 struct Report {
     generated_by: String,
     seed: u64,
-    threads: usize,
     host_cores: usize,
     scorer_100k: ScorerComparison,
     pair_counts_1m: PairCountsComparison,
@@ -367,7 +331,6 @@ struct Report {
     /// measured at.
     reader_throughput: Option<ReaderThroughput>,
     subset_gather: GatherComparison,
-    scaling: ScalingReport,
     phases: Vec<PhaseTimings>,
 }
 
@@ -1441,99 +1404,16 @@ fn gather_comparison(seed: u64, reps: usize) -> GatherComparison {
     }
 }
 
-/// The ISSUE-9 multi-thread scaling sweep: the two rayon-parallel
-/// phases (streaming datagen at 1M draws, disclosure at 1M edges)
-/// re-timed at 1/2/4/8 pool threads, outputs asserted bit-identical to
-/// the single-thread run.
-/// Restores the entering `RAYON_NUM_THREADS` before returning.
-fn scaling_report(seed: u64, reps: usize) -> ScalingReport {
-    let entering = std::env::var("RAYON_NUM_THREADS").ok();
-
-    // Shared fixtures, built once outside the timed loops.
-    let edges_1m = 1_000_000usize;
-    let side_1m = ((edges_1m as f64).sqrt() * 6.3) as u32;
-    let model_1m = GraphModel::ErdosRenyi {
-        left: side_1m,
-        right: side_1m,
-        edges: edges_1m,
-    };
-    let graph_1m = model_1m.generate(&mut StdRng::seed_from_u64(seed));
-    let hierarchy_1m =
-        Specializer::new(SpecializationConfig::paper_default(8).expect("rounds > 0"))
-            .specialize(&graph_1m, &mut StdRng::seed_from_u64(seed ^ 1))
-            .expect("specialize succeeds");
-    let discloser = MultiLevelDiscloser::new(
-        DisclosureConfig::count_only(0.5, 1e-6)
-            .expect("valid budget")
-            .with_queries(vec![Query::TotalAssociations, Query::PerGroupCounts]),
-    );
-
-    let mut entries: Vec<ScalingEntry> = Vec::new();
-    let mut baseline: Option<(f64, f64)> = None;
-    let mut pinned: Option<(gdp_graph::BipartiteGraph, gdp_core::MultiLevelRelease)> = None;
-    for threads in [1usize, 2, 4, 8] {
-        // The vendored pool sizes itself from this env var on every
-        // parallel call, so re-pointing it re-sizes the phases below.
-        std::env::set_var("RAYON_NUM_THREADS", threads.to_string());
-
-        let (datagen_ms, graph) =
-            time_best_of(reps, || model_1m.generate(&mut StdRng::seed_from_u64(seed)));
-        let (disclose_ms, release) = time_best_of(reps, || {
-            discloser
-                .disclose(
-                    &graph_1m,
-                    &hierarchy_1m,
-                    &mut StdRng::seed_from_u64(seed ^ 2),
-                )
-                .expect("disclose succeeds")
-        });
-
-        match &pinned {
-            None => pinned = Some((graph, release)),
-            Some((g1, r1)) => {
-                assert_eq!(
-                    &graph, g1,
-                    "datagen must be bit-stable across thread counts"
-                );
-                assert_eq!(
-                    &release, r1,
-                    "disclosure must be bit-stable across thread counts"
-                );
-            }
-        }
-
-        let (d1, x1) = *baseline.get_or_insert((datagen_ms, disclose_ms));
-        entries.push(ScalingEntry {
-            threads,
-            datagen_1m_ms: datagen_ms,
-            disclose_1m_ms: disclose_ms,
-            datagen_speedup: d1 / datagen_ms,
-            disclose_speedup: x1 / disclose_ms,
-        });
-    }
-
-    match entering {
-        Some(v) => std::env::set_var("RAYON_NUM_THREADS", v),
-        None => std::env::remove_var("RAYON_NUM_THREADS"),
-    }
-    ScalingReport {
-        host_cores: host_cores(),
-        entries,
-    }
-}
-
 fn main() {
     let mut out_path = "BENCH_pipeline.json".to_string();
     let mut seed = 42u64;
     let mut max_edges = 1_000_000usize;
     let mut reps = 3usize;
-    let mut threads: Option<usize> = None;
     let mut disclose_100k_ceiling_ms: Option<f64> = None;
     let mut datagen_1m_ceiling_ms: Option<f64> = None;
     let mut answer_qps_floor: Option<f64> = None;
     let mut binary_load_1m_ceiling_ms: Option<f64> = None;
     let mut gather_floor: Option<f64> = None;
-    let mut scaling_disclose_2t_floor: Option<f64> = None;
     let mut delta_disclose_floor: Option<f64> = None;
     let mut digest_floor: Option<f64> = None;
     let mut edge_list_read_floor: Option<f64> = None;
@@ -1558,14 +1438,6 @@ fn main() {
                     .next()
                     .and_then(|v| v.parse().ok())
                     .expect("--reps needs a number")
-            }
-            "--threads" => {
-                threads = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .filter(|&n: &usize| n >= 1)
-                        .expect("--threads needs a positive number"),
-                )
             }
             "--assert-disclose-100k-under" => {
                 disclose_100k_ceiling_ms = Some(
@@ -1602,13 +1474,6 @@ fn main() {
                         .expect("--assert-gather-over needs a number (speedup ratio)"),
                 )
             }
-            "--assert-scaling-disclose-2t-over" => {
-                scaling_disclose_2t_floor = Some(
-                    args.next()
-                        .and_then(|v| v.parse().ok())
-                        .expect("--assert-scaling-disclose-2t-over needs a number (speedup ratio)"),
-                )
-            }
             "--assert-delta-disclose-over" => {
                 delta_disclose_floor = Some(
                     args.next()
@@ -1632,11 +1497,10 @@ fn main() {
             }
             "--help" | "-h" => {
                 eprintln!(
-                    "flags: [--out FILE] [--seed N] [--max-edges N] [--reps N] [--threads N] \
+                    "flags: [--out FILE] [--seed N] [--max-edges N] [--reps N] \
                      [--assert-disclose-100k-under MS] [--assert-datagen-1m-under MS] \
                      [--assert-answer-qps-over QPS] [--assert-binary-load-1m-under MS] \
-                     [--assert-gather-over RATIO] [--assert-scaling-disclose-2t-over RATIO] \
-                     [--assert-delta-disclose-over RATIO] [--assert-digest-over RATIO] \
+                     [--assert-gather-over RATIO] [--assert-delta-disclose-over RATIO] [--assert-digest-over RATIO] \
                      [--assert-edge-list-read-over RATIO]"
                 );
                 return;
@@ -1646,14 +1510,6 @@ fn main() {
                 std::process::exit(2);
             }
         }
-    }
-
-    // Size the rayon pool before any parallel call: the vendored pool
-    // reads this env var per call, so one write here governs every
-    // phase below (the scaling sweep re-points it per row and restores
-    // this value afterwards).
-    if let Some(n) = threads {
-        std::env::set_var("RAYON_NUM_THREADS", n.to_string());
     }
 
     eprintln!("measuring cut-scorer comparison (100k edges, 64 candidates)…");
@@ -1825,16 +1681,6 @@ fn main() {
         subset_gather.reference_ms, subset_gather.shipping_ms, subset_gather.speedup
     );
 
-    eprintln!("measuring multi-thread scaling (1/2/4/8 pool threads)…");
-    let scaling = scaling_report(seed, reps.min(2));
-    eprintln!("  host cores: {}", scaling.host_cores);
-    for e in &scaling.entries {
-        eprintln!(
-            "  {} thread(s): datagen {:.1} ms ({:.2}×) | disclose {:.1} ms ({:.2}×)",
-            e.threads, e.datagen_1m_ms, e.datagen_speedup, e.disclose_1m_ms, e.disclose_speedup
-        );
-    }
-
     let disclose_100k = phases
         .iter()
         .find(|p| (90_000..=110_000).contains(&p.edges))
@@ -1848,7 +1694,6 @@ fn main() {
     let report = Report {
         generated_by: "gdp-bench bench_pipeline".to_string(),
         seed,
-        threads: rayon::current_num_threads(),
         host_cores: host_cores(),
         scorer_100k: scorer,
         pair_counts_1m: pair_counts,
@@ -1862,7 +1707,6 @@ fn main() {
         answer_qps,
         reader_throughput,
         subset_gather,
-        scaling,
         phases,
     };
     let json = serde_json::to_string_pretty(&report).expect("report serializes");
@@ -1892,7 +1736,7 @@ fn main() {
     // Regression gate for CI: streaming Erdős–Rényi generation at 1M
     // draws must stay under the ceiling (single-stream sampling through
     // the sorting builder puts it back above ~40 ms; the streaming
-    // engine runs it in the teens single-threaded, less with a pool).
+    // engine runs it in the teens).
     if let Some(ceiling) = datagen_1m_ceiling_ms {
         let er = report
             .datagen_1m
@@ -2039,40 +1883,5 @@ fn main() {
             "edge-list reader: {:.2}× over the lines() baseline ≥ floor {floor:.2}×",
             d.read_speedup
         );
-    }
-
-    // Regression gate for CI: disclosure at 2 pool threads must show
-    // real parallel speedup over the same run at 1 thread. On a
-    // single-core host no speedup is physically available, so the gate
-    // skips (with a notice) rather than encoding the runner's shape.
-    if let Some(floor) = scaling_disclose_2t_floor {
-        if report.scaling.host_cores < 2 {
-            eprintln!(
-                "skipping --assert-scaling-disclose-2t-over: single-core host \
-                 (host_cores = {})",
-                report.scaling.host_cores
-            );
-        } else {
-            let row = report
-                .scaling
-                .entries
-                .iter()
-                .find(|e| e.threads == 2)
-                .expect("scaling report must include the 2-thread row");
-            if row.disclose_speedup < floor {
-                eprintln!(
-                    "FAIL: disclose at 2 threads is {:.2}× over 1 thread \
-                     (floor {floor:.2}×; 1t {:.1} ms, 2t {:.1} ms)",
-                    row.disclose_speedup,
-                    row.disclose_1m_ms * row.disclose_speedup,
-                    row.disclose_1m_ms
-                );
-                std::process::exit(1);
-            }
-            eprintln!(
-                "disclose scaling at 2 threads: {:.2}× over 1 thread ≥ floor {floor:.2}×",
-                row.disclose_speedup
-            );
-        }
     }
 }

@@ -137,11 +137,14 @@ pub fn build(paper_scale: bool) -> PaperReport {
         .iter()
         .enumerate()
         .map(|(slot, &level)| {
-            let group_level = hierarchy.level(level).expect("level exists");
+            let k = hierarchy
+                .level(level)
+                .expect("level exists")
+                .max_incident_edges(&graph);
             let (mut edge_dp, mut naive) = (Route::default(), Route::default());
             for _ in 0..TRIALS {
                 let e = individual_edge_dp_count(&graph, eps, &mut rng).expect("edge-DP runs");
-                let n = naive_group_composition_count(&graph, group_level, eps, delta, &mut rng)
+                let n = naive_group_composition_count(&graph, k, eps, delta, &mut rng)
                     .expect("naive composition runs");
                 edge_dp.rer += relative_error(e.noisy_total, truth) / TRIALS as f64;
                 naive.rer += relative_error(n.noisy_total, truth) / TRIALS as f64;

@@ -33,7 +33,7 @@ commands:
            [--blocks N] [--per-left N] [--intra P] (blocks)
       generate an association graph and write it as an edge list; the
       default dblp model is the serial DBLP-like generator, the other
-      three run through the parallel streaming engine
+      three run through the streaming engine
   stats --in FILE
       print dataset statistics for an edge-list graph
   disclose --in FILE [--rounds N] [--eps E] [--delta D]
@@ -116,14 +116,22 @@ commands:
 
 type CmdResult = Result<(), String>;
 
-/// Parses `--key value` pairs (and bare `--flag` as `"true"`).
-fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
+/// Parses `--key value` pairs (and bare `--flag` as `"true"`). A flag
+/// outside `accepted` is an error that names it and lists the accepted
+/// flags, so a typo is refused before any file is read or written.
+fn parse_flags(args: &[String], accepted: &[&str]) -> Result<HashMap<String, String>, String> {
     let mut map = HashMap::new();
     let mut iter = args.iter().peekable();
     while let Some(arg) = iter.next() {
         let key = arg
             .strip_prefix("--")
             .ok_or_else(|| format!("expected --flag, got `{arg}`"))?;
+        if !accepted.contains(&key) {
+            return Err(format!(
+                "unknown flag --{key} (accepted: {})",
+                flag_list(accepted)
+            ));
+        }
         let value = if iter.peek().is_some_and(|next| !next.starts_with("--")) {
             // peek() just confirmed the pair's value is present; the
             // fallback keeps this arm panic-free regardless.
@@ -134,6 +142,15 @@ fn parse_flags(args: &[String]) -> Result<HashMap<String, String>, String> {
         map.insert(key.to_string(), value);
     }
     Ok(map)
+}
+
+/// `--a --b ...`, for error messages.
+fn flag_list(names: &[&str]) -> String {
+    names
+        .iter()
+        .map(|k| format!("--{k}"))
+        .collect::<Vec<_>>()
+        .join(" ")
 }
 
 fn get_num<T: std::str::FromStr>(
@@ -238,11 +255,7 @@ fn check_generate_flags(model: &str, flags: &HashMap<String, String>) -> Result<
         if !allowed.contains(&key.as_str()) {
             return Err(format!(
                 "--{key} does not apply to model `{model}` (accepted: {})",
-                allowed
-                    .iter()
-                    .map(|k| format!("--{k}"))
-                    .collect::<Vec<_>>()
-                    .join(" ")
+                flag_list(allowed)
             ));
         }
     }
@@ -251,7 +264,25 @@ fn check_generate_flags(model: &str, flags: &HashMap<String, String>) -> Result<
 
 /// `gdp generate`.
 pub fn generate(args: &[String]) -> CmdResult {
-    let flags = parse_flags(args)?;
+    // Every model's flags; `check_generate_flags` narrows them to the
+    // selected model's.
+    let flags = parse_flags(
+        args,
+        &[
+            "out",
+            "model",
+            "seed",
+            "scale",
+            "left",
+            "right",
+            "edges",
+            "per-right",
+            "exponent",
+            "blocks",
+            "per-left",
+            "intra",
+        ],
+    )?;
     let out = flags.get("out").ok_or("generate requires --out FILE")?;
     let seed: u64 = get_num(&flags, "seed", 42)?;
     let model_name = flags.get("model").map(String::as_str).unwrap_or("dblp");
@@ -284,7 +315,7 @@ pub fn generate(args: &[String]) -> CmdResult {
 
 /// `gdp stats`.
 pub fn stats(args: &[String]) -> CmdResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["in"])?;
     let input = flags.get("in").ok_or("stats requires --in FILE")?;
     let file = File::open(input).map_err(|e| format!("cannot open {input}: {e}"))?;
     let graph = graph_io::read_edge_list(file).map_err(|e| format!("{input}: {e}"))?;
@@ -321,7 +352,19 @@ fn parse_mechanism(flags: &HashMap<String, String>) -> Result<NoiseMechanism, St
 
 /// `gdp disclose`.
 pub fn disclose(args: &[String]) -> CmdResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "in",
+            "rounds",
+            "eps",
+            "delta",
+            "strategy",
+            "mechanism",
+            "seed",
+            "csv",
+        ],
+    )?;
     let input = flags.get("in").ok_or("disclose requires --in FILE")?;
     let rounds: u32 = get_num(&flags, "rounds", 8)?;
     let eps: f64 = get_num(&flags, "eps", 0.5)?;
@@ -406,7 +449,26 @@ fn read_deltas(list: &str) -> Result<Vec<(&str, EdgeDelta)>, String> {
 /// disclosure session over an edge-list graph and write the sealed
 /// [`ReleaseArtifact`] consumers answer from.
 pub fn publish(args: &[String]) -> CmdResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "in",
+            "out",
+            "dataset",
+            "epoch",
+            "rounds",
+            "eps",
+            "delta",
+            "budget-eps",
+            "budget-delta",
+            "deltas",
+            "out-dir",
+            "strategy",
+            "mechanism",
+            "seed",
+            "hist-max",
+        ],
+    )?;
     let input = flags.get("in").ok_or("publish requires --in FILE")?;
     let dataset = flags
         .get("dataset")
@@ -544,7 +606,7 @@ fn print_ledger(m: &gdp_core::ArtifactManifest) {
 /// people to read. One-way: the manifest (content digest included) is
 /// written verbatim, and no command loads the export back.
 pub fn convert(args: &[String]) -> CmdResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(args, &["in", "out"])?;
     let input = flags.get("in").ok_or("convert requires --in FILE.gda")?;
     let out = flags.get("out").ok_or("convert requires --out FILE.json")?;
     if !out.ends_with(".json") {
@@ -625,7 +687,19 @@ fn open_store(flags: &HashMap<String, String>, who: &str) -> Result<ReleaseStore
 /// them) and answer a typed-query workload under a privilege through
 /// the serving path.
 pub fn answer(args: &[String]) -> CmdResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "artifact",
+            "artifact-dir",
+            "queries",
+            "privilege",
+            "level",
+            "dataset",
+            "epoch",
+            "query-type",
+        ],
+    )?;
     let queries_path = flags
         .get("queries")
         .ok_or("answer requires --queries FILE")?;
@@ -722,7 +796,23 @@ pub fn answer(args: &[String]) -> CmdResult {
 /// /v1/admin/reload` re-scans on demand, `--reload-interval-ms` adds a
 /// supervised watcher that re-scans continuously.
 pub fn serve(args: &[String]) -> CmdResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "artifact",
+            "artifact-dir",
+            "addr",
+            "workers",
+            "queue",
+            "deadline-ms",
+            "io-timeout-ms",
+            "drain-ms",
+            "retry-after",
+            "cache-capacity",
+            "port-file",
+            "reload-interval-ms",
+        ],
+    )?;
     // The serving path opens directories in degraded mode: a single
     // damaged file is quarantined with a note, not a refusal to start.
     let (store, reload) = match (flags.get("artifact"), flags.get("artifact-dir")) {
@@ -819,7 +909,16 @@ pub fn serve(args: &[String]) -> CmdResult {
 /// durably deleted (unlink + directory fsync). The newest epoch of a
 /// dataset is never evicted, so a served dataset cannot be emptied.
 pub fn gc(args: &[String]) -> CmdResult {
-    let flags = parse_flags(args)?;
+    let flags = parse_flags(
+        args,
+        &[
+            "artifact-dir",
+            "keep-last",
+            "ttl-epochs",
+            "dataset",
+            "dry-run",
+        ],
+    )?;
     let dir = flags
         .get("artifact-dir")
         .ok_or("gc requires --artifact-dir DIR")?;
@@ -910,8 +1009,14 @@ pub fn gc(args: &[String]) -> CmdResult {
 mod tests {
     use super::*;
 
+    /// Parses `args`, accepting every flag they name.
     fn flags(args: &[&str]) -> HashMap<String, String> {
-        parse_flags(&args.iter().map(|s| s.to_string()).collect::<Vec<_>>()).unwrap()
+        let accepted: Vec<&str> = args.iter().filter_map(|a| a.strip_prefix("--")).collect();
+        parse_flags(
+            &args.iter().map(|s| s.to_string()).collect::<Vec<_>>(),
+            &accepted,
+        )
+        .unwrap()
     }
 
     #[test]
@@ -925,7 +1030,18 @@ mod tests {
     #[test]
     fn reject_positional_arguments() {
         let args = vec!["positional".to_string()];
-        assert!(parse_flags(&args).is_err());
+        assert!(parse_flags(&args, &[]).is_err());
+    }
+
+    #[test]
+    fn reject_unknown_flags_naming_the_accepted_ones() {
+        let args: Vec<String> = ["--in", "g.txt", "--sed", "9"]
+            .iter()
+            .map(|s| s.to_string())
+            .collect();
+        let err = parse_flags(&args, &["in", "seed"]).unwrap_err();
+        assert_eq!(err, "unknown flag --sed (accepted: --in --seed)");
+        assert!(parse_flags(&args[..2], &["in", "seed"]).is_ok());
     }
 
     #[test]

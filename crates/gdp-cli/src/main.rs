@@ -26,7 +26,7 @@
 //! ```
 //!
 //! The default `dblp` model runs the serial DBLP-like generator; the
-//! other three go through `gdp_datagen`'s parallel streaming engine.
+//! other three go through `gdp_datagen`'s streaming engine.
 //! `publish`/`answer` are the serving pair: one writes the sealed
 //! release artifact as a `.gda` binary container, the one format that
 //! is published and served, and the other loads it and answers

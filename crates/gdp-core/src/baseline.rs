@@ -19,7 +19,6 @@ use gdp_mechanisms::{
     Delta, Epsilon, GaussianMechanism, L1Sensitivity, L2Sensitivity, LaplaceMechanism,
 };
 
-use crate::hierarchy::GroupLevel;
 use crate::Result;
 
 /// A single noisy count released by one of the baseline mechanisms.
@@ -60,8 +59,10 @@ pub fn individual_edge_dp_count<R: Rng + ?Sized>(
 /// paper's machinery: run an edge-level `(ε', δ')`-DP Gaussian and rely
 /// on the group-privacy property of DP.
 ///
-/// A group at `level` touches at most `k = max incident edges`
-/// associations, and an `(ε', δ')`-DP mechanism is
+/// A group of the released level touches at most
+/// `k = max_incident_edges` associations (the level's
+/// [`crate::GroupLevel::max_incident_edges`], which the caller computes
+/// once per level), and an `(ε', δ')`-DP mechanism is
 /// `(kε', k·e^{(k−1)ε'}·δ')`-DP for changes of `k` records. Solving for
 /// the per-step parameters that yield `(εg, δg)` at the group level
 /// gives `ε' = εg/k` and `δ' = δg·e^{−(k−1)ε'}/k ≥ δg·e^{−εg}/k`; we use
@@ -77,12 +78,12 @@ pub fn individual_edge_dp_count<R: Rng + ?Sized>(
 /// Propagates invalid parameters (e.g. `εg/k` rounding to zero).
 pub fn naive_group_composition_count<R: Rng + ?Sized>(
     graph: &BipartiteGraph,
-    level: &GroupLevel,
+    max_incident_edges: u64,
     epsilon_g: Epsilon,
     delta_g: Delta,
     rng: &mut R,
 ) -> Result<BaselineRelease> {
-    let k = level.max_incident_edges(graph).max(1) as f64;
+    let k = max_incident_edges.max(1) as f64;
     let mech = naive_step_mechanism(k, epsilon_g, delta_g)?;
     Ok(BaselineRelease {
         label: "naive-group-composition".to_string(),
@@ -109,6 +110,7 @@ fn naive_step_mechanism(k: f64, epsilon_g: Epsilon, delta_g: Delta) -> Result<Ga
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hierarchy::GroupLevel;
     use gdp_graph::{GraphBuilder, LeftId, RightId, Side, SidePartition};
     use gdp_mechanisms::GaussianMechanism;
     use rand::rngs::StdRng;
@@ -148,9 +150,10 @@ mod tests {
         let level = whole_level(&g);
         let eps = Epsilon::new(0.5).unwrap();
         let delta = Delta::new(1e-6).unwrap();
-        let naive = naive_group_composition_count(&g, &level, eps, delta, &mut rng()).unwrap();
+        let k = level.max_incident_edges(&g);
+        let naive = naive_group_composition_count(&g, k, eps, delta, &mut rng()).unwrap();
         // Direct calibration: one Gaussian at group sensitivity k.
-        let k = level.max_incident_edges(&g) as f64;
+        let k = k as f64;
         let direct =
             GaussianMechanism::classic(eps, delta, L2Sensitivity::new(k).unwrap()).unwrap();
         assert!(

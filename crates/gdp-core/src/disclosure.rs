@@ -1,6 +1,5 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use gdp_graph::{BipartiteGraph, DegreeHistogram};
@@ -185,20 +184,14 @@ impl MultiLevelDiscloser {
             ));
         }
         // Levels are released to disjoint audiences, each calibrated to
-        // its own sensitivity — independent work, so fan out with rayon.
-        // Per-level seeds are drawn sequentially from the master RNG so
-        // the release is bit-identical at any worker count.
-        let seeds: Vec<u64> = hierarchy
+        // its own sensitivity. Each level draws from its own stream,
+        // seeded in level order from the master RNG.
+        let levels = hierarchy
             .levels()
             .iter()
-            .map(|_| rng.gen::<u64>())
-            .collect();
-        let levels: Result<Vec<LevelRelease>> = hierarchy
-            .levels()
-            .par_iter()
             .enumerate()
             .map(|(i, level)| {
-                let mut level_rng = StdRng::seed_from_u64(seeds[i]);
+                let mut level_rng = StdRng::seed_from_u64(rng.gen::<u64>());
                 let ctx = AnswerContext {
                     level,
                     stats: stats.level(i)?,
@@ -206,8 +199,7 @@ impl MultiLevelDiscloser {
                 };
                 self.disclose_level_cached(&ctx, i, &mut level_rng)
             })
-            .collect();
-        let levels = levels?;
+            .collect::<Result<Vec<LevelRelease>>>()?;
         MultiLevelRelease::new(
             self.config.mechanism,
             self.config.epsilon_g.get(),

@@ -4,11 +4,9 @@
 //! Starting from one all-encompassing group per side, each round splits
 //! every block in two via the exponential mechanism (or the median /
 //! random baselines of [`SplitStrategy`]), spending a per-round share
-//! of the Phase-1 budget. Disjoint block splits fan out across rayon
-//! workers with per-task seeded `StdRng` streams drawn sequentially
-//! from the master RNG, so a fixed-seed hierarchy is bit-identical at
-//! any thread count (the workspace determinism convention — see
-//! `docs/determinism.md`).
+//! of the Phase-1 budget. Each block split draws from its own seeded
+//! `StdRng` stream, seeded in block order from the master RNG (the
+//! workspace determinism convention — see `docs/determinism.md`).
 //!
 //! The hot path is cut-candidate scoring, isolated in [`scoring`] with
 //! a naive reference implementation kept alongside the production
@@ -16,7 +14,6 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use gdp_graph::{BipartiteGraph, Side, SidePartition};
@@ -301,11 +298,11 @@ impl Specializer {
     /// Splits every block of one side (blocks of < 2 nodes pass through).
     ///
     /// Blocks within a round are **disjoint**, so by the paper's
-    /// parallel-composition argument their splits are semantically
-    /// independent — this is the rayon fan-out point. Each splittable
-    /// block gets its own seeded [`StdRng`] stream drawn from the master
-    /// generator *in block order*, so the output is bit-identical
-    /// regardless of worker count (see `tests/determinism.rs`).
+    /// parallel-composition argument their splits are independent.
+    /// Each splittable block gets its own seeded [`StdRng`] stream,
+    /// seeded from the master generator *in block order*, so a block's
+    /// draws never depend on how many draws another block's split took
+    /// (see `docs/determinism.md`).
     fn split_side<R: Rng + ?Sized>(
         &self,
         blocks: Vec<Vec<u32>>,
@@ -314,35 +311,22 @@ impl Specializer {
         per_round_eps: Epsilon,
         rng: &mut R,
     ) -> Result<Vec<Vec<u32>>> {
-        // Sequential seed draw keeps the stream independent of threads.
-        let tasks: Vec<(Vec<u32>, Option<u64>)> = blocks
-            .into_iter()
-            .map(|b| {
-                if b.len() < 2 {
-                    (b, None)
-                } else {
-                    let seed = rng.gen::<u64>();
-                    (b, Some(seed))
-                }
-            })
-            .collect();
-        let split: Result<Vec<Vec<Vec<u32>>>> = tasks
-            .into_par_iter()
-            .map(|(mut block, seed)| match seed {
-                None => Ok(vec![block]),
-                Some(seed) => {
-                    let mut block_rng = StdRng::seed_from_u64(seed);
-                    // Order by (degree, id) so prefix cuts trade off
-                    // mass smoothly.
-                    block.sort_unstable_by_key(|&n| (degrees[n as usize], n));
-                    let cut =
-                        self.choose_cut(&block, degrees, delta_u, per_round_eps, &mut block_rng)?;
-                    let tail = block.split_off(cut);
-                    Ok(vec![block, tail])
-                }
-            })
-            .collect();
-        Ok(split?.into_iter().flatten().collect())
+        let mut split = Vec::with_capacity(blocks.len() * 2);
+        for mut block in blocks {
+            if block.len() < 2 {
+                split.push(block);
+                continue;
+            }
+            let mut block_rng = StdRng::seed_from_u64(rng.gen::<u64>());
+            // Order by (degree, id) so prefix cuts trade off mass
+            // smoothly.
+            block.sort_unstable_by_key(|&n| (degrees[n as usize], n));
+            let cut = self.choose_cut(&block, degrees, delta_u, per_round_eps, &mut block_rng)?;
+            let tail = block.split_off(cut);
+            split.push(block);
+            split.push(tail);
+        }
+        Ok(split)
     }
 
     /// Chooses the cut position in `1..block.len()` per the strategy.
@@ -595,10 +579,8 @@ mod tests {
         assert_eq!(utilities[4], 0.0);
     }
 
-    // Thread-count invariance of specialization is covered by the
-    // integration suite (`tests/determinism.rs`), where all
-    // `RAYON_NUM_THREADS` mutation in the test binary serializes on one
-    // mutex; an in-crate version would race other tests' env reads.
+    // The fixed-seed bytes of a full specialization are pinned by the
+    // integration suite (`tests/determinism.rs`).
 
     #[test]
     fn phase1_budget_reporting() {

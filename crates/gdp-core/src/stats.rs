@@ -14,7 +14,7 @@
 //! next coarser one, and block-pair counts are plain sums: if coarse
 //! block `G` is the union of fine blocks `g₁…g_k`, then
 //! `count(G, H) = Σᵢⱼ count(gᵢ, hⱼ)`. So the finest level's counts (one
-//! rayon-sharded edge sweep) determine every coarser level's counts by
+//! edge sweep) determine every coarser level's counts by
 //! an `O(non-empty cells)` fold along the refinement chain
 //! ([`gdp_graph::PairCounts::rollup`]), and each level's marginals,
 //! total and max-incidence fall out of its CSR arrays in one more pass.

@@ -1,5 +1,5 @@
-//! Parallel streaming generation engine: sharded edge sources feeding
-//! the row-shard CSR assembly.
+//! Streaming generation engine: sharded edge sources feeding the
+//! row-shard CSR assembly.
 //!
 //! # Why this exists
 //!
@@ -11,12 +11,11 @@
 //! streaming pipeline:
 //!
 //! 1. A model implements [`StreamingEdgeSource`]: it declares a fixed
-//!    number of **shards** (a function of the workload only — never of
-//!    the thread count) and emits each shard's edges into an
-//!    [`EdgeSink`].
+//!    number of **shards** (a function of the workload only) and emits
+//!    each shard's edges into an [`EdgeSink`].
 //! 2. The engine draws one seed per shard **sequentially from the
 //!    master RNG** — the workspace determinism convention (see
-//!    `docs/determinism.md`) — and fans the shards out over rayon.
+//!    `docs/determinism.md`) — and fills the shards in order.
 //! 3. Every shard owns a contiguous row range and streams straight into
 //!    a [`gdp_graph::RowShardSink`], which canonicalizes rows on the
 //!    fly; [`gdp_graph::assemble_left_rows`] or
@@ -24,10 +23,9 @@
 //!    and derives the other side with one transpose scatter. No global
 //!    edge list is materialized and nothing is ever globally sorted.
 //!
-//! Fixed-seed output is therefore **bit-identical at any thread
-//! count**, and identical to replaying the same shards through the
-//! incremental builder ([`generate_incremental`]) — both pinned by the
-//! `gdp-datagen` determinism tests.
+//! Fixed-seed output is identical to replaying the same shards through
+//! the incremental builder ([`generate_incremental`]), and its bytes
+//! are pinned by the `gdp-datagen` determinism tests.
 //!
 //! # Models
 //!
@@ -66,7 +64,6 @@ use std::ops::Range;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use gdp_graph::{
     assemble_left_rows, assemble_right_rows, BipartiteGraph, EdgeSink, GraphBuilder, LeftId,
@@ -105,17 +102,16 @@ pub enum EmissionOrder {
 ///
 /// Implementations must keep [`shard_count`](StreamingEdgeSource::shard_count)
 /// and every shard's emission a pure function of the source's
-/// configuration and the shard's RNG — never of the thread count — so
-/// that the engine's fixed-seed guarantee holds.
-pub trait StreamingEdgeSource: Sync {
+/// configuration and the shard's RNG, so that the engine's fixed-seed
+/// guarantee holds.
+pub trait StreamingEdgeSource {
     /// Left-side node count of the generated graph.
     fn left_count(&self) -> u32;
 
     /// Right-side node count of the generated graph.
     fn right_count(&self) -> u32;
 
-    /// Number of independent shards. Must not depend on the thread
-    /// count (the engine fans shards out over whatever pool exists).
+    /// Number of independent shards, each with its own seeded stream.
     fn shard_count(&self) -> usize;
 
     /// Which side the rows are; decides which assembler the engine
@@ -135,11 +131,11 @@ pub trait StreamingEdgeSource: Sync {
 }
 
 /// Generates a graph from a streaming source: per-shard seeds are drawn
-/// sequentially from `rng`, shards run under rayon, and the CSR is
-/// assembled directly — see the [module docs](self).
+/// in shard order from `rng`, each shard fills its own row sink, and
+/// the CSR is assembled directly — see the [module docs](self).
 ///
-/// Fixed-seed output is bit-identical at any thread count, and equal to
-/// [`generate_incremental`] on the same source and seed.
+/// Fixed-seed output equals [`generate_incremental`] on the same source
+/// and seed.
 ///
 /// # Panics
 ///
@@ -150,22 +146,19 @@ where
     M: StreamingEdgeSource + ?Sized,
     R: Rng + ?Sized,
 {
-    let shard_count = source.shard_count();
-    let seeds: Vec<(usize, u64)> = (0..shard_count).map(|i| (i, rng.gen())).collect();
+    let col_count = match source.emission_order() {
+        EmissionOrder::LeftRows => source.right_count(),
+        EmissionOrder::RightRows => source.left_count(),
+    };
+    let shards: Vec<RowShardSink> = (0..source.shard_count())
+        .map(|i| fill_row_shard(source, i, rng.gen(), col_count))
+        .collect();
     match source.emission_order() {
         EmissionOrder::LeftRows => {
-            let shards: Vec<RowShardSink> = seeds
-                .into_par_iter()
-                .map(|(i, seed)| fill_row_shard(source, i, seed, source.right_count()))
-                .collect();
             assemble_left_rows(source.left_count(), source.right_count(), shards)
                 .expect("row shards tile the left side")
         }
         EmissionOrder::RightRows => {
-            let shards: Vec<RowShardSink> = seeds
-                .into_par_iter()
-                .map(|(i, seed)| fill_row_shard(source, i, seed, source.left_count()))
-                .collect();
             assemble_right_rows(source.left_count(), source.right_count(), shards)
                 .expect("row shards tile the right side")
         }
@@ -395,8 +388,7 @@ impl StreamingEdgeSource for ErdosRenyiStream {
 /// degrees are constant.
 ///
 /// Shards own right-node ranges ([`EmissionOrder::RightRows`]); the
-/// sampler itself is the hot path, so the engine's shard fan-out is
-/// what scales this model.
+/// sampler itself is the hot path.
 #[derive(Debug, Clone)]
 pub struct ZipfAttachmentStream {
     left: u32,
@@ -638,7 +630,7 @@ impl GraphModel {
         }
     }
 
-    /// Generates through the parallel streaming engine ([`generate`]).
+    /// Generates through the streaming engine ([`generate`]).
     ///
     /// # Panics
     ///

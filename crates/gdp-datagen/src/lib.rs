@@ -11,13 +11,12 @@
 //!
 //! The crate also ships:
 //!
-//! * the **parallel streaming engine** ([`engine`]) — sharded,
+//! * the **streaming engine** ([`engine`]) — sharded,
 //!   seeded-per-shard edge sources ([`engine::StreamingEdgeSource`])
 //!   feeding `gdp_graph`'s direct-to-CSR builder, with streaming
 //!   Erdős–Rényi, Zipf-attachment and planted-block models wrapped in
 //!   the [`engine::GraphModel`] scenario enum. Fixed-seed output is
-//!   bit-identical at any thread count and identical to the
-//!   incremental-builder baseline,
+//!   identical to the incremental-builder baseline,
 //! * [`zipf::ZipfSampler`] — a rejection-inversion Zipf sampler built
 //!   from scratch (no `rand_distr` dependency), plus the
 //!   [`zipf::spread_rank`] popularity scrambler the generators share,

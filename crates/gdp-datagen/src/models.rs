@@ -14,14 +14,12 @@
 //!   cross-block associations, used to test that specialization recovers
 //!   meaningful groups when the data genuinely has them.
 //!
-//! At experiment scale, prefer the **parallel streaming engine**: the
+//! At experiment scale, prefer the **streaming engine**: the
 //! [`GraphModel`] scenario enum (re-exported here from
 //! [`crate::engine`]) generates through sharded edge sources and the
 //! direct-to-CSR builder — same scenarios at roughly 3× less wall time
-//! for the build-bound models at 1M edges on one thread (model by
-//! model in `BENCH_pipeline.json`'s `datagen_1m` entries; the
-//! sampler-bound Zipf model instead scales with the shard fan-out),
-//! and bit-identical under a fixed seed at any thread count. The
+//! for the build-bound models at 1M edges (model by model in
+//! `BENCH_pipeline.json`'s `datagen_1m` entries). The
 //! functions below stay as small, obviously-correct baselines for
 //! property tests.
 

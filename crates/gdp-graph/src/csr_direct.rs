@@ -11,10 +11,7 @@
 //!   as it closes, so no global edge list is ever materialized;
 //! * [`assemble_left_rows`] / [`assemble_right_rows`] concatenate the
 //!   shards in row order into one side's CSR and derive the opposite
-//!   side by one transpose scatter. The scatter fans out over disjoint
-//!   column bands whose boundaries never change the output, so the
-//!   result is **bit-identical at any thread count** — the same
-//!   convention as [`crate::PairCounts::compute`].
+//!   side by one transpose scatter.
 //!
 //! Per-row canonicalization is adaptive: dense rows dedup through a
 //! column bitmap (sorted extraction via `trailing_zeros`), sparse rows
@@ -46,12 +43,9 @@
 //! # }
 //! ```
 
-use rayon::prelude::*;
-
 use crate::bipartite::BipartiteGraph;
 use crate::error::GraphError;
 use crate::node::{LeftId, RightId};
-use crate::pair_counts::split_rows_by_mass;
 use crate::Result;
 
 /// A row is deduped through the column bitmap when its staged length is
@@ -443,60 +437,18 @@ fn assemble_csr(
     }
 
     // Transpose scatter: rows are visited in ascending order, so every
-    // column's row list comes out sorted (and already deduped). Fans
-    // out over disjoint column bands when a thread pool is available —
-    // each band binary-searches its sub-range inside the sorted rows,
-    // so band boundaries never change the output.
-    let threads = rayon::current_num_threads();
+    // column's row list comes out sorted (and already deduped).
     let mut col_rows = vec![0u32; m];
-    if threads <= 1 || m < (1 << 16) {
-        let mut cursor: Vec<u32> = col_offsets[..nr_cols].iter().map(|&o| o as u32).collect();
-        for row in 0..nr_rows {
-            for &c in &row_cols[row_offsets[row]..row_offsets[row + 1]] {
-                let slot = &mut cursor[c as usize];
-                col_rows[*slot as usize] = row as u32;
-                *slot += 1;
-            }
+    let mut cursor: Vec<u32> = col_offsets[..nr_cols].iter().map(|&o| o as u32).collect();
+    for row in 0..nr_rows {
+        for &c in &row_cols[row_offsets[row]..row_offsets[row + 1]] {
+            let slot = &mut cursor[c as usize];
+            col_rows[*slot as usize] = row as u32;
+            *slot += 1;
         }
-    } else {
-        let bands = band_boundaries(&col_offsets, threads);
-        let mut tasks: Vec<(std::ops::Range<u32>, &mut [u32])> = Vec::with_capacity(bands.len());
-        let mut rest: &mut [u32] = &mut col_rows;
-        for band in &bands {
-            let mass = col_offsets[band.end as usize] - col_offsets[band.start as usize];
-            let (head, tail) = rest.split_at_mut(mass);
-            tasks.push((band.clone(), head));
-            rest = tail;
-        }
-        tasks.into_par_iter().for_each(|(band, out)| {
-            let base = col_offsets[band.start as usize];
-            let mut cursor: Vec<u32> = col_offsets[band.start as usize..band.end as usize]
-                .iter()
-                .map(|&o| (o - base) as u32)
-                .collect();
-            for row in 0..nr_rows {
-                let cols = &row_cols[row_offsets[row]..row_offsets[row + 1]];
-                let lo = cols.partition_point(|&c| c < band.start);
-                let hi = cols.partition_point(|&c| c < band.end);
-                for &c in &cols[lo..hi] {
-                    let slot = &mut cursor[(c - band.start) as usize];
-                    out[*slot as usize] = row as u32;
-                    *slot += 1;
-                }
-            }
-        });
     }
 
     (row_offsets, row_cols, col_offsets, col_rows)
-}
-
-/// Splits columns into at most `bands` contiguous ranges of roughly
-/// equal incident-edge mass.
-fn band_boundaries(col_offsets: &[usize], bands: usize) -> Vec<std::ops::Range<u32>> {
-    split_rows_by_mass(col_offsets, bands)
-        .into_iter()
-        .map(|r| r.start as u32..r.end as u32)
-        .collect()
 }
 
 #[cfg(test)]

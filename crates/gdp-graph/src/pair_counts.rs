@@ -10,10 +10,9 @@
 //!
 //! Two construction paths exist on purpose:
 //!
-//! * [`PairCounts::compute`] — the production path: one rayon-sharded
-//!   edge sweep, deterministically merged (contiguous row ranges are
-//!   folded independently and concatenated in row order, so the result
-//!   is bit-identical at any worker count).
+//! * [`PairCounts::compute`] — the production path: one edge sweep
+//!   that buckets each edge under its left block, then folds every
+//!   bucket into sorted cells.
 //! * [`PairCounts::compute_naive`] — the original per-edge `HashMap`
 //!   scan, kept as the equivalence baseline the property tests pin
 //!   `compute` against (same convention as
@@ -27,7 +26,6 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::bipartite::BipartiteGraph;
@@ -108,10 +106,7 @@ impl PairCounts {
     ///
     /// The sweep buckets each edge's right-block id under its left block
     /// (two linear passes over the adjacency), then folds every row's
-    /// bucket into sorted `(column, count)` cells. The fold fans out over
-    /// contiguous row ranges via rayon; ranges are merged by
-    /// concatenation in row order, so the result is **bit-identical at
-    /// any thread count**.
+    /// bucket into sorted `(column, count)` cells.
     ///
     /// # Panics
     ///
@@ -150,28 +145,33 @@ impl PairCounts {
             *c += neighbors.len();
         }
 
-        // Pass 3: fold each row's bucket into sorted cells, sharded over
-        // row ranges of roughly equal edge mass.
-        let ranges = split_rows_by_mass(&offsets, rayon::current_num_threads());
-        let parts: Vec<RowRangeCells> = ranges
-            .into_par_iter()
-            .map(|range| fold_row_range(&bucket, &offsets, range, rb))
-            .collect();
-
+        // Pass 3: fold each row's bucket into sorted `(column, count)`
+        // cells, using a dense scratch array with a touched list so each
+        // row costs `O(bucket + distinct·log distinct)`. Each row leaves
+        // as two bulk appends: the sorted touched list into `col_idx`,
+        // and the counts it selects from the scratch into `cell_counts`.
         let mut row_ptr = Vec::with_capacity(lb + 1);
         row_ptr.push(0usize);
-        let total_cells: usize = parts.iter().map(|p| p.col_idx.len()).sum();
-        let mut col_idx = Vec::with_capacity(total_cells);
-        let mut cell_counts = Vec::with_capacity(total_cells);
-        for part in parts {
-            for cells_in_row in part.row_cells {
-                row_ptr.push(row_ptr.last().unwrap() + cells_in_row);
+        let mut col_idx = Vec::new();
+        let mut cell_counts = Vec::new();
+        let mut scratch = vec![0u64; rb as usize];
+        let mut touched: Vec<u32> = Vec::new();
+        for row in 0..lb {
+            for &b in &bucket[offsets[row]..offsets[row + 1]] {
+                if scratch[b as usize] == 0 {
+                    touched.push(b);
+                }
+                scratch[b as usize] += 1;
             }
-            col_idx.extend(part.col_idx);
-            cell_counts.extend(part.cell_counts);
+            touched.sort_unstable();
+            col_idx.extend_from_slice(&touched);
+            cell_counts.extend(touched.iter().map(|&b| scratch[b as usize]));
+            row_ptr.push(col_idx.len());
+            for &b in &touched {
+                scratch[b as usize] = 0;
+            }
+            touched.clear();
         }
-        debug_assert_eq!(row_ptr.len(), lb + 1);
-        debug_assert_eq!(*row_ptr.last().unwrap(), col_idx.len());
         Self {
             row_ptr,
             col_idx,
@@ -631,41 +631,6 @@ impl PairCounts {
     }
 }
 
-/// One sharded row range's folded cells, concatenated in row order by
-/// [`PairCounts::compute`].
-struct RowRangeCells {
-    /// Non-empty cell count of every row in the range, in row order.
-    row_cells: Vec<usize>,
-    col_idx: Vec<u32>,
-    cell_counts: Vec<u64>,
-}
-
-/// Splits rows `0..offsets.len()-1` into at most `shards` contiguous
-/// ranges of roughly equal bucket mass (edge count). Also splits the
-/// column bands of the row-shard assemblers' transpose scatter
-/// ([`crate::assemble_left_rows`]).
-pub(crate) fn split_rows_by_mass(offsets: &[usize], shards: usize) -> Vec<std::ops::Range<usize>> {
-    let rows = offsets.len() - 1;
-    let total = *offsets.last().unwrap();
-    let shards = shards.clamp(1, rows.max(1));
-    let target = total.div_ceil(shards).max(1);
-    let mut ranges = Vec::with_capacity(shards);
-    let mut start = 0usize;
-    while start < rows {
-        let mut end = start;
-        while end < rows && offsets[end + 1] - offsets[start] < target {
-            end += 1;
-        }
-        let end = (end + 1).min(rows);
-        ranges.push(start..end);
-        start = end;
-    }
-    if ranges.is_empty() {
-        ranges.push(0..rows);
-    }
-    ranges
-}
-
 /// Translates one node's contiguous neighbor run into right-block ids:
 /// `out[i] = assignment[neighbors[i].index()]`.
 #[inline]
@@ -673,44 +638,6 @@ fn scatter_row_blocks(neighbors: &[RightId], assignment: &[u32], out: &mut [u32]
     for (slot, r) in out.iter_mut().zip(neighbors) {
         *slot = assignment[r.index() as usize];
     }
-}
-
-/// Folds the bucketed right-block ids of rows in `range` into sorted
-/// `(column, count)` cells, using a dense scratch array with a touched
-/// list so each row costs `O(bucket + distinct·log distinct)`. Each row
-/// leaves as two bulk appends: the sorted touched list into `col_idx`,
-/// and the counts it selects from the scratch into `cell_counts`.
-fn fold_row_range(
-    bucket: &[u32],
-    offsets: &[usize],
-    range: std::ops::Range<usize>,
-    right_blocks: u32,
-) -> RowRangeCells {
-    let mut scratch = vec![0u64; right_blocks as usize];
-    let mut touched: Vec<u32> = Vec::new();
-    let mut out = RowRangeCells {
-        row_cells: Vec::with_capacity(range.len()),
-        col_idx: Vec::new(),
-        cell_counts: Vec::new(),
-    };
-    for row in range {
-        for &rb in &bucket[offsets[row]..offsets[row + 1]] {
-            if scratch[rb as usize] == 0 {
-                touched.push(rb);
-            }
-            scratch[rb as usize] += 1;
-        }
-        touched.sort_unstable();
-        out.row_cells.push(touched.len());
-        out.col_idx.extend_from_slice(&touched);
-        out.cell_counts
-            .extend(touched.iter().map(|&rb| scratch[rb as usize]));
-        for &rb in &touched {
-            scratch[rb as usize] = 0;
-        }
-        touched.clear();
-    }
-    out
 }
 
 #[cfg(test)]
@@ -948,18 +875,5 @@ mod tests {
                 change: -3
             })
         ));
-    }
-
-    #[test]
-    fn row_mass_split_covers_all_rows() {
-        let offsets = vec![0usize, 5, 5, 9, 20, 21];
-        for shards in 1..8 {
-            let ranges = split_rows_by_mass(&offsets, shards);
-            let mut covered = Vec::new();
-            for r in &ranges {
-                covered.extend(r.clone());
-            }
-            assert_eq!(covered, (0..5).collect::<Vec<_>>(), "shards={shards}");
-        }
     }
 }

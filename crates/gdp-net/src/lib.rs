@@ -5,9 +5,8 @@
 //! guarantees only matter in production if that boundary stays up under
 //! real traffic. Answering is budget-free post-processing, so the
 //! frontend's job is purely an availability problem; this crate is the
-//! robustness machinery, vendored on `std` alone (a thread-per-request
-//! accept loop over [`std::net::TcpListener`], mirroring how `rayon`
-//! was vendored — no async runtime):
+//! robustness machinery, built on `std` alone (a thread-per-request
+//! accept loop over [`std::net::TcpListener`], no async runtime):
 //!
 //! * **Bounded request queue with explicit backpressure.** Accepted
 //!   connections enter a fixed-capacity queue; overflow is refused on

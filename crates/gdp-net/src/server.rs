@@ -1,8 +1,8 @@
 //! The serving frontend: acceptor, bounded queue, supervised worker
 //! pool, deadlines, and graceful shutdown.
 //!
-//! The shape is a fixed set of OS threads (vendored-`rayon` style — no
-//! async runtime), each with one job:
+//! The shape is a fixed set of OS threads (no async runtime), each with
+//! one job:
 //!
 //! * the **acceptor** owns the listener; every accepted connection is
 //!   pushed into the bounded queue or refused with `503` +
