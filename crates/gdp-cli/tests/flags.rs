@@ -1,5 +1,7 @@
-//! `gdp` refuses flags a command does not accept, before it reads or
-//! writes any file: a typo must not publish, and must not spend budget.
+//! `gdp` refuses what it cannot honour without writing a release: a flag
+//! a command does not accept is refused before any file is read or
+//! written (a typo must not publish, and must not spend budget), and a
+//! noise calibration that would add no real noise fails the publish.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -102,5 +104,57 @@ fn serve_accepts_the_flags_scripts_pass() {
     let stderr = String::from_utf8_lossy(&run.stderr);
     assert!(!stderr.contains("unknown flag"), "stderr: {stderr}");
     assert!(stderr.contains("no-such-store"), "stderr: {stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn geometric_publish_refuses_a_decay_that_rounds_to_one() {
+    // At ε = 1e-13 the coarse levels' Δ₁ (in the thousands) put ε/Δ₁
+    // below 5.6e-17, where exp(−ε/Δ₁) is exactly 1.0 and every geometric
+    // draw would be ±1: near-exact counts under the strictest request.
+    let dir = scratch_dir("geometric");
+    let graph = dir.join("g.txt");
+    let out = dir.join("e1.gda");
+    let generated = gdp(&[
+        "generate",
+        "--out",
+        path_str(&graph),
+        "--model",
+        "erdos-renyi",
+        "--left",
+        "200",
+        "--right",
+        "200",
+        "--edges",
+        "3000",
+        "--seed",
+        "5",
+    ]);
+    assert!(generated.status.success(), "{generated:?}");
+
+    let refused = gdp(&[
+        "publish",
+        "--in",
+        path_str(&graph),
+        "--out",
+        path_str(&out),
+        "--mechanism",
+        "geometric",
+        "--eps",
+        "1e-13",
+        "--budget-eps",
+        "1",
+        "--seed",
+        "3",
+    ]);
+    assert!(!refused.status.success(), "{refused:?}");
+    let stderr = String::from_utf8_lossy(&refused.stderr);
+    assert!(stderr.contains("geometric mechanism"), "stderr: {stderr}");
+    assert!(stderr.contains("rounds to 1"), "stderr: {stderr}");
+    assert!(!out.exists(), "a refused publish wrote {}", out.display());
+    assert!(
+        std::fs::read_dir(&dir).unwrap().count() == 1,
+        "a refused publish left files behind"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }

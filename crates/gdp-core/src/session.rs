@@ -3,10 +3,10 @@ use std::sync::Arc;
 use rand::Rng;
 
 use gdp_graph::{BipartiteGraph, DegreeHistogram, EdgeDelta};
-use gdp_mechanisms::{Delta, GaussianRdpAccountant, PrivacyAccountant, PrivacyBudget};
+use gdp_mechanisms::{Delta, PrivacyAccountant, PrivacyBudget};
 
 use crate::artifact::{ArtifactFormat, ManifestLedger, ReleaseArtifact};
-use crate::disclosure::{DisclosureConfig, MultiLevelDiscloser, NoiseMechanism};
+use crate::disclosure::{DisclosureConfig, MultiLevelDiscloser};
 use crate::error::CoreError;
 use crate::hierarchy::GroupHierarchy;
 use crate::release::MultiLevelRelease;
@@ -19,14 +19,10 @@ use crate::Result;
 /// The paper's pipeline publishes once; a real service re-publishes as
 /// data or audiences change, and the cumulative privacy loss **to the
 /// same audience** must stay within an authorized total. `DisclosureSession`
-/// owns that accounting:
-///
-/// * every disclosure is charged to a [`PrivacyAccountant`] under
-///   sequential composition (the enforced, worst-case ledger), and
-/// * Gaussian disclosures are *also* tracked by a
-///   [`GaussianRdpAccountant`], whose tighter `(ε, δ)` conversion is
-///   reported for comparison — letting operators see how much budget the
-///   simple ledger over-counts.
+/// owns that accounting: every disclosure is charged to one
+/// [`PrivacyAccountant`] under sequential composition, and every sealed
+/// artifact carries the ledger's state after its charge
+/// ([`ManifestLedger`]).
 ///
 /// One disclosure of the multi-level bundle charges `εg` **once**, not
 /// once per level: the levels partition their audiences in the paper's
@@ -63,7 +59,6 @@ pub struct DisclosureSession {
     /// publishes: an epoch never copies it.
     hierarchy: Arc<GroupHierarchy>,
     accountant: PrivacyAccountant,
-    rdp: GaussianRdpAccountant,
     releases_made: usize,
     /// Edge-sweep statistics cache, filled on first disclosure and kept
     /// current incrementally by [`DisclosureSession::publish_next`] —
@@ -87,7 +82,6 @@ impl DisclosureSession {
             graph,
             hierarchy: hierarchy.into(),
             accountant: PrivacyAccountant::new(total),
-            rdp: GaussianRdpAccountant::new(),
             releases_made: 0,
             stats: None,
             last_published: None,
@@ -122,10 +116,7 @@ impl DisclosureSession {
         config: &DisclosureConfig,
         rng: &mut R,
     ) -> Result<MultiLevelRelease> {
-        self.accountant.charge(
-            Self::epoch_charge(config),
-            format!("disclosure #{}", self.releases_made + 1),
-        )?;
+        self.accountant.charge(Self::epoch_charge(config))?;
         self.disclose_charged(config, rng)
     }
 
@@ -150,9 +141,8 @@ impl DisclosureSession {
     }
 
     /// The post-charge half of a disclosure: release from the (cached)
-    /// statistics and record the RDP observation. The budget charge has
-    /// already been taken — a failure here must still be assumed
-    /// observed, so the charge stands.
+    /// statistics. The budget charge has already been taken — a failure
+    /// here must still be assumed observed, so the charge stands.
     fn disclose_charged<R: Rng + ?Sized>(
         &mut self,
         config: &DisclosureConfig,
@@ -167,23 +157,6 @@ impl DisclosureSession {
             &left_degree_hist,
             rng,
         )?;
-        // Track Gaussian releases in the RDP ledger too (tightest level
-        // dominates: each level is calibrated to its own sensitivity, so
-        // per-release RDP is that of noise-multiplier σ/Δ, identical for
-        // every level by construction).
-        if matches!(
-            config.mechanism,
-            NoiseMechanism::GaussianClassic | NoiseMechanism::GaussianAnalytic
-        ) {
-            if let Some(level) = release.levels().first() {
-                if let Some(q) = level.queries.first() {
-                    // σ/Δ is constant across levels; use level 0's pair.
-                    self.rdp
-                        .observe_gaussian(q.noise_scale, q.sensitivity.l2)
-                        .map_err(CoreError::Mechanism)?;
-                }
-            }
-        }
         self.releases_made += 1;
         Ok(release)
     }
@@ -331,8 +304,7 @@ impl DisclosureSession {
         // into recycled scratch and swaps on success, so a refused
         // batch leaves the adjacency untouched and nothing is charged.
         self.graph.apply_delta_in_place(delta)?;
-        self.accountant
-            .charge(charge, format!("disclosure #{}", self.releases_made + 1))?;
+        self.accountant.charge(charge)?;
         // Committed: advance the statistics cache incrementally. A
         // cache that fails to advance (it cannot, for a delta the graph
         // just accepted, but defend anyway) is dropped and rebuilt from
@@ -420,22 +392,12 @@ impl DisclosureSession {
         artifact.save_atomic(&path)?;
         Ok((artifact, path))
     }
-
-    /// The tighter `(ε, δ)` bound on everything disclosed so far per the
-    /// RDP ledger (Gaussian releases only), for comparison against the
-    /// enforced sequential ledger.
-    ///
-    /// # Errors
-    ///
-    /// Propagates conversion errors (e.g. no Gaussian release yet).
-    pub fn rdp_bound(&self, delta: Delta) -> Result<PrivacyBudget> {
-        Ok(self.rdp.to_budget(delta)?)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::disclosure::NoiseMechanism;
     use crate::specialize::{SpecializationConfig, Specializer};
     use gdp_datagen::{DblpConfig, DblpGenerator};
     use rand::rngs::StdRng;
@@ -479,23 +441,6 @@ mod tests {
     }
 
     #[test]
-    fn rdp_bound_tighter_than_ledger_for_many_releases() {
-        let mut s = session(10.0);
-        let config = DisclosureConfig::count_only(0.3, 1e-7).unwrap();
-        let mut rng = StdRng::seed_from_u64(63);
-        for _ in 0..20 {
-            s.disclose(&config, &mut rng).unwrap();
-        }
-        let ledger_eps = s.accountant().spent_epsilon(); // 6.0
-        let rdp = s.rdp_bound(Delta::new(1e-5).unwrap()).unwrap();
-        assert!(
-            rdp.epsilon.get() < ledger_eps,
-            "RDP ε {} not tighter than ledger ε {ledger_eps}",
-            rdp.epsilon.get()
-        );
-    }
-
-    #[test]
     fn laplace_releases_do_not_touch_rdp_ledger() {
         let mut s = session(2.0);
         let config = DisclosureConfig::count_only(0.5, 1e-6)
@@ -503,9 +448,8 @@ mod tests {
             .with_mechanism(NoiseMechanism::Laplace);
         let mut rng = StdRng::seed_from_u64(64);
         s.disclose(&config, &mut rng).unwrap();
-        // No Gaussian observed → conversion fails on ρ = 0.
-        assert!(s.rdp_bound(Delta::new(1e-5).unwrap()).is_err());
-        // And Laplace charges pure ε.
+        // Laplace charges pure ε: the δ ledger stays at zero.
+        assert!((s.accountant().spent_epsilon() - 0.5).abs() < 1e-12);
         assert_eq!(s.accountant().spent_delta(), 0.0);
     }
 
@@ -606,7 +550,8 @@ mod tests {
             .publish_next(&config, "dblp", &delta, &mut rng)
             .unwrap_err();
         assert!(matches!(err, CoreError::NoBaseEpoch { ref dataset } if dataset == "dblp"));
-        assert_eq!(s.accountant().ledger().len(), 0);
+        assert_eq!(s.accountant().spent_epsilon(), 0.0);
+        assert_eq!(s.releases_made(), 0);
         // A publish for a *different* dataset is not a base either.
         s.publish(&config, "other", 0, &mut rng).unwrap();
         let err = s
@@ -660,7 +605,7 @@ mod tests {
         // charge on the ledger, and the graph still pre-delta (its
         // first edge is one the delta would have deleted).
         assert_eq!(s.last_published(), Some(("dblp", 0)));
-        assert_eq!(s.accountant().ledger().len(), 1);
+        assert!((s.accountant().spent_epsilon() - 0.4).abs() < 1e-12);
         assert_eq!(s.releases_made(), 1);
         let (l, r) = graph.edges().next().unwrap();
         assert!(s.graph.has_edge(l, r));
@@ -705,21 +650,5 @@ mod tests {
         assert_eq!(l1.releases, 2);
         assert!((l1.cumulative_epsilon - 0.6).abs() < 1e-12);
         assert_ne!(a0.release(), a1.release(), "fresh noise per epoch");
-    }
-
-    #[test]
-    fn ledger_labels_disclosures_in_order() {
-        let mut s = session(2.0);
-        let config = DisclosureConfig::count_only(0.5, 1e-6).unwrap();
-        let mut rng = StdRng::seed_from_u64(65);
-        s.disclose(&config, &mut rng).unwrap();
-        s.disclose(&config, &mut rng).unwrap();
-        let labels: Vec<&str> = s
-            .accountant()
-            .ledger()
-            .iter()
-            .map(|e| e.label.as_str())
-            .collect();
-        assert_eq!(labels, vec!["disclosure #1", "disclosure #2"]);
     }
 }

@@ -4,32 +4,24 @@ use crate::budget::{Delta, Epsilon, PrivacyBudget};
 use crate::error::MechanismError;
 use crate::Result;
 
-/// One recorded charge in a [`PrivacyAccountant`] ledger.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct LedgerEntry {
-    /// Human-readable description of what the budget was spent on
-    /// (e.g. `"phase1/specialize round 3"`).
-    pub label: String,
-    /// The budget consumed by this charge.
-    pub budget: PrivacyBudget,
-}
-
 /// Tracks cumulative `(ε, δ)` spend against an authorized total, under
 /// **sequential composition** (spends add up).
 ///
 /// The disclosure pipeline threads one accountant through both phases so
 /// the end-to-end guarantee printed in a release's metadata is exactly
-/// what was enforced, not merely what was intended.
+/// what was enforced, not merely what was intended. It keeps only the
+/// running sums; the per-epoch record that persists is the
+/// `ManifestLedger` each sealed artifact carries.
 ///
 /// ```
 /// use gdp_mechanisms::{PrivacyAccountant, PrivacyBudget};
 ///
 /// # fn main() -> Result<(), gdp_mechanisms::MechanismError> {
 /// let mut acct = PrivacyAccountant::new(PrivacyBudget::new(1.0, 1e-6)?);
-/// acct.charge(PrivacyBudget::new(0.4, 0.0)?, "phase1")?;
-/// acct.charge(PrivacyBudget::new(0.6, 1e-6)?, "phase2")?;
+/// acct.charge(PrivacyBudget::new(0.4, 0.0)?)?;
+/// acct.charge(PrivacyBudget::new(0.6, 1e-6)?)?;
 /// // The pot is now empty; any further charge fails.
-/// assert!(acct.charge(PrivacyBudget::new(0.01, 0.0)?, "extra").is_err());
+/// assert!(acct.charge(PrivacyBudget::new(0.01, 0.0)?).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -38,7 +30,6 @@ pub struct PrivacyAccountant {
     total: PrivacyBudget,
     spent_epsilon: f64,
     spent_delta: f64,
-    ledger: Vec<LedgerEntry>,
 }
 
 impl PrivacyAccountant {
@@ -48,7 +39,6 @@ impl PrivacyAccountant {
             total,
             spent_epsilon: 0.0,
             spent_delta: 0.0,
-            ledger: Vec::new(),
         }
     }
 
@@ -65,11 +55,6 @@ impl PrivacyAccountant {
     /// Cumulative `δ` spent so far.
     pub fn spent_delta(&self) -> f64 {
         self.spent_delta
-    }
-
-    /// The charges recorded so far, in order.
-    pub fn ledger(&self) -> &[LedgerEntry] {
-        &self.ledger
     }
 
     /// Budget still available under sequential composition.
@@ -125,14 +110,10 @@ impl PrivacyAccountant {
     ///
     /// Returns [`MechanismError::BudgetExhausted`] if the cumulative spend
     /// would exceed the total in either `ε` or `δ`.
-    pub fn charge(&mut self, budget: PrivacyBudget, label: impl Into<String>) -> Result<()> {
+    pub fn charge(&mut self, budget: PrivacyBudget) -> Result<()> {
         let (new_eps, new_delta) = self.admit(budget)?;
         self.spent_epsilon = new_eps;
         self.spent_delta = new_delta;
-        self.ledger.push(LedgerEntry {
-            label: label.into(),
-            budget,
-        });
         Ok(())
     }
 
@@ -180,72 +161,6 @@ impl PrivacyAccountant {
 /// yet far below any meaningful privacy budget granularity.
 pub const BUDGET_RELATIVE_SLACK: f64 = 1e-9;
 
-/// Sequential composition: running mechanisms `M₁…Mₖ` on the *same* data
-/// costs `(Σεᵢ, Σδᵢ)`.
-///
-/// Returns `None` for an empty slice (there is no zero budget).
-pub fn sequential_composition(budgets: &[PrivacyBudget]) -> Option<PrivacyBudget> {
-    if budgets.is_empty() {
-        return None;
-    }
-    let eps: f64 = budgets.iter().map(|b| b.epsilon.get()).sum();
-    let delta: f64 = budgets.iter().map(|b| b.delta.get()).sum();
-    PrivacyBudget::new(eps, delta.min(1.0 - f64::EPSILON)).ok()
-}
-
-/// Parallel composition: running mechanisms on **disjoint** partitions of
-/// the data costs only `(max εᵢ, max δᵢ)`.
-///
-/// This is why the paper's per-level release can perturb every group's
-/// count at a level with the full level budget — the groups partition the
-/// universe, so the charges do not add up within a level.
-///
-/// Returns `None` for an empty slice.
-pub fn parallel_composition(budgets: &[PrivacyBudget]) -> Option<PrivacyBudget> {
-    if budgets.is_empty() {
-        return None;
-    }
-    let eps = budgets
-        .iter()
-        .map(|b| b.epsilon.get())
-        .fold(f64::NEG_INFINITY, f64::max);
-    let delta = budgets
-        .iter()
-        .map(|b| b.delta.get())
-        .fold(f64::NEG_INFINITY, f64::max);
-    PrivacyBudget::new(eps, delta).ok()
-}
-
-/// Advanced composition (Dwork–Rothblum–Vadhan): `k` runs of an
-/// `(ε, δ)`-DP mechanism are
-/// `(ε·√(2k·ln(1/δ′)) + k·ε·(e^ε − 1), k·δ + δ′)`-DP for any `δ′ > 0`.
-///
-/// For small `ε` and large `k` this beats the linear `k·ε` of sequential
-/// composition; `rdp`'s tests compare both against Rényi accounting.
-///
-/// # Errors
-///
-/// * [`MechanismError::ZeroCompositions`] when `k == 0`.
-/// * [`MechanismError::InvalidDelta`] when `delta_prime` is not in `(0, 1)`.
-pub fn advanced_composition(
-    per_step: PrivacyBudget,
-    k: usize,
-    delta_prime: Delta,
-) -> Result<PrivacyBudget> {
-    if k == 0 {
-        return Err(MechanismError::ZeroCompositions);
-    }
-    if delta_prime.is_pure() {
-        return Err(MechanismError::InvalidDelta(0.0));
-    }
-    let eps = per_step.epsilon.get();
-    let kf = k as f64;
-    let total_eps =
-        eps * (2.0 * kf * (1.0 / delta_prime.get()).ln()).sqrt() + kf * eps * (eps.exp() - 1.0);
-    let total_delta = (kf * per_step.delta.get() + delta_prime.get()).min(1.0 - f64::EPSILON);
-    PrivacyBudget::new(total_eps, total_delta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,26 +169,33 @@ mod tests {
         PrivacyBudget::new(eps, delta).unwrap()
     }
 
+    /// `parts` equal shares of `total`, as a caller splitting one budget
+    /// evenly over `parts` charges would compute them.
+    fn even_shares(total: PrivacyBudget, parts: usize) -> Vec<PrivacyBudget> {
+        let n = parts as f64;
+        vec![b(total.epsilon.get() / n, total.delta.get() / n); parts]
+    }
+
     #[test]
     fn accountant_accumulates_and_stops_at_cap() {
         let mut acct = PrivacyAccountant::new(b(1.0, 1e-6));
-        acct.charge(b(0.5, 5e-7), "a").unwrap();
-        acct.charge(b(0.5, 5e-7), "b").unwrap();
+        acct.charge(b(0.5, 5e-7)).unwrap();
+        acct.charge(b(0.5, 5e-7)).unwrap();
         assert!((acct.spent_epsilon() - 1.0).abs() < 1e-12);
-        assert_eq!(acct.ledger().len(), 2);
-        let err = acct.charge(b(0.1, 0.0), "c").unwrap_err();
+        assert!((acct.spent_delta() - 1e-6).abs() < 1e-18);
+        let err = acct.charge(b(0.1, 0.0)).unwrap_err();
         assert!(matches!(err, MechanismError::BudgetExhausted { .. }));
         // Failed charge must not be recorded.
-        assert_eq!(acct.ledger().len(), 2);
         assert!((acct.spent_epsilon() - 1.0).abs() < 1e-12);
+        assert!((acct.spent_delta() - 1e-6).abs() < 1e-18);
     }
 
     #[test]
     fn accountant_tolerates_float_rounding_from_splits() {
         let total = b(0.9, 1e-6);
         let mut acct = PrivacyAccountant::new(total);
-        for share in total.split_even(9).unwrap() {
-            acct.charge(share, "round").unwrap();
+        for share in even_shares(total, 9) {
+            acct.charge(share).unwrap();
         }
         // Exactly consumed despite 9-way division rounding.
         assert!(acct.remaining().is_none() || acct.remaining().unwrap().epsilon.get() < 1e-9);
@@ -290,20 +212,19 @@ mod tests {
         // and (c) refuse any further charge no matter how small.
         let total = b(1.0, 1e-6);
         let mut acct = PrivacyAccountant::new(total);
-        let shares = total.split_even(1000).unwrap();
-        assert_eq!(shares.len(), 1000);
-        for (i, share) in shares.into_iter().enumerate() {
-            acct.charge(share, format!("epoch {i}"))
+        for (i, share) in even_shares(total, 1000).into_iter().enumerate() {
+            acct.charge(share)
                 .unwrap_or_else(|e| panic!("charge {i} refused: {e}"));
         }
-        assert_eq!(acct.ledger().len(), 1000);
+        assert!((acct.spent_epsilon() - 1.0).abs() < 1e-9);
         assert!(acct.remaining().is_none(), "drained pot must read empty");
         assert!(acct.is_exhausted());
         // Even a charge far below the slack tolerance is refused once
         // the pot is empty — charge and remaining cannot disagree.
-        let err = acct.charge(b(1e-15, 0.0), "overdraft").unwrap_err();
+        let spent = acct.spent_epsilon();
+        let err = acct.charge(b(1e-15, 0.0)).unwrap_err();
         assert!(matches!(err, MechanismError::BudgetExhausted { .. }));
-        assert_eq!(acct.ledger().len(), 1000);
+        assert_eq!(acct.spent_epsilon(), spent);
     }
 
     #[test]
@@ -314,7 +235,7 @@ mod tests {
         let mut acct = PrivacyAccountant::new(total);
         for i in 0..7 {
             // 0.1 is not exactly representable; 7 additions drift high.
-            acct.charge(b(0.1, 0.0), format!("week {i}"))
+            acct.charge(b(0.1, 0.0))
                 .unwrap_or_else(|e| panic!("charge {i} refused: {e}"));
         }
         assert!(acct.remaining().is_none());
@@ -323,69 +244,9 @@ mod tests {
     #[test]
     fn remaining_reflects_spend() {
         let mut acct = PrivacyAccountant::new(b(1.0, 1e-6));
-        acct.charge(b(0.25, 0.0), "a").unwrap();
+        acct.charge(b(0.25, 0.0)).unwrap();
         let rem = acct.remaining().unwrap();
         assert!((rem.epsilon.get() - 0.75).abs() < 1e-12);
         assert!((rem.delta.get() - 1e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn sequential_composition_sums() {
-        let total = sequential_composition(&[b(0.1, 1e-7), b(0.2, 2e-7), b(0.3, 0.0)]).unwrap();
-        assert!((total.epsilon.get() - 0.6).abs() < 1e-12);
-        assert!((total.delta.get() - 3e-7).abs() < 1e-18);
-        assert!(sequential_composition(&[]).is_none());
-    }
-
-    #[test]
-    fn parallel_composition_takes_max() {
-        let total = parallel_composition(&[b(0.1, 1e-7), b(0.5, 2e-8), b(0.3, 0.0)]).unwrap();
-        assert!((total.epsilon.get() - 0.5).abs() < 1e-12);
-        assert!((total.delta.get() - 1e-7).abs() < 1e-18);
-        assert!(parallel_composition(&[]).is_none());
-    }
-
-    #[test]
-    fn advanced_composition_beats_sequential_for_many_small_steps() {
-        let per_step = b(0.01, 0.0);
-        let k = 1000;
-        let adv = advanced_composition(per_step, k, Delta::new(1e-6).unwrap()).unwrap();
-        let seq = sequential_composition(&vec![per_step; k]).unwrap();
-        assert!(
-            adv.epsilon.get() < seq.epsilon.get(),
-            "advanced {} not better than sequential {}",
-            adv.epsilon.get(),
-            seq.epsilon.get()
-        );
-    }
-
-    #[test]
-    fn advanced_composition_matches_closed_form() {
-        let per_step = b(0.1, 1e-8);
-        let k = 10usize;
-        let dp = Delta::new(1e-6).unwrap();
-        let got = advanced_composition(per_step, k, dp).unwrap();
-        let eps = 0.1f64;
-        let want_eps = eps * (2.0 * 10.0 * (1e6f64).ln()).sqrt() + 10.0 * eps * (eps.exp() - 1.0);
-        assert!((got.epsilon.get() - want_eps).abs() < 1e-12);
-        assert!((got.delta.get() - (10.0 * 1e-8 + 1e-6)).abs() < 1e-18);
-    }
-
-    #[test]
-    fn advanced_composition_rejects_degenerate_inputs() {
-        assert!(matches!(
-            advanced_composition(b(0.1, 0.0), 0, Delta::new(1e-6).unwrap()),
-            Err(MechanismError::ZeroCompositions)
-        ));
-        assert!(advanced_composition(b(0.1, 0.0), 5, Delta::ZERO).is_err());
-    }
-
-    #[test]
-    fn ledger_preserves_labels_in_order() {
-        let mut acct = PrivacyAccountant::new(b(1.0, 0.0));
-        acct.charge(b(0.1, 0.0), "first").unwrap();
-        acct.charge(b(0.2, 0.0), "second").unwrap();
-        let labels: Vec<&str> = acct.ledger().iter().map(|e| e.label.as_str()).collect();
-        assert_eq!(labels, vec!["first", "second"]);
     }
 }

@@ -45,32 +45,6 @@ impl Epsilon {
     pub fn get(self) -> f64 {
         self.0
     }
-
-    /// Splits this `ε` evenly into `parts` smaller epsilons whose sum is
-    /// the original (up to floating-point rounding).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MechanismError::InvalidSplit`] when `parts == 0`.
-    pub fn split_even(self, parts: usize) -> Result<Vec<Epsilon>> {
-        if parts == 0 {
-            return Err(MechanismError::InvalidSplit(
-                "cannot split epsilon into zero parts".to_string(),
-            ));
-        }
-        let each = self.0 / parts as f64;
-        Ok(vec![Epsilon(each); parts])
-    }
-
-    /// Scales this `ε` by `factor` (must keep the result valid).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MechanismError::InvalidEpsilon`] if the scaled value is no
-    /// longer finite and positive.
-    pub fn scaled(self, factor: f64) -> Result<Self> {
-        Self::new(self.0 * factor)
-    }
 }
 
 impl fmt::Display for Epsilon {
@@ -188,143 +162,11 @@ impl PrivacyBudget {
             delta: Delta::new(delta)?,
         })
     }
-
-    /// Creates a pure `ε`-DP budget (`δ = 0`).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MechanismError::InvalidEpsilon`] for invalid `ε`.
-    pub fn pure(epsilon: f64) -> Result<Self> {
-        Ok(Self {
-            epsilon: Epsilon::new(epsilon)?,
-            delta: Delta::ZERO,
-        })
-    }
-
-    /// Splits the budget into `parts` equal shares (both `ε` and `δ` are
-    /// divided), suitable for sequential composition over `parts`
-    /// sub-mechanisms.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MechanismError::InvalidSplit`] when `parts == 0`.
-    pub fn split_even(self, parts: usize) -> Result<Vec<PrivacyBudget>> {
-        if parts == 0 {
-            return Err(MechanismError::InvalidSplit(
-                "cannot split budget into zero parts".to_string(),
-            ));
-        }
-        let n = parts as f64;
-        let eps = Epsilon::new(self.epsilon.get() / n)?;
-        let delta = Delta::new(self.delta.get() / n)?;
-        Ok(vec![
-            PrivacyBudget {
-                epsilon: eps,
-                delta,
-            };
-            parts
-        ])
-    }
-
-    /// Splits the budget proportionally to `weights`.
-    ///
-    /// The shares sum to the original budget (up to floating-point
-    /// rounding). Zero weights yield zero shares and are rejected because
-    /// an `ε = 0` share is not a usable budget.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MechanismError::InvalidSplit`] when `weights` is empty,
-    /// contains non-positive or non-finite entries, or sums to zero.
-    pub fn split_weighted(self, weights: &[f64]) -> Result<Vec<PrivacyBudget>> {
-        if weights.is_empty() {
-            return Err(MechanismError::InvalidSplit(
-                "weight list is empty".to_string(),
-            ));
-        }
-        if weights.iter().any(|w| !w.is_finite() || *w <= 0.0) {
-            return Err(MechanismError::InvalidSplit(
-                "weights must be finite and positive".to_string(),
-            ));
-        }
-        let total: f64 = weights.iter().sum();
-        if total <= 0.0 {
-            return Err(MechanismError::InvalidSplit(
-                "weights sum to zero".to_string(),
-            ));
-        }
-        weights
-            .iter()
-            .map(|w| {
-                let frac = w / total;
-                PrivacyBudget::new(self.epsilon.get() * frac, self.delta.get() * frac)
-            })
-            .collect()
-    }
 }
 
 impl fmt::Display for PrivacyBudget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "({}, {})", self.epsilon, self.delta)
-    }
-}
-
-/// Describes how a privacy budget is divided between the two phases of the
-/// disclosure pipeline (specialization vs. noise injection).
-///
-/// The paper spends budget in both phases but does not publish the ratio;
-/// `BudgetSplit` makes the ratio an explicit, auditable parameter.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BudgetSplit {
-    /// Fraction of `ε` given to Phase 1 (exponential-mechanism
-    /// specialization); the remainder goes to Phase 2 (noise injection).
-    phase1_fraction: f64,
-}
-
-impl BudgetSplit {
-    /// Creates a split giving `phase1_fraction` of the budget to Phase 1.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MechanismError::InvalidProbability`] unless
-    /// `phase1_fraction ∈ (0, 1)`.
-    pub fn new(phase1_fraction: f64) -> Result<Self> {
-        if phase1_fraction.is_finite() && phase1_fraction > 0.0 && phase1_fraction < 1.0 {
-            Ok(Self { phase1_fraction })
-        } else {
-            Err(MechanismError::InvalidProbability(phase1_fraction))
-        }
-    }
-
-    /// The fraction of budget allotted to Phase 1.
-    pub fn phase1_fraction(self) -> f64 {
-        self.phase1_fraction
-    }
-
-    /// Divides `budget` into `(phase1, phase2)` shares.
-    ///
-    /// All of `δ` is assigned to Phase 2 because Phase 1 (the exponential
-    /// mechanism) is a pure `ε`-DP primitive and cannot consume `δ`.
-    pub fn apply(self, budget: PrivacyBudget) -> (PrivacyBudget, PrivacyBudget) {
-        let e = budget.epsilon.get();
-        let p1 = PrivacyBudget {
-            epsilon: Epsilon(e * self.phase1_fraction),
-            delta: Delta::ZERO,
-        };
-        let p2 = PrivacyBudget {
-            epsilon: Epsilon(e * (1.0 - self.phase1_fraction)),
-            delta: budget.delta,
-        };
-        (p1, p2)
-    }
-}
-
-impl Default for BudgetSplit {
-    /// Half the `ε` to each phase.
-    fn default() -> Self {
-        Self {
-            phase1_fraction: 0.5,
-        }
     }
 }
 
@@ -357,64 +199,6 @@ mod tests {
     fn delta_zero_is_pure() {
         assert!(Delta::ZERO.is_pure());
         assert!(!Delta::new(1e-9).unwrap().is_pure());
-    }
-
-    #[test]
-    fn epsilon_split_even_sums_back() {
-        let eps = Epsilon::new(0.9).unwrap();
-        let parts = eps.split_even(9).unwrap();
-        assert_eq!(parts.len(), 9);
-        let sum: f64 = parts.iter().map(|e| e.get()).sum();
-        assert!((sum - 0.9).abs() < 1e-12);
-    }
-
-    #[test]
-    fn epsilon_split_zero_parts_errors() {
-        assert!(Epsilon::new(1.0).unwrap().split_even(0).is_err());
-    }
-
-    #[test]
-    fn budget_split_weighted_respects_ratios() {
-        let b = PrivacyBudget::new(1.0, 1e-6).unwrap();
-        let shares = b.split_weighted(&[1.0, 3.0]).unwrap();
-        assert!((shares[0].epsilon.get() - 0.25).abs() < 1e-12);
-        assert!((shares[1].epsilon.get() - 0.75).abs() < 1e-12);
-        assert!((shares[0].delta.get() - 0.25e-6).abs() < 1e-18);
-    }
-
-    #[test]
-    fn budget_split_weighted_rejects_bad_weights() {
-        let b = PrivacyBudget::new(1.0, 0.0).unwrap();
-        assert!(b.split_weighted(&[]).is_err());
-        assert!(b.split_weighted(&[1.0, 0.0]).is_err());
-        assert!(b.split_weighted(&[1.0, -2.0]).is_err());
-        assert!(b.split_weighted(&[1.0, f64::NAN]).is_err());
-    }
-
-    #[test]
-    fn phase_split_assigns_all_delta_to_phase2() {
-        let b = PrivacyBudget::new(1.0, 1e-5).unwrap();
-        let split = BudgetSplit::new(0.3).unwrap();
-        let (p1, p2) = split.apply(b);
-        assert!((p1.epsilon.get() - 0.3).abs() < 1e-12);
-        assert!((p2.epsilon.get() - 0.7).abs() < 1e-12);
-        assert!(p1.delta.is_pure());
-        assert_eq!(p2.delta.get(), 1e-5);
-    }
-
-    #[test]
-    fn phase_split_rejects_degenerate_fractions() {
-        assert!(BudgetSplit::new(0.0).is_err());
-        assert!(BudgetSplit::new(1.0).is_err());
-        assert!(BudgetSplit::new(f64::NAN).is_err());
-    }
-
-    #[test]
-    fn epsilon_scaled() {
-        let eps = Epsilon::new(2.0).unwrap();
-        assert_eq!(eps.scaled(0.5).unwrap().get(), 1.0);
-        assert!(eps.scaled(0.0).is_err());
-        assert!(eps.scaled(-1.0).is_err());
     }
 
     #[test]

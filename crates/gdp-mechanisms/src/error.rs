@@ -13,12 +13,19 @@ pub enum MechanismError {
     InvalidDelta(f64),
     /// A sensitivity bound was not a finite positive number.
     InvalidSensitivity(f64),
-    /// A probability parameter was outside `[0, 1]`.
-    InvalidProbability(f64),
     /// The classic Gaussian calibration requires `ε < 1`.
     EpsilonTooLargeForClassicGaussian(f64),
     /// The classic Gaussian calibration requires `δ > 0`.
     DeltaZeroForGaussian,
+    /// The geometric decay `α = exp(−ε/Δ₁)` rounds to exactly 1 (no
+    /// noise distribution left: every draw is ±1) or to exactly 0 in
+    /// f64, so no geometric mechanism can be calibrated to this pair.
+    GeometricDecayOutOfRange {
+        /// The requested `ε`.
+        epsilon: f64,
+        /// The L1 sensitivity `Δ₁`.
+        sensitivity: f64,
+    },
     /// A candidate set handed to the exponential mechanism was empty.
     EmptyCandidates,
     /// A utility score handed to the exponential mechanism was not finite.
@@ -34,10 +41,6 @@ pub enum MechanismError {
         /// total δ the accountant may spend.
         available_delta: f64,
     },
-    /// A budget split was requested into zero parts, or with zero total weight.
-    InvalidSplit(String),
-    /// The number of compositions `k` handed to advanced composition was zero.
-    ZeroCompositions,
 }
 
 impl fmt::Display for MechanismError {
@@ -50,9 +53,6 @@ impl fmt::Display for MechanismError {
             Self::InvalidSensitivity(v) => {
                 write!(f, "sensitivity must be a finite positive number, got {v}")
             }
-            Self::InvalidProbability(v) => {
-                write!(f, "probability must lie in [0, 1], got {v}")
-            }
             Self::EpsilonTooLargeForClassicGaussian(v) => write!(
                 f,
                 "classic gaussian calibration requires epsilon < 1, got {v} \
@@ -61,6 +61,16 @@ impl fmt::Display for MechanismError {
             Self::DeltaZeroForGaussian => {
                 write!(f, "gaussian mechanism requires delta > 0")
             }
+            Self::GeometricDecayOutOfRange {
+                epsilon,
+                sensitivity,
+            } => write!(
+                f,
+                "geometric mechanism cannot be calibrated to epsilon={epsilon} with \
+                 L1 sensitivity {sensitivity}: the decay exp(-epsilon/sensitivity) \
+                 rounds to {} in f64",
+                if epsilon / sensitivity > 1.0 { 0 } else { 1 }
+            ),
             Self::EmptyCandidates => {
                 write!(f, "exponential mechanism requires at least one candidate")
             }
@@ -77,10 +87,6 @@ impl fmt::Display for MechanismError {
                 "privacy budget exhausted: charge would spend ε={requested_epsilon} of \
                  {available_epsilon}, δ={requested_delta} of {available_delta}"
             ),
-            Self::InvalidSplit(msg) => write!(f, "invalid budget split: {msg}"),
-            Self::ZeroCompositions => {
-                write!(f, "advanced composition requires at least one mechanism")
-            }
         }
     }
 }

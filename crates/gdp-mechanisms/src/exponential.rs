@@ -53,16 +53,6 @@ impl ExponentialMechanism {
         })
     }
 
-    /// The privacy parameter `ε`.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// The utility-score sensitivity `Δu`.
-    pub fn utility_sensitivity(&self) -> L1Sensitivity {
-        self.utility_sensitivity
-    }
-
     /// Selects the index of one candidate, given per-candidate utility
     /// scores (higher is better).
     ///
@@ -92,8 +82,9 @@ impl ExponentialMechanism {
 
     /// The exact selection distribution over candidates (stable softmax).
     ///
-    /// Useful for tests and for analytical error predictions; the actual
-    /// sampling path never materializes these weights.
+    /// The test oracle for [`Self::select`]: the sampling path never
+    /// materializes these weights, and the property suites check its
+    /// draws and its `e^ε` ratio bound against this pmf.
     ///
     /// # Errors
     ///

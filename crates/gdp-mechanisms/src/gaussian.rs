@@ -8,23 +8,15 @@ use crate::sensitivity::L2Sensitivity;
 use crate::special::normal_cdf;
 use crate::Result;
 
-/// Which σ-calibration rule a [`GaussianMechanism`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum GaussianCalibration {
-    /// The classic bound `σ = Δ₂·√(2 ln(1.25/δ))/ε`, valid for `ε < 1`
-    /// (Dwork & Roth, Theorem A.1). This is the rule the paper cites.
-    Classic,
-    /// The analytic Gaussian mechanism of Balle & Wang (ICML 2018):
-    /// the *exact* characterization
-    /// `δ(σ) = Φ(Δ/(2σ) − εσ/Δ) − e^ε·Φ(−Δ/(2σ) − εσ/Δ)`
-    /// solved for the minimal σ by bisection. Valid for every `ε > 0`
-    /// and strictly dominates the classic bound.
-    Analytic,
-}
-
 /// The **Gaussian mechanism**: releases `q(D) + N(0, σ²)` with σ
 /// calibrated so the release is `(ε, δ)`-differentially private for the
 /// adjacency relation under which `Δ₂` was computed.
+///
+/// Two calibrations: [`Self::classic`], the bound
+/// `σ = Δ₂·√(2 ln(1.25/δ))/ε` the paper cites (valid for `ε < 1`;
+/// Dwork & Roth, Theorem A.1), and [`Self::analytic`], the exact
+/// characterization of Balle & Wang (ICML 2018), valid for every
+/// `ε > 0` and never noisier than the classic bound.
 ///
 /// This is the paper's Phase-2 primitive: each hierarchy level's count
 /// query is perturbed with Gaussian noise whose `Δ₂` is the *group-level*
@@ -45,11 +37,7 @@ pub enum GaussianCalibration {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GaussianMechanism {
-    epsilon: Epsilon,
-    delta: Delta,
-    sensitivity: L2Sensitivity,
     sigma: f64,
-    calibration: GaussianCalibration,
 }
 
 impl GaussianMechanism {
@@ -71,13 +59,7 @@ impl GaussianMechanism {
             return Err(MechanismError::DeltaZeroForGaussian);
         }
         let sigma = sensitivity.get() * (2.0 * (1.25 / delta.get()).ln()).sqrt() / epsilon.get();
-        Ok(Self {
-            epsilon,
-            delta,
-            sensitivity,
-            sigma,
-            calibration: GaussianCalibration::Classic,
-        })
+        Ok(Self { sigma })
     }
 
     /// Creates a Gaussian mechanism with the analytic (Balle–Wang)
@@ -93,65 +75,12 @@ impl GaussianMechanism {
             return Err(MechanismError::DeltaZeroForGaussian);
         }
         let sigma = calibrate_analytic(epsilon.get(), delta.get(), sensitivity.get());
-        Ok(Self {
-            epsilon,
-            delta,
-            sensitivity,
-            sigma,
-            calibration: GaussianCalibration::Analytic,
-        })
-    }
-
-    /// Creates a mechanism using the given calibration rule.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the corresponding constructor's errors.
-    pub fn with_calibration(
-        calibration: GaussianCalibration,
-        epsilon: Epsilon,
-        delta: Delta,
-        sensitivity: L2Sensitivity,
-    ) -> Result<Self> {
-        match calibration {
-            GaussianCalibration::Classic => Self::classic(epsilon, delta, sensitivity),
-            GaussianCalibration::Analytic => Self::analytic(epsilon, delta, sensitivity),
-        }
-    }
-
-    /// The privacy parameter `ε`.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// The failure probability `δ`.
-    pub fn delta(&self) -> Delta {
-        self.delta
-    }
-
-    /// The sensitivity bound `Δ₂`.
-    pub fn sensitivity(&self) -> L2Sensitivity {
-        self.sensitivity
-    }
-
-    /// The calibration rule in use.
-    pub fn calibration(&self) -> GaussianCalibration {
-        self.calibration
+        Ok(Self { sigma })
     }
 
     /// The noise standard deviation σ.
     pub fn sigma(&self) -> f64 {
         self.sigma
-    }
-
-    /// Expected absolute error of one release: `σ·√(2/π)`.
-    pub fn expected_absolute_error(&self) -> f64 {
-        self.sigma * (2.0 / std::f64::consts::PI).sqrt()
-    }
-
-    /// Noise variance `σ²`.
-    pub fn variance(&self) -> f64 {
-        self.sigma * self.sigma
     }
 
     /// Releases a single noisy value.
@@ -187,8 +116,8 @@ impl GaussianMechanism {
 /// Theorem 8): for noise σ and sensitivity Δ,
 /// `δ(σ) = Φ(Δ/(2σ) − εσ/Δ) − e^ε · Φ(−Δ/(2σ) − εσ/Δ)`.
 ///
-/// The analytic calibration below inverts it; exposed for tests.
-pub fn gaussian_delta(epsilon: f64, sigma: f64, sensitivity: f64) -> f64 {
+/// The analytic calibration below inverts it.
+fn gaussian_delta(epsilon: f64, sigma: f64, sensitivity: f64) -> f64 {
     let a = sensitivity / (2.0 * sigma) - epsilon * sigma / sensitivity;
     let b = -sensitivity / (2.0 * sigma) - epsilon * sigma / sensitivity;
     (normal_cdf(a) - epsilon.exp() * normal_cdf(b)).max(0.0)
@@ -305,7 +234,8 @@ mod tests {
         let xs: Vec<f64> = (0..n).map(|_| m.randomize(0.0, &mut rng)).collect();
         let mean = xs.iter().sum::<f64>() / n as f64;
         let var = xs.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / n as f64;
-        let rel = (var - m.variance()).abs() / m.variance();
+        let want = m.sigma() * m.sigma();
+        let rel = (var - want).abs() / want;
         assert!(rel < 0.02, "variance off by {rel}");
     }
 
@@ -319,26 +249,6 @@ mod tests {
     }
 
     #[test]
-    fn with_calibration_dispatches() {
-        let a = GaussianMechanism::with_calibration(
-            GaussianCalibration::Analytic,
-            eps(0.5),
-            del(1e-6),
-            sens(1.0),
-        )
-        .unwrap();
-        assert_eq!(a.calibration(), GaussianCalibration::Analytic);
-        let c = GaussianMechanism::with_calibration(
-            GaussianCalibration::Classic,
-            eps(0.5),
-            del(1e-6),
-            sens(1.0),
-        )
-        .unwrap();
-        assert_eq!(c.calibration(), GaussianCalibration::Classic);
-    }
-
-    #[test]
     fn sample_into_matches_sigma() {
         let m = GaussianMechanism::classic(eps(0.5), del(1e-6), sens(1.0)).unwrap();
         let mut rng = StdRng::seed_from_u64(50);
@@ -346,7 +256,8 @@ mod tests {
         m.sample_into(&mut noise, &mut rng);
         let mean = noise.iter().sum::<f64>() / noise.len() as f64;
         let var = noise.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / noise.len() as f64;
-        let rel = (var - m.variance()).abs() / m.variance();
+        let want = m.sigma() * m.sigma();
+        let rel = (var - want).abs() / want;
         assert!(rel < 0.02, "batched variance off by {rel}");
     }
 

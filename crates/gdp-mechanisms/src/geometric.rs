@@ -2,6 +2,7 @@ use rand::Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::budget::Epsilon;
+use crate::error::MechanismError;
 use crate::sampling;
 use crate::sensitivity::L1Sensitivity;
 use crate::Result;
@@ -22,16 +23,17 @@ use crate::Result;
 /// # fn main() -> Result<(), gdp_mechanisms::MechanismError> {
 /// let mech = GeometricMechanism::new(Epsilon::new(0.5)?, L1Sensitivity::new(1.0)?)?;
 /// let mut rng = rand::rngs::StdRng::seed_from_u64(0);
-/// let noisy = mech.randomize(100, &mut rng);
-/// // Output is still an integer count.
-/// let _: i64 = noisy;
+/// let mut counts: Vec<i64> = vec![100, 7];
+/// // Outputs are still integer counts.
+/// mech.randomize_slice(&mut counts, &mut rng);
+/// // An ε/Δ₁ so small that α rounds to 1 has no noise left to add:
+/// // refused rather than released as ±1.
+/// assert!(GeometricMechanism::new(Epsilon::new(1e-13)?, L1Sensitivity::new(2881.0)?).is_err());
 /// # Ok(())
 /// # }
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GeometricMechanism {
-    epsilon: Epsilon,
-    sensitivity: L1Sensitivity,
     alpha: f64,
 }
 
@@ -40,49 +42,26 @@ impl GeometricMechanism {
     ///
     /// # Errors
     ///
-    /// Never fails for valid inputs; `Result` keeps constructor signatures
-    /// uniform across mechanisms.
+    /// Returns [`MechanismError::GeometricDecayOutOfRange`] when
+    /// `α = exp(−ε/Δ₁)` is not strictly inside `(0, 1)` in f64. Below
+    /// `ε/Δ₁ ≈ 5.6e-17` it rounds to exactly 1, where the sampler's zero
+    /// mass is 0 and `ln α` is 0, so every draw would be ±1: the
+    /// strongest privacy request would publish near-exact counts. Above
+    /// `ε/Δ₁ ≈ 745` it underflows to 0.
     pub fn new(epsilon: Epsilon, sensitivity: L1Sensitivity) -> Result<Self> {
         let alpha = (-epsilon.get() / sensitivity.get()).exp();
-        Ok(Self {
-            epsilon,
-            sensitivity,
-            alpha,
-        })
-    }
-
-    /// The privacy parameter `ε`.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// The sensitivity bound `Δ₁`.
-    pub fn sensitivity(&self) -> L1Sensitivity {
-        self.sensitivity
+        if !(alpha > 0.0 && alpha < 1.0) {
+            return Err(MechanismError::GeometricDecayOutOfRange {
+                epsilon: epsilon.get(),
+                sensitivity: sensitivity.get(),
+            });
+        }
+        Ok(Self { alpha })
     }
 
     /// The geometric decay `α = exp(−ε/Δ₁)`.
     pub fn alpha(&self) -> f64 {
         self.alpha
-    }
-
-    /// Noise variance `2α/(1−α)²`.
-    pub fn variance(&self) -> f64 {
-        2.0 * self.alpha / ((1.0 - self.alpha) * (1.0 - self.alpha))
-    }
-
-    /// Releases a noisy integer count (may be negative; clamp at the
-    /// application layer only if the post-processing story allows it).
-    pub fn randomize<R: Rng + ?Sized>(&self, true_value: i64, rng: &mut R) -> i64 {
-        true_value.saturating_add(sampling::two_sided_geometric(rng, self.alpha))
-    }
-
-    /// Releases a noisy copy of a vector of integer counts. `Δ₁` must
-    /// bound the whole-vector L1 change under one adjacency step.
-    pub fn randomize_vec<R: Rng + ?Sized>(&self, values: &[i64], rng: &mut R) -> Vec<i64> {
-        let mut out = values.to_vec();
-        self.randomize_slice(&mut out, rng);
-        out
     }
 
     /// Fills `noise` with independent two-sided geometric draws — one
@@ -93,6 +72,8 @@ impl GeometricMechanism {
 
     /// Adds calibrated noise to every element of `values` in place
     /// (saturating) — the batched hot path the disclosure pipeline uses.
+    /// Outputs may be negative; clamp at the application layer only if
+    /// the post-processing story allows it.
     pub fn randomize_slice<R: Rng + ?Sized>(&self, values: &mut [i64], rng: &mut R) {
         for v in values {
             *v = v.saturating_add(sampling::two_sided_geometric(rng, self.alpha));
@@ -114,6 +95,19 @@ mod tests {
         .unwrap()
     }
 
+    /// The two-sided geometric variance `2α/(1−α)²`.
+    fn variance(m: &GeometricMechanism) -> f64 {
+        let a = m.alpha();
+        2.0 * a / ((1.0 - a) * (1.0 - a))
+    }
+
+    /// `n` noisy copies of `value`.
+    fn released(m: &GeometricMechanism, value: i64, n: usize, rng: &mut StdRng) -> Vec<i64> {
+        let mut out = vec![value; n];
+        m.randomize_slice(&mut out, rng);
+        out
+    }
+
     #[test]
     fn alpha_formula() {
         let m = mech(1.0, 1.0);
@@ -123,11 +117,59 @@ mod tests {
     }
 
     #[test]
+    fn refuses_a_decay_that_rounds_to_one() {
+        // The release-path reproduction: ε = 1e-13 at a level whose
+        // Δ₁ is 2881 gives ε/Δ₁ ≈ 3.5e-17, and exp(−3.5e-17) == 1.0.
+        for (eps, sens) in [(1e-13, 2881.0), (1e-17, 1.0), (1e-300, 1e10)] {
+            let err = GeometricMechanism::new(
+                Epsilon::new(eps).unwrap(),
+                L1Sensitivity::new(sens).unwrap(),
+            )
+            .unwrap_err();
+            assert_eq!(
+                err,
+                MechanismError::GeometricDecayOutOfRange {
+                    epsilon: eps,
+                    sensitivity: sens,
+                }
+            );
+            let msg = err.to_string();
+            assert!(msg.contains(&eps.to_string()), "{msg}");
+            assert!(msg.contains(&sens.to_string()), "{msg}");
+            assert!(msg.contains("rounds to 1"), "{msg}");
+        }
+        // Just above the edge α is still below 1 and the mechanism adds
+        // noise of magnitude ~1/(ε/Δ₁).
+        let m = mech(1e-15, 1.0);
+        assert!(m.alpha() < 1.0);
+        let noise = released(&m, 0, 64, &mut StdRng::seed_from_u64(6));
+        assert!(noise.iter().any(|x| x.abs() > 1_000_000), "{noise:?}");
+    }
+
+    #[test]
+    fn refuses_a_decay_that_rounds_to_zero() {
+        for (eps, sens) in [(1000.0, 1.0), (1e300, 1e-300)] {
+            let err = GeometricMechanism::new(
+                Epsilon::new(eps).unwrap(),
+                L1Sensitivity::new(sens).unwrap(),
+            )
+            .unwrap_err();
+            assert!(
+                matches!(err, MechanismError::GeometricDecayOutOfRange { .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("rounds to 0"), "{err}");
+        }
+        // Below the underflow α is a positive subnormal: accepted.
+        assert!(mech(700.0, 1.0).alpha() > 0.0);
+    }
+
+    #[test]
     fn output_distribution_centered_on_input() {
         let m = mech(1.0, 1.0);
         let mut rng = StdRng::seed_from_u64(1);
         let n = 200_000;
-        let mean = (0..n).map(|_| m.randomize(1000, &mut rng)).sum::<i64>() as f64 / n as f64;
+        let mean = released(&m, 1000, n, &mut rng).iter().sum::<i64>() as f64 / n as f64;
         assert!((mean - 1000.0).abs() < 0.05, "mean {mean}");
     }
 
@@ -136,15 +178,15 @@ mod tests {
         let m = mech(0.5, 1.0);
         let mut rng = StdRng::seed_from_u64(2);
         let n = 200_000;
-        let xs: Vec<i64> = (0..n).map(|_| m.randomize(0, &mut rng)).collect();
+        let xs = released(&m, 0, n, &mut rng);
         let mean = xs.iter().sum::<i64>() as f64 / n as f64;
         let var = xs
             .iter()
             .map(|x| (*x as f64 - mean) * (*x as f64 - mean))
             .sum::<f64>()
             / n as f64;
-        let rel = (var - m.variance()).abs() / m.variance();
-        assert!(rel < 0.03, "variance {var} vs {}", m.variance());
+        let rel = (var - variance(&m)).abs() / variance(&m);
+        assert!(rel < 0.03, "variance {var} vs {}", variance(&m));
     }
 
     #[test]
@@ -157,9 +199,11 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut h0 = std::collections::HashMap::new();
         let mut h1 = std::collections::HashMap::new();
-        for _ in 0..n {
-            *h0.entry(m.randomize(0, &mut rng)).or_insert(0usize) += 1;
-            *h1.entry(m.randomize(1, &mut rng)).or_insert(0usize) += 1;
+        for x in released(&m, 0, n, &mut rng) {
+            *h0.entry(x).or_insert(0usize) += 1;
+        }
+        for x in released(&m, 1, n, &mut rng) {
+            *h1.entry(x).or_insert(0usize) += 1;
         }
         for k in -3..=4 {
             let p0 = *h0.get(&k).unwrap_or(&0) as f64 / n as f64;
@@ -167,13 +211,6 @@ mod tests {
             assert!(p0 <= e.exp() * p1 + 0.01, "k={k}: {p0} vs {p1}");
             assert!(p1 <= e.exp() * p0 + 0.01, "k={k} rev: {p1} vs {p0}");
         }
-    }
-
-    #[test]
-    fn randomize_vec_length_preserved() {
-        let m = mech(1.0, 1.0);
-        let mut rng = StdRng::seed_from_u64(4);
-        assert_eq!(m.randomize_vec(&[1, 2, 3], &mut rng).len(), 3);
     }
 
     #[test]
@@ -189,7 +226,7 @@ mod tests {
             .sum::<f64>()
             / noise.len() as f64;
         assert!(
-            (var - m.variance()).abs() / m.variance() < 0.03,
+            (var - variance(&m)).abs() / variance(&m) < 0.03,
             "var {var}"
         );
     }
@@ -223,8 +260,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         // Must not overflow/panic even at i64 extremes.
         for _ in 0..1000 {
-            let _ = m.randomize(i64::MAX - 1, &mut rng);
-            let _ = m.randomize(i64::MIN + 1, &mut rng);
+            m.randomize_slice(&mut [i64::MAX - 1, i64::MIN + 1], &mut rng);
         }
     }
 }

@@ -28,8 +28,6 @@ use crate::Result;
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct LaplaceMechanism {
-    epsilon: Epsilon,
-    sensitivity: L1Sensitivity,
     scale: f64,
 }
 
@@ -42,37 +40,15 @@ impl LaplaceMechanism {
     /// `Result` return keeps the constructor signature uniform across
     /// mechanisms (the Gaussian constructors can genuinely fail).
     pub fn new(epsilon: Epsilon, sensitivity: L1Sensitivity) -> Result<Self> {
-        let scale = sensitivity.get() / epsilon.get();
         Ok(Self {
-            epsilon,
-            sensitivity,
-            scale,
+            scale: sensitivity.get() / epsilon.get(),
         })
     }
 
-    /// The privacy parameter this mechanism was calibrated to.
-    pub fn epsilon(&self) -> Epsilon {
-        self.epsilon
-    }
-
-    /// The sensitivity bound this mechanism was calibrated to.
-    pub fn sensitivity(&self) -> L1Sensitivity {
-        self.sensitivity
-    }
-
-    /// The noise scale `b = Δ₁/ε`.
+    /// The noise scale `b = Δ₁/ε`, also the expected absolute error
+    /// `E|X|` of one release.
     pub fn scale(&self) -> f64 {
         self.scale
-    }
-
-    /// Expected absolute error of a single release, `E|X| = b`.
-    pub fn expected_absolute_error(&self) -> f64 {
-        self.scale
-    }
-
-    /// Noise variance, `2b²`.
-    pub fn variance(&self) -> f64 {
-        2.0 * self.scale * self.scale
     }
 
     /// Releases a single noisy value.
@@ -96,9 +72,8 @@ impl LaplaceMechanism {
     }
 
     /// Adds calibrated noise to every element of `values` in place — the
-    /// batched hot path the disclosure pipeline uses
-    /// ([`sampling::laplace_add_into`]), bit-identical to a per-element
-    /// `v += laplace(rng, scale)` loop under the same seed.
+    /// batched hot path the disclosure pipeline uses, bit-identical to a
+    /// per-element `v += laplace(rng, scale)` loop under the same seed.
     pub fn randomize_slice<R: Rng + ?Sized>(&self, values: &mut [f64], rng: &mut R) {
         sampling::laplace_add_into(rng, self.scale, values);
     }
@@ -142,10 +117,7 @@ mod tests {
             .map(|_| (m.randomize(0.0, &mut rng)).abs())
             .sum::<f64>()
             / n as f64;
-        assert!(
-            (mad - m.expected_absolute_error()).abs() < 0.15,
-            "mad {mad}"
-        );
+        assert!((mad - m.scale()).abs() < 0.15, "mad {mad}");
     }
 
     #[test]
@@ -232,13 +204,5 @@ mod tests {
         let mut b = values.to_vec();
         m.randomize_slice(&mut b, &mut StdRng::seed_from_u64(42));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn serde_round_trip_via_debug_fields() {
-        let m = mech(0.5, 3.0);
-        assert_eq!(m.epsilon().get(), 0.5);
-        assert_eq!(m.sensitivity().get(), 3.0);
-        assert_eq!(m.variance(), 2.0 * 36.0);
     }
 }

@@ -13,8 +13,8 @@
 //!   paper's Phase-1 specialization to pick partition cut points,
 //! * the **geometric mechanism** ([`GeometricMechanism`]) — the discrete
 //!   analogue of Laplace for integer counts,
-//! * a **privacy accountant** ([`PrivacyAccountant`]) with sequential,
-//!   parallel and advanced composition.
+//! * a **privacy accountant** ([`PrivacyAccountant`]): the one ledger,
+//!   which enforces an authorized total under sequential composition.
 //!
 //! All mechanisms are parameterized by validated newtypes ([`Epsilon`],
 //! [`Delta`], [`L1Sensitivity`], [`L2Sensitivity`]) so that an invalid
@@ -23,6 +23,12 @@
 //! Randomness always flows in through an explicit `&mut impl Rng`
 //! argument, which keeps every caller — tests, benches, the experiment
 //! harness — deterministic under a fixed seed.
+//!
+//! The public surface is what the `gdp` pipeline calls, the
+//! `sample_into` fill every noise mechanism offers beside
+//! `randomize_slice` (`docs/batched-noise.md`), and one named test
+//! oracle: [`ExponentialMechanism::selection_probabilities`], the exact
+//! selection pmf the sampling path is checked against.
 //!
 //! # Example
 //!
@@ -45,6 +51,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod accountant;
 mod budget;
@@ -53,23 +60,17 @@ mod exponential;
 mod gaussian;
 mod geometric;
 mod laplace;
-mod rdp;
+mod sampling;
 mod sensitivity;
+mod special;
 
-pub mod sampling;
-pub mod special;
-
-pub use accountant::{
-    advanced_composition, parallel_composition, sequential_composition, LedgerEntry,
-    PrivacyAccountant, BUDGET_RELATIVE_SLACK,
-};
-pub use budget::{BudgetSplit, Delta, Epsilon, PrivacyBudget};
+pub use accountant::{PrivacyAccountant, BUDGET_RELATIVE_SLACK};
+pub use budget::{Delta, Epsilon, PrivacyBudget};
 pub use error::MechanismError;
 pub use exponential::ExponentialMechanism;
-pub use gaussian::{gaussian_delta, GaussianCalibration, GaussianMechanism};
+pub use gaussian::GaussianMechanism;
 pub use geometric::GeometricMechanism;
 pub use laplace::LaplaceMechanism;
-pub use rdp::GaussianRdpAccountant;
 pub use sensitivity::{L1Sensitivity, L2Sensitivity};
 
 /// Convenience alias for results produced by this crate.

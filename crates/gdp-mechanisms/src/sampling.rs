@@ -1,9 +1,8 @@
 //! Low-level noise samplers.
 //!
 //! These are the raw distributions the mechanisms are assembled from.
-//! They are public so that tests, benches and downstream experiment code
-//! can sample directly, but typical callers should use the mechanism
-//! types ([`crate::LaplaceMechanism`] etc.), which pair a sampler with a
+//! They are crate-private: callers use the mechanism types
+//! ([`crate::LaplaceMechanism`] etc.), which pair a sampler with a
 //! validated privacy calibration.
 //!
 //! All samplers take the RNG explicitly so behaviour is reproducible
@@ -17,7 +16,7 @@ use rand::Rng;
 ///
 /// Never returns exactly `0.0` or `1.0`, which protects the log-based
 /// transforms below from producing `±∞`.
-pub fn uniform_open01<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn uniform_open01<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     loop {
         let u: f64 = rng.gen(); // [0, 1)
         if u > 0.0 {
@@ -34,7 +33,7 @@ pub fn uniform_open01<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 ///
 /// Debug-asserts that `scale` is finite and positive; calibration is the
 /// mechanism layer's responsibility.
-pub fn laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
+pub(crate) fn laplace<R: Rng + ?Sized>(rng: &mut R, scale: f64) -> f64 {
     debug_assert!(scale.is_finite() && scale > 0.0);
     laplace_from_uniform(uniform_open01(rng), scale)
 }
@@ -59,7 +58,7 @@ fn laplace_from_uniform(u: f64, scale: f64) -> f64 {
 /// # Panics
 ///
 /// Debug-asserts that `std` is finite and positive.
-pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, std: f64) -> f64 {
+pub(crate) fn gaussian<R: Rng + ?Sized>(rng: &mut R, std: f64) -> f64 {
     debug_assert!(std.is_finite() && std > 0.0);
     loop {
         let u = 2.0 * uniform_open01(rng) - 1.0;
@@ -77,7 +76,7 @@ pub fn gaussian<R: Rng + ?Sized>(rng: &mut R, std: f64) -> f64 {
 /// `argmax_i (score_i + Gumbel_i)` selects index `i` with probability
 /// proportional to `exp(score_i)` without ever materializing the
 /// (potentially overflowing) softmax weights.
-pub fn gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     -(-uniform_open01(rng).ln()).ln()
 }
 
@@ -90,7 +89,7 @@ pub fn gumbel<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 /// # Panics
 ///
 /// Debug-asserts `alpha ∈ (0, 1)`.
-pub fn two_sided_geometric<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> i64 {
+pub(crate) fn two_sided_geometric<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> i64 {
     debug_assert!(alpha > 0.0 && alpha < 1.0);
     let p_zero = (1.0 - alpha) / (1.0 + alpha);
     let u = uniform_open01(rng);
@@ -126,12 +125,13 @@ fn geometric_at_least_one<R: Rng + ?Sized>(rng: &mut R, alpha: f64) -> i64 {
 /// The batched analogue of [`laplace`]: one draw per element in
 /// element order, so the stream is **bit-identical** to `N` calls to
 /// [`laplace`] under the same RNG state. Pinned by
-/// `laplace_into_matches_repeated_single_draws` and the property suite.
+/// `laplace_into_matches_repeated_single_draws` and
+/// `laplace_into_is_bit_identical_to_single_draws`.
 ///
 /// # Panics
 ///
 /// Debug-asserts that `scale` is finite and positive.
-pub fn laplace_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, out: &mut [f64]) {
+pub(crate) fn laplace_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, out: &mut [f64]) {
     debug_assert!(scale.is_finite() && scale > 0.0);
     for slot in out {
         *slot = laplace_from_uniform(uniform_open01(rng), scale);
@@ -147,7 +147,7 @@ pub fn laplace_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, out: &mut [f64]) {
 /// # Panics
 ///
 /// Debug-asserts that `scale` is finite and positive.
-pub fn laplace_add_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, values: &mut [f64]) {
+pub(crate) fn laplace_add_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, values: &mut [f64]) {
     debug_assert!(scale.is_finite() && scale > 0.0);
     for v in values {
         *v += laplace_from_uniform(uniform_open01(rng), scale);
@@ -165,7 +165,7 @@ pub fn laplace_add_into<R: Rng + ?Sized>(rng: &mut R, scale: f64, values: &mut [
 /// # Panics
 ///
 /// Debug-asserts that `std` is finite and positive.
-pub fn gaussian_into<R: Rng + ?Sized>(rng: &mut R, std: f64, out: &mut [f64]) {
+pub(crate) fn gaussian_into<R: Rng + ?Sized>(rng: &mut R, std: f64, out: &mut [f64]) {
     gaussian_pairs(rng, std, out.len(), |i, x| out[i] = x);
 }
 
@@ -177,7 +177,7 @@ pub fn gaussian_into<R: Rng + ?Sized>(rng: &mut R, std: f64, out: &mut [f64]) {
 /// # Panics
 ///
 /// Debug-asserts that `std` is finite and positive.
-pub fn gaussian_add_into<R: Rng + ?Sized>(rng: &mut R, std: f64, values: &mut [f64]) {
+pub(crate) fn gaussian_add_into<R: Rng + ?Sized>(rng: &mut R, std: f64, values: &mut [f64]) {
     gaussian_pairs(rng, std, values.len(), |i, x| values[i] += x);
 }
 
@@ -216,7 +216,7 @@ fn gaussian_pairs<R: Rng + ?Sized>(
 /// # Panics
 ///
 /// Debug-asserts `alpha ∈ (0, 1)`.
-pub fn two_sided_geometric_into<R: Rng + ?Sized>(rng: &mut R, alpha: f64, out: &mut [i64]) {
+pub(crate) fn two_sided_geometric_into<R: Rng + ?Sized>(rng: &mut R, alpha: f64, out: &mut [i64]) {
     debug_assert!(alpha > 0.0 && alpha < 1.0);
     for slot in out {
         *slot = two_sided_geometric(rng, alpha);
@@ -226,6 +226,7 @@ pub fn two_sided_geometric_into<R: Rng + ?Sized>(rng: &mut R, alpha: f64, out: &
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -408,5 +409,53 @@ mod tests {
             (0..32).map(|_| laplace(&mut r, 1.0)).collect()
         };
         assert_eq!(a, b);
+    }
+
+    /// Batch lengths: empty, single, odd, and past a few hundred elements.
+    fn batch_lengths() -> Vec<usize> {
+        vec![0, 1, 3, 4, 5, 255, 256, 257, 600]
+    }
+
+    // Batch bit-identity: the batched Laplace samplers must reproduce the
+    // per-element draw loop exactly — same RNG stream consumed, same bits
+    // out — at short, odd and long lengths.
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn laplace_into_is_bit_identical_to_single_draws(
+            scale in 0.01f64..1e6,
+            seed in 0u64..100_000,
+        ) {
+            for len in batch_lengths() {
+                let mut batched = vec![0.0; len];
+                laplace_into(&mut rng(seed), scale, &mut batched);
+                let mut r = rng(seed);
+                let singles: Vec<f64> = (0..len).map(|_| laplace(&mut r, scale)).collect();
+                let batch_bits: Vec<u64> = batched.iter().map(|x| x.to_bits()).collect();
+                let loop_bits: Vec<u64> = singles.iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(batch_bits, loop_bits, "len {}", len);
+            }
+        }
+
+        #[test]
+        fn laplace_add_into_is_bit_identical_to_single_draw_loop(
+            scale in 0.01f64..1e6,
+            seed in 0u64..100_000,
+        ) {
+            for len in batch_lengths() {
+                let base: Vec<f64> = (0..len).map(|i| (i as f64) * 0.75 - 3.0).collect();
+                let mut batched = base.clone();
+                laplace_add_into(&mut rng(seed), scale, &mut batched);
+                let mut r = rng(seed);
+                let mut looped = base;
+                for v in &mut looped {
+                    *v += laplace(&mut r, scale);
+                }
+                let batch_bits: Vec<u64> = batched.iter().map(|x| x.to_bits()).collect();
+                let loop_bits: Vec<u64> = looped.iter().map(|x| x.to_bits()).collect();
+                prop_assert_eq!(batch_bits, loop_bits, "len {}", len);
+            }
+        }
     }
 }

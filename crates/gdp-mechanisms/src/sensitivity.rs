@@ -84,12 +84,11 @@ impl From<L1Sensitivity> for f64 {
 /// released at each hierarchy level.
 ///
 /// ```
-/// use gdp_mechanisms::{L1Sensitivity, L2Sensitivity};
+/// use gdp_mechanisms::L2Sensitivity;
 /// # fn main() -> Result<(), gdp_mechanisms::MechanismError> {
-/// let l1 = L1Sensitivity::new(9.0)?;
-/// // A scalar query's L2 bound equals its L1 bound.
-/// let l2 = L2Sensitivity::from_scalar_l1(l1);
+/// let l2 = L2Sensitivity::new(9.0)?;
 /// assert_eq!(l2.get(), 9.0);
+/// assert!(L2Sensitivity::new(f64::NAN).is_err());
 /// # Ok(())
 /// # }
 /// ```
@@ -116,12 +115,6 @@ impl L2Sensitivity {
     /// Creates the unit sensitivity (`Δ₂ = 1`).
     pub fn unit() -> Self {
         Self(1.0)
-    }
-
-    /// For a *scalar* query the L2 and L1 bounds coincide; this conversion
-    /// encodes that fact without an unchecked numeric cast at call sites.
-    pub fn from_scalar_l1(l1: L1Sensitivity) -> Self {
-        Self(l1.get())
     }
 
     /// Returns the raw bound.
@@ -172,12 +165,6 @@ mod tests {
     fn unit_sensitivities() {
         assert_eq!(L1Sensitivity::unit().get(), 1.0);
         assert_eq!(L2Sensitivity::unit().get(), 1.0);
-    }
-
-    #[test]
-    fn scalar_l1_to_l2_preserves_value() {
-        let l1 = L1Sensitivity::new(123.5).unwrap();
-        assert_eq!(L2Sensitivity::from_scalar_l1(l1).get(), 123.5);
     }
 
     #[test]

@@ -1,53 +1,22 @@
 //! Special functions needed for Gaussian-mechanism calibration.
 //!
 //! Everything here is implemented from scratch (no `libm`/`statrs`
-//! dependency): the error function pair `erf`/`erfc` uses W. J. Cody's
-//! rational Chebyshev approximations (SPECFUN `CALERF`, relative error
-//! ≈ 1e-16 over the full range, including the far tail where the analytic
-//! Gaussian calibration of Balle & Wang evaluates it), the standard normal
-//! CDF `Φ` is derived from `erfc`, and the quantile `Φ⁻¹` uses Peter
-//! Acklam's rational approximation refined by one Halley step.
+//! dependency): the complementary error function `erfc` uses W. J.
+//! Cody's rational Chebyshev approximations (SPECFUN `CALERF`, relative
+//! error ≈ 1e-16 over the full range, including the far tail where the
+//! analytic Gaussian calibration of Balle & Wang evaluates it), and the
+//! standard normal CDF `Φ` is derived from it. `Φ` is the one function
+//! the calibration calls.
 //!
 //! The published coefficient tables are reproduced verbatim, so the
 //! excessive-precision lint is silenced for this module.
 #![allow(clippy::excessive_precision)]
 
-/// The error function `erf(x) = (2/√π) ∫₀ˣ e^{−t²} dt`.
-///
-/// Relative error is ≈ 1e-16 everywhere (Cody's CALERF approximation).
-///
-/// ```
-/// use gdp_mechanisms::special::erf;
-/// assert!((erf(1.0) - 0.842700792949715).abs() < 1e-14);
-/// assert_eq!(erf(0.0), 0.0);
-/// ```
-pub fn erf(x: f64) -> f64 {
-    if x.is_nan() {
-        return f64::NAN;
-    }
-    let ax = x.abs();
-    if ax < 0.46875 {
-        erf_small(x)
-    } else {
-        let e = erfc_core(ax);
-        if x >= 0.0 {
-            1.0 - e
-        } else {
-            e - 1.0
-        }
-    }
-}
-
 /// The complementary error function `erfc(x) = 1 − erf(x)`.
 ///
 /// Keeps full *relative* accuracy in the right tail, which matters when
 /// calibrating Gaussian noise against δ values as small as 1e-12.
-///
-/// ```
-/// use gdp_mechanisms::special::erfc;
-/// assert!((erfc(3.0) - 2.2090496998585445e-5).abs() < 1e-18);
-/// ```
-pub fn erfc(x: f64) -> f64 {
+pub(crate) fn erfc(x: f64) -> f64 {
     if x.is_nan() {
         return f64::NAN;
     }
@@ -158,109 +127,14 @@ fn erfc_core(x: f64) -> f64 {
 
 /// The standard normal cumulative distribution function
 /// `Φ(x) = P[N(0,1) ≤ x]`.
-///
-/// ```
-/// use gdp_mechanisms::special::normal_cdf;
-/// assert!((normal_cdf(0.0) - 0.5).abs() < 1e-15);
-/// assert!((normal_cdf(1.959963984540054) - 0.975).abs() < 1e-12);
-/// ```
-pub fn normal_cdf(x: f64) -> f64 {
+pub(crate) fn normal_cdf(x: f64) -> f64 {
     0.5 * erfc(-x * std::f64::consts::FRAC_1_SQRT_2)
-}
-
-/// The standard normal survival function `1 − Φ(x)`, accurate in the
-/// upper tail.
-pub fn normal_sf(x: f64) -> f64 {
-    0.5 * erfc(x * std::f64::consts::FRAC_1_SQRT_2)
-}
-
-/// The standard normal probability density function.
-pub fn normal_pdf(x: f64) -> f64 {
-    (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt()
-}
-
-/// The standard normal quantile function `Φ⁻¹(p)`.
-///
-/// Uses Acklam's rational approximation (absolute error < 1.15e-9)
-/// followed by one Halley refinement against [`normal_cdf`], yielding
-/// near machine precision for `p ∈ (0, 1)`.
-///
-/// Returns `±∞` for `p ∈ {0, 1}` and NaN outside `[0, 1]`.
-///
-/// ```
-/// use gdp_mechanisms::special::normal_quantile;
-/// assert!((normal_quantile(0.975) - 1.959963984540054).abs() < 1e-9);
-/// assert_eq!(normal_quantile(0.5), 0.0);
-/// ```
-pub fn normal_quantile(p: f64) -> f64 {
-    if p.is_nan() || !(0.0..=1.0).contains(&p) {
-        return f64::NAN;
-    }
-    if p == 0.0 {
-        return f64::NEG_INFINITY;
-    }
-    if p == 1.0 {
-        return f64::INFINITY;
-    }
-    if p == 0.5 {
-        return 0.0;
-    }
-
-    const A: [f64; 6] = [
-        -3.969_683_028_665_376e1,
-        2.209_460_984_245_205e2,
-        -2.759_285_104_469_687e2,
-        1.383_577_518_672_690e2,
-        -3.066_479_806_614_716e1,
-        2.506_628_277_459_239e0,
-    ];
-    const B: [f64; 5] = [
-        -5.447_609_879_822_406e1,
-        1.615_858_368_580_409e2,
-        -1.556_989_798_598_866e2,
-        6.680_131_188_771_972e1,
-        -1.328_068_155_288_572e1,
-    ];
-    const C: [f64; 6] = [
-        -7.784_894_002_430_293e-3,
-        -3.223_964_580_411_365e-1,
-        -2.400_758_277_161_838e0,
-        -2.549_732_539_343_734e0,
-        4.374_664_141_464_968e0,
-        2.938_163_982_698_783e0,
-    ];
-    const D: [f64; 4] = [
-        7.784_695_709_041_462e-3,
-        3.224_671_290_700_398e-1,
-        2.445_134_137_142_996e0,
-        3.754_408_661_907_416e0,
-    ];
-    const P_LOW: f64 = 0.02425;
-
-    let x = if p < P_LOW {
-        let q = (-2.0 * p.ln()).sqrt();
-        (((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    } else if p <= 1.0 - P_LOW {
-        let q = p - 0.5;
-        let r = q * q;
-        (((((A[0] * r + A[1]) * r + A[2]) * r + A[3]) * r + A[4]) * r + A[5]) * q
-            / (((((B[0] * r + B[1]) * r + B[2]) * r + B[3]) * r + B[4]) * r + 1.0)
-    } else {
-        let q = (-2.0 * (1.0 - p).ln()).sqrt();
-        -(((((C[0] * q + C[1]) * q + C[2]) * q + C[3]) * q + C[4]) * q + C[5])
-            / ((((D[0] * q + D[1]) * q + D[2]) * q + D[3]) * q + 1.0)
-    };
-
-    // One Halley step: u = (Φ(x) − p) / φ(x); x ← x − u / (1 + x·u/2).
-    let e = normal_cdf(x) - p;
-    let u = e / normal_pdf(x);
-    x - u / (1.0 + x * u / 2.0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     // Reference values computed with mpmath at 50 digits.
     const ERF_TABLE: &[(f64, f64)] = &[
@@ -291,8 +165,10 @@ mod tests {
 
     #[test]
     fn erf_matches_reference_values() {
+        // `1 − erfc` is erf. Below 0.46875 erfc runs through Cody's
+        // small-argument branch, which ERFC_TABLE (x ≥ 0.5) never reaches.
         for &(x, want) in ERF_TABLE {
-            let got = erf(x);
+            let got = 1.0 - erfc(x);
             assert!(
                 (got - want).abs() <= 1e-11 * want.abs().max(1.0),
                 "erf({x}) = {got}, want {want}"
@@ -311,12 +187,8 @@ mod tests {
 
     #[test]
     fn erf_is_odd_and_erfc_complements() {
+        // erf is odd exactly when erfc(−x) = 2 − erfc(x).
         for x in [0.01, 0.3, 0.7, 1.3, 2.9, 4.2] {
-            assert!((erf(-x) + erf(x)).abs() < 1e-15, "erf not odd at {x}");
-            assert!(
-                (erf(x) + erfc(x) - 1.0).abs() < 1e-14,
-                "erf+erfc != 1 at {x}"
-            );
             assert!(
                 (erfc(-x) - (2.0 - erfc(x))).abs() < 1e-14,
                 "erfc reflection fails at {x}"
@@ -326,11 +198,8 @@ mod tests {
 
     #[test]
     fn erf_handles_extremes() {
-        assert_eq!(erf(40.0), 1.0);
-        assert_eq!(erf(-40.0), -1.0);
         assert_eq!(erfc(40.0), 0.0);
         assert_eq!(erfc(-40.0), 2.0);
-        assert!(erf(f64::NAN).is_nan());
         assert!(erfc(f64::NAN).is_nan());
     }
 
@@ -343,6 +212,7 @@ mod tests {
             (0.0, 0.5),
             (1.0, 0.8413447460685429),
             (1.6448536269514722, 0.95),
+            (1.959963984540054, 0.975),
             (2.3263478740408408, 0.99),
         ];
         for (x, want) in table {
@@ -352,55 +222,43 @@ mod tests {
     }
 
     #[test]
-    fn normal_sf_is_tail_accurate() {
-        // 1 - Φ(6) ≈ 9.865876450376946e-10 — must hold *relative* accuracy.
-        let got = normal_sf(6.0);
+    fn normal_cdf_is_tail_accurate() {
+        // Φ(−6) ≈ 9.865876450376946e-10 — must hold *relative* accuracy:
+        // the analytic calibration scales Φ of a far-left argument by e^ε.
+        let got = normal_cdf(-6.0);
         let want = 9.865876450376946e-10;
-        assert!(((got - want) / want).abs() < 1e-10, "sf(6) = {got}");
-    }
-
-    #[test]
-    fn normal_quantile_inverts_cdf() {
-        for p in [1e-10, 1e-6, 0.01, 0.2, 0.5, 0.8, 0.99, 1.0 - 1e-6] {
-            let x = normal_quantile(p);
-            let back = normal_cdf(x);
-            assert!(
-                (back - p).abs() < 1e-12 * p.max(1e-3),
-                "round trip failed at p={p}: x={x}, back={back}"
-            );
-        }
-    }
-
-    #[test]
-    fn normal_quantile_edge_cases() {
-        assert_eq!(normal_quantile(0.0), f64::NEG_INFINITY);
-        assert_eq!(normal_quantile(1.0), f64::INFINITY);
-        assert_eq!(normal_quantile(0.5), 0.0);
-        assert!(normal_quantile(-0.1).is_nan());
-        assert!(normal_quantile(1.1).is_nan());
-        assert!(normal_quantile(f64::NAN).is_nan());
-    }
-
-    #[test]
-    fn normal_quantile_symmetry() {
-        for p in [0.01, 0.1, 0.3, 0.45] {
-            let lo = normal_quantile(p);
-            let hi = normal_quantile(1.0 - p);
-            assert!((lo + hi).abs() < 1e-9, "asymmetric at {p}: {lo} vs {hi}");
-        }
+        assert!(((got - want) / want).abs() < 1e-10, "Phi(-6) = {got}");
     }
 
     #[test]
     fn pdf_integrates_to_cdf_derivative() {
         // Finite-difference check: (Φ(x+h) − Φ(x−h)) / 2h ≈ φ(x).
+        let pdf = |x: f64| (-0.5 * x * x).exp() / (2.0 * std::f64::consts::PI).sqrt();
         let h = 1e-6;
         for x in [-2.0, -0.5, 0.0, 0.7, 2.5] {
             let fd = (normal_cdf(x + h) - normal_cdf(x - h)) / (2.0 * h);
             assert!(
-                (fd - normal_pdf(x)).abs() < 1e-8,
+                (fd - pdf(x)).abs() < 1e-8,
                 "pdf mismatch at {x}: fd={fd}, pdf={}",
-                normal_pdf(x)
+                pdf(x)
             );
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn erf_bounded_and_odd(x in -6.0f64..6.0) {
+            // erf = 1 − erfc lies in [−1, 1] and is odd: erfc lies in
+            // [0, 2] and erfc(−x) + erfc(x) = 2.
+            prop_assert!((0.0..=2.0).contains(&erfc(x)));
+            prop_assert!((erfc(-x) + erfc(x) - 2.0).abs() < 1e-12);
+        }
+
+        #[test]
+        fn normal_cdf_monotone(a in -8.0f64..8.0, b in -8.0f64..8.0) {
+            if a < b {
+                prop_assert!(normal_cdf(a) <= normal_cdf(b) + 1e-15);
+            }
         }
     }
 }
