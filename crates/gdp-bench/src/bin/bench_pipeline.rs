@@ -51,6 +51,7 @@
 //!                [--assert-delta-disclose-over RATIO]
 //!                [--assert-digest-over RATIO]
 //!                [--assert-edge-list-read-over RATIO]
+//!                [--assert-finest-pair-counts-over RATIO]
 //! ```
 //!
 //! ISSUE 10 adds the `delta_disclose_1m` entry: epoch N+1 produced from
@@ -85,6 +86,15 @@
 //! arm and no gate; it uses only public APIs, so the same entry runs on
 //! older trees for a before/after figure.
 //!
+//! The `specialize_zipf_1m` entry times Phase 1 on the same Zipf graph
+//! as `gdp publish` runs it, one arm with no gate. The
+//! `finest_pair_counts_zipf_1m` entry times the finest table of the
+//! hierarchy (singletons on both sides) two ways, an edge sweep
+//! (`PairCounts::compute`) vs a copy of the adjacency
+//! (`PairCounts::from_adjacency`), tables asserted equal every rep.
+//! `--assert-finest-pair-counts-over RATIO` fails the run when the copy
+//! stops beating the sweep by the given factor.
+//!
 //! The `zipf_sampler` entry times 1M draws from a 1M-rank Zipf sampler
 //! (exponent 1.15) two ways from the same seed: `ZipfSampler::sample`
 //! once per draw vs `ZipfSampler::sample_into`, whose draws go through
@@ -99,7 +109,7 @@ use serde::Serialize;
 
 use gdp_core::answering::SubsetCountEstimator;
 use gdp_core::postprocess::{clamp_non_negative, fuse_total_estimates};
-use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
+use gdp_core::scoring::{cut_utilities, cut_utilities_naive, prefix_masses};
 use gdp_core::{
     DisclosureConfig, GroupHierarchy, HierarchyStats, MultiLevelDiscloser, MultiLevelRelease,
     Privilege, Query, ReleaseArtifact, SpecializationConfig, Specializer,
@@ -257,6 +267,31 @@ struct EpochEntry {
     artifact_bytes: u64,
 }
 
+/// Phase 1 on the seal fixture's 962k-edge Zipf graph, as `gdp
+/// publish` runs it (8 rounds, exponential-mechanism splits, 64
+/// candidates), best of at least five reps; the hierarchy is asserted
+/// equal to the seal fixture's every rep. One arm, an absolute time.
+#[derive(Debug, Serialize)]
+struct SpecializeEntry {
+    edges: u64,
+    levels: usize,
+    specialize_ms: f64,
+}
+
+/// The finest pair-count table of a specialized hierarchy — the
+/// singletons on both sides — on the seal fixture's 962k-edge Zipf
+/// graph, two ways: `PairCounts::compute` (bucket, scatter, sort and
+/// fold every edge) vs `PairCounts::from_adjacency` (a copy of the left
+/// adjacency). Arms interleaved rep by rep, best of at least five,
+/// tables asserted equal every rep.
+#[derive(Debug, Serialize)]
+struct FinestPairCountsComparison {
+    edges: u64,
+    compute_ms: f64,
+    from_adjacency_ms: f64,
+    speedup: f64,
+}
+
 /// The edge-list measurement: the text form of the seal fixture's
 /// 962k-edge Zipf graph, read and written by the shipping functions
 /// and by line-at-a-time baselines, each pair of arms interleaved rep
@@ -325,6 +360,8 @@ struct Report {
     artifact_io_1m: ArtifactIo,
     seal_1m: SealComparison,
     epoch_zipf_1m: EpochEntry,
+    specialize_zipf_1m: SpecializeEntry,
+    finest_pair_counts_zipf_1m: FinestPairCountsComparison,
     edge_list_1m: EdgeListComparison,
     answer_qps: Vec<AnswerQpsComparison>,
     /// `None` only when `--max-edges` clips the 100k scale it is
@@ -366,11 +403,15 @@ fn scorer_comparison(seed: u64, reps: usize) -> ScorerComparison {
         .collect();
 
     // The naive scorer is O(candidates × members); a handful of reps is
-    // plenty. The prefix scorer is microseconds, so rep it harder.
+    // plenty. The range scorer is microseconds, so rep it harder. Its
+    // arm includes building the side's cumulative mass, which the
+    // specializer does once per side and every later split reuses: the
+    // arm is what the first round's whole-side split costs.
     let (naive_ms, naive_scores) =
         time_best_of(reps, || cut_utilities_naive(&block, &degrees, &candidates));
-    let (prefix_once_ms, prefix_scores) =
-        time_best_of(reps * 20, || cut_utilities(&block, &degrees, &candidates));
+    let (prefix_once_ms, prefix_scores) = time_best_of(reps * 20, || {
+        cut_utilities(&prefix_masses(&block, &degrees), &candidates)
+    });
     assert_eq!(naive_scores, prefix_scores, "scorers must agree bitwise");
     ScorerComparison {
         edges: graph.edge_count(),
@@ -849,6 +890,55 @@ fn epoch_entry(
         encode_ms: best[4],
         save_ms: best[5],
         artifact_bytes,
+    }
+}
+
+/// The Phase-1 measurement (see [`SpecializeEntry`]).
+fn specialize_entry(
+    graph: &gdp_graph::BipartiteGraph,
+    expected: &GroupHierarchy,
+    seed: u64,
+    reps: usize,
+) -> SpecializeEntry {
+    let specializer = Specializer::new(SpecializationConfig::paper_default(8).expect("rounds > 0"));
+    let mut specialize_ms = f64::INFINITY;
+    for _ in 0..reps.max(5) {
+        let t = Instant::now();
+        let hierarchy = specializer
+            .specialize(graph, &mut StdRng::seed_from_u64(seed ^ 1))
+            .expect("specialize succeeds");
+        specialize_ms = specialize_ms.min(elapsed_ms(t));
+        assert_eq!(&hierarchy, expected, "the fixture's hierarchy");
+    }
+    SpecializeEntry {
+        edges: graph.edge_count(),
+        levels: expected.level_count(),
+        specialize_ms,
+    }
+}
+
+/// The finest-table measurement (see [`FinestPairCountsComparison`]).
+fn finest_pair_counts_comparison(
+    graph: &gdp_graph::BipartiteGraph,
+    reps: usize,
+) -> FinestPairCountsComparison {
+    let left = gdp_graph::SidePartition::singletons(Side::Left, graph.left_count());
+    let right = gdp_graph::SidePartition::singletons(Side::Right, graph.right_count());
+    let (mut compute_ms, mut from_adjacency_ms) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..reps.max(5) {
+        let t = Instant::now();
+        let computed = PairCounts::compute(graph, &left, &right);
+        compute_ms = compute_ms.min(elapsed_ms(t));
+        let t = Instant::now();
+        let copied = PairCounts::from_adjacency(graph);
+        from_adjacency_ms = from_adjacency_ms.min(elapsed_ms(t));
+        assert_eq!(copied, computed, "the two finest tables must be equal");
+    }
+    FinestPairCountsComparison {
+        edges: graph.edge_count(),
+        compute_ms,
+        from_adjacency_ms,
+        speedup: compute_ms / from_adjacency_ms,
     }
 }
 
@@ -1417,6 +1507,7 @@ fn main() {
     let mut delta_disclose_floor: Option<f64> = None;
     let mut digest_floor: Option<f64> = None;
     let mut edge_list_read_floor: Option<f64> = None;
+    let mut finest_pair_counts_floor: Option<f64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -1488,6 +1579,13 @@ fn main() {
                         .expect("--assert-digest-over needs a number (speedup ratio)"),
                 )
             }
+            "--assert-finest-pair-counts-over" => {
+                finest_pair_counts_floor = Some(
+                    args.next()
+                        .and_then(|v| v.parse().ok())
+                        .expect("--assert-finest-pair-counts-over needs a number (speedup ratio)"),
+                )
+            }
             "--assert-edge-list-read-over" => {
                 edge_list_read_floor = Some(
                     args.next()
@@ -1501,7 +1599,7 @@ fn main() {
                      [--assert-disclose-100k-under MS] [--assert-datagen-1m-under MS] \
                      [--assert-answer-qps-over QPS] [--assert-binary-load-1m-under MS] \
                      [--assert-gather-over RATIO] [--assert-delta-disclose-over RATIO] [--assert-digest-over RATIO] \
-                     [--assert-edge-list-read-over RATIO]"
+                     [--assert-edge-list-read-over RATIO] [--assert-finest-pair-counts-over RATIO]"
                 );
                 return;
             }
@@ -1605,7 +1703,6 @@ fn main() {
         "measuring one 1% epoch: stats delta, disclose, seal, encode, save (1M-edge Zipf graph)…"
     );
     let epoch_zipf_1m = epoch_entry(&zipf_1m, zipf_artifact.hierarchy().clone(), seed, reps);
-    drop(zipf_artifact);
     eprintln!(
         "  stats {:.1} ms  disclose {:.1} ms  seal {:.1} ms  epoch {:.1} ms  \
          encode {:.1} ms  save {:.1} ms  ({} bytes)",
@@ -1616,6 +1713,25 @@ fn main() {
         epoch_zipf_1m.encode_ms,
         epoch_zipf_1m.save_ms,
         epoch_zipf_1m.artifact_bytes
+    );
+
+    eprintln!("measuring Phase 1 (1M-edge Zipf graph, 8 rounds)…");
+    let specialize_zipf_1m = specialize_entry(&zipf_1m, zipf_artifact.hierarchy(), seed, reps);
+    drop(zipf_artifact);
+    eprintln!(
+        "  specialize {:.1} ms ({} levels)",
+        specialize_zipf_1m.specialize_ms, specialize_zipf_1m.levels
+    );
+
+    eprintln!(
+        "measuring the finest pair-count table, edge sweep vs adjacency copy (1M-edge Zipf graph)…"
+    );
+    let finest_pair_counts_zipf_1m = finest_pair_counts_comparison(&zipf_1m, reps);
+    eprintln!(
+        "  compute {:.1} ms  from_adjacency {:.1} ms  speedup {:.1}×",
+        finest_pair_counts_zipf_1m.compute_ms,
+        finest_pair_counts_zipf_1m.from_adjacency_ms,
+        finest_pair_counts_zipf_1m.speedup
     );
 
     // The same graph as the publish path's input: its text edge list,
@@ -1703,6 +1819,8 @@ fn main() {
         artifact_io_1m,
         seal_1m,
         epoch_zipf_1m,
+        specialize_zipf_1m,
+        finest_pair_counts_zipf_1m,
         edge_list_1m,
         answer_qps,
         reader_throughput,
@@ -1882,6 +2000,26 @@ fn main() {
         eprintln!(
             "edge-list reader: {:.2}× over the lines() baseline ≥ floor {floor:.2}×",
             d.read_speedup
+        );
+    }
+
+    // Regression gate for CI: the finest table of a specialized
+    // hierarchy must stay a copy of the adjacency — a copy that turns
+    // back into a sweep or a fold over every edge collapses this ratio,
+    // independent of runner speed.
+    if let Some(floor) = finest_pair_counts_floor {
+        let d = &report.finest_pair_counts_zipf_1m;
+        if d.speedup < floor {
+            eprintln!(
+                "FAIL: finest pair counts from the adjacency at {:.2}× over the edge sweep \
+                 (floor {floor:.2}×; compute {:.1} ms, from_adjacency {:.1} ms)",
+                d.speedup, d.compute_ms, d.from_adjacency_ms
+            );
+            std::process::exit(1);
+        }
+        eprintln!(
+            "finest pair counts from the adjacency: {:.2}× over the edge sweep ≥ floor {floor:.2}×",
+            d.speedup
         );
     }
 }

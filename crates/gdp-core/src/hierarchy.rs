@@ -208,8 +208,9 @@ impl GroupHierarchy {
     /// Builds a hierarchy from its finest level and, per coarser level,
     /// each side's block map from the level below with its block count
     /// (`[left, right]`) — the refinement chain the `.gda` hierarchy
-    /// section stores. Every coarser level is composed through
-    /// [`SidePartition::coarsen`], so refinement holds by construction.
+    /// section stores and the [`crate::Specializer`] builds. Every
+    /// coarser level is composed through [`SidePartition::coarsen`], so
+    /// refinement holds by construction.
     ///
     /// # Errors
     ///

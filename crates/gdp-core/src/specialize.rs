@@ -8,9 +8,12 @@
 //! `StdRng` stream, seeded in block order from the master RNG (the
 //! workspace determinism convention — see `docs/determinism.md`).
 //!
-//! The hot path is cut-candidate scoring, isolated in [`scoring`] with
-//! a naive reference implementation kept alongside the production
-//! prefix-sum scorer.
+//! Each side is ordered once, by (degree, id). A cut of an ordered
+//! block leaves two ordered halves, so every block of every round is a
+//! range of that one order, and a round only replaces each range by its
+//! two halves. The hot path is cut-candidate scoring, isolated in
+//! [`scoring`] with a naive reference implementation kept alongside the
+//! production range scorer.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -23,9 +26,9 @@ use crate::error::CoreError;
 use crate::hierarchy::{GroupHierarchy, GroupLevel};
 use crate::Result;
 
-use scoring::cut_utilities;
-#[cfg(any(test, debug_assertions))]
+#[cfg(test)]
 use scoring::cut_utilities_naive;
+use scoring::{cut_utilities, prefix_masses};
 
 /// Cut-candidate scoring for one block split — the Phase-1 inner loop.
 ///
@@ -33,53 +36,75 @@ use scoring::cut_utilities_naive;
 /// `u(c) = −|mass(block[..c]) − mass(block[c..])|` where mass is the
 /// incident-association count — balanced cuts score highest. These
 /// utilities feed the exponential mechanism, so they must be computed
-/// for *every* candidate of *every* split of *every* round: at 100k
-/// edges / 64 candidates the prefix-sum scorer ([`cut_utilities`]) runs
-/// ~22× faster than the naive per-candidate rescan
-/// ([`cut_utilities_naive`]), which survives as the bit-exact
-/// equivalence baseline (the same two-path convention as
+/// for *every* candidate of *every* split of *every* round.
+///
+/// A side's cumulative mass over its (degree, id) order
+/// ([`prefix_masses`]) is built once per specialization; a block is a
+/// range `[s, e)` of that order, and [`cut_utilities`] scores it from
+/// the slice `prefix[s..=e]` in `O(candidates)`. The naive
+/// per-candidate rescan ([`cut_utilities_naive`]) survives as the
+/// bit-exact equivalence baseline (the same two-path convention as
 /// [`gdp_graph::PairCounts::compute`] / `compute_naive`).
 ///
 /// ```
-/// use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
+/// use gdp_core::scoring::{cut_utilities, cut_utilities_naive, prefix_masses};
 ///
-/// let block = [0u32, 1, 2, 3];       // member node ids, mass-ordered
-/// let degrees = [1u32, 2, 3, 6];     // per-node incident associations
-/// let candidates = [1usize, 2, 3];   // cut positions to score
-/// let fast = cut_utilities(&block, &degrees, &candidates);
-/// assert_eq!(fast, cut_utilities_naive(&block, &degrees, &candidates));
+/// let order = [0u32, 1, 2, 3, 4];    // node ids in (degree, id) order
+/// let degrees = [1u32, 2, 3, 6, 9];  // per-node incident associations
+/// let prefix = prefix_masses(&order, &degrees);
+/// // The block holding order[0..4], scored at cuts 1, 2 and 3.
+/// let candidates = [1usize, 2, 3];
+/// let fast = cut_utilities(&prefix[0..=4], &candidates);
+/// assert_eq!(fast, cut_utilities_naive(&order[0..4], &degrees, &candidates));
 /// // Cutting at 3 balances mass 6 | 6 — the best (highest) utility.
 /// assert_eq!(fast[2], 0.0);
 /// ```
 pub mod scoring {
-    /// Scores every candidate cut with a **one-pass prefix sum** of
-    /// per-member association mass: `O(members + candidates)` per split
-    /// instead of the naive `O(candidates × members)` rescan. This is
-    /// the production scorer.
+    /// The cumulative mass of `order`: entry `i` is the summed degree of
+    /// `order[..i]`, so the result has `order.len() + 1` entries.
     ///
-    /// Accumulation order matches [`cut_utilities_naive`] exactly
-    /// (left-to-right over members), so the two scorers agree
-    /// bit-for-bit — a property the `gdp-core` property suite pins down.
-    pub fn cut_utilities(block: &[u32], degrees: &[u32], candidates: &[usize]) -> Vec<f64> {
-        let mut prefix = Vec::with_capacity(block.len() + 1);
+    /// Every partial sum is an integer at most the side's edge count,
+    /// far below 2⁵³, so each entry — and each difference of two
+    /// entries — is exact in f64.
+    pub fn prefix_masses(order: &[u32], degrees: &[u32]) -> Vec<f64> {
+        let mut prefix = Vec::with_capacity(order.len() + 1);
         let mut acc = 0.0f64;
-        prefix.push(0.0);
-        for &n in block {
+        prefix.push(acc);
+        for &n in order {
             acc += degrees[n as usize] as f64;
             prefix.push(acc);
         }
-        let total = acc;
+        prefix
+    }
+
+    /// Scores every candidate cut of one block from its slice
+    /// `prefix[s..=e]` of the side's cumulative mass: `O(candidates)`
+    /// per split instead of the naive `O(candidates × members)`
+    /// rescan. This is the production scorer.
+    ///
+    /// The masses `x = prefix[s + c] − prefix[s]` and
+    /// `T = prefix[e] − prefix[s]` are the exact integers a left-to-right
+    /// sum over the block's members gives, so the scores agree
+    /// bit-for-bit with [`cut_utilities_naive`] — a property the
+    /// `gdp-core` property suite pins down.
+    pub fn cut_utilities(prefix: &[f64], candidates: &[usize]) -> Vec<f64> {
+        let base = prefix[0];
+        let total = prefix[prefix.len() - 1] - base;
         candidates
             .iter()
-            .map(|&c| -(prefix[c] - (total - prefix[c])).abs())
+            .map(|&c| {
+                let x = prefix[c] - base;
+                -(x - (total - x)).abs()
+            })
             .collect()
     }
 
     /// Reference scorer that recomputes each candidate's prefix mass
-    /// from scratch: `O(candidates × members)`. Kept for equivalence
-    /// checks (debug assertions and property tests) and as the baseline
-    /// `bench_pipeline`'s `scorer_100k` entry measures the prefix-sum
-    /// scorer against. Not used on the production path.
+    /// from scratch over the block's members: `O(candidates ×
+    /// members)`. Kept for equivalence checks (unit, property and
+    /// reference-specializer tests) and as the baseline `bench_pipeline`'s
+    /// `scorer_100k` entry measures the range scorer against. Not used
+    /// on the production path.
     pub fn cut_utilities_naive(block: &[u32], degrees: &[u32], candidates: &[usize]) -> Vec<f64> {
         candidates
             .iter()
@@ -263,39 +288,41 @@ impl Specializer {
                 "both sides must be non-empty to specialize".to_string(),
             ));
         }
-        let left_degrees: Vec<u32> = graph.left_degrees();
-        let right_degrees: Vec<u32> = graph.right_degrees();
         // Conservative utility sensitivity: one adjacency step moves at
         // most one node's whole mass across the cut.
         let delta_u = graph.max_degree().max(1) as f64;
         let per_round_eps = Epsilon::new(self.config.epsilon.get() / self.config.rounds as f64)?;
 
-        let mut left_blocks: Vec<Vec<u32>> = vec![(0..nl).collect()];
-        let mut right_blocks: Vec<Vec<u32>> = vec![(0..nr).collect()];
-
-        // Coarsest level first; we reverse at the end.
-        let mut levels_coarse_first: Vec<GroupLevel> =
-            vec![level_from_blocks(&left_blocks, nl, &right_blocks, nr)?];
-
+        let mut sides = [
+            OrderedSide::new(&graph.left_degrees()),
+            OrderedSide::new(&graph.right_degrees()),
+        ];
+        // `parents[round]` maps each side's blocks after the round to
+        // the blocks before it, with their count.
+        let mut parents = Vec::with_capacity(self.config.rounds as usize);
         for _ in 0..self.config.rounds {
-            left_blocks =
-                self.split_side(left_blocks, &left_degrees, delta_u, per_round_eps, rng)?;
-            right_blocks =
-                self.split_side(right_blocks, &right_degrees, delta_u, per_round_eps, rng)?;
-            levels_coarse_first.push(level_from_blocks(&left_blocks, nl, &right_blocks, nr)?);
+            let [left, right] = &mut sides;
+            parents.push([
+                self.split_side(left, delta_u, per_round_eps, rng)?,
+                self.split_side(right, delta_u, per_round_eps, rng)?,
+            ]);
         }
 
-        // Individual level 0: every node its own group.
-        levels_coarse_first.push(GroupLevel::new(
+        // Finest first: the singletons, the node → last-round block
+        // map, then each round's parent map, last round first.
+        let finest = GroupLevel::new(
             SidePartition::singletons(Side::Left, nl),
             SidePartition::singletons(Side::Right, nr),
-        )?);
-
-        levels_coarse_first.reverse();
-        GroupHierarchy::new(levels_coarse_first)
+        )?;
+        let mut coarser = Vec::with_capacity(parents.len() + 1);
+        coarser.push(sides.each_ref().map(OrderedSide::node_map));
+        coarser.extend(parents.into_iter().rev());
+        GroupHierarchy::from_block_maps(finest, coarser)
     }
 
-    /// Splits every block of one side (blocks of < 2 nodes pass through).
+    /// Splits every block of one side (blocks of < 2 nodes pass
+    /// through) and returns the map from the new blocks to the old,
+    /// with the old block count.
     ///
     /// Blocks within a round are **disjoint**, so by the paper's
     /// parallel-composition argument their splits are independent.
@@ -305,58 +332,49 @@ impl Specializer {
     /// (see `docs/determinism.md`).
     fn split_side<R: Rng + ?Sized>(
         &self,
-        blocks: Vec<Vec<u32>>,
-        degrees: &[u32],
+        side: &mut OrderedSide,
         delta_u: f64,
         per_round_eps: Epsilon,
         rng: &mut R,
-    ) -> Result<Vec<Vec<u32>>> {
-        let mut split = Vec::with_capacity(blocks.len() * 2);
-        for mut block in blocks {
-            if block.len() < 2 {
-                split.push(block);
-                continue;
+    ) -> Result<(Vec<u32>, u32)> {
+        let blocks = side.bounds.len() - 1;
+        let mut bounds = Vec::with_capacity(2 * blocks + 1);
+        let mut parent = Vec::with_capacity(2 * blocks);
+        bounds.push(0);
+        for (b, range) in side.bounds.windows(2).enumerate() {
+            let (s, e) = (range[0], range[1]);
+            if e - s >= 2 {
+                let mut block_rng = StdRng::seed_from_u64(rng.gen::<u64>());
+                let prefix = &side.prefix[s..=e];
+                let cut = self.choose_cut(prefix, delta_u, per_round_eps, &mut block_rng)?;
+                bounds.push(s + cut);
+                parent.push(b as u32);
             }
-            let mut block_rng = StdRng::seed_from_u64(rng.gen::<u64>());
-            // Order by (degree, id) so prefix cuts trade off mass
-            // smoothly.
-            block.sort_unstable_by_key(|&n| (degrees[n as usize], n));
-            let cut = self.choose_cut(&block, degrees, delta_u, per_round_eps, &mut block_rng)?;
-            let tail = block.split_off(cut);
-            split.push(block);
-            split.push(tail);
+            bounds.push(e);
+            parent.push(b as u32);
         }
-        Ok(split)
+        side.bounds = bounds;
+        Ok((parent, blocks as u32))
     }
 
-    /// Chooses the cut position in `1..block.len()` per the strategy.
+    /// Chooses the cut position in `1..len` of a block of `len` nodes,
+    /// given its slice `prefix` (`len + 1` entries) of the side's
+    /// cumulative mass, per the strategy.
     fn choose_cut<R: Rng + ?Sized>(
         &self,
-        block: &[u32],
-        degrees: &[u32],
+        prefix: &[f64],
         delta_u: f64,
         per_round_eps: Epsilon,
         rng: &mut R,
     ) -> Result<usize> {
-        let candidates = candidate_positions(block.len(), self.config.max_candidates);
+        let candidates = candidate_positions(prefix.len() - 1, self.config.max_candidates);
         match self.config.strategy {
             SplitStrategy::Random => {
                 let idx = rng.gen_range(0..candidates.len());
                 Ok(candidates[idx])
             }
             SplitStrategy::Median | SplitStrategy::Exponential => {
-                let utilities = cut_utilities(block, degrees, &candidates);
-                // Debug path: the prefix-sum scorer must agree with the
-                // naive rescan exactly (bounded so debug builds stay
-                // usable on large graphs).
-                #[cfg(debug_assertions)]
-                if block.len() <= 4096 {
-                    debug_assert_eq!(
-                        utilities,
-                        cut_utilities_naive(block, degrees, &candidates),
-                        "prefix-sum scorer diverged from naive scorer"
-                    );
-                }
+                let utilities = cut_utilities(prefix, &candidates);
                 match self.config.strategy {
                     SplitStrategy::Median => {
                         let best = utilities
@@ -380,41 +398,71 @@ impl Specializer {
     }
 }
 
+/// One side's nodes in (degree, id) order, its cumulative mass over
+/// that order, and the current blocks as ranges of it.
+struct OrderedSide {
+    order: Vec<u32>,
+    /// `prefix[i]` is the summed degree of `order[..i]`.
+    prefix: Vec<f64>,
+    /// Block `b` is `order[bounds[b]..bounds[b + 1]]`; starts as one
+    /// block holding the whole side.
+    bounds: Vec<usize>,
+}
+
+impl OrderedSide {
+    fn new(degrees: &[u32]) -> Self {
+        let order = degree_order(degrees);
+        let prefix = prefix_masses(&order, degrees);
+        let bounds = vec![0, order.len()];
+        Self {
+            order,
+            prefix,
+            bounds,
+        }
+    }
+
+    /// The map from each node to its current block, with the block
+    /// count.
+    fn node_map(&self) -> (Vec<u32>, u32) {
+        let mut map = vec![0u32; self.order.len()];
+        for (b, range) in self.bounds.windows(2).enumerate() {
+            for &node in &self.order[range[0]..range[1]] {
+                map[node as usize] = b as u32;
+            }
+        }
+        (map, self.bounds.len() as u32 - 1)
+    }
+}
+
+/// Node ids ordered by (degree, id), by one counting sort on degree:
+/// ids are placed in ascending order, so within a degree they stay
+/// ascending. The count array has max-degree + 2 entries, at most the
+/// edge count + 2.
+fn degree_order(degrees: &[u32]) -> Vec<u32> {
+    let max = degrees.iter().copied().max().unwrap_or(0) as usize;
+    let mut next = vec![0usize; max + 2];
+    for &d in degrees {
+        next[d as usize + 1] += 1;
+    }
+    for d in 1..next.len() {
+        next[d] += next[d - 1];
+    }
+    let mut order = vec![0u32; degrees.len()];
+    for (node, &d) in degrees.iter().enumerate() {
+        order[next[d as usize]] = node as u32;
+        next[d as usize] += 1;
+    }
+    order
+}
+
 /// Evenly spaced candidate cut positions in `1..len`, at most `max`.
+/// With `available ≥ take`, consecutive positions differ by at least
+/// one, so the list is strictly increasing.
 fn candidate_positions(len: usize, max: usize) -> Vec<usize> {
     debug_assert!(len >= 2);
     let available = len - 1; // cuts at 1..=len-1
     let take = available.min(max.max(1));
-    (1..=take)
-        .map(|i| 1 + (i - 1) * available / take)
-        .collect::<Vec<_>>()
-        .into_iter()
-        .collect::<std::collections::BTreeSet<_>>()
-        .into_iter()
-        .collect()
-}
-
-/// Builds a [`GroupLevel`] from explicit block membership lists.
-fn level_from_blocks(
-    left_blocks: &[Vec<u32>],
-    nl: u32,
-    right_blocks: &[Vec<u32>],
-    nr: u32,
-) -> Result<GroupLevel> {
-    GroupLevel::new(
-        partition_from_blocks(Side::Left, left_blocks, nl)?,
-        partition_from_blocks(Side::Right, right_blocks, nr)?,
-    )
-}
-
-fn partition_from_blocks(side: Side, blocks: &[Vec<u32>], n: u32) -> Result<SidePartition> {
-    let mut assignment = vec![0u32; n as usize];
-    for (b, members) in blocks.iter().enumerate() {
-        for &m in members {
-            assignment[m as usize] = b as u32;
-        }
-    }
-    Ok(SidePartition::new(side, assignment, blocks.len() as u32)?)
+    (1..=take).map(|i| 1 + (i - 1) * available / take).collect()
 }
 
 #[cfg(test)]
@@ -463,7 +511,7 @@ mod tests {
                 .specialize(&g, &mut StdRng::seed_from_u64(2))
                 .unwrap();
             assert_eq!(h.level_count(), 6, "strategy {:?}", config.strategy);
-            // GroupHierarchy::new validated refinement internally.
+            // Every level was composed through `coarsen`, so it refines.
             let sens = h.sensitivities(&g);
             for w in sens.windows(2) {
                 assert!(w[0] <= w[1], "sensitivity not monotone: {sens:?}");
@@ -548,17 +596,51 @@ mod tests {
     }
 
     #[test]
+    fn candidate_positions_strictly_increase_without_dedup() {
+        for len in 2..200 {
+            for max in [0, 1, 2, 3, 7, 63, 64, 65, 70, 199, 500] {
+                let c = candidate_positions(len, max);
+                assert_eq!(c.len(), (len - 1).min(max.max(1)), "len {len} max {max}");
+                assert!(
+                    c.windows(2).all(|w| w[0] < w[1]),
+                    "len {len} max {max}: {c:?}"
+                );
+                assert!(
+                    c.iter().all(|p| (1..len).contains(p)),
+                    "len {len} max {max}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn degree_order_is_the_degree_id_sort() {
+        let mut rng = StdRng::seed_from_u64(8);
+        for n in [0usize, 1, 2, 3, 17, 300] {
+            let degrees: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..6)).collect();
+            let mut sorted: Vec<u32> = (0..n as u32).collect();
+            sorted.sort_unstable_by_key(|&i| (degrees[i as usize], i));
+            assert_eq!(degree_order(&degrees), sorted, "n={n}");
+        }
+    }
+
+    #[test]
     fn prefix_scorer_matches_naive_bitwise() {
         let mut rng = StdRng::seed_from_u64(9);
         for _ in 0..50 {
             let n = rng.gen_range(2usize..300);
             let degrees: Vec<u32> = (0..n).map(|_| rng.gen_range(0u32..40)).collect();
-            let mut block: Vec<u32> = (0..n as u32).collect();
-            block.sort_unstable_by_key(|&i| (degrees[i as usize], i));
-            let candidates = candidate_positions(n, 64);
-            let fast = cut_utilities(&block, &degrees, &candidates);
-            let naive = cut_utilities_naive(&block, &degrees, &candidates);
-            assert_eq!(fast, naive, "scorers diverged at n={n}");
+            let order = degree_order(&degrees);
+            let prefix = prefix_masses(&order, &degrees);
+            // The whole side and a random sub-range of at least 2 nodes.
+            let s = rng.gen_range(0..n - 1);
+            let e = rng.gen_range(s + 2..=n);
+            for (s, e) in [(0, n), (s, e)] {
+                let candidates = candidate_positions(e - s, 64);
+                let fast = cut_utilities(&prefix[s..=e], &candidates);
+                let naive = cut_utilities_naive(&order[s..e], &degrees, &candidates);
+                assert_eq!(fast, naive, "scorers diverged at n={n}, [{s}, {e})");
+            }
         }
     }
 
@@ -566,9 +648,10 @@ mod tests {
     fn prefix_scorer_prefers_balanced_cut() {
         // Uniform degrees: the midpoint cut is optimal.
         let degrees = vec![2u32; 10];
-        let block: Vec<u32> = (0..10).collect();
+        let order: Vec<u32> = (0..10).collect();
+        let prefix = prefix_masses(&order, &degrees);
         let candidates: Vec<usize> = (1..10).collect();
-        let utilities = cut_utilities(&block, &degrees, &candidates);
+        let utilities = cut_utilities(&prefix, &candidates);
         let best = utilities
             .iter()
             .enumerate()

@@ -19,7 +19,10 @@
 //! ([`gdp_graph::PairCounts::rollup`]), and each level's marginals,
 //! total and max-incidence fall out of its CSR arrays in one more pass.
 //! A full multi-level disclosure therefore touches the edge list exactly
-//! once.
+//! once. When the finest level is the singletons on both sides, as in
+//! every specialized hierarchy, that one touch is a copy: the finest
+//! table is the left adjacency with every count 1
+//! ([`gdp_graph::PairCounts::from_adjacency`]).
 //!
 //! # Privacy is unchanged
 //!
@@ -154,9 +157,14 @@ pub struct HierarchyStats {
 }
 
 impl HierarchyStats {
-    /// Computes every level's statistics: one edge sweep for the finest
-    /// level, then a rollup per coarser level through the hierarchy's
-    /// block maps ([`GroupHierarchy::block_maps`]).
+    /// Computes every level's statistics: the finest level's table,
+    /// then a rollup per coarser level through the hierarchy's block
+    /// maps ([`GroupHierarchy::block_maps`]).
+    ///
+    /// When the finest level is the singletons on both sides, as in
+    /// every hierarchy the [`crate::Specializer`] builds, its table is
+    /// the left adjacency ([`PairCounts::from_adjacency`]); otherwise it
+    /// comes from one edge sweep ([`PairCounts::compute`]).
     ///
     /// # Errors
     ///
@@ -171,7 +179,14 @@ impl HierarchyStats {
     pub fn compute(graph: &BipartiteGraph, hierarchy: &GroupHierarchy) -> Result<Self> {
         let finest = hierarchy.finest();
         let mut pair_counts = Vec::with_capacity(hierarchy.level_count());
-        pair_counts.push(PairCounts::compute(graph, finest.left(), finest.right()));
+        pair_counts.push(if hierarchy.finest_singletons() == [true, true] {
+            // `compute`'s side-size contract, which the copy skips.
+            assert_eq!(finest.left().node_count(), graph.left_count());
+            assert_eq!(finest.right().node_count(), graph.right_count());
+            PairCounts::from_adjacency(graph)
+        } else {
+            PairCounts::compute(graph, finest.left(), finest.right())
+        });
         for ([left_map, right_map], coarser) in
             hierarchy.block_maps().iter().zip(&hierarchy.levels()[1..])
         {

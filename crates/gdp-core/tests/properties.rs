@@ -5,7 +5,7 @@ use proptest::prelude::*;
 use gdp_core::adjacency::{DatasetVector, Group, GroupStructure};
 use gdp_core::artifact::content_digest;
 use gdp_core::codec;
-use gdp_core::scoring::{cut_utilities, cut_utilities_naive};
+use gdp_core::scoring::{cut_utilities, cut_utilities_naive, prefix_masses};
 use gdp_core::{
     relative_error, AccessPolicy, AnswerContext, DisclosureConfig, GroupHierarchy, GroupLevel,
     HierarchyStats, MultiLevelDiscloser, NoiseMechanism, Privilege, Query, ReleaseArtifact,
@@ -145,10 +145,13 @@ proptest! {
         };
         let mut config = SpecializationConfig::paper_default(rounds).unwrap();
         config.strategy = strategy;
-        // GroupHierarchy::new re-validates refinement and coverage.
         let h = Specializer::new(config)
             .specialize(&graph, &mut StdRng::seed_from_u64(seed))
             .unwrap();
+        // The chain passes the validating constructor, which derives
+        // the same block maps.
+        let validated = GroupHierarchy::new(h.levels().to_vec()).unwrap();
+        prop_assert_eq!(validated.block_maps(), h.block_maps());
         prop_assert_eq!(h.level_count(), rounds as usize + 2);
         // Finest level is singletons.
         prop_assert_eq!(
@@ -363,28 +366,36 @@ proptest! {
         graph in graph_strategy(),
         max_candidates in 1usize..80,
         use_right in proptest::bool::ANY,
+        start_pick in 0usize..1000,
+        end_pick in 0usize..1000,
     ) {
-        // Score a whole-side block of a random bipartite graph with both
-        // scorers: they must agree bit-for-bit, not just approximately.
+        // Score the whole side and one sub-range of its (degree, id)
+        // order with both scorers: the range scorer reads the side's
+        // cumulative mass, the naive one rescans the members, and they
+        // must agree bit-for-bit, not just approximately.
         let degrees = if use_right {
             graph.right_degrees()
         } else {
             graph.left_degrees()
         };
         prop_assert!(degrees.len() >= 2);
-        let mut block: Vec<u32> = (0..degrees.len() as u32).collect();
-        block.sort_unstable_by_key(|&n| (degrees[n as usize], n));
-        // Evenly spaced candidates, deduplicated — the specializer's rule.
-        let available = block.len() - 1;
-        let take = available.min(max_candidates.max(1));
-        let candidates: Vec<usize> = (1..=take)
-            .map(|i| 1 + (i - 1) * available / take)
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let fast = cut_utilities(&block, &degrees, &candidates);
-        let naive = cut_utilities_naive(&block, &degrees, &candidates);
-        prop_assert_eq!(fast, naive);
+        let mut order: Vec<u32> = (0..degrees.len() as u32).collect();
+        order.sort_unstable_by_key(|&n| (degrees[n as usize], n));
+        let prefix = prefix_masses(&order, &degrees);
+        let n = order.len();
+        let s = start_pick % (n - 1);
+        let e = s + 2 + end_pick % (n - s - 1);
+        for (s, e) in [(0, n), (s, e)] {
+            // Evenly spaced candidates — the specializer's rule.
+            let available = e - s - 1;
+            let take = available.min(max_candidates.max(1));
+            let candidates: Vec<usize> = (1..=take)
+                .map(|i| 1 + (i - 1) * available / take)
+                .collect();
+            let fast = cut_utilities(&prefix[s..=e], &candidates);
+            let naive = cut_utilities_naive(&order[s..e], &degrees, &candidates);
+            prop_assert_eq!(fast, naive);
+        }
     }
 
     #[test]

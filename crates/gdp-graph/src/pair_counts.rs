@@ -8,9 +8,13 @@
 //! computing it once per level is what makes multi-level disclosure an
 //! `O(edges + Σ cells)` problem instead of `O(levels × edges)`.
 //!
-//! Two construction paths exist on purpose:
+//! Three construction paths exist on purpose:
 //!
-//! * [`PairCounts::compute`] — the production path: one edge sweep
+//! * [`PairCounts::from_adjacency`] — the finest table of every
+//!   hierarchy the specializer builds, whose level 0 is the singletons
+//!   on both sides: that table is the left adjacency with every count
+//!   1, so it is copied, not computed.
+//! * [`PairCounts::compute`] — the general path: one edge sweep
 //!   that buckets each edge under its left block, then folds every
 //!   bucket into sorted cells.
 //! * [`PairCounts::compute_naive`] — the original per-edge `HashMap`
@@ -203,6 +207,24 @@ impl PairCounts {
         let mut cells: Vec<((u32, u32), u64)> = counts.into_iter().collect();
         cells.sort_unstable_by_key(|&(k, _)| k);
         Self::from_sorted_cells(&cells, left.block_count(), right.block_count())
+    }
+
+    /// The table under the singleton partitions of both sides: cell
+    /// `(l, r)` is 1 exactly when `(l, r)` is an edge, so `row_ptr` is
+    /// the left offsets and `col_idx` the neighbour lists, which the CSR
+    /// invariant keeps sorted and deduplicated. Equal to
+    /// `compute(graph, singletons, singletons)` (pinned by the property
+    /// tests) in one copy of the adjacency, with no sweep or fold; every
+    /// array is allocated at its exact length.
+    pub fn from_adjacency(graph: &BipartiteGraph) -> Self {
+        let (offsets, neighbors) = graph.left_csr();
+        Self {
+            row_ptr: offsets.to_vec(),
+            col_idx: neighbors.iter().map(|r| r.index()).collect(),
+            cell_counts: vec![1; neighbors.len()],
+            left_blocks: graph.left_count(),
+            right_blocks: graph.right_count(),
+        }
     }
 
     /// Builds from already-aggregated cells sorted by `(left, right)`
@@ -653,6 +675,35 @@ mod tests {
             b.add_edge(LeftId::new(l), RightId::new(r)).unwrap();
         }
         b.build()
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn from_adjacency_is_the_singleton_table(
+            (nl, nr, edges) in proptest::prelude::Strategy::prop_flat_map(
+                (1u32..40, 1u32..40),
+                |(nl, nr)| (
+                    proptest::prelude::Just(nl),
+                    proptest::prelude::Just(nr),
+                    proptest::collection::vec((0..nl, 0..nr), 0..250),
+                ),
+            ),
+        ) {
+            let mut b = GraphBuilder::new(nl, nr);
+            for (l, r) in edges {
+                b.add_edge(LeftId::new(l), RightId::new(r)).unwrap();
+            }
+            let g = b.build();
+            let pl = SidePartition::singletons(Side::Left, nl);
+            let pr = SidePartition::singletons(Side::Right, nr);
+            let copied = PairCounts::from_adjacency(&g);
+            proptest::prop_assert_eq!(&copied, &PairCounts::compute(&g, &pl, &pr));
+            proptest::prop_assert_eq!(&copied, &PairCounts::compute_naive(&g, &pl, &pr));
+            // No growth slack: the table is kept for a session's life.
+            proptest::prop_assert_eq!(copied.col_idx.capacity(), copied.col_idx.len());
+            proptest::prop_assert_eq!(copied.cell_counts.capacity(), copied.cell_counts.len());
+            proptest::prop_assert_eq!(copied.row_ptr.capacity(), copied.row_ptr.len());
+        }
     }
 
     #[test]

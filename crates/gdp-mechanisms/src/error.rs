@@ -17,9 +17,11 @@ pub enum MechanismError {
     EpsilonTooLargeForClassicGaussian(f64),
     /// The classic Gaussian calibration requires `δ > 0`.
     DeltaZeroForGaussian,
-    /// The geometric decay `α = exp(−ε/Δ₁)` rounds to exactly 1 (no
-    /// noise distribution left: every draw is ±1) or to exactly 0 in
-    /// f64, so no geometric mechanism can be calibrated to this pair.
+    /// The geometric decay `α = exp(−ε/Δ₁)` rounds in f64 to exactly 1
+    /// (no noise distribution left: every draw is ±1), to a subnormal
+    /// or 0 (no noise at all), or to a double whose realized
+    /// `−ln(α̂)·Δ₁` exceeds `ε` beyond the ledger's slack, so no
+    /// geometric mechanism can be calibrated to this pair.
     GeometricDecayOutOfRange {
         /// The requested `ε`.
         epsilon: f64,
@@ -68,7 +70,7 @@ impl fmt::Display for MechanismError {
                 f,
                 "geometric mechanism cannot be calibrated to epsilon={epsilon} with \
                  L1 sensitivity {sensitivity}: the decay exp(-epsilon/sensitivity) \
-                 rounds to {} in f64",
+                 rounds to {} in f64, or too near it to realize that epsilon",
                 if epsilon / sensitivity > 1.0 { 0 } else { 1 }
             ),
             Self::EmptyCandidates => {

@@ -1,6 +1,7 @@
 use rand::Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::accountant::BUDGET_RELATIVE_SLACK;
 use crate::budget::Epsilon;
 use crate::error::MechanismError;
 use crate::sampling;
@@ -42,15 +43,28 @@ impl GeometricMechanism {
     ///
     /// # Errors
     ///
-    /// Returns [`MechanismError::GeometricDecayOutOfRange`] when
-    /// `α = exp(−ε/Δ₁)` is not strictly inside `(0, 1)` in f64. Below
-    /// `ε/Δ₁ ≈ 5.6e-17` it rounds to exactly 1, where the sampler's zero
-    /// mass is 0 and `ln α` is 0, so every draw would be ±1: the
-    /// strongest privacy request would publish near-exact counts. Above
-    /// `ε/Δ₁ ≈ 745` it underflows to 0.
+    /// Returns [`MechanismError::GeometricDecayOutOfRange`] when the
+    /// f64 decay `α̂ = exp(−ε/Δ₁)` does not give the `ε` the ledger
+    /// charges:
+    /// * `α̂` is not a normal double below 1. Below `ε/Δ₁ ≈ 5.6e-17` it
+    ///   rounds to exactly 1, where every draw would be ±1: the
+    ///   strongest privacy request would publish near-exact counts.
+    ///   Above `ε/Δ₁ ≈ 708` it is subnormal or 0, where the zero mass
+    ///   rounds to 1 and the noise is always 0.
+    /// * The realized `ε̂ = −ln(α̂)·Δ₁` exceeds `ε` by more than
+    ///   [`BUDGET_RELATIVE_SLACK`] (relative). Rounding `α` to the
+    ///   nearest double moves it by up to half an ulp, which near 1 is
+    ///   a large share of `1 − α`: at `ε/Δ₁ = 6e-17` the sampler would
+    ///   be 1.85·ε-DP. Only `ε/Δ₁` below about 5.6e-8, where half an
+    ///   ulp of `α` exceeds 1e-9 of `1 − α`, can be refused this way.
     pub fn new(epsilon: Epsilon, sensitivity: L1Sensitivity) -> Result<Self> {
         let alpha = (-epsilon.get() / sensitivity.get()).exp();
-        if !(alpha > 0.0 && alpha < 1.0) {
+        // `ln` of a double near 1 is exact to an ulp of the result, so
+        // ε̂ carries the rounding of α̂ and nothing more.
+        let realized = -alpha.ln() * sensitivity.get();
+        if !(alpha.is_normal() && alpha < 1.0)
+            || realized > epsilon.get() * (1.0 + BUDGET_RELATIVE_SLACK)
+        {
             return Err(MechanismError::GeometricDecayOutOfRange {
                 epsilon: epsilon.get(),
                 sensitivity: sensitivity.get(),
@@ -147,6 +161,32 @@ mod tests {
     }
 
     #[test]
+    fn refuses_a_decay_that_misstates_epsilon() {
+        // α̂ = 1 − 2⁻⁵³ realizes 1.85·ε at ε/Δ₁ = 6e-17 and 1.11·ε at
+        // 1e-16; at 710 α̂ is subnormal and the noise is always 0. (At
+        // 1e-15 α̂ rounds the other way, realizing 0.9992·ε: accepted
+        // above.)
+        for x in [6e-17, 1e-16, 710.0] {
+            let err =
+                GeometricMechanism::new(Epsilon::new(x).unwrap(), L1Sensitivity::new(1.0).unwrap())
+                    .unwrap_err();
+            assert!(
+                matches!(err, MechanismError::GeometricDecayOutOfRange { .. }),
+                "{x}: {err}"
+            );
+        }
+        assert!(!(-710.0f64).exp().is_normal());
+        // The perfbench fixture's coarsest level: ε = 0.5 over
+        // Δ₁ = 2 · 962,014 associations realizes ε within the slack.
+        let m = mech(0.5, 2.0 * 962_014.0);
+        let realized = -m.alpha().ln() * 2.0 * 962_014.0;
+        assert!(
+            (realized - 0.5).abs() <= 0.5 * BUDGET_RELATIVE_SLACK,
+            "{realized}"
+        );
+    }
+
+    #[test]
     fn refuses_a_decay_that_rounds_to_zero() {
         for (eps, sens) in [(1000.0, 1.0), (1e300, 1e-300)] {
             let err = GeometricMechanism::new(
@@ -160,8 +200,8 @@ mod tests {
             );
             assert!(err.to_string().contains("rounds to 0"), "{err}");
         }
-        // Below the underflow α is a positive subnormal: accepted.
-        assert!(mech(700.0, 1.0).alpha() > 0.0);
+        // Just short of the subnormal range α is normal: accepted.
+        assert!(mech(700.0, 1.0).alpha().is_normal());
     }
 
     #[test]
