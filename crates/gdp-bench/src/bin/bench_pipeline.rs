@@ -86,9 +86,7 @@
 //! arm and no gate; it uses only public APIs, so the same entry runs on
 //! older trees for a before/after figure.
 //!
-//! The `specialize_zipf_1m` entry times Phase 1 on the same Zipf graph
-//! as `gdp publish` runs it, one arm with no gate. The
-//! `finest_pair_counts_zipf_1m` entry times the finest table of the
+//! The `finest_pair_counts_zipf_1m` entry times the finest table of the
 //! hierarchy (singletons on both sides) two ways, an edge sweep
 //! (`PairCounts::compute`) vs a copy of the adjacency
 //! (`PairCounts::from_adjacency`), tables asserted equal every rep.
@@ -267,17 +265,6 @@ struct EpochEntry {
     artifact_bytes: u64,
 }
 
-/// Phase 1 on the seal fixture's 962k-edge Zipf graph, as `gdp
-/// publish` runs it (8 rounds, exponential-mechanism splits, 64
-/// candidates), best of at least five reps; the hierarchy is asserted
-/// equal to the seal fixture's every rep. One arm, an absolute time.
-#[derive(Debug, Serialize)]
-struct SpecializeEntry {
-    edges: u64,
-    levels: usize,
-    specialize_ms: f64,
-}
-
 /// The finest pair-count table of a specialized hierarchy — the
 /// singletons on both sides — on the seal fixture's 962k-edge Zipf
 /// graph, two ways: `PairCounts::compute` (bucket, scatter, sort and
@@ -360,7 +347,6 @@ struct Report {
     artifact_io_1m: ArtifactIo,
     seal_1m: SealComparison,
     epoch_zipf_1m: EpochEntry,
-    specialize_zipf_1m: SpecializeEntry,
     finest_pair_counts_zipf_1m: FinestPairCountsComparison,
     edge_list_1m: EdgeListComparison,
     answer_qps: Vec<AnswerQpsComparison>,
@@ -445,7 +431,11 @@ fn pair_counts_comparison(edges: usize, seed: u64, reps: usize) -> PairCountsCom
         HierarchyStats::compute(&graph, &hierarchy).expect("stats compute succeeds")
     });
     for (direct, cached) in per_level.iter().zip(stats.levels()) {
-        assert_eq!(direct, cached.pair_counts(), "rollup must be bit-identical");
+        match cached.pair_counts() {
+            Some(table) => assert_eq!(direct, table, "rollup must be bit-identical"),
+            // The singleton level keeps no table: it is the adjacency.
+            None => assert_eq!(direct, &PairCounts::from_adjacency(&graph)),
+        }
     }
     PairCountsComparison {
         edges: graph.edge_count(),
@@ -890,30 +880,6 @@ fn epoch_entry(
         encode_ms: best[4],
         save_ms: best[5],
         artifact_bytes,
-    }
-}
-
-/// The Phase-1 measurement (see [`SpecializeEntry`]).
-fn specialize_entry(
-    graph: &gdp_graph::BipartiteGraph,
-    expected: &GroupHierarchy,
-    seed: u64,
-    reps: usize,
-) -> SpecializeEntry {
-    let specializer = Specializer::new(SpecializationConfig::paper_default(8).expect("rounds > 0"));
-    let mut specialize_ms = f64::INFINITY;
-    for _ in 0..reps.max(5) {
-        let t = Instant::now();
-        let hierarchy = specializer
-            .specialize(graph, &mut StdRng::seed_from_u64(seed ^ 1))
-            .expect("specialize succeeds");
-        specialize_ms = specialize_ms.min(elapsed_ms(t));
-        assert_eq!(&hierarchy, expected, "the fixture's hierarchy");
-    }
-    SpecializeEntry {
-        edges: graph.edge_count(),
-        levels: expected.level_count(),
-        specialize_ms,
     }
 }
 
@@ -1703,6 +1669,7 @@ fn main() {
         "measuring one 1% epoch: stats delta, disclose, seal, encode, save (1M-edge Zipf graph)…"
     );
     let epoch_zipf_1m = epoch_entry(&zipf_1m, zipf_artifact.hierarchy().clone(), seed, reps);
+    drop(zipf_artifact);
     eprintln!(
         "  stats {:.1} ms  disclose {:.1} ms  seal {:.1} ms  epoch {:.1} ms  \
          encode {:.1} ms  save {:.1} ms  ({} bytes)",
@@ -1713,14 +1680,6 @@ fn main() {
         epoch_zipf_1m.encode_ms,
         epoch_zipf_1m.save_ms,
         epoch_zipf_1m.artifact_bytes
-    );
-
-    eprintln!("measuring Phase 1 (1M-edge Zipf graph, 8 rounds)…");
-    let specialize_zipf_1m = specialize_entry(&zipf_1m, zipf_artifact.hierarchy(), seed, reps);
-    drop(zipf_artifact);
-    eprintln!(
-        "  specialize {:.1} ms ({} levels)",
-        specialize_zipf_1m.specialize_ms, specialize_zipf_1m.levels
     );
 
     eprintln!(
@@ -1819,7 +1778,6 @@ fn main() {
         artifact_io_1m,
         seal_1m,
         epoch_zipf_1m,
-        specialize_zipf_1m,
         finest_pair_counts_zipf_1m,
         edge_list_1m,
         answer_qps,

@@ -22,7 +22,9 @@
 //! once. When the finest level is the singletons on both sides, as in
 //! every specialized hierarchy, that one touch is a copy: the finest
 //! table is the left adjacency with every count 1
-//! ([`gdp_graph::PairCounts::from_adjacency`]).
+//! ([`gdp_graph::PairCounts::from_adjacency`]). The graph holds that
+//! table already, so only its marginals are kept, and an epoch's delta
+//! moves those marginals without rebuilding the table.
 //!
 //! # Privacy is unchanged
 //!
@@ -45,7 +47,9 @@ use crate::Result;
 /// needs (per-block incident-edge counts, total, max incidence).
 #[derive(Debug, Clone, PartialEq)]
 pub struct LevelStats {
-    pair_counts: PairCounts,
+    /// `None` for a level of singletons on both sides: its table is the
+    /// graph's left adjacency, which the graph already holds.
+    pair_counts: Option<PairCounts>,
     marginals: PairMarginals,
 }
 
@@ -54,14 +58,25 @@ impl LevelStats {
     pub fn from_pair_counts(pair_counts: PairCounts) -> Self {
         let marginals = pair_counts.marginals();
         Self {
-            pair_counts,
+            pair_counts: Some(pair_counts),
             marginals,
         }
     }
 
-    /// The level's block-pair association counts.
-    pub fn pair_counts(&self) -> &PairCounts {
-        &self.pair_counts
+    /// The marginals of the singleton level's table
+    /// ([`PairCounts::from_adjacency`]), without keeping the table.
+    fn from_adjacency_table(table: &PairCounts) -> Self {
+        Self {
+            pair_counts: None,
+            marginals: table.marginals(),
+        }
+    }
+
+    /// The level's block-pair association counts, or `None` for a level
+    /// of singletons on both sides, whose table is the graph's left
+    /// adjacency ([`PairCounts::from_adjacency`]) and is not kept.
+    pub fn pair_counts(&self) -> Option<&PairCounts> {
+        self.pair_counts.as_ref()
     }
 
     /// The level's cached marginals.
@@ -94,20 +109,52 @@ impl LevelStats {
     /// the cached marginals follow by exact integer adjustments plus an
     /// `O(blocks)` max rescan — bit-identical to rederiving them from
     /// the updated counts. `old_counts` is a recycled scratch buffer.
+    ///
+    /// A singleton level keeps no table: each of its cells is 1 exactly
+    /// when its pair is an edge, so an insert finds 0 and a delete
+    /// finds 1, and only the marginals change. Whether the pair was an
+    /// edge is the graph's to check; here a change other than ±1, or
+    /// one that takes a marginal below zero, is refused.
     fn apply_cell_deltas(
         &mut self,
         deltas: &[((u32, u32), i64)],
         old_counts: &mut Vec<u64>,
     ) -> Result<()> {
-        self.pair_counts
-            .apply_cell_deltas_recording(deltas, old_counts)
-            .map_err(CoreError::Graph)?;
+        match &mut self.pair_counts {
+            Some(table) => table
+                .apply_cell_deltas_recording(deltas, old_counts)
+                .map_err(CoreError::Graph)?,
+            None => {
+                old_counts.clear();
+                for &((l, r), d) in deltas {
+                    if d.abs() != 1 {
+                        return Err(CoreError::Graph(GraphError::DeltaInvalid {
+                            message: format!(
+                                "change {d} for singleton cell ({l}, {r}), which holds 0 or 1"
+                            ),
+                        }));
+                    }
+                    old_counts.push(u64::from(d < 0));
+                }
+            }
+        }
         let mut total = self.marginals.total as i128;
         for (&((l, r), d), &have) in deltas.iter().zip(old_counts.iter()) {
-            let left = &mut self.marginals.left[l as usize];
-            *left = (*left as i128 + d as i128) as u64;
-            let right = &mut self.marginals.right[r as usize];
-            *right = (*right as i128 + d as i128) as u64;
+            let left = self.marginals.left[l as usize] as i128 + d as i128;
+            let right = self.marginals.right[r as usize] as i128 + d as i128;
+            if left < 0 || right < 0 {
+                // Only a singleton level gets here (a kept table refuses
+                // first): a delete whose node has no edge left, so its
+                // cell held 0.
+                return Err(CoreError::Graph(GraphError::DeltaCellUnderflow {
+                    left_block: l,
+                    right_block: r,
+                    have: 0,
+                    change: d,
+                }));
+            }
+            self.marginals.left[l as usize] = left as u64;
+            self.marginals.right[r as usize] = right as u64;
             total += d as i128;
             // Squared-count marginals move by new² − old²; both squares
             // are exact integers, so the adjustment is order-free.
@@ -163,8 +210,11 @@ impl HierarchyStats {
     ///
     /// When the finest level is the singletons on both sides, as in
     /// every hierarchy the [`crate::Specializer`] builds, its table is
-    /// the left adjacency ([`PairCounts::from_adjacency`]); otherwise it
-    /// comes from one edge sweep ([`PairCounts::compute`]).
+    /// the left adjacency ([`PairCounts::from_adjacency`]): it is copied
+    /// for the first rollup and its marginals, then dropped, since the
+    /// graph holds it already ([`LevelStats::pair_counts`] is `None`).
+    /// Otherwise it comes from one edge sweep ([`PairCounts::compute`])
+    /// and is kept.
     ///
     /// # Errors
     ///
@@ -178,8 +228,9 @@ impl HierarchyStats {
     /// side sizes (same contract as [`gdp_graph::PairCounts::compute`]).
     pub fn compute(graph: &BipartiteGraph, hierarchy: &GroupHierarchy) -> Result<Self> {
         let finest = hierarchy.finest();
+        let singletons = hierarchy.finest_singletons() == [true, true];
         let mut pair_counts = Vec::with_capacity(hierarchy.level_count());
-        pair_counts.push(if hierarchy.finest_singletons() == [true, true] {
+        pair_counts.push(if singletons {
             // `compute`'s side-size contract, which the copy skips.
             assert_eq!(finest.left().node_count(), graph.left_count());
             assert_eq!(finest.right().node_count(), graph.right_count());
@@ -201,7 +252,14 @@ impl HierarchyStats {
         Ok(Self {
             levels: pair_counts
                 .into_iter()
-                .map(LevelStats::from_pair_counts)
+                .enumerate()
+                .map(|(i, table)| {
+                    if i == 0 && singletons {
+                        LevelStats::from_adjacency_table(&table)
+                    } else {
+                        LevelStats::from_pair_counts(table)
+                    }
+                })
                 .collect(),
         })
     }
@@ -245,7 +303,9 @@ impl HierarchyStats {
     /// deltas themselves* roll up the refinement chain via the
     /// hierarchy's block maps — so each coarser level
     /// re-merges only its dirty rows too, and no level's partition is
-    /// rescanned.
+    /// rescanned. A finest level of singletons keeps no table, so there
+    /// only the marginals move: no table is rebuilt at the level whose
+    /// table is largest.
     ///
     /// All arithmetic is integer, so the result is **bit-identical** to
     /// `HierarchyStats::compute(&graph.apply_delta(delta)?, hierarchy)`
@@ -254,13 +314,17 @@ impl HierarchyStats {
     ///
     /// The delta must already be consistent with the graph these stats
     /// were computed from (the caller applies it to the graph first,
-    /// which validates membership); here only node ranges are checked.
+    /// which validates membership); here node ranges are checked, and
+    /// the counts each level holds (at a singleton level, only its
+    /// marginals).
     ///
     /// # Errors
     ///
     /// Returns [`CoreError::InvalidHierarchy`] when `hierarchy`'s level
     /// count or some level's block counts differ from the ones these
-    /// statistics were computed over (nothing is updated then), and
+    /// statistics were computed over, or when these statistics keep no
+    /// finest table and `hierarchy`'s finest level is not the
+    /// singletons (nothing is updated then), and
     /// [`CoreError::Graph`] for out-of-range endpoints or a batch that
     /// disagrees with the stored counts (e.g. deleting from an empty
     /// cell). A refused delta may leave *this* value partially updated
@@ -298,8 +362,8 @@ impl HierarchyStats {
         self.levels[0].apply_cell_deltas(&cells, &mut old_counts)?;
         for (i, [left_map, right_map]) in hierarchy.block_maps().iter().enumerate() {
             let coarser = &mut self.levels[i + 1];
-            let cols = coarser.pair_counts.right_blocks() as usize;
-            let grid_cells = coarser.pair_counts.left_blocks() as usize * cols;
+            let cols = coarser.marginals.right.len();
+            let grid_cells = coarser.marginals.left.len() * cols;
             if grid_cells <= DENSE_FOLD_MAX_CELLS {
                 // Coarse level: scatter into a recycled dense grid and
                 // collect nonzero entries in one row-major scan (zeroing
@@ -337,7 +401,9 @@ impl HierarchyStats {
     }
 
     /// Refuses a hierarchy whose level count or per-level block counts
-    /// differ from the tables these statistics hold.
+    /// differ from the tables these statistics hold, or whose finest
+    /// level is not the singletons when these statistics keep no finest
+    /// table (its cells would not be the adjacency's).
     fn check_shape(&self, hierarchy: &GroupHierarchy) -> Result<()> {
         if hierarchy.level_count() != self.levels.len() {
             return Err(CoreError::InvalidHierarchy(format!(
@@ -349,14 +415,21 @@ impl HierarchyStats {
         for (i, (level, stats)) in hierarchy.levels().iter().zip(&self.levels).enumerate() {
             let shape = (level.left().block_count(), level.right().block_count());
             let held = (
-                stats.pair_counts.left_blocks(),
-                stats.pair_counts.right_blocks(),
+                stats.marginals.left.len() as u32,
+                stats.marginals.right.len() as u32,
             );
             if shape != held {
                 return Err(CoreError::InvalidHierarchy(format!(
                     "hierarchy level {i} has {shape:?} blocks but stats hold {held:?}"
                 )));
             }
+        }
+        let no_finest_table = self.levels.first().is_some_and(|l| l.pair_counts.is_none());
+        if no_finest_table && hierarchy.finest_singletons() != [true, true] {
+            return Err(CoreError::InvalidHierarchy(
+                "stats keep no finest table, but the hierarchy's finest level is not the singletons"
+                    .into(),
+            ));
         }
         Ok(())
     }
@@ -423,7 +496,14 @@ mod tests {
         for (i, level) in h.levels().iter().enumerate() {
             let direct = PairCounts::compute(&g, level.left(), level.right());
             let cached = stats.level(i).unwrap();
-            assert_eq!(cached.pair_counts(), &direct, "level {i}");
+            match cached.pair_counts() {
+                Some(table) => assert_eq!(table, &direct, "level {i}"),
+                // The singleton level's table is the adjacency.
+                None => {
+                    assert_eq!(i, 0);
+                    assert_eq!(PairCounts::from_adjacency(&g), direct);
+                }
+            }
             assert_eq!(cached.incident_edges(), level.incident_edges(&g));
             assert_eq!(cached.max_incident_edges(), level.max_incident_edges(&g));
             assert_eq!(cached.total(), g.edge_count());
@@ -510,6 +590,92 @@ mod tests {
             ));
             assert_eq!(stats, before, "a refused hierarchy changes nothing");
         }
+    }
+
+    /// A two-level hierarchy over [`graph`]'s 24 + 24 nodes: the finest
+    /// level assigns node `i` to block `finest(i)` on both sides, the
+    /// coarser level is one block per side.
+    fn two_level(finest: impl Fn(u32) -> u32, blocks: u32) -> GroupHierarchy {
+        use crate::hierarchy::GroupLevel;
+        use gdp_graph::{Side, SidePartition};
+        let level = |assign: Vec<u32>, blocks| {
+            GroupLevel::new(
+                SidePartition::new(Side::Left, assign.clone(), blocks).unwrap(),
+                SidePartition::new(Side::Right, assign, blocks).unwrap(),
+            )
+            .unwrap()
+        };
+        GroupHierarchy::new(vec![
+            level((0..24).map(&finest).collect(), blocks),
+            level(vec![0; 24], 1),
+        ])
+        .unwrap()
+    }
+
+    #[test]
+    fn a_finest_level_of_singletons_keeps_no_table() {
+        use gdp_graph::{EdgeDelta, LeftId, RightId};
+        let g = graph();
+        let pairs = two_level(|i| i / 2, 12);
+        let singletons = two_level(|i| i, 24);
+        let delta = EdgeDelta::new(
+            vec![(LeftId::new(0), RightId::new(1))],
+            vec![(LeftId::new(0), RightId::new(0))],
+        );
+        let g2 = g.apply_delta(&delta).unwrap();
+        for h in [pairs, singletons] {
+            let mut stats = HierarchyStats::compute(&g, &h).unwrap();
+            let kept = stats.level(0).unwrap().pair_counts().is_some();
+            assert_eq!(kept, h.finest_singletons() != [true, true]);
+            // Both paths land where a full recompute does.
+            stats.apply_delta(&h, &delta).unwrap();
+            assert_eq!(stats, HierarchyStats::compute(&g2, &h).unwrap());
+        }
+    }
+
+    #[test]
+    fn a_singleton_level_refuses_a_delta_its_marginals_disprove() {
+        use gdp_graph::{EdgeDelta, GraphError, LeftId, RightId};
+        let mut b = GraphBuilder::new(4, 4);
+        b.add_edge(LeftId::new(0), RightId::new(0)).unwrap();
+        b.add_edge(LeftId::new(1), RightId::new(1)).unwrap();
+        let g = b.build();
+        let h = Specializer::new(SpecializationConfig::median(1).unwrap())
+            .specialize(&g, &mut StdRng::seed_from_u64(2))
+            .unwrap();
+        let stats = HierarchyStats::compute(&g, &h).unwrap();
+        // Left node 3 has no edge, so no delete there can hold.
+        let isolated = EdgeDelta::new(Vec::new(), vec![(LeftId::new(3), RightId::new(0))]);
+        assert!(matches!(
+            stats.clone().apply_delta(&h, &isolated),
+            Err(CoreError::Graph(GraphError::DeltaCellUnderflow {
+                left_block: 3,
+                right_block: 0,
+                have: 0,
+                change: -1,
+            }))
+        ));
+        // An edge inserted twice would make a singleton cell 2.
+        let twice = EdgeDelta::new(vec![(LeftId::new(2), RightId::new(2)); 2], Vec::new());
+        assert!(matches!(
+            stats.clone().apply_delta(&h, &twice),
+            Err(CoreError::Graph(GraphError::DeltaInvalid { .. }))
+        ));
+    }
+
+    #[test]
+    fn stats_without_a_finest_table_refuse_a_permuted_finest_level() {
+        use gdp_graph::EdgeDelta;
+        let g = graph();
+        let mut stats = HierarchyStats::compute(&g, &two_level(|i| i, 24)).unwrap();
+        let before = stats.clone();
+        // Same block counts, but block `i` is node `23 − i`.
+        let permuted = two_level(|i| 23 - i, 24);
+        assert!(matches!(
+            stats.apply_delta(&permuted, &EdgeDelta::empty()),
+            Err(CoreError::InvalidHierarchy(_))
+        ));
+        assert_eq!(stats, before);
     }
 
     #[test]

@@ -17,11 +17,12 @@ pub enum MechanismError {
     EpsilonTooLargeForClassicGaussian(f64),
     /// The classic Gaussian calibration requires `δ > 0`.
     DeltaZeroForGaussian,
-    /// The geometric decay `α = exp(−ε/Δ₁)` rounds in f64 to exactly 1
-    /// (no noise distribution left: every draw is ±1), to a subnormal
-    /// or 0 (no noise at all), or to a double whose realized
-    /// `−ln(α̂)·Δ₁` exceeds `ε` beyond the ledger's slack, so no
-    /// geometric mechanism can be calibrated to this pair.
+    /// No normal double below 1 realizes the decay `α = exp(−ε/Δ₁)`:
+    /// it is exactly 1 in f64, or every double below 1 realizes an
+    /// `−ln(α̂)·Δ₁` above `ε` beyond the ledger's slack (no noise
+    /// distribution left: every draw is ±1), or it is a subnormal or 0
+    /// (no noise at all). So no geometric mechanism can be calibrated
+    /// to this pair.
     GeometricDecayOutOfRange {
         /// The requested `ε`.
         epsilon: f64,

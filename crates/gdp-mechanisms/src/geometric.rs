@@ -41,33 +41,40 @@ pub struct GeometricMechanism {
 impl GeometricMechanism {
     /// Creates a geometric mechanism calibrated to `(ε, Δ₁)`.
     ///
+    /// The decay is `α̂ = exp(−ε/Δ₁)` rounded to a double, stepped up
+    /// toward 1 one ulp at a time while its realized
+    /// `ε̂ = −ln(α̂)·Δ₁` exceeds `ε` by more than
+    /// [`BUDGET_RELATIVE_SLACK`] (relative), so the sampler never gives
+    /// more than the `ε` the ledger charges. Rounding moves `α` by up
+    /// to half an ulp, which near 1 is a large share of `1 − α` (at
+    /// `ε/Δ₁ = 6e-17` the rounded decay realizes 1.85·ε); only
+    /// `ε/Δ₁` below about 5.6e-8 can need a step, and it needs one or
+    /// two. Everywhere else `α̂` is the rounded `exp(−ε/Δ₁)` itself.
+    ///
     /// # Errors
     ///
-    /// Returns [`MechanismError::GeometricDecayOutOfRange`] when the
-    /// f64 decay `α̂ = exp(−ε/Δ₁)` does not give the `ε` the ledger
-    /// charges:
-    /// * `α̂` is not a normal double below 1. Below `ε/Δ₁ ≈ 5.6e-17` it
-    ///   rounds to exactly 1, where every draw would be ±1: the
-    ///   strongest privacy request would publish near-exact counts.
-    ///   Above `ε/Δ₁ ≈ 708` it is subnormal or 0, where the zero mass
-    ///   rounds to 1 and the noise is always 0.
-    /// * The realized `ε̂ = −ln(α̂)·Δ₁` exceeds `ε` by more than
-    ///   [`BUDGET_RELATIVE_SLACK`] (relative). Rounding `α` to the
-    ///   nearest double moves it by up to half an ulp, which near 1 is
-    ///   a large share of `1 − α`: at `ε/Δ₁ = 6e-17` the sampler would
-    ///   be 1.85·ε-DP. Only `ε/Δ₁` below about 5.6e-8, where half an
-    ///   ulp of `α` exceeds 1e-9 of `1 − α`, can be refused this way.
+    /// Returns [`MechanismError::GeometricDecayOutOfRange`] when no
+    /// normal double below 1 realizes `ε`:
+    /// * `α̂` reaches exactly 1 (`ε/Δ₁` below about 1.1e-16), where
+    ///   every draw would be ±1: the strongest privacy request would
+    ///   publish near-exact counts.
+    /// * `α̂` is subnormal or 0 (`ε/Δ₁` above about 708), where the
+    ///   zero mass rounds to 1 and the noise is always 0.
     pub fn new(epsilon: Epsilon, sensitivity: L1Sensitivity) -> Result<Self> {
-        let alpha = (-epsilon.get() / sensitivity.get()).exp();
-        // `ln` of a double near 1 is exact to an ulp of the result, so
-        // ε̂ carries the rounding of α̂ and nothing more.
-        let realized = -alpha.ln() * sensitivity.get();
-        if !(alpha.is_normal() && alpha < 1.0)
-            || realized > epsilon.get() * (1.0 + BUDGET_RELATIVE_SLACK)
-        {
+        let (eps, sens) = (epsilon.get(), sensitivity.get());
+        let mut alpha = (-eps / sens).exp();
+        if alpha.is_normal() {
+            // `ln` of a double near 1 is exact to an ulp of the result,
+            // so ε̂ carries the rounding of α̂ and nothing more; a larger
+            // α̂ realizes a smaller ε̂.
+            while alpha < 1.0 && -alpha.ln() * sens > eps * (1.0 + BUDGET_RELATIVE_SLACK) {
+                alpha = alpha.next_up();
+            }
+        }
+        if !(alpha.is_normal() && alpha < 1.0) {
             return Err(MechanismError::GeometricDecayOutOfRange {
-                epsilon: epsilon.get(),
-                sensitivity: sensitivity.get(),
+                epsilon: eps,
+                sensitivity: sens,
             });
         }
         Ok(Self { alpha })
@@ -160,12 +167,17 @@ mod tests {
         assert!(noise.iter().any(|x| x.abs() > 1_000_000), "{noise:?}");
     }
 
+    /// The realized `ε̂ = −ln(α̂)·Δ₁` of a built mechanism.
+    fn realized(m: &GeometricMechanism, sens: f64) -> f64 {
+        -m.alpha().ln() * sens
+    }
+
     #[test]
-    fn refuses_a_decay_that_misstates_epsilon() {
-        // α̂ = 1 − 2⁻⁵³ realizes 1.85·ε at ε/Δ₁ = 6e-17 and 1.11·ε at
-        // 1e-16; at 710 α̂ is subnormal and the noise is always 0. (At
-        // 1e-15 α̂ rounds the other way, realizing 0.9992·ε: accepted
-        // above.)
+    fn recalibrates_a_decay_that_misstates_epsilon() {
+        // The rounded decay α̂ = 1 − 2⁻⁵³ realizes 1.85·ε at
+        // ε/Δ₁ = 6e-17 and 1.11·ε at 1e-16, and the only larger double
+        // is 1: refused. At 710 α̂ is subnormal and the noise is always
+        // 0: refused.
         for x in [6e-17, 1e-16, 710.0] {
             let err =
                 GeometricMechanism::new(Epsilon::new(x).unwrap(), L1Sensitivity::new(1.0).unwrap())
@@ -176,14 +188,24 @@ mod tests {
             );
         }
         assert!(!(-710.0f64).exp().is_normal());
-        // The perfbench fixture's coarsest level: ε = 0.5 over
-        // Δ₁ = 2 · 962,014 associations realizes ε within the slack.
-        let m = mech(0.5, 2.0 * 962_014.0);
-        let realized = -m.alpha().ln() * 2.0 * 962_014.0;
-        assert!(
-            (realized - 0.5).abs() <= 0.5 * BUDGET_RELATIVE_SLACK,
-            "{realized}"
-        );
+        // At 2e-16 the rounded decay 1 − 2·2⁻⁵³ realizes 1.11·ε; one
+        // step up, 1 − 2⁻⁵³ realizes 0.56·ε and is kept.
+        let x = 2e-16f64;
+        assert!(-(-x).exp().ln() > x * (1.0 + BUDGET_RELATIVE_SLACK));
+        let m = mech(x, 1.0);
+        assert_eq!(m.alpha(), 1.0 - f64::EPSILON / 2.0);
+        assert!(realized(&m, 1.0) <= x, "{}", realized(&m, 1.0));
+        // The perfbench fixture's coarsest level, Δ₁ = 2 · 962,014
+        // associations: every ε here is built, realizing at most ε
+        // (within the slack), and ε = 0.5 keeps the rounded decay.
+        let sens = 2.0 * 962_014.0;
+        for eps in [0.05, 0.1, 0.5] {
+            let m = mech(eps, sens);
+            let r = realized(&m, sens);
+            assert!(r <= eps * (1.0 + BUDGET_RELATIVE_SLACK), "{eps}: {r}");
+            assert!(m.alpha() >= (-eps / sens).exp(), "{eps}");
+        }
+        assert_eq!(mech(0.5, sens).alpha(), (-0.5 / sens).exp());
     }
 
     #[test]

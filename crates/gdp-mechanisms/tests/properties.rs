@@ -5,6 +5,7 @@ use proptest::prelude::*;
 use gdp_mechanisms::{
     Delta, Epsilon, ExponentialMechanism, GaussianMechanism, GeometricMechanism, L1Sensitivity,
     L2Sensitivity, LaplaceMechanism, MechanismError, PrivacyAccountant, PrivacyBudget,
+    BUDGET_RELATIVE_SLACK,
 };
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -140,28 +141,32 @@ proptest! {
     }
 
     /// Over the whole positive f64 range, including both ends where
-    /// exp(−ε/Δ₁) rounds to 1 or to 0: a mechanism is built exactly when
-    /// its decay lies strictly inside (0, 1), and refused with a typed
-    /// error otherwise.
+    /// exp(−ε/Δ₁) rounds to 1 or to 0: a mechanism is built exactly
+    /// when some normal decay in the open unit interval realizes ε
+    /// (see [`geometric_new_contract`]), and refused with a typed error
+    /// otherwise.
     #[test]
     fn geometric_new_accepts_exactly_the_open_unit_decay(
         e in proptest::num::f64::ANY,
         s in proptest::num::f64::ANY,
     ) {
         if let (Ok(eps), Ok(sens)) = (Epsilon::new(e), L1Sensitivity::new(s)) {
-            let alpha = (-e / s).exp();
-            match GeometricMechanism::new(eps, sens) {
-                Ok(mech) => {
-                    prop_assert!(alpha > 0.0 && alpha < 1.0);
-                    prop_assert_eq!(mech.alpha(), alpha);
-                }
-                Err(err) => {
-                    prop_assert!(!(alpha > 0.0 && alpha < 1.0));
-                    prop_assert_eq!(
-                        err,
-                        MechanismError::GeometricDecayOutOfRange { epsilon: e, sensitivity: s }
-                    );
-                }
+            geometric_new_contract(eps, sens);
+        }
+    }
+
+    /// The same contract where it bites: ε/Δ₁ drawn log-uniformly from
+    /// the band in which rounding α can misstate ε (5.6e-17 to 5.6e-8)
+    /// and from the band in which α is subnormal or 0 (708 to 745).
+    #[test]
+    fn geometric_new_contract_holds_near_both_edges(
+        log_ratio in -16.26f64..-7.26,
+        high_ratio in 708.0f64..745.0,
+        s in sens_strategy(),
+    ) {
+        for ratio in [10f64.powf(log_ratio), high_ratio] {
+            if let (Ok(eps), Ok(sens)) = (Epsilon::new(ratio * s), L1Sensitivity::new(s)) {
+                geometric_new_contract(eps, sens);
             }
         }
     }
@@ -194,6 +199,44 @@ proptest! {
 // ---------------------------------------------------------------------------
 
 /// Batch lengths: empty, single, odd, and past a few hundred elements.
+/// `GeometricMechanism::new`'s contract, with the realized
+/// `ε̂ = −ln(α)·Δ₁` and `cap = ε·(1 + BUDGET_RELATIVE_SLACK)`: a
+/// mechanism is built exactly when `α̂ = exp(−ε/Δ₁)` is a normal double
+/// below 1 and the largest double below 1 realizes at most `cap` (`ε̂`
+/// falls as `α` rises, so then some `α ∈ [α̂, 1)` does). A built
+/// mechanism's `α` is the smallest such double, and a refusal is the
+/// typed error.
+fn geometric_new_contract(eps: Epsilon, sens: L1Sensitivity) {
+    let (e, s) = (eps.get(), sens.get());
+    let rounded = (-e / s).exp();
+    let cap = e * (1.0 + BUDGET_RELATIVE_SLACK);
+    let realized = |alpha: f64| -alpha.ln() * s;
+    let below_one = 1.0 - f64::EPSILON / 2.0;
+    let realizable = rounded.is_normal() && rounded < 1.0 && realized(below_one) <= cap;
+    match GeometricMechanism::new(eps, sens) {
+        Ok(mech) => {
+            let alpha = mech.alpha();
+            assert!(realizable, "e={e} s={s} built with alpha={alpha}");
+            assert!(rounded <= alpha && alpha < 1.0, "e={e} s={s}");
+            assert!(realized(alpha) <= cap, "e={e} s={s}");
+            assert!(
+                alpha == rounded || realized(alpha.next_down()) > cap,
+                "e={e} s={s}"
+            );
+        }
+        Err(err) => {
+            assert!(!realizable, "e={e} s={s} refused");
+            assert_eq!(
+                err,
+                MechanismError::GeometricDecayOutOfRange {
+                    epsilon: e,
+                    sensitivity: s
+                }
+            );
+        }
+    }
+}
+
 fn batch_lengths() -> Vec<usize> {
     vec![0, 1, 3, 4, 5, 255, 256, 257, 600]
 }
